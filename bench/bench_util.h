@@ -88,8 +88,9 @@ inline void Die(const Status& st) {
 /// Runs one model family under all three strategies on the same relations
 /// (`pool` cleared between runs so every algorithm starts cold) and
 /// self-checks M/F parameter drift — the exactness property the
-/// factorization promises. `train` is a core::Train* entry point;
-/// `max_abs_diff` compares the M and F models.
+/// factorization promises: drift above 1e-4, or NaN, fails the bench.
+/// `train` is a core::Train* entry point; `max_abs_diff` compares the M
+/// and F models.
 template <typename Options, typename TrainFn, typename DiffFn>
 inline Trio RunAllStrategies(const join::NormalizedRelations& rel,
                              const Options& options,
@@ -106,8 +107,11 @@ inline Trio RunAllStrategies(const join::NormalizedRelations& rel,
   auto f = train(rel, options, core::Algorithm::kFactorized, pool, &t.f);
   if (!f.ok()) Die(f.status());
   const double diff = max_abs_diff(m.value(), f.value());
-  if (diff > 1e-4) {
-    std::fprintf(stderr, "WARNING: M/F parameter drift %.3g\n", diff);
+  if (!(diff <= 1e-4)) {  // NaN fails too
+    std::ostringstream msg;
+    msg << "M/F parameter drift " << diff << " exceeds 1e-4 ("
+        << t.f.algorithm << ")";
+    Die(Status::Internal(msg.str()));
   }
   return t;
 }

@@ -7,14 +7,12 @@
 // O(chunk_count x k x n_R). The bench sweeps --morsel-rows, reads the
 // measured `pipeline.slot_bytes` gauge, and prints next to it the cost
 // the full-domain sizing would have paid (slot count x the measured
-// bytes of one full-domain slot). Second, the sparse v2 ShardDelta
-// frames: chunk-scoped slots make most of a dense frame's doubles
-// non-zero, but cross-table slots and ragged tails still ship zero runs;
-// the sweep compares `pipeline.delta_bytes` under --delta-encoding=dense
-// vs sparse at the same shard geometry. Every configuration must
-// reproduce the baseline objective and op counts bit for bit — the
-// sparse decode and the rid-scoped merge are exactness-preserving, and
-// the bench fails loudly if they are not.
+// bytes of one full-domain slot). Second, the zero-run-length ShardDelta
+// frames: the sweep records `pipeline.delta_bytes` of a sharded run at
+// the same chunk geometry. Every sharded configuration must reproduce its
+// shards=1 objective and op counts bit for bit — the delta round trip and
+// the rid-scoped merge are exactness-preserving, and the bench fails
+// loudly if they are not.
 //
 //   bench_delta_bytes [--threads=2] [--s-rows=60000] [--r-rows=300]
 //                     [--iters=3] [--shards=4]
@@ -94,7 +92,6 @@ int Main(int argc, char** argv) {
   for (const int64_t morsel_rows : morsel_list) {
     opt.morsel_rows = morsel_rows;
     opt.shards = 1;
-    opt.delta_encoding = "dense";
     pool.Clear();
     core::TrainReport r;
     params = core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool, &r);
@@ -107,51 +104,36 @@ int Main(int argc, char** argv) {
                 static_cast<double>(chunks) * full_domain_slot_bytes, "-");
     json.Add("f-gmm", "morsel_" + std::to_string(morsel_rows), r);
 
-    // Sharded runs at the same chunk geometry, both wire encodings: the
-    // sparse frame may only shrink the wire, never change the decode.
-    // Parity is per morsel size — the chunk-ordered reduction is a
-    // function of the chunk geometry, not of shards or encoding.
-    double dense_wire = 0.0;
-    for (const char* enc : {"dense", "sparse"}) {
-      opt.shards = shards;
-      opt.delta_encoding = enc;
-      pool.Clear();
-      core::TrainReport rs;
-      params =
-          core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool, &rs);
-      if (!params.ok()) Die(params.status());
-      const double wire = Metric(rs, "pipeline.delta_bytes");
-      if (std::strcmp(enc, "dense") == 0) dense_wire = wire;
-      std::printf("%-22s %8lld %14.0f %16s %14.0f\n",
-                  ("  shards=" + std::to_string(shards) + " " + enc).c_str(),
-                  static_cast<long long>(chunks),
-                  Metric(rs, "pipeline.slot_bytes"), "-", wire);
-      json.Add("f-gmm", "morsel_" + std::to_string(morsel_rows) + "_shards_" +
-                            std::to_string(shards) + "_" + enc,
-               rs);
-      if (!BitEq(rs.final_objective, r.final_objective) ||
-          rs.ops.mults != r.ops.mults || rs.ops.adds != r.ops.adds ||
-          rs.ops.subs != r.ops.subs || rs.ops.exps != r.ops.exps) {
-        std::fprintf(stderr,
-                     "PARITY VIOLATION: shards=%d %s at morsel=%lld "
-                     "(objective %a vs %a)\n",
-                     shards, enc, static_cast<long long>(morsel_rows),
-                     rs.final_objective, r.final_objective);
-        return 1;
-      }
-      if (std::strcmp(enc, "sparse") == 0 && wire > dense_wire) {
-        std::fprintf(stderr,
-                     "sparse frames larger than dense (%.0f > %.0f) at "
-                     "morsel=%lld — RLE overhead exceeded its savings\n",
-                     wire, dense_wire, static_cast<long long>(morsel_rows));
-        return 1;
-      }
+    // A sharded run at the same chunk geometry. Parity is per morsel
+    // size — the chunk-ordered reduction is a function of the chunk
+    // geometry, not of the shard count.
+    opt.shards = shards;
+    pool.Clear();
+    core::TrainReport rs;
+    params = core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool, &rs);
+    if (!params.ok()) Die(params.status());
+    std::printf("%-22s %8lld %14.0f %16s %14.0f\n",
+                ("  shards=" + std::to_string(shards)).c_str(),
+                static_cast<long long>(chunks),
+                Metric(rs, "pipeline.slot_bytes"), "-",
+                Metric(rs, "pipeline.delta_bytes"));
+    json.Add("f-gmm", "morsel_" + std::to_string(morsel_rows) + "_shards_" +
+                          std::to_string(shards),
+             rs);
+    if (!BitEq(rs.final_objective, r.final_objective) ||
+        rs.ops.mults != r.ops.mults || rs.ops.adds != r.ops.adds ||
+        rs.ops.subs != r.ops.subs || rs.ops.exps != r.ops.exps) {
+      std::fprintf(stderr,
+                   "PARITY VIOLATION: shards=%d at morsel=%lld "
+                   "(objective %a vs %a)\n",
+                   shards, static_cast<long long>(morsel_rows),
+                   rs.final_objective, r.final_objective);
+      return 1;
     }
   }
   std::printf(
-      "every sharded/sparse run bit-identical to its shards=1 dense "
-      "baseline (objective + op counts); sparse frames never exceeded "
-      "dense\n");
+      "every sharded run bit-identical to its shards=1 baseline (objective "
+      "+ op counts)\n");
   return 0;
 }
 

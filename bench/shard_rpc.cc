@@ -114,7 +114,7 @@ int Main(int argc, char** argv) {
 
   for (const int64_t shards : shard_counts) {
     opt.shards = static_cast<int>(shards);
-    opt.shard_backend = "inproc";
+    opt.shard_backend = core::pipeline::ShardBackend::kInproc;
     pool.Clear();
     core::TrainReport in_r;
     auto in_params =
@@ -122,7 +122,7 @@ int Main(int argc, char** argv) {
     if (!in_params.ok()) Die(in_params.status());
     json.Add("inproc", "shards_" + std::to_string(shards), in_r);
 
-    opt.shard_backend = "process";
+    opt.shard_backend = core::pipeline::ShardBackend::kProcess;
     pool.Clear();
     const uint64_t sent0 = NetCounter("net.bytes_sent");
     const uint64_t recv0 = NetCounter("net.bytes_recv");

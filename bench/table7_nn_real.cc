@@ -21,7 +21,7 @@ int Main(int argc, char** argv) {
   const size_t nh = static_cast<size_t>(args.GetInt("nh", 50));
 
   BenchDir dir;
-  storage::BufferPool pool(static_cast<size_t>(args.GetInt("pool_pages", 2048)));
+  storage::BufferPool pool(static_cast<size_t>(args.GetBufferPages(2048)));
   nn::NnOptions opt;
   opt.hidden = {nh};
   opt.epochs = epochs;

@@ -195,7 +195,6 @@ std::string ArgParser::GetKernels(const std::string& default_value) const {
 
 int64_t ArgParser::GetBufferPages(int64_t default_value) const {
   auto it = kv_.find("buffer-pages");
-  if (it == kv_.end()) it = kv_.find("pool_pages");  // legacy spelling
   if (it == kv_.end()) return default_value < 1 ? 1 : default_value;
   errno = 0;
   char* end = nullptr;
@@ -257,33 +256,6 @@ int64_t ArgParser::GetShardTimeoutMs(int64_t default_value) const {
     std::exit(2);
   }
   return static_cast<int64_t>(ms);
-}
-
-std::string ArgParser::GetShardTransport(
-    const std::string& default_value) const {
-  auto it = kv_.find("shard-transport");
-  if (it == kv_.end()) return default_value;
-  if (it->second == "unix" || it->second == "tcp") return it->second;
-  std::fprintf(stderr,
-               "invalid --shard-transport=%s (must be 'unix' or 'tcp'; unix = "
-               "a Unix-domain socket in the temp dir, tcp = 127.0.0.1 with a "
-               "kernel-assigned port; same wire format either way)\n",
-               it->second.c_str());
-  std::exit(2);
-}
-
-std::string ArgParser::GetDeltaEncoding(
-    const std::string& default_value) const {
-  auto it = kv_.find("delta-encoding");
-  if (it == kv_.end()) return default_value;
-  if (it->second == "dense" || it->second == "sparse") return it->second;
-  std::fprintf(stderr,
-               "invalid --delta-encoding=%s (must be 'dense' or 'sparse'; "
-               "dense = v1 frames shipping every slot double, sparse = v2 "
-               "zero-run-length frames, decoded bit-identically so results "
-               "match dense exactly)\n",
-               it->second.c_str());
-  std::exit(2);
 }
 
 std::string ArgParser::GetCheckpointDir(

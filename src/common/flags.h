@@ -75,10 +75,9 @@ class ArgParser {
   /// exits(2), listing the choices (like --steal/--prefetch).
   std::string GetKernels(const std::string& default_value = "scalar") const;
 
-  /// The shared `--buffer-pages=N` flag: buffer-pool capacity in pages
-  /// (the legacy spelling `--pool_pages` is still honored). Values < 1 or
-  /// non-integers are rejected with an error and exit(2); this is the
-  /// single validation point for every binary, like --threads.
+  /// The shared `--buffer-pages=N` flag: buffer-pool capacity in pages.
+  /// Values < 1 or non-integers are rejected with an error and exit(2);
+  /// this is the single validation point for every binary, like --threads.
   int64_t GetBufferPages(int64_t default_value) const;
 
   /// The shared `--trace=PATH` flag: span-trace output path for the obs/
@@ -104,24 +103,11 @@ class ArgParser {
   /// < 1 or non-integers are rejected with an error and exit(2).
   int64_t GetShardTimeoutMs(int64_t default_value = 30000) const;
 
-  /// The shared `--shard-transport={unix,tcp}` flag: socket family of the
-  /// process shard backend. unix (the default) uses a Unix-domain socket
-  /// under the run's temp dir; tcp uses 127.0.0.1 with a kernel-assigned
-  /// port. Identical wire format and results. Anything else exits(2).
-  std::string GetShardTransport(const std::string& default_value = "unix") const;
-
   /// The shared `--trace-buffer-kb=N` flag: per-thread trace ring capacity
   /// in KiB (default 1024). Overflow beyond the ring drops events
   /// (counted), never blocks. Values < 1 or non-integers are rejected
   /// with an error and exit(2).
   int64_t GetTraceBufferKb(int64_t default_value = 1024) const;
-
-  /// The shared `--delta-encoding={dense,sparse}` flag: ShardDelta wire
-  /// format of the sharded planes. dense (the default) ships every slot
-  /// double (v1 frames, byte-identical to the seed); sparse ships v2
-  /// zero-run-length frames that elide zero runs — decoded bit-identically,
-  /// so results match dense exactly. Anything else exits(2).
-  std::string GetDeltaEncoding(const std::string& default_value = "dense") const;
 
   /// The shared `--checkpoint-dir=PATH` flag: directory for CRC-verified
   /// training checkpoints (and their JSON sidecars). Empty (default)

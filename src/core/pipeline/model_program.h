@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/logging.h"
@@ -178,6 +179,11 @@ class ModelProgram {
   /// File stem for the M strategy's materialized join (the only strategy
   /// that materializes): <temp_dir>/m_<TempStem()>_T.fml.
   virtual const char* TempStem() const = 0;
+  /// The process shard backend's family blob: the model knobs a factormld
+  /// worker needs to rebuild this exact program, shipped in the JOB frame
+  /// under the family tag TempStem(). Empty (default) means the family
+  /// does not support --shard-backend=process.
+  virtual std::string ShardJobBlob() const { return {}; }
   virtual uint32_t Capabilities() const = 0;
   /// Option/shape checks run before any measurement starts.
   virtual Status ValidateOptions(const join::NormalizedRelations& rel) const {

@@ -308,18 +308,6 @@ Status RunTraining(const join::NormalizedRelations& rel, Algorithm algorithm,
     }
     if (resolved.morsel_rows == 0) resolved.morsel_rows = kDefaultMorselRows;
   }
-  if (resolved.shard_backend != "inproc" &&
-      resolved.shard_backend != "process") {
-    return Status::InvalidArgument("unknown --shard-backend=" +
-                                   resolved.shard_backend +
-                                   " (expected inproc or process)");
-  }
-  if (resolved.delta_encoding != "dense" &&
-      resolved.delta_encoding != "sparse") {
-    return Status::InvalidArgument("unknown --delta-encoding=" +
-                                   resolved.delta_encoding +
-                                   " (expected dense or sparse)");
-  }
   if (resolved.checkpoint_every < 0) {
     return Status::InvalidArgument(
         "--checkpoint-every=" + std::to_string(resolved.checkpoint_every) +
@@ -340,17 +328,19 @@ Status RunTraining(const join::NormalizedRelations& rel, Algorithm algorithm,
                               pool, report, &worker);
   }
 
-  if (resolved.shard_backend == "process" && resolved.shards > 1) {
-    if (resolved.shard_job_family.empty() ||
-        resolved.shard_job_blob.empty()) {
+  if (resolved.shard_backend == ShardBackend::kProcess && resolved.shards > 1) {
+    // The family blob is taken before Init, from the options the program
+    // was built with — exactly what a worker rebuilds its replica from.
+    const std::string blob = model->ShardJobBlob();
+    if (blob.empty()) {
       return Status::InvalidArgument(
           std::string(model->Name()) +
-          ": this trainer entry point does not support "
-          "--shard-backend=process (no shard job spec)");
+          " does not support --shard-backend=process (no shard job blob)");
     }
     // One coordinator (and worker crew) for all attempts; a restart
     // sentinel reruns the attempt on the surviving workers.
-    ProcessShardCoordinator coordinator(resolved, algorithm, &rel, pool);
+    ProcessShardCoordinator coordinator(resolved, algorithm, &rel, pool,
+                                        model->TempStem(), blob);
     constexpr int kMaxAttempts = 3;
     for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
       const Status st = RunTrainingAttempt(rel, algorithm, resolved,

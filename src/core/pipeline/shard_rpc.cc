@@ -133,6 +133,7 @@ bool IsShardRestart(const Status& status) {
 // ------------------------------------------------------------- job spec
 
 std::string EncodeShardJobSpec(const ShardJobSpec& spec) {
+  const StrategyOptions& o = spec.strategy;
   net::ByteWriter w;
   w.U32(spec.version);
   w.Str(spec.s_path);
@@ -140,28 +141,30 @@ std::string EncodeShardJobSpec(const ShardJobSpec& spec) {
   for (const auto& p : spec.attr_paths) w.Str(p);
   w.U8(spec.has_target ? 1 : 0);
   w.U64(spec.pool_pages);
-  w.U8(static_cast<uint8_t>(spec.algorithm));
-  w.U64(spec.batch_rows);
-  w.I64(spec.threads);
-  w.I64(spec.morsel_rows);
-  w.U8(spec.steal ? 1 : 0);
-  w.U8(spec.prefetch ? 1 : 0);
-  w.I64(spec.prefetch_depth);
-  w.I64(spec.shards);
-  w.U8(spec.kernels);
-  w.I64(spec.shard_timeout_ms);
-  w.Str(spec.temp_dir);
+  w.U8(static_cast<uint8_t>(AlgorithmPrefix(spec.algorithm)));
+  w.U64(o.batch_rows);
+  w.I64(o.threads);
+  w.I64(o.morsel_rows);
+  w.U8(o.steal ? 1 : 0);
+  w.U8(o.prefetch ? 1 : 0);
+  w.I64(o.prefetch_depth);
+  w.I64(o.shards);
+  w.U8(static_cast<uint8_t>(o.kernels));
+  w.Str(o.temp_dir);
+  w.U8(static_cast<uint8_t>(o.shard_backend));
+  w.I64(o.shard_timeout_ms);
+  w.Str(o.shard_worker_path);
+  w.Str(o.checkpoint_dir);
+  w.I64(o.checkpoint_every);
   w.I64(spec.worker_id);
   w.Str(spec.family);
   w.Str(spec.family_blob);
-  w.Str(spec.delta_encoding);
-  w.Str(spec.checkpoint_dir);
-  w.I64(spec.checkpoint_every);
   return w.Take();
 }
 
 Result<ShardJobSpec> DecodeShardJobSpec(const std::string& bytes) {
   ShardJobSpec spec;
+  StrategyOptions& o = spec.strategy;
   net::ByteReader r(bytes);
   FML_RETURN_IF_ERROR(r.U32(&spec.version));
   if (spec.version != kShardProtocolVersion) {
@@ -173,6 +176,14 @@ Result<ShardJobSpec> DecodeShardJobSpec(const std::string& bytes) {
   FML_RETURN_IF_ERROR(r.Str(&spec.s_path));
   uint64_t nattrs = 0;
   FML_RETURN_IF_ERROR(r.U64(&nattrs));
+  // Every path carries an 8-byte length prefix, so a count the remaining
+  // bytes cannot hold is corrupt — reject it before allocating.
+  if (nattrs > r.remaining() / 8) {
+    return Status::InvalidArgument(
+        "shard job: attr_paths count " + std::to_string(nattrs) +
+        " exceeds the " + std::to_string(r.remaining()) +
+        " remaining bytes");
+  }
   spec.attr_paths.resize(nattrs);
   for (uint64_t i = 0; i < nattrs; ++i) {
     FML_RETURN_IF_ERROR(r.Str(&spec.attr_paths[i]));
@@ -181,27 +192,57 @@ Result<ShardJobSpec> DecodeShardJobSpec(const std::string& bytes) {
   FML_RETURN_IF_ERROR(r.U8(&b));
   spec.has_target = b != 0;
   FML_RETURN_IF_ERROR(r.U64(&spec.pool_pages));
-  uint8_t algo = 0;
-  FML_RETURN_IF_ERROR(r.U8(&algo));
-  spec.algorithm = static_cast<char>(algo);
-  FML_RETURN_IF_ERROR(r.U64(&spec.batch_rows));
-  FML_RETURN_IF_ERROR(r.I64(&spec.threads));
-  FML_RETURN_IF_ERROR(r.I64(&spec.morsel_rows));
   FML_RETURN_IF_ERROR(r.U8(&b));
-  spec.steal = b != 0;
+  switch (b) {
+    case 'M':
+      spec.algorithm = Algorithm::kMaterialized;
+      break;
+    case 'S':
+      spec.algorithm = Algorithm::kStreaming;
+      break;
+    case 'F':
+      spec.algorithm = Algorithm::kFactorized;
+      break;
+    default:
+      return Status::InvalidArgument("shard job: algorithm byte " +
+                                     std::to_string(b) +
+                                     " is not M, S or F");
+  }
+  uint64_t batch_rows = 0;
+  int64_t threads = 0, prefetch_depth = 0, shards = 0;
+  FML_RETURN_IF_ERROR(r.U64(&batch_rows));
+  FML_RETURN_IF_ERROR(r.I64(&threads));
+  FML_RETURN_IF_ERROR(r.I64(&o.morsel_rows));
   FML_RETURN_IF_ERROR(r.U8(&b));
-  spec.prefetch = b != 0;
-  FML_RETURN_IF_ERROR(r.I64(&spec.prefetch_depth));
-  FML_RETURN_IF_ERROR(r.I64(&spec.shards));
-  FML_RETURN_IF_ERROR(r.U8(&spec.kernels));
-  FML_RETURN_IF_ERROR(r.I64(&spec.shard_timeout_ms));
-  FML_RETURN_IF_ERROR(r.Str(&spec.temp_dir));
+  o.steal = b != 0;
+  FML_RETURN_IF_ERROR(r.U8(&b));
+  o.prefetch = b != 0;
+  FML_RETURN_IF_ERROR(r.I64(&prefetch_depth));
+  FML_RETURN_IF_ERROR(r.I64(&shards));
+  o.batch_rows = static_cast<size_t>(batch_rows);
+  o.threads = static_cast<int>(threads);
+  o.prefetch_depth = static_cast<int>(prefetch_depth);
+  o.shards = static_cast<int>(shards);
+  FML_RETURN_IF_ERROR(r.U8(&b));
+  if (b > static_cast<uint8_t>(la::KernelMode::kSimd)) {
+    return Status::InvalidArgument("shard job: kernels byte " +
+                                   std::to_string(b) + " out of range");
+  }
+  o.kernels = static_cast<la::KernelMode>(b);
+  FML_RETURN_IF_ERROR(r.Str(&o.temp_dir));
+  FML_RETURN_IF_ERROR(r.U8(&b));
+  if (b > static_cast<uint8_t>(ShardBackend::kProcess)) {
+    return Status::InvalidArgument("shard job: shard_backend byte " +
+                                   std::to_string(b) + " out of range");
+  }
+  o.shard_backend = static_cast<ShardBackend>(b);
+  FML_RETURN_IF_ERROR(r.I64(&o.shard_timeout_ms));
+  FML_RETURN_IF_ERROR(r.Str(&o.shard_worker_path));
+  FML_RETURN_IF_ERROR(r.Str(&o.checkpoint_dir));
+  FML_RETURN_IF_ERROR(r.I64(&o.checkpoint_every));
   FML_RETURN_IF_ERROR(r.I64(&spec.worker_id));
   FML_RETURN_IF_ERROR(r.Str(&spec.family));
   FML_RETURN_IF_ERROR(r.Str(&spec.family_blob));
-  FML_RETURN_IF_ERROR(r.Str(&spec.delta_encoding));
-  FML_RETURN_IF_ERROR(r.Str(&spec.checkpoint_dir));
-  FML_RETURN_IF_ERROR(r.I64(&spec.checkpoint_every));
   if (!r.AtEnd()) {
     return Status::InvalidArgument("shard job: trailing bytes");
   }
@@ -217,7 +258,6 @@ Status ShardWorkerDriver::Init(AccessStrategy* strategy,
   // a pure function of (morsel plan, shard count), and the morsel plan is
   // a pure function of (data, morsel_rows). Every PASS frame's spans are
   // verified against it.
-  sparse_deltas_ = options.delta_encoding == "sparse";
   plan_ = exec::PlanShards(strategy->MorselPlan(), options.shards);
   report_ = report;
   if (report_ != nullptr) {
@@ -311,8 +351,8 @@ Status ShardWorkerDriver::OnShardScanned(int local_shard) {
   {
     obs::TraceSpan extract_span(obs::kCatPipeline, "delta_extract");
     extract_span.Arg("shard", static_cast<int64_t>(global));
-    res.delta = ExtractShardDelta(model_, pass_, static_cast<int>(global),
-                                  chunks, sparse_deltas_);
+    res.delta =
+        ExtractShardDelta(model_, pass_, static_cast<int>(global), chunks);
   }
   if (report_ != nullptr) {
     auto& stat = report_->shard_stats[static_cast<size_t>(global)];
@@ -486,8 +526,14 @@ Status ShardWorkerDriver::Finish(ModelProgram* model, TrainReport* report) {
 
 ProcessShardCoordinator::ProcessShardCoordinator(
     const StrategyOptions& options, Algorithm algorithm,
-    const join::NormalizedRelations* rel, storage::BufferPool* pool)
-    : options_(options), algorithm_(algorithm), rel_(rel), pool_(pool) {}
+    const join::NormalizedRelations* rel, storage::BufferPool* pool,
+    std::string family, std::string family_blob)
+    : options_(options),
+      algorithm_(algorithm),
+      rel_(rel),
+      pool_(pool),
+      family_(std::move(family)),
+      family_blob_(std::move(family_blob)) {}
 
 ProcessShardCoordinator::~ProcessShardCoordinator() {
   for (Worker& w : workers_) {
@@ -513,41 +559,25 @@ Status ProcessShardCoordinator::SendJob(Worker* w) {
   for (const auto& a : rel_->attrs) spec.attr_paths.push_back(a.path());
   spec.has_target = rel_->has_target;
   spec.pool_pages = pool_->capacity_pages();
-  spec.algorithm = AlgorithmPrefix(algorithm_);
-  spec.batch_rows = options_.batch_rows;
-  spec.threads = options_.threads;
-  spec.morsel_rows = options_.morsel_rows;
-  spec.steal = options_.steal;
-  spec.prefetch = options_.prefetch;
-  spec.prefetch_depth = options_.prefetch_depth;
-  spec.shards = options_.shards;
-  spec.kernels = static_cast<uint8_t>(options_.kernels);
-  spec.shard_timeout_ms = options_.shard_timeout_ms;
-  spec.temp_dir =
+  spec.algorithm = algorithm_;
+  spec.strategy = options_;
+  spec.strategy.temp_dir =
       options_.temp_dir + "/w" + std::to_string(w->id);  // worker-private
   spec.worker_id = w->id;
-  spec.family = options_.shard_job_family;
-  spec.family_blob = options_.shard_job_blob;
-  spec.delta_encoding = options_.delta_encoding;
-  spec.checkpoint_dir = options_.checkpoint_dir;
-  spec.checkpoint_every = options_.checkpoint_every;
+  spec.family = family_;
+  spec.family_blob = family_blob_;
   return w->conn.SendFrame(kFrameJob, EncodeShardJobSpec(spec));
 }
 
 Status ProcessShardCoordinator::SpawnWorkers(int shards) {
   const std::string binary = ResolveWorkerBinary(options_.shard_worker_path);
-  // One socket endpoint for the whole crew. Unix-domain under the run's
-  // temp dir by default; TCP loopback on request, or as the fallback when
-  // the temp path exceeds sun_path.
-  if (options_.shard_transport == "tcp") {
+  // One socket endpoint for the whole crew: Unix-domain under the run's
+  // temp dir, falling back to TCP loopback when the socket path does not
+  // fit sun_path.
+  const std::string sock_path =
+      options_.temp_dir + "/fmld." + std::to_string(getpid()) + ".sock";
+  if (!listener_.ListenUnix(sock_path).ok()) {
     FML_RETURN_IF_ERROR(listener_.ListenTcpLoopback());
-  } else {
-    const std::string sock_path = options_.temp_dir + "/fmld." +
-                                  std::to_string(getpid()) + ".sock";
-    Status st = listener_.ListenUnix(sock_path);
-    if (!st.ok()) {
-      FML_RETURN_IF_ERROR(listener_.ListenTcpLoopback());
-    }
   }
   static obs::Counter* spawned = RpcCounter("shard_rpc.workers_spawned");
   workers_.resize(static_cast<size_t>(shards));

@@ -64,33 +64,23 @@ enum ShardFrameType : uint32_t {
 /// Everything a worker needs to replicate the parent's training run: the
 /// on-disk dataset, the resolved strategy knobs, and the model family's
 /// own options (an opaque family blob decoded by the family's
-/// DecodeShardJob). Carried once in the JOB frame.
+/// DecodeShardJob). Carried once in the JOB frame; encoder and decoder
+/// ship together (coordinator and workers are the same build).
 struct ShardJobSpec {
   uint32_t version = kShardProtocolVersion;
   std::string s_path;
   std::vector<std::string> attr_paths;
   bool has_target = false;
-  uint64_t pool_pages = 0;     // worker buffer-pool capacity (= parent's)
-  char algorithm = 'm';        // AlgorithmPrefix char: m / s / f
-  // Strategy section — already resolved (threads >= 1, morsel_rows > 0).
-  uint64_t batch_rows = 8192;
-  int64_t threads = 1;
-  int64_t morsel_rows = 0;
-  bool steal = false;
-  bool prefetch = false;
-  int64_t prefetch_depth = 2;
-  int64_t shards = 1;
-  uint8_t kernels = 0;         // la::KernelMode
-  int64_t shard_timeout_ms = 30000;
-  std::string temp_dir;        // per-worker subdir, created by the worker
+  uint64_t pool_pages = 0;  // worker buffer-pool capacity (= parent's)
+  Algorithm algorithm = Algorithm::kMaterialized;
+  /// The coordinator's resolved knobs (threads >= 1, morsel_rows > 0),
+  /// with temp_dir rewritten to a worker-private subdir the worker
+  /// creates. A worker restores from checkpoint_dir but never writes it.
+  /// shard_channel never crosses the wire.
+  StrategyOptions strategy;
   int64_t worker_id = 0;
-  std::string family;          // "gmm" / "linreg" / "kmeans" / "logreg"
-  std::string family_blob;     // family EncodeShardJob output
-  // Appended fields (still protocol v1: encoder and decoder ship
-  // together — coordinator and workers are the same binary build).
-  std::string delta_encoding = "dense";  // ShardDelta wire: dense | sparse
-  std::string checkpoint_dir;            // worker restores (never writes)
-  int64_t checkpoint_every = 0;
+  std::string family;       // ModelProgram::TempStem(): "gmm", "linreg"...
+  std::string family_blob;  // ModelProgram::ShardJobBlob()
 };
 
 std::string EncodeShardJobSpec(const ShardJobSpec& spec);
@@ -165,7 +155,6 @@ class ShardWorkerDriver : public ShardPassDriver,
   void MaybeInjectFault(uint64_t pass_seq);
 
   ShardWorkerLink* link_;
-  bool sparse_deltas_ = false;
   exec::ShardPlan plan_;        // full global plan (all shards)
   exec::ShardPlan scan_plan_;   // the sub-plan currently armed
   std::vector<int64_t> scan_shards_;  // global shard id per local index
@@ -198,9 +187,12 @@ class ShardWorkerDriver : public ShardPassDriver,
 /// attempts; dead workers are never respawned.
 class ProcessShardCoordinator : public ShardPassDriver {
  public:
+  /// `family` / `family_blob` are the model's TempStem() and
+  /// ShardJobBlob(), shipped to every worker in its JOB frame.
   ProcessShardCoordinator(const StrategyOptions& options, Algorithm algorithm,
                           const join::NormalizedRelations* rel,
-                          storage::BufferPool* pool);
+                          storage::BufferPool* pool, std::string family,
+                          std::string family_blob);
   ~ProcessShardCoordinator() override;
 
   Status Init(AccessStrategy* strategy, const StrategyOptions& options,
@@ -239,6 +231,8 @@ class ProcessShardCoordinator : public ShardPassDriver {
   Algorithm algorithm_;
   const join::NormalizedRelations* rel_;
   storage::BufferPool* pool_;
+  std::string family_;
+  std::string family_blob_;
 
   exec::ShardPlan plan_;
   TrainReport* report_ = nullptr;

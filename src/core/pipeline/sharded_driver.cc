@@ -1,31 +1,21 @@
 // The shard plane's in-process backend and the ShardDelta wire format.
 //
-// Wire format v1 — dense (native-endian; the in-process loopback and a
+// Wire format v2 (native-endian; the in-process loopback and a
 // homogeneous cluster share it — a heterogeneous RPC backend would pin
-// endianness at the transport):
-//   bytes [0, 8)   magic "FMLSHRD1"
+// endianness at the transport). The decoded payload is the doubles of
+// slots chunk_begin..chunk_end-1 in chunk order, each slot in its
+// VisitSlotState span sequence; on the wire it is run-length encoded:
+//   bytes [0, 8)   magic "FMLSHRD2"
 //   bytes [8, 16)  int64  shard id
 //   bytes [16, 24) int64  chunk_begin (global chunk id, inclusive)
 //   bytes [24, 32) int64  chunk_end   (global chunk id, exclusive)
-//   bytes [32, 40) uint64 payload double count
-//   bytes [40, ..) payload: the doubles of slots chunk_begin..chunk_end-1
-//                  in chunk order, each slot in its VisitSlotState span
-//                  sequence.
-//
-// Wire format v2 — sparse (--delta-encoding=sparse): the same header
-// fields behind magic "FMLSHRD2", followed by a run-length encoding of
-// the v1 payload stream:
-//   bytes [0, 8)   magic "FMLSHRD2"
-//   bytes [8, 16)  int64  shard id
-//   bytes [16, 24) int64  chunk_begin
-//   bytes [24, 32) int64  chunk_end
-//   bytes [32, 40) uint64 decoded payload double count (== v1's count)
+//   bytes [32, 40) uint64 decoded payload double count
 //   bytes [40, 48) uint64 encoded byte count (everything after byte 48)
 //   bytes [48, ..) runs of { uint64 zero_count, uint64 literal_count,
 //                  literal_count literal doubles } until the decoded
-//                  count is reached. Decoding replays the exact v1 double
-//                  stream (zeros are bit-pattern +0.0), so results are
-//                  bit-identical to dense; only the wire size moves.
+//                  count is reached. Decoding replays the exact double
+//                  stream (zeros are bit-pattern +0.0), so the round trip
+//                  is bit-identical.
 
 #include "core/pipeline/sharded_driver.h"
 
@@ -41,10 +31,8 @@ namespace factorml::core::pipeline {
 
 namespace {
 
-constexpr char kMagic[8] = {'F', 'M', 'L', 'S', 'H', 'R', 'D', '1'};
-constexpr char kMagicSparse[8] = {'F', 'M', 'L', 'S', 'H', 'R', 'D', '2'};
-constexpr size_t kHeaderBytes = 40;        // v1: magic + 4 x i64
-constexpr size_t kSparseHeaderBytes = 48;  // v2: magic + 5 x i64
+constexpr char kMagic[8] = {'F', 'M', 'L', 'S', 'H', 'R', 'D', '2'};
+constexpr size_t kHeaderBytes = 48;  // magic + 5 x i64
 
 void AppendI64(std::string* out, int64_t v) {
   char buf[sizeof(v)];
@@ -66,7 +54,7 @@ bool IsZeroDouble(double v) {
   return bits == 0;
 }
 
-/// Run-length-encodes a v1 double payload: runs of bit-pattern +0.0
+/// Run-length-encodes a double payload: runs of bit-pattern +0.0
 /// collapse to a counter, everything else is shipped literally.
 std::string RunLengthEncode(const std::string& payload) {
   const auto* vals = reinterpret_cast<const double*>(payload.data());
@@ -99,7 +87,7 @@ std::string DeltaError(const ShardDelta& delta, const std::string& what) {
 }  // namespace
 
 ShardDelta ExtractShardDelta(ModelProgram* model, int pass, int shard,
-                             exec::Range chunks, bool sparse) {
+                             exec::Range chunks) {
   ShardDelta delta;
   delta.shard = shard;
   delta.chunk_begin = chunks.begin;
@@ -113,27 +101,16 @@ ShardDelta ExtractShardDelta(ModelProgram* model, int pass, int shard,
           std::fill(data, data + len, 0.0);
         });
   }
-  if (sparse) {
-    const std::string encoded = RunLengthEncode(payload);
-    delta.bytes.reserve(kSparseHeaderBytes + encoded.size());
-    delta.bytes.append(kMagicSparse, sizeof(kMagicSparse));
-    AppendI64(&delta.bytes, shard);
-    AppendI64(&delta.bytes, chunks.begin);
-    AppendI64(&delta.bytes, chunks.end);
-    AppendI64(&delta.bytes,
-              static_cast<int64_t>(payload.size() / sizeof(double)));
-    AppendI64(&delta.bytes, static_cast<int64_t>(encoded.size()));
-    delta.bytes += encoded;
-    return delta;
-  }
-  delta.bytes.reserve(kHeaderBytes + payload.size());
+  const std::string encoded = RunLengthEncode(payload);
+  delta.bytes.reserve(kHeaderBytes + encoded.size());
   delta.bytes.append(kMagic, sizeof(kMagic));
   AppendI64(&delta.bytes, shard);
   AppendI64(&delta.bytes, chunks.begin);
   AppendI64(&delta.bytes, chunks.end);
   AppendI64(&delta.bytes,
             static_cast<int64_t>(payload.size() / sizeof(double)));
-  delta.bytes += payload;
+  AppendI64(&delta.bytes, static_cast<int64_t>(encoded.size()));
+  delta.bytes += encoded;
   return delta;
 }
 
@@ -144,15 +121,12 @@ Status ApplyShardDelta(ModelProgram* model, int pass,
     return Status::InvalidArgument(DeltaError(
         delta, "truncated before the magic (need 8 bytes)"));
   }
-  const bool sparse =
-      std::memcmp(bytes.data(), kMagicSparse, sizeof(kMagicSparse)) == 0;
-  if (!sparse && std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument(DeltaError(delta, "bad magic"));
   }
-  const size_t header = sparse ? kSparseHeaderBytes : kHeaderBytes;
-  if (bytes.size() < header) {
+  if (bytes.size() < kHeaderBytes) {
     return Status::InvalidArgument(DeltaError(
-        delta, "truncated header (need " + std::to_string(header) +
+        delta, "truncated header (need " + std::to_string(kHeaderBytes) +
                    " bytes)"));
   }
   const int64_t wire_shard = ReadI64(bytes, 8);
@@ -167,70 +141,53 @@ Status ApplyShardDelta(ModelProgram* model, int pass,
                    std::to_string(wire_end) + ")"));
   }
   const auto payload_doubles = static_cast<uint64_t>(ReadI64(bytes, 32));
-  // The dense double stream the slot copy-back consumes: the wire bytes
-  // themselves for v1, the RLE-decoded buffer for v2.
-  std::string decoded;
-  const char* payload = nullptr;
-  size_t payload_size = 0;
-  if (sparse) {
-    const auto encoded_bytes = static_cast<uint64_t>(ReadI64(bytes, 40));
-    if (bytes.size() != header + encoded_bytes) {
-      return Status::InvalidArgument(DeltaError(
-          delta, "encoded length mismatch: header declares " +
-                     std::to_string(encoded_bytes) +
-                     " encoded bytes, frame carries " +
-                     std::to_string(bytes.size() - header)));
-    }
-    decoded.reserve(payload_doubles * sizeof(double));
-    size_t off = header;
-    uint64_t produced = 0;
-    while (off < bytes.size()) {
-      if (off + 2 * sizeof(int64_t) > bytes.size()) {
-        return Status::InvalidArgument(DeltaError(
-            delta, "truncated run header at encoded offset " +
-                       std::to_string(off - header)));
-      }
-      const int64_t zeros = ReadI64(bytes, off);
-      const int64_t lits = ReadI64(bytes, off + sizeof(int64_t));
-      off += 2 * sizeof(int64_t);
-      if (zeros < 0 || lits < 0 ||
-          produced + static_cast<uint64_t>(zeros + lits) > payload_doubles) {
-        return Status::InvalidArgument(DeltaError(
-            delta, "run overruns the declared " +
-                       std::to_string(payload_doubles) + " payload doubles"));
-      }
-      const size_t lit_bytes = static_cast<size_t>(lits) * sizeof(double);
-      if (off + lit_bytes > bytes.size()) {
-        return Status::InvalidArgument(DeltaError(
-            delta, "truncated literal run: need " +
-                       std::to_string(lit_bytes) + " bytes, have " +
-                       std::to_string(bytes.size() - off)));
-      }
-      decoded.append(static_cast<size_t>(zeros) * sizeof(double), '\0');
-      decoded.append(bytes.data() + off, lit_bytes);
-      off += lit_bytes;
-      produced += static_cast<uint64_t>(zeros + lits);
-    }
-    if (produced != payload_doubles) {
-      return Status::InvalidArgument(DeltaError(
-          delta, "decoded " + std::to_string(produced) +
-                     " doubles, header declared " +
-                     std::to_string(payload_doubles)));
-    }
-    payload = decoded.data();
-    payload_size = decoded.size();
-  } else {
-    if (bytes.size() != header + payload_doubles * sizeof(double)) {
-      return Status::InvalidArgument(DeltaError(
-          delta, "payload length mismatch: header declares " +
-                     std::to_string(payload_doubles) +
-                     " doubles, frame carries " +
-                     std::to_string(bytes.size() - header) +
-                     " payload bytes"));
-    }
-    payload = bytes.data() + header;
-    payload_size = bytes.size() - header;
+  const auto encoded_bytes = static_cast<uint64_t>(ReadI64(bytes, 40));
+  if (bytes.size() != kHeaderBytes + encoded_bytes) {
+    return Status::InvalidArgument(DeltaError(
+        delta, "encoded length mismatch: header declares " +
+                   std::to_string(encoded_bytes) +
+                   " encoded bytes, frame carries " +
+                   std::to_string(bytes.size() - kHeaderBytes)));
   }
+  // The RLE-decoded double stream the slot copy-back consumes.
+  std::string decoded;
+  decoded.reserve(payload_doubles * sizeof(double));
+  size_t pos = kHeaderBytes;
+  uint64_t produced = 0;
+  while (pos < bytes.size()) {
+    if (pos + 2 * sizeof(int64_t) > bytes.size()) {
+      return Status::InvalidArgument(DeltaError(
+          delta, "truncated run header at encoded offset " +
+                     std::to_string(pos - kHeaderBytes)));
+    }
+    const int64_t zeros = ReadI64(bytes, pos);
+    const int64_t lits = ReadI64(bytes, pos + sizeof(int64_t));
+    pos += 2 * sizeof(int64_t);
+    if (zeros < 0 || lits < 0 ||
+        produced + static_cast<uint64_t>(zeros + lits) > payload_doubles) {
+      return Status::InvalidArgument(DeltaError(
+          delta, "run overruns the declared " +
+                     std::to_string(payload_doubles) + " payload doubles"));
+    }
+    const size_t lit_bytes = static_cast<size_t>(lits) * sizeof(double);
+    if (pos + lit_bytes > bytes.size()) {
+      return Status::InvalidArgument(DeltaError(
+          delta, "truncated literal run: need " + std::to_string(lit_bytes) +
+                     " bytes, have " + std::to_string(bytes.size() - pos)));
+    }
+    decoded.append(static_cast<size_t>(zeros) * sizeof(double), '\0');
+    decoded.append(bytes.data() + pos, lit_bytes);
+    pos += lit_bytes;
+    produced += static_cast<uint64_t>(zeros + lits);
+  }
+  if (produced != payload_doubles) {
+    return Status::InvalidArgument(DeltaError(
+        delta, "decoded " + std::to_string(produced) +
+                   " doubles, header declared " +
+                   std::to_string(payload_doubles)));
+  }
+  const char* payload = decoded.data();
+  const size_t payload_size = decoded.size();
   size_t off = 0;
   bool overrun = false;
   for (int64_t c = delta.chunk_begin; c < delta.chunk_end; ++c) {
@@ -260,7 +217,6 @@ Status ShardedDriver::Init(AccessStrategy* strategy,
                            const StrategyOptions& options,
                            TrainReport* report) {
   FML_CHECK_GT(options.shards, 1);
-  sparse_deltas_ = options.delta_encoding == "sparse";
   plan_ = exec::PlanShards(strategy->MorselPlan(), options.shards);
   report_ = report;
   if (report_ != nullptr) {
@@ -329,9 +285,8 @@ Status ShardedDriver::OnShardScanned(int shard) {
   {
     obs::TraceSpan extract_span(obs::kCatPipeline, "delta_extract");
     extract_span.Arg("shard", shard);
-    deltas_.push_back(ExtractShardDelta(model_, pass_, shard,
-                                        plan_.ChunkSpan(shard),
-                                        sparse_deltas_));
+    deltas_.push_back(
+        ExtractShardDelta(model_, pass_, shard, plan_.ChunkSpan(shard)));
     extract_span.Arg2("bytes",
                       static_cast<int64_t>(deltas_.back().bytes.size()));
   }

@@ -11,11 +11,11 @@
 namespace factorml::core::pipeline {
 
 /// One shard's merged-state contribution to one full pass, serialized:
-/// the bytes a distributed (RPC) backend would put on the wire. The
-/// payload is the concatenation of the shard's per-chunk accumulator
-/// slots, each streamed through ModelProgram::VisitSlotState, behind a
-/// fixed header (magic/version, shard id, chunk span, payload length —
-/// see sharded_driver.cc). Keeping the slots unfolded on the wire is what
+/// the bytes a distributed (RPC) backend puts on the wire. The payload is
+/// the concatenation of the shard's per-chunk accumulator slots, each
+/// streamed through ModelProgram::VisitSlotState and zero-run-length
+/// encoded, behind a fixed header (magic/version, shard id, chunk span,
+/// payload lengths — see sharded_driver.cc). Keeping the slots unfolded on the wire is what
 /// preserves bit-exactness: the receiver replays MergeWorker per chunk in
 /// global chunk order, the exact reduction the single-shard run performs,
 /// instead of summing pre-folded shard partials in a different
@@ -34,16 +34,15 @@ struct ShardDelta {
 /// applied the model holds no trace of the shard's scan, which is what
 /// proves the bytes carry the complete merged state (the in-process
 /// backend's loopback is a real serialization boundary, not a no-op).
-/// `sparse` selects wire format v2 ("FMLSHRD2"): zero stretches of the
-/// slot stream become run-length counters, non-zero stretches stay
-/// literal doubles — decode is bit-exact, only the wire size moves.
+/// Zero stretches of the slot stream become run-length counters, non-zero
+/// stretches stay literal doubles — decode is bit-exact.
 ShardDelta ExtractShardDelta(ModelProgram* model, int pass, int shard,
-                             exec::Range chunks, bool sparse = false);
+                             exec::Range chunks);
 
-/// Writes a delta's payload back into the model's slots, auto-detecting
-/// the wire version by magic. Fails on header or length mismatch — a
-/// wire-format or accumulator-shape drift — naming the shard, the
-/// expected vs. received chunk span, and the byte counts involved.
+/// Writes a delta's payload back into the model's slots. Fails on magic,
+/// header or length mismatch — a wire-format or accumulator-shape drift —
+/// naming the shard, the expected vs. received chunk span, and the byte
+/// counts involved.
 Status ApplyShardDelta(ModelProgram* model, int pass,
                        const ShardDelta& delta);
 
@@ -62,8 +61,7 @@ class ShardPassDriver {
   /// Builds the shard plan over the strategy's (already Prepared) morsel
   /// plan; the effective shard count lands in report->shards with one
   /// ShardStat per shard. Called once, before model->Init. The resolved
-  /// StrategyOptions carry the shard count plus the backend knobs the
-  /// driver needs (delta_encoding, timeouts, transport).
+  /// StrategyOptions carry the shard count.
   virtual Status Init(AccessStrategy* strategy,
                       const StrategyOptions& options,
                       TrainReport* report) = 0;
@@ -136,7 +134,6 @@ class ShardedDriver : public ShardPassDriver, public ShardScanObserver {
   TrainReport* report_ = nullptr;
   ModelProgram* model_ = nullptr;
   int pass_ = 0;
-  bool sparse_deltas_ = false;
   std::vector<ShardDelta> deltas_;
   storage::IoStats io_mark_;
   Stopwatch scan_watch_;

@@ -93,6 +93,9 @@ class GmmProgram final : public core::pipeline::ModelProgram {
 
   const char* Name() const override { return "GMM"; }
   const char* TempStem() const override { return "gmm"; }
+  std::string ShardJobBlob() const override {
+    return EncodeShardJob(opt_);
+  }
   uint32_t Capabilities() const override {
     return core::pipeline::kFullPass | core::pipeline::kFactorized;
   }
@@ -1033,15 +1036,8 @@ Result<GmmParams> TrainGmmWith(const join::NormalizedRelations& rel,
                                storage::BufferPool* pool,
                                core::TrainReport* report) {
   GmmProgram program(options);
-  core::pipeline::StrategyOptions sopt =
-      core::pipeline::LiftStrategyOptions(options);
-  if (sopt.shard_backend == "process") {
-    sopt.shard_job_family = "gmm";
-    sopt.shard_job_blob = EncodeShardJob(options);
-  }
-  FML_RETURN_IF_ERROR(
-      core::pipeline::RunTraining(rel, algorithm, sopt, &program, pool,
-                                  report));
+  FML_RETURN_IF_ERROR(core::pipeline::RunTraining(rel, algorithm, options,
+                                                  &program, pool, report));
   return std::move(program).TakeParams();
 }
 
@@ -1076,6 +1072,10 @@ Result<GmmOptions> DecodeShardJob(const std::string& blob) {
   FML_RETURN_IF_ERROR(r.U8(&symmetry));
   if (!r.AtEnd()) {
     return Status::InvalidArgument("gmm shard job: trailing bytes");
+  }
+  if (init > static_cast<uint8_t>(GmmInit::kRandomRows)) {
+    return Status::InvalidArgument("gmm shard job: init byte " +
+                                   std::to_string(init) + " out of range");
   }
   options.num_components = k;
   options.max_iters = static_cast<int>(max_iters);

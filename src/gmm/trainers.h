@@ -6,10 +6,10 @@
 #include <string>
 
 #include "common/status.h"
+#include "core/pipeline/strategy_options.h"
 #include "core/report.h"
 #include "gmm/gmm_model.h"
 #include "join/normalized_relations.h"
-#include "la/kernels.h"
 #include "storage/buffer_pool.h"
 
 namespace factorml::core::pipeline {
@@ -29,11 +29,10 @@ enum class GmmInit {
   kRandomRows,  // means = K distinct uniformly drawn joined rows
 };
 
-struct GmmOptions {
+struct GmmOptions : core::pipeline::StrategyOptions {
   size_t num_components = 5;   // K
   int max_iters = 10;          // EM iterations (the paper times fixed iters)
   double tol = 0.0;            // >0: stop when |delta loglik| < tol*|loglik|
-  size_t batch_rows = 8192;    // rows per streamed batch
   double init_spread = 5.0;    // initial covariance scale
   /// Ridge added to every covariance diagonal in each M-step (standard
   /// EM regularization; keeps components from collapsing to singular
@@ -42,7 +41,6 @@ struct GmmOptions {
   double cov_reg = 1e-6;
   GmmInit init = GmmInit::kSpreadRows;
   uint64_t seed = 1;           // used by kRandomRows
-  std::string temp_dir = ".";  // where M-GMM materializes T
   /// F-GMM refinement over the paper's literal accounting: the precision
   /// matrix and the covariance accumulator are symmetric, so the UR and LL
   /// cross blocks (Eqs. 10-11 / 16-17) are transposes of each other. When
@@ -51,61 +49,6 @@ struct GmmOptions {
   /// covariance update — which is exact and cuts the per-tuple cross work
   /// in half. Clear it to reproduce the paper's op counts verbatim.
   bool exploit_symmetry = true;
-  /// Worker threads for the exec/ morsel-driven runtime (all three
-  /// algorithms): E-step, mean and covariance passes partition the scan
-  /// over page-aligned row ranges (M) or whole FK1-rid runs (S/F), with
-  /// per-worker accumulators merged deterministically in worker order.
-  /// 0 = use exec::DefaultThreads() (the --threads flag); 1 = the exact
-  /// bit-for-bit serial path of the paper reproduction.
-  int threads = 0;
-  /// Full-pass scheduler knobs (strategy plane, see StrategyOptions):
-  /// morsel_rows > 0 switches the pass to fixed deterministically numbered
-  /// chunks with a chunk-ordered reduction — results then depend on
-  /// morsel_rows but not on threads or stealing; steal lets idle workers
-  /// take chunks from busy ones (implies chunking).
-  int64_t morsel_rows = 0;
-  bool steal = false;
-  /// Asynchronous double-buffered page prefetch (strategy plane, see
-  /// StrategyOptions): overlap the next morsel's page reads with compute.
-  /// Residency-only — results are bit-identical either way; prefetch_depth
-  /// is the number of batches read ahead per worker.
-  bool prefetch = false;
-  int prefetch_depth = 2;
-  /// Rid-range shards of the full-pass plane (strategy plane, see
-  /// StrategyOptions): shards > 1 scans each contiguous chunk span
-  /// separately and merges serialized ShardDeltas in shard-id order —
-  /// bit-identical to shards = 1 at the same resolved morsel size
-  /// (implies chunking, like steal).
-  int shards = 1;
-  /// Compute-kernel backend (--kernels): kScalar (default) keeps the
-  /// seed's bit-identical loops and row-at-a-time decode; kSimd routes
-  /// the la/ primitives through the runtime-dispatched vector backend
-  /// (AVX2/FMA when available) and the full-pass dense drivers through
-  /// the batched column-strip decode. Op counts and page I/O are
-  /// identical either way; objectives and params agree to floating-point
-  /// reassociation tolerance.
-  la::KernelMode kernels = la::KernelMode::kScalar;
-  /// Shard execution backend (--shard-backend, see StrategyOptions):
-  /// "inproc" (default) keeps the byte-identical in-process driver;
-  /// "process" farms shard scans out to factormld worker processes over
-  /// length-prefixed socket frames — bit-identical results either way.
-  std::string shard_backend = "inproc";
-  /// Process-backend liveness deadline per worker, in milliseconds.
-  int64_t shard_timeout_ms = 30000;
-  /// Process-backend socket family: "unix" (default) or "tcp" loopback.
-  std::string shard_transport = "unix";
-  /// Explicit factormld binary path; empty = resolve automatically.
-  std::string shard_worker_path;
-  /// ShardDelta wire encoding (--delta-encoding): "dense" (v1 frames) or
-  /// "sparse" (v2 zero-run-length frames, decoded bit-identically).
-  std::string delta_encoding = "dense";
-  /// Non-empty (--checkpoint-dir): CRC-verified checkpoint/restore of the
-  /// iteration state; a resumed run is bit-identical to an uninterrupted
-  /// one. Empty = checkpointing off.
-  std::string checkpoint_dir;
-  /// Iterations between checkpoint writes (--checkpoint-every); 0 = every
-  /// iteration when checkpoint_dir is set.
-  int64_t checkpoint_every = 0;
 };
 
 /// Algorithm M-GMM (paper Algorithm 1): joins S with R1..Rq, materializes

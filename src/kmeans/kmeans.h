@@ -9,9 +9,9 @@
 
 #include "common/status.h"
 #include "core/algorithm.h"
+#include "core/pipeline/strategy_options.h"
 #include "core/report.h"
 #include "join/normalized_relations.h"
-#include "la/kernels.h"
 #include "la/matrix.h"
 #include "storage/buffer_pool.h"
 
@@ -26,63 +26,10 @@ namespace factorml::kmeans {
 /// spread through S, like GmmInit::kSpreadRows) and perform the identical
 /// assign/update recurrence, so their centroids agree up to floating-point
 /// reordering — the paper's exactness property carried to a new model.
-struct KmeansOptions {
+struct KmeansOptions : core::pipeline::StrategyOptions {
   size_t num_clusters = 5;    // K
   int max_iters = 10;         // Lloyd iterations
   double tol = 0.0;           // >0: stop when |delta inertia| < tol*|inertia|
-  size_t batch_rows = 8192;   // rows per streamed batch
-  std::string temp_dir = ".";  // where the M strategy materializes T
-  /// Worker threads for the exec/ morsel runtime; 0 = DefaultThreads(),
-  /// 1 = the exact serial path.
-  int threads = 0;
-  /// Full-pass scheduler knobs (strategy plane, see StrategyOptions):
-  /// morsel_rows > 0 switches the pass to fixed deterministically numbered
-  /// chunks with a chunk-ordered reduction — results then depend on
-  /// morsel_rows but not on threads or stealing; steal lets idle workers
-  /// take chunks from busy ones (implies chunking).
-  int64_t morsel_rows = 0;
-  bool steal = false;
-  /// Asynchronous double-buffered page prefetch (strategy plane, see
-  /// StrategyOptions): overlap the next morsel's page reads with compute.
-  /// Residency-only — results are bit-identical either way; prefetch_depth
-  /// is the number of batches read ahead per worker.
-  bool prefetch = false;
-  int prefetch_depth = 2;
-  /// Rid-range shards of the full-pass plane (strategy plane, see
-  /// StrategyOptions): shards > 1 scans each contiguous chunk span
-  /// separately and merges serialized ShardDeltas in shard-id order —
-  /// bit-identical to shards = 1 at the same resolved morsel size
-  /// (implies chunking, like steal).
-  int shards = 1;
-  /// Compute-kernel backend (--kernels): kScalar (default) keeps the
-  /// seed's bit-identical loops and row-at-a-time decode; kSimd routes
-  /// the la/ primitives through the runtime-dispatched vector backend
-  /// (AVX2/FMA when available) and the full-pass dense drivers through
-  /// the batched column-strip decode. Op counts and page I/O are
-  /// identical either way; objectives and params agree to floating-point
-  /// reassociation tolerance.
-  la::KernelMode kernels = la::KernelMode::kScalar;
-  /// Shard execution backend (--shard-backend, see StrategyOptions):
-  /// "inproc" (default) keeps the byte-identical in-process driver;
-  /// "process" farms shard scans out to factormld worker processes over
-  /// length-prefixed socket frames — bit-identical results either way.
-  std::string shard_backend = "inproc";
-  /// Process-backend liveness deadline per worker, in milliseconds.
-  int64_t shard_timeout_ms = 30000;
-  /// Process-backend socket family: "unix" (default) or "tcp" loopback.
-  std::string shard_transport = "unix";
-  /// Explicit factormld binary path; empty = resolve automatically.
-  std::string shard_worker_path;
-  /// ShardDelta wire encoding (--delta-encoding): "dense" (v1 frames) or
-  /// "sparse" (v2 zero-run-length frames, decoded bit-identically).
-  std::string delta_encoding = "dense";
-  /// Non-empty (--checkpoint-dir): CRC-verified checkpoint/restore of the
-  /// iteration state; a resumed run is bit-identical to an uninterrupted
-  /// one. Empty = checkpointing off.
-  std::string checkpoint_dir;
-  /// Iterations between checkpoint writes (--checkpoint-every); 0 = every
-  /// iteration when checkpoint_dir is set.
-  int64_t checkpoint_every = 0;
 };
 
 /// A trained clustering: centroids after the final update, the cluster

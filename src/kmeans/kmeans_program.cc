@@ -52,6 +52,9 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
 
   const char* Name() const override { return "KMEANS"; }
   const char* TempStem() const override { return "kmeans"; }
+  std::string ShardJobBlob() const override {
+    return EncodeShardJob(opt_);
+  }
   uint32_t Capabilities() const override {
     return core::pipeline::kFullPass | core::pipeline::kFactorized;
   }
@@ -522,15 +525,8 @@ Result<KmeansModel> TrainKmeans(const join::NormalizedRelations& rel,
                                 storage::BufferPool* pool,
                                 core::TrainReport* report) {
   KmeansProgram program(options);
-  core::pipeline::StrategyOptions sopt =
-      core::pipeline::LiftStrategyOptions(options);
-  if (sopt.shard_backend == "process") {
-    sopt.shard_job_family = "kmeans";
-    sopt.shard_job_blob = EncodeShardJob(options);
-  }
-  FML_RETURN_IF_ERROR(
-      core::pipeline::RunTraining(rel, algorithm, sopt, &program, pool,
-                                  report));
+  FML_RETURN_IF_ERROR(core::pipeline::RunTraining(rel, algorithm, options,
+                                                  &program, pool, report));
   return std::move(program).TakeModel();
 }
 

@@ -37,6 +37,9 @@ class LinregProgram final : public core::pipeline::ModelProgram {
 
   const char* Name() const override { return "LINREG"; }
   const char* TempStem() const override { return "linreg"; }
+  std::string ShardJobBlob() const override {
+    return EncodeShardJob(opt_);
+  }
   uint32_t Capabilities() const override {
     return core::pipeline::kFullPass | core::pipeline::kFactorized |
            core::pipeline::kNeedsTarget;
@@ -405,15 +408,8 @@ Result<LinregModel> TrainLinreg(const join::NormalizedRelations& rel,
                                 storage::BufferPool* pool,
                                 core::TrainReport* report) {
   LinregProgram program(options);
-  core::pipeline::StrategyOptions sopt =
-      core::pipeline::LiftStrategyOptions(options);
-  if (sopt.shard_backend == "process") {
-    sopt.shard_job_family = "linreg";
-    sopt.shard_job_blob = EncodeShardJob(options);
-  }
-  FML_RETURN_IF_ERROR(
-      core::pipeline::RunTraining(rel, algorithm, sopt, &program, pool,
-                                  report));
+  FML_RETURN_IF_ERROR(core::pipeline::RunTraining(rel, algorithm, options,
+                                                  &program, pool, report));
   return std::move(program).TakeModel();
 }
 

@@ -46,6 +46,9 @@ class LogregProgram final : public core::pipeline::ModelProgram {
 
   const char* Name() const override { return "LOGREG"; }
   const char* TempStem() const override { return "logreg"; }
+  std::string ShardJobBlob() const override {
+    return EncodeShardJob(opt_);
+  }
   uint32_t Capabilities() const override {
     return core::pipeline::kFullPass | core::pipeline::kFactorized |
            core::pipeline::kNeedsTarget;
@@ -485,15 +488,8 @@ Result<LogregModel> TrainLogreg(const join::NormalizedRelations& rel,
                                 storage::BufferPool* pool,
                                 core::TrainReport* report) {
   LogregProgram program(options);
-  core::pipeline::StrategyOptions sopt =
-      core::pipeline::LiftStrategyOptions(options);
-  if (sopt.shard_backend == "process") {
-    sopt.shard_job_family = "logreg";
-    sopt.shard_job_blob = EncodeShardJob(options);
-  }
-  FML_RETURN_IF_ERROR(
-      core::pipeline::RunTraining(rel, algorithm, sopt, &program, pool,
-                                  report));
+  FML_RETURN_IF_ERROR(core::pipeline::RunTraining(rel, algorithm, options,
+                                                  &program, pool, report));
   return std::move(program).TakeModel();
 }
 

@@ -68,8 +68,8 @@ class FrameConn {
   bool eof_ = false;
 };
 
-/// A listening socket for shard workers: a Unix-domain path (default) or
-/// TCP on 127.0.0.1 with a kernel-assigned port (--shard-transport=tcp).
+/// A listening socket for shard workers: a Unix-domain path, or TCP on
+/// 127.0.0.1 with a kernel-assigned port when the path is too long.
 class Listener {
  public:
   Listener() = default;

@@ -568,9 +568,8 @@ Result<Mlp> TrainNnWith(const join::NormalizedRelations& rel,
                         storage::BufferPool* pool,
                         core::TrainReport* report) {
   NnProgram program(options);
-  FML_RETURN_IF_ERROR(core::pipeline::RunTraining(
-      rel, algorithm, core::pipeline::LiftStrategyOptions(options), &program,
-      pool, report));
+  FML_RETURN_IF_ERROR(core::pipeline::RunTraining(rel, algorithm, options,
+                                                  &program, pool, report));
   return std::move(program).TakeMlp();
 }
 

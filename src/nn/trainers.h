@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/pipeline/strategy_options.h"
 #include "core/report.h"
 #include "join/normalized_relations.h"
-#include "la/kernels.h"
 #include "nn/mlp.h"
 #include "storage/buffer_pool.h"
 
@@ -19,15 +19,19 @@ namespace factorml::nn {
 /// sequence of mini-batch gradient updates (batches are whole FK1-rid
 /// groups planned identically; see join/batch_plan.h), so their trained
 /// parameters agree up to floating-point reordering.
-struct NnOptions {
+struct NnOptions : core::pipeline::StrategyOptions {
+  /// batch_rows is the mini-batch target size here, hence its own
+  /// default. threads parallelize inside each batch (the sequence of
+  /// updates is unchanged); shards > 1 is rejected, because the
+  /// mini-batch (SGD) plane is sequential.
+  NnOptions() { batch_rows = 1024; }
+
   std::vector<size_t> hidden = {50};  // hidden layer widths (nh first)
   Activation activation = Activation::kSigmoid;
   int epochs = 10;                    // the paper trains for 10 epochs
   double learning_rate = 0.05;
-  size_t batch_rows = 1024;           // mini-batch target size
   bool shuffle = false;               // permute R1's keys per epoch (SGD)
   uint64_t seed = 17;                 // weight init + shuffle seed
-  std::string temp_dir = ".";         // where M-NN materializes T
   /// Inverted dropout rate on the hidden activations (0 disables). The
   /// paper notes Dropout after a layer's activation is compatible with the
   /// factorization (Sec. VI-A); the engine draws masks from a stream
@@ -46,57 +50,6 @@ struct NnOptions {
   /// (Sec. VI-A3); this flag demonstrates there is some after all — see
   /// bench/ablation_grouped_backward.
   bool grouped_backward = false;
-  /// Worker threads for the exec/ morsel-driven runtime (all three
-  /// algorithms). The sequence of mini-batch updates is unchanged;
-  /// within each batch the first-layer forward partitions over rows and
-  /// the W1 gradient over columns (both bit-identical decompositions),
-  /// so outputs match the serial run up to the per-worker merge of
-  /// attribute-gradient partials. 0 = use exec::DefaultThreads() (the
-  /// --threads flag); 1 = the exact bit-for-bit serial path.
-  int threads = 0;
-  /// Full-pass scheduler knobs (strategy plane, see StrategyOptions):
-  /// morsel_rows > 0 switches the pass to fixed deterministically numbered
-  /// chunks with a chunk-ordered reduction — results then depend on
-  /// morsel_rows but not on threads or stealing; steal lets idle workers
-  /// take chunks from busy ones (implies chunking).
-  int64_t morsel_rows = 0;
-  bool steal = false;
-  /// Asynchronous double-buffered page prefetch (strategy plane, see
-  /// StrategyOptions): overlap the next morsel's page reads with compute.
-  /// Residency-only — results are bit-identical either way; prefetch_depth
-  /// is the number of batches read ahead per worker.
-  bool prefetch = false;
-  int prefetch_depth = 2;
-  /// Rid-range shards of the full-pass plane (strategy plane, see
-  /// StrategyOptions). The mini-batch (SGD) plane is sequential, so
-  /// shards > 1 is rejected with InvalidArgument for this family.
-  int shards = 1;
-  /// Compute-kernel backend (--kernels): kScalar (default) keeps the
-  /// seed's bit-identical loops; kSimd routes the la/ primitives (Gemv,
-  /// Dot, AddOuter behind the BP math) through the runtime-dispatched
-  /// vector backend. The mini-batch plane has no strip decode — batches
-  /// are already dense matrices — so only the summation order inside the
-  /// primitives moves; op counts are identical, losses agree to
-  /// floating-point reassociation tolerance.
-  la::KernelMode kernels = la::KernelMode::kScalar;
-  /// Shard execution backend knobs (--shard-backend et al., see
-  /// StrategyOptions). Present for option-lifting uniformity only: the
-  /// mini-batch plane rejects shards > 1, so neither backend ever
-  /// activates for this family.
-  std::string shard_backend = "inproc";
-  int64_t shard_timeout_ms = 30000;
-  std::string shard_transport = "unix";
-  std::string shard_worker_path;
-  /// ShardDelta wire encoding (--delta-encoding): "dense" (v1 frames) or
-  /// "sparse" (v2 zero-run-length frames, decoded bit-identically).
-  std::string delta_encoding = "dense";
-  /// Non-empty (--checkpoint-dir): CRC-verified checkpoint/restore of the
-  /// iteration state; a resumed run is bit-identical to an uninterrupted
-  /// one. Empty = checkpointing off.
-  std::string checkpoint_dir;
-  /// Iterations between checkpoint writes (--checkpoint-every); 0 = every
-  /// iteration when checkpoint_dir is set.
-  int64_t checkpoint_every = 0;
 };
 
 /// Algorithm M-NN: materializes T, then standard BP over T's rows.

@@ -18,6 +18,25 @@ struct FileHeader {
   int64_t num_rows;
 };
 
+/// The row-size contract Create and Open share: a row holds at least one
+/// column and fits a data page after the page's 8-byte row count, so
+/// Schema::RowsPerPage() >= 1 and the row-to-page arithmetic never
+/// divides by zero. Column counts are bounded first so a hostile header
+/// cannot overflow RowBytes().
+Status CheckRowSize(uint64_t num_keys, uint64_t num_feats,
+                    const std::string& path) {
+  constexpr uint64_t kMaxCols = (kPageSize - 8) / 8;
+  if (num_keys > kMaxCols || num_feats > kMaxCols ||
+      num_keys + num_feats == 0 || num_keys + num_feats > kMaxCols) {
+    return Status::InvalidArgument(
+        "row of " + std::to_string(num_keys) + " key + " +
+        std::to_string(num_feats) + " feature columns does not fit a " +
+        std::to_string(kPageSize) + "-byte page (1.." +
+        std::to_string(kMaxCols) + " columns): " + path);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Table::Table(std::unique_ptr<PagedFile> file, Schema schema, int64_t num_rows,
@@ -30,9 +49,7 @@ Table::Table(std::unique_ptr<PagedFile> file, Schema schema, int64_t num_rows,
 }
 
 Result<Table> Table::Create(const std::string& path, const Schema& schema) {
-  if (schema.RowBytes() == 0 || schema.RowBytes() > kPageSize - 8) {
-    return Status::InvalidArgument("row too large for a page: " + path);
-  }
+  FML_RETURN_IF_ERROR(CheckRowSize(schema.num_keys, schema.num_feats, path));
   FML_ASSIGN_OR_RETURN(auto file, PagedFile::Create(path));
   // Reserve the header page; contents are finalized in Finish().
   std::vector<char> header(kPageSize, 0);
@@ -50,8 +67,18 @@ Result<Table> Table::Open(const std::string& path) {
   if (h.magic != kMagic) {
     return Status::InvalidArgument("not a factorml table: " + path);
   }
+  FML_RETURN_IF_ERROR(CheckRowSize(h.num_keys, h.num_feats, path));
   Schema schema{static_cast<size_t>(h.num_keys),
                 static_cast<size_t>(h.num_feats)};
+  const auto rpp = static_cast<uint64_t>(schema.RowsPerPage());
+  const uint64_t data_pages = file->num_pages() - 1;
+  if (h.num_rows < 0 ||
+      (static_cast<uint64_t>(h.num_rows) + rpp - 1) / rpp > data_pages) {
+    return Status::InvalidArgument(
+        "header declares " + std::to_string(h.num_rows) + " rows, but " +
+        std::to_string(data_pages) + " data page(s) hold at most " +
+        std::to_string(data_pages * rpp) + ": " + path);
+  }
   Table t(std::move(file), schema, h.num_rows, /*writable=*/false);
   t.finished_ = true;
   return t;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "core/pipeline/strategy_options.h"
 #include "la/kernels.h"
 #include "common/opcount.h"
 #include "common/rng.h"
@@ -351,16 +352,14 @@ TEST(FlagsTest, GetIntNegativeStillParses) {
 
 TEST(FlagsTest, ShardBackendFlagsValidAndDefaults) {
   const char* argv[] = {"prog", "--shard-backend=process",
-                        "--shard-timeout-ms=500", "--shard-transport=tcp"};
-  ArgParser args(4, const_cast<char**>(argv));
+                        "--shard-timeout-ms=500"};
+  ArgParser args(3, const_cast<char**>(argv));
   EXPECT_EQ(args.GetShardBackend(), "process");
   EXPECT_EQ(args.GetShardTimeoutMs(), 500);
-  EXPECT_EQ(args.GetShardTransport(), "tcp");
   const char* argv2[] = {"prog"};
   ArgParser args2(1, const_cast<char**>(argv2));
   EXPECT_EQ(args2.GetShardBackend(), "inproc");
   EXPECT_EQ(args2.GetShardTimeoutMs(), 30000);
-  EXPECT_EQ(args2.GetShardTransport(), "unix");
 }
 
 TEST(FlagsDeathTest, UnknownShardBackendExits2) {
@@ -377,31 +376,87 @@ TEST(FlagsDeathTest, ShardTimeoutBelowOneExits2) {
               "invalid --shard-timeout-ms");
 }
 
-TEST(FlagsTest, CheckpointAndDeltaFlagsValidAndDefaults) {
+TEST(FlagsTest, CheckpointFlagsValidAndDefaults) {
   const std::string dir = ::testing::TempDir();
   const std::string dir_arg = "--checkpoint-dir=" + dir;
-  const char* argv[] = {"prog", dir_arg.c_str(), "--checkpoint-every=3",
-                        "--delta-encoding=sparse"};
-  ArgParser args(4, const_cast<char**>(argv));
+  const char* argv[] = {"prog", dir_arg.c_str(), "--checkpoint-every=3"};
+  ArgParser args(3, const_cast<char**>(argv));
   EXPECT_EQ(args.GetCheckpointDir(), dir);
   EXPECT_EQ(args.GetCheckpointEvery(), 3);
-  EXPECT_EQ(args.GetDeltaEncoding(), "sparse");
   const char* argv2[] = {"prog"};
   ArgParser args2(1, const_cast<char**>(argv2));
   EXPECT_EQ(args2.GetCheckpointDir(), "");
   EXPECT_EQ(args2.GetCheckpointEvery(), 0);
-  EXPECT_EQ(args2.GetDeltaEncoding(), "dense");
 }
 
-// The checkpoint/delta flags fail fast (exit 2 naming flag and value)
-// before a long run discovers at its first write that the directory is
-// unusable or the interval nonsense.
-TEST(FlagsDeathTest, UnknownDeltaEncodingExits2) {
-  const char* argv[] = {"prog", "--delta-encoding=gzip"};
-  ArgParser args(2, const_cast<char**>(argv));
-  EXPECT_EXIT(args.GetDeltaEncoding(), ::testing::ExitedWithCode(2),
-              "invalid --delta-encoding=gzip");
+// The one parse point of the strategy knobs: every flag lands in its
+// field, and an absent flag keeps the caller's default.
+TEST(FlagsTest, StrategyOptionsFromArgsMapsEveryFlag) {
+  using core::pipeline::ShardBackend;
+  using core::pipeline::StrategyOptions;
+  using core::pipeline::StrategyOptionsFromArgs;
+  const std::string dir = ::testing::TempDir();
+  const std::string dir_arg = "--checkpoint-dir=" + dir;
+  const char* argv[] = {"prog",
+                        "--batch=512",
+                        "--threads=3",
+                        "--morsel-rows=200",
+                        "--steal=on",
+                        "--prefetch=on",
+                        "--prefetch-depth=4",
+                        "--shards=5",
+                        "--kernels=simd",
+                        "--shard-backend=process",
+                        "--shard-timeout-ms=700",
+                        "--factormld=/opt/bin/factormld",
+                        dir_arg.c_str(),
+                        "--checkpoint-every=6"};
+  ArgParser args(14, const_cast<char**>(argv));
+  StrategyOptions defaults;
+  defaults.temp_dir = "/data";
+  const StrategyOptions o = StrategyOptionsFromArgs(args, defaults);
+  EXPECT_EQ(o.batch_rows, 512u);
+  EXPECT_EQ(o.threads, 3);
+  EXPECT_EQ(o.morsel_rows, 200);
+  EXPECT_TRUE(o.steal);
+  EXPECT_TRUE(o.prefetch);
+  EXPECT_EQ(o.prefetch_depth, 4);
+  EXPECT_EQ(o.shards, 5);
+  EXPECT_EQ(o.kernels, la::KernelMode::kSimd);
+  EXPECT_EQ(o.temp_dir, "/data");  // no flag: the caller's value
+  EXPECT_EQ(o.shard_backend, ShardBackend::kProcess);
+  EXPECT_EQ(o.shard_timeout_ms, 700);
+  EXPECT_EQ(o.shard_worker_path, "/opt/bin/factormld");
+  EXPECT_EQ(o.checkpoint_dir, dir);
+  EXPECT_EQ(o.checkpoint_every, 6);
+  EXPECT_EQ(o.shard_channel, nullptr);
+
+  // No flags: every field keeps its default, including a family's own
+  // (NN's 1024-row batch).
+  const char* argv2[] = {"prog"};
+  ArgParser args2(1, const_cast<char**>(argv2));
+  defaults.batch_rows = 1024;
+  const StrategyOptions d = StrategyOptionsFromArgs(args2, defaults);
+  const StrategyOptions plain;
+  EXPECT_EQ(d.batch_rows, 1024u);
+  EXPECT_EQ(d.threads, plain.threads);
+  EXPECT_EQ(d.morsel_rows, plain.morsel_rows);
+  EXPECT_EQ(d.steal, plain.steal);
+  EXPECT_EQ(d.prefetch, plain.prefetch);
+  EXPECT_EQ(d.prefetch_depth, plain.prefetch_depth);
+  EXPECT_EQ(d.shards, plain.shards);
+  EXPECT_EQ(d.kernels, la::KernelMode::kScalar);
+  EXPECT_EQ(d.temp_dir, "/data");
+  EXPECT_EQ(d.shard_backend, ShardBackend::kInproc);
+  EXPECT_EQ(d.shard_timeout_ms, plain.shard_timeout_ms);
+  EXPECT_EQ(d.shard_worker_path, "");
+  EXPECT_EQ(d.checkpoint_dir, "");
+  EXPECT_EQ(d.checkpoint_every, 0);
 }
+
+// The checkpoint flags fail fast (exit 2 naming flag and value) before a
+// long run discovers at its first write that the directory is unusable
+// or the interval nonsense.
 
 TEST(FlagsDeathTest, UnwritableCheckpointDirExits2) {
   const char* argv[] = {"prog", "--checkpoint-dir=/nonexistent_dir_xyz_42"};

@@ -1369,25 +1369,18 @@ TEST(CheckpointTest, OptionValidationRejectsBadCombos) {
   opt.batch_rows = 256;
   opt.temp_dir = dir.str();
 
-  opt.delta_encoding = "gzip";
+  opt.checkpoint_every = 2;  // without a checkpoint dir
   core::TrainReport report;
   auto r = core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
                           &report);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().ToString().find("delta-encoding"), std::string::npos)
-      << r.status().ToString();
-
-  opt.delta_encoding = "dense";
-  opt.checkpoint_every = 2;  // without a checkpoint dir
-  r = core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool, &report);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().ToString().find("--checkpoint-dir"), std::string::npos)
       << r.status().ToString();
 }
 
-// --------------------------------------- slot memory + sparse deltas
+// -------------------------------------- slot memory + ShardDelta frames
 
-TEST(ShardParityTest, SparseDeltasBitIdenticalToDenseAndNoLarger) {
+TEST(ShardParityTest, ShardDeltaFramesBitIdenticalToUnsharded) {
   TempDir dir;
   BufferPool pool(512);
   auto rel =
@@ -1398,33 +1391,29 @@ TEST(ShardParityTest, SparseDeltasBitIdenticalToDenseAndNoLarger) {
   opt.batch_rows = 256;
   opt.temp_dir = dir.str();
   opt.threads = 2;
-  opt.shards = 3;
   opt.morsel_rows = 400;
 
-  opt.delta_encoding = "dense";
+  opt.shards = 1;
   pool.Clear();
-  core::TrainReport dense_report;
-  auto dense = core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
-                              &dense_report);
-  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  core::TrainReport base_report;
+  auto base = core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
+                             &base_report);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
 
-  opt.delta_encoding = "sparse";
+  // Every slot of every pass crosses a zero-run-length frame and back.
+  opt.shards = 3;
   pool.Clear();
-  core::TrainReport sparse_report;
-  auto sparse = core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
-                               &sparse_report);
-  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  core::TrainReport report;
+  auto sharded = core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
+                                &report);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
 
-  EXPECT_EQ(sparse_report.final_objective, dense_report.final_objective);
-  EXPECT_EQ(gmm::GmmParams::MaxAbsDiff(dense.value(), sparse.value()), 0.0);
-  EXPECT_EQ(sparse_report.ops.mults, dense_report.ops.mults);
-  EXPECT_EQ(sparse_report.ops.adds, dense_report.ops.adds);
-  const double dense_wire = MetricValue(dense_report, "pipeline.delta_bytes");
-  const double sparse_wire =
-      MetricValue(sparse_report, "pipeline.delta_bytes");
-  EXPECT_GT(dense_wire, 0.0);
-  EXPECT_GT(sparse_wire, 0.0);
-  EXPECT_LE(sparse_wire, dense_wire);
+  EXPECT_EQ(report.final_objective, base_report.final_objective);
+  EXPECT_EQ(gmm::GmmParams::MaxAbsDiff(base.value(), sharded.value()), 0.0);
+  EXPECT_EQ(report.ops.mults, base_report.ops.mults);
+  EXPECT_EQ(report.ops.adds, base_report.ops.adds);
+  EXPECT_EQ(MetricValue(base_report, "pipeline.delta_bytes"), 0.0);
+  EXPECT_GT(MetricValue(report, "pipeline.delta_bytes"), 0.0);
 }
 
 TEST(SlotMemoryTest, RidScopedSlotsStayFarBelowFullDomainSizing) {

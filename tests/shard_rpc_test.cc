@@ -12,8 +12,11 @@
 //    rescan when the death lands mid-iteration) or the attempt restarts
 //    (non-recoverable GMM covariance pass) — and in every case the final
 //    model is still bit-identical to the healthy baseline.
-// 3) Wire-level units: ShardJobSpec round-trip and the restart sentinel.
+// 3) Wire-level units: ShardJobSpec round-trip and corruption, the
+//    ShardDelta frame codec, and the restart sentinel.
 
+#include <sys/stat.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -35,6 +38,7 @@
 namespace factorml {
 namespace {
 
+using core::pipeline::ShardBackend;
 using data::GenerateSynthetic;
 using factorml::testing::TempDir;
 using storage::BufferPool;
@@ -83,13 +87,13 @@ void ExpectProcessParity(const join::NormalizedRelations& rel, Options opt,
                               " threads=" + std::to_string(threads);
       opt.shards = shards;
       opt.threads = threads;
-      opt.shard_backend = "inproc";
+      opt.shard_backend = ShardBackend::kInproc;
       pool->Clear();
       core::TrainReport base_report;
       auto base = train(rel, opt, algo, pool, &base_report);
       ASSERT_TRUE(base.ok()) << tag << ": " << base.status().ToString();
 
-      opt.shard_backend = "process";
+      opt.shard_backend = ShardBackend::kProcess;
       pool->Clear();
       core::TrainReport report;
       auto proc = train(rel, opt, algo, pool, &report);
@@ -210,24 +214,31 @@ TEST(ShardRpcParityTest, LogregFactorizedProcessMatchesInproc) {
       &logreg::LogregModel::MaxAbsDiff, "logreg-F");
 }
 
-TEST(ShardRpcParityTest, UnknownBackendRejected) {
+TEST(ShardRpcParityTest, TcpFallbackProcessMatchesInproc) {
+  // The coordinator listens on a Unix socket under temp_dir; a temp dir
+  // too long for sun_path makes it fall back to TCP loopback, which must
+  // be just as bit-identical.
   TempDir dir;
   BufferPool pool(512);
   auto rel =
       std::move(GenerateSynthetic(Spec(dir.str(), false), &pool)).value();
-  gmm::GmmOptions opt;
-  opt.num_components = 3;
-  opt.max_iters = 1;
+  const std::string long_dir = dir.str() + "/" + std::string(120, 'x');
+  ASSERT_EQ(mkdir(long_dir.c_str(), 0755), 0);
+  struct sockaddr_un addr;
+  ASSERT_GE(long_dir.size(), sizeof(addr.sun_path));
+  kmeans::KmeansOptions opt;
+  opt.num_clusters = 3;
+  opt.max_iters = 2;
   opt.batch_rows = 256;
-  opt.temp_dir = dir.str();
-  opt.shards = 2;
-  opt.shard_backend = "carrier-pigeon";
-  core::TrainReport report;
-  auto r = core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
-                          &report);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().ToString().find("shard-backend"), std::string::npos)
-      << r.status().ToString();
+  opt.morsel_rows = 200;
+  opt.temp_dir = long_dir;
+  ExpectProcessParity(
+      rel, opt, core::Algorithm::kFactorized, &pool,
+      [](const join::NormalizedRelations& r, const kmeans::KmeansOptions& o,
+         core::Algorithm a, BufferPool* p, core::TrainReport* rep) {
+        return core::TrainKmeans(r, o, a, p, rep);
+      },
+      &kmeans::KmeansModel::MaxAbsDiff, "kmeans-F-tcp");
 }
 
 // ----------------------------------------------------- fault injection
@@ -264,7 +275,7 @@ struct FaultFixture {
     FML_CHECK(base.ok()) << base.status().ToString();
     base_objective = report.final_objective;
     base_params = std::move(base).value();
-    opt.shard_backend = "process";
+    opt.shard_backend = ShardBackend::kProcess;
   }
 
   /// Runs the process backend under whatever fault env is in scope and
@@ -337,31 +348,37 @@ TEST(ShardRpcFaultTest, HungWorkerTimesOutAndIsRequeued) {
 
 // ------------------------------------------------------ wire-level units
 
-TEST(ShardJobSpecTest, RoundTripsEveryField) {
+/// A spec with every field off its default.
+core::pipeline::ShardJobSpec FullSpec() {
   core::pipeline::ShardJobSpec spec;
   spec.s_path = "/data/s.fml";
   spec.attr_paths = {"/data/r1.fml", "/data/r2.fml"};
   spec.has_target = true;
   spec.pool_pages = 512;
-  spec.algorithm = 'f';
-  spec.batch_rows = 256;
-  spec.threads = 4;
-  spec.morsel_rows = 200;
-  spec.steal = true;
-  spec.prefetch = true;
-  spec.prefetch_depth = 3;
-  spec.shards = 4;
-  spec.kernels = 1;
-  spec.shard_timeout_ms = 1234;
-  spec.temp_dir = "/tmp/w2";
+  spec.algorithm = core::Algorithm::kFactorized;
+  core::pipeline::StrategyOptions& o = spec.strategy;
+  o.batch_rows = 256;
+  o.threads = 4;
+  o.morsel_rows = 200;
+  o.steal = true;
+  o.prefetch = true;
+  o.prefetch_depth = 3;
+  o.shards = 4;
+  o.kernels = la::KernelMode::kSimd;
+  o.temp_dir = "/tmp/w2";
+  o.shard_backend = ShardBackend::kProcess;
+  o.shard_timeout_ms = 1234;
+  o.shard_worker_path = "/opt/bin/factormld";
+  o.checkpoint_dir = "/tmp/ckpts";
+  o.checkpoint_every = 3;
   spec.worker_id = 2;
   spec.family = "gmm";
   spec.family_blob = std::string("\x01\x00\x7f", 3);
+  return spec;
+}
 
-  spec.delta_encoding = "sparse";
-  spec.checkpoint_dir = "/tmp/ckpts";
-  spec.checkpoint_every = 3;
-
+TEST(ShardJobSpecTest, RoundTripsEveryField) {
+  const core::pipeline::ShardJobSpec spec = FullSpec();
   const std::string blob = core::pipeline::EncodeShardJobSpec(spec);
   auto decoded = core::pipeline::DecodeShardJobSpec(blob);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -371,22 +388,103 @@ TEST(ShardJobSpecTest, RoundTripsEveryField) {
   EXPECT_EQ(d.has_target, spec.has_target);
   EXPECT_EQ(d.pool_pages, spec.pool_pages);
   EXPECT_EQ(d.algorithm, spec.algorithm);
-  EXPECT_EQ(d.batch_rows, spec.batch_rows);
-  EXPECT_EQ(d.threads, spec.threads);
-  EXPECT_EQ(d.morsel_rows, spec.morsel_rows);
-  EXPECT_EQ(d.steal, spec.steal);
-  EXPECT_EQ(d.prefetch, spec.prefetch);
-  EXPECT_EQ(d.prefetch_depth, spec.prefetch_depth);
-  EXPECT_EQ(d.shards, spec.shards);
-  EXPECT_EQ(d.kernels, spec.kernels);
-  EXPECT_EQ(d.shard_timeout_ms, spec.shard_timeout_ms);
-  EXPECT_EQ(d.temp_dir, spec.temp_dir);
+  const core::pipeline::StrategyOptions& o = spec.strategy;
+  EXPECT_EQ(d.strategy.batch_rows, o.batch_rows);
+  EXPECT_EQ(d.strategy.threads, o.threads);
+  EXPECT_EQ(d.strategy.morsel_rows, o.morsel_rows);
+  EXPECT_EQ(d.strategy.steal, o.steal);
+  EXPECT_EQ(d.strategy.prefetch, o.prefetch);
+  EXPECT_EQ(d.strategy.prefetch_depth, o.prefetch_depth);
+  EXPECT_EQ(d.strategy.shards, o.shards);
+  EXPECT_EQ(d.strategy.kernels, o.kernels);
+  EXPECT_EQ(d.strategy.temp_dir, o.temp_dir);
+  EXPECT_EQ(d.strategy.shard_backend, o.shard_backend);
+  EXPECT_EQ(d.strategy.shard_timeout_ms, o.shard_timeout_ms);
+  EXPECT_EQ(d.strategy.shard_worker_path, o.shard_worker_path);
+  EXPECT_EQ(d.strategy.checkpoint_dir, o.checkpoint_dir);
+  EXPECT_EQ(d.strategy.checkpoint_every, o.checkpoint_every);
+  EXPECT_EQ(d.strategy.shard_channel, nullptr);
   EXPECT_EQ(d.worker_id, spec.worker_id);
   EXPECT_EQ(d.family, spec.family);
   EXPECT_EQ(d.family_blob, spec.family_blob);
-  EXPECT_EQ(d.delta_encoding, spec.delta_encoding);
-  EXPECT_EQ(d.checkpoint_dir, spec.checkpoint_dir);
-  EXPECT_EQ(d.checkpoint_every, spec.checkpoint_every);
+}
+
+/// Byte offsets of FullSpec()'s encoded fields, per the encoder's layout:
+/// version u32, s_path str, attr count u64, attr paths, has_target u8,
+/// pool_pages u64, then the algorithm byte.
+size_t StrBytes(const std::string& s) { return 8 + s.size(); }
+
+size_t AttrCountOffset(const core::pipeline::ShardJobSpec& spec) {
+  return 4 + StrBytes(spec.s_path);
+}
+
+size_t AlgorithmOffset(const core::pipeline::ShardJobSpec& spec) {
+  size_t off = AttrCountOffset(spec) + 8;
+  for (const auto& p : spec.attr_paths) off += StrBytes(p);
+  return off + 1 + 8;
+}
+
+/// batch_rows, threads, morsel_rows (3 x 8), steal, prefetch (2 x 1),
+/// prefetch_depth, shards (2 x 8) sit between the algorithm byte and the
+/// kernels byte; temp_dir between the kernels and shard_backend bytes.
+size_t KernelsOffset(const core::pipeline::ShardJobSpec& spec) {
+  return AlgorithmOffset(spec) + 1 + 3 * 8 + 2 + 2 * 8;
+}
+
+size_t ShardBackendOffset(const core::pipeline::ShardJobSpec& spec) {
+  return KernelsOffset(spec) + 1 + StrBytes(spec.strategy.temp_dir);
+}
+
+TEST(ShardJobSpecTest, HugeAttrCountRejectedBeforeAllocating) {
+  const core::pipeline::ShardJobSpec spec = FullSpec();
+  std::string blob = core::pipeline::EncodeShardJobSpec(spec);
+  const uint64_t huge = uint64_t{1} << 40;
+  std::memcpy(&blob[AttrCountOffset(spec)], &huge, sizeof(huge));
+  const auto decoded = core::pipeline::DecodeShardJobSpec(blob);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().ToString().find("attr_paths count"),
+            std::string::npos)
+      << decoded.status().ToString();
+}
+
+TEST(ShardJobSpecTest, OutOfRangeEnumBytesRejectedNamingTheField) {
+  const core::pipeline::ShardJobSpec spec = FullSpec();
+  const std::string good = core::pipeline::EncodeShardJobSpec(spec);
+  ASSERT_EQ(good[AlgorithmOffset(spec)], 'F');
+  ASSERT_EQ(good[KernelsOffset(spec)], 1);
+  ASSERT_EQ(good[ShardBackendOffset(spec)], 1);
+  const struct {
+    size_t offset;
+    char value;
+    const char* field;
+  } cases[] = {
+      {AlgorithmOffset(spec), 'x', "algorithm"},
+      {KernelsOffset(spec), 2, "kernels"},
+      {ShardBackendOffset(spec), 2, "shard_backend"},
+  };
+  for (const auto& c : cases) {
+    std::string blob = good;
+    blob[c.offset] = c.value;
+    const auto decoded = core::pipeline::DecodeShardJobSpec(blob);
+    ASSERT_FALSE(decoded.ok()) << c.field;
+    EXPECT_NE(decoded.status().ToString().find(c.field), std::string::npos)
+        << decoded.status().ToString();
+  }
+}
+
+TEST(ShardJobSpecTest, GmmBlobInitByteRejected) {
+  gmm::GmmOptions opt;
+  opt.init = gmm::GmmInit::kRandomRows;
+  std::string blob = gmm::EncodeShardJob(opt);
+  ASSERT_TRUE(gmm::DecodeShardJob(blob).ok());
+  // num_components u64, max_iters i64, tol, init_spread, cov_reg f64s.
+  const size_t init_offset = 5 * 8;
+  ASSERT_EQ(blob[init_offset], 1);
+  blob[init_offset] = 2;
+  const auto decoded = gmm::DecodeShardJob(blob);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().ToString().find("init"), std::string::npos)
+      << decoded.status().ToString();
 }
 
 TEST(ShardJobSpecTest, TrailingBytesRejected) {
@@ -434,69 +532,73 @@ std::vector<std::vector<double>> WireSlots() {
           {7.0, 0.0}};
 }
 
-TEST(ShardDeltaWireTest, SparseRoundTripsBitExactAndNoLarger) {
-  auto original = WireSlots();
-  for (const bool sparse : {false, true}) {
-    SlotStateProgram src(original);
-    const auto delta = core::pipeline::ExtractShardDelta(
-        &src, 0, 1, exec::Range{0, 3}, sparse);
-    // Extract zeroes the source slots: the bytes carry the whole state.
-    for (const auto& s : src.slots_) {
-      for (const double v : s) EXPECT_EQ(v, 0.0);
-    }
-    SlotStateProgram dst(
-        {std::vector<double>(7, -1.0), std::vector<double>(4, -1.0),
-         std::vector<double>(2, -1.0)});
-    const Status st = core::pipeline::ApplyShardDelta(&dst, 0, delta);
-    ASSERT_TRUE(st.ok()) << (sparse ? "sparse: " : "dense: ")
-                         << st.ToString();
-    for (size_t s = 0; s < original.size(); ++s) {
-      for (size_t i = 0; i < original[s].size(); ++i) {
-        EXPECT_EQ(std::memcmp(&dst.slots_[s][i], &original[s][i],
-                              sizeof(double)),
-                  0)
-            << "slot " << s << " double " << i << " sparse=" << sparse;
-      }
+TEST(ShardDeltaWireTest, RoundTripsBitExactAndElidesZeroRuns) {
+  const auto original = WireSlots();
+  SlotStateProgram src(original);
+  const auto delta =
+      core::pipeline::ExtractShardDelta(&src, 0, 1, exec::Range{0, 3});
+  // Extract zeroes the source slots: the bytes carry the whole state.
+  for (const auto& s : src.slots_) {
+    for (const double v : s) EXPECT_EQ(v, 0.0);
+  }
+  SlotStateProgram dst(
+      {std::vector<double>(7, -1.0), std::vector<double>(4, -1.0),
+       std::vector<double>(2, -1.0)});
+  const Status st = core::pipeline::ApplyShardDelta(&dst, 0, delta);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  size_t doubles = 0;
+  for (size_t s = 0; s < original.size(); ++s) {
+    doubles += original[s].size();
+    for (size_t i = 0; i < original[s].size(); ++i) {
+      EXPECT_EQ(std::memcmp(&dst.slots_[s][i], &original[s][i],
+                            sizeof(double)),
+                0)
+          << "slot " << s << " double " << i;
     }
   }
-  SlotStateProgram a(original), b(original);
-  const auto dense = core::pipeline::ExtractShardDelta(
-      &a, 0, 1, exec::Range{0, 3}, /*sparse=*/false);
-  const auto rle = core::pipeline::ExtractShardDelta(
-      &b, 0, 1, exec::Range{0, 3}, /*sparse=*/true);
-  EXPECT_LT(rle.wire_size(), dense.wire_size());
+  // 8 of the 13 doubles are +0.0 runs: the frame undercuts a verbatim
+  // copy of the stream behind the same 48-byte header.
+  EXPECT_LT(delta.wire_size(), 48 + doubles * sizeof(double));
 }
 
 TEST(ShardDeltaWireTest, TruncatedFramesRejectedNamingTheShard) {
-  for (const bool sparse : {false, true}) {
-    SlotStateProgram src(WireSlots());
-    auto delta = core::pipeline::ExtractShardDelta(&src, 0, 3,
-                                                   exec::Range{0, 3}, sparse);
-    delta.bytes.resize(delta.bytes.size() - 5);
-    SlotStateProgram dst(WireSlots());
-    const Status st = core::pipeline::ApplyShardDelta(&dst, 0, delta);
-    ASSERT_FALSE(st.ok()) << "sparse=" << sparse;
-    EXPECT_NE(st.ToString().find("shard 3"), std::string::npos)
-        << st.ToString();
-    EXPECT_NE(st.ToString().find("chunks [0, 3)"), std::string::npos)
-        << st.ToString();
-  }
+  SlotStateProgram src(WireSlots());
+  auto delta =
+      core::pipeline::ExtractShardDelta(&src, 0, 3, exec::Range{0, 3});
+  delta.bytes.resize(delta.bytes.size() - 5);
+  SlotStateProgram dst(WireSlots());
+  const Status st = core::pipeline::ApplyShardDelta(&dst, 0, delta);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("shard 3"), std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.ToString().find("chunks [0, 3)"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(ShardDeltaWireTest, TrailingBytesRejected) {
   // A frame that decodes fine but carries extra bytes is a framing bug
   // upstream; silently ignoring the tail would mask it.
-  for (const bool sparse : {false, true}) {
-    SlotStateProgram src(WireSlots());
-    auto delta = core::pipeline::ExtractShardDelta(&src, 0, 0,
-                                                   exec::Range{0, 3}, sparse);
-    delta.bytes.append(8, '\0');
-    SlotStateProgram dst(WireSlots());
-    const Status st = core::pipeline::ApplyShardDelta(&dst, 0, delta);
-    ASSERT_FALSE(st.ok()) << "sparse=" << sparse;
-    EXPECT_NE(st.ToString().find("length mismatch"), std::string::npos)
-        << st.ToString();
-  }
+  SlotStateProgram src(WireSlots());
+  auto delta =
+      core::pipeline::ExtractShardDelta(&src, 0, 0, exec::Range{0, 3});
+  delta.bytes.append(8, '\0');
+  SlotStateProgram dst(WireSlots());
+  const Status st = core::pipeline::ApplyShardDelta(&dst, 0, delta);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("length mismatch"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(ShardDeltaWireTest, UnknownMagicRejected) {
+  SlotStateProgram src(WireSlots());
+  auto delta =
+      core::pipeline::ExtractShardDelta(&src, 0, 0, exec::Range{0, 3});
+  delta.bytes[7] = '1';  // "FMLSHRD2" -> "FMLSHRD1"
+  SlotStateProgram dst(WireSlots());
+  const Status st = core::pipeline::ApplyShardDelta(&dst, 0, delta);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("bad magic"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(ShardDeltaWireTest, SpanMismatchRejectedWithBothSpans) {

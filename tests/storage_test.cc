@@ -1,3 +1,4 @@
+#include <cstdio>
 #include <cstring>
 #include <chrono>
 #include <string>
@@ -283,6 +284,76 @@ TEST(TableTest, RowTooLargeRejected) {
   TempDir dir;
   auto r = Table::Create(dir.str() + "/t.fml", Schema{1, 2000});
   EXPECT_FALSE(r.ok());
+}
+
+/// Writes a valid one-page, 10-row table under `dir`, then overwrites its
+/// header's (num_keys, num_feats, num_rows) with the given values — the
+/// shape a corrupted or hostile file presents to Table::Open.
+std::string ForgedTable(const std::string& dir, uint64_t num_keys,
+                        uint64_t num_feats, int64_t num_rows) {
+  const std::string path = dir + "/forged.fml";
+  {
+    auto t = std::move(Table::Create(path, Schema{1, 1})).value();
+    for (int64_t i = 0; i < 10; ++i) {
+      const double f = 0.5;
+      FML_CHECK(t.Append(&i, &f).ok());
+    }
+    FML_CHECK(t.Finish().ok());
+  }
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  FML_CHECK(f != nullptr);
+  // Header layout: magic, num_keys, num_feats, num_rows (8 bytes each).
+  const uint64_t fields[3] = {num_keys, num_feats,
+                              static_cast<uint64_t>(num_rows)};
+  FML_CHECK(std::fseek(f, 8, SEEK_SET) == 0);
+  FML_CHECK(std::fwrite(fields, sizeof(fields), 1, f) == 1);
+  std::fclose(f);
+  return path;
+}
+
+TEST(TableTest, OpenAcceptsUnforgedHeader) {
+  TempDir dir;
+  auto r = Table::Open(ForgedTable(dir.str(), 1, 1, 10));
+  FML_ASSERT_OK(r.status());
+  EXPECT_EQ(r->num_rows(), 10);
+}
+
+TEST(TableTest, OpenRejectsZeroColumnRows) {
+  // RowBytes() == 0 would make RowsPerPage() divide by zero.
+  TempDir dir;
+  const std::string path = ForgedTable(dir.str(), 0, 0, 10);
+  auto r = Table::Open(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().ToString().find(path), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(TableTest, OpenRejectsRowWiderThanAPage) {
+  // RowsPerPage() == 0 would make the cursor's row-to-page division
+  // divide by zero.
+  TempDir dir;
+  const std::string path = ForgedTable(dir.str(), 1, kPageSize / 8, 10);
+  auto r = Table::Open(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().ToString().find(path), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(TableTest, OpenRejectsRowCountTheDataPagesCannotHold) {
+  TempDir dir;
+  const int64_t one_page = static_cast<int64_t>(Schema{1, 1}.RowsPerPage());
+  for (const int64_t rows : {int64_t{-1}, one_page + 1}) {
+    const std::string path = ForgedTable(dir.str(), 1, 1, rows);
+    auto r = Table::Open(path);
+    ASSERT_FALSE(r.ok()) << rows;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().ToString().find(path), std::string::npos)
+        << r.status().ToString();
+  }
+  // Exactly one full page is still fine.
+  FML_EXPECT_OK(Table::Open(ForgedTable(dir.str(), 1, 1, one_page)).status());
 }
 
 TEST(TableTest, EmptyTableScansNothing) {

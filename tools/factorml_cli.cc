@@ -64,8 +64,8 @@
 // them in this process — byte-identical to the pre-backend engine.
 // `process` spawns one factormld worker process per shard and exchanges
 // the ShardDelta bytes over length-prefixed socket frames (Unix-domain
-// under the data dir, or TCP loopback with `--shard-transport=tcp`);
-// results stay bit-identical by the same chunk-ordered merge, and the
+// under the data dir, falling back to TCP loopback when that socket path
+// is too long); results stay bit-identical by the same chunk-ordered merge, and the
 // TrainReport's shard_stats become per-node I/O windows. A worker that
 // dies or stalls past `--shard-timeout-ms=N` (default 30000) has its
 // spans requeued on a healthy worker — bit-identically — or, when the
@@ -103,7 +103,6 @@
 #include "core/factorml.h"
 #include "data/csv.h"
 #include "exec/thread_pool.h"
-#include "la/kernels.h"
 #include "obs/manifest.h"
 #include "obs/trace.h"
 
@@ -136,6 +135,17 @@ Result<join::NormalizedRelations> LoadRelations(const std::string& dir,
   FML_RETURN_IF_ERROR(rel.Validate());
   FML_RETURN_IF_ERROR(rel.BuildIndex(pool));
   return rel;
+}
+
+/// Fills the strategy half of a family's options from the shared flags
+/// (core::pipeline::StrategyOptionsFromArgs); an absent flag keeps the
+/// family's default, like NN's 1024-row --batch. The M strategy
+/// materializes under the data dir.
+template <typename Options>
+void SetStrategy(const ArgParser& args, const std::string& dir, Options* opt) {
+  core::pipeline::StrategyOptions& strategy = *opt;
+  strategy = core::pipeline::StrategyOptionsFromArgs(args, strategy);
+  strategy.temp_dir = dir;
 }
 
 /// Parses `--algo`; unknown values list the valid choices instead of
@@ -277,21 +287,7 @@ int CmdTrainGmm(const ArgParser& args) {
   opt.num_components = static_cast<size_t>(args.GetInt("k", 5));
   opt.max_iters = static_cast<int>(args.GetInt("iters", 10));
   opt.tol = args.GetDouble("tol", 0.0);
-  opt.temp_dir = dir;
-  opt.morsel_rows = args.GetMorselRows(0);
-  opt.steal = args.GetSteal(false);
-  opt.prefetch = args.GetPrefetch(false);
-  opt.prefetch_depth = args.GetPrefetchDepth(2);
-  opt.shards = args.GetShards(1);
-  opt.kernels = args.GetKernels() == "simd" ? la::KernelMode::kSimd
-                                             : la::KernelMode::kScalar;
-  opt.shard_backend = args.GetShardBackend("inproc");
-  opt.shard_timeout_ms = args.GetShardTimeoutMs(30000);
-  opt.shard_transport = args.GetShardTransport("unix");
-  opt.shard_worker_path = args.GetString("factormld", "");
-  opt.delta_encoding = args.GetDeltaEncoding("dense");
-  opt.checkpoint_dir = args.GetCheckpointDir("");
-  opt.checkpoint_every = args.GetCheckpointEvery(0);
+  SetStrategy(args, dir, &opt);
   auto algos = ParseAlgos(args.GetString("algo", "all"));
   if (!algos.ok()) return FailStatus(algos.status());
   for (const auto algo : algos.value()) {
@@ -316,26 +312,11 @@ int CmdTrainNn(const ArgParser& args) {
   opt.hidden = {static_cast<size_t>(args.GetInt("nh", 50))};
   opt.epochs = static_cast<int>(args.GetInt("epochs", 10));
   opt.learning_rate = args.GetDouble("lr", 0.05);
-  opt.batch_rows = static_cast<size_t>(args.GetInt("batch", 1024));
   opt.shuffle = args.GetBool("shuffle", false);
   opt.hidden_dropout = args.GetDouble("dropout", 0.0);
   opt.momentum = args.GetDouble("momentum", 0.0);
   opt.weight_decay = args.GetDouble("weight_decay", 0.0);
-  opt.temp_dir = dir;
-  opt.morsel_rows = args.GetMorselRows(0);
-  opt.steal = args.GetSteal(false);
-  opt.prefetch = args.GetPrefetch(false);
-  opt.prefetch_depth = args.GetPrefetchDepth(2);
-  opt.shards = args.GetShards(1);
-  opt.kernels = args.GetKernels() == "simd" ? la::KernelMode::kSimd
-                                             : la::KernelMode::kScalar;
-  opt.shard_backend = args.GetShardBackend("inproc");
-  opt.shard_timeout_ms = args.GetShardTimeoutMs(30000);
-  opt.shard_transport = args.GetShardTransport("unix");
-  opt.shard_worker_path = args.GetString("factormld", "");
-  opt.delta_encoding = args.GetDeltaEncoding("dense");
-  opt.checkpoint_dir = args.GetCheckpointDir("");
-  opt.checkpoint_every = args.GetCheckpointEvery(0);
+  SetStrategy(args, dir, &opt);
   const std::string act = args.GetString("act", "sigmoid");
   if (act == "tanh") opt.activation = nn::Activation::kTanh;
   else if (act == "relu") opt.activation = nn::Activation::kRelu;
@@ -368,22 +349,7 @@ int CmdTrainLinreg(const ArgParser& args) {
   linreg::LinregOptions opt;
   opt.l2 = args.GetDouble("l2", 1e-3);
   opt.intercept = !args.GetBool("no_intercept", false);
-  opt.batch_rows = static_cast<size_t>(args.GetInt("batch", 8192));
-  opt.temp_dir = dir;
-  opt.morsel_rows = args.GetMorselRows(0);
-  opt.steal = args.GetSteal(false);
-  opt.prefetch = args.GetPrefetch(false);
-  opt.prefetch_depth = args.GetPrefetchDepth(2);
-  opt.shards = args.GetShards(1);
-  opt.kernels = args.GetKernels() == "simd" ? la::KernelMode::kSimd
-                                             : la::KernelMode::kScalar;
-  opt.shard_backend = args.GetShardBackend("inproc");
-  opt.shard_timeout_ms = args.GetShardTimeoutMs(30000);
-  opt.shard_transport = args.GetShardTransport("unix");
-  opt.shard_worker_path = args.GetString("factormld", "");
-  opt.delta_encoding = args.GetDeltaEncoding("dense");
-  opt.checkpoint_dir = args.GetCheckpointDir("");
-  opt.checkpoint_every = args.GetCheckpointEvery(0);
+  SetStrategy(args, dir, &opt);
   auto algos = ParseAlgos(args.GetString("algo", "all"));
   if (!algos.ok()) return FailStatus(algos.status());
   for (const auto algo : algos.value()) {
@@ -408,22 +374,7 @@ int CmdTrainKmeans(const ArgParser& args) {
   opt.num_clusters = static_cast<size_t>(args.GetInt("k", 5));
   opt.max_iters = static_cast<int>(args.GetInt("iters", 10));
   opt.tol = args.GetDouble("tol", 0.0);
-  opt.batch_rows = static_cast<size_t>(args.GetInt("batch", 8192));
-  opt.temp_dir = dir;
-  opt.morsel_rows = args.GetMorselRows(0);
-  opt.steal = args.GetSteal(false);
-  opt.prefetch = args.GetPrefetch(false);
-  opt.prefetch_depth = args.GetPrefetchDepth(2);
-  opt.shards = args.GetShards(1);
-  opt.kernels = args.GetKernels() == "simd" ? la::KernelMode::kSimd
-                                             : la::KernelMode::kScalar;
-  opt.shard_backend = args.GetShardBackend("inproc");
-  opt.shard_timeout_ms = args.GetShardTimeoutMs(30000);
-  opt.shard_transport = args.GetShardTransport("unix");
-  opt.shard_worker_path = args.GetString("factormld", "");
-  opt.delta_encoding = args.GetDeltaEncoding("dense");
-  opt.checkpoint_dir = args.GetCheckpointDir("");
-  opt.checkpoint_every = args.GetCheckpointEvery(0);
+  SetStrategy(args, dir, &opt);
   auto algos = ParseAlgos(args.GetString("algo", "all"));
   if (!algos.ok()) return FailStatus(algos.status());
   for (const auto algo : algos.value()) {
@@ -449,22 +400,7 @@ int CmdTrainLogreg(const ArgParser& args) {
   opt.intercept = !args.GetBool("no_intercept", false);
   opt.max_iters = static_cast<int>(args.GetInt("iters", 4));
   opt.tol = args.GetDouble("tol", 0.0);
-  opt.batch_rows = static_cast<size_t>(args.GetInt("batch", 8192));
-  opt.temp_dir = dir;
-  opt.morsel_rows = args.GetMorselRows(0);
-  opt.steal = args.GetSteal(false);
-  opt.prefetch = args.GetPrefetch(false);
-  opt.prefetch_depth = args.GetPrefetchDepth(2);
-  opt.shards = args.GetShards(1);
-  opt.kernels = args.GetKernels() == "simd" ? la::KernelMode::kSimd
-                                             : la::KernelMode::kScalar;
-  opt.shard_backend = args.GetShardBackend("inproc");
-  opt.shard_timeout_ms = args.GetShardTimeoutMs(30000);
-  opt.shard_transport = args.GetShardTransport("unix");
-  opt.shard_worker_path = args.GetString("factormld", "");
-  opt.delta_encoding = args.GetDeltaEncoding("dense");
-  opt.checkpoint_dir = args.GetCheckpointDir("");
-  opt.checkpoint_every = args.GetCheckpointEvery(0);
+  SetStrategy(args, dir, &opt);
   auto algos = ParseAlgos(args.GetString("algo", "all"));
   if (!algos.ok()) return FailStatus(algos.status());
   for (const auto algo : algos.value()) {

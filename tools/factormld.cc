@@ -29,7 +29,6 @@
 #include "gmm/trainers.h"
 #include "join/normalized_relations.h"
 #include "kmeans/kmeans.h"
-#include "la/kernels.h"
 #include "linreg/linreg.h"
 #include "logreg/logreg.h"
 #include "net/frame.h"
@@ -42,24 +41,6 @@ namespace factorml {
 namespace {
 
 namespace pipeline = core::pipeline;
-
-Result<core::Algorithm> AlgorithmFromPrefix(char c) {
-  // AlgorithmPrefix emits uppercase; accept both cases like the
-  // coordinator-side decoder.
-  switch (c) {
-    case 'm':
-    case 'M':
-      return core::Algorithm::kMaterialized;
-    case 's':
-    case 'S':
-      return core::Algorithm::kStreaming;
-    case 'f':
-    case 'F':
-      return core::Algorithm::kFactorized;
-  }
-  return Status::InvalidArgument(std::string("unknown algorithm prefix: ") +
-                                 c);
-}
 
 Result<std::unique_ptr<pipeline::ModelProgram>> MakeProgram(
     const pipeline::ShardJobSpec& spec) {
@@ -106,10 +87,10 @@ Status RunWorker(net::FrameConn& conn, int64_t worker_id) {
   // stats in shard_stats are comparable only under equal pool pressure),
   // private temp dir for the M strategy's materialization.
   std::error_code ec;
-  std::filesystem::create_directories(spec.temp_dir, ec);
+  std::filesystem::create_directories(spec.strategy.temp_dir, ec);
   if (ec) {
     return Status::IoError("factormld: cannot create temp dir " +
-                           spec.temp_dir + ": " + ec.message());
+                           spec.strategy.temp_dir + ": " + ec.message());
   }
   FML_ASSIGN_OR_RETURN(storage::Table s, storage::Table::Open(spec.s_path));
   std::vector<storage::Table> attrs;
@@ -123,27 +104,11 @@ Status RunWorker(net::FrameConn& conn, int64_t worker_id) {
   FML_RETURN_IF_ERROR(rel.Validate());
   FML_RETURN_IF_ERROR(rel.BuildIndex(&pool));
 
-  FML_ASSIGN_OR_RETURN(core::Algorithm algorithm,
-                       AlgorithmFromPrefix(spec.algorithm));
-
-  pipeline::StrategyOptions sopt;
-  sopt.batch_rows = spec.batch_rows;
-  sopt.threads = static_cast<int>(spec.threads);
-  sopt.morsel_rows = spec.morsel_rows;
-  sopt.steal = spec.steal;
-  sopt.prefetch = spec.prefetch;
-  sopt.prefetch_depth = static_cast<int>(spec.prefetch_depth);
-  sopt.shards = static_cast<int>(spec.shards);
-  sopt.kernels = static_cast<la::KernelMode>(spec.kernels);
-  sopt.temp_dir = spec.temp_dir;
-  sopt.shard_timeout_ms = spec.shard_timeout_ms;
-  sopt.delta_encoding = spec.delta_encoding;
-  // Workers restore from an existing checkpoint (so a resumed coordinator
-  // and its workers agree on the starting iteration) but never write one
-  // — the coordinator owns the write path.
-  sopt.checkpoint_dir = spec.checkpoint_dir;
-  sopt.checkpoint_every = spec.checkpoint_every;
-
+  // The coordinator's resolved knobs, bound to this worker's link. With a
+  // checkpoint dir, workers restore (so a resumed coordinator and its
+  // workers agree on the starting iteration) but never write — the
+  // coordinator owns the write path.
+  pipeline::StrategyOptions sopt = spec.strategy;
   pipeline::ShardWorkerLink link(&conn, worker_id);
   sopt.shard_channel = &link;
 
@@ -155,7 +120,7 @@ Status RunWorker(net::FrameConn& conn, int64_t worker_id) {
                          MakeProgram(spec));
     core::TrainReport report;
     const Status st =
-        pipeline::RunTraining(rel, algorithm, sopt, program.get(), &pool,
+        pipeline::RunTraining(rel, spec.algorithm, sopt, program.get(), &pool,
                               &report);
     if (pipeline::IsShardRestart(st)) continue;
     return st;
