@@ -75,7 +75,7 @@ int Main(int argc, char** argv) {
               args.GetInt("k", 5), args.GetInt("iters", 5));
   PrintTrioHeader("rr");
   kmeans::KmeansOptions kopt;
-  kopt.num_clusters = static_cast<size_t>(args.GetInt("k", 5));
+  kopt.num_clusters = static_cast<size_t>(args.GetPositiveInt("k", 5));
   kopt.max_iters = static_cast<int>(args.GetInt("iters", 5));
   kopt.temp_dir = dir.str();
   for (const int64_t rr : args.GetIntList("rr", {20, 50, 100, 200})) {

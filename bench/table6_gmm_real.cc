@@ -21,7 +21,7 @@ int Main(int argc, char** argv) {
   ApplyCommonBenchFlags(args);
   const double scale = args.GetDouble("scale", 0.02);
   const int iters = static_cast<int>(args.GetInt("iters", 2));
-  const size_t k = static_cast<size_t>(args.GetInt("k", 5));
+  const size_t k = static_cast<size_t>(args.GetPositiveInt("k", 5));
 
   BenchDir dir;
   storage::BufferPool pool(static_cast<size_t>(args.GetBufferPages(2048)));

@@ -18,7 +18,7 @@ int Main(int argc, char** argv) {
   ApplyCommonBenchFlags(args);
   const double scale = args.GetDouble("scale", 0.02);
   const int epochs = static_cast<int>(args.GetInt("epochs", 2));
-  const size_t nh = static_cast<size_t>(args.GetInt("nh", 50));
+  const size_t nh = static_cast<size_t>(args.GetPositiveInt("nh", 50));
 
   BenchDir dir;
   storage::BufferPool pool(static_cast<size_t>(args.GetBufferPages(2048)));

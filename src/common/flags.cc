@@ -40,6 +40,17 @@ int64_t ArgParser::GetInt(const std::string& key, int64_t default_value) const {
   return static_cast<int64_t>(value);
 }
 
+int64_t ArgParser::GetPositiveInt(const std::string& key,
+                                  int64_t default_value) const {
+  const int64_t value = GetInt(key, default_value);
+  if (Has(key) && value < 1) {
+    std::fprintf(stderr, "invalid --%s=%s (must be an integer >= 1)\n",
+                 key.c_str(), kv_.at(key).c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 double ArgParser::GetDouble(const std::string& key,
                             double default_value) const {
   auto it = kv_.find(key);

@@ -22,6 +22,12 @@ class ArgParser {
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
 
+  /// An integer flag that must be >= 1 — a count or size such as
+  /// `--batch`, `--k` or `--nh` that is later cast to an unsigned type.
+  /// Values < 1 or non-integers are rejected with an error naming the flag
+  /// and exit(2).
+  int64_t GetPositiveInt(const std::string& key, int64_t default_value) const;
+
   /// Comma-separated list of integers, e.g. `--rr=50,100,500`.
   std::vector<int64_t> GetIntList(
       const std::string& key, const std::vector<int64_t>& default_value) const;

@@ -184,7 +184,7 @@ class StrategyBase : public AccessStrategy {
   /// global slot order).
   void MergeSlots(ModelProgram* model, int pass) const {
     if (shard_plan_ != nullptr) return;
-    for (int w = 0; w < nw_; ++w) model->MergeWorker(pass, w);
+    pipeline::MergeSlots(model, pass, exec::Range{0, nw_});
   }
 
   const join::NormalizedRelations* rel_;

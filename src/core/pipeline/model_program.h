@@ -158,7 +158,7 @@ struct DenseBatch {
 ///     strategy reloads per-pass inputs (S/F: attribute views)
 ///     BeginPass(ctx, i, p, workers)          — build caches, zero accums
 ///     workers each call Accumulate{Dense,Factorized}(p, w, block)  — hot
-///     MergeWorker(p, w) for w in worker order — deterministic reduction
+///     MergeSlots(model, p, {0, workers})      — deterministic reduction
 ///       (--shards > 1: the slots are first round-tripped through
 ///       ShardDelta bytes via VisitSlotState, then merged in the same
 ///       global chunk order — see core/pipeline/sharded_driver.h)
@@ -219,26 +219,23 @@ class ModelProgram {
     (void)pass, (void)worker, (void)block;
     FML_CHECK(false) << Name() << ": factorized full-pass hook not implemented";
   }
-  virtual void MergeWorker(int pass, int worker) { (void)pass, (void)worker; }
-
-  /// The shard plane's wire seam, extending MergeWorker to a serializable
-  /// ShardDelta: visits every double of one accumulator slot's post-scan
-  /// state as a sequence of contiguous spans. The ShardedDriver serializes
-  /// a shard's slots by copying the visited doubles out (then zeroing
-  /// them) and re-applies a received delta by copying them back in, so the
-  /// visit sequence for a given (pass, slot) must be identical between the
-  /// two visits — make it a pure function of the BeginPass-time shapes.
-  /// Visit merged *state* only, never scratch buffers; per-rid state that
-  /// stays resident with the rid's shard (e.g. GMM responsibilities) is
-  /// shard-local by construction and must not be visited. Full-pass
-  /// programs must implement this to train under --shards > 1; mini-batch
-  /// programs never reach it (RunTraining rejects sharding for them).
+  /// The one description of an accumulator slot: visits every double of
+  /// slot `slot`'s post-scan state for `pass` as contiguous spans, each
+  /// with `merged` pointing at its destination in the merged (pass-result)
+  /// state, any span offset (table 0's rid-span base) already applied.
+  /// MergeSlots adds `slot` into `merged`; the shard plane serializes a
+  /// slot by copying the `slot` doubles out (then zeroing them) and
+  /// applies a delta by copying them back in, so the visit sequence for a
+  /// (pass, slot) must be a pure function of the BeginPass-time shapes.
+  /// Visit accumulated state only, never scratch; per-rid state resident
+  /// with the rid's shard (e.g. GMM responsibilities) is not visited.
+  /// Every full-pass program implements this.
   virtual void VisitSlotState(
       int pass, int slot,
-      const std::function<void(double* data, size_t len)>& visit) {
+      const std::function<void(double* slot, double* merged, size_t len)>&
+          visit) {
     (void)pass, (void)slot, (void)visit;
-    FML_CHECK(false) << Name()
-                     << ": shard-plane slot-state visitor not implemented";
+    FML_CHECK(false) << Name() << ": slot-state visitor not implemented";
   }
 
   virtual Status EndPass(const PipelineContext& ctx, int iter, int pass) {
@@ -310,6 +307,20 @@ class ModelProgram {
   /// Final objective for the TrainReport (log-likelihood, MSE, inertia...).
   virtual double Objective() const = 0;
 };
+
+/// The full-pass reduction: adds slots [slots.begin, slots.end) into the
+/// model's merged state in ascending slot order, one add per element.
+/// Every pass result is a sum, so this order is the determinism contract's
+/// whole reduction; the strategies and every shard backend (after the
+/// ShardDelta copy-back) call it alike.
+inline void MergeSlots(ModelProgram* model, int pass, exec::Range slots) {
+  const auto add = [](double* slot, double* merged, size_t len) {
+    for (size_t j = 0; j < len; ++j) merged[j] += slot[j];
+  };
+  for (int64_t s = slots.begin; s < slots.end; ++s) {
+    model->VisitSlotState(pass, static_cast<int>(s), add);
+  }
+}
 
 }  // namespace factorml::core::pipeline
 

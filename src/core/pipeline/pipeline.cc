@@ -216,9 +216,10 @@ Status RunTrainingAttempt(const join::NormalizedRelations& rel,
         if (iter == start_iter) {
           size_t bytes = 0;
           for (int s = 0; s < strategy->NumWorkers(); ++s) {
-            model->VisitSlotState(pass, s, [&bytes](double*, size_t len) {
-              bytes += len * sizeof(double);
-            });
+            model->VisitSlotState(pass, s,
+                                  [&bytes](double*, double*, size_t len) {
+                                    bytes += len * sizeof(double);
+                                  });
           }
           max_slot_bytes =
               std::max(max_slot_bytes, static_cast<double>(bytes));

@@ -1,7 +1,7 @@
 // The process shard backend: coordinator (parent) and worker sides of the
 // lockstep-replica protocol described in shard_rpc.h. Determinism rests on
-// three facts: (1) every node applies every ShardDelta and replays
-// MergeWorker in global chunk order — the exact reduction of the unsharded
+// three facts: (1) every node applies every ShardDelta and runs
+// MergeSlots in global chunk order — the exact reduction of the unsharded
 // run; (2) a requeued span's rescan produces the same chunk-slot values on
 // any worker (chunk slots are worker-count invariant); (3) all control
 // decisions (EndPass, EndIteration, convergence) are pure functions of the
@@ -473,9 +473,8 @@ Status ShardWorkerDriver::RunPass(AccessStrategy* strategy,
           obs::TraceSpan apply_span(obs::kCatPipeline, "delta_apply");
           apply_span.Arg("shard", shard);
           FML_RETURN_IF_ERROR(ApplyShardDelta(model, pass, delta));
-          for (int64_t c = delta.chunk_begin; c < delta.chunk_end; ++c) {
-            model->MergeWorker(pass, static_cast<int>(c));
-          }
+          MergeSlots(model, pass,
+                     exec::Range{delta.chunk_begin, delta.chunk_end});
         }
         ++next_seq_;
         return Status::OK();
@@ -1023,9 +1022,7 @@ Status ProcessShardCoordinator::RunPass(AccessStrategy* strategy,
     obs::TraceSpan apply_span(obs::kCatPipeline, "delta_apply");
     apply_span.Arg("shard", delta.shard);
     FML_RETURN_IF_ERROR(ApplyShardDelta(model, pass, delta));
-    for (int64_t c = delta.chunk_begin; c < delta.chunk_end; ++c) {
-      model->MergeWorker(pass, static_cast<int>(c));
-    }
+    MergeSlots(model, pass, exec::Range{delta.chunk_begin, delta.chunk_end});
   }
   return Status::OK();
 }

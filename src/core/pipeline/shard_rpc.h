@@ -26,7 +26,7 @@ namespace factorml::core::pipeline {
 ///   worker:  DELTA{ShardDelta bytes + per-shard io/op windows}
 ///   parent:  collects all deltas (requeueing a dead worker's spans on a
 ///            healthy one), then APPLY{all deltas in shard-id order}
-///   every node applies every delta and replays MergeWorker in global
+///   every node applies every delta and runs MergeSlots in global
 ///   chunk order — the exact reduction of the unsharded run — so model
 ///   state stays bit-identical on all nodes, and EndPass/EndIteration/
 ///   convergence are computed locally and agree everywhere.

@@ -95,7 +95,8 @@ ShardDelta ExtractShardDelta(ModelProgram* model, int pass, int shard,
   std::string payload;
   for (int64_t c = chunks.begin; c < chunks.end; ++c) {
     model->VisitSlotState(
-        pass, static_cast<int>(c), [&payload](double* data, size_t len) {
+        pass, static_cast<int>(c),
+        [&payload](double* data, double* /*merged*/, size_t len) {
           payload.append(reinterpret_cast<const char*>(data),
                          len * sizeof(double));
           std::fill(data, data + len, 0.0);
@@ -193,7 +194,8 @@ Status ApplyShardDelta(ModelProgram* model, int pass,
   for (int64_t c = delta.chunk_begin; c < delta.chunk_end; ++c) {
     model->VisitSlotState(
         pass, static_cast<int>(c),
-        [payload, payload_size, &off, &overrun](double* data, size_t len) {
+        [payload, payload_size, &off, &overrun](
+            double* data, double* /*merged*/, size_t len) {
           const size_t want = len * sizeof(double);
           if (overrun || off + want > payload_size) {
             overrun = true;
@@ -248,7 +250,7 @@ Status ShardedDriver::RunPass(AccessStrategy* strategy,
   FML_RETURN_IF_ERROR(scan);
   FML_CHECK_EQ(deltas_.size(), static_cast<size_t>(plan_.num_shards()));
   // Merge in shard-id order. Shard spans ascend over the chunk ids, so
-  // this replays MergeWorker in exactly the global chunk order of the
+  // this runs MergeSlots in exactly the global chunk order of the
   // unsharded reduction — the delta round-trip in between is a pure
   // serialization boundary (memcpy of doubles), hence bit-exact.
   obs::TraceSpan merge_span(obs::kCatPipeline, "delta_merge");
@@ -257,9 +259,7 @@ Status ShardedDriver::RunPass(AccessStrategy* strategy,
     obs::TraceSpan apply_span(obs::kCatPipeline, "delta_apply");
     apply_span.Arg("shard", delta.shard);
     FML_RETURN_IF_ERROR(ApplyShardDelta(model, pass, delta));
-    for (int64_t c = delta.chunk_begin; c < delta.chunk_end; ++c) {
-      model->MergeWorker(pass, static_cast<int>(c));
-    }
+    MergeSlots(model, pass, exec::Range{delta.chunk_begin, delta.chunk_end});
   }
   return Status::OK();
 }

@@ -16,7 +16,7 @@ namespace factorml::core::pipeline {
 /// streamed through ModelProgram::VisitSlotState and zero-run-length
 /// encoded, behind a fixed header (magic/version, shard id, chunk span,
 /// payload lengths — see sharded_driver.cc). Keeping the slots unfolded on the wire is what
-/// preserves bit-exactness: the receiver replays MergeWorker per chunk in
+/// preserves bit-exactness: the receiver runs MergeSlots over the chunks in
 /// global chunk order, the exact reduction the single-shard run performs,
 /// instead of summing pre-folded shard partials in a different
 /// floating-point association.

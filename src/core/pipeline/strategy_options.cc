@@ -11,8 +11,8 @@ const char* ShardBackendName(ShardBackend backend) {
 StrategyOptions StrategyOptionsFromArgs(const ArgParser& args,
                                         const StrategyOptions& defaults) {
   StrategyOptions o = defaults;
-  o.batch_rows = static_cast<size_t>(
-      args.GetInt("batch", static_cast<int64_t>(defaults.batch_rows)));
+  o.batch_rows = static_cast<size_t>(args.GetPositiveInt(
+      "batch", static_cast<int64_t>(defaults.batch_rows)));
   o.threads = args.Has("threads") ? args.GetThreads() : defaults.threads;
   o.morsel_rows = args.GetMorselRows(defaults.morsel_rows);
   o.steal = args.GetSteal(defaults.steal);

@@ -100,6 +100,15 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     return core::pipeline::kFullPass | core::pipeline::kFactorized;
   }
   int MaxIterations() const override { return opt_.max_iters; }
+  Status ValidateOptions(const join::NormalizedRelations&) const override {
+    if (opt_.num_components < 1) {
+      return Status::InvalidArgument("gmm: num_components must be >= 1");
+    }
+    if (opt_.max_iters < 1) {
+      return Status::InvalidArgument("gmm: max_iters must be >= 1");
+    }
+    return Status::OK();
+  }
   int NumPasses(int) const override { return 3; }
   const char* PassName(int pass) const override {
     switch (pass) {
@@ -800,61 +809,38 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     }
   }
 
-  void MergeWorker(int pass, int worker) override {
-    Acc& acc = acc_[static_cast<size_t>(worker)];
-    switch (pass) {
-      case kEStep:
-        ll_sum_ += acc.ll;
-        for (size_t c = 0; c < k_; ++c) resp_.n_k[c] += acc.n_k[c];
-        break;
-      case kMeanStep:
-        for (size_t j = 0; j < mu_sum_.size(); ++j) mu_sum_[j] += acc.mu_sum[j];
-        if (factorized_) {
-          // Table 0's span-sized slot lands at its span offset of the
-          // full-domain merged state; further tables merge full-domain.
-          const auto off0 = static_cast<size_t>(
-              slot_spans_[static_cast<size_t>(worker)].begin);
-          for (size_t i = 0; i < q_; ++i) {
-            for (size_t c = 0; c < k_; ++c) {
-              double* dst = gsum_[i][c].data() + (i == 0 ? off0 : 0);
-              const auto& src = acc.gsum[i][c];
-              for (size_t j = 0; j < src.size(); ++j) dst[j] += src[j];
-            }
-          }
-        }
-        break;
-      case kCovStep:
-        for (size_t c = 0; c < k_; ++c) sigma_sum_[c].Add(acc.sigma[c]);
-        break;
-    }
-  }
-
   void VisitSlotState(
       int pass, int slot,
-      const std::function<void(double*, size_t)>& visit) override {
-    // Shard-plane wire seam: the merged state of one accumulator slot,
-    // per pass. logp/diff are scratch and the responsibilities (resp_)
-    // are per-rid state resident with the rid's shard — neither crosses
-    // the wire.
+      const std::function<void(double*, double*, size_t)>& visit) override {
+    // The merged state of one accumulator slot, per pass. logp/diff are
+    // scratch and the responsibilities (resp_) are per-rid state resident
+    // with the rid's shard — neither is visited.
     Acc& acc = acc_[static_cast<size_t>(slot)];
     switch (pass) {
       case kEStep:
-        visit(&acc.ll, 1);
-        visit(acc.n_k.data(), acc.n_k.size());
+        visit(&acc.ll, &ll_sum_, 1);
+        visit(acc.n_k.data(), resp_.n_k.data(), acc.n_k.size());
         break;
       case kMeanStep:
-        visit(acc.mu_sum.data(), acc.mu_sum.size());
+        visit(acc.mu_sum.data(), mu_sum_.data(), acc.mu_sum.size());
         if (factorized_) {
+          // Table 0's span-sized slot lands at its span offset of the
+          // full-domain merged state; further tables merge full-domain.
+          const auto off0 =
+              static_cast<size_t>(slot_spans_[static_cast<size_t>(slot)].begin);
           for (size_t i = 0; i < q_; ++i) {
             for (size_t c = 0; c < k_; ++c) {
-              visit(acc.gsum[i][c].data(), acc.gsum[i][c].size());
+              visit(acc.gsum[i][c].data(),
+                    gsum_[i][c].data() + (i == 0 ? off0 : 0),
+                    acc.gsum[i][c].size());
             }
           }
         }
         break;
       case kCovStep:
         for (size_t c = 0; c < k_; ++c) {
-          visit(acc.sigma[c].data(), acc.sigma[c].rows() * acc.sigma[c].cols());
+          visit(acc.sigma[c].data(), sigma_sum_[c].data(),
+                acc.sigma[c].rows() * acc.sigma[c].cols());
         }
         break;
     }

@@ -67,6 +67,9 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
       return Status::InvalidArgument(
           "num_clusters must be in [1, num data points]");
     }
+    if (opt_.max_iters < 1) {
+      return Status::InvalidArgument("kmeans: max_iters must be >= 1");
+    }
     return Status::OK();
   }
 
@@ -120,6 +123,7 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     inertia_sum_ = 0.0;
     counts_.assign(k_, 0.0);
     const size_t slice = factorized_ ? ds_ : d_;
+    sums_.assign(k_ * slice, 0.0);
     acc_.resize(static_cast<size_t>(workers));
     if (factorized_) {
       // Rid-span contract: slot w's table-0 assignment mass covers only
@@ -352,44 +356,28 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     }
   }
 
-  void MergeWorker(int, int worker) override {
-    Acc& acc = acc_[static_cast<size_t>(worker)];
-    inertia_sum_ += acc.inertia;
-    for (size_t c = 0; c < k_; ++c) counts_[c] += acc.counts[c];
-    if (sums_.size() != acc.sums.size()) sums_.assign(acc.sums.size(), 0.0);
-    for (size_t j = 0; j < sums_.size(); ++j) sums_[j] += acc.sums[j];
-    if (factorized_) {
-      // Table 0's span-sized slot adds into its span's columns of the
-      // full-domain merged matrix; further tables add full-domain.
-      const auto off0 = static_cast<size_t>(
-          slot_spans_[static_cast<size_t>(worker)].begin);
-      for (size_t i = 0; i < q_; ++i) {
-        if (i == 0) {
-          const size_t len = acc.gsum[0].cols();
-          for (size_t c = 0; c < k_; ++c) {
-            double* dst = gsum_[0].Row(c).data() + off0;
-            const double* src = acc.gsum[0].Row(c).data();
-            for (size_t j = 0; j < len; ++j) dst[j] += src[j];
-          }
-        } else {
-          gsum_[i].Add(acc.gsum[i]);
-        }
-      }
-    }
-  }
-
   void VisitSlotState(
       int, int slot,
-      const std::function<void(double*, size_t)>& visit) override {
-    // Shard-plane wire seam: one slot's assignment statistics (and, on
-    // the factorized path, its per-rid assignment mass).
+      const std::function<void(double*, double*, size_t)>& visit) override {
+    // One slot's assignment statistics (and, on the factorized path, its
+    // per-rid assignment mass).
     Acc& acc = acc_[static_cast<size_t>(slot)];
-    visit(&acc.inertia, 1);
-    visit(acc.counts.data(), acc.counts.size());
-    visit(acc.sums.data(), acc.sums.size());
+    visit(&acc.inertia, &inertia_sum_, 1);
+    visit(acc.counts.data(), counts_.data(), acc.counts.size());
+    visit(acc.sums.data(), sums_.data(), acc.sums.size());
     if (factorized_) {
-      for (size_t i = 0; i < q_; ++i) {
-        visit(acc.gsum[i].data(), acc.gsum[i].rows() * acc.gsum[i].cols());
+      // Table 0's span-sized slot is a k x span block of the k x n_R0
+      // merged matrix, so it goes row by row (row-major: the same double
+      // stream as one whole-block span); further tables are full-domain.
+      const auto off0 =
+          static_cast<size_t>(slot_spans_[static_cast<size_t>(slot)].begin);
+      for (size_t c = 0; c < k_; ++c) {
+        visit(acc.gsum[0].Row(c).data(), gsum_[0].Row(c).data() + off0,
+              acc.gsum[0].cols());
+      }
+      for (size_t i = 1; i < q_; ++i) {
+        visit(acc.gsum[i].data(), gsum_[i].data(),
+              acc.gsum[i].rows() * acc.gsum[i].cols());
       }
     }
   }

@@ -227,45 +227,26 @@ class LinregProgram final : public core::pipeline::ModelProgram {
     }
   }
 
-  void MergeWorker(int, int worker) override {
-    Acc& acc = acc_[static_cast<size_t>(worker)];
-    gram_.Add(acc.gram);
-    for (size_t j = 0; j < da_; ++j) cvec_[j] += acc.cvec[j];
-    yy_ += acc.yy;
-    if (factorized_) {
-      // Table 0 is span-scoped per slot: offset-add into the full-domain
-      // merged masses at the slot's span base. Tables i>=1 are full-domain.
-      const auto off0 =
-          static_cast<size_t>(slot_spans_[static_cast<size_t>(worker)].begin);
-      for (size_t i = 0; i < q_; ++i) {
-        const size_t off = i == 0 ? off0 : 0;
-        for (size_t r = 0; r < static_cast<size_t>(acc.vsum[i].rows()); ++r) {
-          const double* src = acc.vsum[i].Row(r).data();
-          double* dst = vsum_[i].Row(r + off).data();
-          for (size_t j = 0; j < ds_; ++j) dst[j] += src[j];
-        }
-        for (size_t r = 0; r < acc.count[i].size(); ++r) {
-          count_[i][r + off] += acc.count[i][r];
-          ysum_[i][r + off] += acc.ysum[i][r];
-        }
-      }
-    }
-  }
-
   void VisitSlotState(
       int, int slot,
-      const std::function<void(double*, size_t)>& visit) override {
-    // Shard-plane wire seam: one slot's Gram/cofactor state (and, on the
-    // factorized path, its deferred per-rid masses).
+      const std::function<void(double*, double*, size_t)>& visit) override {
+    // One slot's Gram/cofactor state (and, on the factorized path, its
+    // deferred per-rid masses).
     Acc& acc = acc_[static_cast<size_t>(slot)];
-    visit(acc.gram.data(), acc.gram.rows() * acc.gram.cols());
-    visit(acc.cvec.data(), acc.cvec.size());
-    visit(&acc.yy, 1);
+    visit(acc.gram.data(), gram_.data(), acc.gram.rows() * acc.gram.cols());
+    visit(acc.cvec.data(), cvec_.data(), acc.cvec.size());
+    visit(&acc.yy, &yy_, 1);
     if (factorized_) {
+      // Table 0 is span-scoped per slot: it lands at the slot's span base
+      // of the full-domain merged masses. Tables i>=1 are full-domain.
+      const auto off0 =
+          static_cast<size_t>(slot_spans_[static_cast<size_t>(slot)].begin);
       for (size_t i = 0; i < q_; ++i) {
-        visit(acc.vsum[i].data(), acc.vsum[i].rows() * acc.vsum[i].cols());
-        visit(acc.count[i].data(), acc.count[i].size());
-        visit(acc.ysum[i].data(), acc.ysum[i].size());
+        const size_t off = i == 0 ? off0 : 0;
+        visit(acc.vsum[i].data(), vsum_[i].data() + off * ds_,
+              acc.vsum[i].rows() * acc.vsum[i].cols());
+        visit(acc.count[i].data(), count_[i].data() + off, acc.count[i].size());
+        visit(acc.ysum[i].data(), ysum_[i].data() + off, acc.ysum[i].size());
       }
     }
   }

@@ -285,45 +285,26 @@ class LogregProgram final : public core::pipeline::ModelProgram {
     }
   }
 
-  void MergeWorker(int, int worker) override {
-    Acc& acc = acc_[static_cast<size_t>(worker)];
-    gram_.Add(acc.gram);
-    for (size_t j = 0; j < da_; ++j) cvec_[j] += acc.cvec[j];
-    nll_ += acc.nll;
-    if (factorized_) {
-      // Table 0 is span-scoped per slot: offset-add into the full-domain
-      // merged masses at the slot's span base. Tables i>=1 are full-domain.
-      const auto off0 =
-          static_cast<size_t>(slot_spans_[static_cast<size_t>(worker)].begin);
-      for (size_t i = 0; i < q_; ++i) {
-        const size_t off = i == 0 ? off0 : 0;
-        for (size_t r = 0; r < static_cast<size_t>(acc.wxsum[i].rows()); ++r) {
-          const double* src = acc.wxsum[i].Row(r).data();
-          double* dst = wxsum_[i].Row(r + off).data();
-          for (size_t j = 0; j < ds_; ++j) dst[j] += src[j];
-        }
-        for (size_t r = 0; r < acc.wsum[i].size(); ++r) {
-          wsum_[i][r + off] += acc.wsum[i][r];
-          wzsum_[i][r + off] += acc.wzsum[i][r];
-        }
-      }
-    }
-  }
-
   void VisitSlotState(
       int, int slot,
-      const std::function<void(double*, size_t)>& visit) override {
-    // Shard-plane wire seam: one slot's weighted normal equations (and,
-    // on the factorized path, its weighted per-rid masses).
+      const std::function<void(double*, double*, size_t)>& visit) override {
+    // One slot's weighted normal equations (and, on the factorized path,
+    // its weighted per-rid masses).
     Acc& acc = acc_[static_cast<size_t>(slot)];
-    visit(acc.gram.data(), acc.gram.rows() * acc.gram.cols());
-    visit(acc.cvec.data(), acc.cvec.size());
-    visit(&acc.nll, 1);
+    visit(acc.gram.data(), gram_.data(), acc.gram.rows() * acc.gram.cols());
+    visit(acc.cvec.data(), cvec_.data(), acc.cvec.size());
+    visit(&acc.nll, &nll_, 1);
     if (factorized_) {
+      // Table 0 is span-scoped per slot: it lands at the slot's span base
+      // of the full-domain merged masses. Tables i>=1 are full-domain.
+      const auto off0 =
+          static_cast<size_t>(slot_spans_[static_cast<size_t>(slot)].begin);
       for (size_t i = 0; i < q_; ++i) {
-        visit(acc.wxsum[i].data(), acc.wxsum[i].rows() * acc.wxsum[i].cols());
-        visit(acc.wsum[i].data(), acc.wsum[i].size());
-        visit(acc.wzsum[i].data(), acc.wzsum[i].size());
+        const size_t off = i == 0 ? off0 : 0;
+        visit(acc.wxsum[i].data(), wxsum_[i].data() + off * ds_,
+              acc.wxsum[i].rows() * acc.wxsum[i].cols());
+        visit(acc.wsum[i].data(), wsum_[i].data() + off, acc.wsum[i].size());
+        visit(acc.wzsum[i].data(), wzsum_[i].data() + off, acc.wzsum[i].size());
       }
     }
   }

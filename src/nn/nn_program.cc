@@ -59,6 +59,14 @@ class NnProgram final : public core::pipeline::ModelProgram {
     if (opt_.hidden.empty()) {
       return Status::InvalidArgument("at least one hidden layer required");
     }
+    for (const size_t width : opt_.hidden) {
+      if (width < 1) {
+        return Status::InvalidArgument("nn: every hidden width must be >= 1");
+      }
+    }
+    if (opt_.epochs < 1) {
+      return Status::InvalidArgument("nn: epochs must be >= 1");
+    }
     return Status::OK();
   }
 

@@ -454,6 +454,39 @@ TEST(FlagsTest, StrategyOptionsFromArgsMapsEveryFlag) {
   EXPECT_EQ(d.checkpoint_every, 0);
 }
 
+// Counts and sizes are cast to size_t after parsing: a value below 1
+// exits 2 naming the flag instead of wrapping to a huge size or aborting
+// deep inside the run (--batch=0 tripped Table's batch check, --batch=-1
+// and --k=-3 threw std::length_error, GMM --k=0 aborted in Init).
+TEST(FlagsDeathTest, BatchBelowOneExits2) {
+  for (const char* flag : {"--batch=0", "--batch=-1"}) {
+    const char* argv[] = {"prog", flag};
+    ArgParser args(2, const_cast<char**>(argv));
+    EXPECT_EXIT(core::pipeline::StrategyOptionsFromArgs(
+                    args, core::pipeline::StrategyOptions{}),
+                ::testing::ExitedWithCode(2), std::string("invalid ") + flag);
+  }
+}
+
+TEST(FlagsDeathTest, KBelowOneExits2) {
+  for (const char* flag : {"--k=0", "--k=-3"}) {
+    const char* argv[] = {"prog", flag};
+    ArgParser args(2, const_cast<char**>(argv));
+    EXPECT_EXIT(args.GetPositiveInt("k", 5), ::testing::ExitedWithCode(2),
+                std::string("invalid ") + flag);
+  }
+}
+
+TEST(FlagsDeathTest, NhBelowOneExits2) {
+  const char* argv[] = {"prog", "--nh=0"};
+  ArgParser args(2, const_cast<char**>(argv));
+  EXPECT_EXIT(args.GetPositiveInt("nh", 50), ::testing::ExitedWithCode(2),
+              "invalid --nh=0");
+  const char* argv2[] = {"prog"};
+  ArgParser args2(1, const_cast<char**>(argv2));
+  EXPECT_EQ(args2.GetPositiveInt("nh", 50), 50);
+}
+
 // The checkpoint flags fail fast (exit 2 naming flag and value) before a
 // long run discovers at its first write that the directory is unusable
 // or the interval nonsense.

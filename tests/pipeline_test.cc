@@ -1376,6 +1376,57 @@ TEST(CheckpointTest, OptionValidationRejectsBadCombos) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().ToString().find("--checkpoint-dir"), std::string::npos)
       << r.status().ToString();
+  opt.checkpoint_every = 0;
+
+  // Model-option bounds: a zero-component or zero-iteration GMM, a
+  // zero-iteration k-means and a zero-epoch or zero-width NN are rejected
+  // up front (GMM k=0 used to abort in GmmParams::Init; the others
+  // "succeeded" with nothing trained).
+  const auto expect_invalid = [](const Status& st, const std::string& what) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.ToString().find(what), std::string::npos) << st.ToString();
+  };
+  for (const auto& [k, iters, what] :
+       {std::tuple{size_t{0}, 1, "num_components"},
+        std::tuple{size_t{3}, 0, "max_iters"},
+        std::tuple{size_t{3}, -1, "max_iters"}}) {
+    gmm::GmmOptions g = opt;
+    g.num_components = k;
+    g.max_iters = iters;
+    expect_invalid(
+        core::TrainGmm(rel, g, core::Algorithm::kFactorized, &pool, nullptr)
+            .status(),
+        what);
+  }
+  kmeans::KmeansOptions km;
+  km.num_clusters = 3;
+  km.max_iters = -1;
+  km.temp_dir = dir.str();
+  expect_invalid(
+      core::TrainKmeans(rel, km, core::Algorithm::kStreaming, &pool, nullptr)
+          .status(),
+      "max_iters");
+  auto rel_t = std::move(GenerateSynthetic(
+                             [&] {
+                               auto s = Spec(dir.str(), true);
+                               s.name = "t2";
+                               return s;
+                             }(),
+                             &pool))
+                   .value();
+  for (const auto& [hidden, epochs, what] :
+       {std::tuple{std::vector<size_t>{4}, -2, "epochs"},
+        std::tuple{std::vector<size_t>{0}, 1, "hidden width"},
+        std::tuple{std::vector<size_t>{4, 0}, 1, "hidden width"}}) {
+    nn::NnOptions nn;
+    nn.hidden = hidden;
+    nn.epochs = epochs;
+    nn.temp_dir = dir.str();
+    expect_invalid(
+        core::TrainNn(rel_t, nn, core::Algorithm::kStreaming, &pool, nullptr)
+            .status(),
+        what);
+  }
 }
 
 // -------------------------------------- slot memory + ShardDelta frames

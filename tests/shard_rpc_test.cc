@@ -20,6 +20,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -496,12 +497,21 @@ TEST(ShardJobSpecTest, TrailingBytesRejected) {
 }
 
 // A minimal slot-holding program: one state vector per slot, visited
-// whole. Enough to exercise every ShardDelta wire path without a
-// training run behind it.
+// whole and merging into one shared buffer at the slot's offset (0 unless
+// given). Enough to exercise every ShardDelta wire path and MergeSlots
+// without a training run behind it.
 class SlotStateProgram : public core::pipeline::ModelProgram {
  public:
-  explicit SlotStateProgram(std::vector<std::vector<double>> slots)
-      : slots_(std::move(slots)) {}
+  explicit SlotStateProgram(std::vector<std::vector<double>> slots,
+                            std::vector<size_t> offsets = {})
+      : slots_(std::move(slots)), offsets_(std::move(offsets)) {
+    offsets_.resize(slots_.size(), 0);
+    size_t len = 0;
+    for (size_t s = 0; s < slots_.size(); ++s) {
+      len = std::max(len, offsets_[s] + slots_[s].size());
+    }
+    merged_.assign(len, 0.0);
+  }
   const char* Name() const override { return "slot-fake"; }
   const char* TempStem() const override { return "slot_fake"; }
   uint32_t Capabilities() const override { return 0; }
@@ -516,13 +526,35 @@ class SlotStateProgram : public core::pipeline::ModelProgram {
   double Objective() const override { return 0.0; }
   void VisitSlotState(
       int, int slot,
-      const std::function<void(double*, size_t)>& visit) override {
+      const std::function<void(double*, double*, size_t)>& visit) override {
+    visited_.push_back(slot);
     auto& s = slots_[static_cast<size_t>(slot)];
-    if (!s.empty()) visit(s.data(), s.size());
+    if (!s.empty()) {
+      visit(s.data(), merged_.data() + offsets_[static_cast<size_t>(slot)],
+            s.size());
+    }
   }
 
   std::vector<std::vector<double>> slots_;
+  std::vector<size_t> offsets_;
+  std::vector<double> merged_;
+  std::vector<int> visited_;  // slot ids in visit order
 };
+
+TEST(MergeSlotsTest, FoldsAscendingSlotsIntoOffsetDestinations) {
+  // Slot 1 lands at offset 2 of the merged buffer, overlapping slots 0
+  // and 2 at elements 2..3.
+  SlotStateProgram model({{1.0, 2.0, 4.0}, {8.0, 16.0}, {0.0, 0.0, 32.0, 64.0}},
+                         {0, 2, 0});
+  core::pipeline::MergeSlots(&model, 0, exec::Range{0, 3});
+  EXPECT_EQ(model.merged_, (std::vector<double>{1.0, 2.0, 44.0, 80.0}));
+  EXPECT_EQ(model.visited_, (std::vector<int>{0, 1, 2}));
+  // The range bounds the fold, and slots are only read.
+  core::pipeline::MergeSlots(&model, 0, exec::Range{1, 3});
+  EXPECT_EQ(model.merged_, (std::vector<double>{1.0, 2.0, 84.0, 160.0}));
+  EXPECT_EQ(model.visited_, (std::vector<int>{0, 1, 2, 1, 2}));
+  EXPECT_EQ(model.slots_[1], (std::vector<double>{8.0, 16.0}));
+}
 
 std::vector<std::vector<double>> WireSlots() {
   // Zero runs, a literal stretch with -0.0 and a denormal (bit-pattern

@@ -284,7 +284,7 @@ int CmdTrainGmm(const ArgParser& args) {
   if (!rel.ok()) return FailStatus(rel.status());
 
   gmm::GmmOptions opt;
-  opt.num_components = static_cast<size_t>(args.GetInt("k", 5));
+  opt.num_components = static_cast<size_t>(args.GetPositiveInt("k", 5));
   opt.max_iters = static_cast<int>(args.GetInt("iters", 10));
   opt.tol = args.GetDouble("tol", 0.0);
   SetStrategy(args, dir, &opt);
@@ -309,7 +309,7 @@ int CmdTrainNn(const ArgParser& args) {
   if (!rel.ok()) return FailStatus(rel.status());
 
   nn::NnOptions opt;
-  opt.hidden = {static_cast<size_t>(args.GetInt("nh", 50))};
+  opt.hidden = {static_cast<size_t>(args.GetPositiveInt("nh", 50))};
   opt.epochs = static_cast<int>(args.GetInt("epochs", 10));
   opt.learning_rate = args.GetDouble("lr", 0.05);
   opt.shuffle = args.GetBool("shuffle", false);
@@ -371,7 +371,7 @@ int CmdTrainKmeans(const ArgParser& args) {
   if (!rel.ok()) return FailStatus(rel.status());
 
   kmeans::KmeansOptions opt;
-  opt.num_clusters = static_cast<size_t>(args.GetInt("k", 5));
+  opt.num_clusters = static_cast<size_t>(args.GetPositiveInt("k", 5));
   opt.max_iters = static_cast<int>(args.GetInt("iters", 10));
   opt.tol = args.GetDouble("tol", 0.0);
   SetStrategy(args, dir, &opt);
