@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -55,7 +56,16 @@ double ArgParser::GetDouble(const std::string& key,
                             double default_value) const {
   auto it = kv_.find(key);
   if (it == kv_.end()) return default_value;
-  return std::strtod(it->second.c_str(), nullptr);
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(it->second.c_str(), &end);
+  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' ||
+      !std::isfinite(value)) {
+    std::fprintf(stderr, "invalid --%s=%s (must be a finite number)\n",
+                 key.c_str(), it->second.c_str());
+    std::exit(2);
+  }
+  return value;
 }
 
 bool ArgParser::GetBool(const std::string& key, bool default_value) const {

@@ -6,6 +6,7 @@
 // that run this one program under the matching AccessStrategy; at
 // --threads=1 the pipeline replays their exact op/I/O stream.
 
+#include <climits>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -1058,6 +1059,11 @@ Result<GmmOptions> DecodeShardJob(const std::string& blob) {
   FML_RETURN_IF_ERROR(r.U8(&symmetry));
   if (!r.AtEnd()) {
     return Status::InvalidArgument("gmm shard job: trailing bytes");
+  }
+  if (max_iters < 1 || max_iters > INT_MAX) {
+    return Status::InvalidArgument("gmm shard job: max_iters " +
+                                   std::to_string(max_iters) +
+                                   " out of range");
   }
   if (init > static_cast<uint8_t>(GmmInit::kRandomRows)) {
     return Status::InvalidArgument("gmm shard job: init byte " +

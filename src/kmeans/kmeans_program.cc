@@ -10,6 +10,7 @@
 // replaces per-fact-tuple feature sums for the attribute slices.
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -536,6 +537,11 @@ Result<KmeansOptions> DecodeShardJob(const std::string& blob) {
   FML_RETURN_IF_ERROR(r.F64(&options.tol));
   if (!r.AtEnd()) {
     return Status::InvalidArgument("kmeans shard job: trailing bytes");
+  }
+  if (max_iters < 1 || max_iters > INT_MAX) {
+    return Status::InvalidArgument("kmeans shard job: max_iters " +
+                                   std::to_string(max_iters) +
+                                   " out of range");
   }
   options.num_clusters = k;
   options.max_iters = static_cast<int>(max_iters);

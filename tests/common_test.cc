@@ -302,6 +302,24 @@ TEST(FlagsDeathTest, TraceBufferKbNonIntegerExits2) {
               "invalid --trace-buffer-kb");
 }
 
+TEST(FlagsDeathTest, MalformedDoubleExits2) {
+  // Like GetInt: empty, unparsable, trailing bytes and out-of-range
+  // values exit 2 naming the flag; so do inf and nan, which no double
+  // flag accepts.
+  for (const char* arg : {"--l2=", "--l2=abc", "--l2=0.5x", "--l2=1e999",
+                          "--l2=inf", "--l2=nan"}) {
+    const char* argv[] = {"prog", arg};
+    ArgParser args(2, const_cast<char**>(argv));
+    EXPECT_EXIT(args.GetDouble("l2", 1.0), ::testing::ExitedWithCode(2),
+                "invalid --l2=")
+        << arg;
+  }
+  const char* argv[] = {"prog", "--l2=-2.5e-3"};
+  ArgParser args(2, const_cast<char**>(argv));
+  EXPECT_EQ(args.GetDouble("l2", 1.0), -2.5e-3);
+  EXPECT_EQ(args.GetDouble("tol", 0.25), 0.25);
+}
+
 TEST(FlagsTest, IntListParsing) {
   const char* argv[] = {"prog", "--rr=50,100,500"};
   ArgParser args(2, const_cast<char**>(argv));

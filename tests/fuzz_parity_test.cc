@@ -3,7 +3,8 @@
 //
 // Each seeded case draws a random schema and dataset (random S/R sizes
 // and dims, FK1 run lengths uniform, Zipf-skewed or single-giant-run),
-// picks one model family (GMM, NN, linreg, k-means — cycling by seed),
+// picks one model family (GMM, NN, linreg, k-means — cycling by seed over
+// seeds 0-59; logreg on seeds 60-74),
 // and asserts the two properties no hand-picked golden can cover:
 //
 //  1. Schedule invariance (bit-exact): with the chunk-ordered scheduler
@@ -161,8 +162,10 @@ TEST_P(FuzzParityTest, StealScheduleInvariance) {
   Rng rng(0x9E3779B97F4A7C15ull ^ (static_cast<uint64_t>(seed) * 2654435761ull));
 
   // ---- random schema / data ------------------------------------------
-  const int family = seed % 4;  // 0 gmm, 1 nn, 2 linreg, 3 kmeans
-  const bool needs_target = family == 1 || family == 2;
+  // 0 gmm, 1 nn, 2 linreg, 3 kmeans, 4 logreg. Seeds 0-59 keep the
+  // four-family cycle they were drawn with.
+  const int family = seed < 60 ? seed % 4 : 4;
+  const bool needs_target = family == 1 || family == 2 || family == 4;
 
   TempDir dir;
   data::SyntheticSpec spec;
@@ -380,6 +383,27 @@ TEST_P(FuzzParityTest, StealScheduleInvariance) {
             &linreg::LinregModel::MaxAbsDiff, alabel, 1e-8, 1e-5);
         break;
       }
+      case 4: {
+        logreg::LogregOptions opt;
+        opt.max_iters = 2;
+        opt.batch_rows = batch_rows;
+        opt.morsel_rows = morsel_rows;
+        opt.temp_dir = dir.str();
+        objectives[a] = ExpectScheduleInvariance(
+            [&](const SchedConfig& cfg, core::TrainReport* report) {
+              auto o = opt;
+              o.threads = cfg.threads;
+              o.steal = cfg.steal;
+              o.prefetch = cfg.prefetch;
+              o.shards = cfg.shards;
+              o.kernels = cfg.simd ? la::KernelMode::kSimd
+                                   : la::KernelMode::kScalar;
+              pool.Clear();
+              return core::TrainLogreg(rel, o, algo, &pool, report);
+            },
+            &logreg::LogregModel::MaxAbsDiff, alabel, 1e-8, 1e-5);
+        break;
+      }
       default: {
         kmeans::KmeansOptions opt;
         opt.num_clusters = k;
@@ -407,8 +431,8 @@ TEST_P(FuzzParityTest, StealScheduleInvariance) {
   if (!::testing::Test::HasFailure()) ExpectStrategiesAgree(objectives, label);
 }
 
-// 60 seeded cases = 15 per model family; the acceptance bar is 50+.
-INSTANTIATE_TEST_SUITE_P(Seeds, FuzzParityTest, ::testing::Range(0, 60));
+// 75 seeded cases = 15 per model family; the acceptance bar is 50+.
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzParityTest, ::testing::Range(0, 75));
 
 }  // namespace
 }  // namespace factorml

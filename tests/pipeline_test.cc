@@ -4,7 +4,9 @@
 //    bindings on the pipeline, must reproduce the pre-refactor outputs
 //    *bit-identically* at --threads=1 — objectives (exact doubles), op
 //    counts and page I/O. The golden values below were captured from the
-//    hand-written trainers before the pipeline refactor.
+//    hand-written trainers before the pipeline refactor; the linreg and
+//    logreg goldens from their separate programs, before both moved onto
+//    the shared GramCofactor pass.
 // 2) Parity: the two model families added on top of the pipeline (ridge
 //    linear regression, k-means) must produce matching parameters and
 //    objectives under all three strategies at threads 1 and 4.
@@ -120,6 +122,90 @@ TEST(PipelineSeedRegressionTest, NnTrainersReproduceSeedOutputs) {
     ASSERT_TRUE(mlp.ok()) << mlp.status().ToString();
     ExpectGolden(report, golden[a]);
   }
+}
+
+// Linreg and logreg share one weighted Gram/cofactor pass. These goldens
+// pin that pass's work stream per family and strategy (threads=1, scalar
+// kernels): intercept on and off for linreg, three IRLS iterations for
+// logreg, and F over two joins, which adds the attr-attr cross blocks.
+TEST(PipelineSeedRegressionTest, LinregTrainersReproduceSeedOutputs) {
+  const Golden intercept[3] = {
+      {0x1.7eb3d6525658cp-7, 243401, 249301, 2, 0, 49, 32},
+      {0x1.7eb3d6525658cp-7, 243401, 249301, 2, 0, 19, 0},
+      {0x1.7eb3d65257852p-7, 59721, 56501, 2, 0, 19, 0},
+  };
+  const Golden no_intercept[3] = {
+      {0x1.93c0cc251d92cp-7, 243310, 219229, 2, 0, 49, 32},
+      {0x1.93c0cc251d92cp-7, 243310, 219229, 2, 0, 19, 0},
+      {0x1.93c0cc251ea12p-7, 59430, 56029, 2, 0, 19, 0},
+  };
+  const Golden two_joins_f = {0x1.c708d7406d0dp-3, 114234, 101895, 2, 0, 23, 0};
+  TempDir dir;
+  BufferPool pool(512);
+  auto rel =
+      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
+  linreg::LinregOptions opt;
+  opt.batch_rows = 256;
+  opt.temp_dir = dir.str();
+  opt.threads = 1;
+  for (const bool on : {true, false}) {
+    opt.intercept = on;
+    for (int a = 0; a < 3; ++a) {
+      pool.Clear();
+      core::TrainReport report;
+      auto m = core::TrainLinreg(rel, opt, kAll[a], &pool, &report);
+      ASSERT_TRUE(m.ok()) << m.status().ToString();
+      ExpectGolden(report, on ? intercept[a] : no_intercept[a]);
+    }
+  }
+  auto spec = Spec(dir.str(), true);
+  spec.name = "two_joins";
+  spec.attrs.push_back(data::AttributeSpec{15, 2});
+  auto rel2 = std::move(GenerateSynthetic(spec, &pool)).value();
+  opt.intercept = true;
+  pool.Clear();
+  core::TrainReport report;
+  auto m = core::TrainLinreg(rel2, opt, core::Algorithm::kFactorized, &pool,
+                             &report);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  ExpectGolden(report, two_joins_f);
+}
+
+TEST(PipelineSeedRegressionTest, LogregTrainersReproduceSeedOutputs) {
+  const Golden golden[3] = {
+      {-0x1.7e927c623a7aap+2, 918903, 837606, 27027, 9000, 49, 32},
+      {-0x1.7e927c623a7aap+2, 918903, 837606, 27027, 9000, 19, 0},
+      {-0x1.7e927c623a721p+2, 242463, 223806, 27027, 9000, 19, 0},
+  };
+  const Golden two_joins_f = {-0x1.6f5645e1223b5p+4, 405960, 368946, 27033,
+                              9000, 23, 0};
+  TempDir dir;
+  BufferPool pool(512);
+  auto rel =
+      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
+  logreg::LogregOptions opt;
+  opt.max_iters = 3;
+  opt.batch_rows = 256;
+  opt.temp_dir = dir.str();
+  opt.threads = 1;
+  for (int a = 0; a < 3; ++a) {
+    pool.Clear();
+    core::TrainReport report;
+    auto m = core::TrainLogreg(rel, opt, kAll[a], &pool, &report);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    ExpectGolden(report, golden[a]);
+    EXPECT_EQ(report.iterations, 3);
+  }
+  auto spec = Spec(dir.str(), true);
+  spec.name = "two_joins";
+  spec.attrs.push_back(data::AttributeSpec{15, 2});
+  auto rel2 = std::move(GenerateSynthetic(spec, &pool)).value();
+  pool.Clear();
+  core::TrainReport report;
+  auto m = core::TrainLogreg(rel2, opt, core::Algorithm::kFactorized, &pool,
+                             &report);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  ExpectGolden(report, two_joins_f);
 }
 
 // ------------------------------------------------------- linreg parity
@@ -1427,6 +1513,25 @@ TEST(CheckpointTest, OptionValidationRejectsBadCombos) {
             .status(),
         what);
   }
+  // The ridge penalty of both Gram/cofactor families must be finite and
+  // >= 0 (linreg used to train with any l2; logreg let NaN through to a
+  // Cholesky failure).
+  for (const double l2 : {-1.0, std::nan("")}) {
+    linreg::LinregOptions lin;
+    lin.l2 = l2;
+    lin.temp_dir = dir.str();
+    expect_invalid(core::TrainLinreg(rel_t, lin, core::Algorithm::kStreaming,
+                                     &pool, nullptr)
+                       .status(),
+                   "l2");
+  }
+  logreg::LogregOptions lg;
+  lg.l2 = std::nan("");
+  lg.temp_dir = dir.str();
+  expect_invalid(
+      core::TrainLogreg(rel_t, lg, core::Algorithm::kStreaming, &pool, nullptr)
+          .status(),
+      "l2");
 }
 
 // -------------------------------------- slot memory + ShardDelta frames

@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -486,6 +487,62 @@ TEST(ShardJobSpecTest, GmmBlobInitByteRejected) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().ToString().find("init"), std::string::npos)
       << decoded.status().ToString();
+}
+
+/// Overwrites the i64 at `offset` of an encoded family blob.
+std::string WithI64At(std::string blob, size_t offset, int64_t value) {
+  std::memcpy(&blob[offset], &value, sizeof(value));
+  return blob;
+}
+
+TEST(ShardJobSpecTest, FamilyBlobMaxItersOutOfIntRangeRejected) {
+  // max_iters travels as an i64 but trains as an int: 2^32 + 3 must not
+  // decode as 3. Offsets: gmm and kmeans after a u64 num_components /
+  // num_clusters, logreg after its f64 l2 and intercept byte.
+  const std::string gmm_blob = gmm::EncodeShardJob(gmm::GmmOptions{});
+  const std::string km_blob = kmeans::EncodeShardJob(kmeans::KmeansOptions{});
+  const std::string lr_blob = logreg::EncodeShardJob(logreg::LogregOptions{});
+  ASSERT_TRUE(gmm::DecodeShardJob(WithI64At(gmm_blob, 8, INT_MAX)).ok());
+  ASSERT_TRUE(kmeans::DecodeShardJob(WithI64At(km_blob, 8, 1)).ok());
+  ASSERT_TRUE(logreg::DecodeShardJob(WithI64At(lr_blob, 9, INT_MAX)).ok());
+  for (const int64_t bad : {(int64_t{1} << 32) + 3, int64_t{INT_MAX} + 1,
+                            int64_t{0}, int64_t{-1}}) {
+    const Status statuses[] = {
+        gmm::DecodeShardJob(WithI64At(gmm_blob, 8, bad)).status(),
+        kmeans::DecodeShardJob(WithI64At(km_blob, 8, bad)).status(),
+        logreg::DecodeShardJob(WithI64At(lr_blob, 9, bad)).status(),
+    };
+    for (const Status& st : statuses) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+      EXPECT_NE(st.ToString().find("max_iters"), std::string::npos)
+          << st.ToString();
+    }
+  }
+}
+
+TEST(ShardJobSpecTest, RidgeBlobInterceptByteRejected) {
+  // Both ridge families start with (l2 f64, intercept u8); the intercept
+  // byte is a bool, so anything but 0 or 1 is a malformed frame.
+  linreg::LinregOptions lin;
+  lin.intercept = false;
+  std::string lin_blob = linreg::EncodeShardJob(lin);
+  std::string log_blob = logreg::EncodeShardJob(logreg::LogregOptions{});
+  ASSERT_EQ(lin_blob[8], 0);
+  ASSERT_EQ(log_blob[8], 1);
+  auto lin_ok = linreg::DecodeShardJob(lin_blob);
+  ASSERT_TRUE(lin_ok.ok()) << lin_ok.status().ToString();
+  EXPECT_FALSE(lin_ok->intercept);
+  auto log_ok = logreg::DecodeShardJob(log_blob);
+  ASSERT_TRUE(log_ok.ok()) << log_ok.status().ToString();
+  EXPECT_TRUE(log_ok->intercept);
+  lin_blob[8] = 2;
+  log_blob[8] = static_cast<char>(0xff);
+  for (const Status& st : {linreg::DecodeShardJob(lin_blob).status(),
+                           logreg::DecodeShardJob(log_blob).status()}) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.ToString().find("intercept"), std::string::npos)
+        << st.ToString();
+  }
 }
 
 TEST(ShardJobSpecTest, TrailingBytesRejected) {
