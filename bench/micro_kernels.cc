@@ -409,6 +409,22 @@ void BM_ScatterAddStrip(benchmark::State& state) {
 }
 BENCHMARK(BM_ScatterAddStrip)->ArgsProduct({{8}, {0, 1}});
 
+void BM_SigmoidStrip(benchmark::State& state) {
+  // The NN hidden activation over one strip of nh x rows pre-activations
+  // (the upper-layers phase of every strategy).
+  StripData s(8, kStripRows, 30);
+  la::SelectKernels(ModeOf(state));
+  const la::Kernels& k = la::Active();
+  for (auto _ : state) {
+    k.sigmoid(s.ct.data(), kNh * kStripRows, s.gout.data());
+    benchmark::DoNotOptimize(s.gout.data());
+  }
+  la::SelectKernels(la::KernelMode::kScalar);
+  state.SetItemsProcessed(state.iterations() * kStripRows * kNh);
+  LabelBackend(state);
+}
+BENCHMARK(BM_SigmoidStrip)->ArgsProduct({{8}, {0, 1}});
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -499,6 +515,12 @@ void WriteKernelRoofline(const std::string& path) {
             const la::Matrix&, std::vector<double>&, size_t) {
            k.scatter_add_strip(s.idx.data(), s.w.data(), kRows,
                                s.gout.data());
+         }},
+        // One op per element: the exp the counters charge.
+        {"sigmoid", kRows * kNh, 2 * kRows * kNh * 8,
+         [](const la::Kernels& k, StripData& s, std::vector<double>&,
+            const la::Matrix&, std::vector<double>&, size_t) {
+           k.sigmoid(s.ct.data(), kRows * kNh, s.gout.data());
          }},
     };
     for (const auto mode : {la::KernelMode::kScalar, la::KernelMode::kSimd}) {

@@ -1,6 +1,7 @@
 #include "la/kernels.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
@@ -164,6 +165,11 @@ void ScalarScatterAddStrip(const int64_t* idx, const double* w, size_t rows,
   }
 }
 
+// The seed's activation loop, moved verbatim from nn/activation.cc.
+void ScalarSigmoid(const double* a, size_t n, double* h) {
+  for (size_t i = 0; i < n; ++i) h[i] = 1.0 / (1.0 + std::exp(-a[i]));
+}
+
 constexpr Kernels kScalarKernels = {
     "scalar",          false,
     ScalarDot,         ScalarAxpy,       ScalarGemv,
@@ -172,6 +178,7 @@ constexpr Kernels kScalarKernels = {
     ScalarDistStrip,   ScalarQuadFormStrip,
     ScalarGemmStrip,   ScalarGatherAddRowsStrip,
     ScalarGatherAddStrip, ScalarScatterAddStrip,
+    ScalarSigmoid,
 };
 
 // ------------------------------------------------------- vector backends
@@ -179,6 +186,7 @@ constexpr Kernels kScalarKernels = {
 typedef double fml_v4d __attribute__((vector_size(32)));
 typedef double fml_v4d_u
     __attribute__((vector_size(32), aligned(8), __may_alias__));
+typedef int64_t fml_v4l __attribute__((vector_size(32)));
 
 // The baseline instantiation passes 32-byte vectors between static
 // (fully-internal) helpers; GCC's ABI note about that is irrelevant here.
@@ -202,6 +210,7 @@ constexpr Kernels kPortableKernels = {
     PortableDistStrip,   PortableQuadFormStrip,
     PortableGemmStrip,   PortableGatherAddRowsStrip,
     PortableGatherAddStrip, PortableScatterAddStrip,
+    PortableSigmoid,
 };
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -222,6 +231,7 @@ constexpr Kernels kAvx2Kernels = {
     Avx2DistStrip,   Avx2QuadFormStrip,
     Avx2GemmStrip,   Avx2GatherAddRowsStrip,
     Avx2GatherAddStrip, Avx2ScatterAddStrip,
+    Avx2Sigmoid,
 };
 
 bool CpuHasAvx2Fma() {

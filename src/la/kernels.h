@@ -110,6 +110,14 @@ struct Kernels {
   // scatter-add (GMM's per-rid responsibility mass, k-means' group mass).
   void (*scatter_add_strip)(const int64_t* idx, const double* w, size_t rows,
                             double* acc);
+
+  // ------------------------------------------------ elementwise kernels
+  // h[i] = 1 / (1 + exp(-a[i])) — the NN hidden-layer activation. Scalar
+  // calls std::exp per element; the vector backends evaluate exp in-lane
+  // and stay within 4 ulp of scalar, with std::exp's overflow/underflow
+  // edges and NaN pass-through. Every element takes the same lane path
+  // (the tail is padded), so a value's result does not depend on its index.
+  void (*sigmoid)(const double* a, size_t n, double* h);
 };
 
 /// Kernel backend selection mode, resolved from --kernels.

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/opcount.h"
+#include "la/kernels.h"
 
 namespace factorml::nn {
 
@@ -31,7 +32,7 @@ void ApplyActivation(Activation act, const la::Matrix& a, la::Matrix* h) {
   double* dst = h->data();
   switch (act) {
     case Activation::kSigmoid:
-      for (size_t i = 0; i < n; ++i) dst[i] = 1.0 / (1.0 + std::exp(-src[i]));
+      la::Active().sigmoid(src, n, dst);
       CountExps(n);
       break;
     case Activation::kTanh:

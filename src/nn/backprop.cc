@@ -121,9 +121,15 @@ void BackpropEngine::UpdateBias(size_t l, const la::Matrix& delta) {
   if (momentum_ > 0.0 && vel.size() != bias.size()) {
     vel.assign(bias.size(), 0.0);
   }
+  // One row-major sweep; each column still adds its rows in order, so the
+  // sums are bit-identical to a per-column walk.
+  bias_sum_.assign(bias.size(), 0.0);
+  for (size_t r = 0; r < delta.rows(); ++r) {
+    const double* row = delta.Row(r).data();
+    for (size_t j = 0; j < bias.size(); ++j) bias_sum_[j] += row[j];
+  }
   for (size_t j = 0; j < bias.size(); ++j) {
-    double s = 0.0;
-    for (size_t r = 0; r < delta.rows(); ++r) s += delta(r, j);
+    const double s = bias_sum_[j];
     if (momentum_ > 0.0) {
       vel[j] = momentum_ * vel[j] - lr_ * s;
       bias[j] += vel[j];

@@ -80,6 +80,7 @@ class BackpropEngine {
   std::vector<la::Matrix> raw_h_;  // pre-dropout activations (for f')
   la::Matrix grad_;
   la::Matrix fprime_;
+  std::vector<double> bias_sum_;  // UpdateBias column sums
 };
 
 /// w -= lr * grad and the matching op count (one multiply-subtract per

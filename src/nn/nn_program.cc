@@ -411,8 +411,12 @@ class NnProgram final : public core::pipeline::ModelProgram {
     // [PG_S | PG_R1 | ... ] is formed from the base relations directly;
     // identical arithmetic, but x_Ri is never expanded to N rows on
     // disk. Parallelized over column morsels of grad0: every worker owns
-    // a disjoint column range and accumulates it in the serial row
-    // order, so the gradient is bit-identical for any thread count.
+    // a disjoint column range. The row path accumulates it in the serial
+    // row order (per-row AddOuter); the strip path forms every element as
+    // dot products over the strips in ascending order, PG_S against the S
+    // strips and PG_R against x_Ri gathered into strips of the same
+    // height. Either way no element depends on the partition, so the
+    // gradient is bit-identical for any thread count.
     if (opt_.grouped_backward && q_ >= 1) {
       // Extension: per R1 group, sum the deltas first, then one outer
       // product per R1 tuple (nh*(b + |rids|*dR1) ops instead of
@@ -489,11 +493,42 @@ class NnProgram final : public core::pipeline::ModelProgram {
                              attr_offset_[0] + lo[0]);
               }
             }
-            bool any_row_table = false;
+            size_t max_len = 0;  // widest row-table slice in the morsel
             for (size_t i = row_first_table; i < q_; ++i) {
-              if (len[i] > 0) any_row_table = true;
+              max_len = std::max(max_len, len[i]);
             }
-            if (!any_row_table) return;
+            if (max_len == 0) return;
+            if (st != nullptr) {
+              // PG_Ri in dot form: per strip, gather the morsel's x_Ri
+              // columns of the strip's rows into a len_i x strip_rows
+              // block (rows contiguous, like d1s_), then one trans_b
+              // gemm_strip against the delta strip, as PG_S does. The
+              // charge is the per-row AddOuter formula it replaces.
+              const size_t sr = st->strip_rows;
+              std::vector<double> xg(max_len * sr);
+              for (size_t i = row_first_table; i < q_; ++i) {
+                if (len[i] == 0) continue;
+                const la::Matrix& feats = views[i].feats();
+                const double* x_base = feats.data() + lo[i];
+                const size_t ldx = feats.cols();
+                double* g = grad0_.data() + attr_offset_[i] + lo[i];
+                for (size_t s = 0; s < st->num_strips; ++s) {
+                  const size_t rows = st->RowsInStrip(s);
+                  const int64_t* rids = ridbuf_[i].data() + st->StripStart(s);
+                  for (size_t r = 0; r < rows; ++r) {
+                    const double* xr =
+                        x_base + static_cast<size_t>(rids[r]) * ldx;
+                    for (size_t j = 0; j < len[i]; ++j) xg[j * sr + r] = xr[j];
+                  }
+                  kern.gemm_strip(d1s_.Col(s, 0), d1s_.strip_rows, xg.data(),
+                                  sr, nh_, len[i], rows, g, d_,
+                                  /*trans_b=*/true, /*accumulate=*/true);
+                }
+                CountMults(b * (nh_ * len[i] + nh_));
+                CountAdds(b * nh_ * len[i]);
+              }
+              return;
+            }
             for (size_t r = 0; r < b; ++r) {
               const int64_t* keys = s_rows.KeysOf(r);
               for (size_t i = row_first_table; i < q_; ++i) {

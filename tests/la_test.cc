@@ -1,6 +1,9 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "la/kernels.h"
 #include "la/matrix.h"
 #include "la/ops.h"
+#include "nn/activation.h"
 #include "test_util.h"
 
 namespace factorml::la {
@@ -699,6 +703,68 @@ TEST(KernelsTest, GatherScatterStripKernelsBitEqualOnEveryBackend) {
   }
 }
 
+/// Representable doubles between a and b (0 when both are NaN).
+int64_t UlpDistance(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return std::isnan(a) && std::isnan(b)
+               ? 0
+               : std::numeric_limits<int64_t>::max();
+  }
+  const auto ordered = [](double v) {
+    int64_t i;
+    std::memcpy(&i, &v, sizeof(i));
+    return i < 0 ? -(i & std::numeric_limits<int64_t>::max()) : i;
+  };
+  const int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? -d : d;
+}
+
+TEST(KernelsTest, SigmoidOnEveryBackend) {
+  // A dense sweep of [-750, 750] (a non-dyadic step, so mantissas vary)
+  // plus std::exp's edges: overflow past 709.78, underflow past -745.13.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> x = {0.0,    -0.0,   inf,    -inf,  std::nan(""),
+                           708.0,  -708.0, 709.8,  -709.8, 745.0,
+                           -745.0, 800.0,  -800.0};
+  for (double v = -750.0; v <= 750.0; v += 0.0013) x.push_back(v);
+  std::vector<double> ref(x.size());
+  for (size_t i = 0; i < x.size(); ++i) ref[i] = 1.0 / (1.0 + std::exp(-x[i]));
+
+  for (const char* backend : {"scalar", "portable", "native"}) {
+    SCOPED_TRACE(backend);
+    ScopedBackendEnv env(backend);
+    ScopedKernels simd(KernelMode::kSimd);
+    const Kernels& kern = Active();
+    std::vector<double> h(x.size());
+    kern.sigmoid(x.data(), x.size(), h.data());
+    int64_t max_ulp = 0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      const int64_t ulp = UlpDistance(h[i], ref[i]);
+      if (!kern.simd) {
+        // Scalar is the seed loop: bit-equal, NaN included.
+        ASSERT_EQ(ulp, 0) << "x=" << x[i];
+        ASSERT_EQ(std::signbit(h[i]), std::signbit(ref[i])) << "x=" << x[i];
+      }
+      ASSERT_LE(ulp, 4) << "x=" << x[i] << " got " << h[i] << " want "
+                        << ref[i];
+      max_ulp = std::max(max_ulp, ulp);
+    }
+    RecordProperty(std::string(backend) + "_max_ulp",
+                   static_cast<int>(max_ulp));
+    // Lengths around the 4-wide lanes, at an odd offset: every element
+    // matches the long call bit for bit (the tail takes the lane path),
+    // and nothing past n is written.
+    const size_t off = 1001;
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
+                           size_t{5}, size_t{257}}) {
+      std::vector<double> out(n + 1, -1.0);
+      kern.sigmoid(x.data() + off, n, out.data());
+      for (size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], h[off + i]) << n;
+      ASSERT_EQ(out[n], -1.0) << n;
+    }
+  }
+}
+
 TEST(KernelsTest, BackendEnvOverrideForcesTable) {
   {
     ScopedBackendEnv env("portable");
@@ -753,12 +819,15 @@ TEST(KernelsTest, RoutedOpsChargeSameCountsOnBothBackends) {
     (void)QuadForm(sq, a.data(), n);
     Matrix g(n, n);
     AddOuter(1.0, a.data(), n, b.data(), n, &g, 0, 0);
+    Matrix h;
+    nn::ApplyActivation(nn::Activation::kSigmoid, sq, &h);
     deltas[pass] = GlobalOps() - before;
   }
   EXPECT_EQ(deltas[0].mults, deltas[1].mults);
   EXPECT_EQ(deltas[0].adds, deltas[1].adds);
   EXPECT_EQ(deltas[0].subs, deltas[1].subs);
   EXPECT_EQ(deltas[0].exps, deltas[1].exps);
+  EXPECT_EQ(deltas[0].exps, n * n);  // ApplyActivation's CountExps
 }
 
 }  // namespace

@@ -1188,43 +1188,75 @@ TEST(KernelsModelParityTest, NnSimdMatchesScalarWorkStream) {
   // gemm_strip products. The work stream (op counts charged with the
   // scalar per-row formulas, page I/O of the same batch assembly) must
   // match the scalar plane exactly; the SGD trajectory agrees to
-  // tolerance. batch_rows=100 forces every batch into one short partial
-  // strip (< kDefaultStripRows), pinning the short-strip path.
-  TempDir dir;
-  BufferPool pool(512);
-  auto rel =
-      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
-  for (const auto algo : kAll) {
-    for (const size_t batch_rows : {size_t{256}, size_t{100}}) {
-      for (const int threads : {1, 4}) {
-        nn::NnOptions opt;
-        opt.hidden = {8};
-        opt.epochs = 2;
-        opt.batch_rows = batch_rows;
-        opt.temp_dir = dir.str();
-        opt.threads = threads;
-        opt.kernels = la::KernelMode::kScalar;
-        pool.Clear();
-        core::TrainReport scalar_report;
-        auto scalar = core::TrainNn(rel, opt, algo, &pool, &scalar_report);
-        ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-        opt.kernels = la::KernelMode::kSimd;
-        pool.Clear();
-        core::TrainReport simd_report;
-        auto simd = core::TrainNn(rel, opt, algo, &pool, &simd_report);
-        ASSERT_TRUE(simd.ok()) << simd.status().ToString();
-        const std::string tag = std::string(core::AlgorithmName(algo)) +
-                                " batch=" + std::to_string(batch_rows) +
-                                " threads=" + std::to_string(threads);
-        ExpectSameWorkStream(simd_report, scalar_report, tag);
-        EXPECT_EQ(simd_report.iterations, scalar_report.iterations) << tag;
-        EXPECT_NEAR(
-            simd_report.final_objective, scalar_report.final_objective,
-            1e-7 * std::fabs(scalar_report.final_objective) + 1e-12)
-            << tag;
-        EXPECT_LT(nn::Mlp::MaxAbsDiffParams(scalar.value(), simd.value()),
-                  1e-6)
-            << tag;
+  // tolerance, and simd runs are bit-identical at every thread count.
+  // batch_rows=100 forces every batch into one short partial strip
+  // (< kDefaultStripRows), pinning the short-strip path; 600-row batches
+  // span several strips, pinning their order. The 2-way join runs F's
+  // gathered PG_R strips for every attribute table, and with
+  // grouped_backward for the tables after the first.
+  struct Case {
+    bool two_way;
+    bool grouped;
+    size_t batch_rows;
+  };
+  const Case cases[] = {{false, false, 256},
+                        {false, false, 100},
+                        {true, false, 600},
+                        {true, true, 600},
+                        {true, true, 100}};
+  for (const bool two_way : {false, true}) {
+    TempDir dir;
+    BufferPool pool(512);
+    auto spec = Spec(dir.str(), true);
+    if (two_way) spec.attrs.push_back(data::AttributeSpec{15, 2});
+    auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
+    for (const Case& c : cases) {
+      if (c.two_way != two_way) continue;
+      for (const auto algo : kAll) {
+        // grouped_backward only changes F's backward.
+        if (c.grouped && algo != core::Algorithm::kFactorized) continue;
+        const std::string base = std::string(core::AlgorithmName(algo)) +
+                                 (two_way ? " 2-way" : " binary") +
+                                 (c.grouped ? " grouped" : "") +
+                                 " batch=" + std::to_string(c.batch_rows);
+        std::vector<nn::Mlp> simd_models;
+        std::vector<double> simd_objectives;
+        for (const int threads : {1, 4}) {
+          nn::NnOptions opt;
+          opt.hidden = {8};
+          opt.epochs = 2;
+          opt.batch_rows = c.batch_rows;
+          opt.grouped_backward = c.grouped;
+          opt.temp_dir = dir.str();
+          opt.threads = threads;
+          opt.kernels = la::KernelMode::kScalar;
+          pool.Clear();
+          core::TrainReport scalar_report;
+          auto scalar = core::TrainNn(rel, opt, algo, &pool, &scalar_report);
+          ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+          opt.kernels = la::KernelMode::kSimd;
+          pool.Clear();
+          core::TrainReport simd_report;
+          auto simd = core::TrainNn(rel, opt, algo, &pool, &simd_report);
+          ASSERT_TRUE(simd.ok()) << simd.status().ToString();
+          const std::string tag =
+              base + " threads=" + std::to_string(threads);
+          ExpectSameWorkStream(simd_report, scalar_report, tag);
+          EXPECT_EQ(simd_report.iterations, scalar_report.iterations) << tag;
+          EXPECT_NEAR(
+              simd_report.final_objective, scalar_report.final_objective,
+              1e-7 * std::fabs(scalar_report.final_objective) + 1e-12)
+              << tag;
+          EXPECT_LT(nn::Mlp::MaxAbsDiffParams(scalar.value(), simd.value()),
+                    1e-6)
+              << tag;
+          simd_objectives.push_back(simd_report.final_objective);
+          simd_models.push_back(std::move(simd).value());
+        }
+        EXPECT_EQ(simd_objectives[0], simd_objectives[1]) << base;
+        EXPECT_EQ(nn::Mlp::MaxAbsDiffParams(simd_models[0], simd_models[1]),
+                  0.0)
+            << base;
       }
     }
   }

@@ -91,10 +91,12 @@
 // writes Chrome trace-event JSON to PATH at exit (open in Perfetto or
 // chrome://tracing), plus the run manifest as PATH.manifest.json.
 // `--trace-buffer-kb=N` (default 1024) sizes each worker's ring buffer;
-// overflow drops events (counted), never blocks. Tracing does not perturb
-// results: objectives, op counts and page I/O stay bit-identical to the
-// untraced run (obs_test pins this).
+// overflow drops events (counted, with a `warning:` line on stderr at
+// exit), never blocks. Tracing does not perturb results: objectives, op
+// counts and page I/O stay bit-identical to the untraced run (obs_test
+// pins this).
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -496,12 +498,20 @@ int Main(int argc, char** argv) {
                    st.ToString().c_str());
       return rc == 0 ? 1 : rc;
     }
+    const uint64_t dropped = obs::Tracer::Instance().TotalDropped();
     std::printf("trace written to %s (%llu events, %llu dropped)\n",
                 trace_path.c_str(),
                 static_cast<unsigned long long>(
                     obs::Tracer::Instance().TotalEvents()),
-                static_cast<unsigned long long>(
-                    obs::Tracer::Instance().TotalDropped()));
+                static_cast<unsigned long long>(dropped));
+    if (dropped > 0) {
+      std::fprintf(stderr,
+                   "warning: trace dropped %llu events: the per-thread "
+                   "buffer (--trace-buffer-kb=%lld) filled; rerun with a "
+                   "larger value for a complete trace\n",
+                   static_cast<unsigned long long>(dropped),
+                   static_cast<long long>(args.GetTraceBufferKb()));
+    }
   }
   return rc;
 }
