@@ -193,8 +193,14 @@ TEST(GmmExactnessTest, UnmatchedAttributeTuplesHandled) {
   GmmOptions opt = SmallOptions(dir.str());
   opt.num_components = 2;
   auto m = std::move(TrainGmmMaterialized(rel, opt, &pool, nullptr)).value();
-  auto f = std::move(TrainGmmFactorized(rel, opt, &pool, nullptr)).value();
+  core::TrainReport report;
+  auto f = std::move(TrainGmmFactorized(rel, opt, &pool, &report)).value();
   EXPECT_LT(GmmParams::MaxAbsDiff(m, f), 1e-6);
+  // The deferred mean and covariance updates charge one Axpy / AddOuter
+  // per attribute tuple, zero-mass rids included: pin F's counts so a
+  // change to that charge rule shows (captured at threads=1, scalar).
+  EXPECT_EQ(report.ops.mults, 11256u);
+  EXPECT_EQ(report.ops.adds, 9896u);
 }
 
 TEST(GmmExactnessTest, BatchSizeDoesNotChangeResult) {

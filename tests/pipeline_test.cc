@@ -6,7 +6,9 @@
 //    counts and page I/O. The golden values below were captured from the
 //    hand-written trainers before the pipeline refactor; the linreg and
 //    logreg goldens from their separate programs, before both moved onto
-//    the shared GramCofactor pass.
+//    the shared GramCofactor pass; the k-means goldens and GMM's two-join
+//    F case from the GMM and k-means programs before their per-rid mass
+//    moved into one shared class.
 // 2) Parity: the two model families added on top of the pipeline (ridge
 //    linear regression, k-means) must produce matching parameters and
 //    objectives under all three strategies at threads 1 and 4.
@@ -97,6 +99,20 @@ TEST(PipelineSeedRegressionTest, GmmTrainersReproduceSeedOutputs) {
     ExpectGolden(report, golden[a]);
     EXPECT_EQ(report.iterations, 3);
   }
+  // F over two joins: table 1's full-domain responsibility mass, its
+  // deferred covariance block and the attr-attr cross blocks.
+  const Golden two_joins_f = {-0x1.8f5b778401203p+15, 3116574, 2949714,
+                              193140, 63090, 23, 0};
+  auto spec = Spec(dir.str(), true);
+  spec.name = "two_joins";
+  spec.attrs.push_back(data::AttributeSpec{15, 2});
+  auto rel2 = std::move(GenerateSynthetic(spec, &pool)).value();
+  pool.Clear();
+  core::TrainReport report;
+  auto params = core::TrainGmm(rel2, opt, core::Algorithm::kFactorized, &pool,
+                               &report);
+  ASSERT_TRUE(params.ok()) << params.status().ToString();
+  ExpectGolden(report, two_joins_f);
 }
 
 TEST(PipelineSeedRegressionTest, NnTrainersReproduceSeedOutputs) {
@@ -203,6 +219,47 @@ TEST(PipelineSeedRegressionTest, LogregTrainersReproduceSeedOutputs) {
   pool.Clear();
   core::TrainReport report;
   auto m = core::TrainLogreg(rel2, opt, core::Algorithm::kFactorized, &pool,
+                             &report);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  ExpectGolden(report, two_joins_f);
+}
+
+// K-means' factorized centroid update shares F-GMM's per-rid mass. These
+// goldens pin its work stream per strategy (threads=1, scalar kernels) and
+// F over two joins, where table 1's mass is full-domain per slot.
+TEST(PipelineSeedRegressionTest, KmeansTrainersReproduceSeedOutputs) {
+  const Golden golden[3] = {
+      {0x1.d22d9304ec5f9p+15, 384096, 408000, 288000, 0, 43, 29},
+      {0x1.d22d9304ec5f9p+15, 384096, 408000, 288000, 0, 16, 0},
+      {0x1.d22d9304ec601p+15, 147296, 219200, 110400, 0, 16, 0},
+  };
+  const Golden two_joins_f = {0x1.59b69228edb5ap+16, 148070, 267950, 110760,
+                              0, 23, 0};
+  TempDir dir;
+  BufferPool pool(512);
+  auto rel =
+      std::move(GenerateSynthetic(Spec(dir.str(), false), &pool)).value();
+  kmeans::KmeansOptions opt;
+  opt.num_clusters = 3;
+  opt.max_iters = 4;
+  opt.batch_rows = 256;
+  opt.temp_dir = dir.str();
+  opt.threads = 1;
+  for (int a = 0; a < 3; ++a) {
+    pool.Clear();
+    core::TrainReport report;
+    auto m = core::TrainKmeans(rel, opt, kAll[a], &pool, &report);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    ExpectGolden(report, golden[a]);
+    EXPECT_EQ(report.iterations, 4);
+  }
+  auto spec = Spec(dir.str(), true);
+  spec.name = "two_joins";
+  spec.attrs.push_back(data::AttributeSpec{15, 2});
+  auto rel2 = std::move(GenerateSynthetic(spec, &pool)).value();
+  pool.Clear();
+  core::TrainReport report;
+  auto m = core::TrainKmeans(rel2, opt, core::Algorithm::kFactorized, &pool,
                              &report);
   ASSERT_TRUE(m.ok()) << m.status().ToString();
   ExpectGolden(report, two_joins_f);
