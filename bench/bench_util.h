@@ -191,6 +191,9 @@ class JsonReport {
 
   bool enabled() const { return !path_.empty(); }
 
+  /// Rows recorded from now on carry `"family": family` (none when empty).
+  void SetFamily(const std::string& family) { family_ = family; }
+
   /// Records one TrainReport under a sweep section and value. The file is
   /// rewritten after every row, so rows recorded before a Die()/exit on a
   /// later sweep run survive.
@@ -198,7 +201,9 @@ class JsonReport {
            const core::TrainReport& r) {
     if (!enabled()) return;
     std::ostringstream row;
-    row << "  {\"bench\": \"" << bench_ << "\", \"section\": \"" << section
+    row << "  {\"bench\": \"" << bench_ << "\", ";
+    if (!family_.empty()) row << "\"family\": \"" << family_ << "\", ";
+    row << "\"section\": \"" << section
         << "\", \"value\": \"" << value << "\", \"algorithm\": \""
         << r.algorithm << "\", \"wall_seconds\": " << JsonDouble(r.wall_seconds)
         << ", \"materialize_seconds\": " << JsonDouble(r.materialize_seconds)
@@ -283,6 +288,7 @@ class JsonReport {
   std::string bench_;
   std::string path_;
   std::string manifest_;
+  std::string family_;
   std::vector<std::string> rows_;
 };
 

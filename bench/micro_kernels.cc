@@ -393,22 +393,6 @@ void BM_GatherAddRowsStrip(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherAddRowsStrip)->ArgsProduct({{8}, {0, 1}});
 
-void BM_ScatterAddStrip(benchmark::State& state) {
-  // The GMM/k-means per-rid mass scatter over an FK1 rid column.
-  StripData s(8, kStripRows, 29);
-  std::vector<double> acc(kGatherRows, 0.0);
-  la::SelectKernels(ModeOf(state));
-  const la::Kernels& k = la::Active();
-  for (auto _ : state) {
-    k.scatter_add_strip(s.idx.data(), s.w.data(), kStripRows, acc.data());
-    benchmark::DoNotOptimize(acc.data());
-  }
-  la::SelectKernels(la::KernelMode::kScalar);
-  state.SetItemsProcessed(state.iterations() * kStripRows);
-  LabelBackend(state);
-}
-BENCHMARK(BM_ScatterAddStrip)->ArgsProduct({{8}, {0, 1}});
-
 void BM_SigmoidStrip(benchmark::State& state) {
   // The NN hidden activation over one strip of nh x rows pre-activations
   // (the upper-layers phase of every strategy).
@@ -508,13 +492,6 @@ void WriteKernelRoofline(const std::string& path) {
             const la::Matrix&, std::vector<double>&, size_t) {
            k.gather_add_rows_strip(s.base.data(), kNh, s.idx.data(), kRows,
                                    kNh, s.gout.data(), kNh);
-         }},
-        {"scatter_add_strip", kRows,
-         (kRows * 8 + kRows * 8 + 2 * kRows * 8),
-         [](const la::Kernels& k, StripData& s, std::vector<double>&,
-            const la::Matrix&, std::vector<double>&, size_t) {
-           k.scatter_add_strip(s.idx.data(), s.w.data(), kRows,
-                               s.gout.data());
          }},
         // One op per element: the exp the counters charge.
         {"sigmoid", kRows * kNh, 2 * kRows * kNh * 8,

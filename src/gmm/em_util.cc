@@ -15,9 +15,6 @@ Result<la::Matrix> InitSeedRows(const join::NormalizedRelations& rel,
                                 const GmmOptions& options) {
   const size_t k = options.num_components;
   const int64_t n = rel.s.num_rows();
-  if (static_cast<int64_t>(k) > n) {
-    return Status::InvalidArgument("more components than data points");
-  }
 
   std::vector<int64_t> rows(k);
   switch (options.init) {

@@ -18,7 +18,7 @@ using core::ReportScope;
 /// either rows spread evenly through S (row i*N/K) or K distinct rows
 /// drawn by a seeded generator. All three trainers call this with the
 /// same relations and options, guaranteeing identical starting
-/// parameters.
+/// parameters. Requires K <= |S| (GMM's ValidateOptions checks it).
 Result<la::Matrix> InitSeedRows(const join::NormalizedRelations& rel,
                                 storage::BufferPool* pool,
                                 const GmmOptions& options);

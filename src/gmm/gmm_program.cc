@@ -4,17 +4,23 @@
 // and S strategies and the factorized path of F-GMM (Eqs. 19-24). The
 // former m_gmm.cc / s_gmm.cc / f_gmm.cc trainers are now thin wrappers
 // that run this one program under the matching AccessStrategy; at
-// --threads=1 the pipeline replays their exact op/I/O stream.
+// --threads=1 the pipeline replays their exact op/I/O stream. F-GMM's
+// per-rid responsibility mass (the Eq. 22 mean factorization, reused for
+// the deferred covariance diagonal blocks) lives in gmm::RidMass, shared
+// with k-means; the centered caches, the run-factored covariance and the
+// log-likelihood stay here.
 
 #include <climits>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/opcount.h"
 #include "core/pipeline/access_strategy.h"
 #include "core/pipeline/model_program.h"
 #include "gmm/em_util.h"
+#include "gmm/rid_mass.h"
 #include "gmm/trainers.h"
 #include "la/kernels.h"
 #include "la/ops.h"
@@ -101,12 +107,28 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     return core::pipeline::kFullPass | core::pipeline::kFactorized;
   }
   int MaxIterations() const override { return opt_.max_iters; }
-  Status ValidateOptions(const join::NormalizedRelations&) const override {
-    if (opt_.num_components < 1) {
-      return Status::InvalidArgument("gmm: num_components must be >= 1");
+  Status ValidateOptions(const join::NormalizedRelations& rel) const override {
+    if (opt_.num_components < 1 ||
+        static_cast<int64_t>(opt_.num_components) > rel.s.num_rows()) {
+      return Status::InvalidArgument(
+          "gmm: num_components must be in [1, num data points] (got " +
+          std::to_string(opt_.num_components) + ")");
     }
     if (opt_.max_iters < 1) {
       return Status::InvalidArgument("gmm: max_iters must be >= 1");
+    }
+    if (!std::isfinite(opt_.cov_reg) || opt_.cov_reg < 0.0) {
+      return Status::InvalidArgument(
+          "gmm: cov_reg must be finite and >= 0 (got " +
+          std::to_string(opt_.cov_reg) + ")");
+    }
+    if (!std::isfinite(opt_.init_spread) || opt_.init_spread <= 0.0) {
+      return Status::InvalidArgument(
+          "gmm: init_spread must be finite and > 0 (got " +
+          std::to_string(opt_.init_spread) + ")");
+    }
+    if (!std::isfinite(opt_.tol)) {
+      return Status::InvalidArgument("gmm: tol must be finite");
     }
     return Status::OK();
   }
@@ -139,7 +161,6 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     params_ = GmmParams::Init(seeds, opt_.init_spread);
     resp_.Reset(static_cast<size_t>(n_), k_);
     sigma_sum_.resize(k_);
-    if (factorized_) gsum_.resize(q_);
     loglik_ = -std::numeric_limits<double>::infinity();
     return Status::OK();
   }
@@ -147,19 +168,6 @@ class GmmProgram final : public core::pipeline::ModelProgram {
   Status BeginPass(const PipelineContext& ctx, int /*iter*/, int pass,
                    int workers) override {
     acc_.resize(static_cast<size_t>(workers));
-    if (factorized_) {
-      // The rid-span contract: slot w only ever sees table-0 rids inside
-      // its morsel range, so its per-rid state (gsum[0]) is sized to the
-      // span, not the table — O(n_R0) across all slots instead of
-      // O(slots x n_R0). Further tables' rids are unordered within a
-      // chunk and stay full-domain.
-      const int64_t n_r0 = static_cast<int64_t>((*ctx.views)[0].feats().rows());
-      slot_spans_.resize(static_cast<size_t>(workers));
-      for (int w = 0; w < workers; ++w) {
-        slot_spans_[static_cast<size_t>(w)] =
-            core::pipeline::SlotRidSpan(ctx, w, n_r0);
-      }
-    }
     switch (pass) {
       case kEStep: {
         FML_ASSIGN_OR_RETURN(density_, GmmDensity::From(params_));
@@ -182,19 +190,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
         const size_t mu_len = k_ * (factorized_ ? ds_ : d_);
         mu_sum_.assign(mu_len, 0.0);
         for (auto& acc : acc_) acc.mu_sum.assign(mu_len, 0.0);
-        if (factorized_) {
-          for (size_t i = 0; i < q_; ++i) {
-            const size_t n_ri = (*ctx.views)[i].feats().rows();
-            gsum_[i].assign(k_, std::vector<double>(n_ri, 0.0));
-            for (size_t w = 0; w < acc_.size(); ++w) {
-              Acc& acc = acc_[w];
-              acc.gsum.resize(q_);
-              const size_t len =
-                  i == 0 ? static_cast<size_t>(slot_spans_[w].size()) : n_ri;
-              acc.gsum[i].assign(k_, std::vector<double>(len, 0.0));
-            }
-          }
-        }
+        if (factorized_) mass_.BeginPass(ctx, k_, workers);
         break;
       }
       case kCovStep: {
@@ -436,7 +432,6 @@ class GmmProgram final : public core::pipeline::ModelProgram {
         break;
       }
       case kMeanStep: {
-        const int64_t base0 = slot_spans_[static_cast<size_t>(worker)].begin;
         for (size_t r = 0; r < s_rows.num_rows; ++r) {
           const double* xs = s_rows.feats.Row(r).data() + y_off_;
           const int64_t* keys = s_rows.KeysOf(r);
@@ -446,12 +441,10 @@ class GmmProgram final : public core::pipeline::ModelProgram {
             // S slice accumulates per fact tuple; the R slices only
             // accumulate responsibility mass per rid — the
             // factorization of Eq. 13/22 that replaces nS * dR
-            // multiplies by nS adds. Table 0 indexes span-relative.
+            // multiplies by nS adds.
             la::Axpy(gamma[c], xs, acc.mu_sum.data() + c * ds_, ds_);
             for (size_t i = 0; i < q_; ++i) {
-              const int64_t rid = keys[rel_->FkKeyIndex(i)];
-              acc.gsum[i][c][static_cast<size_t>(
-                  i == 0 ? rid - base0 : rid)] += gamma[c];
+              mass_.Add(worker, i, c, keys[rel_->FkKeyIndex(i)], gamma[c]);
             }
             CountAdds(q_);
           }
@@ -509,12 +502,12 @@ class GmmProgram final : public core::pipeline::ModelProgram {
   /// `colsum_strip`, `syrk_strip`); the FK1 group structure turns the
   /// table-0 attribute terms into per-run strip work (one precision-slice
   /// product per R1 tuple, then `col_dot_strip` / a single outer product
-  /// over the run's rows); per-rid responsibility mass lands through
-  /// `scatter_add_strip` in row-ascending order, bit-identical to the
-  /// scalar scatter. Further tables (multi-way joins) and the cross blocks
-  /// stay row-at-a-time over the centered strip. Every kernel call is
-  /// charged the exact op counts of the per-row loop it replaces, and the
-  /// posterior exp stream is untouched — the PR 7 determinism contract.
+  /// over the run's rows); per-rid responsibility mass is added in
+  /// row-ascending order, bit-identical to the scalar loop. Further tables
+  /// (multi-way joins) and the cross blocks stay row-at-a-time over the
+  /// centered strip. Every kernel call is charged the exact op counts of
+  /// the per-row loop it replaces, and the posterior exp stream is
+  /// untouched — the kernel plane's determinism contract.
   void AccumulateFactorizedStrips(int pass, int worker,
                                   const FactorizedBlock& block) {
     Acc& acc = acc_[static_cast<size_t>(worker)];
@@ -544,23 +537,6 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     }
     if (pass != kEStep) gbuf.resize(st.strip_rows);
     if (pass == kCovStep) wsum.resize(ds_);
-    // Per-table rid columns for the gather/scatter kernels (uncharged
-    // index movement, like the scalar path's KeysOf reads).
-    std::vector<std::vector<int64_t>> ridbuf;
-    if (pass == kMeanStep) {
-      // Table-0 rids are rebased to the slot's span so the scatter targets
-      // the span-sized gsum[0] slot (the rid-span contract).
-      const int64_t base0 = slot_spans_[static_cast<size_t>(worker)].begin;
-      ridbuf.resize(q_);
-      for (size_t i = 0; i < q_; ++i) ridbuf[i].resize(s_rows.num_rows);
-      for (size_t r = 0; r < s_rows.num_rows; ++r) {
-        const int64_t* keys = s_rows.KeysOf(r);
-        for (size_t i = 0; i < q_; ++i) {
-          const int64_t rid = keys[rel_->FkKeyIndex(i)];
-          ridbuf[i][r] = i == 0 ? rid - base0 : rid;
-        }
-      }
-    }
 
     for (size_t s = 0; s < st.num_strips; ++s) {
       const size_t rows = st.RowsInStrip(s);
@@ -709,12 +685,15 @@ class GmmProgram final : public core::pipeline::ModelProgram {
                               acc.mu_sum.data() + c * ds_);
             CountMults(rows * ds_);  // the per-row Axpy(gamma, xs) stream
             CountAdds(rows * ds_);
-            // Per-rid responsibility mass: scatter in row order — every
-            // slot accumulates the same gamma sequence as the scalar
-            // loop, so the merge (and the shard wire) stay bit-identical.
+            // Per-rid responsibility mass in row order — every slot
+            // accumulates the same gamma sequence as the scalar loop, so
+            // the merge (and the shard wire) stay bit-identical.
             for (size_t i = 0; i < q_; ++i) {
-              kern.scatter_add_strip(ridbuf[i].data() + row0, gbuf.data(),
-                                     rows, acc.gsum[i][c].data());
+              for (size_t r = 0; r < rows; ++r) {
+                mass_.Add(worker, i, c,
+                          s_rows.KeysOf(row0 + r)[rel_->FkKeyIndex(i)],
+                          gbuf[r]);
+              }
             }
             CountAdds(rows * q_);
           }
@@ -824,19 +803,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
         break;
       case kMeanStep:
         visit(acc.mu_sum.data(), mu_sum_.data(), acc.mu_sum.size());
-        if (factorized_) {
-          // Table 0's span-sized slot lands at its span offset of the
-          // full-domain merged state; further tables merge full-domain.
-          const auto off0 =
-              static_cast<size_t>(slot_spans_[static_cast<size_t>(slot)].begin);
-          for (size_t i = 0; i < q_; ++i) {
-            for (size_t c = 0; c < k_; ++c) {
-              visit(acc.gsum[i][c].data(),
-                    gsum_[i][c].data() + (i == 0 ? off0 : 0),
-                    acc.gsum[i][c].size());
-            }
-          }
-        }
+        if (factorized_) mass_.VisitSlot(slot, visit);
         break;
       case kCovStep:
         for (size_t c = 0; c < k_; ++c) {
@@ -864,37 +831,18 @@ class GmmProgram final : public core::pipeline::ModelProgram {
         // Deferred m-step work outside the scan: reported as "finalize"
         // next to the e_step / m_step_* pass times.
         core::PhaseScope phase(ctx.report, "finalize");
-        if (!factorized_) {
-          for (size_t c = 0; c < k_; ++c) {
-            const double inv_nk = 1.0 / std::max(resp_.n_k[c], 1e-300);
-            for (size_t j = 0; j < d_; ++j) {
-              params_.mu(c, j) = mu_sum_[c * d_ + j] * inv_nk;
-            }
-            CountMults(d_);
-          }
-          break;
-        }
-        // Factorized mean update (Eq. 22): the S slice from the per-tuple
-        // sums, the R slices from per-rid responsibility mass times the
-        // attribute features.
+        // The mean from the per-tuple sums (the whole row, or the S slice
+        // when factorized); factorized, the R slices come from per-rid
+        // responsibility mass times the attribute features (Eq. 22).
+        const size_t slice = factorized_ ? ds_ : d_;
         for (size_t c = 0; c < k_; ++c) {
           const double inv_nk = 1.0 / std::max(resp_.n_k[c], 1e-300);
           double* mu_row = params_.mu.Row(c).data();
-          for (size_t j = 0; j < ds_; ++j) {
-            mu_row[j] = mu_sum_[c * ds_ + j] * inv_nk;
+          for (size_t j = 0; j < slice; ++j) {
+            mu_row[j] = mu_sum_[c * slice + j] * inv_nk;
           }
-          CountMults(ds_);
-          for (size_t i = 0; i < q_; ++i) {
-            const Matrix& feats = (*ctx.views)[i].feats();
-            const size_t dri = feats.cols();
-            double* slice = mu_row + attr_offset_[i];
-            std::fill(slice, slice + dri, 0.0);
-            for (size_t rid = 0; rid < feats.rows(); ++rid) {
-              la::Axpy(gsum_[i][c][rid], feats.Row(rid).data(), slice, dri);
-            }
-            for (size_t j = 0; j < dri; ++j) slice[j] *= inv_nk;
-            CountMults(dri);
-          }
+          CountMults(slice);
+          if (factorized_) mass_.MeanSlices(ctx, c, inv_nk, mu_row);
         }
         break;
       }
@@ -927,16 +875,15 @@ class GmmProgram final : public core::pipeline::ModelProgram {
         }
         if (factorized_) {
           // Deferred diagonal blocks: one outer product per R tuple, scaled
-          // by the responsibility mass of its matching fact tuples (gsum
-          // reuses the responsibilities accumulated in the mean pass —
-          // same gamma).
+          // by the responsibility mass of its matching fact tuples (the
+          // mean pass's merged mass — same gamma).
           for (size_t c = 0; c < k_; ++c) {
             for (size_t i = 0; i < q_; ++i) {
               const size_t dri = rel_->dr(i);
               const size_t n_ri = caches_[i].pd[c].rows();
               for (size_t rid = 0; rid < n_ri; ++rid) {
                 const double* pdr = caches_[i].pd[c].Row(rid).data();
-                la::AddOuter(gsum_[i][c][rid], pdr, dri, pdr, dri,
+                la::AddOuter(mass_.merged(i)(c, rid), pdr, dri, pdr, dri,
                              &sigma_sum_[c], attr_offset_[i],
                              attr_offset_[i]);
               }
@@ -990,7 +937,6 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     std::vector<double> logp;
     std::vector<double> diff;     // centered row (d) or S slice (ds)
     std::vector<double> mu_sum;   // k * d (dense) or k * ds (factorized)
-    std::vector<std::vector<std::vector<double>>> gsum;  // [i][c][rid]
     std::vector<Matrix> sigma;    // k of d x d
   };
 
@@ -1006,14 +952,13 @@ class GmmProgram final : public core::pipeline::ModelProgram {
   Responsibilities resp_;
   std::vector<CenteredCache> caches_;
   std::vector<Acc> acc_;
-  /// Table-0 rid span per accumulator slot (the rid-span contract),
-  /// refreshed every BeginPass from the strategy's published plan.
-  std::vector<exec::Range> slot_spans_;
+  /// Per-rid responsibility mass of the factorized mean pass; the merged
+  /// mass also scales the cov pass's deferred diagonal blocks.
+  RidMass mass_{/*skip_zero_mass=*/false};
 
   double ll_sum_ = 0.0;
   double loglik_ = 0.0;
   std::vector<double> mu_sum_;
-  std::vector<std::vector<std::vector<double>>> gsum_;  // [i][c][rid]
   std::vector<Matrix> sigma_sum_;
 };
 

@@ -6,8 +6,10 @@
 // cross terms, so ||x - mu_c||^2 = ||xs - mu_c,S||^2 + sum_i D_i[c][rid_i]
 // where D_i[c][rid] = ||x_Ri - mu_c,Ri||^2 is computed once per attribute
 // tuple per pass and reused for every matching fact tuple. Centroid
-// updates factorize like F-GMM's mean step: per-rid assignment mass
-// replaces per-fact-tuple feature sums for the attribute slices.
+// updates factorize like F-GMM's mean step, through the same gmm::RidMass:
+// per-rid assignment mass replaces per-fact-tuple feature sums for the
+// attribute slices. The program keeps only the argmin, the inertia and
+// the S-slice sums.
 
 #include <algorithm>
 #include <climits>
@@ -18,6 +20,7 @@
 #include "common/opcount.h"
 #include "core/pipeline/access_strategy.h"
 #include "core/pipeline/model_program.h"
+#include "gmm/rid_mass.h"
 #include "kmeans/kmeans.h"
 #include "la/kernels.h"
 #include "la/ops.h"
@@ -70,6 +73,9 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     }
     if (opt_.max_iters < 1) {
       return Status::InvalidArgument("kmeans: max_iters must be >= 1");
+    }
+    if (!std::isfinite(opt_.tol)) {
+      return Status::InvalidArgument("kmeans: tol must be finite");
     }
     return Status::OK();
   }
@@ -126,36 +132,12 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     const size_t slice = factorized_ ? ds_ : d_;
     sums_.assign(k_ * slice, 0.0);
     acc_.resize(static_cast<size_t>(workers));
-    if (factorized_) {
-      // Rid-span contract: slot w's table-0 assignment mass covers only
-      // its morsel's rid span; the merged full-domain gsum_ is allocated
-      // here (EndPass clears it) and slots land at their span offset.
-      const int64_t n_r0 = static_cast<int64_t>((*ctx.views)[0].feats().rows());
-      slot_spans_.resize(static_cast<size_t>(workers));
-      for (int w = 0; w < workers; ++w) {
-        slot_spans_[static_cast<size_t>(w)] =
-            core::pipeline::SlotRidSpan(ctx, w, n_r0);
-      }
-      gsum_.resize(q_);
-      for (size_t i = 0; i < q_; ++i) {
-        gsum_[i].Resize(k_, (*ctx.views)[i].feats().rows());
-      }
-    }
-    for (size_t w = 0; w < acc_.size(); ++w) {
-      Acc& acc = acc_[w];
+    for (Acc& acc : acc_) {
       acc.inertia = 0.0;
       acc.counts.assign(k_, 0.0);
       acc.sums.assign(k_ * slice, 0.0);
-      if (factorized_) {
-        acc.gsum.resize(q_);
-        for (size_t i = 0; i < q_; ++i) {
-          const size_t n_ri =
-              i == 0 ? static_cast<size_t>(slot_spans_[w].size())
-                     : (*ctx.views)[i].feats().rows();
-          acc.gsum[i].Resize(k_, n_ri);
-        }
-      }
     }
+    if (factorized_) mass_.BeginPass(ctx, k_, workers);
     return Status::OK();
   }
 
@@ -232,13 +214,11 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
   }
 
   /// Factorized twin: the S-slice distances come from dist_strip over the
-  /// strip-packed S columns; the cached per-attribute-tuple distances land
-  /// on the distance block through gather_add_strip over the FK rid
-  /// columns (i-ascending per element, so the totals — and hence the
-  /// argmin — are bit-identical to the scalar loop), and the per-rid
-  /// assignment mass scatters through scatter_add_strip on flattened
-  /// (best, rid) indices in row order. Only the argmin/inertia/sums stay
-  /// row-at-a-time. Charges are the exact per-row op counts.
+  /// strip-packed S columns; the cached per-attribute-tuple distances are
+  /// gathered onto the distance block over the FK rid columns
+  /// (i-ascending per element, so the totals — and hence the argmin — are
+  /// bit-identical to the scalar loop), and the per-rid assignment mass is
+  /// added in row order. Charges are the exact per-row op counts.
   void AccumulateFactorizedStrips(int worker, const FactorizedBlock& block) {
     Acc& acc = acc_[static_cast<size_t>(worker)];
     static obs::Histogram* batch_micros =
@@ -258,7 +238,6 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
       }
     }
     std::vector<size_t> best(st.strip_rows);
-    std::vector<int64_t> idx(st.strip_rows);
     for (size_t s = 0; s < st.num_strips; ++s) {
       const size_t rows = st.RowsInStrip(s);
       if (rows == 0) continue;
@@ -266,12 +245,13 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
       const size_t row0 = st.StripStart(s);
       for (size_t j = 0; j < ds_; ++j) cols[j] = st.Col(s, y_off_ + j);
       for (size_t c = 0; c < k_; ++c) {
+        double* out = dist.Row(c).data();
         kern.dist_strip(cols.data(), ds_, rows, model_.centroids.Row(c).data(),
-                        dist.Row(c).data());
+                        out);
         for (size_t i = 0; i < q_; ++i) {
-          kern.gather_add_strip(dcache_[i].Row(c).data(),
-                                ridx[i].data() + row0, rows,
-                                dist.Row(c).data());
+          const double* src = dcache_[i].Row(c).data();
+          const int64_t* idx = ridx[i].data() + row0;
+          for (size_t r = 0; r < rows; ++r) out[r] += src[idx[r]];
         }
       }
       CountSubs(rows * k_ * ds_);
@@ -294,21 +274,11 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
         double* sum = acc.sums.data() + b * ds_;
         for (size_t j = 0; j < ds_; ++j) sum[j] += cols[j][r];
       }
-      // Assignment mass per rid: unit-weight scatter on flattened
-      // (best, rid) slots, row-ascending like the scalar loop. Table 0
-      // flattens by its span-sized slot (rebased rids).
-      const exec::Range span0 = slot_spans_[static_cast<size_t>(worker)];
+      // Assignment mass per rid, row-ascending like the scalar loop.
       for (size_t i = 0; i < q_; ++i) {
-        const int64_t n_ri = i == 0
-                                 ? span0.size()
-                                 : static_cast<int64_t>(dcache_[i].cols());
-        const int64_t base = i == 0 ? span0.begin : 0;
         for (size_t r = 0; r < rows; ++r) {
-          idx[r] = static_cast<int64_t>(best[r]) * n_ri +
-                   (ridx[i][row0 + r] - base);
+          mass_.Add(worker, i, best[r], ridx[i][row0 + r], 1.0);
         }
-        kern.scatter_add_strip(idx.data(), /*w=*/nullptr, rows,
-                               acc.gsum[i].data());
       }
       CountMults(rows * ds_);  // the per-row Axpy(1.0, xs) stream
       CountAdds(rows * ds_);
@@ -347,11 +317,8 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
       acc.inertia += best_dist;
       acc.counts[best] += 1.0;
       la::Axpy(1.0, xs, acc.sums.data() + best * ds_, ds_);
-      const int64_t base0 = slot_spans_[static_cast<size_t>(worker)].begin;
       for (size_t i = 0; i < q_; ++i) {
-        const int64_t rid = keys[rel_->FkKeyIndex(i)];
-        acc.gsum[i](best, static_cast<size_t>(i == 0 ? rid - base0 : rid)) +=
-            1.0;
+        mass_.Add(worker, i, best, keys[rel_->FkKeyIndex(i)], 1.0);
       }
       CountAdds(2 + q_);
     }
@@ -366,21 +333,7 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     visit(&acc.inertia, &inertia_sum_, 1);
     visit(acc.counts.data(), counts_.data(), acc.counts.size());
     visit(acc.sums.data(), sums_.data(), acc.sums.size());
-    if (factorized_) {
-      // Table 0's span-sized slot is a k x span block of the k x n_R0
-      // merged matrix, so it goes row by row (row-major: the same double
-      // stream as one whole-block span); further tables are full-domain.
-      const auto off0 =
-          static_cast<size_t>(slot_spans_[static_cast<size_t>(slot)].begin);
-      for (size_t c = 0; c < k_; ++c) {
-        visit(acc.gsum[0].Row(c).data(), gsum_[0].Row(c).data() + off0,
-              acc.gsum[0].cols());
-      }
-      for (size_t i = 1; i < q_; ++i) {
-        visit(acc.gsum[i].data(), gsum_[i].data(),
-              acc.gsum[i].rows() * acc.gsum[i].cols());
-      }
-    }
+    if (factorized_) mass_.VisitSlot(slot, visit);
   }
 
   Status EndPass(const PipelineContext& ctx, int, int) override {
@@ -388,39 +341,18 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     // deterministic rule shared by all strategies). Reported as the
     // "update" phase next to the "assign" pass time.
     core::PhaseScope phase(ctx.report, "update");
-    if (!factorized_) {
-      for (size_t c = 0; c < k_; ++c) {
-        if (counts_[c] == 0.0) continue;
-        const double inv = 1.0 / counts_[c];
-        for (size_t j = 0; j < d_; ++j) {
-          model_.centroids(c, j) = sums_[c * d_ + j] * inv;
-        }
-        CountMults(d_);
+    const size_t slice = factorized_ ? ds_ : d_;
+    for (size_t c = 0; c < k_; ++c) {
+      if (counts_[c] == 0.0) continue;
+      const double inv = 1.0 / counts_[c];
+      double* mu_row = model_.centroids.Row(c).data();
+      for (size_t j = 0; j < slice; ++j) {
+        mu_row[j] = sums_[c * slice + j] * inv;
       }
-    } else {
-      for (size_t c = 0; c < k_; ++c) {
-        if (counts_[c] == 0.0) continue;
-        const double inv = 1.0 / counts_[c];
-        double* mu_row = model_.centroids.Row(c).data();
-        for (size_t j = 0; j < ds_; ++j) mu_row[j] = sums_[c * ds_ + j] * inv;
-        CountMults(ds_);
-        // Attribute slices from per-rid assignment mass — F-GMM's
-        // factorized mean update (Eq. 22) with hard assignments.
-        for (size_t i = 0; i < q_; ++i) {
-          const Matrix& feats = (*ctx.views)[i].feats();
-          const size_t dri = feats.cols();
-          double* slice = mu_row + attr_offset_[i];
-          std::fill(slice, slice + dri, 0.0);
-          for (size_t rid = 0; rid < feats.rows(); ++rid) {
-            const double g = gsum_[i](c, rid);
-            if (g == 0.0) continue;
-            la::Axpy(g, feats.Row(rid).data(), slice, dri);
-          }
-          for (size_t j = 0; j < dri; ++j) slice[j] *= inv;
-          CountMults(dri);
-        }
-      }
-      gsum_.clear();
+      CountMults(slice);
+      // Attribute slices from per-rid assignment mass — F-GMM's
+      // factorized mean update (Eq. 22) with hard assignments.
+      if (factorized_) mass_.MeanSlices(ctx, c, inv, mu_row);
     }
     sums_.clear();
     model_.counts = counts_;
@@ -459,7 +391,6 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     double inertia = 0.0;
     std::vector<double> counts;  // k
     std::vector<double> sums;    // k * d (dense) or k * ds (factorized)
-    std::vector<Matrix> gsum;    // [i]: k x nRi assignment mass
   };
 
   KmeansOptions opt_;
@@ -472,14 +403,13 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
   KmeansModel model_;
   std::vector<Matrix> dcache_;  // [i]: k x nRi squared slice distances
   std::vector<Acc> acc_;
-  /// Table-0 rid span per accumulator slot (the rid-span contract),
-  /// refreshed every BeginPass from the strategy's published plan.
-  std::vector<exec::Range> slot_spans_;
+  /// Per-rid assignment mass of the factorized centroid update; rids with
+  /// no assigned fact tuple are skipped by the deferral.
+  gmm::RidMass mass_{/*skip_zero_mass=*/true};
   double inertia_sum_ = 0.0;
   double prev_inertia_ = 0.0;
   std::vector<double> counts_;
   std::vector<double> sums_;
-  std::vector<Matrix> gsum_;
 };
 
 }  // namespace

@@ -153,18 +153,6 @@ void ScalarGatherAddRowsStrip(const double* base, size_t ldb,
   }
 }
 
-void ScalarGatherAddStrip(const double* src, const int64_t* idx, size_t rows,
-                          double* out) {
-  for (size_t r = 0; r < rows; ++r) out[r] += src[idx[r]];
-}
-
-void ScalarScatterAddStrip(const int64_t* idx, const double* w, size_t rows,
-                           double* acc) {
-  for (size_t r = 0; r < rows; ++r) {
-    acc[idx[r]] += w != nullptr ? w[r] : 1.0;
-  }
-}
-
 // The seed's activation loop, moved verbatim from nn/activation.cc.
 void ScalarSigmoid(const double* a, size_t n, double* h) {
   for (size_t i = 0; i < n; ++i) h[i] = 1.0 / (1.0 + std::exp(-a[i]));
@@ -177,7 +165,6 @@ constexpr Kernels kScalarKernels = {
     ScalarSyrkStrip,   ScalarColDotStrip, ScalarColSumStrip,
     ScalarDistStrip,   ScalarQuadFormStrip,
     ScalarGemmStrip,   ScalarGatherAddRowsStrip,
-    ScalarGatherAddStrip, ScalarScatterAddStrip,
     ScalarSigmoid,
 };
 
@@ -209,7 +196,6 @@ constexpr Kernels kPortableKernels = {
     PortableSyrkStrip,   PortableColDotStrip, PortableColSumStrip,
     PortableDistStrip,   PortableQuadFormStrip,
     PortableGemmStrip,   PortableGatherAddRowsStrip,
-    PortableGatherAddStrip, PortableScatterAddStrip,
     PortableSigmoid,
 };
 
@@ -230,7 +216,6 @@ constexpr Kernels kAvx2Kernels = {
     Avx2SyrkStrip,   Avx2ColDotStrip, Avx2ColSumStrip,
     Avx2DistStrip,   Avx2QuadFormStrip,
     Avx2GemmStrip,   Avx2GatherAddRowsStrip,
-    Avx2GatherAddStrip, Avx2ScatterAddStrip,
     Avx2Sigmoid,
 };
 

@@ -90,26 +90,14 @@ struct Kernels {
                      size_t m, size_t n, size_t k, double* c, size_t ldc,
                      bool trans_b, bool accumulate);
 
-  // ----------------------------------------- FK1 gather/scatter kernels
-  // Rid-indexed strip kernels for the group-structured attribute loops:
-  // `idx` holds one row id per strip row (contiguous rid runs when they
-  // come from join::ChunkFk1Runs group batches, arbitrary otherwise).
-  // Scatters visit rows in ascending order in every backend, so duplicate
-  // indices accumulate bit-identically to the scalar row loop.
-
+  // ------------------------------------------------ FK1 gather kernel
   // out[r] += base[idx[r] * ldb + j] for j in [0, n) — adds one gathered
   // base row per strip row (NN's per-attribute partial-cache gather).
+  // `idx` holds one row id per strip row (contiguous rid runs when they
+  // come from join::ChunkFk1Runs group batches, arbitrary otherwise).
   void (*gather_add_rows_strip)(const double* base, size_t ldb,
                                 const int64_t* idx, size_t rows, size_t n,
                                 double* out, size_t ldo);
-  // out[r] += src[idx[r]] — element gather-add (k-means' cached
-  // per-attribute distance lookups).
-  void (*gather_add_strip)(const double* src, const int64_t* idx,
-                           size_t rows, double* out);
-  // acc[idx[r]] += w[r] (w == nullptr means unit weights) — element
-  // scatter-add (GMM's per-rid responsibility mass, k-means' group mass).
-  void (*scatter_add_strip)(const int64_t* idx, const double* w, size_t rows,
-                            double* acc);
 
   // ------------------------------------------------ elementwise kernels
   // h[i] = 1 / (1 + exp(-a[i])) — the NN hidden-layer activation. Scalar

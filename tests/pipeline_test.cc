@@ -17,6 +17,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -1573,6 +1575,35 @@ TEST(CheckpointTest, OptionValidationRejectsBadCombos) {
             .status(),
         what);
   }
+  // GMM's doubles are checked before use: a bad init_spread used to fail
+  // later as an unnamed Cholesky error.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  using GmmDouble = double gmm::GmmOptions::*;
+  const GmmDouble cov_reg = &gmm::GmmOptions::cov_reg;
+  const GmmDouble init_spread = &gmm::GmmOptions::init_spread;
+  const GmmDouble tol = &gmm::GmmOptions::tol;
+  for (const auto& [field, value, name] :
+       {std::tuple{cov_reg, -1.0, "cov_reg"},
+        std::tuple{cov_reg, nan, "cov_reg"},
+        std::tuple{cov_reg, inf, "cov_reg"},
+        std::tuple{init_spread, 0.0, "init_spread"},
+        std::tuple{init_spread, -2.0, "init_spread"},
+        std::tuple{init_spread, nan, "init_spread"},
+        std::tuple{tol, nan, "tol"}, std::tuple{tol, inf, "tol"}}) {
+    gmm::GmmOptions g = opt;
+    g.*field = value;
+    expect_invalid(
+        core::TrainGmm(rel, g, core::Algorithm::kFactorized, &pool, nullptr)
+            .status(),
+        std::string("gmm: ") + name);
+  }
+  gmm::GmmOptions too_many = opt;
+  too_many.num_components = static_cast<size_t>(rel.s.num_rows()) + 1;
+  expect_invalid(core::TrainGmm(rel, too_many, core::Algorithm::kStreaming,
+                                &pool, nullptr)
+                     .status(),
+                 "gmm: num_components");
   kmeans::KmeansOptions km;
   km.num_clusters = 3;
   km.max_iters = -1;
@@ -1581,6 +1612,12 @@ TEST(CheckpointTest, OptionValidationRejectsBadCombos) {
       core::TrainKmeans(rel, km, core::Algorithm::kStreaming, &pool, nullptr)
           .status(),
       "max_iters");
+  km.max_iters = 1;
+  km.tol = nan;
+  expect_invalid(
+      core::TrainKmeans(rel, km, core::Algorithm::kStreaming, &pool, nullptr)
+          .status(),
+      "kmeans: tol");
   auto rel_t = std::move(GenerateSynthetic(
                              [&] {
                                auto s = Spec(dir.str(), true);

@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -487,6 +488,25 @@ TEST(ShardJobSpecTest, GmmBlobInitByteRejected) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().ToString().find("init"), std::string::npos)
       << decoded.status().ToString();
+}
+
+TEST(ShardJobSpecTest, GmmBlobNanCovRegFailsValidation) {
+  // A NaN ridge is well-formed bytes, so the blob decodes; the worker's
+  // ValidateOptions on the decoded options must then reject it by name.
+  gmm::GmmOptions opt;
+  opt.cov_reg = std::nan("");
+  const auto decoded = gmm::DecodeShardJob(gmm::EncodeShardJob(opt));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(std::isnan(decoded->cov_reg));
+  TempDir dir;
+  BufferPool pool(512);
+  auto rel =
+      std::move(GenerateSynthetic(Spec(dir.str(), false), &pool)).value();
+  const Status st =
+      gmm::MakeShardProgram(decoded.value())->ValidateOptions(rel);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.ToString().find("cov_reg"), std::string::npos)
+      << st.ToString();
 }
 
 /// Overwrites the i64 at `offset` of an encoded family blob.
