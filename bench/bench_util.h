@@ -158,7 +158,7 @@ inline Trio RunNnAll(const join::NormalizedRelations& rel,
 ///   pages_read, pages_written int   physical page I/O over the run
 ///   prefetch_reads, prefetch_hits int  async I/O plane split
 ///   stall_seconds        number   demand-read stall time
-///   morsel_chunks        int      chunk count (0 = legacy static morsels)
+///   morsel_chunks        int      full-pass chunk count (0 = mini-batch)
 ///   steals               int      cross-worker chunk acquisitions
 ///   shards               int      effective rid-range shard count (1 =
 ///                                 unsharded; field always present)

@@ -58,17 +58,18 @@ bool Sweep(const char* family, Train train, Options opt,
         train(rel, opt, core::Algorithm::kFactorized, pool, r);
     if (!trained.ok()) Die(trained.status());
   };
-  // One full-domain slot: serial, unchunked — its slot bytes are what
-  // EVERY slot used to cost before the rid-scoped fix.
+  // One full-domain slot: serial, one chunk spanning every row — its slot
+  // bytes are what EVERY slot used to cost before the rid-scoped fix.
   opt.threads = 1;
+  opt.morsel_rows = rel.s.num_rows();
   core::TrainReport base;
   run(&base);
   const double full_domain_slot_bytes = Metric(base, "pipeline.slot_bytes");
   json->Add(section, "serial_baseline", base);
   std::printf("\nF-%s: one full-domain slot costs %.0f bytes\n", family,
               full_domain_slot_bytes);
-  std::printf("%-22s %8s %14s %16s %14s\n", "config", "chunks",
-              "slot_bytes", "legacy_bytes", "delta_bytes");
+  std::printf("%-22s %8s %14s %17s %14s\n", "config", "chunks",
+              "slot_bytes", "full_domain_bytes", "delta_bytes");
 
   opt.threads = threads;
   for (const int64_t morsel_rows : morsel_list) {
@@ -77,7 +78,7 @@ bool Sweep(const char* family, Train train, Options opt,
     core::TrainReport r;
     run(&r);
     const int64_t chunks = (rel.s.num_rows() + morsel_rows - 1) / morsel_rows;
-    std::printf("%-22s %8lld %14.0f %16.0f %14s\n",
+    std::printf("%-22s %8lld %14.0f %17.0f %14s\n",
                 ("morsel=" + std::to_string(morsel_rows)).c_str(),
                 static_cast<long long>(chunks),
                 Metric(r, "pipeline.slot_bytes"),
@@ -90,7 +91,7 @@ bool Sweep(const char* family, Train train, Options opt,
     opt.shards = shards;
     core::TrainReport rs;
     run(&rs);
-    std::printf("%-22s %8lld %14.0f %16s %14.0f\n",
+    std::printf("%-22s %8lld %14.0f %17s %14.0f\n",
                 ("  shards=" + std::to_string(shards)).c_str(),
                 static_cast<long long>(chunks),
                 Metric(rs, "pipeline.slot_bytes"), "-",

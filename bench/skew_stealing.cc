@@ -1,15 +1,15 @@
 // Work-stealing on Zipf-skewed FK1 runs.
 //
-// Static run morsels split the pass by total row weight, but a handful of
-// giant runs pin whole chunks of work to single workers and the rest go
-// idle. The chunk-ordered scheduler splits the same pass into many small
-// chunks; with --steal=on idle workers drain the backlog of the loaded
-// ones. Because every chunk owns its accumulator slot and the reduction
-// merges in chunk order, steal-on and steal-off produce bit-identical
-// objectives and op counts — this bench asserts that while measuring what
+// The chunk plan pre-assigns each worker a contiguous block of chunks, but
+// on skewed data a handful of giant runs make some blocks far heavier than
+// others and the remaining workers go idle. With --steal=on idle workers
+// drain the backlog of the loaded ones. Because every chunk owns its
+// accumulator slot and the reduction merges in chunk order, a --threads=1
+// reference run, steal-off and steal-on produce bit-identical objectives
+// and op counts — this bench asserts that (exit 1 on any difference, so a
+// --threads=N run fails on any thread dependence) while measuring what
 // stealing buys: the per-worker busy-time spread (the load-balance
-// evidence; wall-clock speedup additionally needs multi-core hardware —
-// the dev container is single-core, see ROADMAP).
+// evidence; wall-clock speedup additionally needs multi-core hardware).
 //
 //   bench_skew_stealing [--threads=4] [--s-rows=60000] [--r-rows=300]
 //                       [--morsel-rows=1024] [--zipf10=0,10,16]
@@ -98,40 +98,53 @@ int Main(int argc, char** argv) {
     opt.num_clusters = 5;
     opt.max_iters = iters;
     opt.temp_dir = dir.str();
-    opt.threads = threads;
     opt.morsel_rows = morsel_rows;
 
-    core::TrainReport reports[2];
-    for (const bool steal : {false, true}) {
-      opt.steal = steal;
+    // Row 0 is the single-thread reference the threads=N runs must match.
+    const struct {
+      const char* label;
+      const char* key;  // JSON row name
+      int threads;
+      bool steal;
+    } runs[] = {{"t1_ref", "threads_1", 1, false},
+                {"off", "steal_off", threads, false},
+                {"on", "steal_on", threads, true}};
+    core::TrainReport reports[3];
+    for (int i = 0; i < 3; ++i) {
+      opt.threads = runs[i].threads;
+      opt.steal = runs[i].steal;
       pool.Clear();
       auto m = core::TrainKmeans(rel, opt, core::Algorithm::kFactorized,
-                                 &pool, &reports[steal ? 1 : 0]);
+                                 &pool, &reports[i]);
       if (!m.ok()) Die(m.status());
-      const core::TrainReport& r = reports[steal ? 1 : 0];
+      const core::TrainReport& r = reports[i];
       const BusySpread s = Spread(r);
       std::printf("%-12s %-9s %10.3f %10.4f %10.4f %8.1f%% %8llu\n",
-                  name.c_str(), steal ? "on" : "off", r.wall_seconds, s.min_s,
+                  name.c_str(), runs[i].label, r.wall_seconds, s.min_s,
                   s.max_s, 100.0 * s.spread,
                   static_cast<unsigned long long>(r.steals));
-      json.Add(name, steal ? "steal_on" : "steal_off", r);
+      json.Add(name, runs[i].key, r);
     }
     // The determinism contract, asserted where it matters most: heavy
     // skew, live stealing — identical bits or the bench fails.
-    if (reports[0].final_objective != reports[1].final_objective ||
-        reports[0].ops.mults != reports[1].ops.mults ||
-        reports[0].ops.adds != reports[1].ops.adds) {
-      std::fprintf(stderr,
-                   "PARITY VIOLATION on %s: steal-on result differs from "
-                   "steal-off (objective %a vs %a)\n",
-                   name.c_str(), reports[0].final_objective,
-                   reports[1].final_objective);
-      return 1;
+    for (int i = 1; i < 3; ++i) {
+      const core::TrainReport& a = reports[0];
+      const core::TrainReport& b = reports[i];
+      if (a.final_objective != b.final_objective ||
+          a.ops.mults != b.ops.mults || a.ops.adds != b.ops.adds ||
+          a.ops.subs != b.ops.subs || a.ops.exps != b.ops.exps) {
+        std::fprintf(stderr,
+                     "PARITY VIOLATION on %s: threads=%d steal=%s differs "
+                     "from threads=1 (objective %a vs %a)\n",
+                     name.c_str(), threads, runs[i].label,
+                     b.final_objective, a.final_objective);
+        return 1;
+      }
     }
   }
   std::printf(
-      "steal-on == steal-off verified bit-identical (objective + op "
-      "counts) on every dataset\n");
+      "threads=1 == steal-off == steal-on verified bit-identical "
+      "(objective + op counts) on every dataset\n");
   std::printf(
       "note: on a single hardware core the OS serializes workers, so busy "
       "spread reflects wake-up order (late workers find the queue already "

@@ -124,16 +124,15 @@ int ArgParser::GetThreads(int default_value) const {
 
 int64_t ArgParser::GetMorselRows(int64_t default_value) const {
   auto it = kv_.find("morsel-rows");
-  if (it == kv_.end()) return default_value < 0 ? 0 : default_value;
+  if (it == kv_.end()) return default_value;
   errno = 0;
   char* end = nullptr;
   const long long rows = std::strtoll(it->second.c_str(), &end, 10);
   if (errno == ERANGE || end == it->second.c_str() || *end != '\0' ||
-      rows < 0) {
+      rows < 1) {
     std::fprintf(stderr,
-                 "invalid --morsel-rows=%s (must be an integer >= 0; 0 = "
-                 "static per-worker morsels, N > 0 = chunk-ordered "
-                 "scheduler with N-row chunks)\n",
+                 "invalid --morsel-rows=%s (must be an integer >= 1; leave "
+                 "the flag unset for 4096-row chunks)\n",
                  it->second.c_str());
     std::exit(2);
   }

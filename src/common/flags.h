@@ -38,26 +38,24 @@ class ArgParser {
   /// point for every binary (CLI, benches, examples).
   int GetThreads(int default_value = 1) const;
 
-  /// The shared `--morsel-rows=N` flag: rows per scheduler chunk of the
-  /// full-pass plane. 0 (default) keeps the static per-worker partition;
-  /// N > 0 enables the chunk-ordered work scheduler, whose results depend
-  /// on N but not on --threads or --steal. Values < 0 or non-integers are
+  /// The shared `--morsel-rows=N` flag: rows per chunk of the full-pass
+  /// plan, whose results depend on N but not on --threads or --steal.
+  /// Absent, it returns `default_value` (0 = unset: the pipeline resolves
+  /// it to exec::kDefaultMorselRows). Values < 1 or non-integers are
   /// rejected with an error and exit(2).
   int64_t GetMorselRows(int64_t default_value = 0) const;
 
-  /// The shared `--steal={on,off}` flag: work stealing over the chunked
-  /// decomposition (implies chunking with the default morsel size when
-  /// --morsel-rows is unset). Anything other than on/off exits(2).
+  /// The shared `--steal={on,off}` flag: work stealing over the chunk
+  /// plan. Anything other than on/off exits(2).
   bool GetSteal(bool default_value = false) const;
 
   /// The shared `--shards=N` flag: rid-range shards of the full-pass
   /// plane. 1 (default) runs unsharded — byte-identical to the pre-shard
   /// engine. N > 1 splits every full pass into N contiguous chunk spans
   /// driven through the in-process shard backend (one scan + one
-  /// serialized ShardDelta per shard, merged in shard-id order); implies
-  /// the chunk-ordered scheduler, and results are bit-identical to
-  /// --shards=1 at the same resolved --morsel-rows. Values < 1 or
-  /// non-integers are rejected with an error and exit(2).
+  /// serialized ShardDelta per shard, merged in shard-id order); results
+  /// are bit-identical to --shards=1 at the same --morsel-rows. Values
+  /// < 1 or non-integers are rejected with an error and exit(2).
   int GetShards(int default_value = 1) const;
 
   /// The shared `--prefetch={on,off}` flag: asynchronous double-buffered

@@ -31,7 +31,7 @@ class FactorizedStrategy final : public JoinStreamStrategyBase {
       join::JoinBatch batch;
       storage::ColumnStrips s_strips;
     };
-    std::vector<Worker> workers(static_cast<size_t>(pool_workers()));
+    std::vector<Worker> workers(static_cast<size_t>(threads_));
     FML_RETURN_IF_ERROR(DriveMorsels(
         ctx, [&](exec::Range range, int slot, int w,
                  const exec::Range* next, Status* status) {

@@ -23,16 +23,14 @@ namespace factorml::core::pipeline::internal {
 /// once per training run so private pool contents persist across passes,
 /// exactly like the hand-written trainers' WorkerPools did).
 ///
-/// Two scheduling modes share one plan representation (`ranges_`):
-///  - legacy (morsel_rows == 0): one static range per worker, accumulator
-///    slot == worker, merged in worker order — the seed-exact path;
-///  - chunked (morsel_rows > 0): fixed deterministically numbered chunks,
-///    slot == chunk id, workers acquire chunks from the MorselQueue (with
-///    stealing when enabled) and the reduction merges in chunk order, so
-///    the result is invariant under thread count and steal schedule.
+/// The full-pass plan (`ranges_`) is a list of fixed, deterministically
+/// numbered chunks: slot == chunk id, workers acquire chunks from the
+/// MorselQueue (with stealing when enabled) and the reduction merges in
+/// chunk order, so the result is invariant under thread count and steal
+/// schedule.
 class StrategyBase : public AccessStrategy {
  public:
-  int NumWorkers() const override { return nw_; }
+  int NumSlots() const override { return num_slots_; }
 
   const std::vector<exec::Range>& MorselPlan() const override {
     return ranges_;
@@ -41,8 +39,6 @@ class StrategyBase : public AccessStrategy {
   void SetShardScan(const exec::ShardPlan* plan,
                     ShardScanObserver* observer) override {
     FML_CHECK((plan == nullptr) == (observer == nullptr));
-    FML_CHECK(plan == nullptr || chunked())
-        << "sharding requires the chunk-ordered scheduler";
     shard_plan_ = plan;
     shard_observer_ = observer;
   }
@@ -58,35 +54,26 @@ class StrategyBase : public AccessStrategy {
         morsel_rows_(options.morsel_rows),
         steal_(options.steal),
         prefetch_(options.prefetch),
-        prefetch_depth_(options.prefetch_depth < 1 ? 1
-                                                   : options.prefetch_depth),
+        prefetch_depth_(options.prefetch_depth),
         simd_(options.kernels == la::KernelMode::kSimd),
         full_pass_(full_pass) {}
 
-  /// Chunk-ordered scheduler active? (RunTraining resolves steal-without-
-  /// morsel-rows to kDefaultMorselRows before strategies are created.)
-  bool chunked() const { return morsel_rows_ > 0; }
-
-  /// Scanner/cursor states and buffer pools one pass needs: the actual
-  /// worker threads in chunked mode, one per static range otherwise.
-  int pool_workers() const { return chunked() ? threads_ : nw_; }
-
-  /// Installs the full-pass morsel plan — the per-worker static partition
-  /// (legacy) or the deterministic chunk list (chunked). NumWorkers()
-  /// becomes the accumulator slot count handed to ModelProgram::BeginPass.
-  /// Also brings up the async I/O plane when prefetch is on: one
-  /// Prefetcher serves every worker of the run (each request lands in the
-  /// issuing worker's own pool).
+  /// Installs the full-pass chunk plan (RunTraining has resolved
+  /// morsel_rows >= 1 before strategies are created). NumSlots() becomes
+  /// the accumulator slot count handed to ModelProgram::BeginPass, and
+  /// one buffer pool per worker thread is built. Also brings up the async
+  /// I/O plane when prefetch is on: one Prefetcher serves every worker of
+  /// the run (each request lands in the issuing worker's own pool).
   void BuildWorkers(std::vector<exec::Range> ranges) {
     ranges_ = std::move(ranges);
-    nw_ = ranges_.empty() ? 1 : static_cast<int>(ranges_.size());
-    pools_ = std::make_unique<exec::WorkerPools>(pool_, pool_workers());
+    num_slots_ = ranges_.empty() ? 1 : static_cast<int>(ranges_.size());
+    pools_ = std::make_unique<exec::WorkerPools>(pool_, threads_);
     if (prefetch_ && prefetcher_ == nullptr) {
       // Wide (and capped) arithmetic: --prefetch-depth accepts anything
       // up to INT_MAX, and an in-flight cap beyond a few per worker buys
       // nothing.
-      const int64_t inflight = std::min<int64_t>(
-          1024, 2ll * pool_workers() * prefetch_depth_);
+      const int64_t inflight =
+          std::min<int64_t>(1024, 2ll * threads_ * prefetch_depth_);
       prefetcher_ =
           std::make_unique<storage::Prefetcher>(static_cast<int>(inflight));
     }
@@ -99,36 +86,34 @@ class StrategyBase : public AccessStrategy {
   /// Publishes the plan shape to the report (called from Prepare).
   void RecordMorselPlan(PipelineContext* ctx) const {
     if (ctx->report != nullptr) {
-      ctx->report->morsel_chunks =
-          chunked() ? static_cast<int64_t>(ranges_.size()) : 0;
+      ctx->report->morsel_chunks = static_cast<int64_t>(ranges_.size());
     }
   }
 
-  /// Drives one full pass over the morsel plan: body(range, slot, worker,
-  /// next, status-slot) runs once per morsel; the caller then merges slots
-  /// 0..NumWorkers()-1 in order. Legacy mode runs each worker's one static
-  /// range (slot == worker); chunked mode lets workers acquire chunks from
-  /// the scheduler, stealing when enabled (slot = chunk id). Steal counts
-  /// and per-worker busy time accumulate into ctx.report; the returned
-  /// status is the first error in slot order.
+  /// Drives one full pass over the chunk plan: body(range, slot, worker,
+  /// next, status-slot) runs once per chunk; the caller then merges slots
+  /// 0..NumSlots()-1 in order. Workers acquire chunks from the scheduler,
+  /// stealing when enabled (slot = chunk id). Steal counts and per-worker
+  /// busy time accumulate into ctx.report; the returned status is the
+  /// first error in slot order.
   ///
   /// `next` is the range of the worker's next scheduled chunk — the front
   /// of its own MorselQueue block, known deterministically from the morsel
-  /// plan — or null at the block end, in legacy mode, or with prefetch
-  /// off. Strategies hand it to the cursor plane so the next chunk's pages
-  /// load while this chunk computes. (A stolen chunk's successor may
-  /// belong to another worker's block; prefetch is then skipped rather
-  /// than landed in the wrong worker's pool — residency is best-effort.)
+  /// plan — or null at the block end or with prefetch off. Strategies
+  /// hand it to the cursor plane so the next chunk's pages load while
+  /// this chunk computes. (A stolen chunk's successor may belong to
+  /// another worker's block; prefetch is then skipped rather than landed
+  /// in the wrong worker's pool — residency is best-effort.)
   /// All prefetch requests are drained before returning, so the pass
   /// dispatcher's I/O delta covers them and no request outlives the pass.
   template <typename Body>
   Status DriveMorsels(const PipelineContext& ctx, const Body& body) {
-    std::vector<Status> slot_status(static_cast<size_t>(nw_));
+    std::vector<Status> slot_status(static_cast<size_t>(num_slots_));
     // Static chunk ownership, same split as the MorselQueue's blocks.
     const std::vector<exec::Range> owned =
-        (chunked() && prefetcher_ != nullptr)
+        prefetcher_ != nullptr
             ? exec::PartitionRows(static_cast<int64_t>(ranges_.size()),
-                                  pool_workers())
+                                  threads_)
             : std::vector<exec::Range>{};
     const auto run_span = [&](exec::Range span) {
       // One "scan" span per scheduled chunk span: the whole plan when
@@ -137,7 +122,7 @@ class StrategyBase : public AccessStrategy {
       scan_span.Arg("chunk_begin", span.begin);
       scan_span.Arg2("chunk_end", span.end);
       const exec::MorselStats stats = exec::RunMorselSpan(
-          ranges_, span, pool_workers(), chunked() && steal_,
+          ranges_, span, threads_, steal_,
           [&](exec::Range range, int64_t chunk, int worker) {
             const exec::Range* next = nullptr;
             const auto w = static_cast<size_t>(worker);
@@ -178,13 +163,13 @@ class StrategyBase : public AccessStrategy {
     return exec::FirstError(slot_status);
   }
 
-  /// The unsharded chunk-order reduction: merges slots 0..NumWorkers()-1
+  /// The unsharded chunk-order reduction: merges slots 0..NumSlots()-1
   /// on the calling thread. A no-op while the shard plane is armed — the
   /// ShardedDriver owns the merge there (delta round-trip first, same
   /// global slot order).
   void MergeSlots(ModelProgram* model, int pass) const {
     if (shard_plan_ != nullptr) return;
-    pipeline::MergeSlots(model, pass, exec::Range{0, nw_});
+    pipeline::MergeSlots(model, pass, exec::Range{0, num_slots_});
   }
 
   const join::NormalizedRelations* rel_;
@@ -202,7 +187,7 @@ class StrategyBase : public AccessStrategy {
   bool simd_;
   bool full_pass_;
   std::vector<exec::Range> ranges_;
-  int nw_ = 1;
+  int num_slots_ = 1;
   /// Armed by the ShardedDriver for the duration of a sharded RunPass.
   const exec::ShardPlan* shard_plan_ = nullptr;
   ShardScanObserver* shard_observer_ = nullptr;
@@ -222,13 +207,11 @@ class JoinStreamStrategyBase : public StrategyBase {
     FML_CHECK_GT(rel_->fk1_index.num_rids(), 0) << "BuildIndex() not called";
     views_.resize(rel_->num_joins());
     if (full_pass_) {
-      BuildWorkers(chunked()
-                       ? join::ChunkFk1Runs(rel_->fk1_index, morsel_rows_)
-                       : join::PartitionFk1Runs(rel_->fk1_index, threads_));
+      BuildWorkers(join::ChunkFk1Runs(rel_->fk1_index, morsel_rows_));
       RecordMorselPlan(ctx);
-      // S/F morsels are whole FK1 runs: every slot's range is a contiguous
-      // span of table-0 rid positions in both scheduling modes, so the
-      // plan doubles as the rid-span contract (PipelineContext docs).
+      // S/F chunks are whole FK1 runs: every slot's range is a contiguous
+      // span of table-0 rid positions, so the plan doubles as the
+      // rid-span contract (PipelineContext docs).
       ctx->slot_rid_spans = &ranges_;
     }
     return Status::OK();

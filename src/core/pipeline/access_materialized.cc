@@ -35,10 +35,7 @@ class MaterializedStrategy final : public StrategyBase {
     }
     if (full_pass_) {
       const auto align = static_cast<int64_t>(t_->schema().RowsPerPage());
-      BuildWorkers(chunked()
-                       ? exec::SplitRowChunks(t_->num_rows(), morsel_rows_,
-                                              align)
-                       : exec::PartitionRows(t_->num_rows(), threads_, align));
+      BuildWorkers(exec::SplitRowChunks(t_->num_rows(), morsel_rows_, align));
       RecordMorselPlan(ctx);
     }
     return Status::OK();
@@ -60,7 +57,7 @@ class MaterializedStrategy final : public StrategyBase {
       storage::RowBatch batch;
       storage::ColumnStrips strips;
     };
-    std::vector<Worker> workers(static_cast<size_t>(pool_workers()));
+    std::vector<Worker> workers(static_cast<size_t>(threads_));
     FML_RETURN_IF_ERROR(DriveMorsels(
         ctx, [&](exec::Range range, int slot, int w,
                  const exec::Range* next, Status* status) {

@@ -31,9 +31,9 @@ class ShardScanObserver {
 /// The data-access plane of the training pipeline: one driver per paper
 /// strategy. A strategy owns materialization and temp files (M),
 /// attribute-table views and their per-pass reloads (S/F),
-/// TableScanner/JoinCursor iteration, page-aligned / FK1-run morsel
-/// partitioning, per-worker buffer pools, exec/ dispatch, and the
-/// deterministic worker-order merge — everything about *how rows reach the
+/// TableScanner/JoinCursor iteration, the page-aligned / FK1-run chunk
+/// plan, per-worker buffer pools, exec/ dispatch, and the deterministic
+/// chunk-order merge — everything about *how rows reach the
 /// model*, and nothing about the math.
 class AccessStrategy {
  public:
@@ -55,20 +55,18 @@ class AccessStrategy {
   virtual Status Prepare(PipelineContext* ctx, const std::string& temp_stem) = 0;
 
   /// Accumulator slot count of the full-pass plan, handed to
-  /// ModelProgram::BeginPass: the worker count of the static partition in
-  /// legacy mode (1 when threads == 1 — the bit-exact serial path), the
-  /// chunk count when the chunk-ordered scheduler is active (slot = chunk
-  /// id, so the merge order is a data invariant).
-  virtual int NumWorkers() const = 0;
+  /// ModelProgram::BeginPass: the chunk count (slot = chunk id, so the
+  /// merge order is a data invariant, whatever the thread count).
+  virtual int NumSlots() const = 0;
 
   /// Reloads per-pass inputs: S/F load the attribute views (one counted
   /// read of each R table per pass, the paper's per-pass join recompute)
   /// and publish them via ctx->views; M is a no-op.
   virtual Status BeginPass(PipelineContext* ctx) = 0;
 
-  /// One parallel pass over all rows: each worker scans its morsel and
-  /// feeds blocks to the model's accumulate hook; per-worker results are
-  /// then merged in worker order on the calling thread. With the shard
+  /// One parallel pass over all rows: workers scan the plan's chunks and
+  /// feed blocks to the model's accumulate hook, one slot per chunk; the
+  /// slots are then merged in chunk order on the calling thread. With the shard
   /// plane armed (SetShardScan), the scan instead runs shard by shard in
   /// shard-id order — same chunks, same owners, same per-worker cursor
   /// reuse — the observer is notified after each shard, and the merge is
@@ -83,8 +81,7 @@ class AccessStrategy {
 
   /// Arms (plan + observer non-null) or disarms (both null) the shard
   /// plane for subsequent RunPass calls. Only the ShardedDriver calls
-  /// this; the plan must be a decomposition of MorselPlan()'s chunk ids
-  /// and requires the chunk-ordered scheduler (morsel_rows > 0).
+  /// this; the plan must be a decomposition of MorselPlan()'s chunk ids.
   virtual void SetShardScan(const exec::ShardPlan* plan,
                             ShardScanObserver* observer) = 0;
 

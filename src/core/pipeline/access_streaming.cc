@@ -33,7 +33,7 @@ class StreamingStrategy final : public JoinStreamStrategyBase {
       std::vector<double> ybuf;
       storage::ColumnStrips strips;
     };
-    std::vector<Worker> workers(static_cast<size_t>(pool_workers()));
+    std::vector<Worker> workers(static_cast<size_t>(threads_));
     FML_RETURN_IF_ERROR(DriveMorsels(
         ctx, [&](exec::Range range, int slot, int w,
                  const exec::Range* next, Status* status) {

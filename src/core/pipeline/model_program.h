@@ -53,8 +53,8 @@ struct PipelineContext {
   /// The rid-span contract of the full-pass accumulator plane: when
   /// non-null, entry `slot` is the contiguous half-open range of TABLE-0
   /// rid positions every row delivered to that slot's Accumulate calls
-  /// falls in — the S/F strategies publish their morsel plan here (chunked
-  /// mode: slot = chunk; legacy mode: slot = worker's static range).
+  /// falls in — the S/F strategies publish their chunk plan here
+  /// (slot = chunk).
   /// Models with per-rid slot state size it to the span instead of the
   /// whole attribute table (O(sum of spans) = O(n_R) total instead of
   /// O(slots x n_R)), and keep span-relative indexing a pure function of
@@ -156,9 +156,9 @@ struct DenseBatch {
 /// Full-pass driving sequence (kFullPass), per iteration i:
 ///   for pass p in 0..NumPasses(i):
 ///     strategy reloads per-pass inputs (S/F: attribute views)
-///     BeginPass(ctx, i, p, workers)          — build caches, zero accums
-///     workers each call Accumulate{Dense,Factorized}(p, w, block)  — hot
-///     MergeSlots(model, p, {0, workers})      — deterministic reduction
+///     BeginPass(ctx, i, p, slots)            — build caches, zero accums
+///     each chunk c calls Accumulate{Dense,Factorized}(p, c, block)  — hot
+///     MergeSlots(model, p, {0, slots})        — chunk-order reduction
 ///       (--shards > 1: the slots are first round-tripped through
 ///       ShardDelta bytes via VisitSlotState, then merged in the same
 ///       global chunk order — see core/pipeline/sharded_driver.h)
@@ -206,17 +206,17 @@ class ModelProgram {
     return "pass";
   }
   virtual Status BeginPass(const PipelineContext& ctx, int iter, int pass,
-                           int workers) {
-    (void)ctx, (void)iter, (void)pass, (void)workers;
+                           int slots) {
+    (void)ctx, (void)iter, (void)pass, (void)slots;
     return Status::OK();
   }
-  virtual void AccumulateDense(int pass, int worker, const DenseBlock& block) {
-    (void)pass, (void)worker, (void)block;
+  virtual void AccumulateDense(int pass, int slot, const DenseBlock& block) {
+    (void)pass, (void)slot, (void)block;
     FML_CHECK(false) << Name() << ": dense full-pass hook not implemented";
   }
-  virtual void AccumulateFactorized(int pass, int worker,
+  virtual void AccumulateFactorized(int pass, int slot,
                                     const FactorizedBlock& block) {
-    (void)pass, (void)worker, (void)block;
+    (void)pass, (void)slot, (void)block;
     FML_CHECK(false) << Name() << ": factorized full-pass hook not implemented";
   }
   /// The one description of an accumulator slot: visits every double of

@@ -15,6 +15,7 @@
 #include "core/pipeline/checkpoint.h"
 #include "core/pipeline/shard_rpc.h"
 #include "core/pipeline/sharded_driver.h"
+#include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -212,10 +213,10 @@ Status RunTrainingAttempt(const join::NormalizedRelations& rel,
       for (int pass = 0; pass < num_passes; ++pass) {
         FML_RETURN_IF_ERROR(strategy->BeginPass(&ctx));
         FML_RETURN_IF_ERROR(
-            model->BeginPass(ctx, iter, pass, strategy->NumWorkers()));
+            model->BeginPass(ctx, iter, pass, strategy->NumSlots()));
         if (iter == start_iter) {
           size_t bytes = 0;
-          for (int s = 0; s < strategy->NumWorkers(); ++s) {
+          for (int s = 0; s < strategy->NumSlots(); ++s) {
             model->VisitSlotState(pass, s,
                                   [&bytes](double*, double*, size_t len) {
                                     bytes += len * sizeof(double);
@@ -287,27 +288,18 @@ Status RunTraining(const join::NormalizedRelations& rel, Algorithm algorithm,
 
   StrategyOptions resolved = options;
   resolved.threads = exec::EffectiveThreads(options.threads);
-  // Stealing needs a chunked decomposition to schedule over; an explicit
-  // morsel size wins, otherwise the default chunk size kicks in. The
-  // resolved morsel_rows — never the thread count or the steal schedule —
-  // is what the chunk-ordered results depend on.
-  if (resolved.morsel_rows < 0) resolved.morsel_rows = 0;
-  if (resolved.steal && resolved.morsel_rows == 0) {
-    resolved.morsel_rows = kDefaultMorselRows;
+  // The resolved morsel_rows — never the thread count, the steal schedule
+  // or the shard count — is what every full-pass result depends on.
+  if (resolved.morsel_rows <= 0) {
+    resolved.morsel_rows = exec::kDefaultMorselRows;
   }
-  // Sharding needs the same chunked decomposition: shard = contiguous
-  // chunk span, slot = global chunk id. Like steal, --shards alone
-  // resolves to the default morsel size; the parity contract is against
-  // --shards=1 at the same resolved morsel_rows.
+  if (resolved.prefetch_depth < 1) resolved.prefetch_depth = 1;
   if (resolved.shards < 1) resolved.shards = 1;
-  if (resolved.shards > 1) {
-    if (mini_batch) {
-      return Status::InvalidArgument(
-          std::string(model->Name()) +
-          ": --shards requires the full-pass plane; mini-batch (SGD) "
-          "epochs are sequential and train unsharded");
-    }
-    if (resolved.morsel_rows == 0) resolved.morsel_rows = kDefaultMorselRows;
+  if (resolved.shards > 1 && mini_batch) {
+    return Status::InvalidArgument(
+        std::string(model->Name()) +
+        ": --shards requires the full-pass plane; mini-batch (SGD) "
+        "epochs are sequential and train unsharded");
   }
   if (resolved.checkpoint_every < 0) {
     return Status::InvalidArgument(

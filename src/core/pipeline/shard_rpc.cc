@@ -17,9 +17,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "common/logging.h"
 #include "core/algorithm.h"
@@ -219,6 +221,24 @@ Result<ShardJobSpec> DecodeShardJobSpec(const std::string& bytes) {
   o.prefetch = b != 0;
   FML_RETURN_IF_ERROR(r.I64(&prefetch_depth));
   FML_RETURN_IF_ERROR(r.I64(&shards));
+  // The coordinator ships resolved knobs: morsel_rows >= 1 and int counts
+  // >= 1. Anything else is corrupt, never "unset".
+  if (o.morsel_rows < 1) {
+    return Status::InvalidArgument("shard job: morsel_rows " +
+                                   std::to_string(o.morsel_rows) +
+                                   " out of range");
+  }
+  const std::pair<const char*, int64_t> counts[] = {
+      {"threads", threads},
+      {"prefetch_depth", prefetch_depth},
+      {"shards", shards}};
+  for (const auto& [name, value] : counts) {
+    if (value < 1 || value > INT_MAX) {
+      return Status::InvalidArgument(std::string("shard job: ") + name +
+                                     " " + std::to_string(value) +
+                                     " out of range");
+    }
+  }
   o.batch_rows = static_cast<size_t>(batch_rows);
   o.threads = static_cast<int>(threads);
   o.prefetch_depth = static_cast<int>(prefetch_depth);

@@ -73,10 +73,11 @@ struct ShardJobSpec {
   bool has_target = false;
   uint64_t pool_pages = 0;  // worker buffer-pool capacity (= parent's)
   Algorithm algorithm = Algorithm::kMaterialized;
-  /// The coordinator's resolved knobs (threads >= 1, morsel_rows > 0),
-  /// with temp_dir rewritten to a worker-private subdir the worker
-  /// creates. A worker restores from checkpoint_dir but never writes it.
-  /// shard_channel never crosses the wire.
+  /// The coordinator's resolved knobs (threads, morsel_rows,
+  /// prefetch_depth and shards all >= 1; DecodeShardJobSpec rejects
+  /// anything else), with temp_dir rewritten to a worker-private subdir
+  /// the worker creates. A worker restores from checkpoint_dir but never
+  /// writes it. shard_channel never crosses the wire.
   StrategyOptions strategy;
   int64_t worker_id = 0;
   std::string family;       // ModelProgram::TempStem(): "gmm", "linreg"...

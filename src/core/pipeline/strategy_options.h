@@ -23,10 +23,6 @@ inline constexpr int kDefaultPrefetchDepth = 2;
 /// L1/L2 (256 rows x 8 B = 2 KiB per column).
 inline constexpr size_t kDefaultStripRows = 256;
 
-/// Chunk size used when stealing or sharding is requested without an
-/// explicit --morsel-rows.
-inline constexpr int64_t kDefaultMorselRows = 4096;
-
 /// Where the scans of a sharded run execute (--shard-backend).
 enum class ShardBackend : uint8_t {
   /// This process drives every shard scan (ShardedDriver) — byte-identical
@@ -52,19 +48,17 @@ const char* ShardBackendName(ShardBackend backend);
 struct StrategyOptions {
   size_t batch_rows = 8192;  // rows per streamed/scanned batch
   int threads = 0;           // exec/ workers; 0 = DefaultThreads()
-  /// Rows per scheduler chunk for the full-pass plane. 0 (default) keeps
-  /// the legacy static partition — one morsel per worker, merged in worker
-  /// order, the seed-exact reproduction path. > 0 switches to the
-  /// chunk-ordered scheduler: the pass is split into fixed,
-  /// deterministically numbered chunks (page-aligned rows for M, whole
-  /// FK1 runs for S/F), every chunk accumulates into its own slot, and
-  /// the reduction merges in chunk order — so for a fixed morsel_rows the
-  /// result is bit-identical for ANY thread count and ANY steal schedule.
+  /// Rows per chunk of the full-pass plan; 0 (default) = unset, resolved
+  /// to exec::kDefaultMorselRows by RunTraining. Every full pass is split
+  /// into fixed, deterministically numbered chunks (page-aligned rows for
+  /// M, whole FK1 runs for S/F), every chunk accumulates into its own
+  /// slot, and the reduction merges in chunk order — so the result is a
+  /// function of the data and morsel_rows only, bit-identical for ANY
+  /// thread count and ANY steal schedule.
   int64_t morsel_rows = 0;
-  /// Work stealing over the chunked decomposition: idle workers acquire
-  /// chunks from other workers' blocks (lock-free, exec::MorselQueue).
-  /// Changes who computes each chunk, never what is merged. Implies
-  /// chunking (kDefaultMorselRows) when morsel_rows is unset.
+  /// Work stealing over the chunk plan: idle workers acquire chunks from
+  /// other workers' blocks (lock-free, exec::MorselQueue). Changes who
+  /// computes each chunk, never what is merged.
   bool steal = false;
   /// Asynchronous double-buffered page prefetch over the unified I/O
   /// cursor plane (storage::PageCursor / Prefetcher): while a worker
@@ -85,13 +79,11 @@ struct StrategyOptions {
   /// into N contiguous chunk spans, runs one scan per shard, round-trips
   /// each shard's accumulator slots through serialized ShardDelta bytes
   /// (the wire seam a distributed backend plugs into), and merges the
-  /// deltas in shard-id order. Sharding implies the chunk-ordered
-  /// scheduler (kDefaultMorselRows when morsel_rows is unset); at the same
-  /// resolved morsel size the objectives, params, op counts — and, at
-  /// deterministic schedules (steal and prefetch off), total page I/O —
-  /// are bit-identical to shards = 1 for any thread count. Rejected for
-  /// mini-batch (SGD) programs, whose sequential epochs have no
-  /// order-free merge.
+  /// deltas in shard-id order. At the same resolved morsel size the
+  /// objectives, params, op counts — and, at deterministic schedules
+  /// (steal and prefetch off), total page I/O — are bit-identical to
+  /// shards = 1 for any thread count. Rejected for mini-batch (SGD)
+  /// programs, whose sequential epochs have no order-free merge.
   int shards = 1;
   /// Compute-kernel backend (la/kernels.h). kScalar (default) keeps the
   /// seed's exact loops and row-at-a-time decode — bit-identical to the

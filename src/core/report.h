@@ -33,8 +33,8 @@ struct TrainReport {
   int iterations = 0;                // EM iterations or NN epochs run
   double final_objective = 0.0;      // log-likelihood (GMM) or MSE (NN)
   int threads = 1;                   // exec/ workers used by the run
-  /// Chunk count of the full-pass morsel plan (0 = legacy static
-  /// partition, one morsel per worker).
+  /// Chunk count of the full-pass morsel plan (0 on the mini-batch
+  /// plane, which has no plan).
   int64_t morsel_chunks = 0;
   /// Chunks executed by a worker other than their static owner, summed
   /// over all passes (always 0 with --steal=off).

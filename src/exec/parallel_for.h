@@ -31,9 +31,8 @@ std::vector<Range> PartitionRows(int64_t total, int parts, int64_t align = 1);
 
 /// Splits positions [0, n) into at most `parts` contiguous ranges whose
 /// weight sums are near-equal. Positions are atomic — a position is never
-/// split across ranges — so with weights = FK1-run lengths (FkIndex
-/// CountOf), every range is a whole set of runs and the factorized
-/// per-R-tuple reuse is preserved within each worker.
+/// split across ranges — so with weights = chunk sizes (PlanShards),
+/// every range is a whole span of chunks.
 std::vector<Range> PartitionWeighted(const int64_t* weights, int64_t n,
                                      int parts);
 
@@ -45,6 +44,9 @@ std::vector<Range> PartitionWeighted(const int64_t* weights, int64_t n,
 /// per-slot models (factorized GMM keeps per-rid mass vectors in each
 /// slot) should prefer generous --morsel-rows for the same reason.
 inline constexpr int64_t kMaxMorselChunks = 1024;
+
+/// Rows per chunk of the full-pass plan when --morsel-rows is unset.
+inline constexpr int64_t kDefaultMorselRows = 4096;
 
 /// Splits [0, total) into fixed-size, deterministically numbered chunks —
 /// the decomposition behind the work-stealing scheduler (morsel_queue.h).

@@ -39,26 +39,12 @@ Status FkIndex::Build(const storage::Table& s, storage::BufferPool* pool,
   return scanner.status();
 }
 
-namespace {
-
-std::vector<int64_t> RunLengths(const FkIndex& index) {
+std::vector<exec::Range> ChunkFk1Runs(const FkIndex& index,
+                                      int64_t morsel_rows) {
   std::vector<int64_t> run_lengths(static_cast<size_t>(index.num_rids()));
   for (int64_t rid = 0; rid < index.num_rids(); ++rid) {
     run_lengths[static_cast<size_t>(rid)] = index.CountOf(rid);
   }
-  return run_lengths;
-}
-
-}  // namespace
-
-std::vector<exec::Range> PartitionFk1Runs(const FkIndex& index, int parts) {
-  const std::vector<int64_t> run_lengths = RunLengths(index);
-  return exec::PartitionWeighted(run_lengths.data(), index.num_rids(), parts);
-}
-
-std::vector<exec::Range> ChunkFk1Runs(const FkIndex& index,
-                                      int64_t morsel_rows) {
-  const std::vector<int64_t> run_lengths = RunLengths(index);
   return exec::SplitWeightedChunks(run_lengths.data(), index.num_rids(),
                                    morsel_rows);
 }

@@ -44,19 +44,13 @@ class FkIndex {
   int64_t total_rows_ = 0;
 };
 
-/// Morsels for the parallel trainers: splits the rid positions
-/// [0, num_rids) into at most `parts` contiguous ranges whose matching
-/// S-row counts are near-equal, never splitting an FK1 run — each range is
-/// a whole set of runs, so factorized per-R1-tuple reuse survives inside
-/// every worker. One range (parts = 1) is the exact serial scan.
-std::vector<exec::Range> PartitionFk1Runs(const FkIndex& index, int parts);
-
-/// Chunk plan for the work-stealing scheduler: packs consecutive whole
-/// FK1 runs into chunks of at least `morsel_rows` matching S rows (a run
-/// longer than that forms its own chunk — runs are atomic). Unlike
-/// PartitionFk1Runs the result depends only on the index and the chunk
-/// size, never on the worker count, so the chunk numbering — and with it
-/// the chunk-ordered reduction — is an invariant of the data.
+/// Chunk plan of the S/F full passes: packs consecutive whole FK1 runs
+/// into chunks of at least `morsel_rows` matching S rows (a run longer
+/// than that forms its own chunk — runs are atomic, so factorized
+/// per-R1-tuple reuse survives inside every chunk). The result depends
+/// only on the index and the chunk size, never on the worker count, so
+/// the chunk numbering — and with it the chunk-ordered reduction — is an
+/// invariant of the data.
 std::vector<exec::Range> ChunkFk1Runs(const FkIndex& index,
                                       int64_t morsel_rows);
 

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/json.h"
+#include "exec/parallel_for.h"
 #include "la/kernels.h"
 
 namespace factorml::obs {
@@ -22,7 +23,7 @@ RunManifest RunManifest::FromArgs(const std::string& binary,
   m.binary = binary;
   m.git_describe = GitDescribe();
   m.threads = args.GetThreads(1);
-  m.morsel_rows = args.GetMorselRows(0);
+  m.morsel_rows = args.GetMorselRows(exec::kDefaultMorselRows);
   m.steal = args.GetSteal(false);
   m.shards = args.GetShards(1);
   m.prefetch = args.GetPrefetch(false);

@@ -486,6 +486,19 @@ TEST(FlagsDeathTest, BatchBelowOneExits2) {
   }
 }
 
+// Every full pass runs the chunk plan, so no value of --morsel-rows can
+// name another partition: < 1 exits 2, and the message points at the
+// unset default instead.
+TEST(FlagsDeathTest, MorselRowsBelowOneExits2) {
+  for (const char* flag : {"--morsel-rows=0", "--morsel-rows=-1"}) {
+    const char* argv[] = {"prog", flag};
+    ArgParser args(2, const_cast<char**>(argv));
+    EXPECT_EXIT(args.GetMorselRows(), ::testing::ExitedWithCode(2),
+                std::string("invalid ") + flag +
+                    ".*leave the flag unset for 4096-row chunks");
+  }
+}
+
 TEST(FlagsDeathTest, KBelowOneExits2) {
   for (const char* flag : {"--k=0", "--k=-3"}) {
     const char* argv[] = {"prog", flag};

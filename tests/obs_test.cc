@@ -367,6 +367,13 @@ TEST(ManifestTest, FromArgsResolvesAndRoundTrips) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 
+  // Without the flag the manifest names the chunk size the run resolves
+  // to, not an "unset" 0.
+  const char* plain_argv[] = {"prog"};
+  ArgParser plain_args(1, const_cast<char**>(plain_argv));
+  EXPECT_EQ(obs::RunManifest::FromArgs("obs_test", plain_args).morsel_rows,
+            4096);
+
   const std::string out = dir.str() + "/manifest.json";
   FML_ASSERT_OK(m.WriteTo(out));
   std::ifstream in(out);

@@ -1,9 +1,9 @@
 // Parallel exactness: every trainer run on the exec/ morsel-driven
 // runtime must deliver the parameters of the serial run. The NN path
 // decomposes into row morsels (forward) and column morsels (W1 gradient),
-// both bit-identical; the GMM path merges per-worker accumulators in
-// worker order, which reorders floating-point additions — hence the
-// tolerance there.
+// both bit-identical; the full-pass families (GMM, linreg) accumulate one
+// slot per chunk of a thread-independent chunk plan and merge the slots in
+// chunk order, so they are bit-identical too.
 
 #include <cmath>
 #include <tuple>
@@ -13,6 +13,7 @@
 #include "gmm/gmm_model.h"
 #include "gmm/trainers.h"
 #include "gtest/gtest.h"
+#include "linreg/linreg.h"
 #include "nn/mlp.h"
 #include "nn/trainers.h"
 #include "storage/buffer_pool.h"
@@ -35,6 +36,23 @@ data::SyntheticSpec Spec(const std::string& dir, bool target) {
   spec.with_target = target;
   spec.seed = 33;
   return spec;
+}
+
+/// Larger than one default (4,096-row) chunk: the default plan has 5
+/// chunks, so a thread count that leaked into the merge would show.
+data::SyntheticSpec MultiChunkSpec(const std::string& dir, bool target) {
+  data::SyntheticSpec spec = Spec(dir, target);
+  spec.s_rows = 20000;
+  return spec;
+}
+
+void ExpectSameRun(const core::TrainReport& a, const core::TrainReport& b) {
+  EXPECT_EQ(a.final_objective, b.final_objective);
+  EXPECT_EQ(a.morsel_chunks, b.morsel_chunks);
+  EXPECT_EQ(a.ops.mults, b.ops.mults);
+  EXPECT_EQ(a.ops.adds, b.ops.adds);
+  EXPECT_EQ(a.ops.subs, b.ops.subs);
+  EXPECT_EQ(a.ops.exps, b.ops.exps);
 }
 
 gmm::GmmOptions GmmOpt(const std::string& dir, int threads) {
@@ -65,8 +83,9 @@ class GmmParallelExactnessTest
 TEST_P(GmmParallelExactnessTest, FourThreadsMatchOneThread) {
   TempDir dir;
   BufferPool pool(512);
-  auto rel =
-      std::move(GenerateSynthetic(Spec(dir.str(), false), &pool)).value();
+  auto rel = std::move(GenerateSynthetic(MultiChunkSpec(dir.str(), false),
+                                         &pool))
+                 .value();
 
   core::TrainReport r1, r4;
   pool.Clear();
@@ -78,18 +97,14 @@ TEST_P(GmmParallelExactnessTest, FourThreadsMatchOneThread) {
                                            GetParam(), &pool, &r4))
                       .value();
 
-  // Per-worker accumulators merge in worker order: identical parameters
-  // up to floating-point reassociation of the pass sums.
-  EXPECT_LT(gmm::GmmParams::MaxAbsDiff(serial, parallel), 1e-8);
-  EXPECT_NEAR(r1.final_objective, r4.final_objective,
-              1e-9 * std::fabs(r1.final_objective));
+  // morsel_rows is unset: the default chunk plan splits the pass into the
+  // same chunks at any thread count and merges them in chunk order, so the
+  // parallel run reproduces the serial bits and op stream exactly.
+  EXPECT_GT(r1.morsel_chunks, 1);
+  EXPECT_EQ(gmm::GmmParams::MaxAbsDiff(serial, parallel), 0.0);
+  ExpectSameRun(r1, r4);
   EXPECT_EQ(r1.threads, 1);
   EXPECT_EQ(r4.threads, 4);
-  // The parallel run executes the identical recurrence: the floating-point
-  // op stream is unchanged (merges are bookkeeping, not counted ops).
-  EXPECT_EQ(r1.ops.mults, r4.ops.mults);
-  EXPECT_EQ(r1.ops.subs, r4.ops.subs);
-  EXPECT_EQ(r1.ops.exps, r4.ops.exps);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, GmmParallelExactnessTest,
@@ -110,7 +125,7 @@ TEST(GmmParallelExactnessTest, MultiwayFactorizedMatches) {
   auto parallel = std::move(gmm::TrainGmmFactorized(rel, GmmOpt(dir.str(), 3),
                                                     &pool, nullptr))
                       .value();
-  EXPECT_LT(gmm::GmmParams::MaxAbsDiff(serial, parallel), 1e-8);
+  EXPECT_EQ(gmm::GmmParams::MaxAbsDiff(serial, parallel), 0.0);
 }
 
 TEST(GmmParallelExactnessTest, MoreThreadsThanRidsStillWorks) {
@@ -125,8 +140,45 @@ TEST(GmmParallelExactnessTest, MoreThreadsThanRidsStillWorks) {
   auto parallel = std::move(gmm::TrainGmmFactorized(rel, GmmOpt(dir.str(), 8),
                                                     &pool, nullptr))
                       .value();
-  EXPECT_LT(gmm::GmmParams::MaxAbsDiff(serial, parallel), 1e-8);
+  EXPECT_EQ(gmm::GmmParams::MaxAbsDiff(serial, parallel), 0.0);
 }
+
+// --------------------------------------------------------------- linreg
+
+class LinregParallelExactnessTest
+    : public ::testing::TestWithParam<core::Algorithm> {};
+
+TEST_P(LinregParallelExactnessTest, FourThreadsMatchOneThread) {
+  TempDir dir;
+  BufferPool pool(512);
+  auto rel = std::move(GenerateSynthetic(MultiChunkSpec(dir.str(), true),
+                                         &pool))
+                 .value();
+  linreg::LinregOptions opt;
+  opt.batch_rows = 256;
+  opt.temp_dir = dir.str();
+
+  core::TrainReport r1, r4;
+  opt.threads = 1;
+  pool.Clear();
+  auto serial =
+      std::move(core::TrainLinreg(rel, opt, GetParam(), &pool, &r1)).value();
+  opt.threads = 4;
+  pool.Clear();
+  auto parallel =
+      std::move(core::TrainLinreg(rel, opt, GetParam(), &pool, &r4)).value();
+
+  // Same contract as GMM: the Gram/cofactor partials are summed per chunk
+  // and merged in chunk order, whoever computed each chunk.
+  EXPECT_GT(r1.morsel_chunks, 1);
+  EXPECT_EQ(linreg::LinregModel::MaxAbsDiff(serial, parallel), 0.0);
+  ExpectSameRun(r1, r4);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, LinregParallelExactnessTest,
+                         ::testing::Values(core::Algorithm::kMaterialized,
+                                           core::Algorithm::kStreaming,
+                                           core::Algorithm::kFactorized));
 
 // ------------------------------------------------------------------- NN
 

@@ -498,8 +498,8 @@ TEST(KmeansTest, MultiwayFactorizedMatches) {
 
 // -------------------------------------- chunk-ordered scheduler parity
 //
-// The chunk-ordered determinism contract: with --morsel-rows set, the
-// full-pass plan is a fixed chunk list (a data invariant), every chunk
+// The chunk-ordered determinism contract: the full-pass plan is a fixed
+// chunk list (a data invariant, sized by --morsel-rows), every chunk
 // owns accumulator slot = its chunk id, and the reduction merges in chunk
 // order — so the thread count and the steal schedule can change who
 // computes a chunk but never what is merged. These runs must therefore be
@@ -637,22 +637,43 @@ TEST(StealingParityTest, SingleGiantRunStillBalancesAndMatches) {
   EXPECT_EQ(report.worker_busy_seconds.size(), 4u);
 }
 
-TEST(StealingParityTest, StealWithoutMorselRowsUsesDefaultChunking) {
-  // --steal=on alone must resolve to the default chunk size rather than
-  // silently running the legacy static partition.
+TEST(StealingParityTest, UnsetMorselRowsRunsTheDefaultChunkPlan) {
+  // Leaving morsel_rows unset — alone, with --steal=on or with --shards=2
+  // — must run the same plan, and produce the same bits, as an explicit
+  // 4,096-row chunk size. 20,000 fact rows make that plan 5 chunks.
   TempDir dir;
   BufferPool pool(512);
-  auto rel =
-      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
+  auto spec = Spec(dir.str(), true);
+  spec.s_rows = 20000;
+  auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
   linreg::LinregOptions opt;
   opt.temp_dir = dir.str();
   opt.threads = 2;
-  opt.steal = true;
-  core::TrainReport report;
-  auto m = core::TrainLinreg(rel, opt, core::Algorithm::kStreaming, &pool,
-                             &report);
-  ASSERT_TRUE(m.ok());
-  EXPECT_GT(report.morsel_chunks, 0);
+  opt.morsel_rows = 4096;
+  core::TrainReport base_report;
+  auto base = core::TrainLinreg(rel, opt, core::Algorithm::kStreaming, &pool,
+                                &base_report);
+  ASSERT_TRUE(base.ok());
+  EXPECT_EQ(base_report.morsel_chunks, 5);
+  const struct {
+    const char* name;
+    bool steal;
+    int shards;
+  } cases[] = {{"plain", false, 1}, {"steal", true, 1}, {"shards=2", false, 2}};
+  for (const auto& c : cases) {
+    opt.morsel_rows = 0;
+    opt.steal = c.steal;
+    opt.shards = c.shards;
+    core::TrainReport report;
+    auto m = core::TrainLinreg(rel, opt, core::Algorithm::kStreaming, &pool,
+                               &report);
+    ASSERT_TRUE(m.ok()) << c.name;
+    EXPECT_EQ(report.morsel_chunks, base_report.morsel_chunks) << c.name;
+    EXPECT_EQ(report.shards, c.shards) << c.name;
+    ExpectBitIdentical(report, base_report, c.name);
+    EXPECT_EQ(linreg::LinregModel::MaxAbsDiff(base.value(), m.value()), 0.0)
+        << c.name;
+  }
 }
 
 // ------------------------------------------------------- logreg parity
@@ -832,33 +853,6 @@ TEST(PrefetchParityTest, GmmPrefetchedRunsAreBitIdentical) {
       << "--prefetch=on never issued an async read: wiring regression?";
 }
 
-TEST(PrefetchParityTest, LegacyPartitionPrefetchMatchesToo) {
-  // Prefetch without chunking: the in-range double buffer alone (no
-  // next-chunk plan). Same bits as the demand-only static partition.
-  TempDir dir;
-  BufferPool pool(512);
-  auto rel =
-      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
-  linreg::LinregOptions opt;
-  opt.batch_rows = 256;
-  opt.temp_dir = dir.str();
-  opt.threads = 2;
-  pool.Clear();
-  core::TrainReport base_report;
-  auto base = core::TrainLinreg(rel, opt, core::Algorithm::kMaterialized,
-                                &pool, &base_report);
-  ASSERT_TRUE(base.ok());
-  opt.prefetch = true;
-  opt.prefetch_depth = 3;
-  pool.Clear();
-  core::TrainReport report;
-  auto pf = core::TrainLinreg(rel, opt, core::Algorithm::kMaterialized,
-                              &pool, &report);
-  ASSERT_TRUE(pf.ok());
-  ExpectBitIdentical(report, base_report, "legacy prefetch linreg");
-  EXPECT_EQ(linreg::LinregModel::MaxAbsDiff(base.value(), pf.value()), 0.0);
-}
-
 // --------------------------------------------------- shard-plane parity
 //
 // The sharded rid-range execution plane's determinism contract: shard =
@@ -1031,28 +1025,6 @@ TEST(ShardParityTest, ShardsExceedChunksAndGiantRunStayExact) {
   for (const auto& stat : report.shard_stats) {
     EXPECT_EQ(stat.chunk_end, stat.chunk_begin + 1);
   }
-}
-
-TEST(ShardParityTest, ShardsAloneResolveDefaultChunking) {
-  // --shards=N without --morsel-rows must resolve to the default chunk
-  // size (like --steal), not silently run the legacy static partition.
-  TempDir dir;
-  BufferPool pool(512);
-  auto rel =
-      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
-  linreg::LinregOptions opt;
-  opt.temp_dir = dir.str();
-  opt.threads = 2;
-  opt.shards = 2;
-  core::TrainReport report;
-  auto m = core::TrainLinreg(rel, opt, core::Algorithm::kStreaming, &pool,
-                             &report);
-  ASSERT_TRUE(m.ok());
-  // Chunked mode engaged (the 3000-row dataset fits one default-size
-  // chunk, so the effective shard count caps at the chunk count).
-  EXPECT_GT(report.morsel_chunks, 0);
-  EXPECT_EQ(report.shards,
-            static_cast<int>(std::min<int64_t>(2, report.morsel_chunks)));
 }
 
 TEST(ShardParityTest, MiniBatchFamilyRejectsShards) {
@@ -1741,8 +1713,8 @@ TEST(SlotMemoryTest, RidScopedSlotsStayFarBelowFullDomainSizing) {
   const double full_domain_cost = 30.0 * one_slot;
   EXPECT_LT(chunked_bytes, 0.25 * full_domain_cost)
       << "slot memory grew like the pre-fix full-domain sizing "
-      << "(chunked " << chunked_bytes << " vs legacy " << full_domain_cost
-      << ")";
+      << "(chunked " << chunked_bytes << " vs full-domain "
+      << full_domain_cost << ")";
 }
 
 }  // namespace

@@ -475,6 +475,51 @@ TEST(ShardJobSpecTest, OutOfRangeEnumBytesRejectedNamingTheField) {
   }
 }
 
+TEST(ShardJobSpecTest, UnresolvedKnobsRejectedNamingTheField) {
+  // The coordinator ships resolved knobs, so a worker must reject an
+  // "unset" morsel_rows and any int count outside [1, INT_MAX] rather
+  // than cast it.
+  const core::pipeline::ShardJobSpec spec = FullSpec();
+  const std::string good = core::pipeline::EncodeShardJobSpec(spec);
+  // batch_rows, threads, morsel_rows (3 x 8), steal, prefetch (2 x 1),
+  // prefetch_depth, shards (2 x 8) follow the algorithm byte.
+  const size_t knobs = AlgorithmOffset(spec) + 1;
+  const size_t threads_at = knobs + 8, morsel_at = knobs + 16,
+               depth_at = knobs + 26, shards_at = knobs + 34;
+  const auto at = [&](size_t offset) {
+    int64_t v = 0;
+    std::memcpy(&v, &good[offset], sizeof(v));
+    return v;
+  };
+  ASSERT_EQ(at(threads_at), spec.strategy.threads);
+  ASSERT_EQ(at(morsel_at), spec.strategy.morsel_rows);
+  ASSERT_EQ(at(depth_at), spec.strategy.prefetch_depth);
+  ASSERT_EQ(at(shards_at), spec.strategy.shards);
+  const int64_t too_big = int64_t{INT_MAX} + 1;
+  const struct {
+    size_t offset;
+    int64_t value;
+    const char* field;
+  } cases[] = {
+      {threads_at, 0, "threads"},
+      {threads_at, too_big, "threads"},
+      {morsel_at, 0, "morsel_rows"},
+      {morsel_at, -1, "morsel_rows"},
+      {depth_at, 0, "prefetch_depth"},
+      {depth_at, too_big, "prefetch_depth"},
+      {shards_at, -5, "shards"},
+      {shards_at, too_big, "shards"},
+  };
+  for (const auto& c : cases) {
+    std::string blob = good;
+    std::memcpy(&blob[c.offset], &c.value, sizeof(c.value));
+    const auto decoded = core::pipeline::DecodeShardJobSpec(blob);
+    ASSERT_FALSE(decoded.ok()) << c.field << "=" << c.value;
+    EXPECT_NE(decoded.status().ToString().find(c.field), std::string::npos)
+        << decoded.status().ToString();
+  }
+}
+
 TEST(ShardJobSpecTest, GmmBlobInitByteRejected) {
   gmm::GmmOptions opt;
   opt.init = gmm::GmmInit::kRandomRows;

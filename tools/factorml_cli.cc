@@ -32,12 +32,12 @@
 // the serial reproduction. `--buffer-pages=N` (train subcommands, default
 // 8192) sizes the buffer pool.
 //
-// `--morsel-rows=N` (any train subcommand, default 0) switches full
-// passes to the chunk-ordered work scheduler: the pass becomes fixed
-// N-row chunks (whole FK1 runs for the S/F strategies) reduced in chunk
-// order, so results depend on N but not on --threads. `--steal=on`
-// additionally lets idle workers take chunks from busy ones — same bits,
-// better balance on skewed FK1 runs.
+// `--morsel-rows=N` (any train subcommand, default 4096) sizes the chunks
+// of every full pass: the pass becomes fixed N-row chunks (whole FK1 runs
+// for the S/F strategies) reduced in chunk order, so results depend on
+// the data and N but not on --threads. `--steal=on` additionally lets
+// idle workers take chunks from busy ones — same bits, better balance on
+// skewed FK1 runs.
 //
 // `--prefetch=on` (any train subcommand, default off) turns on the
 // unified I/O cursor plane's asynchronous double-buffered prefetch: while
@@ -53,11 +53,10 @@
 // window and busy time in the TrainReport), its accumulator slots are
 // round-tripped through serialized ShardDelta bytes — the wire seam a
 // distributed backend plugs into — and the deltas merge in shard-id
-// order. Implies `--morsel-rows` (default chunk size when unset);
-// objectives, params and op counts are bit-identical to --shards=1 at the
-// same resolved morsel size for any --threads/--steal/--prefetch, and
-// total page I/O matches too when steal and prefetch are off. The NN
-// family (mini-batch SGD) rejects --shards > 1.
+// order. Objectives, params and op counts are bit-identical to
+// --shards=1 at the same --morsel-rows for any --threads, --steal and
+// --prefetch, and total page I/O matches too when steal and prefetch are
+// off. The NN family (mini-batch SGD) rejects --shards > 1.
 //
 // `--shard-backend=inproc|process` (any full-pass train subcommand,
 // default inproc) selects where the shard scans execute. `inproc` drives
