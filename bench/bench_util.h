@@ -26,9 +26,12 @@ namespace factorml::bench {
 /// reproduction), `--io_delay_us` (simulated device latency per page
 /// transfer) and `--trace=PATH` / `--trace-buffer-kb=N` (span tracing;
 /// the Chrome trace-event JSON — with the run manifest as otherData — is
-/// flushed at exit). Call first thing in main().
-inline void ApplyCommonBenchFlags(const ArgParser& args,
-                                  const char* bench_name = "bench") {
+/// flushed at exit). Call first thing in main(). A bench whose
+/// `--morsel-rows` default differs from the engine's passes it as
+/// `default_morsel_rows`, so the trace manifest records the size it ran.
+inline void ApplyCommonBenchFlags(
+    const ArgParser& args, const char* bench_name = "bench",
+    int64_t default_morsel_rows = exec::kDefaultMorselRows) {
   exec::SetDefaultThreads(args.GetThreads(1));
   if (args.Has("io_delay_us")) {
     const auto us = static_cast<uint64_t>(args.GetInt("io_delay_us", 0));
@@ -41,7 +44,9 @@ inline void ApplyCommonBenchFlags(const ArgParser& args,
     // (atexit takes a plain function pointer).
     static std::string path, manifest;
     path = trace_path;
-    manifest = obs::RunManifest::FromArgs(bench_name, args).ToJson();
+    manifest = obs::RunManifest::FromArgs(bench_name, args,
+                                          default_morsel_rows)
+                   .ToJson();
     obs::Tracer::Instance().Start(
         static_cast<size_t>(args.GetTraceBufferKb()));
     std::atexit([] {
@@ -181,10 +186,13 @@ inline Trio RunNnAll(const join::NormalizedRelations& rel,
 ///                                 compared bitwise)
 class JsonReport {
  public:
-  JsonReport(const char* bench_name, const ArgParser& args)
+  JsonReport(const char* bench_name, const ArgParser& args,
+             int64_t default_morsel_rows = exec::kDefaultMorselRows)
       : bench_(bench_name),
         path_(args.GetString("json", "")),
-        manifest_(obs::RunManifest::FromArgs(bench_name, args).ToJson()) {}
+        manifest_(obs::RunManifest::FromArgs(bench_name, args,
+                                             default_morsel_rows)
+                      .ToJson()) {}
   ~JsonReport() { Write(); }
   JsonReport(const JsonReport&) = delete;
   JsonReport& operator=(const JsonReport&) = delete;

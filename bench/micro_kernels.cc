@@ -413,10 +413,12 @@ BENCHMARK(BM_SigmoidStrip)->ArgsProduct({{8}, {0, 1}});
 
 // ---------------------------------------------------------------------
 // --json=PATH roofline sweep (the BENCH_kernels.json CI artifact): times
-// every kernel of both tables on one strip at d in {8, 32}, and records
-// achieved GFLOP/s and effective GB/s next to the resolved backend and
-// CPU features — enough to place each kernel against the machine's
+// every kernel of both tables on one strip at d in {5, 8, 20, 32}, and
+// records achieved GFLOP/s and effective GB/s next to the resolved backend
+// and CPU features — enough to place each kernel against the machine's
 // compute/bandwidth ceilings and track the scalar/simd ratio over time.
+// d = 20 is the joined width of the gmm-fit and kmeans-shards benchmark
+// workloads, d = 5 their S slice (the factorized strategy's strip width).
 
 void WriteKernelRoofline(const std::string& path) {
   constexpr size_t kRows = kStripRows;
@@ -427,7 +429,7 @@ void WriteKernelRoofline(const std::string& path) {
   }
   std::fprintf(f, "[\n");
   bool first = true;
-  for (const size_t d : {size_t{8}, size_t{32}}) {
+  for (const size_t d : {size_t{5}, size_t{8}, size_t{20}, size_t{32}}) {
     StripData s(d, kRows, 31);
     std::vector<double> gram(d * d, 0.0);
     la::Matrix a = RandomMatrix(d, d, 32);

@@ -35,17 +35,21 @@ bool BitEq(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+// This bench's --morsel-rows default (the engine's is 4,096). The run
+// manifest records it when the flag is unset.
+constexpr int64_t kMorselRows = 1024;
+
 int Main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  ApplyCommonBenchFlags(args);
+  ApplyCommonBenchFlags(args, "shard_scaling", kMorselRows);
   const int threads = args.GetThreads(4);
   const int64_t s_rows = args.GetInt("s-rows", 60000);
   const int64_t r_rows = args.GetInt("r-rows", 300);
-  const int64_t morsel_rows = args.GetMorselRows(1024);
+  const int64_t morsel_rows = args.GetMorselRows(kMorselRows);
   const int iters = static_cast<int>(args.GetInt("iters", 3));
   const std::vector<int64_t> shard_counts =
       args.GetIntList("shards-list", {1, 2, 4});
-  JsonReport json("shard_scaling", args);
+  JsonReport json("shard_scaling", args, kMorselRows);
 
   BenchDir dir;
   data::SyntheticSpec spec;

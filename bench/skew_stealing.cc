@@ -40,16 +40,20 @@ BusySpread Spread(const core::TrainReport& r) {
   return s;
 }
 
+// This bench's --morsel-rows default (the engine's is 4,096). The run
+// manifest records it when the flag is unset.
+constexpr int64_t kMorselRows = 1024;
+
 int Main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  ApplyCommonBenchFlags(args);
+  ApplyCommonBenchFlags(args, "skew_stealing", kMorselRows);
   const int threads = args.GetThreads(4);
   const int64_t s_rows = args.GetInt("s-rows", 60000);
   const int64_t r_rows = args.GetInt("r-rows", 300);
-  const int64_t morsel_rows = args.GetMorselRows(1024);
+  const int64_t morsel_rows = args.GetMorselRows(kMorselRows);
   const int iters = static_cast<int>(args.GetInt("iters", 3));
   std::vector<int64_t> zipf_tenths = args.GetIntList("zipf10", {0, 10, 16});
-  JsonReport json("skew_stealing", args);
+  JsonReport json("skew_stealing", args, kMorselRows);
 
   std::printf(
       "k-means (factorized) on %lld fact rows over %lld FK1 runs, "

@@ -24,7 +24,9 @@ namespace factorml::la {
 ///    at the baseline ISA. On x86-64 that is SSE2; on aarch64 the same
 ///    source lowers to NEON. Fixed multi-accumulator reduction order, so
 ///    results are deterministic per build but differ from scalar by
-///    reassociation — the tolerance contract.
+///    reassociation — the tolerance contract. The strip kernels are
+///    register-blocked, and blocking never changes a bit: each output
+///    keeps the one accumulation chain a standalone call gives it.
 ///  - `avx2` — the identical vector source re-compiled per-function with
 ///    `target("avx2,fma")`, selected at runtime via __builtin_cpu_supports.
 ///
@@ -55,7 +57,9 @@ struct Kernels {
   // gram[i*ldg + j] += sum_r w[r] * cols[i][r] * cols[j][r] over the full
   // (symmetric) d x d square; w == nullptr means unit weights. Batches the
   // per-row rank-1 AddOuter of the linreg/logreg Gram update and the GMM
-  // covariance moment.
+  // covariance moment. Vector backends: each upper-triangle sum (i <= j)
+  // is mirrored, and row i sweeps four j columns per pass with one chain
+  // per (i, j) — the chain a 2-column call on {cols[i], cols[j]} runs.
   void (*syrk_strip)(const double* const* cols, size_t d, size_t rows,
                      const double* w, double* gram, size_t ldg);
   // out[r] = sum_j v[j] * cols[j][r] — the transposed-gemv shape of the
@@ -64,14 +68,22 @@ struct Kernels {
                         const double* v, double* out);
   // acc[j] += sum_r w[r] * cols[j][r]; w == nullptr means unit weights.
   // Batches the per-row Axpy of the cofactor / weighted-mean updates.
+  // Vector backends sweep four columns per pass, one chain per column —
+  // column j's bits equal a 1-column call's.
   void (*colsum_strip)(const double* const* cols, size_t d, size_t rows,
                        const double* w, double* acc);
   // out[r] = sum_j (cols[j][r] - center[j])^2 — one k-means distance
-  // column per call.
+  // column per call. Vector backends hold 16 rows of `out` in registers
+  // across all d columns (then 4-row blocks, then a scalar tail); each
+  // row adds its terms in column order.
   void (*dist_strip)(const double* const* cols, size_t d, size_t rows,
                      const double* center, double* out);
   // out[r] = diff_r^T A diff_r where diff is d x rows row-major
   // (diff[i*rows + r]) — the batched GMM responsibility quadratic form.
+  // Vector backends sweep 16 rows (then 4, then a scalar tail) x 2
+  // precision rows, sharing the a_ij broadcasts and diff_j loads; each
+  // row forms t_i = sum_j a_ij diff_j in j order, then adds diff_i t_i
+  // in i order.
   void (*quadform_strip)(const double* diff, size_t d, size_t rows,
                          const double* a, size_t lda, double* out);
 

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/json.h"
-#include "exec/parallel_for.h"
 #include "la/kernels.h"
 
 namespace factorml::obs {
@@ -18,12 +17,13 @@ const char* GitDescribe() {
 }
 
 RunManifest RunManifest::FromArgs(const std::string& binary,
-                                  const ArgParser& args) {
+                                  const ArgParser& args,
+                                  int64_t default_morsel_rows) {
   RunManifest m;
   m.binary = binary;
   m.git_describe = GitDescribe();
   m.threads = args.GetThreads(1);
-  m.morsel_rows = args.GetMorselRows(exec::kDefaultMorselRows);
+  m.morsel_rows = args.GetMorselRows(default_morsel_rows);
   m.steal = args.GetSteal(false);
   m.shards = args.GetShards(1);
   m.prefetch = args.GetPrefetch(false);

@@ -6,6 +6,7 @@
 
 #include "common/flags.h"
 #include "common/status.h"
+#include "exec/parallel_for.h"
 
 namespace factorml::obs {
 
@@ -35,9 +36,12 @@ struct RunManifest {
 
   /// Captures the shared runtime flags (threads/morsel-rows/steal/shards/
   /// prefetch/buffer-pages/seed/trace) through the same validating getters
-  /// the binaries use, plus the compiled-in git describe.
-  static RunManifest FromArgs(const std::string& binary,
-                              const ArgParser& args);
+  /// the binaries use, plus the compiled-in git describe. An unset
+  /// --morsel-rows records `default_morsel_rows`: a binary with its own
+  /// default passes it, so the manifest names the size its runs used.
+  static RunManifest FromArgs(
+      const std::string& binary, const ArgParser& args,
+      int64_t default_morsel_rows = exec::kDefaultMorselRows);
 
   /// One JSON object; keys are fixed, values resolved (never the raw flag
   /// strings).

@@ -528,51 +528,72 @@ TEST(KernelsTest, SimdPrimitivesMatchScalarToTolerance) {
   EXPECT_LT(Matrix::MaxAbsDiff(o_s, o_v), 1e-12);
 }
 
+/// Strip widths and heights that cross every block boundary of the vector
+/// strip kernels: the 4-column and 2-precision-row sweeps, the 16- and
+/// 4-row lane blocks, and the scalar row tails.
+constexpr size_t kGridD[] = {1, 2, 5, 20, 33};
+constexpr size_t kGridRows[] = {1, 3, 4, 15, 16, 17, 31, 203, 256, 259};
+
 TEST(KernelsTest, StripKernelsMatchScalarToTolerance) {
-  Rng rng(11);
-  const size_t d = 7, rows = 203;  // short tail after the 4-wide lanes
-  TestStrip strip(d, rows, &rng);
-  std::vector<double> w(rows);
-  for (auto& v : w) v = rng.NextUniform(0.25, 1.25);
   const Kernels& scalar = Active();
   SelectKernels(KernelMode::kSimd);
   const Kernels& simd = Active();
   SelectKernels(KernelMode::kScalar);
+  for (const size_t d : kGridD) {
+    for (const size_t rows : kGridRows) {
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " rows=" << rows);
+      Rng rng(11 + 1000 * d + rows);
+      TestStrip strip(d, rows, &rng);
+      std::vector<double> w(rows);
+      for (auto& v : w) v = rng.NextUniform(0.25, 1.25);
 
-  const double* weight_opts[] = {nullptr, w.data()};
-  for (const double* weights : weight_opts) {
-    Matrix g_s(d, d), g_v(d, d);
-    scalar.syrk_strip(strip.cols.data(), d, rows, weights, g_s.data(), d);
-    simd.syrk_strip(strip.cols.data(), d, rows, weights, g_v.data(), d);
-    EXPECT_LT(Matrix::MaxAbsDiff(g_s, g_v), 1e-9);
-    // The vector backend mirrors the upper triangle: exact symmetry.
-    for (size_t i = 0; i < d; ++i) {
-      for (size_t j = 0; j < d; ++j) ASSERT_EQ(g_v(i, j), g_v(j, i));
+      const double* weight_opts[] = {nullptr, w.data()};
+      for (const double* weights : weight_opts) {
+        Matrix g_s(d, d), g_v(d, d);
+        scalar.syrk_strip(strip.cols.data(), d, rows, weights, g_s.data(), d);
+        simd.syrk_strip(strip.cols.data(), d, rows, weights, g_v.data(), d);
+        for (size_t i = 0; i < d; ++i) {
+          for (size_t j = 0; j < d; ++j) {
+            ASSERT_NEAR(g_s(i, j), g_v(i, j), 1e-9) << i << "," << j;
+            // The vector backend mirrors the upper triangle: exact symmetry.
+            ASSERT_EQ(g_v(i, j), g_v(j, i));
+          }
+        }
+        std::vector<double> acc_s(d, 0.5), acc_v(d, 0.5);
+        scalar.colsum_strip(strip.cols.data(), d, rows, weights,
+                            acc_s.data());
+        simd.colsum_strip(strip.cols.data(), d, rows, weights, acc_v.data());
+        for (size_t j = 0; j < d; ++j) {
+          ASSERT_NEAR(acc_s[j], acc_v[j], 1e-9) << j;
+        }
+      }
+
+      std::vector<double> v(d), out_s(rows), out_v(rows);
+      for (auto& x : v) x = rng.NextGaussian();
+      scalar.col_dot_strip(strip.cols.data(), d, rows, v.data(),
+                           out_s.data());
+      simd.col_dot_strip(strip.cols.data(), d, rows, v.data(), out_v.data());
+      for (size_t r = 0; r < rows; ++r) {
+        ASSERT_NEAR(out_s[r], out_v[r], 1e-10) << r;
+      }
+
+      scalar.dist_strip(strip.cols.data(), d, rows, v.data(), out_s.data());
+      simd.dist_strip(strip.cols.data(), d, rows, v.data(), out_v.data());
+      for (size_t r = 0; r < rows; ++r) {
+        ASSERT_NEAR(out_s[r], out_v[r], 1e-10) << r;
+      }
+
+      // quadform takes the centered strip as one d x rows block.
+      Matrix a = RandomMatrix(d, d, &rng);
+      scalar.quadform_strip(strip.data.data(), d, rows, a.data(), d,
+                            out_s.data());
+      simd.quadform_strip(strip.data.data(), d, rows, a.data(), d,
+                          out_v.data());
+      for (size_t r = 0; r < rows; ++r) {
+        ASSERT_NEAR(out_s[r], out_v[r], 1e-9) << r;
+      }
     }
   }
-
-  std::vector<double> v(d), out_s(rows), out_v(rows);
-  for (auto& x : v) x = rng.NextGaussian();
-  scalar.col_dot_strip(strip.cols.data(), d, rows, v.data(), out_s.data());
-  simd.col_dot_strip(strip.cols.data(), d, rows, v.data(), out_v.data());
-  for (size_t r = 0; r < rows; ++r) ASSERT_NEAR(out_s[r], out_v[r], 1e-10);
-
-  std::vector<double> acc_s(d, 0.0), acc_v(d, 0.0);
-  scalar.colsum_strip(strip.cols.data(), d, rows, w.data(), acc_s.data());
-  simd.colsum_strip(strip.cols.data(), d, rows, w.data(), acc_v.data());
-  for (size_t j = 0; j < d; ++j) ASSERT_NEAR(acc_s[j], acc_v[j], 1e-9);
-
-  scalar.dist_strip(strip.cols.data(), d, rows, v.data(), out_s.data());
-  simd.dist_strip(strip.cols.data(), d, rows, v.data(), out_v.data());
-  for (size_t r = 0; r < rows; ++r) ASSERT_NEAR(out_s[r], out_v[r], 1e-10);
-
-  // quadform takes the centered strip as one d x rows block.
-  Matrix a = RandomMatrix(d, d, &rng);
-  scalar.quadform_strip(strip.data.data(), d, rows, a.data(), d,
-                        out_s.data());
-  simd.quadform_strip(strip.data.data(), d, rows, a.data(), d,
-                      out_v.data());
-  for (size_t r = 0; r < rows; ++r) ASSERT_NEAR(out_s[r], out_v[r], 1e-9);
 }
 
 /// RAII: pins FACTORML_KERNELS_BACKEND for the test body (nullptr =
@@ -600,6 +621,108 @@ struct ScopedBackendEnv {
   std::string prev_;
   bool had_prev_ = false;
 };
+
+bool SameBits(const double* a, const double* b, size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+// The bit guards below pin how the vector strip kernels may block their
+// work: a wider sweep shares loads and broadcasts across outputs, but each
+// output keeps the one accumulation chain a standalone call gives it. So
+// every output must equal, bit for bit, the same output computed alone.
+// They hold on every backend, scalar included.
+
+TEST(KernelsTest, RowKernelsKeepEachRowsChainOnEveryBackend) {
+  // quadform_strip and dist_strip: a row inside a 4-row lane block equals
+  // that row in a standalone 4-row strip; a tail row equals a 1-row call.
+  for (const char* backend : {"scalar", "portable", "native"}) {
+    SCOPED_TRACE(backend);
+    ScopedBackendEnv env(backend);
+    ScopedKernels simd(KernelMode::kSimd);
+    const Kernels& kern = Active();
+    for (const size_t d : kGridD) {
+      for (const size_t rows : kGridRows) {
+        SCOPED_TRACE(::testing::Message() << "d=" << d << " rows=" << rows);
+        Rng rng(31 + 1000 * d + rows);
+        TestStrip strip(d, rows, &rng);
+        Matrix a = RandomMatrix(d, d, &rng);
+        std::vector<double> center(d);
+        for (auto& x : center) x = rng.NextGaussian();
+        std::vector<double> quad(rows), dist(rows);
+        kern.quadform_strip(strip.data.data(), d, rows, a.data(), d,
+                            quad.data());
+        kern.dist_strip(strip.cols.data(), d, rows, center.data(),
+                        dist.data());
+        const size_t blocked = rows - rows % 4;
+        for (size_t r0 = 0; r0 < rows;) {
+          const size_t n = r0 < blocked ? 4 : 1;
+          // The standalone strip: rows [r0, r0 + n) of every column.
+          std::vector<double> sub(d * n);
+          std::vector<const double*> sub_cols(d);
+          for (size_t j = 0; j < d; ++j) {
+            std::memcpy(sub.data() + j * n, strip.cols[j] + r0,
+                        n * sizeof(double));
+            sub_cols[j] = sub.data() + j * n;
+          }
+          std::vector<double> q(n), dd(n);
+          kern.quadform_strip(sub.data(), d, n, a.data(), d, q.data());
+          kern.dist_strip(sub_cols.data(), d, n, center.data(), dd.data());
+          ASSERT_TRUE(SameBits(q.data(), quad.data() + r0, n)) << "r=" << r0;
+          ASSERT_TRUE(SameBits(dd.data(), dist.data() + r0, n))
+              << "r=" << r0;
+          r0 += n;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, ColumnKernelsKeepEachEntrysChainOnEveryBackend) {
+  // syrk_strip: entries (i, j) and (j, i), i <= j, equal the off-diagonal
+  // entries of a 2-column call on {c_i, c_j} (the weighted product rounds
+  // w * c_i first, so the pair's order matters); colsum_strip: column j
+  // equals a 1-column call.
+  for (const char* backend : {"scalar", "portable", "native"}) {
+    SCOPED_TRACE(backend);
+    ScopedBackendEnv env(backend);
+    ScopedKernels simd(KernelMode::kSimd);
+    const Kernels& kern = Active();
+    for (const size_t d : kGridD) {
+      for (const size_t rows : kGridRows) {
+        SCOPED_TRACE(::testing::Message() << "d=" << d << " rows=" << rows);
+        Rng rng(37 + 1000 * d + rows);
+        TestStrip strip(d, rows, &rng);
+        std::vector<double> w(rows);
+        for (auto& x : w) x = rng.NextUniform(0.25, 1.25);
+        const double* weight_opts[] = {nullptr, w.data()};
+        for (const double* weights : weight_opts) {
+          SCOPED_TRACE(weights == nullptr ? "unit" : "weighted");
+          Matrix gram(d, d);
+          kern.syrk_strip(strip.cols.data(), d, rows, weights, gram.data(),
+                          d);
+          for (size_t i = 0; i < d; ++i) {
+            for (size_t j = i; j < d; ++j) {
+              const double* pair[] = {strip.cols[i], strip.cols[j]};
+              Matrix g2(2, 2);
+              kern.syrk_strip(pair, 2, rows, weights, g2.data(), 2);
+              ASSERT_TRUE(SameBits(&g2(0, 1), &gram(i, j), 1))
+                  << i << "," << j;
+              ASSERT_TRUE(SameBits(&g2(1, 0), &gram(j, i), 1))
+                  << j << "," << i;
+            }
+          }
+          std::vector<double> acc(d, 0.5);
+          kern.colsum_strip(strip.cols.data(), d, rows, weights, acc.data());
+          for (size_t j = 0; j < d; ++j) {
+            double one = 0.5;
+            kern.colsum_strip(&strip.cols[j], 1, rows, weights, &one);
+            ASSERT_TRUE(SameBits(&one, &acc[j], 1)) << j;
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(KernelsTest, GemmStripMatchesNaiveOnEveryBackend) {
   Rng rng(17);

@@ -382,6 +382,22 @@ TEST(ManifestTest, FromArgsResolvesAndRoundTrips) {
   EXPECT_EQ(line, json);
 }
 
+TEST(ManifestTest, FromArgsRecordsTheCallersMorselDefault) {
+  // A binary with its own --morsel-rows default (the stealing and shard
+  // benches run 1,024-row chunks) passes it through; the flag still wins.
+  const char* plain_argv[] = {"prog"};
+  ArgParser plain_args(1, const_cast<char**>(plain_argv));
+  const obs::RunManifest m =
+      obs::RunManifest::FromArgs("obs_test", plain_args, 1024);
+  EXPECT_EQ(m.morsel_rows, 1024);
+  EXPECT_NE(m.ToJson().find("\"morsel_rows\": 1024"), std::string::npos);
+
+  const char* argv[] = {"prog", "--morsel-rows=300"};
+  ArgParser args(2, const_cast<char**>(argv));
+  EXPECT_EQ(obs::RunManifest::FromArgs("obs_test", args, 1024).morsel_rows,
+            300);
+}
+
 TEST(ManifestTest, JsonEscapesFreeFormFields) {
   obs::RunManifest m;
   m.binary = "a\"b\\c";
