@@ -27,11 +27,13 @@ namespace factorml::bench {
 /// transfer) and `--trace=PATH` / `--trace-buffer-kb=N` (span tracing;
 /// the Chrome trace-event JSON — with the run manifest as otherData — is
 /// flushed at exit). Call first thing in main(). A bench whose
-/// `--morsel-rows` default differs from the engine's passes it as
-/// `default_morsel_rows`, so the trace manifest records the size it ran.
+/// `--morsel-rows` or `--threads` default differs from the engine's passes
+/// it as `default_morsel_rows` / `default_threads`, so the trace manifest
+/// records the chunk size and thread count it ran.
 inline void ApplyCommonBenchFlags(
     const ArgParser& args, const char* bench_name = "bench",
-    int64_t default_morsel_rows = exec::kDefaultMorselRows) {
+    int64_t default_morsel_rows = exec::kDefaultMorselRows,
+    int default_threads = 1) {
   exec::SetDefaultThreads(args.GetThreads(1));
   if (args.Has("io_delay_us")) {
     const auto us = static_cast<uint64_t>(args.GetInt("io_delay_us", 0));
@@ -45,7 +47,7 @@ inline void ApplyCommonBenchFlags(
     static std::string path, manifest;
     path = trace_path;
     manifest = obs::RunManifest::FromArgs(bench_name, args,
-                                          default_morsel_rows)
+                                          default_morsel_rows, default_threads)
                    .ToJson();
     obs::Tracer::Instance().Start(
         static_cast<size_t>(args.GetTraceBufferKb()));
@@ -187,11 +189,13 @@ inline Trio RunNnAll(const join::NormalizedRelations& rel,
 class JsonReport {
  public:
   JsonReport(const char* bench_name, const ArgParser& args,
-             int64_t default_morsel_rows = exec::kDefaultMorselRows)
+             int64_t default_morsel_rows = exec::kDefaultMorselRows,
+             int default_threads = 1)
       : bench_(bench_name),
         path_(args.GetString("json", "")),
         manifest_(obs::RunManifest::FromArgs(bench_name, args,
-                                             default_morsel_rows)
+                                             default_morsel_rows,
+                                             default_threads)
                       .ToJson()) {}
   ~JsonReport() { Write(); }
   JsonReport(const JsonReport&) = delete;

@@ -235,16 +235,17 @@ BENCHMARK_REGISTER_F(Fig3ScalingFixture, BM_FNnThreads)
 
 constexpr size_t kStripRows = 256;  // storage::kDefaultStripRows
 constexpr size_t kNh = 16;          // NN hidden width for the gemm shapes
+constexpr size_t kNnEpochsNh = 50;  // the nn-epochs benchmark's width
 constexpr size_t kGatherRows = 64;  // attribute-table height for gathers
 
 /// One decoded strip's worth of random columns plus the small operands
 /// the strip kernels take, including the gemm/gather operands of the NN
 /// epoch plane (W1 slice, transposed activation block, partial-cache
-/// rows and a rid column).
+/// rows and a rid column). The gemm operands fit either hidden width.
 struct StripData {
   StripData(size_t d, size_t rows, uint64_t seed)
       : data(d * rows), w(rows), v(d), center(d), out(rows), cols(d),
-        w1(kNh * d), ct(kNh * rows), grad(kNh * d),
+        w1(kNnEpochsNh * d), ct(kNnEpochsNh * rows), grad(kNnEpochsNh * d),
         base(kGatherRows * kNh), gout(rows * kNh), idx(rows) {
     Rng rng(seed);
     for (double& x : data) x = rng.NextGaussian();
@@ -417,8 +418,10 @@ BENCHMARK(BM_SigmoidStrip)->ArgsProduct({{8}, {0, 1}});
 // records achieved GFLOP/s and effective GB/s next to the resolved backend
 // and CPU features — enough to place each kernel against the machine's
 // compute/bandwidth ceilings and track the scalar/simd ratio over time.
-// d = 20 is the joined width of the gmm-fit and kmeans-shards benchmark
-// workloads, d = 5 their S slice (the factorized strategy's strip width).
+// d = 20 is the joined width of the gmm-fit, kmeans-shards and nn-epochs
+// benchmark workloads, d = 5 their S slice (the factorized strategy's
+// strip width). The NN kernels record their hidden width `nh` (null for
+// the others); the two gemm shapes also run at nn-epochs' nh = 50.
 
 void WriteKernelRoofline(const std::string& path) {
   constexpr size_t kRows = kStripRows;
@@ -436,69 +439,84 @@ void WriteKernelRoofline(const std::string& path) {
     std::vector<double> y(d, 0.0);
     struct Cell {
       const char* kernel;
+      size_t nh;              // NN hidden width; 0 = not an NN kernel
       uint64_t flops, bytes;  // per call
       void (*run)(const la::Kernels&, StripData&, std::vector<double>&,
-                  const la::Matrix&, std::vector<double>&, size_t);
+                  const la::Matrix&, std::vector<double>&, size_t d,
+                  size_t nh);
+    };
+    // The NN forward C(nh x rows) = W1(nh x d) * strip and backward
+    // G(nh x d) += delta^T(nh x rows) * strip^T.
+    const auto gemm = [d](size_t nh) {
+      return Cell{"gemm_strip", nh, 2 * kRows * nh * d,
+                  (d * kRows + nh * d + nh * kRows) * 8,
+                  [](const la::Kernels& k, StripData& s, std::vector<double>&,
+                     const la::Matrix&, std::vector<double>&, size_t d,
+                     size_t nh) {
+                    k.gemm_strip(s.w1.data(), d, s.data.data(), kRows, nh,
+                                 kRows, d, s.ct.data(), kRows,
+                                 /*trans_b=*/false, /*accumulate=*/false);
+                  }};
+    };
+    const auto gemm_t = [d](size_t nh) {
+      return Cell{"gemm_strip_t", nh, 2 * kRows * nh * d,
+                  (d * kRows + nh * kRows + 2 * nh * d) * 8,
+                  [](const la::Kernels& k, StripData& s, std::vector<double>&,
+                     const la::Matrix&, std::vector<double>&, size_t d,
+                     size_t nh) {
+                    k.gemm_strip(s.ct.data(), kRows, s.data.data(), kRows, nh,
+                                 d, kRows, s.grad.data(), d, /*trans_b=*/true,
+                                 /*accumulate=*/true);
+                  }};
     };
     const Cell cells[] = {
-        {"syrk_strip", 2 * kRows * d * d + 2 * kRows * d,
+        {"syrk_strip", 0, 2 * kRows * d * d + 2 * kRows * d,
          (d * kRows + kRows + 2 * d * d) * 8,
          [](const la::Kernels& k, StripData& s, std::vector<double>& gram,
-            const la::Matrix&, std::vector<double>&, size_t d) {
+            const la::Matrix&, std::vector<double>&, size_t d, size_t) {
            k.syrk_strip(s.cols.data(), d, kRows, s.w.data(), gram.data(),
                         d);
          }},
-        {"col_dot_strip", 2 * kRows * d, (d * kRows + d + kRows) * 8,
+        {"col_dot_strip", 0, 2 * kRows * d, (d * kRows + d + kRows) * 8,
          [](const la::Kernels& k, StripData& s, std::vector<double>&,
-            const la::Matrix&, std::vector<double>&, size_t d) {
+            const la::Matrix&, std::vector<double>&, size_t d, size_t) {
            k.col_dot_strip(s.cols.data(), d, kRows, s.v.data(),
                            s.out.data());
          }},
-        {"colsum_strip", 2 * kRows * d, (d * kRows + kRows + 2 * d) * 8,
+        {"colsum_strip", 0, 2 * kRows * d, (d * kRows + kRows + 2 * d) * 8,
          [](const la::Kernels& k, StripData& s, std::vector<double>&,
-            const la::Matrix&, std::vector<double>& acc, size_t d) {
+            const la::Matrix&, std::vector<double>& acc, size_t d,
+            size_t) {
            k.colsum_strip(s.cols.data(), d, kRows, s.w.data(), acc.data());
          }},
-        {"dist_strip", 3 * kRows * d, (d * kRows + d + kRows) * 8,
+        {"dist_strip", 0, 3 * kRows * d, (d * kRows + d + kRows) * 8,
          [](const la::Kernels& k, StripData& s, std::vector<double>&,
-            const la::Matrix&, std::vector<double>&, size_t d) {
+            const la::Matrix&, std::vector<double>&, size_t d, size_t) {
            k.dist_strip(s.cols.data(), d, kRows, s.center.data(),
                         s.out.data());
          }},
-        {"quadform_strip", 2 * kRows * (d * d + d),
+        {"quadform_strip", 0, 2 * kRows * (d * d + d),
          (d * kRows + d * d * 8 + kRows) * 8,
          [](const la::Kernels& k, StripData& s, std::vector<double>&,
-            const la::Matrix& a, std::vector<double>&, size_t d) {
+            const la::Matrix& a, std::vector<double>&, size_t d, size_t) {
            k.quadform_strip(s.data.data(), d, kRows, a.data(), d,
                             s.out.data());
          }},
-        {"gemm_strip", 2 * kRows * kNh * d,
-         (d * kRows + kNh * d + kNh * kRows) * 8,
-         [](const la::Kernels& k, StripData& s, std::vector<double>&,
-            const la::Matrix&, std::vector<double>&, size_t d) {
-           k.gemm_strip(s.w1.data(), d, s.data.data(), kRows, kNh, kRows, d,
-                        s.ct.data(), kRows, /*trans_b=*/false,
-                        /*accumulate=*/false);
-         }},
-        {"gemm_strip_t", 2 * kRows * kNh * d,
-         (d * kRows + kNh * kRows + 2 * kNh * d) * 8,
-         [](const la::Kernels& k, StripData& s, std::vector<double>&,
-            const la::Matrix&, std::vector<double>&, size_t d) {
-           k.gemm_strip(s.ct.data(), kRows, s.data.data(), kRows, kNh, d,
-                        kRows, s.grad.data(), d, /*trans_b=*/true,
-                        /*accumulate=*/true);
-         }},
-        {"gather_add_rows_strip", kRows * kNh,
+        gemm(kNh),
+        gemm_t(kNh),
+        gemm(kNnEpochsNh),
+        gemm_t(kNnEpochsNh),
+        {"gather_add_rows_strip", kNh, kRows * kNh,
          (2 * kRows * kNh * 8 + kRows * kNh * 8 + kRows * 8),
          [](const la::Kernels& k, StripData& s, std::vector<double>&,
-            const la::Matrix&, std::vector<double>&, size_t) {
+            const la::Matrix&, std::vector<double>&, size_t, size_t) {
            k.gather_add_rows_strip(s.base.data(), kNh, s.idx.data(), kRows,
                                    kNh, s.gout.data(), kNh);
          }},
         // One op per element: the exp the counters charge.
-        {"sigmoid", kRows * kNh, 2 * kRows * kNh * 8,
+        {"sigmoid", kNh, kRows * kNh, 2 * kRows * kNh * 8,
          [](const la::Kernels& k, StripData& s, std::vector<double>&,
-            const la::Matrix&, std::vector<double>&, size_t) {
+            const la::Matrix&, std::vector<double>&, size_t, size_t) {
            k.sigmoid(s.ct.data(), kRows * kNh, s.gout.data());
          }},
     };
@@ -509,23 +527,28 @@ void WriteKernelRoofline(const std::string& path) {
         // Reps sized so every cell runs ~2*10^8 inner-loop flops.
         const int reps = static_cast<int>(
             std::max<uint64_t>(100, 200'000'000 / cell.flops));
-        cell.run(k, s, gram, a, y, d);  // warm-up (and page-in)
+        cell.run(k, s, gram, a, y, d, cell.nh);  // warm-up (and page-in)
         Stopwatch sw;
-        for (int i = 0; i < reps; ++i) cell.run(k, s, gram, a, y, d);
+        for (int i = 0; i < reps; ++i) {
+          cell.run(k, s, gram, a, y, d, cell.nh);
+        }
         const double secs = sw.ElapsedSeconds();
         const double gflops =
             static_cast<double>(cell.flops) * reps / secs * 1e-9;
         const double gbps =
             static_cast<double>(cell.bytes) * reps / secs * 1e-9;
+        const std::string nh =
+            cell.nh == 0 ? "null" : std::to_string(cell.nh);
         std::fprintf(
             f,
             "%s  {\"bench\": \"micro_kernels\", \"section\": \"roofline\","
             " \"kernel\": \"%s\", \"backend\": \"%s\", \"d\": %zu,"
-            " \"rows\": %zu, \"reps\": %d, \"seconds\": %.6f,"
+            " \"nh\": %s, \"rows\": %zu, \"reps\": %d, \"seconds\": %.6f,"
             " \"gflops\": %.3f, \"gbytes_per_sec\": %.3f,"
             " \"cpu_features\": \"%s\", \"git_describe\": \"%s\"}",
-            first ? "" : ",\n", cell.kernel, k.name, d, kRows, reps, secs,
-            gflops, gbps, la::CpuFeatures().c_str(), obs::GitDescribe());
+            first ? "" : ",\n", cell.kernel, k.name, d, nh.c_str(), kRows,
+            reps, secs, gflops, gbps, la::CpuFeatures().c_str(),
+            obs::GitDescribe());
         first = false;
       }
     }

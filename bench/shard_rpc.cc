@@ -67,21 +67,22 @@ double FrameRoundTripMicros(size_t payload_bytes, int frames) {
   return watch.ElapsedSeconds() * 1e6 / frames;
 }
 
-// This bench's --morsel-rows default (the engine's is 4,096). The run
-// manifest records it when the flag is unset.
+// This bench's --morsel-rows and --threads defaults (the engine's are
+// 4,096 and 1). The run manifest records them when the flags are unset.
 constexpr int64_t kMorselRows = 1024;
+constexpr int kThreads = 2;
 
 int Main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  ApplyCommonBenchFlags(args, "shard_rpc", kMorselRows);
-  const int threads = args.GetThreads(2);
+  ApplyCommonBenchFlags(args, "shard_rpc", kMorselRows, kThreads);
+  const int threads = args.GetThreads(kThreads);
   const int64_t s_rows = args.GetInt("s-rows", 20000);
   const int64_t r_rows = args.GetInt("r-rows", 300);
   const int64_t morsel_rows = args.GetMorselRows(kMorselRows);
   const int iters = static_cast<int>(args.GetInt("iters", 2));
   const std::vector<int64_t> shard_counts =
       args.GetIntList("shards-list", {2, 4});
-  JsonReport json("shard_rpc", args, kMorselRows);
+  JsonReport json("shard_rpc", args, kMorselRows, kThreads);
 
   std::printf("frame codec (encode + 4KiB-sliced decode):\n");
   std::printf("%-14s %14s\n", "payload", "us/frame");

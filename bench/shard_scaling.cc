@@ -35,21 +35,22 @@ bool BitEq(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-// This bench's --morsel-rows default (the engine's is 4,096). The run
-// manifest records it when the flag is unset.
+// This bench's --morsel-rows and --threads defaults (the engine's are
+// 4,096 and 1). The run manifest records them when the flags are unset.
 constexpr int64_t kMorselRows = 1024;
+constexpr int kThreads = 4;
 
 int Main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  ApplyCommonBenchFlags(args, "shard_scaling", kMorselRows);
-  const int threads = args.GetThreads(4);
+  ApplyCommonBenchFlags(args, "shard_scaling", kMorselRows, kThreads);
+  const int threads = args.GetThreads(kThreads);
   const int64_t s_rows = args.GetInt("s-rows", 60000);
   const int64_t r_rows = args.GetInt("r-rows", 300);
   const int64_t morsel_rows = args.GetMorselRows(kMorselRows);
   const int iters = static_cast<int>(args.GetInt("iters", 3));
   const std::vector<int64_t> shard_counts =
       args.GetIntList("shards-list", {1, 2, 4});
-  JsonReport json("shard_scaling", args, kMorselRows);
+  JsonReport json("shard_scaling", args, kMorselRows, kThreads);
 
   BenchDir dir;
   data::SyntheticSpec spec;

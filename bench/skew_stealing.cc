@@ -40,20 +40,21 @@ BusySpread Spread(const core::TrainReport& r) {
   return s;
 }
 
-// This bench's --morsel-rows default (the engine's is 4,096). The run
-// manifest records it when the flag is unset.
+// This bench's --morsel-rows and --threads defaults (the engine's are
+// 4,096 and 1). The run manifest records them when the flags are unset.
 constexpr int64_t kMorselRows = 1024;
+constexpr int kThreads = 4;
 
 int Main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  ApplyCommonBenchFlags(args, "skew_stealing", kMorselRows);
-  const int threads = args.GetThreads(4);
+  ApplyCommonBenchFlags(args, "skew_stealing", kMorselRows, kThreads);
+  const int threads = args.GetThreads(kThreads);
   const int64_t s_rows = args.GetInt("s-rows", 60000);
   const int64_t r_rows = args.GetInt("r-rows", 300);
   const int64_t morsel_rows = args.GetMorselRows(kMorselRows);
   const int iters = static_cast<int>(args.GetInt("iters", 3));
   std::vector<int64_t> zipf_tenths = args.GetIntList("zipf10", {0, 10, 16});
-  JsonReport json("skew_stealing", args, kMorselRows);
+  JsonReport json("skew_stealing", args, kMorselRows, kThreads);
 
   std::printf(
       "k-means (factorized) on %lld fact rows over %lld FK1 runs, "

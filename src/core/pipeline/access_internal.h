@@ -240,7 +240,9 @@ class JoinStreamStrategyBase : public StrategyBase {
 /// batch kernels consume — the S/F drivers' counterpart of the M
 /// strategy's fused PageCursor::ReadStrips decode. When `y` is non-null it
 /// becomes strip column 0 (matching T's layout, where the target is
-/// feature column 0) and the x columns shift up by one.
+/// feature column 0) and the x columns shift up by one. Each strip column
+/// is written as one contiguous run (strip, then column, then rows): a
+/// row-at-a-time scatter lands every column in the same cache sets.
 inline void PackRowsToStrips(const double* x, size_t x_stride,
                              const double* y, size_t y_stride,
                              size_t num_rows, size_t d, int64_t start_row,
@@ -254,14 +256,18 @@ inline void PackRowsToStrips(const double* x, size_t x_stride,
   out->start_row = start_row;
   out->keys.clear();
   out->data.resize(out->num_strips * out->num_cols * strip_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    double* strip0 = out->data.data() +
-                     (r / strip_rows) * out->num_cols * strip_rows +
-                     r % strip_rows;
-    if (y_off != 0) strip0[0] = y[r * y_stride];
-    const double* row = x + r * x_stride;
+  for (size_t s = 0; s < out->num_strips; ++s) {
+    const size_t r0 = out->StripStart(s);
+    const size_t rows = out->RowsInStrip(s);
+    if (y_off != 0) {
+      double* dst = out->MutableCol(s, 0);
+      const double* src = y + r0 * y_stride;
+      for (size_t r = 0; r < rows; ++r) dst[r] = src[r * y_stride];
+    }
     for (size_t j = 0; j < d; ++j) {
-      strip0[(y_off + j) * strip_rows] = row[j];
+      double* dst = out->MutableCol(s, y_off + j);
+      const double* src = x + r0 * x_stride + j;
+      for (size_t r = 0; r < rows; ++r) dst[r] = src[r * x_stride];
     }
   }
 }

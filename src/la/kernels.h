@@ -98,6 +98,12 @@ struct Kernels {
   //   blocks of the same height). The NN backward shape: A = transposed
   //   delta strip, B = the feature strip, C = a W1-gradient block.
   // accumulate == false overwrites C's m x n block instead of adding.
+  // Vector backends tile without moving a bit. Axpy-form holds 4 C rows x
+  // 8 lanes in registers across all k (1-row tiles for the m % 4 rows, an
+  // Axpy per p for the n % 8 lanes); each element keeps its chain: prior
+  // value (or 0.0), then + a(i,p) * b(p,j) in p order. Dot-form sweeps 4
+  // B rows per A row, each (i, j) keeping Dot's two-accumulator chain, so
+  // a row equals a 1-row call and an entry a 1 x 1 call.
   void (*gemm_strip)(const double* a, size_t lda, const double* b, size_t ldb,
                      size_t m, size_t n, size_t k, double* c, size_t ldc,
                      bool trans_b, bool accumulate);

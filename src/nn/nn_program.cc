@@ -31,6 +31,28 @@ using core::pipeline::DenseBatch;
 using core::pipeline::FactorizedBlock;
 using core::pipeline::PipelineContext;
 
+/// a1[r * nh + u] = t[u * ldt + r] (+ bias[u] when non-null) for a strip
+/// of `rows` rows: the transposed first-layer block back to row-major, in
+/// 8 x 8 tiles so the reads and the writes each touch only a few lines.
+void TransposeStrip(const double* t, size_t ldt, size_t nh, size_t rows,
+                    const double* bias, double* a1) {
+  for (size_t r0 = 0; r0 < rows; r0 += 8) {
+    const size_t re = std::min(rows, r0 + 8);
+    for (size_t u0 = 0; u0 < nh; u0 += 8) {
+      const size_t ue = std::min(nh, u0 + 8);
+      for (size_t r = r0; r < re; ++r) {
+        const double* tr = t + r;
+        double* ar = a1 + r * nh;
+        if (bias != nullptr) {
+          for (size_t u = u0; u < ue; ++u) ar[u] = tr[u * ldt] + bias[u];
+        } else {
+          for (size_t u = u0; u < ue; ++u) ar[u] = tr[u * ldt];
+        }
+      }
+    }
+  }
+}
+
 /// Per-attribute-table cache of first-layer partial inner products:
 /// row rid holds W1[:, slice_i] * x_ri (plus the layer bias for table 0,
 /// matching the paper's T2 = sum w x_R + b). An entry is valid for weight
@@ -196,14 +218,9 @@ class NnProgram final : public core::pipeline::ModelProgram {
                               st.strip_rows, nh_, rows, d_, a1t.data(),
                               st.strip_rows, /*trans_b=*/false,
                               /*accumulate=*/false);
-              double* a1_base = a1_.Row(st.StripStart(sp)).data();
-              for (size_t u = 0; u < nh_; ++u) {
-                const double bu = mlp_.b[0][u];
-                const double* tu = a1t.data() + u * st.strip_rows;
-                for (size_t r = 0; r < rows; ++r) {
-                  a1_base[r * nh_ + u] = tu[r] + bu;
-                }
-              }
+              TransposeStrip(a1t.data(), st.strip_rows, nh_, rows,
+                             mlp_.b[0].data(),
+                             a1_.Row(st.StripStart(sp)).data());
               CountMults(rows * nh_ * d_);
               CountAdds(rows * nh_ * d_ + rows * nh_);
             }
@@ -366,10 +383,8 @@ class NnProgram final : public core::pipeline::ModelProgram {
                               st->strip_rows, /*trans_b=*/false,
                               /*accumulate=*/false);
               double* a1_base = a1_.Row(row0).data();
-              for (size_t u = 0; u < nh_; ++u) {
-                const double* tu = a1t.data() + u * st->strip_rows;
-                for (size_t r = 0; r < rows; ++r) a1_base[r * nh_ + u] = tu[r];
-              }
+              TransposeStrip(a1t.data(), st->strip_rows, nh_, rows,
+                             /*bias=*/nullptr, a1_base);
               for (size_t i = 0; i < q_; ++i) {
                 kern.gather_add_rows_strip(caches_[i].c.data(), nh_,
                                            ridbuf_[i].data() + row0, rows,
@@ -515,10 +530,11 @@ class NnProgram final : public core::pipeline::ModelProgram {
                 for (size_t s = 0; s < st->num_strips; ++s) {
                   const size_t rows = st->RowsInStrip(s);
                   const int64_t* rids = ridbuf_[i].data() + st->StripStart(s);
-                  for (size_t r = 0; r < rows; ++r) {
-                    const double* xr =
-                        x_base + static_cast<size_t>(rids[r]) * ldx;
-                    for (size_t j = 0; j < len[i]; ++j) xg[j * sr + r] = xr[j];
+                  for (size_t j = 0; j < len[i]; ++j) {
+                    double* dst = xg.data() + j * sr;
+                    for (size_t r = 0; r < rows; ++r) {
+                      dst[r] = x_base[static_cast<size_t>(rids[r]) * ldx + j];
+                    }
                   }
                   kern.gemm_strip(d1s_.Col(s, 0), d1s_.strip_rows, xg.data(),
                                   sr, nh_, len[i], rows, g, d_,

@@ -18,11 +18,12 @@ const char* GitDescribe() {
 
 RunManifest RunManifest::FromArgs(const std::string& binary,
                                   const ArgParser& args,
-                                  int64_t default_morsel_rows) {
+                                  int64_t default_morsel_rows,
+                                  int default_threads) {
   RunManifest m;
   m.binary = binary;
   m.git_describe = GitDescribe();
-  m.threads = args.GetThreads(1);
+  m.threads = args.GetThreads(default_threads);
   m.morsel_rows = args.GetMorselRows(default_morsel_rows);
   m.steal = args.GetSteal(false);
   m.shards = args.GetShards(1);

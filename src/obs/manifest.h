@@ -37,11 +37,13 @@ struct RunManifest {
   /// Captures the shared runtime flags (threads/morsel-rows/steal/shards/
   /// prefetch/buffer-pages/seed/trace) through the same validating getters
   /// the binaries use, plus the compiled-in git describe. An unset
-  /// --morsel-rows records `default_morsel_rows`: a binary with its own
-  /// default passes it, so the manifest names the size its runs used.
+  /// --morsel-rows records `default_morsel_rows` and an unset --threads
+  /// `default_threads`: a binary with its own defaults passes them, so the
+  /// manifest names the chunk size and thread count its runs used.
   static RunManifest FromArgs(
       const std::string& binary, const ArgParser& args,
-      int64_t default_morsel_rows = exec::kDefaultMorselRows);
+      int64_t default_morsel_rows = exec::kDefaultMorselRows,
+      int default_threads = 1);
 
   /// One JSON object; keys are fixed, values resolved (never the raw flag
   /// strings).

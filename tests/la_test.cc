@@ -724,53 +724,137 @@ TEST(KernelsTest, ColumnKernelsKeepEachEntrysChainOnEveryBackend) {
   }
 }
 
+// gemm_strip's (m, n, k) grid: m crosses the 4-row tile edge, n the
+// 8-lane tile edge and its 4-lane / scalar tails, k the Dot pairing of 8.
+constexpr size_t kGemmM[] = {1, 3, 4, 5, 8, 50};
+constexpr size_t kGemmN[] = {1, 3, 4, 7, 8, 9, 17, 256, 259};
+constexpr size_t kGemmK[] = {1, 5, 20, 33};
+
+/// Random gemm_strip operands for one grid cell. Every row stride is
+/// wider than its logical width, so a kernel that assumes packed rows
+/// reads or writes the wrong elements.
+struct GemmOperands {
+  GemmOperands(size_t m, size_t n, size_t k, bool trans_b, Rng* rng)
+      : lda(k + 3),
+        ldb((trans_b ? k : n) + 5),
+        ldc(n + 2),
+        a(m * lda),
+        b((trans_b ? n : k) * ldb),
+        c(m * ldc) {
+    for (auto& x : a) x = rng->NextGaussian();
+    for (auto& x : b) x = rng->NextGaussian();
+    for (auto& x : c) x = rng->NextGaussian();
+  }
+  size_t lda, ldb, ldc;
+  std::vector<double> a, b, c;
+};
+
 TEST(KernelsTest, GemmStripMatchesNaiveOnEveryBackend) {
-  Rng rng(17);
-  const size_t m = 9, n = 203, k = 7;  // n has a short vector tail
-  Matrix a = RandomMatrix(m, k, &rng);
-  std::vector<double> b(k * n);  // k rows of n contiguous doubles
-  for (auto& v : b) v = rng.NextGaussian();
-  // Naive references for both operand shapes.
-  Matrix ref_nn(m, n), ref_nt(m, k);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      double s = 0.0;
-      for (size_t p = 0; p < k; ++p) s += a(i, p) * b[p * n + j];
-      ref_nn(i, j) = s;
-    }
-  }
-  // trans_b: C(m x k) = A(m x n') * B(k x n')^T with n' = n, reusing b as
-  // a k x n block read row-wise.
-  Matrix a2 = RandomMatrix(m, n, &rng);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < k; ++j) {
-      double s = 0.0;
-      for (size_t p = 0; p < n; ++p) s += a2(i, p) * b[j * n + p];
-      ref_nt(i, j) = s;
-    }
-  }
   for (const char* backend : {"scalar", "portable", "native"}) {
     SCOPED_TRACE(backend);
     ScopedBackendEnv env(backend);
     ScopedKernels simd(KernelMode::kSimd);
     const Kernels& kern = Active();
-    Matrix c(m, n);
-    c.Fill(0.25);  // accumulate == false must overwrite this
-    kern.gemm_strip(a.data(), k, b.data(), n, m, n, k, c.data(), n,
-                    /*trans_b=*/false, /*accumulate=*/false);
-    EXPECT_LT(Matrix::MaxAbsDiff(c, ref_nn), 1e-9);
-    kern.gemm_strip(a.data(), k, b.data(), n, m, n, k, c.data(), n,
-                    /*trans_b=*/false, /*accumulate=*/true);
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        ASSERT_NEAR(c(i, j), 2.0 * ref_nn(i, j), 1e-8);
+    for (const size_t m : kGemmM) {
+      for (const size_t n : kGemmN) {
+        for (const size_t k : kGemmK) {
+          for (const bool trans_b : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "m=" << m << " n=" << n << " k=" << k
+                         << " trans_b=" << trans_b);
+            Rng rng(17 + 7 * m + 1000 * n + 100000 * k + trans_b);
+            GemmOperands op(m, n, k, trans_b, &rng);
+            Matrix ref(m, n);
+            for (size_t i = 0; i < m; ++i) {
+              for (size_t j = 0; j < n; ++j) {
+                double s = 0.0;
+                for (size_t p = 0; p < k; ++p) {
+                  s += op.a[i * op.lda + p] *
+                       (trans_b ? op.b[j * op.ldb + p] : op.b[p * op.ldb + j]);
+                }
+                ref(i, j) = s;
+              }
+            }
+            // accumulate == false overwrites C's prior values; a second,
+            // accumulating call doubles the block. Padding stays put.
+            std::vector<double> c = op.c;
+            kern.gemm_strip(op.a.data(), op.lda, op.b.data(), op.ldb, m, n,
+                            k, c.data(), op.ldc, trans_b,
+                            /*accumulate=*/false);
+            for (size_t i = 0; i < m; ++i) {
+              for (size_t j = 0; j < n; ++j) {
+                ASSERT_NEAR(c[i * op.ldc + j], ref(i, j), 1e-9)
+                    << i << "," << j;
+              }
+            }
+            kern.gemm_strip(op.a.data(), op.lda, op.b.data(), op.ldb, m, n,
+                            k, c.data(), op.ldc, trans_b,
+                            /*accumulate=*/true);
+            for (size_t i = 0; i < m; ++i) {
+              for (size_t j = 0; j < n; ++j) {
+                ASSERT_NEAR(c[i * op.ldc + j], 2.0 * ref(i, j), 1e-8)
+                    << i << "," << j;
+              }
+              for (size_t j = n; j < op.ldc; ++j) {
+                ASSERT_EQ(c[i * op.ldc + j], op.c[i * op.ldc + j]) << i;
+              }
+            }
+          }
+        }
       }
     }
-    Matrix ct(m, k);
-    ct.Fill(0.0);
-    kern.gemm_strip(a2.data(), n, b.data(), n, m, k, n, ct.data(), k,
-                    /*trans_b=*/true, /*accumulate=*/true);
-    EXPECT_LT(Matrix::MaxAbsDiff(ct, ref_nt), 1e-8);
+  }
+}
+
+TEST(KernelsTest, GemmStripKeepsEachElementsChainOnEveryBackend) {
+  // Axpy form: every row of an m-row call equals a 1-row call on that row
+  // (C's prior value, then + a(i,p) * b(p,j) in p order, wherever the row
+  // falls in a tile). Dot form: every (i, j) entry equals a 1 x 1 call
+  // (C's prior value plus Dot's two-accumulator chain).
+  for (const char* backend : {"scalar", "portable", "native"}) {
+    SCOPED_TRACE(backend);
+    ScopedBackendEnv env(backend);
+    ScopedKernels simd(KernelMode::kSimd);
+    const Kernels& kern = Active();
+    for (const size_t m : kGemmM) {
+      for (const size_t n : kGemmN) {
+        for (const size_t k : kGemmK) {
+          for (const bool trans_b : {false, true}) {
+            for (const bool accumulate : {false, true}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "m=" << m << " n=" << n << " k=" << k
+                           << " trans_b=" << trans_b
+                           << " accumulate=" << accumulate);
+              Rng rng(41 + 7 * m + 1000 * n + 100000 * k + trans_b);
+              GemmOperands op(m, n, k, trans_b, &rng);
+              std::vector<double> c = op.c;
+              kern.gemm_strip(op.a.data(), op.lda, op.b.data(), op.ldb, m, n,
+                              k, c.data(), op.ldc, trans_b, accumulate);
+              for (size_t i = 0; i < m; ++i) {
+                const double* ai = op.a.data() + i * op.lda;
+                if (!trans_b) {
+                  std::vector<double> row(op.c.begin() + i * op.ldc,
+                                          op.c.begin() + i * op.ldc + n);
+                  kern.gemm_strip(ai, op.lda, op.b.data(), op.ldb, 1, n, k,
+                                  row.data(), n, trans_b, accumulate);
+                  ASSERT_TRUE(SameBits(row.data(), c.data() + i * op.ldc, n))
+                      << "i=" << i;
+                  continue;
+                }
+                for (size_t j = 0; j < n; ++j) {
+                  double one = op.c[i * op.ldc + j];
+                  kern.gemm_strip(ai, op.lda, op.b.data() + j * op.ldb,
+                                  op.ldb, 1, 1, k, &one, 1, trans_b,
+                                  accumulate);
+                  ASSERT_TRUE(SameBits(&one, c.data() + i * op.ldc + j, 1))
+                      << i << "," << j;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
   }
 }
 

@@ -398,6 +398,24 @@ TEST(ManifestTest, FromArgsRecordsTheCallersMorselDefault) {
             300);
 }
 
+TEST(ManifestTest, FromArgsRecordsTheCallersThreadDefault) {
+  // The stealing and shard benches default --threads to 4 / 4 / 2 and pass
+  // it through, so their manifests name the thread count their runs used;
+  // the flag still wins, and a binary without its own default records 1.
+  const char* plain_argv[] = {"prog"};
+  ArgParser plain_args(1, const_cast<char**>(plain_argv));
+  EXPECT_EQ(obs::RunManifest::FromArgs("obs_test", plain_args).threads, 1);
+  const obs::RunManifest m =
+      obs::RunManifest::FromArgs("obs_test", plain_args, 1024, 4);
+  EXPECT_EQ(m.threads, 4);
+  EXPECT_EQ(m.morsel_rows, 1024);
+  EXPECT_NE(m.ToJson().find("\"threads\": 4"), std::string::npos);
+
+  const char* argv[] = {"prog", "--threads=3"};
+  ArgParser args(2, const_cast<char**>(argv));
+  EXPECT_EQ(obs::RunManifest::FromArgs("obs_test", args, 1024, 4).threads, 3);
+}
+
 TEST(ManifestTest, JsonEscapesFreeFormFields) {
   obs::RunManifest m;
   m.binary = "a\"b\\c";

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/factorml.h"
+#include "core/pipeline/access_internal.h"
 #include "core/pipeline/checkpoint.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -1715,6 +1716,54 @@ TEST(SlotMemoryTest, RidScopedSlotsStayFarBelowFullDomainSizing) {
       << "slot memory grew like the pre-fix full-domain sizing "
       << "(chunked " << chunked_bytes << " vs full-domain "
       << full_domain_cost << ")";
+}
+
+TEST(PackRowsToStripsTest, EveryElementLandsAtItsStripColumnAndRow) {
+  // Rows -> column strips, with and without a target column, for packed
+  // and padded row strides, across the strip-height edges.
+  constexpr size_t kStripRows = 256;
+  constexpr size_t kD = 5;
+  constexpr size_t kYStride = 2;
+  constexpr int64_t kStartRow = 4242;
+  storage::ColumnStrips out;  // reused across calls, as the drivers do
+  for (const size_t num_rows : {1, 255, 256, 257, 1001, 1024}) {
+    for (const size_t x_stride : {kD, kD + 3}) {
+      for (const bool with_y : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "rows=" << num_rows << " stride="
+                                          << x_stride << " y=" << with_y);
+        std::vector<double> x(num_rows * x_stride, -1.0);
+        std::vector<double> y(num_rows * kYStride, -1.0);
+        for (size_t r = 0; r < num_rows; ++r) {
+          for (size_t j = 0; j < kD; ++j) x[r * x_stride + j] = 10.0 * r + j;
+          y[r * kYStride] = -2.0 - static_cast<double>(r);
+        }
+        core::pipeline::internal::PackRowsToStrips(
+            x.data(), x_stride, with_y ? y.data() : nullptr, kYStride,
+            num_rows, kD, kStartRow, kStripRows, &out);
+        const size_t y_off = with_y ? 1 : 0;
+        const size_t num_strips = (num_rows + kStripRows - 1) / kStripRows;
+        ASSERT_EQ(out.strip_rows, kStripRows);
+        ASSERT_EQ(out.num_strips, num_strips);
+        ASSERT_EQ(out.num_rows, num_rows);
+        ASSERT_EQ(out.num_cols, kD + y_off);
+        ASSERT_EQ(out.num_keys, 0u);
+        ASSERT_TRUE(out.keys.empty());
+        ASSERT_EQ(out.start_row, kStartRow);
+        ASSERT_EQ(out.data.size(), num_strips * (kD + y_off) * kStripRows);
+        for (size_t r = 0; r < num_rows; ++r) {
+          const size_t s = r / kStripRows;
+          const size_t h = r % kStripRows;
+          if (with_y) {
+            ASSERT_EQ(out.Col(s, 0)[h], y[r * kYStride]) << r;
+          }
+          for (size_t j = 0; j < kD; ++j) {
+            ASSERT_EQ(out.Col(s, y_off + j)[h], x[r * x_stride + j])
+                << r << "," << j;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
