@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/opcount.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "core/factorml.h"
@@ -20,6 +21,7 @@
 #include "la/cholesky.h"
 #include "la/kernels.h"
 #include "la/ops.h"
+#include "nn/backprop.h"
 
 namespace factorml {
 namespace {
@@ -410,6 +412,45 @@ void BM_SigmoidStrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SigmoidStrip)->ArgsProduct({{8}, {0, 1}});
 
+/// One NN upper-layer step at the nn-epochs shape: a 1,024-row batch, one
+/// sigmoid hidden layer of 50 units, from a random transposed first-layer
+/// block. This is the `upper_layers` phase every strategy pays in full.
+struct UpperLayersStep {
+  static constexpr size_t kBatch = 1024;
+  static constexpr size_t kD = 20;
+  UpperLayersStep()
+      : mlp(nn::Mlp::Init(kD, {kNnEpochsNh}, nn::Activation::kSigmoid, 40)),
+        engine(&mlp, 1e-6),
+        a1t(RandomMatrix(kNnEpochsNh, kBatch, 41)),
+        y(kBatch) {
+    Rng rng(42);
+    for (double& v : y) v = rng.NextGaussian();
+  }
+  double Run() { return engine.Step(a1t, y.data()); }
+  // The ops one step charges to the counters (every mult, add, sub and
+  // exp of the cost model).
+  uint64_t CountedOps() {
+    const OpCounters before = GlobalOps();
+    Run();
+    return (GlobalOps() - before).Total();
+  }
+
+  nn::Mlp mlp;
+  nn::internal::BackpropEngine engine;
+  la::Matrix a1t;
+  std::vector<double> y;
+};
+
+void BM_UpperLayersStep(benchmark::State& state) {
+  UpperLayersStep step;
+  la::SelectKernels(ModeOf(state));
+  for (auto _ : state) benchmark::DoNotOptimize(step.Run());
+  la::SelectKernels(la::KernelMode::kScalar);
+  state.SetItemsProcessed(state.iterations() * UpperLayersStep::kBatch);
+  LabelBackend(state);
+}
+BENCHMARK(BM_UpperLayersStep)->ArgsProduct({{50}, {0, 1}});
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -554,6 +595,31 @@ void WriteKernelRoofline(const std::string& path) {
     }
     la::SelectKernels(la::KernelMode::kScalar);
   }
+  // The whole NN upper-layer step (nn-epochs shape) as one more row per
+  // table: the gemm_strip calls, the sigmoid and the elementwise passes
+  // that make up the upper_layers phase. Its "gflops" are the counted ops
+  // (mults + adds + subs + exps) per second.
+  UpperLayersStep step;
+  for (const auto mode : {la::KernelMode::kScalar, la::KernelMode::kSimd}) {
+    la::SelectKernels(mode);
+    constexpr int kReps = 200;
+    const uint64_t ops = step.CountedOps();  // also the warm-up
+    Stopwatch sw;
+    for (int i = 0; i < kReps; ++i) step.Run();
+    const double secs = sw.ElapsedSeconds();
+    std::fprintf(
+        f,
+        ",\n  {\"bench\": \"micro_kernels\", \"section\": \"roofline\","
+        " \"kernel\": \"upper_layers_step\", \"backend\": \"%s\","
+        " \"d\": %zu, \"nh\": %zu, \"rows\": %zu, \"reps\": %d,"
+        " \"seconds\": %.6f, \"gflops\": %.3f, \"gbytes_per_sec\": null,"
+        " \"cpu_features\": \"%s\", \"git_describe\": \"%s\"}",
+        la::Active().name, UpperLayersStep::kD, kNnEpochsNh,
+        UpperLayersStep::kBatch, kReps, secs,
+        static_cast<double>(ops) * kReps / secs * 1e-9,
+        la::CpuFeatures().c_str(), obs::GitDescribe());
+  }
+  la::SelectKernels(la::KernelMode::kScalar);
   std::fprintf(f, "\n]\n");
   std::fclose(f);
   std::printf("wrote kernel roofline to %s\n", path.c_str());

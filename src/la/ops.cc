@@ -10,8 +10,8 @@ namespace factorml::la {
 // every consumer — dense, factorized, NN — rides --kernels=simd without
 // model-code changes. Op accounting stays here, in the wrappers, making
 // the measured counts backend-independent by construction. The remaining
-// Gemm* kernels keep their direct loops: their skip-on-zero branches are
-// part of the pinned work stream.
+// Gemm* loops serve inference (Mlp::Forward) and tests; the NN epoch plane
+// runs its batch products on the kernel table's gemm_strip instead.
 
 double Dot(const double* a, const double* b, size_t n) {
   const double s = Active().dot(a, b, n);
@@ -72,28 +72,6 @@ void GemmNT(const Matrix& x, const Matrix& w, Matrix* c, bool accumulate) {
   CountAdds(m * n * k);
 }
 
-void GemmNN(const Matrix& a, const Matrix& b, Matrix* c, bool accumulate) {
-  FML_CHECK_EQ(a.cols(), b.rows());
-  const size_t m = a.rows();
-  const size_t k = a.cols();
-  const size_t n = b.cols();
-  if (!accumulate) c->Resize(m, n);
-  FML_CHECK_EQ(c->rows(), m);
-  FML_CHECK_EQ(c->cols(), n);
-  for (size_t i = 0; i < m; ++i) {
-    const double* ai = a.data() + i * k;
-    double* ci = c->data() + i * n;
-    for (size_t p = 0; p < k; ++p) {
-      const double aip = ai[p];
-      if (aip == 0.0) continue;
-      const double* bp = b.data() + p * n;
-      for (size_t j = 0; j < n; ++j) ci[j] += aip * bp[j];
-    }
-  }
-  CountMults(m * n * k);
-  CountAdds(m * n * k);
-}
-
 void GemmNTSlice(const Matrix& x, const Matrix& w, size_t wcol0, Matrix* c,
                  bool accumulate) {
   const size_t m = x.rows();
@@ -112,28 +90,6 @@ void GemmNTSlice(const Matrix& x, const Matrix& w, size_t wcol0, Matrix* c,
       double s = 0.0;
       for (size_t p = 0; p < k; ++p) s += xi[p] * wj[p];
       ci[j] += s;
-    }
-  }
-  CountMults(m * n * k);
-  CountAdds(m * n * k);
-}
-
-void GemmTN(const Matrix& d, const Matrix& x, Matrix* g, bool accumulate) {
-  FML_CHECK_EQ(d.rows(), x.rows());
-  const size_t m = d.rows();
-  const size_t n = d.cols();
-  const size_t k = x.cols();
-  if (!accumulate) g->Resize(n, k);
-  FML_CHECK_EQ(g->rows(), n);
-  FML_CHECK_EQ(g->cols(), k);
-  for (size_t r = 0; r < m; ++r) {
-    const double* dr = d.data() + r * n;
-    const double* xr = x.data() + r * k;
-    for (size_t i = 0; i < n; ++i) {
-      const double di = dr[i];
-      if (di == 0.0) continue;
-      double* gi = g->data() + i * k;
-      for (size_t j = 0; j < k; ++j) gi[j] += di * xr[j];
     }
   }
   CountMults(m * n * k);
@@ -161,53 +117,6 @@ void GemmTNSlice(const Matrix& d, const Matrix& x, Matrix* g, size_t gcol0) {
   CountAdds(m * n * k);
 }
 
-void GemmNTSliceRows(const Matrix& x, const Matrix& w, size_t wcol0,
-                     Matrix* c, size_t row_begin, size_t row_end,
-                     bool accumulate) {
-  const size_t n = w.rows();
-  const size_t k = x.cols();
-  FML_CHECK_LE(wcol0 + k, w.cols());
-  FML_CHECK_LE(row_end, x.rows());
-  FML_CHECK_EQ(c->rows(), x.rows());
-  FML_CHECK_EQ(c->cols(), n);
-  const size_t ldw = w.cols();
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const double* xi = x.data() + i * k;
-    double* ci = c->data() + i * n;
-    for (size_t j = 0; j < n; ++j) {
-      const double* wj = w.data() + j * ldw + wcol0;
-      double s = 0.0;
-      for (size_t p = 0; p < k; ++p) s += xi[p] * wj[p];
-      ci[j] = accumulate ? ci[j] + s : s;
-    }
-  }
-  CountMults((row_end - row_begin) * n * k);
-  CountAdds((row_end - row_begin) * n * k);
-}
-
-void GemmTNSliceCols(const Matrix& d, const Matrix& x, Matrix* g,
-                     size_t gcol0, size_t xcol_begin, size_t xcol_end) {
-  FML_CHECK_EQ(d.rows(), x.rows());
-  const size_t m = d.rows();
-  const size_t n = d.cols();
-  const size_t k = x.cols();
-  FML_CHECK_LE(xcol_end, k);
-  FML_CHECK_EQ(g->rows(), n);
-  FML_CHECK_LE(gcol0 + k, g->cols());
-  const size_t ldg = g->cols();
-  for (size_t r = 0; r < m; ++r) {
-    const double* dr = d.data() + r * n;
-    const double* xr = x.data() + r * k;
-    for (size_t i = 0; i < n; ++i) {
-      const double di = dr[i];
-      double* gi = g->data() + i * ldg + gcol0;
-      for (size_t j = xcol_begin; j < xcol_end; ++j) gi[j] += di * xr[j];
-    }
-  }
-  CountMults(m * n * (xcol_end - xcol_begin));
-  CountAdds(m * n * (xcol_end - xcol_begin));
-}
-
 void AddOuter(double alpha, const double* u, size_t nu, const double* v,
               size_t nv, Matrix* a, size_t r0, size_t c0) {
   FML_DCHECK(r0 + nu <= a->rows() && c0 + nv <= a->cols());
@@ -218,18 +127,12 @@ void AddOuter(double alpha, const double* u, size_t nu, const double* v,
 }
 
 void AddRowVector(const double* b, Matrix* x) {
-  AddRowVectorRows(b, x, 0, x->rows());
-}
-
-void AddRowVectorRows(const double* b, Matrix* x, size_t row_begin,
-                      size_t row_end) {
-  FML_CHECK_LE(row_end, x->rows());
   const size_t n = x->cols();
-  for (size_t i = row_begin; i < row_end; ++i) {
+  for (size_t i = 0; i < x->rows(); ++i) {
     double* row = x->data() + i * n;
     for (size_t j = 0; j < n; ++j) row[j] += b[j];
   }
-  CountAdds((row_end - row_begin) * n);
+  CountAdds(x->size());
 }
 
 }  // namespace factorml::la

@@ -33,40 +33,15 @@ double QuadForm(const Matrix& a, const double* x, size_t n);
 /// C is (m x n).
 void GemmNT(const Matrix& x, const Matrix& w, Matrix* c, bool accumulate);
 
-/// C = A * B (or C += if accumulate): A is (m x k), B is (k x n),
-/// C is (m x n). Used to push NN error terms down a layer
-/// (delta_{l-1} = delta_l * W_l before the activation derivative).
-void GemmNN(const Matrix& a, const Matrix& b, Matrix* c, bool accumulate);
-
 /// C (+)= X * W[:, wcol0 : wcol0+X.cols()]^T — multiplies X (m x k) by the
 /// transposed column slice of W (n x k_total, k_total >= wcol0 + k).
 /// Used for per-relation slices of the first-layer weight matrix.
 void GemmNTSlice(const Matrix& x, const Matrix& w, size_t wcol0, Matrix* c,
                  bool accumulate);
 
-/// G (+)= D^T * X: D is (m x n), X is (m x k), G is (n x k). This is the
-/// backprop weight-gradient kernel (Eq. 28).
-void GemmTN(const Matrix& d, const Matrix& x, Matrix* g, bool accumulate);
-
 /// G[:, gcol0 : gcol0+X.cols()] += D^T * X — accumulates the gradient into
 /// a column slice of G (the PG_S / PG_R split of Eq. 29).
 void GemmTNSlice(const Matrix& d, const Matrix& x, Matrix* g, size_t gcol0);
-
-/// Row-morsel of GemmNT / GemmNTSlice for the exec/ parallel runtime:
-/// rows [row_begin, row_end) of C (+)= X * W[:, wcol0 : wcol0+X.cols()]^T.
-/// Each output row depends only on its own X row, so any row partition
-/// produces bit-identical results to the full kernel. C must already have
-/// shape (X.rows() x W.rows()); accumulate=false overwrites the rows.
-void GemmNTSliceRows(const Matrix& x, const Matrix& w, size_t wcol0,
-                     Matrix* c, size_t row_begin, size_t row_end,
-                     bool accumulate);
-
-/// Column-morsel of GemmTN / GemmTNSlice for the exec/ parallel runtime:
-/// G[:, gcol0+j] += sum_r D[r, i] * X[r, j] for j in
-/// [xcol_begin, xcol_end). The per-element accumulation order over rows is
-/// that of the full kernel, so any column partition is bit-identical.
-void GemmTNSliceCols(const Matrix& d, const Matrix& x, Matrix* g,
-                     size_t gcol0, size_t xcol_begin, size_t xcol_end);
 
 /// A[r0:r0+nu, c0:c0+nv] += alpha * u * v^T (outer-product accumulate);
 /// the building block of the factorized covariance update (Eqs. 15-18, 24).
@@ -75,10 +50,6 @@ void AddOuter(double alpha, const double* u, size_t nu, const double* v,
 
 /// Adds the length-cols vector b to every row of X.
 void AddRowVector(const double* b, Matrix* x);
-
-/// Row-morsel of AddRowVector: adds b to rows [row_begin, row_end) of X.
-void AddRowVectorRows(const double* b, Matrix* x, size_t row_begin,
-                      size_t row_end);
 
 }  // namespace factorml::la
 

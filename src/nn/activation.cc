@@ -48,31 +48,32 @@ void ApplyActivation(Activation act, const la::Matrix& a, la::Matrix* h) {
   }
 }
 
-void ActivationGrad(Activation act, const la::Matrix& a, const la::Matrix& h,
-                    la::Matrix* g) {
-  if (g->rows() != a.rows() || g->cols() != a.cols()) {
-    g->Resize(a.rows(), a.cols());
-  }
-  const size_t n = a.size();
+void MultiplyActivationGrad(Activation act, const la::Matrix& a,
+                            const la::Matrix& h, la::Matrix* delta) {
+  FML_CHECK_EQ(delta->size(), a.size());
+  FML_CHECK_EQ(delta->size(), h.size());
+  const size_t n = delta->size();
   const double* pre = a.data();
   const double* out = h.data();
-  double* dst = g->data();
+  double* p = delta->data();
+  // Charged as the f' evaluation plus one multiply per element.
   switch (act) {
     case Activation::kSigmoid:
-      for (size_t i = 0; i < n; ++i) dst[i] = out[i] * (1.0 - out[i]);
-      CountMults(n);
+      for (size_t i = 0; i < n; ++i) p[i] *= out[i] * (1.0 - out[i]);
+      CountMults(2 * n);
       CountSubs(n);
       break;
     case Activation::kTanh:
-      for (size_t i = 0; i < n; ++i) dst[i] = 1.0 - out[i] * out[i];
-      CountMults(n);
+      for (size_t i = 0; i < n; ++i) p[i] *= 1.0 - out[i] * out[i];
+      CountMults(2 * n);
       CountSubs(n);
       break;
     case Activation::kRelu:
-      for (size_t i = 0; i < n; ++i) dst[i] = pre[i] > 0.0 ? 1.0 : 0.0;
+      for (size_t i = 0; i < n; ++i) p[i] *= pre[i] > 0.0 ? 1.0 : 0.0;
+      CountMults(n);
       break;
     case Activation::kIdentity:
-      for (size_t i = 0; i < n; ++i) dst[i] = 1.0;
+      CountMults(n);  // f' = 1: delta * 1.0 is delta
       break;
   }
 }

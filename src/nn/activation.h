@@ -28,10 +28,13 @@ bool IsAdditive(Activation a);
 /// h = f(a), element-wise over the batch.
 void ApplyActivation(Activation act, const la::Matrix& a, la::Matrix* h);
 
-/// g = f'(a) element-wise, expressed through the already-computed h where
-/// cheaper (sigmoid: h(1-h); tanh: 1-h^2).
-void ActivationGrad(Activation act, const la::Matrix& a, const la::Matrix& h,
-                    la::Matrix* g);
+/// delta *= f'(a) element-wise, in place: the backward pass's activation
+/// derivative applied to the error block it scales, with no f' buffer.
+/// f' is expressed through the already-computed h where cheaper (sigmoid:
+/// h(1-h); tanh: 1-h^2) and rounded as its own factor before the
+/// multiply, so each product equals delta * f' computed separately.
+void MultiplyActivationGrad(Activation act, const la::Matrix& a,
+                            const la::Matrix& h, la::Matrix* delta);
 
 }  // namespace factorml::nn
 

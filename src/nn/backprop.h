@@ -39,14 +39,22 @@ class BackpropEngine {
   /// the caller-assembled gradient (the [PG_S | PG_R] split for F-NN).
   void UpdateW0(const la::Matrix& grad0);
 
-  /// One mini-batch update given the first-layer pre-activation `a1`
-  /// (batch x nh, bias already added) and targets `y` (length batch):
-  /// runs the forward pass through the remaining layers, backpropagates,
-  /// updates every parameter except w[0] (including b[0]), and writes
-  /// delta1 = dE/dA1 (already scaled by 1/batch) for the caller to form
-  /// the w[0] gradient. Returns the batch's sum of squared errors
-  /// (computed before the update).
-  double Step(const la::Matrix& a1, const double* y, la::Matrix* delta1);
+  /// One mini-batch update in the transposed epoch layout: every
+  /// activation and error block is units x batch, one row per unit with
+  /// the batch contiguous (the layout the first-layer strip kernels write).
+  /// Given the first-layer pre-activation `a1t` (nh x batch, bias already
+  /// added) and targets `y` (length batch), runs the forward pass through
+  /// the remaining layers, backpropagates, and updates every parameter
+  /// except w[0] (including b[0]). Every product goes through the active
+  /// kernel table's `gemm_strip`; under scalar kernels each element
+  /// replays the seed's row-major accumulation chain, so the scalar bits
+  /// do not depend on the layout. Leaves delta1^T = dE/dA1^T (nh x batch, already scaled
+  /// by 1/batch) in delta1t() for the caller to form the w[0] gradient.
+  /// Returns the batch's sum of squared errors (before the update).
+  double Step(const la::Matrix& a1t, const double* y);
+
+  /// delta1^T of the last Step (nh x batch); valid until the next Step.
+  const la::Matrix& delta1t() const { return delta_[0]; }
 
   double learning_rate() const { return lr_; }
 
@@ -60,6 +68,8 @@ class BackpropEngine {
   void UpdateLayer(size_t l, const la::Matrix& delta,
                    const la::Matrix& input);
 
+  /// Inverted dropout on h_[layer]; the mask is drawn in (row, unit)
+  /// order, so the generator stream does not depend on the layout.
   void MaybeDropout(size_t layer);
   void ApplyUpdate(la::Matrix* w, const la::Matrix& grad,
                    la::Matrix* velocity);
@@ -73,15 +83,22 @@ class BackpropEngine {
   std::vector<std::vector<double>> vel_b_;      // per-layer bias velocity
   double dropout_rate_ = 0.0;
   std::unique_ptr<Rng> dropout_rng_;
-  std::vector<la::Matrix> a_;      // pre-activations per layer
-  std::vector<la::Matrix> h_;      // activations per layer
-  std::vector<la::Matrix> delta_;  // error terms per layer
+  // Per-layer blocks, all units x batch.
+  std::vector<la::Matrix> a_;      // pre-activations (a_[0] unused)
+  std::vector<la::Matrix> h_;      // hidden activations
+  std::vector<la::Matrix> delta_;  // error terms
   std::vector<la::Matrix> mask_;   // dropout masks (0 or 1/(1-p))
   std::vector<la::Matrix> raw_h_;  // pre-dropout activations (for f')
   la::Matrix grad_;
-  la::Matrix fprime_;
-  std::vector<double> bias_sum_;  // UpdateBias column sums
+  la::Matrix wt_;                 // W_l^T for the backward product
+  std::vector<double> ones_;      // batch ones: bias sums in dot form
+  std::vector<double> bias_sum_;  // UpdateBias row sums
 };
+
+/// at[:, r0:r0+rows] += bias, one contiguous run per unit: the bias add of
+/// a units x batch block (uncharged; callers count it with their product).
+void AddBias(const std::vector<double>& bias, size_t r0, size_t rows,
+             la::Matrix* at);
 
 /// w -= lr * grad and the matching op count (one multiply-subtract per
 /// parameter); shared with the trainers' w[0] update.

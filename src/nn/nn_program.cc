@@ -13,13 +13,11 @@
 #include <vector>
 
 #include "common/opcount.h"
-#include "core/pipeline/access_internal.h"
 #include "core/pipeline/access_strategy.h"
 #include "core/pipeline/model_program.h"
 #include "exec/parallel_for.h"
 #include "join/batch_plan.h"
 #include "la/kernels.h"
-#include "la/ops.h"
 #include "nn/backprop.h"
 #include "nn/trainers.h"
 
@@ -30,28 +28,6 @@ namespace {
 using core::pipeline::DenseBatch;
 using core::pipeline::FactorizedBlock;
 using core::pipeline::PipelineContext;
-
-/// a1[r * nh + u] = t[u * ldt + r] (+ bias[u] when non-null) for a strip
-/// of `rows` rows: the transposed first-layer block back to row-major, in
-/// 8 x 8 tiles so the reads and the writes each touch only a few lines.
-void TransposeStrip(const double* t, size_t ldt, size_t nh, size_t rows,
-                    const double* bias, double* a1) {
-  for (size_t r0 = 0; r0 < rows; r0 += 8) {
-    const size_t re = std::min(rows, r0 + 8);
-    for (size_t u0 = 0; u0 < nh; u0 += 8) {
-      const size_t ue = std::min(nh, u0 + 8);
-      for (size_t r = r0; r < re; ++r) {
-        const double* tr = t + r;
-        double* ar = a1 + r * nh;
-        if (bias != nullptr) {
-          for (size_t u = u0; u < ue; ++u) ar[u] = tr[u * ldt] + bias[u];
-        } else {
-          for (size_t u = u0; u < ue; ++u) ar[u] = tr[u * ldt];
-        }
-      }
-    }
-  }
-}
 
 /// Per-attribute-table cache of first-layer partial inner products:
 /// row rid holds W1[:, slice_i] * x_ri (plus the layer bias for table 0,
@@ -140,54 +116,68 @@ class NnProgram final : public core::pipeline::ModelProgram {
     return Status::OK();
   }
 
+  // Both dense arms build the first-layer pre-activation straight into
+  // the transposed epoch block a1t_ (nh x batch) that Step consumes, and
+  // read Step's delta1^T in place for the W1 gradient: no layout shuffle
+  // sits between the first layer and the upper ones.
   Status OnDenseBatch(const PipelineContext& ctx,
                       const DenseBatch& batch) override {
     if (batch.strips != nullptr) return OnDenseBatchStrips(ctx, batch);
     const la::Matrix& x = *batch.x;
     const size_t b = x.rows();
     const int threads = ctx.threads;
+    const la::Kernels& kern = la::Active();
 
-    // First-layer forward over row morsels: each a1 row depends only on
-    // its own input row, so any partition is bit-identical to serial.
-    a1_.Reshape(b, nh_);
+    // First-layer forward over row morsels: a1t[:, r] = W1 x_r + b1, the
+    // dot form with x's rows as B. Each entry depends only on its own
+    // input row, so any partition is bit-identical to serial.
+    a1t_.Reshape(nh_, b);
     {
       core::PhaseScope phase(ctx.report, "first_layer_fwd");
-      exec::ParallelFor(threads, static_cast<int64_t>(b), /*align=*/1,
-                        [&](exec::Range rg, int) {
-                          la::GemmNTSliceRows(x, mlp_.w[0], 0, &a1_,
-                                              static_cast<size_t>(rg.begin),
-                                              static_cast<size_t>(rg.end),
-                                              /*accumulate=*/false);
-                          la::AddRowVectorRows(mlp_.b[0].data(), &a1_,
-                                               static_cast<size_t>(rg.begin),
-                                               static_cast<size_t>(rg.end));
-                        });
+      exec::ParallelFor(
+          threads, static_cast<int64_t>(b), /*align=*/1,
+          [&](exec::Range rg, int) {
+            const auto r0 = static_cast<size_t>(rg.begin);
+            const auto rows = static_cast<size_t>(rg.size());
+            kern.gemm_strip(mlp_.w[0].data(), d_, x.Row(r0).data(), d_, nh_,
+                            rows, d_, a1t_.data() + r0, b, /*trans_b=*/true,
+                            /*accumulate=*/false);
+            internal::AddBias(mlp_.b[0], r0, rows, &a1t_);
+            CountMults(rows * nh_ * d_);
+            CountAdds(rows * nh_ * d_ + rows * nh_);
+          });
     }
     {
       core::PhaseScope phase(ctx.report, "upper_layers");
-      epoch_sse_ += engine_->Step(a1_, batch.y->data(), &delta1_);
+      epoch_sse_ += engine_->Step(a1t_, batch.y->data());
     }
 
-    // W1 gradient over column morsels: the per-element accumulation
-    // order over the batch rows is unchanged, so this too is
-    // bit-identical for any thread count.
+    // W1 gradient over column morsels: grad0[:, cb:ce] = delta1^T
+    // x[:, cb:ce], the axpy form over the batch rows. Every element adds
+    // its rows in order, so this too is bit-identical for any thread count.
+    const la::Matrix& d1t = engine_->delta1t();
     grad0_.SetZero();
     {
       core::PhaseScope phase(ctx.report, "w1_grad");
-      exec::ParallelFor(threads, static_cast<int64_t>(d_), /*align=*/1,
-                        [&](exec::Range rg, int) {
-                          la::GemmTNSliceCols(delta1_, x, &grad0_, 0,
-                                              static_cast<size_t>(rg.begin),
-                                              static_cast<size_t>(rg.end));
-                        });
+      exec::ParallelFor(
+          threads, static_cast<int64_t>(d_), /*align=*/1,
+          [&](exec::Range rg, int) {
+            const auto cb = static_cast<size_t>(rg.begin);
+            const auto len = static_cast<size_t>(rg.size());
+            kern.gemm_strip(d1t.data(), b, x.data() + cb, d_, nh_, len, b,
+                            grad0_.data() + cb, d_, /*trans_b=*/false,
+                            /*accumulate=*/true);
+            CountMults(b * nh_ * len);
+            CountAdds(b * nh_ * len);
+          });
     }
     engine_->UpdateW0(grad0_);
     return Status::OK();
   }
 
-  /// Strip-fed epoch step (--kernels=simd): forward and backward run as
-  /// batch matrix products (`gemm_strip`) over the driver-packed column
-  /// strips instead of per-row gemv/outer loops. Op counts are charged
+  /// Strip-fed epoch step (--kernels=simd): the first-layer forward and
+  /// the W1 gradient run as `gemm_strip` products over the driver-packed
+  /// column strips (axpy form and dot form). Op counts are charged
   /// with the exact scalar formulas per strip, and every strip/morsel
   /// boundary is schedule-determined, so iterations, op counters, and
   /// page I/O stay EXPECT_EQ-identical to the scalar path — only the
@@ -199,28 +189,26 @@ class NnProgram final : public core::pipeline::ModelProgram {
     const int threads = ctx.threads;
     const la::Kernels& kern = la::Active();
 
-    // First-layer forward, one strip at a time: a1t (nh x rows) = W1 * B
-    // where B is the strip's feature block (d x rows, ldb = strip height).
-    // The transpose back to the row-major activation block carries the
-    // bias add (the AddRowVectorRows charge); strips are disjoint row
-    // blocks, so any strip partition is deterministic.
-    a1_.Reshape(b, nh_);
+    // First-layer forward, one strip at a time: W1 * B, where B is the
+    // strip's feature block (d x rows, ldb = strip height), lands in the
+    // strip's columns of a1t (ldc = b); the bias add runs over contiguous
+    // rows. Strips are disjoint column blocks, so any strip partition is
+    // deterministic.
+    a1t_.Reshape(nh_, b);
     {
       core::PhaseScope phase(ctx.report, "first_layer_fwd");
       exec::ParallelFor(
           threads, static_cast<int64_t>(st.num_strips), /*align=*/1,
           [&](exec::Range rg, int) {
-            std::vector<double> a1t(nh_ * st.strip_rows);
             for (int64_t s = rg.begin; s < rg.end; ++s) {
               const auto sp = static_cast<size_t>(s);
               const size_t rows = st.RowsInStrip(sp);
+              const size_t row0 = st.StripStart(sp);
               kern.gemm_strip(mlp_.w[0].data(), d_, st.Col(sp, 0),
-                              st.strip_rows, nh_, rows, d_, a1t.data(),
-                              st.strip_rows, /*trans_b=*/false,
+                              st.strip_rows, nh_, rows, d_,
+                              a1t_.data() + row0, b, /*trans_b=*/false,
                               /*accumulate=*/false);
-              TransposeStrip(a1t.data(), st.strip_rows, nh_, rows,
-                             mlp_.b[0].data(),
-                             a1_.Row(st.StripStart(sp)).data());
+              internal::AddBias(mlp_.b[0], row0, rows, &a1t_);
               CountMults(rows * nh_ * d_);
               CountAdds(rows * nh_ * d_ + rows * nh_);
             }
@@ -228,17 +216,16 @@ class NnProgram final : public core::pipeline::ModelProgram {
     }
     {
       core::PhaseScope phase(ctx.report, "upper_layers");
-      epoch_sse_ += engine_->Step(a1_, batch.y->data(), &delta1_);
+      epoch_sse_ += engine_->Step(a1t_, batch.y->data());
     }
 
     // W1 gradient over column morsels, strips ascending inside each
-    // morsel: grad0[:, cb:ce] += sum_s d1_strip_s * x_strip_s^T — the
-    // dot-form gemm over two strip blocks of the same height. The strip
-    // order is fixed, so the gradient is bit-identical for any thread
-    // count (and within-morsel numerics match the serial strip sweep).
-    core::pipeline::internal::PackRowsToStrips(
-        delta1_.data(), nh_, /*y=*/nullptr, 0, b, nh_, st.start_row,
-        st.strip_rows, &d1s_);
+    // morsel: grad0[:, cb:ce] += sum_s delta1^T_s * x_strip_s^T — the
+    // dot-form gemm of delta1^T's strip columns (lda = b) against the
+    // feature strip. The strip order is fixed, so the gradient is
+    // bit-identical for any thread count (and within-morsel numerics match
+    // the serial strip sweep).
+    const la::Matrix& d1t = engine_->delta1t();
     grad0_.SetZero();
     {
       core::PhaseScope phase(ctx.report, "w1_grad");
@@ -249,7 +236,7 @@ class NnProgram final : public core::pipeline::ModelProgram {
             const size_t len = static_cast<size_t>(rg.end) - cb;
             for (size_t s = 0; s < st.num_strips; ++s) {
               const size_t rows = st.RowsInStrip(s);
-              kern.gemm_strip(d1s_.Col(s, 0), d1s_.strip_rows, st.Col(s, cb),
+              kern.gemm_strip(d1t.data() + st.StripStart(s), b, st.Col(s, cb),
                               st.strip_rows, nh_, len, rows,
                               grad0_.data() + cb, d_, /*trans_b=*/true,
                               /*accumulate=*/true);
@@ -270,36 +257,35 @@ class NnProgram final : public core::pipeline::ModelProgram {
     const storage::ColumnStrips* st = block.s_strips;
     const size_t b = s_rows.num_rows;
     const int threads = ctx.threads;
+    const la::Kernels& kern = la::Active();
 
+    // Gather the targets and the per-table rid index buffers (pure data
+    // movement, uncharged like assembly). The strip path's S slice arrives
+    // pre-transposed (target at strip column 0, features at 1..ds); the
+    // row path copies it into xs_.
     y_.resize(b);
-    if (st == nullptr) {
-      xs_.Reshape(b, ds_);
-      exec::ParallelFor(
-          threads, static_cast<int64_t>(b), /*align=*/1,
-          [&](exec::Range rg, int) {
-            for (int64_t r = rg.begin; r < rg.end; ++r) {
-              y_[static_cast<size_t>(r)] =
-                  s_rows.feats(static_cast<size_t>(r), 0);
-              std::memcpy(xs_.Row(static_cast<size_t>(r)).data(),
-                          s_rows.feats.Row(static_cast<size_t>(r)).data() + 1,
+    ridbuf_.resize(q_);
+    for (size_t i = 0; i < q_; ++i) ridbuf_[i].resize(b);
+    if (st == nullptr) xs_.Reshape(b, ds_);
+    // Row block height of the strip kernels: the strip height, or the
+    // whole batch as one block on the row path.
+    const size_t sr = st != nullptr ? st->strip_rows : b;
+    exec::ParallelFor(
+        threads, static_cast<int64_t>(b), /*align=*/1,
+        [&](exec::Range rg, int) {
+          for (int64_t rr = rg.begin; rr < rg.end; ++rr) {
+            const auto r = static_cast<size_t>(rr);
+            y_[r] = s_rows.feats(r, 0);
+            const int64_t* keys = s_rows.KeysOf(r);
+            for (size_t i = 0; i < q_; ++i) {
+              ridbuf_[i][r] = keys[rel_->FkKeyIndex(i)];
+            }
+            if (st == nullptr) {
+              std::memcpy(xs_.Row(r).data(), s_rows.feats.Row(r).data() + 1,
                           sizeof(double) * ds_);
             }
-          });
-    } else {
-      // Strip path: the S slice arrives pre-transposed (target at strip
-      // column 0, features at 1..ds), so xs_ is never assembled. Gather
-      // the targets and the per-table rid index buffers the strip
-      // kernels consume (pure data movement, uncharged like assembly).
-      ridbuf_.resize(q_);
-      for (size_t i = 0; i < q_; ++i) ridbuf_[i].resize(b);
-      for (size_t r = 0; r < b; ++r) {
-        y_[r] = s_rows.feats(r, 0);
-        const int64_t* keys = s_rows.KeysOf(r);
-        for (size_t i = 0; i < q_; ++i) {
-          ridbuf_[i][r] = keys[rel_->FkKeyIndex(i)];
-        }
-      }
-    }
+          }
+        });
 
     // ---- Refresh the partial caches for this weight version: collect
     // the stale rids the batch touches (table 0 straight from the rid
@@ -360,123 +346,108 @@ class NnProgram final : public core::pipeline::ModelProgram {
     }
 
     // ---- Factorized forward, first layer (Sec. VI-A1 / Eq. 31):
-    // A1 = XS * W_S^T  +  sum_i cache_i(rid_i), row-parallel over the
-    // batch (each a1 row reads only its own xs row and cached partials).
-    a1_.Reshape(b, nh_);
-    if (st != nullptr) {
-      // Strip path: the XS product is one gemm_strip per strip (W_S is
-      // the leading ds-column slice of W1), transposed back row-major;
-      // the per-table cached partials land via gather_add_rows_strip
-      // over the rid buffers (no bias here — table 0's cache carries it).
+    // A1^T = W_S XS^T + sum_i cache_i(rid_i), written straight into the
+    // transposed block over disjoint column ranges. The strip path runs
+    // the XS product as one axpy-form gemm_strip per strip (W_S is the
+    // leading ds-column slice of W1), the row path as the dot form over
+    // xs_'s rows; either way each entry then adds the cached partials in
+    // table order (no bias here — table 0's cache carries it).
+    a1t_.Reshape(nh_, b);
+    {
       core::PhaseScope phase(ctx.report, "first_layer_fwd");
-      const la::Kernels& kern = la::Active();
-      exec::ParallelFor(
-          threads, static_cast<int64_t>(st->num_strips), /*align=*/1,
-          [&](exec::Range rg, int) {
-            std::vector<double> a1t(nh_ * st->strip_rows);
-            for (int64_t s = rg.begin; s < rg.end; ++s) {
-              const auto sp = static_cast<size_t>(s);
-              const size_t rows = st->RowsInStrip(sp);
-              const size_t row0 = st->StripStart(sp);
-              kern.gemm_strip(mlp_.w[0].data(), d_, st->Col(sp, 1),
-                              st->strip_rows, nh_, rows, ds_, a1t.data(),
-                              st->strip_rows, /*trans_b=*/false,
-                              /*accumulate=*/false);
-              double* a1_base = a1_.Row(row0).data();
-              TransposeStrip(a1t.data(), st->strip_rows, nh_, rows,
-                             /*bias=*/nullptr, a1_base);
-              for (size_t i = 0; i < q_; ++i) {
-                kern.gather_add_rows_strip(caches_[i].c.data(), nh_,
-                                           ridbuf_[i].data() + row0, rows,
-                                           nh_, a1_base, nh_);
+      if (st != nullptr) {
+        exec::ParallelFor(
+            threads, static_cast<int64_t>(st->num_strips), /*align=*/1,
+            [&](exec::Range rg, int) {
+              for (int64_t s = rg.begin; s < rg.end; ++s) {
+                const auto sp = static_cast<size_t>(s);
+                const size_t r0 = st->StripStart(sp);
+                const size_t rows = st->RowsInStrip(sp);
+                kern.gemm_strip(mlp_.w[0].data(), d_, st->Col(sp, 1), sr,
+                                nh_, rows, ds_, a1t_.data() + r0, b,
+                                /*trans_b=*/false, /*accumulate=*/false);
+                AddCachedPartials(r0, rows);
               }
-              CountMults(rows * nh_ * ds_);
-              CountAdds(rows * nh_ * ds_ + rows * nh_ * q_);
-            }
-          });
-    } else {
-      core::PhaseScope phase(ctx.report, "first_layer_fwd");
-      exec::ParallelFor(
-          threads, static_cast<int64_t>(b), /*align=*/1,
-          [&](exec::Range rg, int) {
-            la::GemmNTSliceRows(xs_, mlp_.w[0], 0, &a1_,
-                                static_cast<size_t>(rg.begin),
-                                static_cast<size_t>(rg.end),
-                                /*accumulate=*/false);
-            for (int64_t r = rg.begin; r < rg.end; ++r) {
-              const int64_t* keys = s_rows.KeysOf(static_cast<size_t>(r));
-              double* a1_row = a1_.Row(static_cast<size_t>(r)).data();
-              for (size_t i = 0; i < q_; ++i) {
-                const int64_t rid = keys[rel_->FkKeyIndex(i)];
-                const double* c_row =
-                    caches_[i].c.Row(static_cast<size_t>(rid)).data();
-                for (size_t u = 0; u < nh_; ++u) a1_row[u] += c_row[u];
-              }
-            }
-            CountAdds(static_cast<uint64_t>(rg.size()) * nh_ * q_);
-          });
+            });
+      } else {
+        exec::ParallelFor(
+            threads, static_cast<int64_t>(b), /*align=*/1,
+            [&](exec::Range rg, int) {
+              const auto r0 = static_cast<size_t>(rg.begin);
+              const auto rows = static_cast<size_t>(rg.size());
+              kern.gemm_strip(mlp_.w[0].data(), d_, xs_.Row(r0).data(), ds_,
+                              nh_, rows, ds_, a1t_.data() + r0, b,
+                              /*trans_b=*/true, /*accumulate=*/false);
+              AddCachedPartials(r0, rows);
+            });
+      }
+      CountMults(b * nh_ * ds_);
+      CountAdds(b * nh_ * ds_ + b * nh_ * q_);
     }
 
     {
       core::PhaseScope phase(ctx.report, "upper_layers");
-      epoch_sse_ += engine_->Step(a1_, y_.data(), &delta1_);
+      epoch_sse_ += engine_->Step(a1t_, y_.data());
     }
+    const la::Matrix& d1t = engine_->delta1t();
 
     // ---- Factorized backward (Sec. VI-A3 / Eq. 32): the W1 gradient
     // [PG_S | PG_R1 | ... ] is formed from the base relations directly;
     // identical arithmetic, but x_Ri is never expanded to N rows on
     // disk. Parallelized over column morsels of grad0: every worker owns
-    // a disjoint column range. The row path accumulates it in the serial
-    // row order (per-row AddOuter); the strip path forms every element as
-    // dot products over the strips in ascending order, PG_S against the S
-    // strips and PG_R against x_Ri gathered into strips of the same
-    // height. Either way no element depends on the partition, so the
-    // gradient is bit-identical for any thread count.
+    // a disjoint column range. Every element reads delta1^T's rows in
+    // place: PG_S against the S strips (dot form) or xs_ (axpy form), and
+    // PG_R against x_Ri gathered into blocks of the strip height — the
+    // whole batch as one block on the row path — in dot form. Either way
+    // each element adds its rows in order and no element depends on the
+    // partition, so the gradient is bit-identical for any thread count.
     if (opt_.grouped_backward && q_ >= 1) {
       // Extension: per R1 group, sum the deltas first, then one outer
       // product per R1 tuple (nh*(b + |rids|*dR1) ops instead of
-      // nh*b*dR1). Computed once, read by every column worker.
+      // nh*b*dR1). Computed once, read by every column worker; charged as
+      // the per-row Axpy it replays.
       dsums_.assign(groups.size() * nh_, 0.0);
       for (size_t g = 0; g < groups.size(); ++g) {
         const auto& grp = groups[g];
         if (grp.count == 0) continue;
         double* dsum = dsums_.data() + g * nh_;
-        for (size_t r = grp.offset; r < grp.offset + grp.count; ++r) {
-          la::Axpy(1.0, delta1_.Row(r).data(), dsum, nh_);
+        for (size_t u = 0; u < nh_; ++u) {
+          const double* row = d1t.Row(u).data();
+          double sum = 0.0;
+          for (size_t r = grp.offset; r < grp.offset + grp.count; ++r) {
+            sum += row[r];
+          }
+          dsum[u] = sum;
         }
+        CountMults(grp.count * nh_);
+        CountAdds(grp.count * nh_);
       }
-    }
-    if (st != nullptr) {
-      // Delta strips aligned to the S strips (same height), so the PG_S
-      // block below runs as dot-form gemm over paired strip blocks.
-      core::pipeline::internal::PackRowsToStrips(
-          delta1_.data(), nh_, /*y=*/nullptr, 0, b, nh_, st->start_row,
-          st->strip_rows, &d1s_);
     }
     grad0_.SetZero();
     {
       core::PhaseScope phase(ctx.report, "w1_grad");
-      const la::Kernels& kern = la::Active();
       exec::ParallelFor(
           threads, static_cast<int64_t>(d_), /*align=*/1,
           [&](exec::Range rg, int) {
             const auto cb = static_cast<size_t>(rg.begin);
             const auto ce = static_cast<size_t>(rg.end);
             // PG_S: columns of the S slice [0, ds) within this morsel.
-            if (cb < ds_ && st != nullptr) {
+            if (cb < ds_) {
               const size_t slen = std::min(ds_, ce) - cb;
-              for (size_t s = 0; s < st->num_strips; ++s) {
-                const size_t rows = st->RowsInStrip(s);
-                kern.gemm_strip(d1s_.Col(s, 0), d1s_.strip_rows,
-                                st->Col(s, 1 + cb), st->strip_rows, nh_,
-                                slen, rows, grad0_.data() + cb, d_,
-                                /*trans_b=*/true, /*accumulate=*/true);
+              if (st != nullptr) {
+                for (size_t s = 0; s < st->num_strips; ++s) {
+                  kern.gemm_strip(d1t.data() + st->StripStart(s), b,
+                                  st->Col(s, 1 + cb), sr, nh_, slen,
+                                  st->RowsInStrip(s), grad0_.data() + cb, d_,
+                                  /*trans_b=*/true, /*accumulate=*/true);
+                }
+              } else {
+                kern.gemm_strip(d1t.data(), b, xs_.data() + cb, ds_, nh_,
+                                slen, b, grad0_.data() + cb, d_,
+                                /*trans_b=*/false, /*accumulate=*/true);
               }
               CountMults(b * nh_ * slen);
               CountAdds(b * nh_ * slen);
-            } else if (cb < ds_) {
-              la::GemmTNSliceCols(delta1_, xs_, &grad0_, 0, cb,
-                                  std::min(ds_, ce));
             }
             // PG_Ri: the slice of each attribute block inside the
             // morsel. The overlap is loop-invariant over the batch
@@ -497,64 +468,59 @@ class NnProgram final : public core::pipeline::ModelProgram {
               }
             }
             if (!any_overlap) return;
+            // AddOuter's alpha * u scaling (nh per outer product) is
+            // charged once per table, by the morsel holding the block's
+            // first column, so the count does not depend on the split.
+            const auto scale_charge = [&](size_t i) {
+              return lo[i] == 0 ? nh_ : size_t{0};
+            };
             const size_t row_first_table = opt_.grouped_backward ? 1 : 0;
             if (opt_.grouped_backward && len[0] > 0) {
-              for (size_t g = 0; g < groups.size(); ++g) {
-                const auto& grp = groups[g];
+              double* g = grad0_.data() + attr_offset_[0] + lo[0];
+              size_t outers = 0;
+              for (size_t gi = 0; gi < groups.size(); ++gi) {
+                const auto& grp = groups[gi];
                 if (grp.count == 0) continue;
                 const auto xr = views[0].FeaturesOf(grp.rid);
-                la::AddOuter(1.0, dsums_.data() + g * nh_, nh_,
-                             xr.data() + lo[0], len[0], &grad0_, 0,
-                             attr_offset_[0] + lo[0]);
+                kern.add_outer(1.0, dsums_.data() + gi * nh_, nh_,
+                               xr.data() + lo[0], len[0], g, d_);
+                ++outers;
               }
+              CountMults(outers * (nh_ * len[0] + scale_charge(0)));
+              CountAdds(outers * nh_ * len[0]);
             }
             size_t max_len = 0;  // widest row-table slice in the morsel
             for (size_t i = row_first_table; i < q_; ++i) {
               max_len = std::max(max_len, len[i]);
             }
             if (max_len == 0) return;
-            if (st != nullptr) {
-              // PG_Ri in dot form: per strip, gather the morsel's x_Ri
-              // columns of the strip's rows into a len_i x strip_rows
-              // block (rows contiguous, like d1s_), then one trans_b
-              // gemm_strip against the delta strip, as PG_S does. The
-              // charge is the per-row AddOuter formula it replaces.
-              const size_t sr = st->strip_rows;
-              std::vector<double> xg(max_len * sr);
-              for (size_t i = row_first_table; i < q_; ++i) {
-                if (len[i] == 0) continue;
-                const la::Matrix& feats = views[i].feats();
-                const double* x_base = feats.data() + lo[i];
-                const size_t ldx = feats.cols();
-                double* g = grad0_.data() + attr_offset_[i] + lo[i];
-                for (size_t s = 0; s < st->num_strips; ++s) {
-                  const size_t rows = st->RowsInStrip(s);
-                  const int64_t* rids = ridbuf_[i].data() + st->StripStart(s);
-                  for (size_t j = 0; j < len[i]; ++j) {
-                    double* dst = xg.data() + j * sr;
-                    for (size_t r = 0; r < rows; ++r) {
-                      dst[r] = x_base[static_cast<size_t>(rids[r]) * ldx + j];
-                    }
+            // PG_Ri in dot form: per block of sr rows, gather the morsel's
+            // x_Ri columns of the block's rows into a len_i x sr block
+            // (rows contiguous, like delta1^T), then one trans_b
+            // gemm_strip against delta1^T's block columns, as PG_S does.
+            // The charge is the per-row AddOuter formula it replaces.
+            std::vector<double> xg(max_len * sr);
+            for (size_t i = row_first_table; i < q_; ++i) {
+              if (len[i] == 0) continue;
+              const la::Matrix& feats = views[i].feats();
+              const double* x_base = feats.data() + lo[i];
+              const size_t ldx = feats.cols();
+              double* g = grad0_.data() + attr_offset_[i] + lo[i];
+              for (size_t row0 = 0; row0 < b; row0 += sr) {
+                const size_t rows = std::min(sr, b - row0);
+                const int64_t* rids = ridbuf_[i].data() + row0;
+                for (size_t j = 0; j < len[i]; ++j) {
+                  double* dst = xg.data() + j * sr;
+                  for (size_t r = 0; r < rows; ++r) {
+                    dst[r] = x_base[static_cast<size_t>(rids[r]) * ldx + j];
                   }
-                  kern.gemm_strip(d1s_.Col(s, 0), d1s_.strip_rows, xg.data(),
-                                  sr, nh_, len[i], rows, g, d_,
-                                  /*trans_b=*/true, /*accumulate=*/true);
                 }
-                CountMults(b * (nh_ * len[i] + nh_));
-                CountAdds(b * nh_ * len[i]);
+                kern.gemm_strip(d1t.data() + row0, b, xg.data(), sr, nh_,
+                                len[i], rows, g, d_, /*trans_b=*/true,
+                                /*accumulate=*/true);
               }
-              return;
-            }
-            for (size_t r = 0; r < b; ++r) {
-              const int64_t* keys = s_rows.KeysOf(r);
-              for (size_t i = row_first_table; i < q_; ++i) {
-                if (len[i] == 0) continue;
-                const auto xr =
-                    views[i].FeaturesOf(keys[rel_->FkKeyIndex(i)]);
-                la::AddOuter(1.0, delta1_.Row(r).data(), nh_,
-                             xr.data() + lo[i], len[i], &grad0_, 0,
-                             attr_offset_[i] + lo[i]);
-              }
+              CountMults(b * (nh_ * len[i] + scale_charge(i)));
+              CountAdds(b * nh_ * len[i]);
             }
           });
     }
@@ -599,6 +565,35 @@ class NnProgram final : public core::pipeline::ModelProgram {
   Mlp&& TakeMlp() && { return std::move(mlp_); }
 
  private:
+  /// a1t[:, r0:r0+rows] += cache_i(rid_i) for every table, in table order.
+  /// Rows of one FK1 group are contiguous and share table 0's partial, so
+  /// that one is a broadcast add per run per unit; further tables gather
+  /// one cached entry per row and unit.
+  void AddCachedPartials(size_t r0, size_t rows) {
+    const size_t b = a1t_.cols();
+    const size_t end = r0 + rows;
+    const int64_t* rid0 = ridbuf_[0].data();
+    for (size_t r = r0; r < end;) {
+      size_t run_end = r + 1;
+      while (run_end < end && rid0[run_end] == rid0[r]) ++run_end;
+      const double* c = caches_[0].c.Row(static_cast<size_t>(rid0[r])).data();
+      for (size_t u = 0; u < nh_; ++u) {
+        const double v = c[u];
+        double* row = a1t_.data() + u * b;
+        for (size_t t = r; t < run_end; ++t) row[t] += v;
+      }
+      r = run_end;
+    }
+    const la::Kernels& kern = la::Active();
+    for (size_t i = 1; i < q_; ++i) {
+      for (size_t u = 0; u < nh_; ++u) {
+        kern.gather_add_rows_strip(caches_[i].c.data() + u, nh_,
+                                   ridbuf_[i].data() + r0, rows, /*n=*/1,
+                                   a1t_.data() + u * b + r0, /*ldo=*/1);
+      }
+    }
+  }
+
   NnOptions opt_;
   const join::NormalizedRelations* rel_ = nullptr;
   bool factorized_ = false;
@@ -608,14 +603,12 @@ class NnProgram final : public core::pipeline::ModelProgram {
 
   Mlp mlp_;
   std::unique_ptr<internal::BackpropEngine> engine_;
-  la::Matrix xs_;      // batch x dS (factorized: never widened to d)
-  la::Matrix a1_;      // batch x nh
-  la::Matrix delta1_;  // batch x nh
+  la::Matrix xs_;   // batch x dS, row path (factorized: never widened to d)
+  la::Matrix a1t_;  // nh x batch: first-layer pre-activation, transposed
   la::Matrix grad0_;
   std::vector<double> y_;
   std::vector<double> dsums_;  // grouped-backward scratch, n_groups x nh
-  storage::ColumnStrips d1s_;  // delta1_ packed as strips (strip backward)
-  std::vector<std::vector<int64_t>> ridbuf_;  // per-table rids, strip path
+  std::vector<std::vector<int64_t>> ridbuf_;  // per-table rid of each row
   std::vector<PartialCache> caches_;
   std::vector<std::vector<int64_t>> stale_;  // rids to refill per batch
   uint64_t version_ = 1;

@@ -6,6 +6,7 @@
 #include "gtest/gtest.h"
 #include "join/attribute_view.h"
 #include "join/materialize.h"
+#include "la/kernels.h"
 #include "la/ops.h"
 #include "nn/activation.h"
 #include "nn/backprop.h"
@@ -52,13 +53,15 @@ TEST(ActivationTest, SigmoidValuesAndGrad) {
   a(0, 0) = 0.0;
   a(0, 1) = 100.0;
   a(0, 2) = -100.0;
-  Matrix h, g;
+  Matrix h;
   ApplyActivation(Activation::kSigmoid, a, &h);
   EXPECT_NEAR(h(0, 0), 0.5, 1e-12);
   EXPECT_NEAR(h(0, 1), 1.0, 1e-9);
   EXPECT_NEAR(h(0, 2), 0.0, 1e-9);
-  ActivationGrad(Activation::kSigmoid, a, h, &g);
-  EXPECT_NEAR(g(0, 0), 0.25, 1e-12);
+  Matrix g(1, 3);
+  g.Fill(2.0);
+  MultiplyActivationGrad(Activation::kSigmoid, a, h, &g);
+  EXPECT_NEAR(g(0, 0), 2.0 * 0.25, 1e-12);
 }
 
 TEST(ActivationTest, TanhReluIdentity) {
@@ -88,9 +91,11 @@ TEST(ActivationTest, GradMatchesNumericalDerivative) {
                          Activation::kIdentity}) {
     Matrix a(1, 1);
     a(0, 0) = 0.37;
-    Matrix h, g;
+    Matrix h;
     ApplyActivation(act, a, &h);
-    ActivationGrad(act, a, h, &g);
+    Matrix g(1, 1);
+    g.Fill(1.0);
+    MultiplyActivationGrad(act, a, h, &g);
     const double eps = 1e-6;
     Matrix ap(1, 1), am(1, 1), hp, hm;
     ap(0, 0) = 0.37 + eps;
@@ -150,6 +155,30 @@ TEST(MlpTest, HalfMseOfPerfectPredictionIsZero) {
 
 // -------------------------------------------------- Gradient correctness
 
+// The first-layer block Step consumes: a1t = (x W1^T + b1)^T, nh x b.
+Matrix FirstLayerT(const Mlp& net, const Matrix& x) {
+  Matrix a1;
+  la::GemmNT(x, net.w[0], &a1, false);
+  la::AddRowVector(net.b[0].data(), &a1);
+  return a1.Transposed();
+}
+
+// The caller's w[0] gradient from Step's delta1^T: grad0 = delta1^T x.
+Matrix FirstLayerGrad(const Matrix& d1t, const Matrix& x) {
+  Matrix grad0(d1t.rows(), x.cols());
+  for (size_t u = 0; u < d1t.rows(); ++u) {
+    for (size_t r = 0; r < x.rows(); ++r) {
+      for (size_t j = 0; j < x.cols(); ++j) {
+        grad0(u, j) += d1t(u, r) * x(r, j);
+      }
+    }
+  }
+  return grad0;
+}
+
+constexpr la::KernelMode kBothModes[] = {la::KernelMode::kScalar,
+                                         la::KernelMode::kSimd};
+
 // Numerical gradient check of the full BP step: perturb each parameter,
 // verify the analytic update direction matches -lr * dE/dtheta.
 TEST(BackpropTest, UpdateMatchesNumericalGradient) {
@@ -176,37 +205,40 @@ TEST(BackpropTest, UpdateMatchesNumericalGradient) {
     return sse / (2.0 * b);
   };
 
-  // One analytic step.
-  Mlp stepped = mlp;
-  internal::BackpropEngine engine(&stepped, lr);
-  Matrix a1, delta1, grad0;
-  la::GemmNT(x, stepped.w[0], &a1, false);
-  la::AddRowVector(stepped.b[0].data(), &a1);
-  engine.Step(a1, y.data(), &delta1);
-  la::GemmTN(delta1, x, &grad0, false);
-  internal::ApplyGradient(&stepped.w[0], grad0, lr);
+  // One analytic step per kernel mode: Step routes its products through
+  // the active kernel table.
+  for (const auto mode : kBothModes) {
+    SCOPED_TRACE(la::KernelModeName(mode));
+    la::SelectKernels(mode);
+    Mlp stepped = mlp;
+    internal::BackpropEngine engine(&stepped, lr);
+    engine.Step(FirstLayerT(stepped, x), y.data());
+    internal::ApplyGradient(&stepped.w[0],
+                            FirstLayerGrad(engine.delta1t(), x), lr);
 
-  // Numerical gradient for a sample of parameters in every layer.
-  const double eps = 1e-6;
-  for (size_t layer = 0; layer < mlp.w.size(); ++layer) {
-    for (size_t idx : {size_t{0}, mlp.w[layer].size() / 2}) {
+    // Numerical gradient for a sample of parameters in every layer.
+    const double eps = 1e-6;
+    for (size_t layer = 0; layer < mlp.w.size(); ++layer) {
+      for (size_t idx : {size_t{0}, mlp.w[layer].size() / 2}) {
+        Mlp plus = mlp, minus = mlp;
+        plus.w[layer].data()[idx] += eps;
+        minus.w[layer].data()[idx] -= eps;
+        const double g = (loss(plus) - loss(minus)) / (2.0 * eps);
+        const double applied =
+            mlp.w[layer].data()[idx] - stepped.w[layer].data()[idx];
+        EXPECT_NEAR(applied, lr * g, 1e-6)
+            << "layer " << layer << " idx " << idx;
+      }
+      // And one bias per layer.
       Mlp plus = mlp, minus = mlp;
-      plus.w[layer].data()[idx] += eps;
-      minus.w[layer].data()[idx] -= eps;
+      plus.b[layer][0] += eps;
+      minus.b[layer][0] -= eps;
       const double g = (loss(plus) - loss(minus)) / (2.0 * eps);
-      const double applied =
-          mlp.w[layer].data()[idx] - stepped.w[layer].data()[idx];
-      EXPECT_NEAR(applied, lr * g, 1e-6)
-          << "layer " << layer << " idx " << idx;
+      const double applied = mlp.b[layer][0] - stepped.b[layer][0];
+      EXPECT_NEAR(applied, lr * g, 1e-6) << "bias layer " << layer;
     }
-    // And one bias per layer.
-    Mlp plus = mlp, minus = mlp;
-    plus.b[layer][0] += eps;
-    minus.b[layer][0] -= eps;
-    const double g = (loss(plus) - loss(minus)) / (2.0 * eps);
-    const double applied = mlp.b[layer][0] - stepped.b[layer][0];
-    EXPECT_NEAR(applied, lr * g, 1e-6) << "bias layer " << layer;
   }
+  la::SelectKernels(la::KernelMode::kScalar);
 }
 
 // --------------------------------------------- Exactness: M == S == F
@@ -389,29 +421,31 @@ TEST(BackpropTest, DropoutGradientMatchesNumericalGradient) {
     return sse / (2.0 * b);
   };
 
-  Mlp stepped = mlp;
-  internal::BackpropEngine engine(&stepped, lr);
-  engine.EnableDropout(rate, mask_seed);
-  Matrix a1, delta1, grad0;
-  la::GemmNT(x, stepped.w[0], &a1, false);
-  la::AddRowVector(stepped.b[0].data(), &a1);
-  engine.Step(a1, y.data(), &delta1);
-  la::GemmTN(delta1, x, &grad0, false);
-  internal::ApplyGradient(&stepped.w[0], grad0, lr);
+  for (const auto mode : kBothModes) {
+    SCOPED_TRACE(la::KernelModeName(mode));
+    la::SelectKernels(mode);
+    Mlp stepped = mlp;
+    internal::BackpropEngine engine(&stepped, lr);
+    engine.EnableDropout(rate, mask_seed);
+    engine.Step(FirstLayerT(stepped, x), y.data());
+    internal::ApplyGradient(&stepped.w[0],
+                            FirstLayerGrad(engine.delta1t(), x), lr);
 
-  const double eps = 1e-6;
-  for (size_t layer = 0; layer < mlp.w.size(); ++layer) {
-    for (size_t idx : {size_t{0}, mlp.w[layer].size() - 1}) {
-      Mlp plus = mlp, minus = mlp;
-      plus.w[layer].data()[idx] += eps;
-      minus.w[layer].data()[idx] -= eps;
-      const double g = (loss(plus) - loss(minus)) / (2.0 * eps);
-      const double applied =
-          mlp.w[layer].data()[idx] - stepped.w[layer].data()[idx];
-      EXPECT_NEAR(applied, lr * g, 1e-6)
-          << "layer " << layer << " idx " << idx;
+    const double eps = 1e-6;
+    for (size_t layer = 0; layer < mlp.w.size(); ++layer) {
+      for (size_t idx : {size_t{0}, mlp.w[layer].size() - 1}) {
+        Mlp plus = mlp, minus = mlp;
+        plus.w[layer].data()[idx] += eps;
+        minus.w[layer].data()[idx] -= eps;
+        const double g = (loss(plus) - loss(minus)) / (2.0 * eps);
+        const double applied =
+            mlp.w[layer].data()[idx] - stepped.w[layer].data()[idx];
+        EXPECT_NEAR(applied, lr * g, 1e-6)
+            << "layer " << layer << " idx " << idx;
+      }
     }
   }
+  la::SelectKernels(la::KernelMode::kScalar);
 }
 
 TEST(NnExactnessTest, MomentumAndWeightDecayPreserveAgreement) {

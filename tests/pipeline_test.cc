@@ -143,6 +143,95 @@ TEST(PipelineSeedRegressionTest, NnTrainersReproduceSeedOutputs) {
   }
 }
 
+// Every shape the NN upper-layer step takes, pinned per strategy at
+// threads=1 under scalar kernels: the other activations, hidden dropout,
+// momentum with weight decay, two hidden layers, and F over two joins with
+// the grouped backward. Captured from the row-major step before the upper
+// layers moved to the transposed (units x batch) layout.
+TEST(PipelineSeedRegressionTest, NnStepShapesReproduceRowMajorOutputs) {
+  struct Shape {
+    const char* name;
+    void (*apply)(nn::NnOptions*);
+    Golden golden[3];
+  };
+  const Shape shapes[] = {
+      {"tanh",
+       [](nn::NnOptions* o) { o->activation = nn::Activation::kTanh; },
+       {{0x1.693153ba0eb41p-4, 3046830, 3051000, 157830, 144000, 49, 32},
+        {0x1.693153ba0eb41p-4, 3046830, 3051000, 157830, 144000, 19, 0},
+        {0x1.693153ba0eb42p-4, 2480430, 2342520, 157830, 144000, 19, 0}}},
+      {"relu",
+       [](nn::NnOptions* o) { o->activation = nn::Activation::kRelu; },
+       {{0x1.727cf0ed3c5dbp-3, 2902830, 3051000, 13830, 0, 49, 32},
+        {0x1.727cf0ed3c5dbp-3, 2902830, 3051000, 13830, 0, 19, 0},
+        {0x1.727cf0ed3c5dbp-3, 2336430, 2342520, 13830, 0, 19, 0}}},
+      // A linear net diverges at the default rate; 0.01 keeps it finite.
+      {"identity",
+       [](nn::NnOptions* o) {
+         o->activation = nn::Activation::kIdentity;
+         o->learning_rate = 0.01;
+       },
+       {{0x1.52724ad8ce264p-3, 2902830, 3051000, 13830, 0, 49, 32},
+        {0x1.52724ad8ce264p-3, 2902830, 3051000, 13830, 0, 19, 0},
+        {0x1.52724ad8ce263p-3, 2336430, 2342520, 13830, 0, 19, 0}}},
+      {"dropout",
+       [](nn::NnOptions* o) { o->hidden_dropout = 0.2; },
+       {{0x1.24d96386a1bc3p-3, 3334830, 3051000, 157830, 144000, 49, 32},
+        {0x1.24d96386a1bc3p-3, 3334830, 3051000, 157830, 144000, 19, 0},
+        {0x1.24d96386a1bc2p-3, 2768430, 2342520, 157830, 144000, 19, 0}}},
+      {"momentum",
+       [](nn::NnOptions* o) {
+         o->momentum = 0.9;
+         o->weight_decay = 1e-3;
+       },
+       {{0x1.23dc60453ad39p-4, 3055470, 3063960, 153510, 144000, 49, 32},
+        {0x1.23dc60453ad39p-4, 3055470, 3063960, 153510, 144000, 19, 0},
+        {0x1.23dc60453ad39p-4, 2489070, 2355480, 153510, 144000, 19, 0}}},
+      {"hidden 16x8",
+       [](nn::NnOptions* o) { o->hidden = {16, 8}; },
+       {{0x1.434928c5ffa5ep-2, 6434670, 6435000, 233670, 216000, 49, 32},
+        {0x1.434928c5ffa5ep-2, 6434670, 6435000, 233670, 216000, 19, 0},
+        {0x1.434928c5ffa5fp-2, 5868270, 5726520, 233670, 216000, 19, 0}}},
+  };
+  const Golden two_joins_grouped_f = {0x1.05ab45eaa8e33p-1, 2219310, 2222520,
+                                      158790, 144000, 23, 0};
+  TempDir dir;
+  BufferPool pool(512);
+  auto rel =
+      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
+  nn::NnOptions base;
+  base.hidden = {16};
+  base.epochs = 3;
+  base.batch_rows = 256;
+  base.temp_dir = dir.str();
+  base.threads = 1;
+  base.kernels = la::KernelMode::kScalar;
+  for (const Shape& shape : shapes) {
+    nn::NnOptions opt = base;
+    shape.apply(&opt);
+    for (int a = 0; a < 3; ++a) {
+      SCOPED_TRACE(shape.name);
+      pool.Clear();
+      core::TrainReport report;
+      auto mlp = core::TrainNn(rel, opt, kAll[a], &pool, &report);
+      ASSERT_TRUE(mlp.ok()) << mlp.status().ToString();
+      ExpectGolden(report, shape.golden[a]);
+    }
+  }
+  auto spec = Spec(dir.str(), true);
+  spec.name = "two_joins";
+  spec.attrs.push_back(data::AttributeSpec{15, 2});
+  auto rel2 = std::move(GenerateSynthetic(spec, &pool)).value();
+  nn::NnOptions opt = base;
+  opt.grouped_backward = true;
+  pool.Clear();
+  core::TrainReport report;
+  auto mlp =
+      core::TrainNn(rel2, opt, core::Algorithm::kFactorized, &pool, &report);
+  ASSERT_TRUE(mlp.ok()) << mlp.status().ToString();
+  ExpectGolden(report, two_joins_grouped_f);
+}
+
 // Linreg and logreg share one weighted Gram/cofactor pass. These goldens
 // pin that pass's work stream per family and strategy (threads=1, scalar
 // kernels): intercept on and off for linreg, three IRLS iterations for
@@ -1225,17 +1314,38 @@ TEST(KernelsModelParityTest, NnSimdMatchesScalarWorkStream) {
   // (< kDefaultStripRows), pinning the short-strip path; 600-row batches
   // span several strips, pinning their order. The 2-way join runs F's
   // gathered PG_R strips for every attribute table, and with
-  // grouped_backward for the tables after the first.
+  // grouped_backward for the tables after the first. The named shapes
+  // cover every upper-layer step body: the other activations, dropout,
+  // momentum with weight decay, and two hidden layers.
   struct Case {
     bool two_way;
     bool grouped;
     size_t batch_rows;
+    const char* shape = "";
+    void (*apply)(nn::NnOptions*) = nullptr;
   };
-  const Case cases[] = {{false, false, 256},
-                        {false, false, 100},
-                        {true, false, 600},
-                        {true, true, 600},
-                        {true, true, 100}};
+  const Case cases[] = {
+      {false, false, 256},
+      {false, false, 100},
+      {true, false, 600},
+      {true, true, 600},
+      {true, true, 100},
+      {false, false, 600, "tanh",
+       [](nn::NnOptions* o) { o->activation = nn::Activation::kTanh; }},
+      {false, false, 600, "relu",
+       [](nn::NnOptions* o) { o->activation = nn::Activation::kRelu; }},
+      {false, false, 600, "dropout",
+       [](nn::NnOptions* o) { o->hidden_dropout = 0.2; }},
+      {false, false, 600, "momentum",
+       [](nn::NnOptions* o) {
+         o->momentum = 0.9;
+         o->weight_decay = 1e-3;
+       }},
+      {false, false, 600, "hidden 8x4",
+       [](nn::NnOptions* o) { o->hidden = {8, 4}; }},
+      {true, true, 600, "hidden 8x4",
+       [](nn::NnOptions* o) { o->hidden = {8, 4}; }},
+  };
   for (const bool two_way : {false, true}) {
     TempDir dir;
     BufferPool pool(512);
@@ -1250,7 +1360,8 @@ TEST(KernelsModelParityTest, NnSimdMatchesScalarWorkStream) {
         const std::string base = std::string(core::AlgorithmName(algo)) +
                                  (two_way ? " 2-way" : " binary") +
                                  (c.grouped ? " grouped" : "") +
-                                 " batch=" + std::to_string(c.batch_rows);
+                                 " batch=" + std::to_string(c.batch_rows) +
+                                 " " + c.shape;
         std::vector<nn::Mlp> simd_models;
         std::vector<double> simd_objectives;
         for (const int threads : {1, 4}) {
@@ -1261,6 +1372,7 @@ TEST(KernelsModelParityTest, NnSimdMatchesScalarWorkStream) {
           opt.grouped_backward = c.grouped;
           opt.temp_dir = dir.str();
           opt.threads = threads;
+          if (c.apply != nullptr) c.apply(&opt);
           opt.kernels = la::KernelMode::kScalar;
           pool.Clear();
           core::TrainReport scalar_report;
@@ -1289,6 +1401,53 @@ TEST(KernelsModelParityTest, NnSimdMatchesScalarWorkStream) {
         EXPECT_EQ(nn::Mlp::MaxAbsDiffParams(simd_models[0], simd_models[1]),
                   0.0)
             << base;
+      }
+    }
+  }
+}
+
+// F-NN's first-layer gradient splits grad0's columns across workers; an
+// attribute block split between morsels must still be charged once per
+// row (AddOuter's nh scaling of delta included), so the counters read the
+// same at every thread count, on both kernel planes.
+TEST(NnOpCountTest, FactorizedCountsDoNotDependOnThreads) {
+  for (const bool two_way : {false, true}) {
+    TempDir dir;
+    BufferPool pool(512);
+    auto spec = Spec(dir.str(), true);
+    if (two_way) spec.attrs.push_back(data::AttributeSpec{15, 2});
+    auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
+    for (const auto kernels :
+         {la::KernelMode::kScalar, la::KernelMode::kSimd}) {
+      for (const bool grouped : {false, true}) {
+        core::TrainReport serial;
+        for (const int threads : {1, 2, 4}) {
+          nn::NnOptions opt;
+          opt.hidden = {8};
+          opt.epochs = 1;
+          opt.batch_rows = 600;
+          opt.grouped_backward = grouped;
+          opt.temp_dir = dir.str();
+          opt.threads = threads;
+          opt.kernels = kernels;
+          pool.Clear();
+          core::TrainReport report;
+          auto mlp = core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                   &pool, &report);
+          ASSERT_TRUE(mlp.ok()) << mlp.status().ToString();
+          const std::string tag =
+              std::string(two_way ? "2-way" : "binary") + " " +
+              la::KernelModeName(kernels) + (grouped ? " grouped" : "") +
+              " threads=" + std::to_string(threads);
+          if (threads == 1) {
+            serial = report;
+            continue;
+          }
+          EXPECT_EQ(report.ops.mults, serial.ops.mults) << tag;
+          EXPECT_EQ(report.ops.adds, serial.ops.adds) << tag;
+          EXPECT_EQ(report.ops.subs, serial.ops.subs) << tag;
+          EXPECT_EQ(report.ops.exps, serial.ops.exps) << tag;
+        }
       }
     }
   }
