@@ -93,9 +93,9 @@ int Main(int argc, char** argv) {
   if (part == "kernels") {
     // Scalar-vs-simd kernel-plane sweep (the BENCH_nn_kernels.json CI
     // artifact): same M/S/F runs under both --kernels backends, with the
-    // per-phase wall timings in the JSON rows. The strip-path speedup
+    // per-phase wall timings in the JSON rows. The vector-table speedup
     // lives in the first_layer_fwd and w1_grad phases — the batch matrix
-    // products --kernels=simd routes through gemm_strip.
+    // products both modes run through gemm_strip.
     std::printf("\n-- kernel plane: --kernels=scalar vs simd "
                 "(rr=100, dR=15, nh=50) --\n");
     auto rel = Generate(dir.str(), 100 * n_r, n_r, d_s, 15, &pool);

@@ -205,10 +205,10 @@ std::string ArgParser::GetKernels(const std::string& default_value) const {
   if (it == kv_.end()) return default_value;
   if (it->second == "scalar" || it->second == "simd") return it->second;
   std::fprintf(stderr,
-               "invalid --kernels=%s (must be 'scalar' or 'simd'; scalar = "
-               "bit-identical seed kernels, simd = runtime-dispatched "
-               "vector kernels + batched strip decode, same op counts and "
-               "page I/O to floating-point reassociation tolerance)\n",
+               "invalid --kernels=%s (must be 'scalar' or 'simd': the kernel "
+               "table only; scalar = bit-identical seed kernels, simd = "
+               "runtime-dispatched vector kernels, same op counts and page "
+               "I/O, results to floating-point reassociation tolerance)\n",
                it->second.c_str());
   std::exit(2);
 }

@@ -70,13 +70,14 @@ class ArgParser {
   /// < 1 or non-integers are rejected with an error and exit(2).
   int GetPrefetchDepth(int default_value = 2) const;
 
-  /// The shared `--kernels={scalar,simd}` flag: compute-kernel backend of
-  /// the la/ kernel plane. scalar (the default) is bit-identical to the
-  /// seed goldens; simd selects the best runtime-dispatched vector backend
-  /// (AVX2/FMA, NEON, or portable vector extensions) plus the batched
-  /// column-strip decode path — same op counts and page I/O, numerics
-  /// equal to scalar within reassociation tolerance. Anything else
-  /// exits(2), listing the choices (like --steal/--prefetch).
+  /// The shared `--kernels={scalar,simd}` flag: which la/ kernel table is
+  /// active — nothing else (every model reads the same column strips under
+  /// both). scalar (the default) replays the per-row loops bit-identically
+  /// (the seed goldens); simd selects the best runtime-dispatched vector
+  /// backend (AVX2/FMA, NEON, or portable vector extensions) — same op
+  /// counts and page I/O, numerics equal to scalar within reassociation
+  /// tolerance. Anything else exits(2), listing the choices (like
+  /// --steal/--prefetch).
   std::string GetKernels(const std::string& default_value = "scalar") const;
 
   /// The shared `--buffer-pages=N` flag: buffer-pool capacity in pages.

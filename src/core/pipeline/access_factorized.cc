@@ -50,19 +50,14 @@ class FactorizedStrategy final : public JoinStreamStrategyBase {
           wk.cursor->SetPositionRange(range.begin, range.end);
           while (wk.cursor->Next(&wk.batch)) {
             if (wk.batch.s_rows.num_rows == 0) continue;
-            FactorizedBlock block{&wk.batch.s_rows, &wk.batch.groups};
-            if (simd_) {
-              // Batched path: the S-slice columns as strips (a straight
-              // transpose of s_rows.feats — no target special-casing, the
-              // model knows the S-slice layout). Group-structured
-              // attribute work stays row-at-a-time.
-              const storage::RowBatch& s = wk.batch.s_rows;
-              PackRowsToStrips(s.feats.data(), s.feats.cols(),
-                               /*y=*/nullptr, 0, s.num_rows, s.feats.cols(),
-                               s.start_row, kDefaultStripRows,
-                               &wk.s_strips);
-              block.s_strips = &wk.s_strips;
-            }
+            // The S-slice columns as strips (a straight transpose of
+            // s_rows.feats — no target special-casing, the model knows the
+            // S-slice layout); the group structure rides along in s_rows.
+            const storage::RowBatch& s = wk.batch.s_rows;
+            PackRowsToStrips(s.feats.data(), s.feats.cols(), s.num_rows,
+                             s.feats.cols(), s.start_row, kDefaultStripRows,
+                             &wk.s_strips);
+            const FactorizedBlock block{&s, &wk.batch.groups, &wk.s_strips};
             model->AccumulateFactorized(pass, slot, block);
           }
           *status = wk.cursor->status();
@@ -84,16 +79,13 @@ class FactorizedStrategy final : public JoinStreamStrategyBase {
     storage::ColumnStrips s_strips;
     while (cursor.Next(&batch)) {
       if (batch.s_rows.num_rows == 0) continue;
-      FactorizedBlock block{&batch.s_rows, &batch.groups};
-      if (simd_) {
-        // Strip-fed epoch plane: the S slice as strips, same transpose as
-        // RunPass (short mini-batches pack into one partial strip).
-        const storage::RowBatch& s = batch.s_rows;
-        PackRowsToStrips(s.feats.data(), s.feats.cols(), /*y=*/nullptr, 0,
-                         s.num_rows, s.feats.cols(), s.start_row,
-                         kDefaultStripRows, &s_strips);
-        block.s_strips = &s_strips;
-      }
+      // The S slice as strips, same transpose as RunPass (short
+      // mini-batches pack into one partial strip).
+      const storage::RowBatch& s = batch.s_rows;
+      PackRowsToStrips(s.feats.data(), s.feats.cols(), s.num_rows,
+                       s.feats.cols(), s.start_row, kDefaultStripRows,
+                       &s_strips);
+      const FactorizedBlock block{&s, &batch.groups, &s_strips};
       FML_RETURN_IF_ERROR(model->OnFactorizedBatch(*ctx, block));
     }
     return cursor.status();

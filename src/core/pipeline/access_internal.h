@@ -55,7 +55,6 @@ class StrategyBase : public AccessStrategy {
         steal_(options.steal),
         prefetch_(options.prefetch),
         prefetch_depth_(options.prefetch_depth),
-        simd_(options.kernels == la::KernelMode::kSimd),
         full_pass_(full_pass) {}
 
   /// Installs the full-pass chunk plan (RunTraining has resolved
@@ -181,10 +180,6 @@ class StrategyBase : public AccessStrategy {
   bool steal_;
   bool prefetch_;
   int prefetch_depth_;
-  /// --kernels=simd: feed the model column-major strips (batched decode /
-  /// assembly transpose) instead of row pointers. The la/ backend switch
-  /// itself is global (la::SelectKernels, done once by RunTraining).
-  bool simd_;
   bool full_pass_;
   std::vector<exec::Range> ranges_;
   int num_slots_ = 1;
@@ -236,36 +231,42 @@ class JoinStreamStrategyBase : public StrategyBase {
   std::vector<join::AttributeTableView> views_;
 };
 
-/// Transposes `num_rows` assembled rows into the column-strip layout the
-/// batch kernels consume — the S/F drivers' counterpart of the M
-/// strategy's fused PageCursor::ReadStrips decode. When `y` is non-null it
-/// becomes strip column 0 (matching T's layout, where the target is
-/// feature column 0) and the x columns shift up by one. Each strip column
-/// is written as one contiguous run (strip, then column, then rows): a
-/// row-at-a-time scatter lands every column in the same cache sets.
+/// The M/S strategies' full-pass block over one batch of joined-row
+/// strips laid out like T: the target (when the relations carry one) at
+/// strip column 0, the d features after it.
+inline DenseBlock JoinedStripBlock(const storage::ColumnStrips& strips,
+                                   bool has_target) {
+  DenseBlock block;
+  block.start_row = strips.start_row;
+  block.num_rows = strips.num_rows;
+  block.strips = &strips;
+  block.strip_col0 = has_target ? 1 : 0;
+  block.strip_y_col = has_target ? 0 : -1;
+  return block;
+}
+
+/// Transposes `num_rows` rows (row r's d values at `x + r * x_stride`)
+/// into the column-strip layout the batch kernels consume: the mini-batch
+/// drivers' assembled batches and the F driver's S slices. Each strip
+/// column is written as one contiguous run (strip, then column, then
+/// rows): a row-at-a-time scatter lands every column in the same cache
+/// sets.
 inline void PackRowsToStrips(const double* x, size_t x_stride,
-                             const double* y, size_t y_stride,
                              size_t num_rows, size_t d, int64_t start_row,
                              size_t strip_rows, storage::ColumnStrips* out) {
-  const size_t y_off = y != nullptr ? 1 : 0;
   out->strip_rows = strip_rows;
   out->num_strips = (num_rows + strip_rows - 1) / strip_rows;
   out->num_rows = num_rows;
-  out->num_cols = d + y_off;
+  out->num_cols = d;
   out->num_keys = 0;
   out->start_row = start_row;
   out->keys.clear();
-  out->data.resize(out->num_strips * out->num_cols * strip_rows);
+  out->data.resize(out->num_strips * d * strip_rows);
   for (size_t s = 0; s < out->num_strips; ++s) {
     const size_t r0 = out->StripStart(s);
     const size_t rows = out->RowsInStrip(s);
-    if (y_off != 0) {
-      double* dst = out->MutableCol(s, 0);
-      const double* src = y + r0 * y_stride;
-      for (size_t r = 0; r < rows; ++r) dst[r] = src[r * y_stride];
-    }
     for (size_t j = 0; j < d; ++j) {
-      double* dst = out->MutableCol(s, y_off + j);
+      double* dst = out->MutableCol(s, j);
       const double* src = x + r0 * x_stride + j;
       for (size_t r = 0; r < rows; ++r) dst[r] = src[r * x_stride];
     }

@@ -48,13 +48,11 @@ class MaterializedStrategy final : public StrategyBase {
 
   Status RunPass(const PipelineContext& ctx, ModelProgram* model,
                  int pass) override {
-    const size_t y_off = ctx.rel->has_target ? 1 : 0;
     // One scanner + batch buffer per worker thread, reused across the
     // morsels it executes (the ranges are page-aligned, so whichever
     // worker ends up with a chunk reads the same pages and rows).
     struct Worker {
       std::optional<storage::TableScanner> scan;
-      storage::RowBatch batch;
       storage::ColumnStrips strips;
     };
     std::vector<Worker> workers(static_cast<size_t>(threads_));
@@ -74,35 +72,12 @@ class MaterializedStrategy final : public StrategyBase {
             wk.scan->PrefetchRowRange(next->begin, next->end);
           }
           wk.scan->SetRowRange(range.begin, range.end);
-          if (simd_) {
-            // Batched decode: the same batches and the same demand page
-            // walk, fused straight into column strips (T's feature column
-            // 0 is Y, so the strip target column is 0 when present).
-            while (wk.scan->NextStrips(kDefaultStripRows, &wk.strips)) {
-              if (wk.strips.num_rows == 0) continue;
-              DenseBlock block;
-              block.start_row = wk.strips.start_row;
-              block.num_rows = wk.strips.num_rows;
-              block.strips = &wk.strips;
-              block.strip_col0 = y_off;
-              block.strip_y_col = y_off != 0 ? 0 : -1;
-              model->AccumulateDense(pass, slot, block);
-            }
-            *status = wk.scan->status();
-            return;
-          }
-          while (wk.scan->Next(&wk.batch)) {
-            if (wk.batch.num_rows == 0) continue;
-            DenseBlock block;
-            block.start_row = wk.batch.start_row;
-            block.num_rows = wk.batch.num_rows;
-            block.x = wk.batch.feats.data() + y_off;
-            block.x_stride = wk.batch.feats.cols();
-            if (y_off != 0) {
-              block.y = wk.batch.feats.data();
-              block.y_stride = wk.batch.feats.cols();
-            }
-            model->AccumulateDense(pass, slot, block);
+          // Batched decode: the scanner's batches and demand page walk,
+          // fused straight into column strips in T's layout.
+          while (wk.scan->NextStrips(kDefaultStripRows, &wk.strips)) {
+            if (wk.strips.num_rows == 0) continue;
+            model->AccumulateDense(
+                pass, slot, JoinedStripBlock(wk.strips, ctx.rel->has_target));
           }
           *status = wk.scan->status();
         }));
@@ -120,7 +95,7 @@ class MaterializedStrategy final : public StrategyBase {
 
     const size_t y_off = ctx->rel->has_target ? 1 : 0;
     const size_t d = ctx->rel->total_dims();
-    la::Matrix x;
+    la::Matrix x;  // assembly scratch, packed into strips per batch
     std::vector<double> y;
     storage::RowBatch rows;
     storage::ColumnStrips strips;
@@ -142,15 +117,11 @@ class MaterializedStrategy final : public StrategyBase {
         }
       }
       FML_CHECK_EQ(filled, b);
-      DenseBatch dense{&x, &y};
-      if (simd_) {
-        // Strip-fed epoch plane: transpose the assembled batch (same page
-        // walk and IoStats as the row path — the strips are packed from
-        // the rows just read, including batches shorter than one strip).
-        PackRowsToStrips(x.data(), d, nullptr, 0, b, d, 0, kDefaultStripRows,
-                         &strips);
-        dense.strips = &strips;
-      }
+      // The model reads the batch as strips (same page walk and IoStats
+      // whatever the strip height — they are packed from the rows just
+      // read, including batches shorter than one strip).
+      PackRowsToStrips(x.data(), d, b, d, 0, kDefaultStripRows, &strips);
+      const DenseBatch dense{&strips, &y};
       FML_RETURN_IF_ERROR(model->OnDenseBatch(*ctx, dense));
     }
     return Status::OK();

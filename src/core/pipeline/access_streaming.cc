@@ -22,15 +22,11 @@ class StreamingStrategy final : public JoinStreamStrategyBase {
 
   Status RunPass(const PipelineContext& ctx, ModelProgram* model,
                  int pass) override {
-    const size_t y_off = ctx.rel->has_target ? 1 : 0;
-    const size_t d = ctx.rel->total_dims();
-    // One join cursor + assembly buffer per worker thread, reused across
-    // the FK1-run morsels it executes.
+    // One join cursor + strip buffer per worker thread, reused across the
+    // FK1-run morsels it executes.
     struct Worker {
       std::optional<join::JoinCursor> cursor;
       join::JoinBatch batch;
-      la::Matrix xbuf;
-      std::vector<double> ybuf;
       storage::ColumnStrips strips;
     };
     std::vector<Worker> workers(static_cast<size_t>(threads_));
@@ -51,36 +47,13 @@ class StreamingStrategy final : public JoinStreamStrategyBase {
           }
           wk.cursor->SetPositionRange(range.begin, range.end);
           while (wk.cursor->Next(&wk.batch)) {
-            const size_t b = wk.batch.s_rows.num_rows;
-            if (b == 0) continue;
-            wk.xbuf.Reshape(b, d);
-            if (y_off != 0) wk.ybuf.resize(b);
-            for (size_t r = 0; r < b; ++r) {
-              if (y_off != 0) wk.ybuf[r] = wk.batch.s_rows.feats(r, 0);
-              join::AssembleJoinedRow(*ctx.rel, wk.batch.s_rows, r, views_,
-                                      wk.xbuf.Row(r).data());
-            }
-            DenseBlock block;
-            block.start_row = wk.batch.s_rows.start_row;
-            block.num_rows = b;
-            block.x = wk.xbuf.data();
-            block.x_stride = d;
-            if (y_off != 0) {
-              block.y = wk.ybuf.data();
-              block.y_stride = 1;
-            }
-            if (simd_) {
-              // Batched path: transpose the assembled rows into column
-              // strips (target at strip column 0, like T's layout).
-              PackRowsToStrips(wk.xbuf.data(), d,
-                               y_off != 0 ? wk.ybuf.data() : nullptr, 1, b,
-                               d, block.start_row, kDefaultStripRows,
-                               &wk.strips);
-              block.strips = &wk.strips;
-              block.strip_col0 = y_off;
-              block.strip_y_col = y_off != 0 ? 0 : -1;
-            }
-            model->AccumulateDense(pass, slot, block);
+            if (wk.batch.s_rows.num_rows == 0) continue;
+            // Assemble the joined tuples straight into column strips in
+            // T's layout.
+            join::AssembleJoinedStrips(*ctx.rel, wk.batch.s_rows, views_,
+                                       kDefaultStripRows, &wk.strips);
+            model->AccumulateDense(
+                pass, slot, JoinedStripBlock(wk.strips, ctx.rel->has_target));
           }
           *status = wk.cursor->status();
         }));
@@ -99,7 +72,7 @@ class StreamingStrategy final : public JoinStreamStrategyBase {
 
     const size_t y_off = ctx->rel->has_target ? 1 : 0;
     const size_t d = ctx->rel->total_dims();
-    la::Matrix x;
+    la::Matrix x;  // assembly scratch, packed into strips per batch
     std::vector<double> y;
     storage::ColumnStrips strips;
     join::JoinBatch batch;
@@ -126,15 +99,10 @@ class StreamingStrategy final : public JoinStreamStrategyBase {
               }
             });
       }
-      DenseBatch dense{&x, &y};
-      if (simd_) {
-        // Strip-fed epoch plane: pack the assembled batch into strips
-        // (short batches included — the pack handles any row count), so
-        // the model's epoch math runs as batch matrix products.
-        PackRowsToStrips(x.data(), d, nullptr, 0, b, d, 0, kDefaultStripRows,
-                         &strips);
-        dense.strips = &strips;
-      }
+      // The model's epoch math runs as batch matrix products over strips
+      // (short batches included — the pack handles any row count).
+      PackRowsToStrips(x.data(), d, b, d, 0, kDefaultStripRows, &strips);
+      const DenseBatch dense{&strips, &y};
       FML_RETURN_IF_ERROR(model->OnDenseBatch(*ctx, dense));
     }
     return cursor.status();

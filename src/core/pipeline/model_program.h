@@ -82,34 +82,20 @@ inline exec::Range SlotRidSpan(const PipelineContext& ctx, int slot,
   return (*ctx.slot_rid_spans)[s];
 }
 
-/// A block of fully joined rows as the M/S strategies deliver them: row r's
-/// features (target removed) start at `x + r * x_stride`, its target at
-/// `y + r * y_stride` (y is null when the relations carry no target). The
-/// strides let the M strategy point straight into the scanned page batch
-/// while the S strategy points into its assembly buffer — no copy either
-/// way.
+/// A block of fully joined rows as the M/S strategies deliver them, as
+/// column-major strips (storage::ColumnStrips): the M strategy's fused
+/// page decode writes them directly, the S strategy assembles each joined
+/// row straight into them. Feature column j of the model lives at strip
+/// column `strip_col0 + j` and the target (if any) at `strip_y_col`.
 struct DenseBlock {
   int64_t start_row = 0;  // global fact-row id of row 0
   size_t num_rows = 0;
-  const double* x = nullptr;
-  size_t x_stride = 0;
-  const double* y = nullptr;
-  size_t y_stride = 0;
-
-  /// Batched-decode form (--kernels=simd): the same rows as column-major
-  /// strips (storage::ColumnStrips). Null on the row-at-a-time path. When
-  /// set, feature column j of the model lives at strip column
-  /// `strip_col0 + j` and the target (if any) at column `strip_y_col`;
-  /// the row pointers above may be null (the M strategy's fused decode
-  /// never assembles rows), so strip-aware models must take this path.
   const storage::ColumnStrips* strips = nullptr;
   size_t strip_col0 = 0;
   int strip_y_col = -1;
 
-  const double* X(size_t r) const { return x + r * x_stride; }
-  double Y(size_t r) const { return y[r * y_stride]; }
-  /// Strip-path accessors: feature column j / the target column of one
-  /// strip, as contiguous runs of strips->RowsInStrip(s) doubles.
+  /// Feature column j / the target column of one strip, as contiguous
+  /// runs of strips->RowsInStrip(s) doubles.
   const double* StripX(size_t s, size_t j) const {
     return strips->Col(s, strip_col0 + j);
   }
@@ -125,25 +111,18 @@ struct DenseBlock {
 struct FactorizedBlock {
   const storage::RowBatch* s_rows = nullptr;
   const std::vector<join::JoinGroup>* groups = nullptr;
-  /// Batched form of s_rows' features (--kernels=simd): the S-slice
-  /// columns as column-major strips, transposed from s_rows by the F
-  /// driver. Null on the row-at-a-time path. Models that can consume
-  /// S-slice work in bulk (k-means' distance blocks) use it; the
-  /// group-structured attribute work stays row/group-at-a-time.
+  /// s_rows' feature columns (target included, at column 0 when present)
+  /// as column-major strips, transposed by the F driver: the S-slice work
+  /// runs on these, the group-structured attribute work on s_rows' keys.
   const storage::ColumnStrips* s_strips = nullptr;
 };
 
-/// One assembled mini-batch for the kMiniBatch plane: x is (batch x d)
-/// with the target split into y.
+/// One assembled mini-batch for the kMiniBatch plane: the sampled rows'
+/// features as column-major strips (feature column j is strip column j)
+/// and their targets in y.
 struct DenseBatch {
-  const la::Matrix* x = nullptr;
-  const std::vector<double>* y = nullptr;
-  /// Batched form of x (--kernels=simd): the same sampled rows transposed
-  /// into column-major strips (feature column j is strip column j; the
-  /// target stays in y). Null on the row-at-a-time path. The driver packs
-  /// the strips from the already-assembled batch, so IoStats are identical
-  /// to the row path by construction.
   const storage::ColumnStrips* strips = nullptr;
+  const std::vector<double>* y = nullptr;
 };
 
 /// The model plane of the training pipeline. A ModelProgram owns the model

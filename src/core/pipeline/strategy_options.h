@@ -17,10 +17,10 @@ namespace factorml::core::pipeline {
 /// --prefetch-depth: classic double buffering.
 inline constexpr int kDefaultPrefetchDepth = 2;
 
-/// Strip height of the batched (--kernels=simd) decode path: tall enough
-/// to amortize the column transpose and keep the batch kernels in their
-/// streaming regime, short enough that a strip of a few columns stays in
-/// L1/L2 (256 rows x 8 B = 2 KiB per column).
+/// Strip height of the column-strip data path: tall enough to amortize
+/// the column transpose and keep the batch kernels in their streaming
+/// regime, short enough that a strip of a few columns stays in L1/L2
+/// (256 rows x 8 B = 2 KiB per column).
 inline constexpr size_t kDefaultStripRows = 256;
 
 /// Where the scans of a sharded run execute (--shard-backend).
@@ -85,15 +85,15 @@ struct StrategyOptions {
   /// shards = 1 for any thread count. Rejected for mini-batch (SGD)
   /// programs, whose sequential epochs have no order-free merge.
   int shards = 1;
-  /// Compute-kernel backend (la/kernels.h). kScalar (default) keeps the
-  /// seed's exact loops and row-at-a-time decode — bit-identical to the
-  /// goldens. kSimd selects the best runtime-dispatched vector backend
-  /// (AVX2/FMA when the CPU has it, portable vector extensions otherwise)
-  /// and switches the full-pass dense drivers to the batched column-strip
-  /// decode (kDefaultStripRows). The op counts and the page I/O stream are
-  /// identical to scalar by construction — only the floating-point
-  /// summation order moves, so objectives and params agree to
-  /// reassociation tolerance.
+  /// Compute-kernel table (la/kernels.h), and nothing else: every strategy
+  /// feeds the models the same column strips (kDefaultStripRows) under both
+  /// modes. kScalar (default) replays the seed's per-row expressions in
+  /// row order — bit-identical to the goldens. kSimd selects the best
+  /// runtime-dispatched vector backend (AVX2/FMA when the CPU has it,
+  /// portable vector extensions otherwise). The op counts and the page I/O
+  /// stream are identical to scalar by construction — only the
+  /// floating-point summation order moves, so objectives and params agree
+  /// to reassociation tolerance.
   la::KernelMode kernels = la::KernelMode::kScalar;
   /// Where the M strategy materializes T (and the process backend puts its
   /// socket and per-worker subdirectories).

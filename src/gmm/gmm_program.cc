@@ -1,7 +1,7 @@
 // GMM as a core/pipeline ModelProgram: the EM recurrence of the paper
 // (Algorithm 1 / Sec. V) expressed as three full passes per iteration —
-// e_step, m_step_mean, m_step_cov — with a dense row path shared by the M
-// and S strategies and the factorized path of F-GMM (Eqs. 19-24). The
+// e_step, m_step_mean, m_step_cov — with a dense strip path shared by the
+// M and S strategies and the factorized path of F-GMM (Eqs. 19-24). The
 // former m_gmm.cc / s_gmm.cc / f_gmm.cc trainers are now thin wrappers
 // that run this one program under the matching AccessStrategy; at
 // --threads=1 the pipeline replays their exact op/I/O stream. F-GMM's
@@ -182,7 +182,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
           acc.ll = 0.0;
           acc.n_k.assign(k_, 0.0);
           acc.logp.resize(k_);
-          acc.diff.resize(factorized_ ? ds_ : d_);
+          acc.diff.resize(ds_);
         }
         break;
       }
@@ -204,7 +204,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
         for (auto& acc : acc_) {
           acc.sigma.assign(k_, Matrix());
           for (size_t c = 0; c < k_; ++c) acc.sigma[c].Resize(d_, d_);
-          acc.diff.resize(factorized_ ? ds_ : d_);
+          acc.diff.resize(ds_);
         }
         break;
       }
@@ -212,66 +212,13 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     return Status::OK();
   }
 
+  /// The three dense passes (Lines 4-8, 10-15 and 16-21 of Algorithm 1)
+  /// over the block's strips. The component-structured kernels work on a
+  /// centered d x rows strip (diff[i*rows + r]); the per-row posterior
+  /// normalization stays row-at-a-time so its exp/log stream is the same
+  /// on every backend. Every kernel call is charged the op counts of the
+  /// per-row loop it batches.
   void AccumulateDense(int pass, int worker, const DenseBlock& block) override {
-    Acc& acc = acc_[static_cast<size_t>(worker)];
-    if (block.strips != nullptr) {
-      AccumulateDenseStrips(pass, worker, block);
-      return;
-    }
-    switch (pass) {
-      case kEStep: {
-        // One full read of the joined rows (Lines 4-8 of Algorithm 1).
-        for (size_t r = 0; r < block.num_rows; ++r) {
-          const double* x = block.X(r);
-          for (size_t c = 0; c < k_; ++c) {
-            CenterInto(x, params_.mu.Row(c).data(), d_, acc.diff.data());
-            const double q =
-                la::QuadForm(density_.precision[c], acc.diff.data(), d_);
-            acc.logp[c] = density_.log_coeff[c] - 0.5 * q;
-          }
-          double* gamma =
-              resp_.Row(block.start_row + static_cast<int64_t>(r));
-          acc.ll += internal::PosteriorFromLogps(acc.logp.data(), k_, gamma);
-          for (size_t c = 0; c < k_; ++c) acc.n_k[c] += gamma[c];
-        }
-        break;
-      }
-      case kMeanStep: {
-        // Second read (Lines 10-15): responsibility-weighted feature sums.
-        for (size_t r = 0; r < block.num_rows; ++r) {
-          const double* x = block.X(r);
-          const double* gamma =
-              resp_.Row(block.start_row + static_cast<int64_t>(r));
-          for (size_t c = 0; c < k_; ++c) {
-            la::Axpy(gamma[c], x, acc.mu_sum.data() + c * d_, d_);
-          }
-        }
-        break;
-      }
-      case kCovStep: {
-        // Third read (Lines 16-21): centered outer products.
-        for (size_t r = 0; r < block.num_rows; ++r) {
-          const double* x = block.X(r);
-          const double* gamma =
-              resp_.Row(block.start_row + static_cast<int64_t>(r));
-          for (size_t c = 0; c < k_; ++c) {
-            CenterInto(x, params_.mu.Row(c).data(), d_, acc.diff.data());
-            la::AddOuter(gamma[c], acc.diff.data(), d_, acc.diff.data(), d_,
-                         &acc.sigma[c], 0, 0);
-          }
-        }
-        break;
-      }
-    }
-  }
-
-  /// Batched (--kernels=simd) twins of the three dense passes. The
-  /// component-structured kernels work on a centered d x rows strip
-  /// (diff[i*rows + r]); the per-row posterior normalization stays
-  /// row-at-a-time so its exp/log stream matches the scalar path exactly.
-  /// Every kernel call is charged the op counts of the per-row loop it
-  /// replaces.
-  void AccumulateDenseStrips(int pass, int worker, const DenseBlock& block) {
     Acc& acc = acc_[static_cast<size_t>(worker)];
     static obs::Histogram* batch_micros =
         obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
@@ -362,154 +309,18 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     }
   }
 
+  /// The three factorized passes (Eqs. 19-24). The S-slice work runs on
+  /// the driver-packed strips (`quadform_strip`, `colsum_strip`,
+  /// `syrk_strip`); the FK1 group structure turns the table-0 attribute
+  /// terms into per-run strip work (one precision-slice product per R1
+  /// tuple, then `col_dot_strip` / a single outer product of the run's
+  /// weighted centered sum, Eq. 18); per-rid responsibility mass is added
+  /// in row order. Further tables (multi-way joins) and the cross blocks
+  /// stay row-at-a-time over the centered strip. Every kernel call is
+  /// charged the exact op counts of the per-row formula it replaces, and
+  /// the posterior exp stream is the same on every backend.
   void AccumulateFactorized(int pass, int worker,
                             const FactorizedBlock& block) override {
-    if (block.s_strips != nullptr) {
-      AccumulateFactorizedStrips(pass, worker, block);
-      return;
-    }
-    Acc& acc = acc_[static_cast<size_t>(worker)];
-    const storage::RowBatch& s_rows = *block.s_rows;
-    switch (pass) {
-      case kEStep: {
-        std::vector<double>& pds = acc.diff;  // centered S slice, per worker
-        for (size_t r = 0; r < s_rows.num_rows; ++r) {
-          const double* xs = s_rows.feats.Row(r).data() + y_off_;
-          const int64_t* keys = s_rows.KeysOf(r);
-          for (size_t c = 0; c < k_; ++c) {
-            CenterInto(xs, params_.mu.Row(c).data(), ds_, pds.data());
-            // Block decomposition of (x - mu)^T I (x - mu), Eq. 19:
-            // the S-diagonal block plus, per attribute table, the two
-            // cross blocks (UR + LL, Eqs. 10-11) and the cached
-            // diagonal block (LR, Eq. 12); multi-way adds the
-            // attr-attr cross blocks.
-            double quad = la::Bilinear(density_.precision[c], 0, 0,
-                                       pds.data(), ds_, pds.data(), ds_);
-            for (size_t i = 0; i < q_; ++i) {
-              const int64_t rid = keys[rel_->FkKeyIndex(i)];
-              const double* pdr = caches_[i].pd[c].Row(rid).data();
-              const size_t dri = rel_->dr(i);
-              const double ur =
-                  la::Bilinear(density_.precision[c], 0, attr_offset_[i],
-                               pds.data(), ds_, pdr, dri);
-              if (opt_.exploit_symmetry) {
-                // LL = UR because the precision matrix is symmetric.
-                quad += 2.0 * ur;
-                CountMults(1);
-              } else {
-                quad += ur + la::Bilinear(density_.precision[c],
-                                          attr_offset_[i], 0, pdr, dri,
-                                          pds.data(), ds_);
-              }
-              quad += caches_[i].diag[c][rid];
-              CountAdds(3);
-              for (size_t j = i + 1; j < q_; ++j) {
-                const int64_t rid_j = keys[rel_->FkKeyIndex(j)];
-                const double* pdj = caches_[j].pd[c].Row(rid_j).data();
-                const size_t drj = rel_->dr(j);
-                const double cross =
-                    la::Bilinear(density_.precision[c], attr_offset_[i],
-                                 attr_offset_[j], pdr, dri, pdj, drj);
-                if (opt_.exploit_symmetry) {
-                  quad += 2.0 * cross;
-                  CountMults(1);
-                } else {
-                  quad += cross + la::Bilinear(density_.precision[c],
-                                               attr_offset_[j],
-                                               attr_offset_[i], pdj, drj,
-                                               pdr, dri);
-                }
-                CountAdds(2);
-              }
-            }
-            acc.logp[c] = density_.log_coeff[c] - 0.5 * quad;
-          }
-          double* gamma =
-              resp_.Row(s_rows.start_row + static_cast<int64_t>(r));
-          acc.ll += internal::PosteriorFromLogps(acc.logp.data(), k_, gamma);
-          for (size_t c = 0; c < k_; ++c) acc.n_k[c] += gamma[c];
-        }
-        break;
-      }
-      case kMeanStep: {
-        for (size_t r = 0; r < s_rows.num_rows; ++r) {
-          const double* xs = s_rows.feats.Row(r).data() + y_off_;
-          const int64_t* keys = s_rows.KeysOf(r);
-          const double* gamma =
-              resp_.Row(s_rows.start_row + static_cast<int64_t>(r));
-          for (size_t c = 0; c < k_; ++c) {
-            // S slice accumulates per fact tuple; the R slices only
-            // accumulate responsibility mass per rid — the
-            // factorization of Eq. 13/22 that replaces nS * dR
-            // multiplies by nS adds.
-            la::Axpy(gamma[c], xs, acc.mu_sum.data() + c * ds_, ds_);
-            for (size_t i = 0; i < q_; ++i) {
-              mass_.Add(worker, i, c, keys[rel_->FkKeyIndex(i)], gamma[c]);
-            }
-            CountAdds(q_);
-          }
-        }
-        break;
-      }
-      case kCovStep: {
-        std::vector<double>& pds = acc.diff;
-        for (size_t r = 0; r < s_rows.num_rows; ++r) {
-          const double* xs = s_rows.feats.Row(r).data() + y_off_;
-          const int64_t* keys = s_rows.KeysOf(r);
-          const double* gamma =
-              resp_.Row(s_rows.start_row + static_cast<int64_t>(r));
-          for (size_t c = 0; c < k_; ++c) {
-            CenterInto(xs, params_.mu.Row(c).data(), ds_, pds.data());
-            Matrix& sg = acc.sigma[c];
-            // Off-diagonal blocks must be accumulated per fact tuple;
-            // the attribute-diagonal blocks (LR of Eq. 18 / M_ii of
-            // Eq. 24) are deferred: only the responsibility mass per
-            // rid is accumulated here and one outer product per R
-            // tuple is added afterwards.
-            la::AddOuter(gamma[c], pds.data(), ds_, pds.data(), ds_, &sg, 0,
-                         0);
-            for (size_t i = 0; i < q_; ++i) {
-              const int64_t rid = keys[rel_->FkKeyIndex(i)];
-              const double* pdr = caches_[i].pd[c].Row(rid).data();
-              const size_t dri = rel_->dr(i);
-              la::AddOuter(gamma[c], pds.data(), ds_, pdr, dri, &sg, 0,
-                           attr_offset_[i]);
-              if (!opt_.exploit_symmetry) {
-                la::AddOuter(gamma[c], pdr, dri, pds.data(), ds_, &sg,
-                             attr_offset_[i], 0);
-              }
-              for (size_t j = i + 1; j < q_; ++j) {
-                const int64_t rid_j = keys[rel_->FkKeyIndex(j)];
-                const double* pdj = caches_[j].pd[c].Row(rid_j).data();
-                const size_t drj = rel_->dr(j);
-                la::AddOuter(gamma[c], pdr, dri, pdj, drj, &sg,
-                             attr_offset_[i], attr_offset_[j]);
-                if (!opt_.exploit_symmetry) {
-                  la::AddOuter(gamma[c], pdj, drj, pdr, dri, &sg,
-                               attr_offset_[j], attr_offset_[i]);
-                }
-              }
-            }
-          }
-        }
-        break;
-      }
-    }
-  }
-
-  /// Batched (--kernels=simd) twins of the three factorized passes. The
-  /// S-slice work runs on the driver-packed strips (`quadform_strip`,
-  /// `colsum_strip`, `syrk_strip`); the FK1 group structure turns the
-  /// table-0 attribute terms into per-run strip work (one precision-slice
-  /// product per R1 tuple, then `col_dot_strip` / a single outer product
-  /// over the run's rows); per-rid responsibility mass is added in
-  /// row-ascending order, bit-identical to the scalar loop. Further tables
-  /// (multi-way joins) and the cross blocks stay row-at-a-time over the
-  /// centered strip. Every kernel call is charged the exact op counts of
-  /// the per-row loop it replaces, and the posterior exp stream is
-  /// untouched — the kernel plane's determinism contract.
-  void AccumulateFactorizedStrips(int pass, int worker,
-                                  const FactorizedBlock& block) {
     Acc& acc = acc_[static_cast<size_t>(worker)];
     static obs::Histogram* batch_micros =
         obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
@@ -612,7 +423,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
           }
           // Multi-way tables and cross blocks row-at-a-time over the
           // centered strip (the centered S slice is gathered back from
-          // diffm — pure data movement), exactly the scalar code.
+          // diffm — pure data movement).
           if (q_ > 1) {
             for (size_t c = 0; c < k_; ++c) {
               const Matrix& prec = density_.precision[c];
@@ -664,7 +475,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
               }
             }
           }
-          // Posterior row-at-a-time: identical exp stream to scalar.
+          // Posterior row-at-a-time: the same exp stream on every backend.
           for (size_t r = 0; r < rows; ++r) {
             for (size_t c = 0; c < k_; ++c) {
               acc.logp[c] = density_.log_coeff[c] - 0.5 * qbuf(c, r);
@@ -685,9 +496,9 @@ class GmmProgram final : public core::pipeline::ModelProgram {
                               acc.mu_sum.data() + c * ds_);
             CountMults(rows * ds_);  // the per-row Axpy(gamma, xs) stream
             CountAdds(rows * ds_);
-            // Per-rid responsibility mass in row order — every slot
-            // accumulates the same gamma sequence as the scalar loop, so
-            // the merge (and the shard wire) stay bit-identical.
+            // Per-rid responsibility mass in row order, so every slot
+            // accumulates its gamma sequence in a fixed order and the
+            // merge (and the shard wire) stay bit-identical.
             for (size_t i = 0; i < q_; ++i) {
               for (size_t r = 0; r < rows; ++r) {
                 mass_.Add(worker, i, c,
@@ -746,7 +557,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
               }
             }
             // Multi-way tables and cross pairs row-at-a-time (gathered
-            // centered S slice), exactly the scalar code.
+            // centered S slice).
             if (q_ > 1) {
               for (size_t r = 0; r < rows; ++r) {
                 double* pds = acc.diff.data();
@@ -935,7 +746,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     double ll = 0.0;
     std::vector<double> n_k;
     std::vector<double> logp;
-    std::vector<double> diff;     // centered row (d) or S slice (ds)
+    std::vector<double> diff;     // centered S slice (factorized, q > 1)
     std::vector<double> mu_sum;   // k * d (dense) or k * ds (factorized)
     std::vector<Matrix> sigma;    // k of d x d
   };

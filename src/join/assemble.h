@@ -32,6 +32,56 @@ inline void AssembleJoinedRow(const NormalizedRelations& rel,
   }
 }
 
+/// The strip form of AssembleJoinedRow for a whole streamed S batch:
+/// writes the joined rows into `out` as column-major strips of
+/// `strip_rows` rows, with the S columns first as stored (the target at
+/// column 0 when present, then XS) followed by XR1 ... XRq. Every strip
+/// column is written as one contiguous run — the S columns transposed
+/// from the batch, each attribute column gathered through the rows'
+/// foreign keys — so no row-major joined copy is ever built.
+inline void AssembleJoinedStrips(const NormalizedRelations& rel,
+                                 const storage::RowBatch& s_rows,
+                                 const std::vector<AttributeTableView>& views,
+                                 size_t strip_rows,
+                                 storage::ColumnStrips* out) {
+  const size_t s_cols = s_rows.feats.cols();
+  size_t num_cols = s_cols;
+  for (const auto& view : views) num_cols += view.feats().cols();
+  const size_t num_rows = s_rows.num_rows;
+  out->strip_rows = strip_rows;
+  out->num_strips = (num_rows + strip_rows - 1) / strip_rows;
+  out->num_rows = num_rows;
+  out->num_cols = num_cols;
+  out->num_keys = 0;
+  out->start_row = s_rows.start_row;
+  out->keys.clear();
+  out->data.resize(out->num_strips * num_cols * strip_rows);
+  for (size_t s = 0; s < out->num_strips; ++s) {
+    const size_t r0 = out->StripStart(s);
+    const size_t rows = out->RowsInStrip(s);
+    for (size_t j = 0; j < s_cols; ++j) {
+      double* dst = out->MutableCol(s, j);
+      const double* src = s_rows.feats.data() + r0 * s_cols + j;
+      for (size_t r = 0; r < rows; ++r) dst[r] = src[r * s_cols];
+    }
+    size_t off = s_cols;
+    for (size_t i = 0; i < views.size(); ++i) {
+      const la::Matrix& feats = views[i].feats();
+      const size_t dri = feats.cols();
+      const size_t key = rel.FkKeyIndex(i);
+      for (size_t j = 0; j < dri; ++j) {
+        double* dst = out->MutableCol(s, off + j);
+        const double* src = feats.data() + j;
+        for (size_t r = 0; r < rows; ++r) {
+          const auto rid = static_cast<size_t>(s_rows.KeysOf(r0 + r)[key]);
+          dst[r] = src[rid * dri];
+        }
+      }
+      off += dri;
+    }
+  }
+}
+
 }  // namespace factorml::join
 
 #endif  // FACTORML_JOIN_ASSEMBLE_H_

@@ -23,7 +23,6 @@
 #include "gmm/rid_mass.h"
 #include "kmeans/kmeans.h"
 #include "la/kernels.h"
-#include "la/ops.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 
@@ -141,38 +140,12 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     return Status::OK();
   }
 
+  /// The dense assign pass: one distance block per centroid via
+  /// dist_strip, then a per-row argmin over the block with a strict-<
+  /// first-wins tie rule. The per-column scatter into sums visits each
+  /// accumulator entry in row order. Charges are the exact per-row op
+  /// counts.
   void AccumulateDense(int, int worker, const DenseBlock& block) override {
-    Acc& acc = acc_[static_cast<size_t>(worker)];
-    if (block.strips != nullptr) {
-      AccumulateDenseStrips(worker, block);
-      return;
-    }
-    for (size_t r = 0; r < block.num_rows; ++r) {
-      const double* x = block.X(r);
-      size_t best = 0;
-      double best_dist = std::numeric_limits<double>::infinity();
-      for (size_t c = 0; c < k_; ++c) {
-        const double dist =
-            SquaredDistance(x, model_.centroids.Row(c).data(), d_);
-        if (dist < best_dist) {
-          best_dist = dist;
-          best = c;
-        }
-      }
-      acc.inertia += best_dist;
-      acc.counts[best] += 1.0;
-      la::Axpy(1.0, x, acc.sums.data() + best * d_, d_);
-      CountAdds(2);
-    }
-  }
-
-  /// Batched (--kernels=simd) twin of the dense row loop: one distance
-  /// block per centroid via dist_strip, then a per-row argmin over the
-  /// block with the same strict-< first-wins tie rule as the row path.
-  /// The per-column scatter into sums visits each accumulator entry in
-  /// the same row order as the scalar loop. Charges are the exact per-row
-  /// op counts.
-  void AccumulateDenseStrips(int worker, const DenseBlock& block) {
     Acc& acc = acc_[static_cast<size_t>(worker)];
     static obs::Histogram* batch_micros =
         obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
@@ -213,13 +186,14 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     }
   }
 
-  /// Factorized twin: the S-slice distances come from dist_strip over the
-  /// strip-packed S columns; the cached per-attribute-tuple distances are
-  /// gathered onto the distance block over the FK rid columns
-  /// (i-ascending per element, so the totals — and hence the argmin — are
-  /// bit-identical to the scalar loop), and the per-rid assignment mass is
-  /// added in row order. Charges are the exact per-row op counts.
-  void AccumulateFactorizedStrips(int worker, const FactorizedBlock& block) {
+  /// The factorized assign pass: the S-slice distances come from
+  /// dist_strip over the strip-packed S columns; the cached
+  /// per-attribute-tuple distances are gathered onto the distance block
+  /// over the FK rid columns (i-ascending per element, the block-separable
+  /// distance in table order), and the per-rid assignment mass is added in
+  /// row order. Charges are the exact per-row op counts.
+  void AccumulateFactorized(int, int worker,
+                            const FactorizedBlock& block) override {
     Acc& acc = acc_[static_cast<size_t>(worker)];
     static obs::Histogram* batch_micros =
         obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
@@ -228,8 +202,7 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     const la::Kernels& kern = la::Active();
     std::vector<const double*> cols(ds_);
     Matrix dist(k_, st.strip_rows);
-    // FK rid columns, one per attribute table (uncharged index movement,
-    // the strip twin of the per-row KeysOf reads).
+    // FK rid columns, one per attribute table (uncharged index movement).
     std::vector<std::vector<int64_t>> ridx(q_);
     for (size_t i = 0; i < q_; ++i) {
       ridx[i].resize(s_rows.num_rows);
@@ -274,7 +247,7 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
         double* sum = acc.sums.data() + b * ds_;
         for (size_t j = 0; j < ds_; ++j) sum[j] += cols[j][r];
       }
-      // Assignment mass per rid, row-ascending like the scalar loop.
+      // Assignment mass per rid, in row order.
       for (size_t i = 0; i < q_; ++i) {
         for (size_t r = 0; r < rows; ++r) {
           mass_.Add(worker, i, best[r], ridx[i][row0 + r], 1.0);
@@ -284,43 +257,6 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
       CountAdds(rows * ds_);
       CountAdds(rows * (2 + q_));
       batch_micros->Record(obs::NowMicros() - t0);
-    }
-  }
-
-  void AccumulateFactorized(int, int worker,
-                            const FactorizedBlock& block) override {
-    Acc& acc = acc_[static_cast<size_t>(worker)];
-    if (block.s_strips != nullptr) {
-      AccumulateFactorizedStrips(worker, block);
-      return;
-    }
-    const storage::RowBatch& s_rows = *block.s_rows;
-    for (size_t r = 0; r < s_rows.num_rows; ++r) {
-      const double* xs = s_rows.feats.Row(r).data() + y_off_;
-      const int64_t* keys = s_rows.KeysOf(r);
-      size_t best = 0;
-      double best_dist = std::numeric_limits<double>::infinity();
-      for (size_t c = 0; c < k_; ++c) {
-        // Block-separable distance: the S slice plus one cached scalar
-        // per attribute table.
-        double dist = SquaredDistance(xs, model_.centroids.Row(c).data(),
-                                      ds_);
-        for (size_t i = 0; i < q_; ++i) {
-          dist += dcache_[i](c, keys[rel_->FkKeyIndex(i)]);
-        }
-        CountAdds(q_);
-        if (dist < best_dist) {
-          best_dist = dist;
-          best = c;
-        }
-      }
-      acc.inertia += best_dist;
-      acc.counts[best] += 1.0;
-      la::Axpy(1.0, xs, acc.sums.data() + best * ds_, ds_);
-      for (size_t i = 0; i < q_; ++i) {
-        mass_.Add(worker, i, best, keys[rel_->FkKeyIndex(i)], 1.0);
-      }
-      CountAdds(2 + q_);
     }
   }
 

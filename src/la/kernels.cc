@@ -1,10 +1,12 @@
 #include "la/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -17,9 +19,19 @@ namespace {
 // The primitive bodies below are the seed's exact loops, moved verbatim
 // from ops.cc (which now routes through the active table). The build is
 // IEEE-strict, so `--kernels=scalar` reproduces the pre-kernel-plane bits
-// that the tier-1 goldens pin. The strip kernels replay the per-row order
-// the model programs used before batching, making them the reference the
-// vector backends are tolerance-tested against.
+// that the tier-1 goldens pin.
+//
+// Row-replay contract: every model consumes column strips under both
+// kernel modes, and each scalar strip kernel hands every accumulator the
+// per-row code's expressions in row order — syrk_strip the AddOuter body,
+// colsum_strip the Axpy body, quadform_strip the QuadForm body,
+// dist_strip the squared-distance loop, and gemm_strip's dot form one
+// chain per element that starts from C's prior value (so k split over
+// several accumulate calls equals one call). Batching the rows therefore
+// moves no scalar bit. The kernels that read a row across all d columns
+// gather blocks of rows into a contiguous buffer first (GatherRows), so
+// the strided column reads happen once per element, a cache line at a
+// time, rather than once per product.
 
 double ScalarDot(const double* a, const double* b, size_t n) {
   double s = 0.0;
@@ -29,16 +41,6 @@ double ScalarDot(const double* a, const double* b, size_t n) {
 
 void ScalarAxpy(double alpha, const double* x, double* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void ScalarGemv(const double* a, size_t m, size_t n, const double* x,
-                double* y) {
-  for (size_t i = 0; i < m; ++i) {
-    const double* row = a + i * n;
-    double s = 0.0;
-    for (size_t j = 0; j < n; ++j) s += row[j] * x[j];
-    y[i] = s;
-  }
 }
 
 double ScalarBilinear(const double* a, size_t lda, const double* u, size_t nu,
@@ -62,14 +64,56 @@ void ScalarAddOuter(double alpha, const double* u, size_t nu, const double* v,
   }
 }
 
+/// Rows per gathered block of the row-replay kernels.
+constexpr size_t kReplayRows = 8;
+
+/// Gathers strip rows [r0, r0 + n) of the d columns row-major into `x`
+/// (row r at x + (r - r0) * d), n <= kReplayRows. Column by column, so
+/// each column's cache line is read once for the whole block: gathering a
+/// single row touches d lines whose strip-height stride maps them onto the
+/// same few cache sets.
+void GatherRows(const double* const* cols, size_t d, size_t r0, size_t n,
+                double* x) {
+  for (size_t j = 0; j < d; ++j) {
+    const double* c = cols[j] + r0;
+    for (size_t r = 0; r < n; ++r) x[r * d + j] = c[r];
+  }
+}
+
 void ScalarSyrkStrip(const double* const* cols, size_t d, size_t rows,
-                     const double* w, double* gram, size_t ldg) {
-  for (size_t r = 0; r < rows; ++r) {
-    const double wr = w != nullptr ? w[r] : 1.0;
-    for (size_t i = 0; i < d; ++i) {
-      const double ui = wr * cols[i][r];
-      double* row = gram + i * ldg;
-      for (size_t j = 0; j < d; ++j) row[j] += ui * cols[j][r];
+                     const double* w, double* __restrict gram, size_t ldg) {
+  std::vector<double> buf(kReplayRows * d);
+  for (size_t r0 = 0; r0 < rows; r0 += kReplayRows) {
+    const size_t n = std::min(kReplayRows, rows - r0);
+    GatherRows(cols, d, r0, n, buf.data());
+    // ScalarAddOuter's body per row, two rows per sweep of the Gram: each
+    // entry adds row r's product, then row r + 1's — the per-row order —
+    // with one load and store for both. The gathered rows never alias the
+    // Gram, which lets the compiler drop its overlap checks.
+    size_t r = 0;
+    for (; r + 2 <= n; r += 2) {
+      const double* __restrict x0 = buf.data() + r * d;
+      const double* __restrict x1 = x0 + d;
+      const double w0 = w != nullptr ? w[r0 + r] : 1.0;
+      const double w1 = w != nullptr ? w[r0 + r + 1] : 1.0;
+      for (size_t i = 0; i < d; ++i) {
+        const double u0 = w0 * x0[i];
+        const double u1 = w1 * x1[i];
+        double* __restrict row = gram + i * ldg;
+        for (size_t j = 0; j < d; ++j) {
+          const double t = row[j] + u0 * x0[j];
+          row[j] = t + u1 * x1[j];
+        }
+      }
+    }
+    for (; r < n; ++r) {
+      const double* __restrict x = buf.data() + r * d;
+      const double wr = w != nullptr ? w[r0 + r] : 1.0;
+      for (size_t i = 0; i < d; ++i) {
+        const double ui = wr * x[i];
+        double* __restrict row = gram + i * ldg;
+        for (size_t j = 0; j < d; ++j) row[j] += ui * x[j];
+      }
     }
   }
 }
@@ -83,37 +127,62 @@ void ScalarColDotStrip(const double* const* cols, size_t d, size_t rows,
   }
 }
 
+// Four column chains side by side, each acc[j] += w[r] * cols[j][r] (or
+// += cols[j][r] unweighted) in row order — the per-row Axpy's chain.
+template <size_t NJ>
+void ScalarColSumCols(const double* const* c, size_t rows, const double* w,
+                      double* acc) {
+  double s[NJ];
+  for (size_t q = 0; q < NJ; ++q) s[q] = acc[q];
+  if (w != nullptr) {
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t q = 0; q < NJ; ++q) s[q] += w[r] * c[q][r];
+    }
+  } else {
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t q = 0; q < NJ; ++q) s[q] += c[q][r];
+    }
+  }
+  for (size_t q = 0; q < NJ; ++q) acc[q] = s[q];
+}
+
 void ScalarColSumStrip(const double* const* cols, size_t d, size_t rows,
                        const double* w, double* acc) {
-  for (size_t r = 0; r < rows; ++r) {
-    const double wr = w != nullptr ? w[r] : 1.0;
-    for (size_t j = 0; j < d; ++j) acc[j] += wr * cols[j][r];
-  }
+  size_t j = 0;
+  for (; j + 4 <= d; j += 4) ScalarColSumCols<4>(cols + j, rows, w, acc + j);
+  for (; j < d; ++j) ScalarColSumCols<1>(cols + j, rows, w, acc + j);
 }
 
 void ScalarDistStrip(const double* const* cols, size_t d, size_t rows,
                      const double* center, double* out) {
-  for (size_t r = 0; r < rows; ++r) {
-    double s = 0.0;
-    for (size_t j = 0; j < d; ++j) {
-      const double t = cols[j][r] - center[j];
-      s += t * t;
+  std::vector<double> buf(kReplayRows * d);
+  for (size_t r0 = 0; r0 < rows; r0 += kReplayRows) {
+    const size_t n = std::min(kReplayRows, rows - r0);
+    GatherRows(cols, d, r0, n, buf.data());
+    for (size_t r = 0; r < n; ++r) {
+      const double* x = buf.data() + r * d;
+      double s = 0.0;
+      for (size_t j = 0; j < d; ++j) {
+        const double t = x[j] - center[j];
+        s += t * t;
+      }
+      out[r0 + r] = s;
     }
-    out[r] = s;
   }
 }
 
 void ScalarQuadFormStrip(const double* diff, size_t d, size_t rows,
                          const double* a, size_t lda, double* out) {
-  for (size_t r = 0; r < rows; ++r) {
-    double q = 0.0;
-    for (size_t i = 0; i < d; ++i) {
-      const double* ai = a + i * lda;
-      double t = 0.0;
-      for (size_t j = 0; j < d; ++j) t += ai[j] * diff[j * rows + r];
-      q += diff[i * rows + r] * t;
+  std::vector<const double*> cols(d);
+  for (size_t j = 0; j < d; ++j) cols[j] = diff + j * rows;
+  std::vector<double> buf(kReplayRows * d);
+  for (size_t r0 = 0; r0 < rows; r0 += kReplayRows) {
+    const size_t n = std::min(kReplayRows, rows - r0);
+    GatherRows(cols.data(), d, r0, n, buf.data());
+    for (size_t r = 0; r < n; ++r) {
+      const double* x = buf.data() + r * d;
+      out[r0 + r] = ScalarBilinear(a, lda, x, d, x, d);
     }
-    out[r] = q;
   }
 }
 
@@ -129,9 +198,9 @@ void ScalarGemmStrip(const double* a, size_t lda, const double* b, size_t ldb,
     if (trans_b) {
       for (size_t j = 0; j < n; ++j) {
         const double* bj = b + j * ldb;
-        double s = 0.0;
+        double s = ci[j];
         for (size_t p = 0; p < k; ++p) s += ai[p] * bj[p];
-        ci[j] += s;
+        ci[j] = s;
       }
     } else {
       for (size_t p = 0; p < k; ++p) {
@@ -160,7 +229,7 @@ void ScalarSigmoid(const double* a, size_t n, double* h) {
 
 constexpr Kernels kScalarKernels = {
     "scalar",          false,
-    ScalarDot,         ScalarAxpy,       ScalarGemv,
+    ScalarDot,         ScalarAxpy,
     ScalarBilinear,    ScalarAddOuter,
     ScalarSyrkStrip,   ScalarColDotStrip, ScalarColSumStrip,
     ScalarDistStrip,   ScalarQuadFormStrip,
@@ -191,7 +260,7 @@ typedef int64_t fml_v4l __attribute__((vector_size(32)));
 
 constexpr Kernels kPortableKernels = {
     "portable",          true,
-    PortableDot,         PortableAxpy,       PortableGemv,
+    PortableDot,         PortableAxpy,
     PortableBilinear,    PortableAddOuter,
     PortableSyrkStrip,   PortableColDotStrip, PortableColSumStrip,
     PortableDistStrip,   PortableQuadFormStrip,
@@ -211,7 +280,7 @@ constexpr Kernels kPortableKernels = {
 
 constexpr Kernels kAvx2Kernels = {
     "avx2",          true,
-    Avx2Dot,         Avx2Axpy,       Avx2Gemv,
+    Avx2Dot,         Avx2Axpy,
     Avx2Bilinear,    Avx2AddOuter,
     Avx2SyrkStrip,   Avx2ColDotStrip, Avx2ColSumStrip,
     Avx2DistStrip,   Avx2QuadFormStrip,

@@ -8,6 +8,8 @@
 namespace factorml::la {
 
 /// Runtime-dispatched compute kernel plane behind `--kernels={scalar,simd}`.
+/// The flag picks only which table below is active: every model reads the
+/// same column strips under both modes.
 ///
 /// Every function pointer in `Kernels` is a *raw* kernel: it performs the
 /// arithmetic only and never touches the OpCounters — accounting stays in
@@ -19,7 +21,12 @@ namespace factorml::la {
 ///  - `scalar`  — the seed's exact loop bodies, moved verbatim from
 ///    `ops.cc`. The build uses strict IEEE semantics (no -ffast-math), so
 ///    routing through this table is bit-identical to the pre-kernel-plane
-///    code: the tier-1 goldens pin it.
+///    code: the tier-1 goldens pin it. Its strip kernels keep a row-replay
+///    contract: each accumulator receives the per-row code's expressions
+///    in row order (syrk_strip = AddOuter per row, colsum_strip = Axpy per
+///    row, quadform_strip = QuadForm per row, gemm_strip's dot form one
+///    chain per element from C's prior value), so strips and rows give
+///    the same scalar bits.
 ///  - `portable` — GNU vector extensions (32-byte double lanes) compiled
 ///    at the baseline ISA. On x86-64 that is SSE2; on aarch64 the same
 ///    source lowers to NEON. Fixed multi-accumulator reduction order, so
@@ -40,9 +47,6 @@ struct Kernels {
   // Semantics match the `la/ops.h` wrappers of the same shape.
   double (*dot)(const double* a, const double* b, size_t n);
   void (*axpy)(double alpha, const double* x, double* y, size_t n);
-  // y = A x; `a` is m x n row-major.
-  void (*gemv)(const double* a, size_t m, size_t n, const double* x,
-               double* y);
   // total = u^T A v over an nu x nv block at `a` with row stride lda.
   double (*bilinear)(const double* a, size_t lda, const double* u, size_t nu,
                      const double* v, size_t nv);

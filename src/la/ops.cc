@@ -5,13 +5,13 @@
 
 namespace factorml::la {
 
-// The vector-width-sensitive primitives (Dot/Axpy/Gemv/Bilinear/AddOuter)
+// The vector-width-sensitive primitives (Dot/Axpy/Bilinear/AddOuter)
 // dispatch through the kernel plane's active backend (la/kernels.h) so
 // every consumer — dense, factorized, NN — rides --kernels=simd without
 // model-code changes. Op accounting stays here, in the wrappers, making
-// the measured counts backend-independent by construction. The remaining
-// Gemm* loops serve inference (Mlp::Forward) and tests; the NN epoch plane
-// runs its batch products on the kernel table's gemm_strip instead.
+// the measured counts backend-independent by construction. GemmNT serves
+// inference (Mlp::Forward); the NN epoch plane runs its batch products on
+// the kernel table's gemm_strip instead.
 
 double Dot(const double* a, const double* b, size_t n) {
   const double s = Active().dot(a, b, n);
@@ -24,14 +24,6 @@ void Axpy(double alpha, const double* x, double* y, size_t n) {
   Active().axpy(alpha, x, y, n);
   CountMults(n);
   CountAdds(n);
-}
-
-void Gemv(const Matrix& a, const double* x, double* y) {
-  const size_t m = a.rows();
-  const size_t n = a.cols();
-  Active().gemv(a.data(), m, n, x, y);
-  CountMults(m * n);
-  CountAdds(m * n);
 }
 
 double Bilinear(const Matrix& a, size_t r0, size_t c0, const double* u,
@@ -66,51 +58,6 @@ void GemmNT(const Matrix& x, const Matrix& w, Matrix* c, bool accumulate) {
       double s = 0.0;
       for (size_t p = 0; p < k; ++p) s += xi[p] * wj[p];
       ci[j] += s;
-    }
-  }
-  CountMults(m * n * k);
-  CountAdds(m * n * k);
-}
-
-void GemmNTSlice(const Matrix& x, const Matrix& w, size_t wcol0, Matrix* c,
-                 bool accumulate) {
-  const size_t m = x.rows();
-  const size_t n = w.rows();
-  const size_t k = x.cols();
-  FML_CHECK_LE(wcol0 + k, w.cols());
-  const size_t ldw = w.cols();
-  if (!accumulate) c->Resize(m, n);
-  FML_CHECK_EQ(c->rows(), m);
-  FML_CHECK_EQ(c->cols(), n);
-  for (size_t i = 0; i < m; ++i) {
-    const double* xi = x.data() + i * k;
-    double* ci = c->data() + i * n;
-    for (size_t j = 0; j < n; ++j) {
-      const double* wj = w.data() + j * ldw + wcol0;
-      double s = 0.0;
-      for (size_t p = 0; p < k; ++p) s += xi[p] * wj[p];
-      ci[j] += s;
-    }
-  }
-  CountMults(m * n * k);
-  CountAdds(m * n * k);
-}
-
-void GemmTNSlice(const Matrix& d, const Matrix& x, Matrix* g, size_t gcol0) {
-  FML_CHECK_EQ(d.rows(), x.rows());
-  const size_t m = d.rows();
-  const size_t n = d.cols();
-  const size_t k = x.cols();
-  FML_CHECK_EQ(g->rows(), n);
-  FML_CHECK_LE(gcol0 + k, g->cols());
-  const size_t ldg = g->cols();
-  for (size_t r = 0; r < m; ++r) {
-    const double* dr = d.data() + r * n;
-    const double* xr = x.data() + r * k;
-    for (size_t i = 0; i < n; ++i) {
-      const double di = dr[i];
-      double* gi = g->data() + i * ldg + gcol0;
-      for (size_t j = 0; j < k; ++j) gi[j] += di * xr[j];
     }
   }
   CountMults(m * n * k);

@@ -17,9 +17,6 @@ double Dot(const double* a, const double* b, size_t n);
 /// y += alpha * x (length n).
 void Axpy(double alpha, const double* x, double* y, size_t n);
 
-/// y = A * x for the full matrix A (m x n), x length n, y length m.
-void Gemv(const Matrix& a, const double* x, double* y);
-
 /// Bilinear form u^T * A[r0:r0+nu, c0:c0+nv] * v over a rectangular block
 /// of A. This is the building block for the paper's UL/UR/LL/LR quadratic
 /// form decomposition (Eqs. 9-12, 19).
@@ -32,16 +29,6 @@ double QuadForm(const Matrix& a, const double* x, size_t n);
 /// C = X * W^T (or C += if accumulate): X is (m x k), W is (n x k),
 /// C is (m x n).
 void GemmNT(const Matrix& x, const Matrix& w, Matrix* c, bool accumulate);
-
-/// C (+)= X * W[:, wcol0 : wcol0+X.cols()]^T — multiplies X (m x k) by the
-/// transposed column slice of W (n x k_total, k_total >= wcol0 + k).
-/// Used for per-relation slices of the first-layer weight matrix.
-void GemmNTSlice(const Matrix& x, const Matrix& w, size_t wcol0, Matrix* c,
-                 bool accumulate);
-
-/// G[:, gcol0 : gcol0+X.cols()] += D^T * X — accumulates the gradient into
-/// a column slice of G (the PG_S / PG_R split of Eq. 29).
-void GemmTNSlice(const Matrix& d, const Matrix& x, Matrix* g, size_t gcol0);
 
 /// A[r0:r0+nu, c0:c0+nv] += alpha * u * v^T (outer-product accumulate);
 /// the building block of the factorized covariance update (Eqs. 15-18, 24).

@@ -76,19 +76,19 @@ void GramCofactor::AddStrip(Slot& acc, const double* const* cols,
   CountMults(rows * d_);
   CountAdds(rows * d_);
   if (intercept_) {
-    std::vector<double> colsum(d_, 0.0);
-    kern.colsum_strip(cols, d_, rows, w, colsum.data());
-    for (size_t j = 0; j < d_; ++j) acc.gram(j, d_) += colsum[j];
-    double wsum = static_cast<double>(rows);
+    // The intercept column (strided in the Gram) chains through a
+    // contiguous copy seeded with its slot values.
+    std::vector<double> icol(d_);
+    for (size_t j = 0; j < d_; ++j) icol[j] = acc.gram(j, d_);
+    kern.colsum_strip(cols, d_, rows, w, icol.data());
+    for (size_t j = 0; j < d_; ++j) acc.gram(j, d_) = icol[j];
     if (w != nullptr) {
-      wsum = 0.0;
-      kern.colsum_strip(&w, 1, rows, nullptr, &wsum);
+      kern.colsum_strip(&w, 1, rows, nullptr, &acc.gram(d_, d_));
       CountMults(rows * (d_ + 1));
+    } else {
+      acc.gram(d_, d_) += static_cast<double>(rows);  // exact: a row count
     }
-    double wzsum = 0.0;
-    kern.colsum_strip(&wz, 1, rows, nullptr, &wzsum);
-    acc.gram(d_, d_) += wsum;
-    acc.cvec[d_] += wzsum;
+    kern.colsum_strip(&wz, 1, rows, nullptr, &acc.cvec[d_]);
     CountAdds(rows * (d_ + 2));
   }
 }

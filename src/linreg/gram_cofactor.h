@@ -56,34 +56,16 @@ class GramCofactor {
 
   Slot& slot(int s) { return slots_[static_cast<size_t>(s)]; }
 
-  /// One joined row: A += w x x^T, b += wz x. kWeighted = false is the
-  /// unit-weight form (the caller passes w = 1): the intercept column adds
-  /// x itself, with no product and no product charged.
-  template <bool kWeighted>
-  void AddRow(Slot& acc, const double* x, double w, double wz) const {
-    // Full redundancy of the joined representation: every tuple pays
-    // the complete d x d outer product.
-    la::AddOuter(w, x, d_, x, d_, &acc.gram, 0, 0);
-    la::Axpy(wz, x, acc.cvec.data(), d_);
-    if (intercept_) {
-      if constexpr (kWeighted) {
-        for (size_t j = 0; j < d_; ++j) acc.gram(j, d_) += w * x[j];
-        CountMults(d_ + 1);
-      } else {
-        for (size_t j = 0; j < d_; ++j) acc.gram(j, d_) += x[j];
-      }
-      acc.gram(d_, d_) += w;
-      acc.cvec[d_] += wz;
-      CountAdds(d_ + 2);
-    }
-  }
-
-  /// Batched (--kernels=simd) twin of AddRow over one column strip of
-  /// `rows` rows: `cols` are the d feature columns, `w` the per-row
-  /// weights (null = unit weights) and `wz` the per-row w*z. Each kernel
-  /// call is charged the exact op-count stream of the rows it replaces, so
-  /// the counts are invariant across backends; only the summation order
-  /// inside each entry moves.
+  /// The dense feed (M/S), one column strip of `rows` joined rows:
+  /// A += X^T W X, b += X^T W z. `cols` are the d feature columns, `w`
+  /// the per-row weights (null = unit weights: the intercept column adds
+  /// x itself, with no product and no product charged) and `wz` the
+  /// per-row w*z. Full redundancy of the joined representation: every
+  /// tuple pays the complete d x d outer product. Every accumulator chains
+  /// from its slot value, so the scalar backend's row-replay kernels give
+  /// the per-row update's bits. Each kernel call is charged the exact
+  /// op-count stream of the rows it batches, so the counts are invariant
+  /// across backends.
   void AddStrip(Slot& acc, const double* const* cols, size_t rows,
                 const double* w, const double* wz) const;
 

@@ -60,26 +60,12 @@ class LinregProgram final : public core::pipeline::ModelProgram {
     return Status::OK();
   }
 
+  /// The dense gram pass over the block's strips: GramCofactor's strip
+  /// update plus sum(y^2), chained into the slot's scalar in row order
+  /// (a 1 x 1 dot-form gemm_strip), charged the row loop's exact op
+  /// counts.
   void AccumulateDense(int, int worker, const DenseBlock& block) override {
     GramCofactor::Slot& acc = normal_.slot(worker);
-    if (block.strips != nullptr) {
-      AccumulateDenseStrips(acc, block);
-      return;
-    }
-    for (size_t r = 0; r < block.num_rows; ++r) {
-      const double y = block.Y(r);
-      normal_.AddRow<false>(acc, block.X(r), 1.0, y);
-      acc.scalar += y * y;
-      CountMults(1);
-      CountAdds(1);
-    }
-  }
-
-  /// Batched (--kernels=simd) twin of the dense row loop: whole column
-  /// strips through the la/ batch kernels, charged the row loop's exact
-  /// op counts.
-  void AccumulateDenseStrips(GramCofactor::Slot& acc,
-                             const DenseBlock& block) {
     static obs::Histogram* batch_micros =
         obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
     const storage::ColumnStrips& st = *block.strips;
@@ -91,7 +77,8 @@ class LinregProgram final : public core::pipeline::ModelProgram {
       for (size_t j = 0; j < cols.size(); ++j) cols[j] = block.StripX(s, j);
       const double* y = block.StripY(s);
       normal_.AddStrip(acc, cols.data(), rows, nullptr, y);
-      acc.scalar += la::Active().dot(y, y, rows);
+      la::Active().gemm_strip(y, rows, y, rows, 1, 1, rows, &acc.scalar, 1,
+                              /*trans_b=*/true, /*accumulate=*/true);
       CountMults(rows);
       CountAdds(rows);
       batch_micros->Record(obs::NowMicros() - t0);

@@ -90,31 +90,13 @@ class LogregProgram final : public core::pipeline::ModelProgram {
     return Status::OK();
   }
 
+  /// The dense IRLS pass over the block's strips. The linear response
+  /// and the weighted normal equations go through the la/ batch kernels;
+  /// Reweight stays per-row so the exp/log stream (and its op charges) is
+  /// the same on every backend. Each kernel is charged the exact op counts
+  /// of the per-row loop it batches.
   void AccumulateDense(int, int worker, const DenseBlock& block) override {
     GramCofactor::Slot& acc = normal_.slot(worker);
-    if (block.strips != nullptr) {
-      AccumulateDenseStrips(acc, block);
-      return;
-    }
-    const size_t d = normal_.d();
-    for (size_t r = 0; r < block.num_rows; ++r) {
-      const double* x = block.X(r);
-      const double eta = la::Dot(x, beta_.data(), d) + Bias();
-      const auto [s, z] = Reweight(eta, block.Y(r), &acc.scalar);
-      // Full redundancy of the joined representation: every tuple pays
-      // the complete weighted d x d outer product.
-      normal_.AddRow<true>(acc, x, s, s * z);
-      CountMults(1);
-    }
-  }
-
-  /// Batched (--kernels=simd) twin of the dense row loop. The linear
-  /// response and the weighted normal equations go through the la/ batch
-  /// kernels; Reweight stays per-row so the exp/log stream (and its op
-  /// charges) is identical to the scalar path. Each kernel is charged the
-  /// exact op counts of the per-row loop it replaces.
-  void AccumulateDenseStrips(GramCofactor::Slot& acc,
-                             const DenseBlock& block) {
     static obs::Histogram* batch_micros =
         obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
     const storage::ColumnStrips& st = *block.strips;

@@ -1,7 +1,7 @@
 // The MLP as a core/pipeline ModelProgram on the mini-batch plane: one
 // epoch = one ordered stream of whole-FK1-group batches (identical across
 // M/S/F, which is what makes the strategies' outputs comparable exactly).
-// The dense batch path (M/S) runs standard BP over assembled rows; the
+// The dense batch path (M/S) runs standard BP over the assembled batch; the
 // factorized path implements Sec. VI-A — partial first-layer inner
 // products cached per attribute tuple per weight version, and the W1
 // gradient formed from the base relations directly. The former m_nn.cc /
@@ -116,74 +116,17 @@ class NnProgram final : public core::pipeline::ModelProgram {
     return Status::OK();
   }
 
-  // Both dense arms build the first-layer pre-activation straight into
-  // the transposed epoch block a1t_ (nh x batch) that Step consumes, and
-  // read Step's delta1^T in place for the W1 gradient: no layout shuffle
-  // sits between the first layer and the upper ones.
+  /// The dense epoch step. The first-layer forward and the W1 gradient
+  /// run as `gemm_strip` products over the driver-packed column strips
+  /// (axpy form and dot form): the pre-activation lands straight in the
+  /// transposed epoch block a1t_ (nh x batch) that Step consumes, and the
+  /// gradient reads Step's delta1^T in place, so no layout shuffle sits
+  /// between the first layer and the upper ones. Op counts are charged
+  /// with the per-row formulas per strip, and every strip/morsel boundary
+  /// is schedule-determined, so iterations, op counters and page I/O are
+  /// the same on every backend and at every thread count.
   Status OnDenseBatch(const PipelineContext& ctx,
                       const DenseBatch& batch) override {
-    if (batch.strips != nullptr) return OnDenseBatchStrips(ctx, batch);
-    const la::Matrix& x = *batch.x;
-    const size_t b = x.rows();
-    const int threads = ctx.threads;
-    const la::Kernels& kern = la::Active();
-
-    // First-layer forward over row morsels: a1t[:, r] = W1 x_r + b1, the
-    // dot form with x's rows as B. Each entry depends only on its own
-    // input row, so any partition is bit-identical to serial.
-    a1t_.Reshape(nh_, b);
-    {
-      core::PhaseScope phase(ctx.report, "first_layer_fwd");
-      exec::ParallelFor(
-          threads, static_cast<int64_t>(b), /*align=*/1,
-          [&](exec::Range rg, int) {
-            const auto r0 = static_cast<size_t>(rg.begin);
-            const auto rows = static_cast<size_t>(rg.size());
-            kern.gemm_strip(mlp_.w[0].data(), d_, x.Row(r0).data(), d_, nh_,
-                            rows, d_, a1t_.data() + r0, b, /*trans_b=*/true,
-                            /*accumulate=*/false);
-            internal::AddBias(mlp_.b[0], r0, rows, &a1t_);
-            CountMults(rows * nh_ * d_);
-            CountAdds(rows * nh_ * d_ + rows * nh_);
-          });
-    }
-    {
-      core::PhaseScope phase(ctx.report, "upper_layers");
-      epoch_sse_ += engine_->Step(a1t_, batch.y->data());
-    }
-
-    // W1 gradient over column morsels: grad0[:, cb:ce] = delta1^T
-    // x[:, cb:ce], the axpy form over the batch rows. Every element adds
-    // its rows in order, so this too is bit-identical for any thread count.
-    const la::Matrix& d1t = engine_->delta1t();
-    grad0_.SetZero();
-    {
-      core::PhaseScope phase(ctx.report, "w1_grad");
-      exec::ParallelFor(
-          threads, static_cast<int64_t>(d_), /*align=*/1,
-          [&](exec::Range rg, int) {
-            const auto cb = static_cast<size_t>(rg.begin);
-            const auto len = static_cast<size_t>(rg.size());
-            kern.gemm_strip(d1t.data(), b, x.data() + cb, d_, nh_, len, b,
-                            grad0_.data() + cb, d_, /*trans_b=*/false,
-                            /*accumulate=*/true);
-            CountMults(b * nh_ * len);
-            CountAdds(b * nh_ * len);
-          });
-    }
-    engine_->UpdateW0(grad0_);
-    return Status::OK();
-  }
-
-  /// Strip-fed epoch step (--kernels=simd): the first-layer forward and
-  /// the W1 gradient run as `gemm_strip` products over the driver-packed
-  /// column strips (axpy form and dot form). Op counts are charged
-  /// with the exact scalar formulas per strip, and every strip/morsel
-  /// boundary is schedule-determined, so iterations, op counters, and
-  /// page I/O stay EXPECT_EQ-identical to the scalar path — only the
-  /// within-strip summation order (hence numerics, to tolerance) differs.
-  Status OnDenseBatchStrips(const PipelineContext& ctx,
-                            const DenseBatch& batch) {
     const storage::ColumnStrips& st = *batch.strips;
     const size_t b = st.num_rows;
     const int threads = ctx.threads;
@@ -254,22 +197,18 @@ class NnProgram final : public core::pipeline::ModelProgram {
     const storage::RowBatch& s_rows = *block.s_rows;
     const std::vector<join::JoinGroup>& groups = *block.groups;
     const std::vector<join::AttributeTableView>& views = *ctx.views;
-    const storage::ColumnStrips* st = block.s_strips;
+    const storage::ColumnStrips& st = *block.s_strips;
     const size_t b = s_rows.num_rows;
     const int threads = ctx.threads;
     const la::Kernels& kern = la::Active();
 
     // Gather the targets and the per-table rid index buffers (pure data
-    // movement, uncharged like assembly). The strip path's S slice arrives
-    // pre-transposed (target at strip column 0, features at 1..ds); the
-    // row path copies it into xs_.
+    // movement, uncharged like assembly). The S slice arrives
+    // pre-transposed (target at strip column 0, features at 1..ds).
     y_.resize(b);
     ridbuf_.resize(q_);
     for (size_t i = 0; i < q_; ++i) ridbuf_[i].resize(b);
-    if (st == nullptr) xs_.Reshape(b, ds_);
-    // Row block height of the strip kernels: the strip height, or the
-    // whole batch as one block on the row path.
-    const size_t sr = st != nullptr ? st->strip_rows : b;
+    const size_t sr = st.strip_rows;  // row block height of the kernels
     exec::ParallelFor(
         threads, static_cast<int64_t>(b), /*align=*/1,
         [&](exec::Range rg, int) {
@@ -279,10 +218,6 @@ class NnProgram final : public core::pipeline::ModelProgram {
             const int64_t* keys = s_rows.KeysOf(r);
             for (size_t i = 0; i < q_; ++i) {
               ridbuf_[i][r] = keys[rel_->FkKeyIndex(i)];
-            }
-            if (st == nullptr) {
-              std::memcpy(xs_.Row(r).data(), s_rows.feats.Row(r).data() + 1,
-                          sizeof(double) * ds_);
             }
           }
         });
@@ -347,40 +282,26 @@ class NnProgram final : public core::pipeline::ModelProgram {
 
     // ---- Factorized forward, first layer (Sec. VI-A1 / Eq. 31):
     // A1^T = W_S XS^T + sum_i cache_i(rid_i), written straight into the
-    // transposed block over disjoint column ranges. The strip path runs
-    // the XS product as one axpy-form gemm_strip per strip (W_S is the
-    // leading ds-column slice of W1), the row path as the dot form over
-    // xs_'s rows; either way each entry then adds the cached partials in
-    // table order (no bias here — table 0's cache carries it).
+    // transposed block over disjoint column ranges: the XS product as one
+    // axpy-form gemm_strip per strip (W_S is the leading ds-column slice
+    // of W1), then each entry adds the cached partials in table order (no
+    // bias here — table 0's cache carries it).
     a1t_.Reshape(nh_, b);
     {
       core::PhaseScope phase(ctx.report, "first_layer_fwd");
-      if (st != nullptr) {
-        exec::ParallelFor(
-            threads, static_cast<int64_t>(st->num_strips), /*align=*/1,
-            [&](exec::Range rg, int) {
-              for (int64_t s = rg.begin; s < rg.end; ++s) {
-                const auto sp = static_cast<size_t>(s);
-                const size_t r0 = st->StripStart(sp);
-                const size_t rows = st->RowsInStrip(sp);
-                kern.gemm_strip(mlp_.w[0].data(), d_, st->Col(sp, 1), sr,
-                                nh_, rows, ds_, a1t_.data() + r0, b,
-                                /*trans_b=*/false, /*accumulate=*/false);
-                AddCachedPartials(r0, rows);
-              }
-            });
-      } else {
-        exec::ParallelFor(
-            threads, static_cast<int64_t>(b), /*align=*/1,
-            [&](exec::Range rg, int) {
-              const auto r0 = static_cast<size_t>(rg.begin);
-              const auto rows = static_cast<size_t>(rg.size());
-              kern.gemm_strip(mlp_.w[0].data(), d_, xs_.Row(r0).data(), ds_,
-                              nh_, rows, ds_, a1t_.data() + r0, b,
-                              /*trans_b=*/true, /*accumulate=*/false);
+      exec::ParallelFor(
+          threads, static_cast<int64_t>(st.num_strips), /*align=*/1,
+          [&](exec::Range rg, int) {
+            for (int64_t s = rg.begin; s < rg.end; ++s) {
+              const auto sp = static_cast<size_t>(s);
+              const size_t r0 = st.StripStart(sp);
+              const size_t rows = st.RowsInStrip(sp);
+              kern.gemm_strip(mlp_.w[0].data(), d_, st.Col(sp, 1), sr, nh_,
+                              rows, ds_, a1t_.data() + r0, b,
+                              /*trans_b=*/false, /*accumulate=*/false);
               AddCachedPartials(r0, rows);
-            });
-      }
+            }
+          });
       CountMults(b * nh_ * ds_);
       CountAdds(b * nh_ * ds_ + b * nh_ * q_);
     }
@@ -396,11 +317,10 @@ class NnProgram final : public core::pipeline::ModelProgram {
     // identical arithmetic, but x_Ri is never expanded to N rows on
     // disk. Parallelized over column morsels of grad0: every worker owns
     // a disjoint column range. Every element reads delta1^T's rows in
-    // place: PG_S against the S strips (dot form) or xs_ (axpy form), and
-    // PG_R against x_Ri gathered into blocks of the strip height — the
-    // whole batch as one block on the row path — in dot form. Either way
-    // each element adds its rows in order and no element depends on the
-    // partition, so the gradient is bit-identical for any thread count.
+    // place: PG_S against the S strips and PG_R against x_Ri gathered
+    // into blocks of the strip height, both in dot form. Each element
+    // adds its rows in order and no element depends on the partition, so
+    // the gradient is bit-identical for any thread count.
     if (opt_.grouped_backward && q_ >= 1) {
       // Extension: per R1 group, sum the deltas first, then one outer
       // product per R1 tuple (nh*(b + |rids|*dR1) ops instead of
@@ -434,17 +354,11 @@ class NnProgram final : public core::pipeline::ModelProgram {
             // PG_S: columns of the S slice [0, ds) within this morsel.
             if (cb < ds_) {
               const size_t slen = std::min(ds_, ce) - cb;
-              if (st != nullptr) {
-                for (size_t s = 0; s < st->num_strips; ++s) {
-                  kern.gemm_strip(d1t.data() + st->StripStart(s), b,
-                                  st->Col(s, 1 + cb), sr, nh_, slen,
-                                  st->RowsInStrip(s), grad0_.data() + cb, d_,
-                                  /*trans_b=*/true, /*accumulate=*/true);
-                }
-              } else {
-                kern.gemm_strip(d1t.data(), b, xs_.data() + cb, ds_, nh_,
-                                slen, b, grad0_.data() + cb, d_,
-                                /*trans_b=*/false, /*accumulate=*/true);
+              for (size_t s = 0; s < st.num_strips; ++s) {
+                kern.gemm_strip(d1t.data() + st.StripStart(s), b,
+                                st.Col(s, 1 + cb), sr, nh_, slen,
+                                st.RowsInStrip(s), grad0_.data() + cb, d_,
+                                /*trans_b=*/true, /*accumulate=*/true);
               }
               CountMults(b * nh_ * slen);
               CountAdds(b * nh_ * slen);
@@ -603,7 +517,6 @@ class NnProgram final : public core::pipeline::ModelProgram {
 
   Mlp mlp_;
   std::unique_ptr<internal::BackpropEngine> engine_;
-  la::Matrix xs_;   // batch x dS, row path (factorized: never widened to d)
   la::Matrix a1t_;  // nh x batch: first-layer pre-activation, transposed
   la::Matrix grad0_;
   std::vector<double> y_;

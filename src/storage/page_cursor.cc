@@ -190,18 +190,29 @@ Status PageCursor::ReadStrips(int64_t start_row, size_t count,
         std::min(count - filled,
                  static_cast<size_t>(rows_in_page) - offset_in_page);
     const char* src = page + 8 + offset_in_page * row_bytes;
-    for (size_t r = 0; r < take; ++r) {
-      const size_t idx = filled + r;  // batch-local row index
-      std::memcpy(out->keys.data() + idx * schema.num_keys, src,
-                  8 * schema.num_keys);
-      const char* feat_src = src + 8 * schema.num_keys;
-      double* strip0 =
-          out->data.data() + (idx / strip_rows) * d * strip_rows +
-          idx % strip_rows;
-      for (size_t c = 0; c < d; ++c) {
-        std::memcpy(strip0 + c * strip_rows, feat_src + 8 * c, 8);
+    // Column by column over each run of the page's rows that stays inside
+    // one strip, so every strip column is written as one contiguous run
+    // (a row-at-a-time scatter lands all d columns in the same cache
+    // sets).
+    for (size_t done = 0; done < take;) {
+      const size_t idx = filled + done;  // batch-local row index
+      const size_t h = idx % strip_rows;
+      const size_t n = std::min(take - done, strip_rows - h);
+      const char* run = src + done * row_bytes;
+      for (size_t r = 0; r < n; ++r) {
+        std::memcpy(out->keys.data() + (idx + r) * schema.num_keys,
+                    run + r * row_bytes, 8 * schema.num_keys);
       }
-      src += row_bytes;
+      double* strip0 =
+          out->data.data() + (idx / strip_rows) * d * strip_rows + h;
+      for (size_t c = 0; c < d; ++c) {
+        double* dst = strip0 + c * strip_rows;
+        const char* col = run + 8 * (schema.num_keys + c);
+        for (size_t r = 0; r < n; ++r) {
+          std::memcpy(dst + r, col + r * row_bytes, 8);
+        }
+      }
+      done += n;
     }
     filled += take;
   }

@@ -176,8 +176,8 @@ class TableScanner {
   /// Strip-decoding twin of Next(): same batch boundaries, same demand
   /// page walk, same prefetch schedule — but the batch lands as
   /// column-major strips of height `strip_rows` instead of row-major
-  /// rows. The batched (--kernels=simd) dense drivers call this; Next()
-  /// remains the row-at-a-time path.
+  /// rows. The M strategy's full passes call this; Next() serves the
+  /// row-at-a-time readers.
   bool NextStrips(size_t strip_rows, ColumnStrips* out);
 
   /// Restricts the scan to rows [begin, end) — the morsel of one parallel

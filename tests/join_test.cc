@@ -264,6 +264,41 @@ TEST(MaterializeTest, AssembleJoinedRowMatchesMaterialized) {
   FML_EXPECT_OK(cursor.status());
 }
 
+TEST(MaterializeTest, AssembleJoinedStripsMatchesMaterialized) {
+  // Strip height 2 under 3-row batches: full and short strips alike.
+  TempDir dir;
+  SmallData data(dir.str(), {1, 2, 2}, true);
+  auto t = std::move(MaterializeJoin(*data.rel, &data.pool,
+                                     dir.str() + "/t.fml"))
+               .value();
+  std::vector<AttributeTableView> views(1);
+  FML_ASSERT_OK(views[0].Load(data.rel->attrs[0], &data.pool));
+
+  JoinCursor cursor(data.rel.get(), &data.pool, 3);
+  JoinBatch jb;
+  storage::ColumnStrips strips;
+  RowBatch t_rows;
+  size_t seen = 0;
+  while (cursor.Next(&jb)) {
+    AssembleJoinedStrips(*data.rel, jb.s_rows, views, 2, &strips);
+    ASSERT_EQ(strips.num_rows, jb.s_rows.num_rows);
+    ASSERT_EQ(strips.start_row, jb.s_rows.start_row);
+    // Strip layout = materialized layout: [y | joined features].
+    ASSERT_EQ(strips.num_cols, data.rel->total_dims() + 1);
+    for (size_t r = 0; r < strips.num_rows; ++r) {
+      const int64_t row = jb.s_rows.start_row + static_cast<int64_t>(r);
+      FML_ASSERT_OK(t.ReadRows(&data.pool, row, 1, &t_rows));
+      for (size_t j = 0; j < strips.num_cols; ++j) {
+        EXPECT_EQ(strips.Col(r / 2, j)[r % 2], t_rows.feats(0, j))
+            << "row " << row << " col " << j;
+      }
+      ++seen;
+    }
+  }
+  FML_EXPECT_OK(cursor.status());
+  EXPECT_EQ(seen, 5u);
+}
+
 // ----------------------------------------------------------- BatchPlan
 
 TEST(BatchPlanTest, NaturalOrderIsSingleRangePerBatch) {

@@ -118,21 +118,6 @@ TEST(OpsTest, DotAndAxpy) {
   EXPECT_DOUBLE_EQ(y[2], 7.0);
 }
 
-TEST(OpsTest, GemvMatchesManual) {
-  Matrix a(2, 3);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(0, 2) = 3;
-  a(1, 0) = 4;
-  a(1, 1) = 5;
-  a(1, 2) = 6;
-  const double x[] = {1.0, 0.0, -1.0};
-  double y[2];
-  Gemv(a, x, y);
-  EXPECT_DOUBLE_EQ(y[0], -2.0);
-  EXPECT_DOUBLE_EQ(y[1], -2.0);
-}
-
 TEST(OpsTest, BilinearSubBlock) {
   // A 4x4 with a known 2x2 block at (1,2).
   Matrix a(4, 4);
@@ -187,38 +172,6 @@ TEST(OpsTest, GemmNTAccumulates) {
   EXPECT_NEAR(c(1, 1), fresh(1, 1) + 1.0, 1e-12);
 }
 
-TEST(OpsTest, GemmNTSliceUsesColumnWindow) {
-  Rng rng(7);
-  Matrix x = RandomMatrix(3, 2, &rng);   // k=2
-  Matrix w = RandomMatrix(4, 6, &rng);   // slice cols [3,5)
-  Matrix c;
-  GemmNTSlice(x, w, 3, &c, false);
-  for (size_t i = 0; i < 3; ++i) {
-    for (size_t j = 0; j < 4; ++j) {
-      double s = 0.0;
-      for (size_t p = 0; p < 2; ++p) s += x(i, p) * w(j, 3 + p);
-      EXPECT_NEAR(c(i, j), s, 1e-12);
-    }
-  }
-}
-
-TEST(OpsTest, GemmTNSliceWritesColumnWindow) {
-  Rng rng(9);
-  Matrix d = RandomMatrix(4, 3, &rng);
-  Matrix x = RandomMatrix(4, 2, &rng);
-  Matrix g(3, 6);
-  g.Fill(0.5);
-  GemmTNSlice(d, x, &g, 4);
-  for (size_t i = 0; i < 3; ++i) {
-    for (size_t j = 0; j < 2; ++j) {
-      double s = 0.0;
-      for (size_t r = 0; r < 4; ++r) s += d(r, i) * x(r, j);
-      EXPECT_NEAR(g(i, 4 + j), 0.5 + s, 1e-12);
-    }
-    EXPECT_DOUBLE_EQ(g(i, 0), 0.5);  // untouched columns
-  }
-}
-
 TEST(OpsTest, AddOuterIntoBlock) {
   Matrix a(4, 4);
   const double u[] = {1.0, 2.0};
@@ -269,7 +222,9 @@ TEST_P(CholeskySizeTest, SolveSatisfiesSystem) {
   Cholesky chol;
   FML_ASSERT_OK(chol.Factor(a));
   chol.Solve(b.data(), x.data());
-  Gemv(a, x.data(), ax.data());
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) ax[i] += a(i, j) * x[j];
+  }
   for (size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], b[i], 1e-7);
 }
 
@@ -394,16 +349,6 @@ TEST_P(GemmConsistencyTest, VariantsAgree) {
   Matrix c_nt;
   GemmNT(a, bt, &c_nt, false);
   EXPECT_LT(Matrix::MaxAbsDiff(c_nn, c_nt), 1e-10);
-
-  // Slice kernels with a zero offset reduce to the full products; the
-  // transposed-left one takes A transposed.
-  Matrix at = a.Transposed();
-  Matrix c_slice;
-  GemmNTSlice(a, bt, 0, &c_slice, false);
-  EXPECT_LT(Matrix::MaxAbsDiff(c_nn, c_slice), 1e-10);
-  Matrix g(a.rows(), b.cols());
-  GemmTNSlice(at, b, &g, 0);
-  EXPECT_LT(Matrix::MaxAbsDiff(c_nn, g), 1e-10);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -483,12 +428,6 @@ TEST(KernelsTest, SimdPrimitivesMatchScalarToTolerance) {
   for (size_t i = 0; i < n; ++i) ASSERT_NEAR(y_s[i], y_v[i], 1e-12);
 
   const size_t m = 13;
-  Matrix mat = RandomMatrix(m, n, &rng);
-  std::vector<double> g_s(m, 0.0), g_v(m, 0.0);
-  scalar.gemv(mat.data(), m, n, a.data(), g_s.data());
-  simd.gemv(mat.data(), m, n, a.data(), g_v.data());
-  for (size_t i = 0; i < m; ++i) ASSERT_NEAR(g_s[i], g_v[i], 1e-10);
-
   Matrix sq = RandomMatrix(n, n, &rng);
   EXPECT_NEAR(scalar.bilinear(sq.data(), n, a.data(), n, b.data(), n),
               simd.bilinear(sq.data(), n, a.data(), n, b.data(), n), 1e-9);
@@ -690,6 +629,106 @@ TEST(KernelsTest, ColumnKernelsKeepEachEntrysChainOnEveryBackend) {
             ASSERT_TRUE(SameBits(&one, &acc[j], 1)) << j;
           }
         }
+      }
+    }
+  }
+}
+
+// The scalar backend's row-replay contract: every strip kernel hands each
+// accumulator the per-row code's expressions in row order, so a strip
+// equals, bit for bit, the row loop it batches (la/ops routes the row
+// primitives through the same scalar table). dist_strip's reference is
+// k-means' per-row squared distance; gemm_strip's dot form chains each
+// element from C's prior value, so k split over two accumulate calls
+// equals one call and the axpy form.
+TEST(KernelsTest, ScalarStripKernelsReplayRowOrder) {
+#if defined(__FMA__)
+  // GCC and clang may fuse a C++ `c + a * b` into one FMA when the target
+  // has it, and whether they do depends on the loop shape, so bitwise row
+  // replay holds for targets without FMA (the default x86-64 baseline).
+  GTEST_SKIP() << "FMA target: the compiler may contract a*b+c per loop";
+#endif
+  ScopedKernels scalar(KernelMode::kScalar);
+  const Kernels& kern = Active();
+  ASSERT_STREQ(kern.name, "scalar");
+  for (const size_t d : {1, 3, 4, 5, 20, 33}) {
+    for (const size_t rows : {1, 3, 7, 256, 259}) {
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " rows=" << rows);
+      Rng rng(57 + 1000 * d + rows);
+      TestStrip strip(d, rows, &rng);
+      std::vector<double> w(rows), v(d), center(d);
+      for (auto& x : w) x = rng.NextGaussian();
+      for (auto& x : v) x = rng.NextGaussian();
+      for (auto& x : center) x = rng.NextGaussian();
+      const Matrix a = RandomMatrix(d, d, &rng);
+      const Matrix seed = RandomMatrix(d, d, &rng);  // non-zero start
+      std::vector<std::vector<double>> xrow(rows, std::vector<double>(d));
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t j = 0; j < d; ++j) xrow[r][j] = strip.cols[j][r];
+      }
+      for (const bool weighted : {false, true}) {
+        const double* wp = weighted ? w.data() : nullptr;
+        Matrix gram = seed, gram_rows = seed;
+        kern.syrk_strip(strip.cols.data(), d, rows, wp, gram.data(), d);
+        std::vector<double> acc(seed.data(), seed.data() + d);
+        std::vector<double> acc_rows = acc;
+        kern.colsum_strip(strip.cols.data(), d, rows, wp, acc.data());
+        for (size_t r = 0; r < rows; ++r) {
+          const double wr = weighted ? w[r] : 1.0;
+          AddOuter(wr, xrow[r].data(), d, xrow[r].data(), d, &gram_rows, 0,
+                   0);
+          Axpy(wr, xrow[r].data(), acc_rows.data(), d);
+        }
+        ASSERT_TRUE(SameBits(gram.data(), gram_rows.data(), d * d))
+            << "syrk_strip weighted=" << weighted;
+        ASSERT_TRUE(SameBits(acc.data(), acc_rows.data(), d))
+            << "colsum_strip weighted=" << weighted;
+      }
+      std::vector<double> quad(rows), dist(rows), dots(rows);
+      kern.quadform_strip(strip.data.data(), d, rows, a.data(), d,
+                          quad.data());
+      kern.dist_strip(strip.cols.data(), d, rows, center.data(), dist.data());
+      kern.col_dot_strip(strip.cols.data(), d, rows, v.data(), dots.data());
+      for (size_t r = 0; r < rows; ++r) {
+        const double q = QuadForm(a, xrow[r].data(), d);
+        double dd = 0.0;
+        for (size_t j = 0; j < d; ++j) {
+          const double t = xrow[r][j] - center[j];
+          dd += t * t;
+        }
+        const double dot = Dot(xrow[r].data(), v.data(), d);
+        ASSERT_TRUE(SameBits(&q, &quad[r], 1)) << "quadform_strip r=" << r;
+        ASSERT_TRUE(SameBits(&dd, &dist[r], 1)) << "dist_strip r=" << r;
+        ASSERT_TRUE(SameBits(&dot, &dots[r], 1)) << "col_dot_strip r=" << r;
+      }
+      // gemm_strip, dot form: C (m x d) += A (m x rows) * B^T with B the
+      // d x rows strip, k = rows split at k1 over two accumulate calls.
+      for (const size_t m : {1, 3, 5}) {
+        const Matrix am = RandomMatrix(m, rows, &rng);
+        const Matrix c0 = RandomMatrix(m, d, &rng);
+        const size_t k1 = rows / 2;
+        Matrix split = c0, whole = c0, axpy = c0;
+        kern.gemm_strip(am.data(), rows, strip.data.data(), rows, m, d, k1,
+                        split.data(), d, /*trans_b=*/true,
+                        /*accumulate=*/true);
+        kern.gemm_strip(am.data() + k1, rows, strip.data.data() + k1, rows, m,
+                        d, rows - k1, split.data(), d, /*trans_b=*/true,
+                        /*accumulate=*/true);
+        kern.gemm_strip(am.data(), rows, strip.data.data(), rows, m, d, rows,
+                        whole.data(), d, /*trans_b=*/true,
+                        /*accumulate=*/true);
+        // The axpy form over B^T (rows x d, row r = strip row r).
+        std::vector<double> bt(rows * d);
+        for (size_t r = 0; r < rows; ++r) {
+          std::memcpy(bt.data() + r * d, xrow[r].data(), d * sizeof(double));
+        }
+        kern.gemm_strip(am.data(), rows, bt.data(), d, m, d, rows,
+                        axpy.data(), d, /*trans_b=*/false,
+                        /*accumulate=*/true);
+        ASSERT_TRUE(SameBits(split.data(), whole.data(), m * d))
+            << "dot form, k split at " << k1 << ", m=" << m;
+        ASSERT_TRUE(SameBits(whole.data(), axpy.data(), m * d))
+            << "dot form vs axpy form, m=" << m;
       }
     }
   }

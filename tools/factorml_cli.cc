@@ -74,15 +74,16 @@
 // $PATH).
 //
 // `--kernels=scalar|simd` (any train subcommand, default scalar) selects
-// the compute kernel backend. `scalar` replays the seed's exact loops —
-// bit-identical objectives, params, op counts and page I/O. `simd` swaps
-// in the runtime-dispatched vector kernel plane (AVX2+FMA where the CPU
-// has it, portable 32-byte vector lanes otherwise) and switches the
-// full-pass strategies to batched column-strip decode: pages are decoded
-// into cache-blocked column-major strips and the models consume whole
-// strips per kernel call. Op counts and page I/O stay exactly equal to
-// scalar at the same schedule; floating-point results agree to
-// reassociation tolerance. Unknown values exit 2 listing the choices.
+// the compute kernel table and nothing else: under both, pages are
+// decoded (or joined rows assembled) into cache-blocked column-major
+// strips and the models consume whole strips per kernel call. `scalar`
+// replays the seed's per-row expressions in row order — bit-identical
+// objectives, params, op counts and page I/O. `simd` swaps in the
+// runtime-dispatched vector kernels (AVX2+FMA where the CPU has it,
+// portable 32-byte vector lanes otherwise). Op counts and page I/O stay
+// exactly equal to scalar at the same schedule; floating-point results
+// agree to reassociation tolerance. Unknown values exit 2 listing the
+// choices.
 //
 // `--trace=PATH` (any subcommand) records per-worker runtime spans —
 // parallel regions, morsel executions (owner vs stolen), demand reads,
