@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "exec/parallel_for.h"
 #include "exec/worker_pools.h"
 #include "join/attribute_view.h"
+#include "join/join_cursor.h"
 #include "obs/trace.h"
 #include "storage/page_cursor.h"
 
@@ -221,6 +223,68 @@ class JoinStreamStrategyBase : public StrategyBase {
   using StrategyBase::StrategyBase;
 
  protected:
+  /// The S/F full pass: one join cursor and strip buffer per worker thread,
+  /// reused across the FK1-run morsels it executes (runs are atomic, so
+  /// whichever worker ends up with a chunk delivers the same groups and
+  /// keeps F's per-R-tuple reuse). `body(batch, slot, &strips)` builds
+  /// each non-empty batch's strips and hands them to the model.
+  template <typename Body>
+  Status DriveJoinPass(const PipelineContext& ctx, ModelProgram* model,
+                       int pass, const Body& body) {
+    struct Worker {
+      std::optional<join::JoinCursor> cursor;
+      join::JoinBatch batch;
+      storage::ColumnStrips strips;
+    };
+    std::vector<Worker> workers(static_cast<size_t>(threads_));
+    FML_RETURN_IF_ERROR(DriveMorsels(
+        ctx, [&](exec::Range range, int slot, int w,
+                 const exec::Range* next, Status* status) {
+          Worker& wk = workers[static_cast<size_t>(w)];
+          if (!wk.cursor) {
+            wk.cursor.emplace(ctx.rel, pools_->Get(w), batch_rows_);
+            if (prefetcher() != nullptr) {
+              wk.cursor->EnablePrefetch(prefetcher(), prefetch_depth_);
+            }
+          }
+          // Overlap the next scheduled chunk's S-run reads with this
+          // chunk's compute (residency-only; see DriveMorsels).
+          if (next != nullptr) {
+            wk.cursor->PrefetchPositionRange(next->begin, next->end);
+          }
+          wk.cursor->SetPositionRange(range.begin, range.end);
+          while (wk.cursor->Next(&wk.batch)) {
+            if (wk.batch.s_rows.num_rows == 0) continue;
+            body(wk.batch, slot, &wk.strips);
+          }
+          *status = wk.cursor->status();
+        }));
+    MergeSlots(model, pass);
+    return Status::OK();
+  }
+
+  /// The S/F epoch: reloads the views, orders R1's rids by the model's
+  /// EpochRidOrder and streams S in planned batches through one cursor;
+  /// `body(batch, &strips)` builds each non-empty batch's strips and
+  /// returns the model hook's status.
+  template <typename Body>
+  Status DriveJoinEpoch(PipelineContext* ctx, ModelProgram* model, int epoch,
+                        const Body& body) {
+    FML_RETURN_IF_ERROR(LoadViews());
+    ctx->views = &views_;
+    join::JoinCursor cursor(ctx->rel, pool_, batch_rows_);
+    auto order = model->EpochRidOrder(*ctx, epoch);
+    if (!order.empty()) cursor.SetRidOrder(std::move(order));
+    FML_RETURN_IF_ERROR(model->BeginEpoch(*ctx, epoch));
+    join::JoinBatch batch;
+    storage::ColumnStrips strips;
+    while (cursor.Next(&batch)) {
+      if (batch.s_rows.num_rows == 0) continue;
+      FML_RETURN_IF_ERROR(body(batch, &strips));
+    }
+    return cursor.status();
+  }
+
   Status LoadViews() {
     for (size_t i = 0; i < rel_->num_joins(); ++i) {
       FML_RETURN_IF_ERROR(views_[i].Load(rel_->attrs[i], pool_));
@@ -231,8 +295,8 @@ class JoinStreamStrategyBase : public StrategyBase {
   std::vector<join::AttributeTableView> views_;
 };
 
-/// The M/S strategies' full-pass block over one batch of joined-row
-/// strips laid out like T: the target (when the relations carry one) at
+/// The M/S strategies' block over one batch of joined-row strips laid out
+/// like T, on both planes: the target (when the relations carry one) at
 /// strip column 0, the d features after it.
 inline DenseBlock JoinedStripBlock(const storage::ColumnStrips& strips,
                                    bool has_target) {
@@ -243,34 +307,6 @@ inline DenseBlock JoinedStripBlock(const storage::ColumnStrips& strips,
   block.strip_col0 = has_target ? 1 : 0;
   block.strip_y_col = has_target ? 0 : -1;
   return block;
-}
-
-/// Transposes `num_rows` rows (row r's d values at `x + r * x_stride`)
-/// into the column-strip layout the batch kernels consume: the mini-batch
-/// drivers' assembled batches and the F driver's S slices. Each strip
-/// column is written as one contiguous run (strip, then column, then
-/// rows): a row-at-a-time scatter lands every column in the same cache
-/// sets.
-inline void PackRowsToStrips(const double* x, size_t x_stride,
-                             size_t num_rows, size_t d, int64_t start_row,
-                             size_t strip_rows, storage::ColumnStrips* out) {
-  out->strip_rows = strip_rows;
-  out->num_strips = (num_rows + strip_rows - 1) / strip_rows;
-  out->num_rows = num_rows;
-  out->num_cols = d;
-  out->num_keys = 0;
-  out->start_row = start_row;
-  out->keys.clear();
-  out->data.resize(out->num_strips * d * strip_rows);
-  for (size_t s = 0; s < out->num_strips; ++s) {
-    const size_t r0 = out->StripStart(s);
-    const size_t rows = out->RowsInStrip(s);
-    for (size_t j = 0; j < d; ++j) {
-      double* dst = out->MutableCol(s, j);
-      const double* src = x + r0 * x_stride + j;
-      for (size_t r = 0; r < rows; ++r) dst[r] = src[r * x_stride];
-    }
-  }
 }
 
 std::unique_ptr<AccessStrategy> MakeMaterialized(

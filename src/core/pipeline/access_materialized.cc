@@ -3,7 +3,6 @@
 // planned row-range reads of T (mini-batch plane). Page-aligned row-range
 // morsels keep every data page owned by exactly one worker.
 
-#include <cstring>
 #include <optional>
 
 #include "common/stopwatch.h"
@@ -93,36 +92,26 @@ class MaterializedStrategy final : public StrategyBase {
     ctx->views = nullptr;
     FML_RETURN_IF_ERROR(model->BeginEpoch(*ctx, epoch));
 
-    const size_t y_off = ctx->rel->has_target ? 1 : 0;
-    const size_t d = ctx->rel->total_dims();
-    la::Matrix x;  // assembly scratch, packed into strips per batch
-    std::vector<double> y;
-    storage::RowBatch rows;
+    // Each planned row range decodes straight into its rows of one
+    // T-layout block (a shuffled batch gathers many ranges), through the
+    // same page walk and strip decode as RunPass.
+    const storage::PageCursor cursor(&*t_, ctx->pool);
+    const storage::Schema& schema = t_->schema();
     storage::ColumnStrips strips;
     for (const auto& batch : plan) {
-      const size_t b = static_cast<size_t>(batch.total_rows);
-      x.Reshape(b, d);
-      y.resize(y_off != 0 ? b : 0);
+      strips.Shape(kDefaultStripRows, static_cast<size_t>(batch.total_rows),
+                   schema.num_feats, schema.num_keys,
+                   batch.ranges.empty() ? 0 : batch.ranges.front().start);
       size_t filled = 0;
       for (const auto& range : batch.ranges) {
-        FML_RETURN_IF_ERROR(t_->ReadRows(ctx->pool, range.start,
-                                         static_cast<size_t>(range.count),
-                                         &rows));
-        for (size_t r = 0; r < rows.num_rows; ++r) {
-          // T feature column 0 is Y; the remaining d columns are features.
-          if (y_off != 0) y[filled] = rows.feats(r, 0);
-          std::memcpy(x.Row(filled).data(), rows.feats.Row(r).data() + y_off,
-                      sizeof(double) * d);
-          ++filled;
-        }
+        const auto count = static_cast<size_t>(range.count);
+        FML_RETURN_IF_ERROR(
+            cursor.ReadStrips(range.start, count, filled, &strips));
+        filled += count;
       }
-      FML_CHECK_EQ(filled, b);
-      // The model reads the batch as strips (same page walk and IoStats
-      // whatever the strip height — they are packed from the rows just
-      // read, including batches shorter than one strip).
-      PackRowsToStrips(x.data(), d, b, d, 0, kDefaultStripRows, &strips);
-      const DenseBatch dense{&strips, &y};
-      FML_RETURN_IF_ERROR(model->OnDenseBatch(*ctx, dense));
+      FML_CHECK_EQ(filled, strips.num_rows);
+      FML_RETURN_IF_ERROR(model->OnDenseBatch(
+          *ctx, JoinedStripBlock(strips, ctx->rel->has_target)));
     }
     return Status::OK();
   }

@@ -82,11 +82,13 @@ inline exec::Range SlotRidSpan(const PipelineContext& ctx, int slot,
   return (*ctx.slot_rid_spans)[s];
 }
 
-/// A block of fully joined rows as the M/S strategies deliver them, as
-/// column-major strips (storage::ColumnStrips): the M strategy's fused
-/// page decode writes them directly, the S strategy assembles each joined
-/// row straight into them. Feature column j of the model lives at strip
-/// column `strip_col0 + j` and the target (if any) at `strip_y_col`.
+/// A block of fully joined rows as the M/S strategies deliver them, on
+/// both planes (AccumulateDense and OnDenseBatch), as column-major strips
+/// (storage::ColumnStrips) in T's layout: the M strategy decodes T's
+/// pages straight into them (a mini-batch's row ranges into one block),
+/// the S strategy assembles each joined row straight into them. Feature
+/// column j of the model lives at strip column `strip_col0 + j` and the
+/// target (if any) at `strip_y_col`.
 struct DenseBlock {
   int64_t start_row = 0;  // global fact-row id of row 0
   size_t num_rows = 0;
@@ -117,14 +119,6 @@ struct FactorizedBlock {
   const storage::ColumnStrips* s_strips = nullptr;
 };
 
-/// One assembled mini-batch for the kMiniBatch plane: the sampled rows'
-/// features as column-major strips (feature column j is strip column j)
-/// and their targets in y.
-struct DenseBatch {
-  const storage::ColumnStrips* strips = nullptr;
-  const std::vector<double>* y = nullptr;
-};
-
 /// The model plane of the training pipeline. A ModelProgram owns the model
 /// parameters and the per-pass math; it never touches storage, joins,
 /// partitioning, or threads — the AccessStrategy (data-access plane) owns
@@ -147,7 +141,10 @@ struct DenseBatch {
 /// Mini-batch driving sequence (kMiniBatch), per epoch e:
 ///   strategy reloads inputs and orders rids by EpochRidOrder(e)
 ///   BeginEpoch(ctx, e)
-///   On{Dense,Factorized}Batch(ctx, batch) for each planned batch
+///   for each planned batch, built by the same strip builder as the
+///   strategy's full pass (M: T's page decode, S: join assembly, F: the
+///   S-slice transpose):
+///     OnDenseBatch(ctx, DenseBlock) or OnFactorizedBatch(ctx, block)
 ///   EndIteration(ctx, e) -> stop?
 class ModelProgram {
  public:
@@ -267,7 +264,7 @@ class ModelProgram {
     return Status::OK();
   }
   virtual Status OnDenseBatch(const PipelineContext& ctx,
-                              const DenseBatch& batch) {
+                              const DenseBlock& batch) {
     (void)ctx, (void)batch;
     FML_CHECK(false) << Name() << ": dense mini-batch hook not implemented";
     return Status::OK();

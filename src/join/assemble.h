@@ -38,7 +38,8 @@ inline void AssembleJoinedRow(const NormalizedRelations& rel,
 /// column 0 when present, then XS) followed by XR1 ... XRq. Every strip
 /// column is written as one contiguous run — the S columns transposed
 /// from the batch, each attribute column gathered through the rows'
-/// foreign keys — so no row-major joined copy is ever built.
+/// foreign keys — so no row-major joined copy is ever built. With no
+/// views it is the S-slice transpose alone, the F strategy's strips.
 inline void AssembleJoinedStrips(const NormalizedRelations& rel,
                                  const storage::RowBatch& s_rows,
                                  const std::vector<AttributeTableView>& views,
@@ -47,15 +48,8 @@ inline void AssembleJoinedStrips(const NormalizedRelations& rel,
   const size_t s_cols = s_rows.feats.cols();
   size_t num_cols = s_cols;
   for (const auto& view : views) num_cols += view.feats().cols();
-  const size_t num_rows = s_rows.num_rows;
-  out->strip_rows = strip_rows;
-  out->num_strips = (num_rows + strip_rows - 1) / strip_rows;
-  out->num_rows = num_rows;
-  out->num_cols = num_cols;
-  out->num_keys = 0;
-  out->start_row = s_rows.start_row;
-  out->keys.clear();
-  out->data.resize(out->num_strips * num_cols * strip_rows);
+  out->Shape(strip_rows, s_rows.num_rows, num_cols, /*nkeys=*/0,
+             s_rows.start_row);
   for (size_t s = 0; s < out->num_strips; ++s) {
     const size_t r0 = out->StripStart(s);
     const size_t rows = out->RowsInStrip(s);

@@ -25,7 +25,7 @@ namespace factorml::nn {
 
 namespace {
 
-using core::pipeline::DenseBatch;
+using core::pipeline::DenseBlock;
 using core::pipeline::FactorizedBlock;
 using core::pipeline::PipelineContext;
 
@@ -117,20 +117,30 @@ class NnProgram final : public core::pipeline::ModelProgram {
   }
 
   /// The dense epoch step. The first-layer forward and the W1 gradient
-  /// run as `gemm_strip` products over the driver-packed column strips
-  /// (axpy form and dot form): the pre-activation lands straight in the
-  /// transposed epoch block a1t_ (nh x batch) that Step consumes, and the
-  /// gradient reads Step's delta1^T in place, so no layout shuffle sits
-  /// between the first layer and the upper ones. Op counts are charged
-  /// with the per-row formulas per strip, and every strip/morsel boundary
-  /// is schedule-determined, so iterations, op counters and page I/O are
-  /// the same on every backend and at every thread count.
+  /// run as `gemm_strip` products over the block's column strips (axpy
+  /// form and dot form; the d feature columns of a strip are contiguous
+  /// after the target, so StripX(s, 0) heads a d-column panel): the
+  /// pre-activation lands straight in the transposed epoch block a1t_
+  /// (nh x batch) that Step consumes, and the gradient reads Step's
+  /// delta1^T in place, so no layout shuffle sits between the first layer
+  /// and the upper ones. Op counts are charged with the per-row formulas
+  /// per strip, and every strip/morsel boundary is schedule-determined, so
+  /// iterations, op counters and page I/O are the same on every backend
+  /// and at every thread count.
   Status OnDenseBatch(const PipelineContext& ctx,
-                      const DenseBatch& batch) override {
+                      const DenseBlock& batch) override {
     const storage::ColumnStrips& st = *batch.strips;
-    const size_t b = st.num_rows;
+    const size_t b = batch.num_rows;
     const int threads = ctx.threads;
     const la::Kernels& kern = la::Active();
+
+    // The targets as one contiguous run for Step (data movement,
+    // uncharged like assembly).
+    y_.resize(b);
+    for (size_t s = 0; s < st.num_strips; ++s) {
+      std::memcpy(y_.data() + st.StripStart(s), batch.StripY(s),
+                  sizeof(double) * st.RowsInStrip(s));
+    }
 
     // First-layer forward, one strip at a time: W1 * B, where B is the
     // strip's feature block (d x rows, ldb = strip height), lands in the
@@ -147,7 +157,7 @@ class NnProgram final : public core::pipeline::ModelProgram {
               const auto sp = static_cast<size_t>(s);
               const size_t rows = st.RowsInStrip(sp);
               const size_t row0 = st.StripStart(sp);
-              kern.gemm_strip(mlp_.w[0].data(), d_, st.Col(sp, 0),
+              kern.gemm_strip(mlp_.w[0].data(), d_, batch.StripX(sp, 0),
                               st.strip_rows, nh_, rows, d_,
                               a1t_.data() + row0, b, /*trans_b=*/false,
                               /*accumulate=*/false);
@@ -159,7 +169,7 @@ class NnProgram final : public core::pipeline::ModelProgram {
     }
     {
       core::PhaseScope phase(ctx.report, "upper_layers");
-      epoch_sse_ += engine_->Step(a1t_, batch.y->data());
+      epoch_sse_ += engine_->Step(a1t_, y_.data());
     }
 
     // W1 gradient over column morsels, strips ascending inside each
@@ -179,10 +189,10 @@ class NnProgram final : public core::pipeline::ModelProgram {
             const size_t len = static_cast<size_t>(rg.end) - cb;
             for (size_t s = 0; s < st.num_strips; ++s) {
               const size_t rows = st.RowsInStrip(s);
-              kern.gemm_strip(d1t.data() + st.StripStart(s), b, st.Col(s, cb),
-                              st.strip_rows, nh_, len, rows,
-                              grad0_.data() + cb, d_, /*trans_b=*/true,
-                              /*accumulate=*/true);
+              kern.gemm_strip(d1t.data() + st.StripStart(s), b,
+                              batch.StripX(s, cb), st.strip_rows, nh_, len,
+                              rows, grad0_.data() + cb, d_,
+                              /*trans_b=*/true, /*accumulate=*/true);
             }
             CountMults(b * nh_ * len);
             CountAdds(b * nh_ * len);

@@ -99,15 +99,35 @@ uint64_t Prefetcher::requests_dropped() const {
 
 // ------------------------------------------------------------- PageCursor
 
+template <typename Run>
+Status PageCursor::WalkPages(int64_t start_row, size_t count,
+                             const Run& run) const {
+  const size_t rpp = table_->schema().RowsPerPage();
+  const size_t row_bytes = table_->schema().RowBytes();
+  size_t filled = 0;
+  while (filled < count) {
+    const int64_t row = start_row + static_cast<int64_t>(filled);
+    const uint64_t page_no = 1 + static_cast<uint64_t>(row) / rpp;
+    const size_t offset_in_page = static_cast<size_t>(row) % rpp;
+    FML_ASSIGN_OR_RETURN(const char* page,
+                         pool_->GetPage(table_->file(), page_no));
+    const uint64_t rows_in_page = PageRowCount(page);
+    if (offset_in_page >= rows_in_page) {
+      return Status::Internal("corrupt page in " + table_->path());
+    }
+    const size_t take =
+        std::min(count - filled,
+                 static_cast<size_t>(rows_in_page) - offset_in_page);
+    run(filled, page + 8 + offset_in_page * row_bytes, take);
+    filled += take;
+  }
+  return Status::OK();
+}
+
 Status PageCursor::ReadRows(int64_t start_row, size_t count,
                             RowBatch* out) const {
-  if (start_row < 0 ||
-      start_row + static_cast<int64_t>(count) > table_->num_rows()) {
-    return Status::OutOfRange("row range out of bounds in " +
-                              table_->path());
-  }
+  FML_RETURN_IF_ERROR(table_->CheckRowRange(start_row, count));
   const Schema& schema = table_->schema();
-  const size_t rpp = schema.RowsPerPage();
   const size_t row_bytes = schema.RowBytes();
 
   out->num_rows = count;
@@ -117,105 +137,63 @@ Status PageCursor::ReadRows(int64_t start_row, size_t count,
   if (out->feats.rows() != count || out->feats.cols() != schema.num_feats) {
     out->feats.Resize(count, schema.num_feats);
   }
-
-  size_t filled = 0;
-  while (filled < count) {
-    const int64_t row = start_row + static_cast<int64_t>(filled);
-    const uint64_t page_no = 1 + static_cast<uint64_t>(row) / rpp;
-    const size_t offset_in_page = static_cast<size_t>(row) % rpp;
-    FML_ASSIGN_OR_RETURN(const char* page,
-                         pool_->GetPage(table_->file(), page_no));
-    const uint64_t rows_in_page = PageRowCount(page);
-    if (offset_in_page >= rows_in_page) {
-      return Status::Internal("corrupt page in " + table_->path());
-    }
-    const size_t take =
-        std::min(count - filled,
-                 static_cast<size_t>(rows_in_page) - offset_in_page);
-    const char* src = page + 8 + offset_in_page * row_bytes;
-    for (size_t r = 0; r < take; ++r) {
-      std::memcpy(out->keys.data() + (filled + r) * schema.num_keys, src,
-                  8 * schema.num_keys);
-      std::memcpy(out->feats.Row(filled + r).data(),
-                  src + 8 * schema.num_keys, 8 * schema.num_feats);
-      src += row_bytes;
-    }
-    filled += take;
-  }
-  return Status::OK();
+  return WalkPages(start_row, count,
+                   [&](size_t filled, const char* src, size_t take) {
+                     for (size_t r = 0; r < take; ++r) {
+                       std::memcpy(
+                           out->keys.data() + (filled + r) * schema.num_keys,
+                           src, 8 * schema.num_keys);
+                       std::memcpy(out->feats.Row(filled + r).data(),
+                                   src + 8 * schema.num_keys,
+                                   8 * schema.num_feats);
+                       src += row_bytes;
+                     }
+                   });
 }
 
 Status PageCursor::ReadStrips(int64_t start_row, size_t count,
-                              size_t strip_rows, ColumnStrips* out) const {
-  if (start_row < 0 ||
-      start_row + static_cast<int64_t>(count) > table_->num_rows()) {
-    return Status::OutOfRange("row range out of bounds in " +
-                              table_->path());
-  }
-  FML_CHECK_GT(strip_rows, 0u);
+                              size_t dst_row, ColumnStrips* out) const {
+  FML_RETURN_IF_ERROR(table_->CheckRowRange(start_row, count));
+  const Schema& schema = table_->schema();
+  const size_t row_bytes = schema.RowBytes();
+  const size_t d = schema.num_feats;
+  const size_t strip_rows = out->strip_rows;
+  FML_CHECK_EQ(out->num_cols, d);
+  FML_CHECK_EQ(out->num_keys, schema.num_keys);
+  FML_CHECK_LE(dst_row + count, out->num_rows);
   static obs::Histogram* decode_micros =
       obs::Registry::Instance().GetHistogram("storage.decode_strip_micros");
   obs::TraceSpan span(obs::kCatStorage, "decode_strip");
   const uint64_t t0 = obs::NowMicros();
 
-  const Schema& schema = table_->schema();
-  const size_t rpp = schema.RowsPerPage();
-  const size_t row_bytes = schema.RowBytes();
-  const size_t d = schema.num_feats;
-
-  out->strip_rows = strip_rows;
-  out->num_strips = (count + strip_rows - 1) / strip_rows;
-  out->num_rows = count;
-  out->num_cols = d;
-  out->num_keys = schema.num_keys;
-  out->start_row = start_row;
-  out->keys.resize(count * schema.num_keys);
-  out->data.resize(out->num_strips * d * strip_rows);
-
-  // The page walk below is ReadRows' exactly — same GetPage sequence, so
-  // the pool sees an identical demand stream; only the decode destination
-  // differs (column scatter instead of row memcpy).
-  size_t filled = 0;
-  while (filled < count) {
-    const int64_t row = start_row + static_cast<int64_t>(filled);
-    const uint64_t page_no = 1 + static_cast<uint64_t>(row) / rpp;
-    const size_t offset_in_page = static_cast<size_t>(row) % rpp;
-    FML_ASSIGN_OR_RETURN(const char* page,
-                         pool_->GetPage(table_->file(), page_no));
-    const uint64_t rows_in_page = PageRowCount(page);
-    if (offset_in_page >= rows_in_page) {
-      return Status::Internal("corrupt page in " + table_->path());
-    }
-    const size_t take =
-        std::min(count - filled,
-                 static_cast<size_t>(rows_in_page) - offset_in_page);
-    const char* src = page + 8 + offset_in_page * row_bytes;
-    // Column by column over each run of the page's rows that stays inside
-    // one strip, so every strip column is written as one contiguous run
-    // (a row-at-a-time scatter lands all d columns in the same cache
-    // sets).
-    for (size_t done = 0; done < take;) {
-      const size_t idx = filled + done;  // batch-local row index
-      const size_t h = idx % strip_rows;
-      const size_t n = std::min(take - done, strip_rows - h);
-      const char* run = src + done * row_bytes;
-      for (size_t r = 0; r < n; ++r) {
-        std::memcpy(out->keys.data() + (idx + r) * schema.num_keys,
-                    run + r * row_bytes, 8 * schema.num_keys);
-      }
-      double* strip0 =
-          out->data.data() + (idx / strip_rows) * d * strip_rows + h;
-      for (size_t c = 0; c < d; ++c) {
-        double* dst = strip0 + c * strip_rows;
-        const char* col = run + 8 * (schema.num_keys + c);
-        for (size_t r = 0; r < n; ++r) {
-          std::memcpy(dst + r, col + r * row_bytes, 8);
+  const Status st = WalkPages(
+      start_row, count, [&](size_t filled, const char* src, size_t take) {
+        // Column by column over each run of the page's rows that stays
+        // inside one strip, so every strip column is written as one
+        // contiguous run (a row-at-a-time scatter lands all d columns in
+        // the same cache sets).
+        for (size_t done = 0; done < take;) {
+          const size_t idx = dst_row + filled + done;  // block row index
+          const size_t h = idx % strip_rows;
+          const size_t n = std::min(take - done, strip_rows - h);
+          const char* run = src + done * row_bytes;
+          for (size_t r = 0; r < n; ++r) {
+            std::memcpy(out->keys.data() + (idx + r) * schema.num_keys,
+                        run + r * row_bytes, 8 * schema.num_keys);
+          }
+          double* strip0 =
+              out->data.data() + (idx / strip_rows) * d * strip_rows + h;
+          for (size_t c = 0; c < d; ++c) {
+            double* dst = strip0 + c * strip_rows;
+            const char* col = run + 8 * (schema.num_keys + c);
+            for (size_t r = 0; r < n; ++r) {
+              std::memcpy(dst + r, col + r * row_bytes, 8);
+            }
+          }
+          done += n;
         }
-      }
-      done += n;
-    }
-    filled += take;
-  }
+      });
+  FML_RETURN_IF_ERROR(st);
   decode_micros->Record(obs::NowMicros() - t0);
   span.Arg("rows", static_cast<int64_t>(count));
   return Status::OK();

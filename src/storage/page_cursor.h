@@ -95,14 +95,16 @@ class PageCursor {
   /// pool — the demand path every Table/Join read funnels through.
   Status ReadRows(int64_t start_row, size_t count, RowBatch* out) const;
 
-  /// Batched decode: reads `count` rows starting at `start_row` into
-  /// column-major strips of height `strip_rows`. The page walk is
-  /// byte-for-byte ReadRows' (same GetPage sequence, same demand I/O
-  /// accounting); only the in-memory decode target differs — features are
-  /// transposed into the cache-blocked strip layout the la/ batch kernels
-  /// consume, keys stay row-major. Each call is one "decode_strip" trace
-  /// span and one storage.decode_strip_micros histogram sample.
-  Status ReadStrips(int64_t start_row, size_t count, size_t strip_rows,
+  /// Batched decode: reads `count` rows starting at `start_row` into rows
+  /// [dst_row, dst_row + count) of `out`, which the caller has shaped
+  /// (ColumnStrips::Shape) with the table's columns and keys — so several
+  /// row ranges can land in one block. The page walk is ReadRows' (same
+  /// GetPage sequence, same demand I/O accounting); only the in-memory
+  /// decode target differs — features are transposed into the
+  /// cache-blocked strip layout the la/ batch kernels consume, keys stay
+  /// row-major. Each call is one "decode_strip" trace span and one
+  /// storage.decode_strip_micros histogram sample.
+  Status ReadStrips(int64_t start_row, size_t count, size_t dst_row,
                     ColumnStrips* out) const;
 
   /// Asynchronously lands the data pages covering rows
@@ -111,6 +113,14 @@ class PageCursor {
   void PrefetchRows(int64_t start_row, int64_t count) const;
 
  private:
+  /// The one page walk of the demand path (ReadRows and ReadStrips):
+  /// fetches, in order, each page the rows [start_row, start_row + count)
+  /// touch and hands `run(filled, src, take)` the page's `take` packed
+  /// rows starting at `src`, rows [filled, filled + take) of the read.
+  /// The range must already be checked.
+  template <typename Run>
+  Status WalkPages(int64_t start_row, size_t count, const Run& run) const;
+
   const Table* table_;
   BufferPool* pool_;
   Prefetcher* prefetcher_ = nullptr;

@@ -132,6 +132,13 @@ Status Table::Finish() {
   return Status::OK();
 }
 
+Status Table::CheckRowRange(int64_t start_row, size_t count) const {
+  if (start_row < 0 || start_row + static_cast<int64_t>(count) > num_rows_) {
+    return Status::OutOfRange("row range out of bounds in " + path());
+  }
+  return Status::OK();
+}
+
 Status Table::ReadRows(BufferPool* pool, int64_t start_row, size_t count,
                        RowBatch* out) const {
   return PageCursor(this, pool).ReadRows(start_row, count, out);
@@ -139,7 +146,10 @@ Status Table::ReadRows(BufferPool* pool, int64_t start_row, size_t count,
 
 Status Table::ReadStrips(BufferPool* pool, int64_t start_row, size_t count,
                          size_t strip_rows, ColumnStrips* out) const {
-  return PageCursor(this, pool).ReadStrips(start_row, count, strip_rows, out);
+  FML_RETURN_IF_ERROR(CheckRowRange(start_row, count));
+  out->Shape(strip_rows, count, schema_.num_feats, schema_.num_keys,
+             start_row);
+  return PageCursor(this, pool).ReadStrips(start_row, count, 0, out);
 }
 
 TableScanner::TableScanner(const Table* table, BufferPool* pool,
@@ -201,7 +211,7 @@ bool TableScanner::NextStrips(size_t strip_rows, ColumnStrips* out) {
   size_t count = 0;
   PageCursor cursor(table_, pool_);
   if (!PrepareBatch(&cursor, &count)) return false;
-  status_ = cursor.ReadStrips(next_row_, count, strip_rows, out);
+  status_ = table_->ReadStrips(pool_, next_row_, count, strip_rows, out);
   if (!status_.ok()) return false;
   next_row_ += static_cast<int64_t>(count);
   return true;

@@ -67,6 +67,23 @@ struct ColumnStrips {
   std::vector<int64_t> keys;  // num_rows * num_keys, row-major
   std::vector<double> data;   // num_strips * num_cols * strip_rows
 
+  /// The one shape every strip builder starts from: `rows` rows of `cols`
+  /// feature columns and `nkeys` keys each, in strips of `height` rows,
+  /// row 0 at global row `start`. Sizes `keys` and `data` and leaves
+  /// their contents to the builder, which writes every present row.
+  void Shape(size_t height, size_t rows, size_t cols, size_t nkeys,
+             int64_t start) {
+    FML_CHECK_GT(height, 0u);
+    strip_rows = height;
+    num_strips = (rows + height - 1) / height;
+    num_rows = rows;
+    num_cols = cols;
+    num_keys = nkeys;
+    start_row = start;
+    keys.resize(rows * nkeys);
+    data.resize(num_strips * cols * height);
+  }
+
   const double* Col(size_t strip, size_t col) const {
     return data.data() + (strip * num_cols + col) * strip_rows;
   }
@@ -116,6 +133,11 @@ class Table {
   /// after the last Append before the table is scanned.
   Status Finish();
 
+  /// OK when rows [start_row, start_row + count) exist, else OutOfRange
+  /// naming the file: the bound every read checks before it sizes its
+  /// output.
+  Status CheckRowRange(int64_t start_row, size_t count) const;
+
   /// Reads `count` rows starting at `start_row` into `out` via the pool.
   /// Convenience shim over the unified I/O cursor plane
   /// (storage::PageCursor, which owns the page walk and decode).
@@ -123,9 +145,9 @@ class Table {
                   RowBatch* out) const;
 
   /// Reads `count` rows starting at `start_row` into column-major strips
-  /// of height `strip_rows` via the pool. Same page walk as ReadRows —
-  /// identical I/O accounting — different decode target. Convenience shim
-  /// over storage::PageCursor::ReadStrips.
+  /// of height `strip_rows` via the pool: shapes `out` to the read, then
+  /// decodes it with storage::PageCursor::ReadStrips (same page walk as
+  /// ReadRows, identical I/O accounting, different decode target).
   Status ReadStrips(BufferPool* pool, int64_t start_row, size_t count,
                     size_t strip_rows, ColumnStrips* out) const;
 

@@ -265,38 +265,73 @@ TEST(MaterializeTest, AssembleJoinedRowMatchesMaterialized) {
 }
 
 TEST(MaterializeTest, AssembleJoinedStripsMatchesMaterialized) {
-  // Strip height 2 under 3-row batches: full and short strips alike.
-  TempDir dir;
-  SmallData data(dir.str(), {1, 2, 2}, true);
-  auto t = std::move(MaterializeJoin(*data.rel, &data.pool,
-                                     dir.str() + "/t.fml"))
-               .value();
-  std::vector<AttributeTableView> views(1);
-  FML_ASSERT_OK(views[0].Load(data.rel->attrs[0], &data.pool));
-
-  JoinCursor cursor(data.rel.get(), &data.pool, 3);
-  JoinBatch jb;
-  storage::ColumnStrips strips;
-  RowBatch t_rows;
-  size_t seen = 0;
-  while (cursor.Next(&jb)) {
-    AssembleJoinedStrips(*data.rel, jb.s_rows, views, 2, &strips);
-    ASSERT_EQ(strips.num_rows, jb.s_rows.num_rows);
-    ASSERT_EQ(strips.start_row, jb.s_rows.start_row);
-    // Strip layout = materialized layout: [y | joined features].
-    ASSERT_EQ(strips.num_cols, data.rel->total_dims() + 1);
-    for (size_t r = 0; r < strips.num_rows; ++r) {
-      const int64_t row = jb.s_rows.start_row + static_cast<int64_t>(r);
-      FML_ASSERT_OK(t.ReadRows(&data.pool, row, 1, &t_rows));
-      for (size_t j = 0; j < strips.num_cols; ++j) {
-        EXPECT_EQ(strips.Col(r / 2, j)[r % 2], t_rows.feats(0, j))
-            << "row " << row << " col " << j;
+  // Every element of a batch lands at its strip column and row, with the
+  // attribute views (the S strategy's joined rows, in T's layout) and
+  // without them (the F strategy's S-slice transpose): strip height 2
+  // under 3-row batches, full and short strips alike, and height 256 with
+  // batches across its edges.
+  struct Case {
+    std::vector<int64_t> counts;  // S rows per R1 rid
+    size_t batch_rows;
+    size_t strip_rows;
+  };
+  std::vector<Case> cases = {{{1, 2, 2}, 3, 2}};
+  for (const size_t rows : {1, 255, 256, 257, 1001, 1024}) {
+    cases.push_back({std::vector<int64_t>(1024, 1), rows, 256});
+  }
+  const std::vector<AttributeTableView> no_views;
+  storage::ColumnStrips strips;  // reused across calls, as the drivers do
+  for (const Case& c : cases) {
+    TempDir dir;
+    SmallData data(dir.str(), c.counts, true);
+    auto t = std::move(MaterializeJoin(*data.rel, &data.pool,
+                                       dir.str() + "/t.fml"))
+                 .value();
+    std::vector<AttributeTableView> views(1);
+    FML_ASSERT_OK(views[0].Load(data.rel->attrs[0], &data.pool));
+    // Strip layout = materialized layout: [y | xS | xR], or [y | xS]
+    // without views.
+    for (const bool joined : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "batch=" << c.batch_rows << " strip=" << c.strip_rows
+                   << " joined=" << joined);
+      const size_t cols = joined ? data.rel->total_dims() + 1 : 2;
+      JoinCursor cursor(data.rel.get(), &data.pool, c.batch_rows);
+      JoinBatch jb;
+      RowBatch t_rows;
+      int64_t seen = 0;
+      while (cursor.Next(&jb)) {
+        const size_t n = jb.s_rows.num_rows;
+        if (seen == 0) {
+          ASSERT_EQ(n, std::min<size_t>(c.batch_rows, t.num_rows()));
+        }
+        AssembleJoinedStrips(*data.rel, jb.s_rows, joined ? views : no_views,
+                             c.strip_rows, &strips);
+        const size_t num_strips = (n + c.strip_rows - 1) / c.strip_rows;
+        ASSERT_EQ(strips.strip_rows, c.strip_rows);
+        ASSERT_EQ(strips.num_strips, num_strips);
+        ASSERT_EQ(strips.num_rows, n);
+        ASSERT_EQ(strips.num_cols, cols);
+        ASSERT_EQ(strips.num_keys, 0u);
+        ASSERT_TRUE(strips.keys.empty());
+        ASSERT_EQ(strips.start_row, jb.s_rows.start_row);
+        ASSERT_EQ(strips.data.size(), num_strips * cols * c.strip_rows);
+        FML_ASSERT_OK(t.ReadRows(&data.pool, jb.s_rows.start_row, n,
+                                 &t_rows));
+        for (size_t r = 0; r < n; ++r) {
+          for (size_t j = 0; j < cols; ++j) {
+            ASSERT_EQ(strips.Col(r / c.strip_rows, j)[r % c.strip_rows],
+                      t_rows.feats(r, j))
+                << "row " << jb.s_rows.start_row + static_cast<int64_t>(r)
+                << " col " << j;
+          }
+        }
+        seen += static_cast<int64_t>(n);
       }
-      ++seen;
+      FML_EXPECT_OK(cursor.status());
+      EXPECT_EQ(seen, t.num_rows());
     }
   }
-  FML_EXPECT_OK(cursor.status());
-  EXPECT_EQ(seen, 5u);
 }
 
 // ----------------------------------------------------------- BatchPlan

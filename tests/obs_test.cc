@@ -549,9 +549,10 @@ TEST(TraceParityTest, SimdKernelsBitIdenticalUnderTraceWithStripSpans) {
             1.0);
 
   // Only the materialized driver reaches PageCursor::ReadStrips — the
-  // fused page-walk decode that emits "decode_strip" spans (streaming and
-  // factorized transpose already-assembled rows in memory, no page walk).
-  // One traced M run's flush must carry them.
+  // fused page-walk decode that emits "decode_strip" spans, in full passes
+  // and mini-batch epochs alike (streaming and factorized build their
+  // strips from joined S batches in memory, no page walk). One traced M
+  // run's flush must carry them.
   obs::Tracer::Instance().Start(1024);
   pool.Clear();
   opt.threads = 2;

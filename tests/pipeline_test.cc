@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/factorml.h"
-#include "core/pipeline/access_internal.h"
 #include "core/pipeline/checkpoint.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -403,7 +402,10 @@ uint64_t TrainFingerprint(const join::NormalizedRelations& rel, Options opt,
 // not pinned: its strip path run-factors the table-0 terms (one outer
 // product per R1 tuple of the weighted centred sum, Eq. 18), a different
 // sum from the per-row one, so it moved in the last bits at that change;
-// its 1e-12 goldens above still hold.
+// its 1e-12 goldens above still hold. The sixth family is NN with
+// shuffle on: its batches gather many rid groups each, so M decodes many
+// row ranges per batch; those cells were captured before the epoch
+// drivers built their strips straight from pages and joins.
 TEST(PipelineSeedRegressionTest, ScalarStateFingerprintsAreBitExact) {
 #if defined(__FMA__)
   // Captured on the x86-64 baseline ISA: on an FMA target the compiler may
@@ -411,18 +413,20 @@ TEST(PipelineSeedRegressionTest, ScalarStateFingerprintsAreBitExact) {
   GTEST_SKIP() << "FMA target: fingerprints are for builds without FMA";
 #endif
   // [joins - 1][family][strategy]; family order GMM, KMEANS, LINREG,
-  // LOGREG, NN. 0 marks the unpinned F-GMM cells.
-  constexpr uint64_t kFingerprints[2][5][3] = {
+  // LOGREG, NN, shuffled NN. 0 marks the unpinned F-GMM cells.
+  constexpr uint64_t kFingerprints[2][6][3] = {
       {{0x8cc6090bca194b73ull, 0x247b638d86e55691ull, 0},
        {0xcbbc2c76d207836bull, 0xc727da9c288cbf88ull, 0xbcca9f334322c756ull},
        {0xedb47d1abe0e0452ull, 0x93ba5f3c127435aeull, 0xf7a8bc4ace7d13e2ull},
        {0x1de735b609d0fd42ull, 0xd90b5747630f0d3bull, 0xc8f7a2d95659121cull},
-       {0x91d33eee000935f7ull, 0x91d33eee000935f7ull, 0x455cfc6f5389580cull}},
+       {0x91d33eee000935f7ull, 0x91d33eee000935f7ull, 0x455cfc6f5389580cull},
+       {0x68f9d08136e8fb6dull, 0x68f9d08136e8fb6dull, 0x1669dfb190422fc6ull}},
       {{0x1918492b9f5c6077ull, 0x9135c0ae60c84672ull, 0},
        {0x7fde1ca96fdd8c3eull, 0xb83d7bb0a12e0a75ull, 0x7e3e0ee4fc94f61bull},
        {0x36d687286510abafull, 0x72b0b09f8b2d8640ull, 0x01f42bb27ceb118full},
        {0xde974a1a3fbd1022ull, 0x346fb935c8d3b2f6ull, 0xaa4e96c231597d40ull},
-       {0x12f491d6a4f73927ull, 0x12f491d6a4f73927ull, 0xdb2e3ea92653184cull}},
+       {0x12f491d6a4f73927ull, 0x12f491d6a4f73927ull, 0xdb2e3ea92653184cull},
+       {0xf7cdf7d05e38ff32ull, 0xf7cdf7d05e38ff32ull, 0x38f9c82882777c69ull}},
   };
   TempDir dir;
   BufferPool pool(512);
@@ -455,8 +459,10 @@ TEST(PipelineSeedRegressionTest, ScalarStateFingerprintsAreBitExact) {
     static_cast<core::pipeline::StrategyOptions&>(nopt) = base;
     nopt.hidden = {16};
     nopt.epochs = 2;
+    nn::NnOptions shuffled = nopt;
+    shuffled.shuffle = true;
     for (int a = 0; a < 3; ++a) {
-      const uint64_t got[5] = {
+      const uint64_t got[6] = {
           a == 2 ? 0
                  : TrainFingerprint(rel, gopt, a, "GMM", &pool,
                                     core::TrainGmm),
@@ -464,8 +470,9 @@ TEST(PipelineSeedRegressionTest, ScalarStateFingerprintsAreBitExact) {
           TrainFingerprint(rel, lopt, a, "LINREG", &pool, core::TrainLinreg),
           TrainFingerprint(rel, gropt, a, "LOGREG", &pool, core::TrainLogreg),
           TrainFingerprint(rel, nopt, a, "NN", &pool, core::TrainNn),
+          TrainFingerprint(rel, shuffled, a, "NN", &pool, core::TrainNn),
       };
-      for (int f = 0; f < 5; ++f) {
+      for (int f = 0; f < 6; ++f) {
         EXPECT_EQ(got[f], kFingerprints[joins - 1][f][a])
             << "joins=" << joins << " family=" << f << " strategy="
             << "MSF"[a];
@@ -1992,43 +1999,6 @@ TEST(SlotMemoryTest, RidScopedSlotsStayFarBelowFullDomainSizing) {
       << "slot memory grew like the pre-fix full-domain sizing "
       << "(chunked " << chunked_bytes << " vs full-domain "
       << full_domain_cost << ")";
-}
-
-TEST(PackRowsToStripsTest, EveryElementLandsAtItsStripColumnAndRow) {
-  // Rows -> column strips for packed and padded row strides, across the
-  // strip-height edges.
-  constexpr size_t kStripRows = 256;
-  constexpr size_t kD = 5;
-  constexpr int64_t kStartRow = 4242;
-  storage::ColumnStrips out;  // reused across calls, as the drivers do
-  for (const size_t num_rows : {1, 255, 256, 257, 1001, 1024}) {
-    for (const size_t x_stride : {kD, kD + 3}) {
-      SCOPED_TRACE(::testing::Message() << "rows=" << num_rows
-                                        << " stride=" << x_stride);
-      std::vector<double> x(num_rows * x_stride, -1.0);
-      for (size_t r = 0; r < num_rows; ++r) {
-        for (size_t j = 0; j < kD; ++j) x[r * x_stride + j] = 10.0 * r + j;
-      }
-      core::pipeline::internal::PackRowsToStrips(
-          x.data(), x_stride, num_rows, kD, kStartRow, kStripRows, &out);
-      const size_t num_strips = (num_rows + kStripRows - 1) / kStripRows;
-      ASSERT_EQ(out.strip_rows, kStripRows);
-      ASSERT_EQ(out.num_strips, num_strips);
-      ASSERT_EQ(out.num_rows, num_rows);
-      ASSERT_EQ(out.num_cols, kD);
-      ASSERT_EQ(out.num_keys, 0u);
-      ASSERT_TRUE(out.keys.empty());
-      ASSERT_EQ(out.start_row, kStartRow);
-      ASSERT_EQ(out.data.size(), num_strips * kD * kStripRows);
-      for (size_t r = 0; r < num_rows; ++r) {
-        const size_t s = r / kStripRows;
-        const size_t h = r % kStripRows;
-        for (size_t j = 0; j < kD; ++j) {
-          ASSERT_EQ(out.Col(s, j)[h], x[r * x_stride + j]) << r << "," << j;
-        }
-      }
-    }
-  }
 }
 
 }  // namespace

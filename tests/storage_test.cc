@@ -671,6 +671,28 @@ TEST(ColumnStripsTest, StripDecodeMatchesRowDecodeAcrossPageBoundaries) {
       }
     }
   }
+
+  // Two row ranges decoded into one block, the second at a destination
+  // row that is neither zero nor strip-aligned (an M mini-batch gathering
+  // several rid groups): each part equals its own row decode.
+  const int64_t start2 = static_cast<int64_t>(rpp) * 3 + 11;
+  const size_t count2 = rpp + 5;
+  RowBatch rows2;
+  FML_ASSERT_OK(t.ReadRows(&pool, start2, count2, &rows2));
+  ColumnStrips block;
+  block.Shape(/*height=*/100, count2 + count, 4, 1, start2);
+  const PageCursor cursor(&t, &pool);
+  FML_ASSERT_OK(cursor.ReadStrips(start2, count2, /*dst_row=*/0, &block));
+  FML_ASSERT_OK(cursor.ReadStrips(start, count, /*dst_row=*/count2, &block));
+  for (size_t row = 0; row < count2 + count; ++row) {
+    const RowBatch& want = row < count2 ? rows2 : rows;
+    const size_t wr = row < count2 ? row : row - count2;
+    ASSERT_EQ(block.KeysOf(row)[0], want.KeysOf(wr)[0]) << row;
+    for (size_t c = 0; c < 4; ++c) {
+      ASSERT_EQ(block.Col(row / 100, c)[row % 100], want.feats(wr, c))
+          << row << "," << c;
+    }
+  }
 }
 
 TEST(ColumnStripsTest, StripTallerThanReadYieldsOnePartialStrip) {
