@@ -18,7 +18,7 @@ int Main(int argc, char** argv) {
   ArgParser args(argc, argv);
   ApplyCommonBenchFlags(args);
   const int64_t n_r = args.GetInt("nr", 200);
-  const int epochs = static_cast<int>(args.GetInt("epochs", 2));
+  const int epochs = args.GetIterations("epochs", 2);
 
   BenchDir dir;
   storage::BufferPool pool(4096);

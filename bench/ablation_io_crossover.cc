@@ -22,7 +22,7 @@ int Main(int argc, char** argv) {
   ArgParser args(argc, argv);
   ApplyCommonBenchFlags(args);
   JsonReport json("io_crossover", args);
-  const int iters = static_cast<int>(args.GetInt("iters", 10));
+  const int iters = args.GetIterations("iters", 10);
 
   // A representative shape: wide R relative to S's own columns, so T is
   // much bigger than S + R.

@@ -126,25 +126,15 @@ inline Trio RunAllStrategies(const join::NormalizedRelations& rel,
 inline Trio RunGmmAll(const join::NormalizedRelations& rel,
                       const gmm::GmmOptions& options,
                       storage::BufferPool* pool) {
-  return RunAllStrategies(
-      rel, options, pool,
-      [](const join::NormalizedRelations& r, const gmm::GmmOptions& o,
-         core::Algorithm a, storage::BufferPool* p, core::TrainReport* rep) {
-        return core::TrainGmm(r, o, a, p, rep);
-      },
-      &gmm::GmmParams::MaxAbsDiff);
+  return RunAllStrategies(rel, options, pool, &core::TrainGmm,
+                          &gmm::GmmParams::MaxAbsDiff);
 }
 
 inline Trio RunNnAll(const join::NormalizedRelations& rel,
                      const nn::NnOptions& options,
                      storage::BufferPool* pool) {
-  return RunAllStrategies(
-      rel, options, pool,
-      [](const join::NormalizedRelations& r, const nn::NnOptions& o,
-         core::Algorithm a, storage::BufferPool* p, core::TrainReport* rep) {
-        return core::TrainNn(r, o, a, p, rep);
-      },
-      &nn::Mlp::MaxAbsDiffParams);
+  return RunAllStrategies(rel, options, pool, &core::TrainNn,
+                          &nn::Mlp::MaxAbsDiffParams);
 }
 
 /// Machine-readable run recorder behind the shared `--json=PATH` flag:

@@ -119,8 +119,8 @@ int Main(int argc, char** argv) {
   const int threads = args.GetThreads(2);
   const int64_t s_rows = args.GetInt("s-rows", 60000);
   const int64_t r_rows = args.GetInt("r-rows", 300);
-  const int iters = static_cast<int>(args.GetInt("iters", 3));
-  const int shards = static_cast<int>(args.GetInt("shards", 4));
+  const int iters = args.GetIterations("iters", 3);
+  const int shards = args.GetShards(4);
   const std::vector<int64_t> morsel_list =
       args.GetIntList("morsel-list", {4096, 1024, 256});
   JsonReport json("delta_bytes", args);

@@ -39,7 +39,7 @@ int Main(int argc, char** argv) {
   const std::string part = args.GetString("part", "all");
   const int64_t n_r = args.GetInt("nr", 200);
   const size_t d_s = static_cast<size_t>(args.GetInt("ds", 5));
-  const int epochs = static_cast<int>(args.GetInt("epochs", 2));
+  const int epochs = args.GetIterations("epochs", 2);
 
   BenchDir dir;
   storage::BufferPool pool(4096);

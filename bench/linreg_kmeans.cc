@@ -60,36 +60,24 @@ int Main(int argc, char** argv) {
     const int64_t n_s = static_cast<int64_t>(rr * n_r * row_scale);
     auto rel = Generate(dir.str(), n_s, n_r, d_s, d_r, /*target=*/true,
                         &pool);
-    const Trio t = RunAllStrategies(
-        rel, lopt, &pool,
-        [](const join::NormalizedRelations& r,
-           const linreg::LinregOptions& o, core::Algorithm a,
-           storage::BufferPool* p, core::TrainReport* rep) {
-          return core::TrainLinreg(r, o, a, p, rep);
-        },
-        &linreg::LinregModel::MaxAbsDiff);
+    const Trio t = RunAllStrategies(rel, lopt, &pool, &core::TrainLinreg,
+                                    &linreg::LinregModel::MaxAbsDiff);
     EmitTrioRow(&json, "linreg_rr", std::to_string(rr), t);
   }
 
-  std::printf("\n-- k-means: varying rr (K=%lld, iters=%lld) --\n",
-              args.GetInt("k", 5), args.GetInt("iters", 5));
-  PrintTrioHeader("rr");
   kmeans::KmeansOptions kopt;
   kopt.num_clusters = static_cast<size_t>(args.GetPositiveInt("k", 5));
-  kopt.max_iters = static_cast<int>(args.GetInt("iters", 5));
+  kopt.max_iters = args.GetIterations("iters", 5);
   kopt.temp_dir = dir.str();
+  std::printf("\n-- k-means: varying rr (K=%zu, iters=%d) --\n",
+              kopt.num_clusters, kopt.max_iters);
+  PrintTrioHeader("rr");
   for (const int64_t rr : args.GetIntList("rr", {20, 50, 100, 200})) {
     const int64_t n_s = static_cast<int64_t>(rr * n_r * row_scale);
     auto rel = Generate(dir.str(), n_s, n_r, d_s, d_r, /*target=*/false,
                         &pool);
-    const Trio t = RunAllStrategies(
-        rel, kopt, &pool,
-        [](const join::NormalizedRelations& r,
-           const kmeans::KmeansOptions& o, core::Algorithm a,
-           storage::BufferPool* p, core::TrainReport* rep) {
-          return core::TrainKmeans(r, o, a, p, rep);
-        },
-        &kmeans::KmeansModel::MaxAbsDiff);
+    const Trio t = RunAllStrategies(rel, kopt, &pool, &core::TrainKmeans,
+                                    &kmeans::KmeansModel::MaxAbsDiff);
     EmitTrioRow(&json, "kmeans_rr", std::to_string(rr), t);
   }
   return 0;

@@ -193,7 +193,8 @@ BENCHMARK_DEFINE_F(Fig3ScalingFixture, BM_FGmmThreads)
   opt.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     pool->Clear();
-    auto p = gmm::TrainGmmFactorized(*rel, opt, pool.get(), nullptr);
+    auto p = core::TrainGmm(*rel, opt, core::Algorithm::kFactorized, pool.get(),
+                            nullptr);
     if (!p.ok()) bench::Die(p.status());
     benchmark::DoNotOptimize(p.value().pi.data());
   }
@@ -215,7 +216,8 @@ BENCHMARK_DEFINE_F(Fig3ScalingFixture, BM_FNnThreads)
   opt.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     pool->Clear();
-    auto m = nn::TrainNnFactorized(*rel, opt, pool.get(), nullptr);
+    auto m = core::TrainNn(*rel, opt, core::Algorithm::kFactorized, pool.get(),
+                           nullptr);
     if (!m.ok()) bench::Die(m.status());
     benchmark::DoNotOptimize(m.value().w[0].data());
   }

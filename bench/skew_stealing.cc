@@ -52,7 +52,7 @@ int Main(int argc, char** argv) {
   const int64_t s_rows = args.GetInt("s-rows", 60000);
   const int64_t r_rows = args.GetInt("r-rows", 300);
   const int64_t morsel_rows = args.GetMorselRows(kMorselRows);
-  const int iters = static_cast<int>(args.GetInt("iters", 3));
+  const int iters = args.GetIterations("iters", 3);
   std::vector<int64_t> zipf_tenths = args.GetIntList("zipf10", {0, 10, 16});
   JsonReport json("skew_stealing", args, kMorselRows, kThreads);
 

@@ -20,7 +20,7 @@ int Main(int argc, char** argv) {
   ArgParser args(argc, argv);
   ApplyCommonBenchFlags(args);
   const double scale = args.GetDouble("scale", 0.02);
-  const int iters = static_cast<int>(args.GetInt("iters", 2));
+  const int iters = args.GetIterations("iters", 2);
   const size_t k = static_cast<size_t>(args.GetPositiveInt("k", 5));
 
   BenchDir dir;

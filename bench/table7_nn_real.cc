@@ -17,7 +17,7 @@ int Main(int argc, char** argv) {
   ArgParser args(argc, argv);
   ApplyCommonBenchFlags(args);
   const double scale = args.GetDouble("scale", 0.02);
-  const int epochs = static_cast<int>(args.GetInt("epochs", 2));
+  const int epochs = args.GetIterations("epochs", 2);
   const size_t nh = static_cast<size_t>(args.GetPositiveInt("nh", 50));
 
   BenchDir dir;

@@ -1,9 +1,11 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 
@@ -28,17 +30,8 @@ bool ArgParser::Has(const std::string& key) const {
 }
 
 int64_t ArgParser::GetInt(const std::string& key, int64_t default_value) const {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return default_value;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0') {
-    std::fprintf(stderr, "invalid --%s=%s (must be an integer)\n", key.c_str(),
-                 it->second.c_str());
-    std::exit(2);
-  }
-  return static_cast<int64_t>(value);
+  return GetBoundedInt(key, default_value, INT64_MIN, INT64_MAX,
+                       "must be an integer");
 }
 
 int64_t ArgParser::GetPositiveInt(const std::string& key,
@@ -50,6 +43,39 @@ int64_t ArgParser::GetPositiveInt(const std::string& key,
     std::exit(2);
   }
   return value;
+}
+
+int ArgParser::GetIterations(const std::string& key, int default_value) const {
+  return static_cast<int>(GetBoundedInt(
+      key, default_value, 1, INT_MAX, "must be an integer in [1, 2147483647]"));
+}
+
+int64_t ArgParser::GetBoundedInt(const std::string& key,
+                                 int64_t default_value, int64_t lo,
+                                 int64_t hi, const char* rule) const {
+  auto it = kv_.find(key);
+  if (it == kv_.end()) return default_value;
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(it->second.c_str(), &end, 10);
+  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' ||
+      value < lo || value > hi) {
+    std::fprintf(stderr, "invalid --%s=%s (%s)\n", key.c_str(),
+                 it->second.c_str(), rule);
+    std::exit(2);
+  }
+  return static_cast<int64_t>(value);
+}
+
+bool ArgParser::GetOnOff(const std::string& key, bool default_value,
+                         const char* what) const {
+  auto it = kv_.find(key);
+  if (it == kv_.end()) return default_value;
+  if (it->second == "on") return true;
+  if (it->second == "off") return false;
+  std::fprintf(stderr, "invalid --%s=%s (must be 'on' or 'off'; %s)\n",
+               key.c_str(), it->second.c_str(), what);
+  std::exit(2);
 }
 
 double ArgParser::GetDouble(const std::string& key,
@@ -106,98 +132,41 @@ std::vector<int64_t> ArgParser::GetIntList(
 }
 
 int ArgParser::GetThreads(int default_value) const {
-  auto it = kv_.find("threads");
-  if (it == kv_.end()) return default_value < 1 ? 1 : default_value;
-  errno = 0;
-  char* end = nullptr;
-  const long long threads = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' ||
-      threads < 1 || threads > INT_MAX) {
-    std::fprintf(stderr,
-                 "invalid --threads=%s (must be an integer >= 1; 1 = the "
-                 "exact serial reproduction)\n",
-                 it->second.c_str());
-    std::exit(2);
-  }
-  return static_cast<int>(threads);
+  return static_cast<int>(GetBoundedInt(
+      "threads", std::max(default_value, 1), 1, INT_MAX,
+      "must be an integer >= 1; 1 = the exact serial reproduction"));
 }
 
 int64_t ArgParser::GetMorselRows(int64_t default_value) const {
-  auto it = kv_.find("morsel-rows");
-  if (it == kv_.end()) return default_value;
-  errno = 0;
-  char* end = nullptr;
-  const long long rows = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' ||
-      rows < 1) {
-    std::fprintf(stderr,
-                 "invalid --morsel-rows=%s (must be an integer >= 1; leave "
-                 "the flag unset for 4096-row chunks)\n",
-                 it->second.c_str());
-    std::exit(2);
-  }
-  return static_cast<int64_t>(rows);
+  return GetBoundedInt("morsel-rows", default_value, 1, INT64_MAX,
+                       "must be an integer >= 1; leave the flag unset for "
+                       "4096-row chunks");
 }
 
 bool ArgParser::GetSteal(bool default_value) const {
-  auto it = kv_.find("steal");
-  if (it == kv_.end()) return default_value;
-  if (it->second == "on") return true;
-  if (it->second == "off") return false;
-  std::fprintf(stderr,
-               "invalid --steal=%s (must be 'on' or 'off'; on = idle "
-               "workers take chunks from busy ones, bit-identical results "
-               "either way)\n",
-               it->second.c_str());
-  std::exit(2);
+  return GetOnOff("steal", default_value,
+                  "on = idle workers take chunks from busy ones, "
+                  "bit-identical results either way");
 }
 
 int ArgParser::GetShards(int default_value) const {
-  auto it = kv_.find("shards");
-  if (it == kv_.end()) return default_value < 1 ? 1 : default_value;
-  errno = 0;
-  char* end = nullptr;
-  const long long shards = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' ||
-      shards < 1 || shards > INT_MAX) {
-    std::fprintf(stderr,
-                 "invalid --shards=%s (must be an integer >= 1; 1 = "
-                 "unsharded, N > 1 = rid-range shards with bit-identical "
-                 "results at the same --morsel-rows)\n",
-                 it->second.c_str());
-    std::exit(2);
-  }
-  return static_cast<int>(shards);
+  return static_cast<int>(GetBoundedInt(
+      "shards", std::max(default_value, 1), 1, INT_MAX,
+      "must be an integer >= 1; 1 = unsharded, N > 1 = rid-range shards "
+      "with bit-identical results at the same --morsel-rows"));
 }
 
 bool ArgParser::GetPrefetch(bool default_value) const {
-  auto it = kv_.find("prefetch");
-  if (it == kv_.end()) return default_value;
-  if (it->second == "on") return true;
-  if (it->second == "off") return false;
-  std::fprintf(stderr,
-               "invalid --prefetch=%s (must be 'on' or 'off'; on = overlap "
-               "the next morsel's page reads with compute, bit-identical "
-               "results either way)\n",
-               it->second.c_str());
-  std::exit(2);
+  return GetOnOff("prefetch", default_value,
+                  "on = overlap the next morsel's page reads with compute, "
+                  "bit-identical results either way");
 }
 
 int ArgParser::GetPrefetchDepth(int default_value) const {
-  auto it = kv_.find("prefetch-depth");
-  if (it == kv_.end()) return default_value < 1 ? 1 : default_value;
-  errno = 0;
-  char* end = nullptr;
-  const long long depth = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' ||
-      depth < 1 || depth > INT_MAX) {
-    std::fprintf(stderr,
-                 "invalid --prefetch-depth=%s (must be an integer >= 1: "
-                 "batches read ahead per worker; 2 = double buffering)\n",
-                 it->second.c_str());
-    std::exit(2);
-  }
-  return static_cast<int>(depth);
+  return static_cast<int>(GetBoundedInt(
+      "prefetch-depth", std::max(default_value, 1), 1, INT_MAX,
+      "must be an integer >= 1: batches read ahead per worker; 2 = double "
+      "buffering"));
 }
 
 std::string ArgParser::GetKernels(const std::string& default_value) const {
@@ -214,20 +183,9 @@ std::string ArgParser::GetKernels(const std::string& default_value) const {
 }
 
 int64_t ArgParser::GetBufferPages(int64_t default_value) const {
-  auto it = kv_.find("buffer-pages");
-  if (it == kv_.end()) return default_value < 1 ? 1 : default_value;
-  errno = 0;
-  char* end = nullptr;
-  const long long pages = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' ||
-      pages < 1) {
-    std::fprintf(stderr,
-                 "invalid --buffer-pages=%s (must be an integer >= 1: "
-                 "buffer-pool capacity in 8 KiB pages)\n",
-                 it->second.c_str());
-    std::exit(2);
-  }
-  return static_cast<int64_t>(pages);
+  return GetBoundedInt(
+      "buffer-pages", std::max<int64_t>(default_value, 1), 1, INT64_MAX,
+      "must be an integer >= 1: buffer-pool capacity in 8 KiB pages");
 }
 
 std::string ArgParser::GetTracePath(const std::string& default_value) const {
@@ -262,20 +220,10 @@ std::string ArgParser::GetShardBackend(const std::string& default_value) const {
 }
 
 int64_t ArgParser::GetShardTimeoutMs(int64_t default_value) const {
-  auto it = kv_.find("shard-timeout-ms");
-  if (it == kv_.end()) return default_value < 1 ? 1 : default_value;
-  errno = 0;
-  char* end = nullptr;
-  const long long ms = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' || ms < 1) {
-    std::fprintf(stderr,
-                 "invalid --shard-timeout-ms=%s (must be an integer >= 1: "
-                 "per-worker deadline before a shard worker is declared dead "
-                 "and its spans are requeued)\n",
-                 it->second.c_str());
-    std::exit(2);
-  }
-  return static_cast<int64_t>(ms);
+  return GetBoundedInt(
+      "shard-timeout-ms", std::max<int64_t>(default_value, 1), 1, INT64_MAX,
+      "must be an integer >= 1: per-worker deadline before a shard worker "
+      "is declared dead and its spans are requeued");
 }
 
 std::string ArgParser::GetCheckpointDir(
@@ -310,36 +258,16 @@ int64_t ArgParser::GetCheckpointEvery(int64_t default_value) const {
                  it->second.c_str());
     std::exit(2);
   }
-  errno = 0;
-  char* end = nullptr;
-  const long long every = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' ||
-      every < 1) {
-    std::fprintf(stderr,
-                 "invalid --checkpoint-every=%s (must be an integer >= 1: "
-                 "completed iterations between checkpoint writes)\n",
-                 it->second.c_str());
-    std::exit(2);
-  }
-  return static_cast<int64_t>(every);
+  return GetBoundedInt("checkpoint-every", default_value, 1, INT64_MAX,
+                       "must be an integer >= 1: completed iterations "
+                       "between checkpoint writes");
 }
 
 int64_t ArgParser::GetTraceBufferKb(int64_t default_value) const {
-  auto it = kv_.find("trace-buffer-kb");
-  if (it == kv_.end()) return default_value < 1 ? 1 : default_value;
-  errno = 0;
-  char* end = nullptr;
-  const long long kb = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' ||
-      kb < 1) {
-    std::fprintf(stderr,
-                 "invalid --trace-buffer-kb=%s (must be an integer >= 1: "
-                 "per-thread trace ring capacity in KiB; overflow drops "
-                 "events, counted)\n",
-                 it->second.c_str());
-    std::exit(2);
-  }
-  return static_cast<int64_t>(kb);
+  return GetBoundedInt(
+      "trace-buffer-kb", std::max<int64_t>(default_value, 1), 1, INT64_MAX,
+      "must be an integer >= 1: per-thread trace ring capacity in KiB; "
+      "overflow drops events, counted");
 }
 
 }  // namespace factorml

@@ -28,6 +28,11 @@ class ArgParser {
   /// and exit(2).
   int64_t GetPositiveInt(const std::string& key, int64_t default_value) const;
 
+  /// An iteration-count flag such as `--iters` or `--epochs`: an integer
+  /// in [1, INT_MAX]. Anything else is rejected with an error naming the
+  /// flag and exit(2), like --threads, instead of being narrowed to int.
+  int GetIterations(const std::string& key, int default_value) const;
+
   /// Comma-separated list of integers, e.g. `--rr=50,100,500`.
   std::vector<int64_t> GetIntList(
       const std::string& key, const std::vector<int64_t>& default_value) const;
@@ -127,6 +132,17 @@ class ArgParser {
   int64_t GetCheckpointEvery(int64_t default_value = 0) const;
 
  private:
+  /// The one bounded-integer parse behind the integer getters above:
+  /// absent, `default_value`; otherwise an integer in [lo, hi], or an
+  /// "invalid --key=value (rule)" error and exit(2).
+  int64_t GetBoundedInt(const std::string& key, int64_t default_value,
+                        int64_t lo, int64_t hi, const char* rule) const;
+  /// The one on/off parse behind --steal and --prefetch: anything other
+  /// than on/off is an "invalid --key=value (must be 'on' or 'off'; what)"
+  /// error and exit(2).
+  bool GetOnOff(const std::string& key, bool default_value,
+                const char* what) const;
+
   std::map<std::string, std::string> kv_;
 };
 

@@ -120,14 +120,6 @@ std::vector<Range> SplitWeightedChunks(const int64_t* weights, int64_t n,
   return chunks;
 }
 
-void ParallelRanges(const std::vector<Range>& ranges,
-                    const std::function<void(Range, int)>& body) {
-  if (ranges.empty()) return;
-  ThreadPool::Instance().Run(
-      static_cast<int>(ranges.size()),
-      [&](int w) { body(ranges[static_cast<size_t>(w)], w); });
-}
-
 void ParallelFor(int threads, int64_t total, int64_t align,
                  const std::function<void(Range, int)>& body) {
   if (total <= 0) return;
@@ -135,7 +127,10 @@ void ParallelFor(int threads, int64_t total, int64_t align,
     body(Range{0, total}, 0);
     return;
   }
-  ParallelRanges(PartitionRows(total, threads, align), body);
+  const std::vector<Range> ranges = PartitionRows(total, threads, align);
+  ThreadPool::Instance().Run(
+      static_cast<int>(ranges.size()),
+      [&](int w) { body(ranges[static_cast<size_t>(w)], w); });
 }
 
 Status FirstError(const std::vector<Status>& statuses) {

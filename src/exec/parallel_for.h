@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -71,35 +70,14 @@ std::vector<Range> SplitRowChunks(int64_t total, int64_t morsel_rows,
 std::vector<Range> SplitWeightedChunks(const int64_t* weights, int64_t n,
                                        int64_t morsel_weight);
 
-/// Runs body(ranges[w], w) with one worker per range (worker 0 is the
-/// calling thread). Blocks until all complete; per-worker op/I/O counter
-/// deltas are merged into the caller in worker order (see ThreadPool::Run).
-void ParallelRanges(const std::vector<Range>& ranges,
-                    const std::function<void(Range, int)>& body);
-
 /// Morsel-driven parallel-for over [0, total): partitions with
-/// PartitionRows(total, threads, align) and dispatches ParallelRanges.
-/// threads <= 1 runs body(Range{0, total}, 0) inline — bit-for-bit the
-/// serial path.
+/// PartitionRows(total, threads, align) and runs body(ranges[w], w) with
+/// one worker per range (worker 0 is the calling thread). Blocks until all
+/// complete; per-worker op/I/O counter deltas are merged into the caller in
+/// worker order (see ThreadPool::Run). threads <= 1 runs
+/// body(Range{0, total}, 0) inline — bit-for-bit the serial path.
 void ParallelFor(int threads, int64_t total, int64_t align,
                  const std::function<void(Range, int)>& body);
-
-/// Parallel reduction with deterministic merge order: body fills one
-/// scratch accumulator per worker (in parallel), then merge consumes the
-/// accumulators serially in worker order on the calling thread. For a
-/// fixed partition the merged result is reproducible run-to-run, and a
-/// single-range partition is exactly the serial computation.
-template <typename T, typename Body, typename Merge>
-void ParallelReduce(const std::vector<Range>& ranges,
-                    Body body /* void(Range, int worker, T* acc) */,
-                    Merge merge /* void(T&& acc, int worker) */) {
-  std::vector<T> scratch(ranges.size());
-  ParallelRanges(ranges,
-                 [&](Range r, int w) { body(r, w, &scratch[static_cast<size_t>(w)]); });
-  for (size_t w = 0; w < ranges.size(); ++w) {
-    merge(std::move(scratch[w]), static_cast<int>(w));
-  }
-}
 
 /// First non-OK status in worker order (OK when all workers succeeded).
 /// The standard error plumbing for Status-returning work inside a region:

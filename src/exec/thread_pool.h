@@ -11,10 +11,10 @@
 namespace factorml::exec {
 
 /// Process-wide pool of persistent worker threads behind the morsel-driven
-/// ParallelFor / ParallelReduce API (parallel_for.h). Threads are spawned
-/// lazily on first use and kept for the process lifetime, so repeated
-/// parallel regions (one per EM pass / mini-batch) pay no thread start-up
-/// cost.
+/// ParallelFor (parallel_for.h) and RunMorsels (morsel_queue.h) API.
+/// Threads are spawned lazily on first use and kept for the process
+/// lifetime, so repeated parallel regions (one per EM pass / mini-batch)
+/// pay no thread start-up cost.
 class ThreadPool {
  public:
   static ThreadPool& Instance();

@@ -1,14 +1,12 @@
 // GMM as a core/pipeline ModelProgram: the EM recurrence of the paper
 // (Algorithm 1 / Sec. V) expressed as three full passes per iteration —
 // e_step, m_step_mean, m_step_cov — with a dense strip path shared by the
-// M and S strategies and the factorized path of F-GMM (Eqs. 19-24). The
-// former m_gmm.cc / s_gmm.cc / f_gmm.cc trainers are now thin wrappers
-// that run this one program under the matching AccessStrategy; at
-// --threads=1 the pipeline replays their exact op/I/O stream. F-GMM's
-// per-rid responsibility mass (the Eq. 22 mean factorization, reused for
-// the deferred covariance diagonal blocks) lives in gmm::RidMass, shared
-// with k-means; the centered caches, the run-factored covariance and the
-// log-likelihood stay here.
+// M and S strategies and the factorized path of F-GMM (Eqs. 19-24).
+// core::TrainGmm, at the end of this file, runs it under any strategy.
+// F-GMM's per-rid responsibility mass (the Eq. 22 mean factorization,
+// reused for the deferred covariance diagonal blocks) lives in
+// gmm::RidMass, shared with k-means; the centered caches, the
+// run-factored covariance and the log-likelihood stay here.
 
 #include <climits>
 #include <cmath>
@@ -17,6 +15,7 @@
 #include <vector>
 
 #include "common/opcount.h"
+#include "core/trainer.h"
 #include "core/pipeline/access_strategy.h"
 #include "core/pipeline/model_program.h"
 #include "gmm/em_util.h"
@@ -773,17 +772,6 @@ class GmmProgram final : public core::pipeline::ModelProgram {
   std::vector<Matrix> sigma_sum_;
 };
 
-Result<GmmParams> TrainGmmWith(const join::NormalizedRelations& rel,
-                               const GmmOptions& options,
-                               core::Algorithm algorithm,
-                               storage::BufferPool* pool,
-                               core::TrainReport* report) {
-  GmmProgram program(options);
-  FML_RETURN_IF_ERROR(core::pipeline::RunTraining(rel, algorithm, options,
-                                                  &program, pool, report));
-  return std::move(program).TakeParams();
-}
-
 }  // namespace
 
 std::string EncodeShardJob(const GmmOptions& options) {
@@ -837,28 +825,19 @@ std::unique_ptr<core::pipeline::ModelProgram> MakeShardProgram(
   return std::make_unique<GmmProgram>(options);
 }
 
-Result<GmmParams> TrainGmmMaterialized(const join::NormalizedRelations& rel,
-                                       const GmmOptions& options,
-                                       storage::BufferPool* pool,
-                                       core::TrainReport* report) {
-  return TrainGmmWith(rel, options, core::Algorithm::kMaterialized, pool,
-                      report);
-}
-
-Result<GmmParams> TrainGmmStreaming(const join::NormalizedRelations& rel,
-                                    const GmmOptions& options,
-                                    storage::BufferPool* pool,
-                                    core::TrainReport* report) {
-  return TrainGmmWith(rel, options, core::Algorithm::kStreaming, pool,
-                      report);
-}
-
-Result<GmmParams> TrainGmmFactorized(const join::NormalizedRelations& rel,
-                                     const GmmOptions& options,
-                                     storage::BufferPool* pool,
-                                     core::TrainReport* report) {
-  return TrainGmmWith(rel, options, core::Algorithm::kFactorized, pool,
-                      report);
-}
-
 }  // namespace factorml::gmm
+
+namespace factorml::core {
+
+Result<gmm::GmmParams> TrainGmm(const join::NormalizedRelations& rel,
+                                const gmm::GmmOptions& options,
+                                Algorithm algorithm,
+                                storage::BufferPool* pool,
+                                TrainReport* report) {
+  gmm::GmmProgram program(options);
+  FML_RETURN_IF_ERROR(
+      pipeline::RunTraining(rel, algorithm, options, &program, pool, report));
+  return std::move(program).TakeParams();
+}
+
+}  // namespace factorml::core

@@ -7,10 +7,7 @@
 
 #include "common/status.h"
 #include "core/pipeline/strategy_options.h"
-#include "core/report.h"
 #include "gmm/gmm_model.h"
-#include "join/normalized_relations.h"
-#include "storage/buffer_pool.h"
 
 namespace factorml::core::pipeline {
 class ModelProgram;
@@ -50,32 +47,6 @@ struct GmmOptions : core::pipeline::StrategyOptions {
   /// in half. Clear it to reproduce the paper's op counts verbatim.
   bool exploit_symmetry = true;
 };
-
-/// Algorithm M-GMM (paper Algorithm 1): joins S with R1..Rq, materializes
-/// table T on disk, then runs EM reading T three times per iteration.
-Result<GmmParams> TrainGmmMaterialized(const join::NormalizedRelations& rel,
-                                       const GmmOptions& options,
-                                       storage::BufferPool* pool,
-                                       core::TrainReport* report);
-
-/// Algorithm S-GMM: identical EM, but the join is recomputed on the fly
-/// each pass (stream S, probe resident attribute tables) and each joined
-/// tuple is assembled into a full d-vector before entering the math.
-Result<GmmParams> TrainGmmStreaming(const join::NormalizedRelations& rel,
-                                    const GmmOptions& options,
-                                    storage::BufferPool* pool,
-                                    core::TrainReport* report);
-
-/// Algorithm F-GMM (the paper's contribution, Sec. V-B/V-C): EM pushed
-/// through the join. Per-attribute-tuple quantities — the centered slices
-/// PD_Ri, the diagonal quadratic blocks PD^T I_ii PD, and the diagonal
-/// outer-product blocks of the covariance update — are computed once per
-/// R tuple per pass and reused for every matching fact tuple. Handles any
-/// number of joins q >= 1 (q = 1 is the paper's binary case).
-Result<GmmParams> TrainGmmFactorized(const join::NormalizedRelations& rel,
-                                     const GmmOptions& options,
-                                     storage::BufferPool* pool,
-                                     core::TrainReport* report);
 
 /// Process-shard-backend seam (core/pipeline/shard_rpc.h): the
 /// coordinator serializes the math-relevant GmmOptions into the JOB

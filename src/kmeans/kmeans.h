@@ -8,12 +8,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/algorithm.h"
 #include "core/pipeline/strategy_options.h"
-#include "core/report.h"
-#include "join/normalized_relations.h"
 #include "la/matrix.h"
-#include "storage/buffer_pool.h"
 
 namespace factorml::core::pipeline {
 class ModelProgram;
@@ -49,16 +45,6 @@ struct KmeansModel {
   /// Max absolute centroid difference; used by the M==S==F parity tests.
   static double MaxAbsDiff(const KmeansModel& a, const KmeansModel& b);
 };
-
-/// Trains with the chosen execution strategy via core/pipeline. The
-/// factorized strategy caches per-attribute-tuple squared distances —
-/// squared Euclidean distance is block-separable across the join, so the
-/// centered caches of F-GMM carry over with *no* cross terms at all.
-Result<KmeansModel> TrainKmeans(const join::NormalizedRelations& rel,
-                                const KmeansOptions& options,
-                                core::Algorithm algorithm,
-                                storage::BufferPool* pool,
-                                core::TrainReport* report);
 
 /// Process-shard-backend seam (core/pipeline/shard_rpc.h): serialize /
 /// decode the math-relevant KmeansOptions for the JOB frame's family blob

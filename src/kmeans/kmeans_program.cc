@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/opcount.h"
+#include "core/trainer.h"
 #include "core/pipeline/access_strategy.h"
 #include "core/pipeline/model_program.h"
 #include "gmm/rid_mass.h"
@@ -374,17 +375,6 @@ double KmeansModel::MaxAbsDiff(const KmeansModel& a, const KmeansModel& b) {
   return la::Matrix::MaxAbsDiff(a.centroids, b.centroids);
 }
 
-Result<KmeansModel> TrainKmeans(const join::NormalizedRelations& rel,
-                                const KmeansOptions& options,
-                                core::Algorithm algorithm,
-                                storage::BufferPool* pool,
-                                core::TrainReport* report) {
-  KmeansProgram program(options);
-  FML_RETURN_IF_ERROR(core::pipeline::RunTraining(rel, algorithm, options,
-                                                  &program, pool, report));
-  return std::move(program).TakeModel();
-}
-
 std::string EncodeShardJob(const KmeansOptions& options) {
   net::ByteWriter w;
   w.U64(options.num_clusters);
@@ -420,3 +410,18 @@ std::unique_ptr<core::pipeline::ModelProgram> MakeShardProgram(
 }
 
 }  // namespace factorml::kmeans
+
+namespace factorml::core {
+
+Result<kmeans::KmeansModel> TrainKmeans(const join::NormalizedRelations& rel,
+                                        const kmeans::KmeansOptions& options,
+                                        Algorithm algorithm,
+                                        storage::BufferPool* pool,
+                                        TrainReport* report) {
+  kmeans::KmeansProgram program(options);
+  FML_RETURN_IF_ERROR(
+      pipeline::RunTraining(rel, algorithm, options, &program, pool, report));
+  return std::move(program).TakeModel();
+}
+
+}  // namespace factorml::core

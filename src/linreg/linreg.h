@@ -8,11 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/algorithm.h"
 #include "core/pipeline/strategy_options.h"
-#include "core/report.h"
-#include "join/normalized_relations.h"
-#include "storage/buffer_pool.h"
 
 namespace factorml::core::pipeline {
 class ModelProgram;
@@ -44,14 +40,6 @@ struct LinregModel {
   /// M==S==F parity tests.
   static double MaxAbsDiff(const LinregModel& a, const LinregModel& b);
 };
-
-/// Trains with the chosen execution strategy via core/pipeline. The
-/// relations must carry a target column.
-Result<LinregModel> TrainLinreg(const join::NormalizedRelations& rel,
-                                const LinregOptions& options,
-                                core::Algorithm algorithm,
-                                storage::BufferPool* pool,
-                                core::TrainReport* report);
 
 /// Process-shard-backend seam (core/pipeline/shard_rpc.h): serialize /
 /// decode the math-relevant LinregOptions for the JOB frame's family blob

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/opcount.h"
+#include "core/trainer.h"
 #include "core/pipeline/access_strategy.h"
 #include "core/pipeline/model_program.h"
 #include "la/kernels.h"
@@ -166,17 +167,6 @@ double LinregModel::MaxAbsDiff(const LinregModel& a, const LinregModel& b) {
   return m;
 }
 
-Result<LinregModel> TrainLinreg(const join::NormalizedRelations& rel,
-                                const LinregOptions& options,
-                                core::Algorithm algorithm,
-                                storage::BufferPool* pool,
-                                core::TrainReport* report) {
-  LinregProgram program(options);
-  FML_RETURN_IF_ERROR(core::pipeline::RunTraining(rel, algorithm, options,
-                                                  &program, pool, report));
-  return std::move(program).TakeModel();
-}
-
 std::string EncodeShardJob(const LinregOptions& options) {
   net::ByteWriter w;
   EncodeRidgeKnobs(options.l2, options.intercept, &w);
@@ -200,3 +190,18 @@ std::unique_ptr<core::pipeline::ModelProgram> MakeShardProgram(
 }
 
 }  // namespace factorml::linreg
+
+namespace factorml::core {
+
+Result<linreg::LinregModel> TrainLinreg(const join::NormalizedRelations& rel,
+                                        const linreg::LinregOptions& options,
+                                        Algorithm algorithm,
+                                        storage::BufferPool* pool,
+                                        TrainReport* report) {
+  linreg::LinregProgram program(options);
+  FML_RETURN_IF_ERROR(
+      pipeline::RunTraining(rel, algorithm, options, &program, pool, report));
+  return std::move(program).TakeModel();
+}
+
+}  // namespace factorml::core

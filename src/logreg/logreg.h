@@ -8,11 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/algorithm.h"
 #include "core/pipeline/strategy_options.h"
-#include "core/report.h"
-#include "join/normalized_relations.h"
-#include "storage/buffer_pool.h"
 
 namespace factorml::core::pipeline {
 class ModelProgram;
@@ -53,15 +49,6 @@ struct LogregModel {
   /// M==S==F parity tests.
   static double MaxAbsDiff(const LogregModel& a, const LogregModel& b);
 };
-
-/// Trains with the chosen execution strategy via core/pipeline. The
-/// relations must carry a target column (ideally in [0, 1]; IRLS treats
-/// other values as soft labels).
-Result<LogregModel> TrainLogreg(const join::NormalizedRelations& rel,
-                                const LogregOptions& options,
-                                core::Algorithm algorithm,
-                                storage::BufferPool* pool,
-                                core::TrainReport* report);
 
 /// Process-shard-backend seam (core/pipeline/shard_rpc.h): serialize /
 /// decode the math-relevant LogregOptions for the JOB frame's family blob

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/opcount.h"
+#include "core/trainer.h"
 #include "core/pipeline/access_strategy.h"
 #include "core/pipeline/model_program.h"
 #include "la/kernels.h"
@@ -242,17 +243,6 @@ double LogregModel::MaxAbsDiff(const LogregModel& a, const LogregModel& b) {
   return m;
 }
 
-Result<LogregModel> TrainLogreg(const join::NormalizedRelations& rel,
-                                const LogregOptions& options,
-                                core::Algorithm algorithm,
-                                storage::BufferPool* pool,
-                                core::TrainReport* report) {
-  LogregProgram program(options);
-  FML_RETURN_IF_ERROR(core::pipeline::RunTraining(rel, algorithm, options,
-                                                  &program, pool, report));
-  return std::move(program).TakeModel();
-}
-
 std::string EncodeShardJob(const LogregOptions& options) {
   net::ByteWriter w;
   linreg::EncodeRidgeKnobs(options.l2, options.intercept, &w);
@@ -287,3 +277,18 @@ std::unique_ptr<core::pipeline::ModelProgram> MakeShardProgram(
 }
 
 }  // namespace factorml::logreg
+
+namespace factorml::core {
+
+Result<logreg::LogregModel> TrainLogreg(const join::NormalizedRelations& rel,
+                                        const logreg::LogregOptions& options,
+                                        Algorithm algorithm,
+                                        storage::BufferPool* pool,
+                                        TrainReport* report) {
+  logreg::LogregProgram program(options);
+  FML_RETURN_IF_ERROR(
+      pipeline::RunTraining(rel, algorithm, options, &program, pool, report));
+  return std::move(program).TakeModel();
+}
+
+}  // namespace factorml::core

@@ -4,8 +4,8 @@
 // The dense batch path (M/S) runs standard BP over the assembled batch; the
 // factorized path implements Sec. VI-A — partial first-layer inner
 // products cached per attribute tuple per weight version, and the W1
-// gradient formed from the base relations directly. The former m_nn.cc /
-// s_nn.cc / f_nn.cc trainers are thin wrappers over this one program.
+// gradient formed from the base relations directly. core::TrainNn, at the
+// end of this file, runs it under any strategy.
 
 #include <algorithm>
 #include <cstring>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/opcount.h"
+#include "core/trainer.h"
 #include "core/pipeline/access_strategy.h"
 #include "core/pipeline/model_program.h"
 #include "exec/parallel_for.h"
@@ -538,39 +539,19 @@ class NnProgram final : public core::pipeline::ModelProgram {
   double epoch_sse_ = 0.0;
 };
 
-Result<Mlp> TrainNnWith(const join::NormalizedRelations& rel,
-                        const NnOptions& options, core::Algorithm algorithm,
-                        storage::BufferPool* pool,
-                        core::TrainReport* report) {
-  NnProgram program(options);
-  FML_RETURN_IF_ERROR(core::pipeline::RunTraining(rel, algorithm, options,
-                                                  &program, pool, report));
+}  // namespace
+
+}  // namespace factorml::nn
+
+namespace factorml::core {
+
+Result<nn::Mlp> TrainNn(const join::NormalizedRelations& rel,
+                        const nn::NnOptions& options, Algorithm algorithm,
+                        storage::BufferPool* pool, TrainReport* report) {
+  nn::NnProgram program(options);
+  FML_RETURN_IF_ERROR(
+      pipeline::RunTraining(rel, algorithm, options, &program, pool, report));
   return std::move(program).TakeMlp();
 }
 
-}  // namespace
-
-Result<Mlp> TrainNnMaterialized(const join::NormalizedRelations& rel,
-                                const NnOptions& options,
-                                storage::BufferPool* pool,
-                                core::TrainReport* report) {
-  return TrainNnWith(rel, options, core::Algorithm::kMaterialized, pool,
-                     report);
-}
-
-Result<Mlp> TrainNnStreaming(const join::NormalizedRelations& rel,
-                             const NnOptions& options,
-                             storage::BufferPool* pool,
-                             core::TrainReport* report) {
-  return TrainNnWith(rel, options, core::Algorithm::kStreaming, pool, report);
-}
-
-Result<Mlp> TrainNnFactorized(const join::NormalizedRelations& rel,
-                              const NnOptions& options,
-                              storage::BufferPool* pool,
-                              core::TrainReport* report) {
-  return TrainNnWith(rel, options, core::Algorithm::kFactorized, pool,
-                     report);
-}
-
-}  // namespace factorml::nn
+}  // namespace factorml::core

@@ -5,12 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "core/pipeline/strategy_options.h"
-#include "core/report.h"
-#include "join/normalized_relations.h"
 #include "nn/mlp.h"
-#include "storage/buffer_pool.h"
 
 namespace factorml::nn {
 
@@ -51,30 +47,6 @@ struct NnOptions : core::pipeline::StrategyOptions {
   /// bench/ablation_grouped_backward.
   bool grouped_backward = false;
 };
-
-/// Algorithm M-NN: materializes T, then standard BP over T's rows.
-Result<Mlp> TrainNnMaterialized(const join::NormalizedRelations& rel,
-                                const NnOptions& options,
-                                storage::BufferPool* pool,
-                                core::TrainReport* report);
-
-/// Algorithm S-NN: the join is recomputed on the fly each epoch; every
-/// joined tuple is assembled in memory and fed to standard BP.
-Result<Mlp> TrainNnStreaming(const join::NormalizedRelations& rel,
-                             const NnOptions& options,
-                             storage::BufferPool* pool,
-                             core::TrainReport* report);
-
-/// Algorithm F-NN (Sec. VI-A/VI-B): the first-layer pre-activation is
-/// factorized as W_S x_S + (W_R1 x_R1 + ... + W_Rq x_Rq + b); the
-/// parenthesized partial inner products are computed once per attribute
-/// tuple per weight version and reused for all matching fact tuples. The
-/// backward pass populates x_S / x_Ri directly from the base relations
-/// (the I/O saving of Eq. 29/32) while computing the identical gradient.
-Result<Mlp> TrainNnFactorized(const join::NormalizedRelations& rel,
-                              const NnOptions& options,
-                              storage::BufferPool* pool,
-                              core::TrainReport* report);
 
 }  // namespace factorml::nn
 

@@ -518,6 +518,23 @@ TEST(FlagsDeathTest, NhBelowOneExits2) {
   EXPECT_EQ(args2.GetPositiveInt("nh", 50), 50);
 }
 
+// Iteration counts land in an int, so a value outside [1, INT_MAX] must
+// exit naming the flag, not be narrowed (4294967297 would become 1) or
+// surface later as a model error.
+TEST(FlagsDeathTest, IterationsOutsideIntRangeExit2) {
+  for (const char* flag :
+       {"--iters=0", "--iters=2147483648", "--iters=4294967297"}) {
+    const char* argv[] = {"prog", flag};
+    ArgParser args(2, const_cast<char**>(argv));
+    EXPECT_EXIT(args.GetIterations("iters", 10), ::testing::ExitedWithCode(2),
+                std::string("invalid ") + flag);
+  }
+  const char* argv[] = {"prog", "--epochs=2147483647"};
+  ArgParser args(2, const_cast<char**>(argv));
+  EXPECT_EQ(args.GetIterations("epochs", 10), 2147483647);
+  EXPECT_EQ(args.GetIterations("iters", 10), 10);
+}
+
 // The checkpoint flags fail fast (exit 2 naming flag and value) before a
 // long run discovers at its first write that the directory is unusable
 // or the interval nonsense.

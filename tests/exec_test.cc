@@ -3,8 +3,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
-#include <numeric>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -333,39 +331,6 @@ TEST(RunMorselsTest, MergesWorkerOpCountersIntoCaller) {
   RunMorsels(SplitRowChunks(12, 1), /*threads=*/4, /*steal=*/true,
              [&](Range, int64_t, int) { CountMults(3); });
   EXPECT_EQ((GlobalOps() - before).mults, 36u);
-}
-
-// -------------------------------------------------------- ParallelReduce
-
-TEST(ParallelReduceTest, MergesInWorkerOrder) {
-  const auto ranges = PartitionRows(8, 8);
-  ASSERT_EQ(ranges.size(), 8u);
-  std::string merged;
-  ParallelReduce<std::string>(
-      ranges,
-      [](Range r, int, std::string* acc) {
-        *acc = std::to_string(r.begin);
-      },
-      [&](std::string&& acc, int) { merged += acc; });
-  EXPECT_EQ(merged, "01234567");
-}
-
-TEST(ParallelReduceTest, SumMatchesSerial) {
-  std::vector<double> values(10000);
-  std::iota(values.begin(), values.end(), 1.0);
-  const double serial = std::accumulate(values.begin(), values.end(), 0.0);
-
-  double parallel = 0.0;
-  ParallelReduce<double>(
-      PartitionRows(static_cast<int64_t>(values.size()), 4),
-      [&](Range r, int, double* acc) {
-        *acc = 0.0;
-        for (int64_t i = r.begin; i < r.end; ++i) {
-          *acc += values[static_cast<size_t>(i)];
-        }
-      },
-      [&](double&& acc, int) { parallel += acc; });
-  EXPECT_DOUBLE_EQ(parallel, serial);
 }
 
 TEST(StatusPlumbingTest, FirstErrorPicksWorkerOrder) {

@@ -1,6 +1,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "core/trainer.h"
 #include "data/synthetic.h"
 #include "gmm/gmm_model.h"
 #include "gmm/trainers.h"
@@ -102,9 +103,12 @@ TEST_P(GmmExactnessTest, AllAlgorithmsAgree) {
   const GmmOptions opt = SmallOptions(dir.str());
 
   core::TrainReport rm, rs, rf;
-  auto m = std::move(TrainGmmMaterialized(rel, opt, &pool, &rm)).value();
-  auto s = std::move(TrainGmmStreaming(rel, opt, &pool, &rs)).value();
-  auto f = std::move(TrainGmmFactorized(rel, opt, &pool, &rf)).value();
+  auto m = std::move(core::TrainGmm(rel, opt, core::Algorithm::kMaterialized,
+                                    &pool, &rm)).value();
+  auto s = std::move(core::TrainGmm(rel, opt, core::Algorithm::kStreaming,
+                                    &pool, &rs)).value();
+  auto f = std::move(core::TrainGmm(rel, opt, core::Algorithm::kFactorized,
+                                    &pool, &rf)).value();
 
   EXPECT_LT(GmmParams::MaxAbsDiff(m, s), 1e-8);
   EXPECT_LT(GmmParams::MaxAbsDiff(m, f), 1e-6);
@@ -127,9 +131,12 @@ TEST(GmmExactnessTest, MultiwayAllAlgorithmsAgree) {
   auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
   const GmmOptions opt = SmallOptions(dir.str());
 
-  auto m = std::move(TrainGmmMaterialized(rel, opt, &pool, nullptr)).value();
-  auto s = std::move(TrainGmmStreaming(rel, opt, &pool, nullptr)).value();
-  auto f = std::move(TrainGmmFactorized(rel, opt, &pool, nullptr)).value();
+  auto m = std::move(core::TrainGmm(rel, opt, core::Algorithm::kMaterialized,
+                                    &pool, nullptr)).value();
+  auto s = std::move(core::TrainGmm(rel, opt, core::Algorithm::kStreaming,
+                                    &pool, nullptr)).value();
+  auto f = std::move(core::TrainGmm(rel, opt, core::Algorithm::kFactorized,
+                                    &pool, nullptr)).value();
   EXPECT_LT(GmmParams::MaxAbsDiff(m, s), 1e-8);
   EXPECT_LT(GmmParams::MaxAbsDiff(m, f), 1e-6);
 }
@@ -145,11 +152,12 @@ TEST(GmmExactnessTest, SymmetryModesAgree) {
   auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
   GmmOptions opt = SmallOptions(dir.str());
   core::TrainReport sym_report, lit_report;
-  auto sym = std::move(TrainGmmFactorized(rel, opt, &pool, &sym_report))
-                 .value();
+  auto sym = std::move(core::TrainGmm(rel, opt, core::Algorithm::kFactorized,
+                                      &pool, &sym_report)).value();
   opt.exploit_symmetry = false;
-  auto literal =
-      std::move(TrainGmmFactorized(rel, opt, &pool, &lit_report)).value();
+  auto literal = std::move(core::TrainGmm(rel, opt,
+                                          core::Algorithm::kFactorized, &pool,
+                                          &lit_report)).value();
   EXPECT_LT(GmmParams::MaxAbsDiff(sym, literal), 1e-7);
   EXPECT_LT(sym_report.ops.mults, lit_report.ops.mults);
 }
@@ -162,8 +170,10 @@ TEST(GmmExactnessTest, RandomInitStillAgreesAcrossAlgorithms) {
   GmmOptions opt = SmallOptions(dir.str());
   opt.init = GmmInit::kRandomRows;
   opt.seed = 77;
-  auto m = std::move(TrainGmmMaterialized(rel, opt, &pool, nullptr)).value();
-  auto f = std::move(TrainGmmFactorized(rel, opt, &pool, nullptr)).value();
+  auto m = std::move(core::TrainGmm(rel, opt, core::Algorithm::kMaterialized,
+                                    &pool, nullptr)).value();
+  auto f = std::move(core::TrainGmm(rel, opt, core::Algorithm::kFactorized,
+                                    &pool, nullptr)).value();
   EXPECT_LT(GmmParams::MaxAbsDiff(m, f), 1e-6);
 }
 
@@ -174,12 +184,12 @@ TEST(GmmTrainingTest, InitMethodsProduceDifferentStarts) {
       std::move(GenerateSynthetic(SmallSpec(dir.str()), &pool)).value();
   GmmOptions opt = SmallOptions(dir.str());
   opt.max_iters = 1;
-  auto spread = std::move(TrainGmmFactorized(rel, opt, &pool, nullptr))
-                    .value();
+  auto spread = std::move(core::TrainGmm(rel, opt, core::Algorithm::kFactorized,
+                                         &pool, nullptr)).value();
   opt.init = GmmInit::kRandomRows;
   opt.seed = 123;
-  auto random = std::move(TrainGmmFactorized(rel, opt, &pool, nullptr))
-                    .value();
+  auto random = std::move(core::TrainGmm(rel, opt, core::Algorithm::kFactorized,
+                                         &pool, nullptr)).value();
   EXPECT_GT(GmmParams::MaxAbsDiff(spread, random), 1e-6);
 }
 
@@ -192,9 +202,11 @@ TEST(GmmExactnessTest, UnmatchedAttributeTuplesHandled) {
   auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
   GmmOptions opt = SmallOptions(dir.str());
   opt.num_components = 2;
-  auto m = std::move(TrainGmmMaterialized(rel, opt, &pool, nullptr)).value();
+  auto m = std::move(core::TrainGmm(rel, opt, core::Algorithm::kMaterialized,
+                                    &pool, nullptr)).value();
   core::TrainReport report;
-  auto f = std::move(TrainGmmFactorized(rel, opt, &pool, &report)).value();
+  auto f = std::move(core::TrainGmm(rel, opt, core::Algorithm::kFactorized,
+                                    &pool, &report)).value();
   EXPECT_LT(GmmParams::MaxAbsDiff(m, f), 1e-6);
   // The deferred mean and covariance updates charge one Axpy / AddOuter
   // per attribute tuple, zero-mass rids included: pin F's counts so a
@@ -212,10 +224,11 @@ TEST(GmmExactnessTest, BatchSizeDoesNotChangeResult) {
       std::move(GenerateSynthetic(SmallSpec(dir.str()), &pool)).value();
   GmmOptions opt = SmallOptions(dir.str());
   opt.batch_rows = 7;
-  auto fine = std::move(TrainGmmFactorized(rel, opt, &pool, nullptr)).value();
+  auto fine = std::move(core::TrainGmm(rel, opt, core::Algorithm::kFactorized,
+                                       &pool, nullptr)).value();
   opt.batch_rows = 100000;
-  auto coarse =
-      std::move(TrainGmmFactorized(rel, opt, &pool, nullptr)).value();
+  auto coarse = std::move(core::TrainGmm(rel, opt, core::Algorithm::kFactorized,
+                                         &pool, nullptr)).value();
   EXPECT_LT(GmmParams::MaxAbsDiff(fine, coarse), 1e-9);
 }
 
@@ -227,11 +240,11 @@ TEST(GmmTrainingTest, CovRegAppearsOnDiagonal) {
   GmmOptions opt = SmallOptions(dir.str());
   opt.max_iters = 1;
   opt.cov_reg = 0.0;
-  auto plain = std::move(TrainGmmFactorized(rel, opt, &pool, nullptr))
-                   .value();
+  auto plain = std::move(core::TrainGmm(rel, opt, core::Algorithm::kFactorized,
+                                        &pool, nullptr)).value();
   opt.cov_reg = 0.5;
-  auto ridged = std::move(TrainGmmFactorized(rel, opt, &pool, nullptr))
-                    .value();
+  auto ridged = std::move(core::TrainGmm(rel, opt, core::Algorithm::kFactorized,
+                                         &pool, nullptr)).value();
   for (size_t c = 0; c < plain.num_components(); ++c) {
     for (size_t j = 0; j < plain.dims(); ++j) {
       EXPECT_NEAR(ridged.sigma[c](j, j) - plain.sigma[c](j, j), 0.5, 1e-9);
@@ -250,10 +263,12 @@ TEST(GmmTrainingTest, LogLikelihoodIsFiniteAndImproves) {
 
   opt.max_iters = 1;
   core::TrainReport r1;
-  ASSERT_TRUE(TrainGmmFactorized(rel, opt, &pool, &r1).ok());
+  ASSERT_TRUE(core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
+                             &r1).ok());
   opt.max_iters = 6;
   core::TrainReport r6;
-  ASSERT_TRUE(TrainGmmFactorized(rel, opt, &pool, &r6).ok());
+  ASSERT_TRUE(core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
+                             &r6).ok());
   EXPECT_TRUE(std::isfinite(r1.final_objective));
   EXPECT_TRUE(std::isfinite(r6.final_objective));
   // EM is monotone in the log-likelihood.
@@ -265,9 +280,9 @@ TEST(GmmTrainingTest, MixingWeightsFormDistribution) {
   BufferPool pool(512);
   auto rel =
       std::move(GenerateSynthetic(SmallSpec(dir.str()), &pool)).value();
-  auto p = std::move(TrainGmmFactorized(rel, SmallOptions(dir.str()), &pool,
-                                        nullptr))
-               .value();
+  auto p = std::move(core::TrainGmm(rel, SmallOptions(dir.str()),
+                                    core::Algorithm::kFactorized, &pool,
+                                    nullptr)).value();
   double sum = 0.0;
   for (const double pi : p.pi) {
     EXPECT_GE(pi, 0.0);
@@ -282,9 +297,9 @@ TEST(GmmTrainingTest, CovariancesStaySymmetric) {
   BufferPool pool(512);
   auto rel =
       std::move(GenerateSynthetic(SmallSpec(dir.str()), &pool)).value();
-  auto p = std::move(TrainGmmFactorized(rel, SmallOptions(dir.str()), &pool,
-                                        nullptr))
-               .value();
+  auto p = std::move(core::TrainGmm(rel, SmallOptions(dir.str()),
+                                    core::Algorithm::kFactorized, &pool,
+                                    nullptr)).value();
   for (const auto& sigma : p.sigma) {
     for (size_t i = 0; i < sigma.rows(); ++i) {
       for (size_t j = 0; j < i; ++j) {
@@ -303,7 +318,8 @@ TEST(GmmTrainingTest, ConvergenceToleranceStopsEarly) {
   opt.max_iters = 50;
   opt.tol = 1e-3;  // loose: should stop well before 50 iterations
   core::TrainReport report;
-  ASSERT_TRUE(TrainGmmFactorized(rel, opt, &pool, &report).ok());
+  ASSERT_TRUE(core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
+                             &report).ok());
   EXPECT_LT(report.iterations, 50);
   EXPECT_GE(report.iterations, 2);
 }
@@ -319,8 +335,10 @@ TEST(GmmCostTest, FactorizedDoesFewerMultiplications) {
                  .value();
   const GmmOptions opt = SmallOptions(dir.str());
   core::TrainReport rs, rf;
-  ASSERT_TRUE(TrainGmmStreaming(rel, opt, &pool, &rs).ok());
-  ASSERT_TRUE(TrainGmmFactorized(rel, opt, &pool, &rf).ok());
+  ASSERT_TRUE(core::TrainGmm(rel, opt, core::Algorithm::kStreaming, &pool,
+                             &rs).ok());
+  ASSERT_TRUE(core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
+                             &rf).ok());
   EXPECT_LT(rf.ops.mults, rs.ops.mults);
   // With dR >> dS and rr = 100 the savings must be substantial (> 1.5x).
   EXPECT_GT(static_cast<double>(rs.ops.mults),
@@ -335,8 +353,10 @@ TEST(GmmCostTest, MaterializedWritesAndRereadsT) {
                  .value();
   const GmmOptions opt = SmallOptions(dir.str());
   core::TrainReport rm, rf;
-  ASSERT_TRUE(TrainGmmMaterialized(rel, opt, &pool, &rm).ok());
-  ASSERT_TRUE(TrainGmmFactorized(rel, opt, &pool, &rf).ok());
+  ASSERT_TRUE(core::TrainGmm(rel, opt, core::Algorithm::kMaterialized, &pool,
+                             &rm).ok());
+  ASSERT_TRUE(core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
+                             &rf).ok());
   EXPECT_GT(rm.io.pages_written, 0u);   // T was materialized
   EXPECT_EQ(rf.io.pages_written, 0u);   // F never writes
   EXPECT_GT(rm.io.pages_read, rf.io.pages_read);
@@ -349,8 +369,8 @@ TEST(GmmCostTest, ReportFieldsPopulated) {
   auto rel =
       std::move(GenerateSynthetic(SmallSpec(dir.str()), &pool)).value();
   core::TrainReport report;
-  ASSERT_TRUE(
-      TrainGmmStreaming(rel, SmallOptions(dir.str()), &pool, &report).ok());
+  ASSERT_TRUE(core::TrainGmm(rel, SmallOptions(dir.str()),
+                             core::Algorithm::kStreaming, &pool, &report).ok());
   EXPECT_EQ(report.algorithm, "S-GMM");
   EXPECT_GT(report.wall_seconds, 0.0);
   EXPECT_EQ(report.iterations, 4);
@@ -367,7 +387,8 @@ TEST(GmmTrainingTest, MoreComponentsThanPointsFails) {
   auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
   GmmOptions opt = SmallOptions(dir.str());
   opt.num_components = 100;
-  EXPECT_FALSE(TrainGmmFactorized(rel, opt, &pool, nullptr).ok());
+  EXPECT_FALSE(core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
+                              nullptr).ok());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <tuple>
 
 #include "common/rng.h"
+#include "core/trainer.h"
 #include "data/synthetic.h"
 #include "gtest/gtest.h"
 #include "join/attribute_view.h"
@@ -256,9 +257,12 @@ TEST_P(NnExactnessTest, AllAlgorithmsAgree) {
   opt.activation = act;
   opt.hidden = {nh};
 
-  auto m = std::move(TrainNnMaterialized(rel, opt, &pool, nullptr)).value();
-  auto s = std::move(TrainNnStreaming(rel, opt, &pool, nullptr)).value();
-  auto f = std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto m = std::move(core::TrainNn(rel, opt, core::Algorithm::kMaterialized,
+                                   &pool, nullptr)).value();
+  auto s = std::move(core::TrainNn(rel, opt, core::Algorithm::kStreaming, &pool,
+                                   nullptr)).value();
+  auto f = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                   &pool, nullptr)).value();
   EXPECT_LT(Mlp::MaxAbsDiffParams(m, s), 1e-9);
   EXPECT_LT(Mlp::MaxAbsDiffParams(m, f), 1e-6);
 }
@@ -279,9 +283,12 @@ TEST(NnExactnessTest, MultiwayAllAlgorithmsAgree) {
   auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
   const NnOptions opt = SmallOptions(dir.str());
 
-  auto m = std::move(TrainNnMaterialized(rel, opt, &pool, nullptr)).value();
-  auto s = std::move(TrainNnStreaming(rel, opt, &pool, nullptr)).value();
-  auto f = std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto m = std::move(core::TrainNn(rel, opt, core::Algorithm::kMaterialized,
+                                   &pool, nullptr)).value();
+  auto s = std::move(core::TrainNn(rel, opt, core::Algorithm::kStreaming, &pool,
+                                   nullptr)).value();
+  auto f = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                   &pool, nullptr)).value();
   EXPECT_LT(Mlp::MaxAbsDiffParams(m, s), 1e-9);
   EXPECT_LT(Mlp::MaxAbsDiffParams(m, f), 1e-6);
 }
@@ -296,9 +303,12 @@ TEST(NnExactnessTest, ShuffledEpochsStillAgree) {
   NnOptions opt = SmallOptions(dir.str());
   opt.shuffle = true;
 
-  auto m = std::move(TrainNnMaterialized(rel, opt, &pool, nullptr)).value();
-  auto s = std::move(TrainNnStreaming(rel, opt, &pool, nullptr)).value();
-  auto f = std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto m = std::move(core::TrainNn(rel, opt, core::Algorithm::kMaterialized,
+                                   &pool, nullptr)).value();
+  auto s = std::move(core::TrainNn(rel, opt, core::Algorithm::kStreaming, &pool,
+                                   nullptr)).value();
+  auto f = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                   &pool, nullptr)).value();
   EXPECT_LT(Mlp::MaxAbsDiffParams(m, s), 1e-9);
   EXPECT_LT(Mlp::MaxAbsDiffParams(m, f), 1e-6);
 }
@@ -309,11 +319,12 @@ TEST(NnExactnessTest, GroupedBackwardComputesSameGradient) {
   auto rel =
       std::move(GenerateSynthetic(SmallSpec(dir.str()), &pool)).value();
   NnOptions opt = SmallOptions(dir.str());
-  auto base = std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto base = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                      &pool, nullptr)).value();
   opt.grouped_backward = true;
   core::TrainReport grouped_report;
-  auto grouped =
-      std::move(TrainNnFactorized(rel, opt, &pool, &grouped_report)).value();
+  auto grouped = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                         &pool, &grouped_report)).value();
   EXPECT_LT(Mlp::MaxAbsDiffParams(base, grouped), 1e-7);
 }
 
@@ -324,8 +335,10 @@ TEST(NnExactnessTest, DeeperNetworksAgree) {
       std::move(GenerateSynthetic(SmallSpec(dir.str()), &pool)).value();
   NnOptions opt = SmallOptions(dir.str());
   opt.hidden = {6, 5};
-  auto m = std::move(TrainNnMaterialized(rel, opt, &pool, nullptr)).value();
-  auto f = std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto m = std::move(core::TrainNn(rel, opt, core::Algorithm::kMaterialized,
+                                   &pool, nullptr)).value();
+  auto f = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                   &pool, nullptr)).value();
   EXPECT_LT(Mlp::MaxAbsDiffParams(m, f), 1e-6);
 }
 
@@ -341,9 +354,12 @@ TEST(NnExactnessTest, DropoutPreservesAlgorithmAgreement) {
   opt.hidden = {10, 6};
   opt.hidden_dropout = 0.3;
 
-  auto m = std::move(TrainNnMaterialized(rel, opt, &pool, nullptr)).value();
-  auto s = std::move(TrainNnStreaming(rel, opt, &pool, nullptr)).value();
-  auto f = std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto m = std::move(core::TrainNn(rel, opt, core::Algorithm::kMaterialized,
+                                   &pool, nullptr)).value();
+  auto s = std::move(core::TrainNn(rel, opt, core::Algorithm::kStreaming, &pool,
+                                   nullptr)).value();
+  auto f = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                   &pool, nullptr)).value();
   EXPECT_LT(Mlp::MaxAbsDiffParams(m, s), 1e-9);
   EXPECT_LT(Mlp::MaxAbsDiffParams(m, f), 1e-6);
 }
@@ -354,10 +370,11 @@ TEST(NnTrainingTest, DropoutChangesTrainingTrajectory) {
   auto rel =
       std::move(GenerateSynthetic(SmallSpec(dir.str()), &pool)).value();
   NnOptions opt = SmallOptions(dir.str());
-  auto plain = std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto plain = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                       &pool, nullptr)).value();
   opt.hidden_dropout = 0.5;
-  auto dropped =
-      std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto dropped = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                         &pool, nullptr)).value();
   EXPECT_GT(Mlp::MaxAbsDiffParams(plain, dropped), 1e-6);
 }
 
@@ -371,10 +388,12 @@ TEST(NnTrainingTest, DropoutStillLearns) {
   opt.hidden_dropout = 0.2;
   opt.epochs = 1;
   core::TrainReport r1;
-  ASSERT_TRUE(TrainNnFactorized(rel, opt, &pool, &r1).ok());
+  ASSERT_TRUE(core::TrainNn(rel, opt, core::Algorithm::kFactorized, &pool,
+                            &r1).ok());
   opt.epochs = 10;
   core::TrainReport r10;
-  ASSERT_TRUE(TrainNnFactorized(rel, opt, &pool, &r10).ok());
+  ASSERT_TRUE(core::TrainNn(rel, opt, core::Algorithm::kFactorized, &pool,
+                            &r10).ok());
   EXPECT_LT(r10.final_objective, r1.final_objective);
 }
 
@@ -457,9 +476,12 @@ TEST(NnExactnessTest, MomentumAndWeightDecayPreserveAgreement) {
   opt.momentum = 0.9;
   opt.weight_decay = 1e-4;
 
-  auto m = std::move(TrainNnMaterialized(rel, opt, &pool, nullptr)).value();
-  auto s = std::move(TrainNnStreaming(rel, opt, &pool, nullptr)).value();
-  auto f = std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto m = std::move(core::TrainNn(rel, opt, core::Algorithm::kMaterialized,
+                                   &pool, nullptr)).value();
+  auto s = std::move(core::TrainNn(rel, opt, core::Algorithm::kStreaming, &pool,
+                                   nullptr)).value();
+  auto f = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                   &pool, nullptr)).value();
   EXPECT_LT(Mlp::MaxAbsDiffParams(m, s), 1e-9);
   EXPECT_LT(Mlp::MaxAbsDiffParams(m, f), 1e-6);
 }
@@ -470,9 +492,11 @@ TEST(NnTrainingTest, MomentumChangesTrajectory) {
   auto rel =
       std::move(GenerateSynthetic(SmallSpec(dir.str()), &pool)).value();
   NnOptions opt = SmallOptions(dir.str());
-  auto plain = std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto plain = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                       &pool, nullptr)).value();
   opt.momentum = 0.9;
-  auto mom = std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto mom = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                     &pool, nullptr)).value();
   EXPECT_GT(Mlp::MaxAbsDiffParams(plain, mom), 1e-6);
 }
 
@@ -484,10 +508,11 @@ TEST(NnTrainingTest, WeightDecayShrinksParameterNorm) {
                  .value();
   NnOptions opt = SmallOptions(dir.str());
   opt.epochs = 8;
-  auto plain = std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto plain = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                       &pool, nullptr)).value();
   opt.weight_decay = 0.05;
-  auto decayed =
-      std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto decayed = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                         &pool, nullptr)).value();
   auto norm = [](const Mlp& net) {
     double s = 0.0;
     for (const auto& w : net.w) {
@@ -508,9 +533,11 @@ TEST(NnTrainingTest, MomentumAcceleratesOnSmoothProblem) {
   opt.epochs = 6;
   opt.learning_rate = 0.01;
   core::TrainReport plain, mom;
-  ASSERT_TRUE(TrainNnFactorized(rel, opt, &pool, &plain).ok());
+  ASSERT_TRUE(core::TrainNn(rel, opt, core::Algorithm::kFactorized, &pool,
+                            &plain).ok());
   opt.momentum = 0.9;
-  ASSERT_TRUE(TrainNnFactorized(rel, opt, &pool, &mom).ok());
+  ASSERT_TRUE(core::TrainNn(rel, opt, core::Algorithm::kFactorized, &pool,
+                            &mom).ok());
   EXPECT_LT(mom.final_objective, plain.final_objective);
 }
 
@@ -525,10 +552,12 @@ TEST(NnTrainingTest, LossDecreasesOverEpochs) {
   NnOptions opt = SmallOptions(dir.str());
   opt.epochs = 1;
   core::TrainReport r1;
-  ASSERT_TRUE(TrainNnFactorized(rel, opt, &pool, &r1).ok());
+  ASSERT_TRUE(core::TrainNn(rel, opt, core::Algorithm::kFactorized, &pool,
+                            &r1).ok());
   opt.epochs = 10;
   core::TrainReport r10;
-  ASSERT_TRUE(TrainNnFactorized(rel, opt, &pool, &r10).ok());
+  ASSERT_TRUE(core::TrainNn(rel, opt, core::Algorithm::kFactorized, &pool,
+                            &r10).ok());
   EXPECT_LT(r10.final_objective, r1.final_objective);
 }
 
@@ -538,8 +567,9 @@ TEST(NnTrainingTest, RequiresTarget) {
   auto spec = SmallSpec(dir.str());
   spec.with_target = false;
   auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
-  EXPECT_FALSE(
-      TrainNnFactorized(rel, SmallOptions(dir.str()), &pool, nullptr).ok());
+  EXPECT_FALSE(core::TrainNn(rel, SmallOptions(dir.str()),
+                             core::Algorithm::kFactorized, &pool,
+                             nullptr).ok());
 }
 
 TEST(NnTrainingTest, RequiresHiddenLayer) {
@@ -549,7 +579,8 @@ TEST(NnTrainingTest, RequiresHiddenLayer) {
       std::move(GenerateSynthetic(SmallSpec(dir.str()), &pool)).value();
   NnOptions opt = SmallOptions(dir.str());
   opt.hidden.clear();
-  EXPECT_FALSE(TrainNnFactorized(rel, opt, &pool, nullptr).ok());
+  EXPECT_FALSE(core::TrainNn(rel, opt, core::Algorithm::kFactorized, &pool,
+                             nullptr).ok());
 }
 
 TEST(NnExactnessTest, FullBatchAndTinyBatchesBothAgree) {
@@ -560,17 +591,19 @@ TEST(NnExactnessTest, FullBatchAndTinyBatchesBothAgree) {
   NnOptions opt = SmallOptions(dir.str());
   // Full-batch gradient descent: one update per epoch.
   opt.batch_rows = 1u << 20;
-  auto m_full =
-      std::move(TrainNnMaterialized(rel, opt, &pool, nullptr)).value();
-  auto f_full =
-      std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto m_full = std::move(core::TrainNn(rel, opt,
+                                        core::Algorithm::kMaterialized, &pool,
+                                        nullptr)).value();
+  auto f_full = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                        &pool, nullptr)).value();
   EXPECT_LT(Mlp::MaxAbsDiffParams(m_full, f_full), 1e-6);
   // Per-rid-group updates: the finest batch granularity.
   opt.batch_rows = 1;
-  auto m_tiny =
-      std::move(TrainNnMaterialized(rel, opt, &pool, nullptr)).value();
-  auto f_tiny =
-      std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto m_tiny = std::move(core::TrainNn(rel, opt,
+                                        core::Algorithm::kMaterialized, &pool,
+                                        nullptr)).value();
+  auto f_tiny = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                        &pool, nullptr)).value();
   EXPECT_LT(Mlp::MaxAbsDiffParams(m_tiny, f_tiny), 1e-6);
   // Different batch sizes must give different SGD trajectories.
   EXPECT_GT(Mlp::MaxAbsDiffParams(m_full, m_tiny), 1e-9);
@@ -583,8 +616,10 @@ TEST(NnExactnessTest, UnmatchedAttributeTuplesHandled) {
   auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
   NnOptions opt = SmallOptions(dir.str());
   opt.hidden = {4};
-  auto m = std::move(TrainNnMaterialized(rel, opt, &pool, nullptr)).value();
-  auto f = std::move(TrainNnFactorized(rel, opt, &pool, nullptr)).value();
+  auto m = std::move(core::TrainNn(rel, opt, core::Algorithm::kMaterialized,
+                                   &pool, nullptr)).value();
+  auto f = std::move(core::TrainNn(rel, opt, core::Algorithm::kFactorized,
+                                   &pool, nullptr)).value();
   EXPECT_LT(Mlp::MaxAbsDiffParams(m, f), 1e-6);
 }
 
@@ -600,8 +635,10 @@ TEST(NnCostTest, FactorizedDoesFewerMultiplications) {
   NnOptions opt = SmallOptions(dir.str());
   opt.hidden = {16};
   core::TrainReport rs, rf;
-  ASSERT_TRUE(TrainNnStreaming(rel, opt, &pool, &rs).ok());
-  ASSERT_TRUE(TrainNnFactorized(rel, opt, &pool, &rf).ok());
+  ASSERT_TRUE(core::TrainNn(rel, opt, core::Algorithm::kStreaming, &pool,
+                            &rs).ok());
+  ASSERT_TRUE(core::TrainNn(rel, opt, core::Algorithm::kFactorized, &pool,
+                            &rf).ok());
   EXPECT_LT(rf.ops.mults, rs.ops.mults);
 }
 
@@ -613,8 +650,10 @@ TEST(NnCostTest, MaterializedPaysWriteIo) {
                  .value();
   const NnOptions opt = SmallOptions(dir.str());
   core::TrainReport rm, rf;
-  ASSERT_TRUE(TrainNnMaterialized(rel, opt, &pool, &rm).ok());
-  ASSERT_TRUE(TrainNnFactorized(rel, opt, &pool, &rf).ok());
+  ASSERT_TRUE(core::TrainNn(rel, opt, core::Algorithm::kMaterialized, &pool,
+                            &rm).ok());
+  ASSERT_TRUE(core::TrainNn(rel, opt, core::Algorithm::kFactorized, &pool,
+                            &rf).ok());
   EXPECT_GT(rm.io.pages_written, 0u);
   EXPECT_EQ(rf.io.pages_written, 0u);
   EXPECT_EQ(rm.algorithm, "M-NN");

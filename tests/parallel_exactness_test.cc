@@ -119,12 +119,12 @@ TEST(GmmParallelExactnessTest, MultiwayFactorizedMatches) {
   spec.attrs.push_back(data::AttributeSpec{15, 2});
   auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
 
-  auto serial = std::move(gmm::TrainGmmFactorized(rel, GmmOpt(dir.str(), 1),
-                                                  &pool, nullptr))
-                    .value();
-  auto parallel = std::move(gmm::TrainGmmFactorized(rel, GmmOpt(dir.str(), 3),
-                                                    &pool, nullptr))
-                      .value();
+  auto serial = std::move(core::TrainGmm(rel, GmmOpt(dir.str(), 1),
+                                         core::Algorithm::kFactorized, &pool,
+                                         nullptr)).value();
+  auto parallel = std::move(core::TrainGmm(rel, GmmOpt(dir.str(), 3),
+                                           core::Algorithm::kFactorized, &pool,
+                                           nullptr)).value();
   EXPECT_EQ(gmm::GmmParams::MaxAbsDiff(serial, parallel), 0.0);
 }
 
@@ -134,12 +134,12 @@ TEST(GmmParallelExactnessTest, MoreThreadsThanRidsStillWorks) {
   auto spec = Spec(dir.str(), false);
   spec.attrs[0].rows = 3;  // fewer FK1 runs than workers
   auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
-  auto serial = std::move(gmm::TrainGmmFactorized(rel, GmmOpt(dir.str(), 1),
-                                                  &pool, nullptr))
-                    .value();
-  auto parallel = std::move(gmm::TrainGmmFactorized(rel, GmmOpt(dir.str(), 8),
-                                                    &pool, nullptr))
-                      .value();
+  auto serial = std::move(core::TrainGmm(rel, GmmOpt(dir.str(), 1),
+                                         core::Algorithm::kFactorized, &pool,
+                                         nullptr)).value();
+  auto parallel = std::move(core::TrainGmm(rel, GmmOpt(dir.str(), 8),
+                                           core::Algorithm::kFactorized, &pool,
+                                           nullptr)).value();
   EXPECT_EQ(gmm::GmmParams::MaxAbsDiff(serial, parallel), 0.0);
 }
 
@@ -228,10 +228,11 @@ TEST(NnParallelExactnessTest, ShuffledGroupedBackwardMatches) {
   auto opt4 = opt1;
   opt4.threads = 4;
 
-  auto serial =
-      std::move(nn::TrainNnFactorized(rel, opt1, &pool, nullptr)).value();
-  auto parallel =
-      std::move(nn::TrainNnFactorized(rel, opt4, &pool, nullptr)).value();
+  auto serial = std::move(core::TrainNn(rel, opt1, core::Algorithm::kFactorized,
+                                        &pool, nullptr)).value();
+  auto parallel = std::move(core::TrainNn(rel, opt4,
+                                          core::Algorithm::kFactorized, &pool,
+                                          nullptr)).value();
   EXPECT_LT(nn::Mlp::MaxAbsDiffParams(serial, parallel), 1e-12);
 }
 
@@ -248,10 +249,11 @@ TEST(NnParallelExactnessTest, DropoutMomentumMatches) {
   auto opt4 = opt1;
   opt4.threads = 4;
 
-  auto serial =
-      std::move(nn::TrainNnStreaming(rel, opt1, &pool, nullptr)).value();
-  auto parallel =
-      std::move(nn::TrainNnStreaming(rel, opt4, &pool, nullptr)).value();
+  auto serial = std::move(core::TrainNn(rel, opt1, core::Algorithm::kStreaming,
+                                        &pool, nullptr)).value();
+  auto parallel = std::move(core::TrainNn(rel, opt4,
+                                          core::Algorithm::kStreaming, &pool,
+                                          nullptr)).value();
   EXPECT_LT(nn::Mlp::MaxAbsDiffParams(serial, parallel), 1e-12);
 }
 

@@ -277,48 +277,53 @@ int CmdStats(const ArgParser& args) {
   return 0;
 }
 
-int CmdTrainGmm(const ArgParser& args) {
+/// The one train body: checks --dir, sizes the pool, loads the relations
+/// (`has_target` is the family's target rule), fills the strategy half of
+/// `options`, parses --algo, then trains with the family's core::Train*
+/// entry and prints one TrainReport per strategy.
+template <typename Options, typename Model>
+int RunTrain(const ArgParser& args, const std::string& cmd, bool has_target,
+             Options options,
+             Result<Model> (*train)(const join::NormalizedRelations&,
+                                    const Options&, core::Algorithm,
+                                    storage::BufferPool*,
+                                    core::TrainReport*)) {
   const std::string dir = args.GetString("dir", "");
-  if (dir.empty()) return Fail("train-gmm requires --dir");
-  storage::BufferPool pool(
-      static_cast<size_t>(args.GetBufferPages(8192)));
-  auto rel = LoadRelations(dir, args.GetBool("target", false), &pool);
+  if (dir.empty()) return Fail(cmd + " requires --dir");
+  storage::BufferPool pool(static_cast<size_t>(args.GetBufferPages(8192)));
+  auto rel = LoadRelations(dir, has_target, &pool);
   if (!rel.ok()) return FailStatus(rel.status());
-
-  gmm::GmmOptions opt;
-  opt.num_components = static_cast<size_t>(args.GetPositiveInt("k", 5));
-  opt.max_iters = static_cast<int>(args.GetInt("iters", 10));
-  opt.tol = args.GetDouble("tol", 0.0);
-  SetStrategy(args, dir, &opt);
+  SetStrategy(args, dir, &options);
   auto algos = ParseAlgos(args.GetString("algo", "all"));
   if (!algos.ok()) return FailStatus(algos.status());
   for (const auto algo : algos.value()) {
     pool.Clear();
     core::TrainReport report;
-    auto params = core::TrainGmm(rel.value(), opt, algo, &pool, &report);
-    if (!params.ok()) return FailStatus(params.status());
+    auto model = train(rel.value(), options, algo, &pool, &report);
+    if (!model.ok()) return FailStatus(model.status());
     std::printf("%s\n", report.ToString().c_str());
   }
   return 0;
 }
 
-int CmdTrainNn(const ArgParser& args) {
-  const std::string dir = args.GetString("dir", "");
-  if (dir.empty()) return Fail("train-nn requires --dir");
-  storage::BufferPool pool(
-      static_cast<size_t>(args.GetBufferPages(8192)));
-  auto rel = LoadRelations(dir, /*has_target=*/true, &pool);
-  if (!rel.ok()) return FailStatus(rel.status());
+int CmdTrainGmm(const ArgParser& args) {
+  gmm::GmmOptions opt;
+  opt.num_components = static_cast<size_t>(args.GetPositiveInt("k", 5));
+  opt.max_iters = args.GetIterations("iters", 10);
+  opt.tol = args.GetDouble("tol", 0.0);
+  return RunTrain(args, "train-gmm", args.GetBool("target", false), opt,
+                  &core::TrainGmm);
+}
 
+int CmdTrainNn(const ArgParser& args) {
   nn::NnOptions opt;
   opt.hidden = {static_cast<size_t>(args.GetPositiveInt("nh", 50))};
-  opt.epochs = static_cast<int>(args.GetInt("epochs", 10));
+  opt.epochs = args.GetIterations("epochs", 10);
   opt.learning_rate = args.GetDouble("lr", 0.05);
   opt.shuffle = args.GetBool("shuffle", false);
   opt.hidden_dropout = args.GetDouble("dropout", 0.0);
   opt.momentum = args.GetDouble("momentum", 0.0);
   opt.weight_decay = args.GetDouble("weight_decay", 0.0);
-  SetStrategy(args, dir, &opt);
   const std::string act = args.GetString("act", "sigmoid");
   if (act == "tanh") opt.activation = nn::Activation::kTanh;
   else if (act == "relu") opt.activation = nn::Activation::kRelu;
@@ -327,92 +332,34 @@ int CmdTrainNn(const ArgParser& args) {
     return Fail("unknown --act '" + act +
                 "' (valid: sigmoid, tanh, relu, identity)");
   }
-
-  auto algos = ParseAlgos(args.GetString("algo", "all"));
-  if (!algos.ok()) return FailStatus(algos.status());
-  for (const auto algo : algos.value()) {
-    pool.Clear();
-    core::TrainReport report;
-    auto mlp = core::TrainNn(rel.value(), opt, algo, &pool, &report);
-    if (!mlp.ok()) return FailStatus(mlp.status());
-    std::printf("%s\n", report.ToString().c_str());
-  }
-  return 0;
+  return RunTrain(args, "train-nn", /*has_target=*/true, opt, &core::TrainNn);
 }
 
 int CmdTrainLinreg(const ArgParser& args) {
-  const std::string dir = args.GetString("dir", "");
-  if (dir.empty()) return Fail("train-linreg requires --dir");
-  storage::BufferPool pool(
-      static_cast<size_t>(args.GetBufferPages(8192)));
-  auto rel = LoadRelations(dir, /*has_target=*/true, &pool);
-  if (!rel.ok()) return FailStatus(rel.status());
-
   linreg::LinregOptions opt;
   opt.l2 = args.GetDouble("l2", 1e-3);
   opt.intercept = !args.GetBool("no_intercept", false);
-  SetStrategy(args, dir, &opt);
-  auto algos = ParseAlgos(args.GetString("algo", "all"));
-  if (!algos.ok()) return FailStatus(algos.status());
-  for (const auto algo : algos.value()) {
-    pool.Clear();
-    core::TrainReport report;
-    auto model = core::TrainLinreg(rel.value(), opt, algo, &pool, &report);
-    if (!model.ok()) return FailStatus(model.status());
-    std::printf("%s\n", report.ToString().c_str());
-  }
-  return 0;
+  return RunTrain(args, "train-linreg", /*has_target=*/true, opt,
+                  &core::TrainLinreg);
 }
 
 int CmdTrainKmeans(const ArgParser& args) {
-  const std::string dir = args.GetString("dir", "");
-  if (dir.empty()) return Fail("train-kmeans requires --dir");
-  storage::BufferPool pool(
-      static_cast<size_t>(args.GetBufferPages(8192)));
-  auto rel = LoadRelations(dir, args.GetBool("target", false), &pool);
-  if (!rel.ok()) return FailStatus(rel.status());
-
   kmeans::KmeansOptions opt;
   opt.num_clusters = static_cast<size_t>(args.GetPositiveInt("k", 5));
-  opt.max_iters = static_cast<int>(args.GetInt("iters", 10));
+  opt.max_iters = args.GetIterations("iters", 10);
   opt.tol = args.GetDouble("tol", 0.0);
-  SetStrategy(args, dir, &opt);
-  auto algos = ParseAlgos(args.GetString("algo", "all"));
-  if (!algos.ok()) return FailStatus(algos.status());
-  for (const auto algo : algos.value()) {
-    pool.Clear();
-    core::TrainReport report;
-    auto model = core::TrainKmeans(rel.value(), opt, algo, &pool, &report);
-    if (!model.ok()) return FailStatus(model.status());
-    std::printf("%s\n", report.ToString().c_str());
-  }
-  return 0;
+  return RunTrain(args, "train-kmeans", args.GetBool("target", false), opt,
+                  &core::TrainKmeans);
 }
 
 int CmdTrainLogreg(const ArgParser& args) {
-  const std::string dir = args.GetString("dir", "");
-  if (dir.empty()) return Fail("train-logreg requires --dir");
-  storage::BufferPool pool(
-      static_cast<size_t>(args.GetBufferPages(8192)));
-  auto rel = LoadRelations(dir, /*has_target=*/true, &pool);
-  if (!rel.ok()) return FailStatus(rel.status());
-
   logreg::LogregOptions opt;
   opt.l2 = args.GetDouble("l2", 1e-3);
   opt.intercept = !args.GetBool("no_intercept", false);
-  opt.max_iters = static_cast<int>(args.GetInt("iters", 4));
+  opt.max_iters = args.GetIterations("iters", 4);
   opt.tol = args.GetDouble("tol", 0.0);
-  SetStrategy(args, dir, &opt);
-  auto algos = ParseAlgos(args.GetString("algo", "all"));
-  if (!algos.ok()) return FailStatus(algos.status());
-  for (const auto algo : algos.value()) {
-    pool.Clear();
-    core::TrainReport report;
-    auto model = core::TrainLogreg(rel.value(), opt, algo, &pool, &report);
-    if (!model.ok()) return FailStatus(model.status());
-    std::printf("%s\n", report.ToString().c_str());
-  }
-  return 0;
+  return RunTrain(args, "train-logreg", /*has_target=*/true, opt,
+                  &core::TrainLogreg);
 }
 
 /// Unified entry point: `train --model=<family>` dispatches to the family
