@@ -38,7 +38,7 @@ int Main(int argc, char** argv) {
   JsonReport json("fig3_gmm_binary", args);
   const std::string part = args.GetString("part", "all");
   const int64_t n_r = args.GetInt("nr", 200);
-  const size_t d_s = static_cast<size_t>(args.GetInt("ds", 5));
+  const size_t d_s = static_cast<size_t>(args.GetPositiveInt("ds", 5));
   const int iters = args.GetIterations("iters", 2);
   const double row_scale = args.GetDouble("scale_rows", 1.0);
 

@@ -37,7 +37,7 @@ int Main(int argc, char** argv) {
   const std::string part = args.GetString("part", "all");
   const int64_t n_r1 = args.GetInt("nr1", 200);
   const int64_t n_r2 = args.GetInt("nr2", 200);
-  const size_t d_r2 = static_cast<size_t>(args.GetInt("dr2", 5));
+  const size_t d_r2 = static_cast<size_t>(args.GetPositiveInt("dr2", 5));
   const int iters = args.GetIterations("iters", 2);
 
   BenchDir dir;

@@ -38,7 +38,7 @@ int Main(int argc, char** argv) {
   JsonReport json("fig5_nn_binary", args);
   const std::string part = args.GetString("part", "all");
   const int64_t n_r = args.GetInt("nr", 200);
-  const size_t d_s = static_cast<size_t>(args.GetInt("ds", 5));
+  const size_t d_s = static_cast<size_t>(args.GetPositiveInt("ds", 5));
   const int epochs = args.GetIterations("epochs", 2);
 
   BenchDir dir;

@@ -41,8 +41,8 @@ int Main(int argc, char** argv) {
   ApplyCommonBenchFlags(args);
   JsonReport json("linreg_kmeans", args);
   const int64_t n_r = args.GetInt("nr", 200);
-  const size_t d_s = static_cast<size_t>(args.GetInt("ds", 5));
-  const size_t d_r = static_cast<size_t>(args.GetInt("dr", 15));
+  const size_t d_s = static_cast<size_t>(args.GetPositiveInt("ds", 5));
+  const size_t d_r = static_cast<size_t>(args.GetPositiveInt("dr", 15));
   const double row_scale = args.GetDouble("scale_rows", 1.0);
 
   BenchDir dir;

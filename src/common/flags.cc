@@ -36,13 +36,8 @@ int64_t ArgParser::GetInt(const std::string& key, int64_t default_value) const {
 
 int64_t ArgParser::GetPositiveInt(const std::string& key,
                                   int64_t default_value) const {
-  const int64_t value = GetInt(key, default_value);
-  if (Has(key) && value < 1) {
-    std::fprintf(stderr, "invalid --%s=%s (must be an integer >= 1)\n",
-                 key.c_str(), kv_.at(key).c_str());
-    std::exit(2);
-  }
-  return value;
+  return GetBoundedInt(key, default_value, 1, INT64_MAX,
+                       "must be an integer >= 1");
 }
 
 int ArgParser::GetIterations(const std::string& key, int default_value) const {
@@ -50,21 +45,36 @@ int ArgParser::GetIterations(const std::string& key, int default_value) const {
       key, default_value, 1, INT_MAX, "must be an integer in [1, 2147483647]"));
 }
 
+namespace {
+
+/// Parses all of `text` as a base-10 integer in [lo, hi].
+bool ParseBoundedInt(const std::string& text, int64_t lo, int64_t hi,
+                     int64_t* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (errno == ERANGE || end == text.c_str() || *end != '\0' || value < lo ||
+      value > hi) {
+    return false;
+  }
+  *out = static_cast<int64_t>(value);
+  return true;
+}
+
+}  // namespace
+
 int64_t ArgParser::GetBoundedInt(const std::string& key,
                                  int64_t default_value, int64_t lo,
                                  int64_t hi, const char* rule) const {
   auto it = kv_.find(key);
   if (it == kv_.end()) return default_value;
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(it->second.c_str(), &end, 10);
-  if (errno == ERANGE || end == it->second.c_str() || *end != '\0' ||
-      value < lo || value > hi) {
+  int64_t value = 0;
+  if (!ParseBoundedInt(it->second, lo, hi, &value)) {
     std::fprintf(stderr, "invalid --%s=%s (%s)\n", key.c_str(),
                  it->second.c_str(), rule);
     std::exit(2);
   }
-  return static_cast<int64_t>(value);
+  return value;
 }
 
 bool ArgParser::GetOnOff(const std::string& key, bool default_value,
@@ -109,6 +119,19 @@ std::string ArgParser::GetString(const std::string& key,
 
 std::vector<int64_t> ArgParser::GetIntList(
     const std::string& key, const std::vector<int64_t>& default_value) const {
+  return GetBoundedIntList(key, default_value, INT64_MIN, INT64_MAX,
+                           "an integer");
+}
+
+std::vector<int64_t> ArgParser::GetPositiveIntList(
+    const std::string& key, const std::vector<int64_t>& default_value) const {
+  return GetBoundedIntList(key, default_value, 1, INT64_MAX,
+                           "an integer >= 1");
+}
+
+std::vector<int64_t> ArgParser::GetBoundedIntList(
+    const std::string& key, const std::vector<int64_t>& default_value,
+    int64_t lo, int64_t hi, const char* what) const {
   auto it = kv_.find(key);
   if (it == kv_.end()) return default_value;
   std::vector<int64_t> out;
@@ -116,17 +139,15 @@ std::vector<int64_t> ArgParser::GetIntList(
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
-    errno = 0;
-    char* end = nullptr;
-    const long long value = std::strtoll(item.c_str(), &end, 10);
-    if (errno == ERANGE || end == item.c_str() || *end != '\0') {
+    int64_t value = 0;
+    if (!ParseBoundedInt(item, lo, hi, &value)) {
       std::fprintf(stderr,
-                   "invalid --%s=%s (must be a comma-separated list of "
-                   "integers; '%s' is not an integer)\n",
-                   key.c_str(), it->second.c_str(), item.c_str());
+                   "invalid --%s=%s (must be a comma-separated list; '%s' is "
+                   "not %s)\n",
+                   key.c_str(), it->second.c_str(), item.c_str(), what);
       std::exit(2);
     }
-    out.push_back(static_cast<int64_t>(value));
+    out.push_back(value);
   }
   return out;
 }

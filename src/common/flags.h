@@ -33,9 +33,23 @@ class ArgParser {
   /// flag and exit(2), like --threads, instead of being narrowed to int.
   int GetIterations(const std::string& key, int default_value) const;
 
-  /// Comma-separated list of integers, e.g. `--rr=50,100,500`.
+  /// Comma-separated list of integers, e.g. `--rr=50,100,500`. A
+  /// non-integer entry is rejected with an error naming the flag and
+  /// exit(2).
   std::vector<int64_t> GetIntList(
       const std::string& key, const std::vector<int64_t>& default_value) const;
+
+  /// A list of counts or sizes such as `--nr=1000,100`: every entry must
+  /// be an integer >= 1, else an error naming the flag and exit(2), like
+  /// GetPositiveInt.
+  std::vector<int64_t> GetPositiveIntList(
+      const std::string& key, const std::vector<int64_t>& default_value) const;
+
+  /// The one bounded-integer parse behind the integer getters: absent,
+  /// `default_value`; otherwise an integer in [lo, hi], or an
+  /// "invalid --key=value (rule)" error and exit(2).
+  int64_t GetBoundedInt(const std::string& key, int64_t default_value,
+                        int64_t lo, int64_t hi, const char* rule) const;
 
   /// The shared `--threads` flag: worker count for the exec/ parallel
   /// runtime. Default 1 — the exact serial reproduction. Values < 1 are
@@ -132,11 +146,13 @@ class ArgParser {
   int64_t GetCheckpointEvery(int64_t default_value = 0) const;
 
  private:
-  /// The one bounded-integer parse behind the integer getters above:
-  /// absent, `default_value`; otherwise an integer in [lo, hi], or an
-  /// "invalid --key=value (rule)" error and exit(2).
-  int64_t GetBoundedInt(const std::string& key, int64_t default_value,
-                        int64_t lo, int64_t hi, const char* rule) const;
+  /// The list form of GetBoundedInt behind GetIntList and
+  /// GetPositiveIntList: every entry an integer in [lo, hi], else an
+  /// "invalid --key=value (must be a comma-separated list; 'entry' is not
+  /// `what`)" error and exit(2).
+  std::vector<int64_t> GetBoundedIntList(
+      const std::string& key, const std::vector<int64_t>& default_value,
+      int64_t lo, int64_t hi, const char* what) const;
   /// The one on/off parse behind --steal and --prefetch: anything other
   /// than on/off is an "invalid --key=value (must be 'on' or 'off'; what)"
   /// error and exit(2).

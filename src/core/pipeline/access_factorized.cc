@@ -24,7 +24,7 @@ class FactorizedStrategy final : public JoinStreamStrategyBase {
         ctx, model, pass,
         [&](const join::JoinBatch& batch, int slot,
             storage::ColumnStrips* s_strips) {
-          model->AccumulateFactorized(pass, slot, SliceBlock(batch, s_strips));
+          model->Accumulate(pass, slot, SliceBlock(batch, s_strips));
         });
   }
 
@@ -33,20 +33,20 @@ class FactorizedStrategy final : public JoinStreamStrategyBase {
     return DriveJoinEpoch(
         ctx, model, epoch,
         [&](const join::JoinBatch& batch, storage::ColumnStrips* s_strips) {
-          return model->OnFactorizedBatch(*ctx, SliceBlock(batch, s_strips));
+          return model->OnBatch(*ctx, SliceBlock(batch, s_strips));
         });
   }
 
  private:
   /// The batch in normalized form: the S slice's columns as strips (the
-  /// S-column half of join::AssembleJoinedStrips, no views — the model
-  /// knows the S-slice layout, target included), with the group structure
-  /// and keys riding along in s_rows.
-  FactorizedBlock SliceBlock(const join::JoinBatch& batch,
-                             storage::ColumnStrips* s_strips) const {
+  /// S-column half of join::AssembleJoinedStrips, no views), with the
+  /// rows' keys and the group structure riding along.
+  Block SliceBlock(const join::JoinBatch& batch,
+                   storage::ColumnStrips* s_strips) const {
     join::AssembleJoinedStrips(*rel_, batch.s_rows, /*views=*/{},
                                kDefaultStripRows, s_strips);
-    return FactorizedBlock{&batch.s_rows, &batch.groups, s_strips};
+    return Block{s_strips->start_row, s_strips->num_rows, s_strips,
+                 &batch.s_rows, batch.groups};
   }
 };
 

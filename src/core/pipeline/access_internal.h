@@ -296,17 +296,10 @@ class JoinStreamStrategyBase : public StrategyBase {
 };
 
 /// The M/S strategies' block over one batch of joined-row strips laid out
-/// like T, on both planes: the target (when the relations carry one) at
-/// strip column 0, the d features after it.
-inline DenseBlock JoinedStripBlock(const storage::ColumnStrips& strips,
-                                   bool has_target) {
-  DenseBlock block;
-  block.start_row = strips.start_row;
-  block.num_rows = strips.num_rows;
-  block.strips = &strips;
-  block.strip_col0 = has_target ? 1 : 0;
-  block.strip_y_col = has_target ? 0 : -1;
-  return block;
+/// like T, on both planes: the whole joined row is the model's slice and
+/// no table is factored, so no keys or groups ride along.
+inline Block StripBlock(const storage::ColumnStrips& strips) {
+  return Block{strips.start_row, strips.num_rows, &strips, nullptr, {}};
 }
 
 std::unique_ptr<AccessStrategy> MakeMaterialized(

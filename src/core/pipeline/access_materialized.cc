@@ -75,8 +75,7 @@ class MaterializedStrategy final : public StrategyBase {
           // fused straight into column strips in T's layout.
           while (wk.scan->NextStrips(kDefaultStripRows, &wk.strips)) {
             if (wk.strips.num_rows == 0) continue;
-            model->AccumulateDense(
-                pass, slot, JoinedStripBlock(wk.strips, ctx.rel->has_target));
+            model->Accumulate(pass, slot, StripBlock(wk.strips));
           }
           *status = wk.scan->status();
         }));
@@ -110,8 +109,7 @@ class MaterializedStrategy final : public StrategyBase {
         filled += count;
       }
       FML_CHECK_EQ(filled, strips.num_rows);
-      FML_RETURN_IF_ERROR(model->OnDenseBatch(
-          *ctx, JoinedStripBlock(strips, ctx->rel->has_target)));
+      FML_RETURN_IF_ERROR(model->OnBatch(*ctx, StripBlock(strips)));
     }
     return Status::OK();
   }

@@ -27,8 +27,7 @@ class StreamingStrategy final : public JoinStreamStrategyBase {
           // T's layout.
           join::AssembleJoinedStrips(*ctx.rel, batch.s_rows, views_,
                                      kDefaultStripRows, strips);
-          model->AccumulateDense(
-              pass, slot, JoinedStripBlock(*strips, ctx.rel->has_target));
+          model->Accumulate(pass, slot, StripBlock(*strips));
         });
   }
 
@@ -43,8 +42,7 @@ class StreamingStrategy final : public JoinStreamStrategyBase {
             join::AssembleJoinedStrips(*ctx->rel, batch.s_rows, views_,
                                        kDefaultStripRows, strips);
           }
-          return model->OnDenseBatch(
-              *ctx, JoinedStripBlock(*strips, ctx->rel->has_target));
+          return model->OnBatch(*ctx, StripBlock(*strips));
         });
   }
 };

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,10 +21,10 @@
 
 namespace factorml::core::pipeline {
 
-/// What a ModelProgram can consume and how it wants to be driven. The
-/// paper's M/S/F strategies are orthogonal to the model; the mask tells the
-/// pipeline which planes the model implements so a strategy can be matched
-/// (or rejected) up front.
+/// How a ModelProgram wants to be driven. The paper's M/S/F strategies
+/// are orthogonal to the model: every program runs under all three
+/// through its one data hook, so the mask only names the driving plane
+/// and the program's input requirements.
 enum Capability : uint32_t {
   /// Iterations are model-defined full passes over all joined rows
   /// (EM-style: GMM, k-means, closed-form linear regression).
@@ -31,24 +32,29 @@ enum Capability : uint32_t {
   /// Iterations are epochs of sequential mini-batches of whole FK1-rid
   /// groups (SGD-style: NN).
   kMiniBatch = 1u << 1,
-  /// Implements the factorized hooks (AccumulateFactorized /
-  /// OnFactorizedBatch); without it the F strategy is rejected.
-  kFactorized = 1u << 2,
   /// Requires rel.has_target (Y carried as S feature column 0).
-  kNeedsTarget = 1u << 3,
+  kNeedsTarget = 1u << 2,
 };
 
 /// Everything a training run shares between the access strategy and the
 /// model program. `views` is non-null only while the S/F strategies have
 /// the attribute tables resident (between BeginPass/BeginEpoch and the end
-/// of the pass/epoch); the M strategy never exposes views — the joined
-/// rows it delivers already contain the attribute columns.
+/// of the pass/epoch); the model reads its first `factored_tables` of
+/// them. The M strategy never exposes views — the joined rows it delivers
+/// already contain the attribute columns.
 struct PipelineContext {
   const join::NormalizedRelations* rel = nullptr;
   storage::BufferPool* pool = nullptr;
   TrainReport* report = nullptr;
   int threads = 1;  // effective exec/ worker count
-  Algorithm algorithm = Algorithm::kMaterialized;
+  /// What the model sees of each row, fixed for the run: `slice_cols`
+  /// feature columns carried in the block's strips, plus `factored_tables`
+  /// attribute tables reached through `views` and the rows' foreign keys.
+  /// M and S hand over the whole joined row (d columns, 0 tables), where
+  /// the paper's factorized formulas reduce exactly to the dense ones; F
+  /// hands over the S slice (d_S columns) and the q tables.
+  size_t slice_cols = 0;
+  size_t factored_tables = 0;
   const std::vector<join::AttributeTableView>* views = nullptr;
   /// The rid-span contract of the full-pass accumulator plane: when
   /// non-null, entry `slot` is the contiguous half-open range of TABLE-0
@@ -59,13 +65,11 @@ struct PipelineContext {
   /// whole attribute table (O(sum of spans) = O(n_R) total instead of
   /// O(slots x n_R)), and keep span-relative indexing a pure function of
   /// the BeginPass-time plan so VisitSlotState round-trips stay exact.
-  /// Null for the M strategy (its morsels are fact rows, and it is never
-  /// factorized) and on the mini-batch plane. Tables i >= 1 of a
-  /// multi-way join are NOT covered — their rids are unordered within a
-  /// chunk, so per-rid state for them stays full-domain.
+  /// Null for the M strategy (its morsels are fact rows, and it factors
+  /// no table) and on the mini-batch plane. Tables i >= 1 of a multi-way
+  /// join are NOT covered — their rids are unordered within a chunk, so
+  /// per-rid state for them stays full-domain.
   const std::vector<exec::Range>* slot_rid_spans = nullptr;
-
-  bool factorized() const { return algorithm == Algorithm::kFactorized; }
 };
 
 /// The table-0 rid span accumulator slot `slot` observes, under the
@@ -82,55 +86,36 @@ inline exec::Range SlotRidSpan(const PipelineContext& ctx, int slot,
   return (*ctx.slot_rid_spans)[s];
 }
 
-/// A block of fully joined rows as the M/S strategies deliver them, on
-/// both planes (AccumulateDense and OnDenseBatch), as column-major strips
-/// (storage::ColumnStrips) in T's layout: the M strategy decodes T's
-/// pages straight into them (a mini-batch's row ranges into one block),
-/// the S strategy assembles each joined row straight into them. Feature
-/// column j of the model lives at strip column `strip_col0 + j` and the
-/// target (if any) at `strip_y_col`.
-struct DenseBlock {
+/// A block of rows as every strategy delivers it, on both planes. The
+/// strips (storage::ColumnStrips) hold the model's slice of each row
+/// column-major: the target (if any) at strip column 0, then the
+/// ctx.slice_cols feature columns. M decodes T's pages straight into them
+/// (a mini-batch's row ranges into one block), S assembles each joined row
+/// into them, F transposes the S slice. Only F fills `s_rows` (the rows
+/// with their foreign keys) and `groups` (the rows grouped by R1 rid, so
+/// per-attribute-tuple work can be reused): with no factored table there
+/// is nothing to reach through them.
+struct Block {
   int64_t start_row = 0;  // global fact-row id of row 0
   size_t num_rows = 0;
   const storage::ColumnStrips* strips = nullptr;
-  size_t strip_col0 = 0;
-  int strip_y_col = -1;
-
-  /// Feature column j / the target column of one strip, as contiguous
-  /// runs of strips->RowsInStrip(s) doubles.
-  const double* StripX(size_t s, size_t j) const {
-    return strips->Col(s, strip_col0 + j);
-  }
-  const double* StripY(size_t s) const {
-    return strips->Col(s, static_cast<size_t>(strip_y_col));
-  }
-};
-
-/// A block of *normalized* rows as the F strategy delivers them: the S
-/// slice plus foreign keys of every row (`s_rows`), with the rows grouped
-/// by their R1 rid (`groups`) so per-attribute-tuple work can be reused.
-/// Attribute features are reached through PipelineContext::views.
-struct FactorizedBlock {
   const storage::RowBatch* s_rows = nullptr;
-  const std::vector<join::JoinGroup>* groups = nullptr;
-  /// s_rows' feature columns (target included, at column 0 when present)
-  /// as column-major strips, transposed by the F driver: the S-slice work
-  /// runs on these, the group-structured attribute work on s_rows' keys.
-  const storage::ColumnStrips* s_strips = nullptr;
+  std::span<const join::JoinGroup> groups;
 };
 
 /// The model plane of the training pipeline. A ModelProgram owns the model
 /// parameters and the per-pass math; it never touches storage, joins,
 /// partitioning, or threads — the AccessStrategy (data-access plane) owns
 /// those and calls back into the hooks below. Adding a new model family is
-/// one subclass; it gets all three execution strategies (M/S/F) and the
-/// exec/ parallel runtime for free.
+/// one subclass with one data hook — Accumulate or OnBatch, written once
+/// against PipelineContext::factored_tables — and it gets all three
+/// execution strategies (M/S/F) and the exec/ parallel runtime for free.
 ///
 /// Full-pass driving sequence (kFullPass), per iteration i:
 ///   for pass p in 0..NumPasses(i):
 ///     strategy reloads per-pass inputs (S/F: attribute views)
 ///     BeginPass(ctx, i, p, slots)            — build caches, zero accums
-///     each chunk c calls Accumulate{Dense,Factorized}(p, c, block)  — hot
+///     each chunk c calls Accumulate(p, c, block)   — hot
 ///     MergeSlots(model, p, {0, slots})        — chunk-order reduction
 ///       (--shards > 1: the slots are first round-tripped through
 ///       ShardDelta bytes via VisitSlotState, then merged in the same
@@ -144,7 +129,7 @@ struct FactorizedBlock {
 ///   for each planned batch, built by the same strip builder as the
 ///   strategy's full pass (M: T's page decode, S: join assembly, F: the
 ///   S-slice transpose):
-///     OnDenseBatch(ctx, DenseBlock) or OnFactorizedBatch(ctx, block)
+///     OnBatch(ctx, block)
 ///   EndIteration(ctx, e) -> stop?
 class ModelProgram {
  public:
@@ -186,14 +171,9 @@ class ModelProgram {
     (void)ctx, (void)iter, (void)pass, (void)slots;
     return Status::OK();
   }
-  virtual void AccumulateDense(int pass, int slot, const DenseBlock& block) {
+  virtual void Accumulate(int pass, int slot, const Block& block) {
     (void)pass, (void)slot, (void)block;
-    FML_CHECK(false) << Name() << ": dense full-pass hook not implemented";
-  }
-  virtual void AccumulateFactorized(int pass, int slot,
-                                    const FactorizedBlock& block) {
-    (void)pass, (void)slot, (void)block;
-    FML_CHECK(false) << Name() << ": factorized full-pass hook not implemented";
+    FML_CHECK(false) << Name() << ": full-pass hook not implemented";
   }
   /// The one description of an accumulator slot: visits every double of
   /// slot `slot`'s post-scan state for `pass` as contiguous spans, each
@@ -263,17 +243,9 @@ class ModelProgram {
     (void)ctx, (void)epoch;
     return Status::OK();
   }
-  virtual Status OnDenseBatch(const PipelineContext& ctx,
-                              const DenseBlock& batch) {
+  virtual Status OnBatch(const PipelineContext& ctx, const Block& batch) {
     (void)ctx, (void)batch;
-    FML_CHECK(false) << Name() << ": dense mini-batch hook not implemented";
-    return Status::OK();
-  }
-  virtual Status OnFactorizedBatch(const PipelineContext& ctx,
-                                   const FactorizedBlock& batch) {
-    (void)ctx, (void)batch;
-    FML_CHECK(false) << Name()
-                     << ": factorized mini-batch hook not implemented";
+    FML_CHECK(false) << Name() << ": mini-batch hook not implemented";
     return Status::OK();
   }
 

@@ -92,7 +92,11 @@ Status RunTrainingAttempt(const join::NormalizedRelations& rel,
   ctx.pool = pool;
   ctx.report = report;
   ctx.threads = resolved.threads;
-  ctx.algorithm = algorithm;
+  // F hands the model the S slice and the q attribute tables; M and S
+  // hand it the whole joined row.
+  const bool factored = algorithm == Algorithm::kFactorized;
+  ctx.slice_cols = factored ? rel.ds() : rel.total_dims();
+  ctx.factored_tables = factored ? rel.num_joins() : 0;
 
   FML_ASSIGN_OR_RETURN(
       std::unique_ptr<AccessStrategy> strategy,
@@ -275,12 +279,6 @@ Status RunTraining(const join::NormalizedRelations& rel, Algorithm algorithm,
                                    " training requires a target column");
   }
   FML_RETURN_IF_ERROR(model->ValidateOptions(rel));
-  if (algorithm == Algorithm::kFactorized && (caps & kFactorized) == 0) {
-    return Status::InvalidArgument(
-        std::string(model->Name()) +
-        " does not implement the factorized hooks; use the materialized or "
-        "streaming strategy");
-  }
   FML_CHECK((caps & (kFullPass | kMiniBatch)) != 0 &&
             (caps & (kFullPass | kMiniBatch)) != (kFullPass | kMiniBatch))
       << model->Name() << ": exactly one driving plane must be declared";

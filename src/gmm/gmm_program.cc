@@ -1,7 +1,8 @@
 // GMM as a core/pipeline ModelProgram: the EM recurrence of the paper
 // (Algorithm 1 / Sec. V) expressed as three full passes per iteration —
-// e_step, m_step_mean, m_step_cov — with a dense strip path shared by the
-// M and S strategies and the factorized path of F-GMM (Eqs. 19-24).
+// e_step, m_step_mean, m_step_cov — written once as F-GMM (Eqs. 19-24):
+// under M and S the slice is the whole joined row and no table is
+// factored, where those equations are the dense EM updates.
 // core::TrainGmm, at the end of this file, runs it under any strategy.
 // F-GMM's per-rid responsibility mass (the Eq. 22 mean factorization,
 // reused for the deferred covariance diagonal blocks) lives in
@@ -30,11 +31,9 @@ namespace factorml::gmm {
 
 namespace {
 
-using core::pipeline::DenseBlock;
-using core::pipeline::FactorizedBlock;
+using core::pipeline::Block;
 using core::pipeline::PipelineContext;
 using internal::Responsibilities;
-using join::AttributeTableView;
 using la::Matrix;
 
 /// Subtracts mu (length d) from x into diff, counting the d subtractions
@@ -56,17 +55,17 @@ struct CenteredCache {
   std::vector<std::vector<double>> diag;
 };
 
-/// Rebuilds the centered caches against the current means. `with_diag`
-/// additionally caches the diagonal quadratic form (E-step only).
-void BuildCenteredCaches(const std::vector<AttributeTableView>& views,
-                         const GmmParams& params,
+/// Rebuilds the factored tables' centered caches against the current
+/// means. `with_diag` additionally caches the diagonal quadratic form
+/// (E-step only).
+void BuildCenteredCaches(const PipelineContext& ctx, const GmmParams& params,
                          const std::vector<size_t>& attr_offset,
                          const GmmDensity* density, bool with_diag,
                          std::vector<CenteredCache>* caches) {
   const size_t k = params.num_components();
-  caches->resize(views.size());
-  for (size_t i = 0; i < views.size(); ++i) {
-    const Matrix& feats = views[i].feats();
+  caches->resize(ctx.factored_tables);
+  for (size_t i = 0; i < ctx.factored_tables; ++i) {
+    const Matrix& feats = (*ctx.views)[i].feats();
     const size_t n_ri = feats.rows();
     const size_t d_ri = feats.cols();
     auto& cache = (*caches)[i];
@@ -103,7 +102,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     return EncodeShardJob(opt_);
   }
   uint32_t Capabilities() const override {
-    return core::pipeline::kFullPass | core::pipeline::kFactorized;
+    return core::pipeline::kFullPass;
   }
   int MaxIterations() const override { return opt_.max_iters; }
   Status ValidateOptions(const join::NormalizedRelations& rel) const override {
@@ -145,11 +144,10 @@ class GmmProgram final : public core::pipeline::ModelProgram {
 
   Status Init(const PipelineContext& ctx) override {
     rel_ = ctx.rel;
-    factorized_ = ctx.factorized();
     k_ = opt_.num_components;
     d_ = rel_->total_dims();
-    ds_ = rel_->ds();
-    q_ = rel_->num_joins();
+    ds_ = ctx.slice_cols;
+    q_ = ctx.factored_tables;
     y_off_ = rel_->has_target ? 1 : 0;
     n_ = rel_->s.num_rows();
     attr_offset_.resize(q_);
@@ -170,11 +168,9 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     switch (pass) {
       case kEStep: {
         FML_ASSIGN_OR_RETURN(density_, GmmDensity::From(params_));
-        if (factorized_) {
-          // Once per R tuple: centered slices and diagonal quadratic blocks.
-          BuildCenteredCaches(*ctx.views, params_, attr_offset_, &density_,
-                              /*with_diag=*/true, &caches_);
-        }
+        // Once per R tuple: centered slices and diagonal quadratic blocks.
+        BuildCenteredCaches(ctx, params_, attr_offset_, &density_,
+                            /*with_diag=*/true, &caches_);
         ll_sum_ = 0.0;
         std::fill(resp_.n_k.begin(), resp_.n_k.end(), 0.0);
         for (auto& acc : acc_) {
@@ -186,19 +182,16 @@ class GmmProgram final : public core::pipeline::ModelProgram {
         break;
       }
       case kMeanStep: {
-        const size_t mu_len = k_ * (factorized_ ? ds_ : d_);
-        mu_sum_.assign(mu_len, 0.0);
-        for (auto& acc : acc_) acc.mu_sum.assign(mu_len, 0.0);
-        if (factorized_) mass_.BeginPass(ctx, k_, workers);
+        mu_sum_.assign(k_ * ds_, 0.0);
+        for (auto& acc : acc_) acc.mu_sum.assign(k_ * ds_, 0.0);
+        mass_.BeginPass(ctx, k_, workers);
         break;
       }
       case kCovStep: {
-        if (factorized_) {
-          // Centered caches against the *updated* means; no diagonal quad
-          // cache is needed here.
-          BuildCenteredCaches(*ctx.views, params_, attr_offset_, nullptr,
-                              /*with_diag=*/false, &caches_);
-        }
+        // Centered caches against the *updated* means; no diagonal quad
+        // cache is needed here.
+        BuildCenteredCaches(ctx, params_, attr_offset_, nullptr,
+                            /*with_diag=*/false, &caches_);
         for (size_t c = 0; c < k_; ++c) sigma_sum_[c].Resize(d_, d_);
         for (auto& acc : acc_) {
           acc.sigma.assign(k_, Matrix());
@@ -211,105 +204,9 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     return Status::OK();
   }
 
-  /// The three dense passes (Lines 4-8, 10-15 and 16-21 of Algorithm 1)
-  /// over the block's strips. The component-structured kernels work on a
-  /// centered d x rows strip (diff[i*rows + r]); the per-row posterior
-  /// normalization stays row-at-a-time so its exp/log stream is the same
-  /// on every backend. Every kernel call is charged the op counts of the
-  /// per-row loop it batches.
-  void AccumulateDense(int pass, int worker, const DenseBlock& block) override {
-    Acc& acc = acc_[static_cast<size_t>(worker)];
-    static obs::Histogram* batch_micros =
-        obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
-    const storage::ColumnStrips& st = *block.strips;
-    const la::Kernels& kern = la::Active();
-    std::vector<const double*> cols(d_);
-    std::vector<double> diffm;          // centered strip, d x rows row-major
-    std::vector<const double*> dptr;    // row pointers into diffm
-    std::vector<double> gbuf;           // contiguous per-component gammas
-    Matrix qbuf;                        // k x rows quadratic forms
-    if (pass != kMeanStep) {
-      diffm.resize(d_ * st.strip_rows);
-      dptr.resize(d_);
-    }
-    if (pass == kEStep) qbuf.Resize(k_, st.strip_rows);
-    if (pass != kEStep) gbuf.resize(st.strip_rows);
-    for (size_t s = 0; s < st.num_strips; ++s) {
-      const size_t rows = st.RowsInStrip(s);
-      if (rows == 0) continue;
-      const uint64_t t0 = obs::NowMicros();
-      const int64_t base =
-          block.start_row + static_cast<int64_t>(st.StripStart(s));
-      for (size_t j = 0; j < d_; ++j) cols[j] = block.StripX(s, j);
-      switch (pass) {
-        case kEStep: {
-          for (size_t c = 0; c < k_; ++c) {
-            const double* mu = params_.mu.Row(c).data();
-            for (size_t i = 0; i < d_; ++i) {
-              const double* xi = cols[i];
-              double* di = diffm.data() + i * rows;
-              for (size_t r = 0; r < rows; ++r) di[r] = xi[r] - mu[i];
-            }
-            CountSubs(rows * d_);  // the per-row CenterInto stream
-            kern.quadform_strip(diffm.data(), d_, rows,
-                                density_.precision[c].data(),
-                                density_.precision[c].cols(),
-                                qbuf.Row(c).data());
-            CountMults(rows * (d_ * d_ + d_));  // the QuadForm stream
-            CountAdds(rows * (d_ * d_ + d_));
-          }
-          for (size_t r = 0; r < rows; ++r) {
-            for (size_t c = 0; c < k_; ++c) {
-              acc.logp[c] = density_.log_coeff[c] - 0.5 * qbuf(c, r);
-            }
-            double* gamma = resp_.Row(base + static_cast<int64_t>(r));
-            acc.ll +=
-                internal::PosteriorFromLogps(acc.logp.data(), k_, gamma);
-            for (size_t c = 0; c < k_; ++c) acc.n_k[c] += gamma[c];
-          }
-          break;
-        }
-        case kMeanStep: {
-          for (size_t c = 0; c < k_; ++c) {
-            // resp_ rows are k_-strided; the kernel wants one contiguous
-            // gamma column per component.
-            for (size_t r = 0; r < rows; ++r) {
-              gbuf[r] = resp_.Row(base + static_cast<int64_t>(r))[c];
-            }
-            kern.colsum_strip(cols.data(), d_, rows, gbuf.data(),
-                              acc.mu_sum.data() + c * d_);
-            CountMults(rows * d_);  // the per-row Axpy(gamma, x) stream
-            CountAdds(rows * d_);
-          }
-          break;
-        }
-        case kCovStep: {
-          for (size_t c = 0; c < k_; ++c) {
-            const double* mu = params_.mu.Row(c).data();
-            for (size_t i = 0; i < d_; ++i) {
-              const double* xi = cols[i];
-              double* di = diffm.data() + i * rows;
-              for (size_t r = 0; r < rows; ++r) di[r] = xi[r] - mu[i];
-              dptr[i] = di;
-            }
-            CountSubs(rows * d_);
-            for (size_t r = 0; r < rows; ++r) {
-              gbuf[r] = resp_.Row(base + static_cast<int64_t>(r))[c];
-            }
-            kern.syrk_strip(dptr.data(), d_, rows, gbuf.data(),
-                            acc.sigma[c].data(), acc.sigma[c].cols());
-            CountMults(rows * (d_ * d_ + d_));  // the AddOuter stream
-            CountAdds(rows * d_ * d_);
-          }
-          break;
-        }
-      }
-      batch_micros->Record(obs::NowMicros() - t0);
-    }
-  }
-
-  /// The three factorized passes (Eqs. 19-24). The S-slice work runs on
-  /// the driver-packed strips (`quadform_strip`, `colsum_strip`,
+  /// The three passes (Eqs. 19-24; with no factored table, Lines 4-8,
+  /// 10-15 and 16-21 of Algorithm 1). The slice work runs on the
+  /// driver-packed strips (`quadform_strip`, `colsum_strip`,
   /// `syrk_strip`); the FK1 group structure turns the table-0 attribute
   /// terms into per-run strip work (one precision-slice product per R1
   /// tuple, then `col_dot_strip` / a single outer product of the run's
@@ -318,19 +215,16 @@ class GmmProgram final : public core::pipeline::ModelProgram {
   /// stay row-at-a-time over the centered strip. Every kernel call is
   /// charged the exact op counts of the per-row formula it replaces, and
   /// the posterior exp stream is the same on every backend.
-  void AccumulateFactorized(int pass, int worker,
-                            const FactorizedBlock& block) override {
+  void Accumulate(int pass, int worker, const Block& block) override {
     Acc& acc = acc_[static_cast<size_t>(worker)];
     static obs::Histogram* batch_micros =
         obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
-    const storage::ColumnStrips& st = *block.s_strips;
-    const storage::RowBatch& s_rows = *block.s_rows;
-    const std::vector<join::JoinGroup>& groups = *block.groups;
+    const storage::ColumnStrips& st = *block.strips;
     const la::Kernels& kern = la::Active();
     const size_t dr0 = q_ > 0 ? rel_->dr(0) : 0;
 
-    std::vector<const double*> cols(ds_);  // S feature strip columns
-    std::vector<double> diffm;             // centered S slice, ds x rows
+    std::vector<const double*> cols(ds_);  // slice feature strip columns
+    std::vector<double> diffm;             // centered slice, ds x rows
     std::vector<const double*> dptr(ds_);  // row pointers into diffm
     std::vector<double> gbuf;              // contiguous per-component gammas
     std::vector<double> vbuf;              // per-run precision-slice product
@@ -353,7 +247,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
       if (rows == 0) continue;
       const uint64_t t0 = obs::NowMicros();
       const size_t row0 = st.StripStart(s);
-      const int64_t base = s_rows.start_row + static_cast<int64_t>(row0);
+      const int64_t base = block.start_row + static_cast<int64_t>(row0);
       for (size_t j = 0; j < ds_; ++j) cols[j] = st.Col(s, y_off_ + j);
       switch (pass) {
         case kEStep: {
@@ -376,7 +270,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
             // block adds per row. Charged with the per-row Bilinear
             // formulas the run replaces.
             double* qrow = qbuf.Row(c).data();
-            for (const auto& g : groups) {
+            for (const auto& g : block.groups) {
               const size_t lo = std::max(g.offset, row0);
               const size_t hi = std::min(g.offset + g.count, row0 + rows);
               if (lo >= hi) continue;
@@ -432,7 +326,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
                 for (size_t i = 0; i < ds_; ++i) {
                   pds[i] = cols[i][r] - mu[i];
                 }
-                const int64_t* keys = s_rows.KeysOf(row0 + r);
+                const int64_t* keys = block.s_rows->KeysOf(row0 + r);
                 double extra = 0.0;
                 for (size_t i = 0; i < q_; ++i) {
                   const int64_t rid = keys[rel_->FkKeyIndex(i)];
@@ -501,7 +395,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
             for (size_t i = 0; i < q_; ++i) {
               for (size_t r = 0; r < rows; ++r) {
                 mass_.Add(worker, i, c,
-                          s_rows.KeysOf(row0 + r)[rel_->FkKeyIndex(i)],
+                          block.s_rows->KeysOf(row0 + r)[rel_->FkKeyIndex(i)],
                           gbuf[r]);
               }
             }
@@ -530,7 +424,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
             // Table-0 cross blocks per FK1 run: the responsibility-
             // weighted centered-row sum collapses the run to ONE outer
             // product per R1 tuple (and its mirror without symmetry).
-            for (const auto& g : groups) {
+            for (const auto& g : block.groups) {
               const size_t lo = std::max(g.offset, row0);
               const size_t hi = std::min(g.offset + g.count, row0 + rows);
               if (lo >= hi) continue;
@@ -564,7 +458,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
                   pds[i] = diffm[i * rows + r];
                 }
                 const double gamma_c = gbuf[r];
-                const int64_t* keys = s_rows.KeysOf(row0 + r);
+                const int64_t* keys = block.s_rows->KeysOf(row0 + r);
                 for (size_t i = 0; i < q_; ++i) {
                   const int64_t rid = keys[rel_->FkKeyIndex(i)];
                   const double* pdr = caches_[i].pd[c].Row(rid).data();
@@ -613,7 +507,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
         break;
       case kMeanStep:
         visit(acc.mu_sum.data(), mu_sum_.data(), acc.mu_sum.size());
-        if (factorized_) mass_.VisitSlot(slot, visit);
+        mass_.VisitSlot(slot, visit);
         break;
       case kCovStep:
         for (size_t c = 0; c < k_; ++c) {
@@ -641,24 +535,23 @@ class GmmProgram final : public core::pipeline::ModelProgram {
         // Deferred m-step work outside the scan: reported as "finalize"
         // next to the e_step / m_step_* pass times.
         core::PhaseScope phase(ctx.report, "finalize");
-        // The mean from the per-tuple sums (the whole row, or the S slice
-        // when factorized); factorized, the R slices come from per-rid
-        // responsibility mass times the attribute features (Eq. 22).
-        const size_t slice = factorized_ ? ds_ : d_;
+        // The mean's slice from the per-tuple sums; the factored tables'
+        // slices come from per-rid responsibility mass times the
+        // attribute features (Eq. 22).
         for (size_t c = 0; c < k_; ++c) {
           const double inv_nk = 1.0 / std::max(resp_.n_k[c], 1e-300);
           double* mu_row = params_.mu.Row(c).data();
-          for (size_t j = 0; j < slice; ++j) {
-            mu_row[j] = mu_sum_[c * slice + j] * inv_nk;
+          for (size_t j = 0; j < ds_; ++j) {
+            mu_row[j] = mu_sum_[c * ds_ + j] * inv_nk;
           }
-          CountMults(slice);
-          if (factorized_) mass_.MeanSlices(ctx, c, inv_nk, mu_row);
+          CountMults(ds_);
+          mass_.MeanSlices(ctx, c, inv_nk, mu_row);
         }
         break;
       }
       case kCovStep: {
         core::PhaseScope phase(ctx.report, "finalize");
-        if (factorized_ && opt_.exploit_symmetry) {
+        if (opt_.exploit_symmetry) {
           // Mirror the cross blocks that were accumulated single-sided: the
           // covariance accumulator is symmetric, so LL = UR^T exactly (one
           // O(d^2) copy per component per pass instead of per fact tuple).
@@ -683,20 +576,17 @@ class GmmProgram final : public core::pipeline::ModelProgram {
             }
           }
         }
-        if (factorized_) {
-          // Deferred diagonal blocks: one outer product per R tuple, scaled
-          // by the responsibility mass of its matching fact tuples (the
-          // mean pass's merged mass — same gamma).
-          for (size_t c = 0; c < k_; ++c) {
-            for (size_t i = 0; i < q_; ++i) {
-              const size_t dri = rel_->dr(i);
-              const size_t n_ri = caches_[i].pd[c].rows();
-              for (size_t rid = 0; rid < n_ri; ++rid) {
-                const double* pdr = caches_[i].pd[c].Row(rid).data();
-                la::AddOuter(mass_.merged(i)(c, rid), pdr, dri, pdr, dri,
-                             &sigma_sum_[c], attr_offset_[i],
-                             attr_offset_[i]);
-              }
+        // Deferred diagonal blocks: one outer product per R tuple, scaled
+        // by the responsibility mass of its matching fact tuples (the mean
+        // pass's merged mass — same gamma).
+        for (size_t c = 0; c < k_; ++c) {
+          for (size_t i = 0; i < q_; ++i) {
+            const size_t dri = rel_->dr(i);
+            const size_t n_ri = caches_[i].pd[c].rows();
+            for (size_t rid = 0; rid < n_ri; ++rid) {
+              const double* pdr = caches_[i].pd[c].Row(rid).data();
+              la::AddOuter(mass_.merged(i)(c, rid), pdr, dri, pdr, dri,
+                           &sigma_sum_[c], attr_offset_[i], attr_offset_[i]);
             }
           }
         }
@@ -745,14 +635,15 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     double ll = 0.0;
     std::vector<double> n_k;
     std::vector<double> logp;
-    std::vector<double> diff;     // centered S slice (factorized, q > 1)
-    std::vector<double> mu_sum;   // k * d (dense) or k * ds (factorized)
+    std::vector<double> diff;     // centered slice (q > 1 only)
+    std::vector<double> mu_sum;   // k * ds
     std::vector<Matrix> sigma;    // k of d x d
   };
 
   GmmOptions opt_;
   const join::NormalizedRelations* rel_ = nullptr;
-  bool factorized_ = false;
+  // ds_ and q_ are what the strategy hands over: the slice width and the
+  // factored table count (d and 0 under M/S, d_S and q under F).
   size_t k_ = 0, d_ = 0, ds_ = 0, q_ = 0, y_off_ = 0;
   int64_t n_ = 0;
   std::vector<size_t> attr_offset_;
@@ -762,7 +653,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
   Responsibilities resp_;
   std::vector<CenteredCache> caches_;
   std::vector<Acc> acc_;
-  /// Per-rid responsibility mass of the factorized mean pass; the merged
+  /// Per-rid responsibility mass of the mean pass; the merged
   /// mass also scales the cov pass's deferred diagonal blocks.
   RidMass mass_{/*skip_zero_mass=*/false};
 

@@ -9,11 +9,11 @@ namespace factorml::gmm {
 
 void RidMass::BeginPass(const core::pipeline::PipelineContext& ctx, size_t k,
                         int workers) {
-  const std::vector<join::AttributeTableView>& views = *ctx.views;
-  const size_t q = views.size();
+  const size_t q = ctx.factored_tables;
+  const auto n_ri = [&](size_t i) { return (*ctx.views)[i].feats().rows(); };
   merged_.resize(q);
-  for (size_t i = 0; i < q; ++i) merged_[i].Resize(k, views[i].feats().rows());
-  const auto n_r0 = static_cast<int64_t>(views[0].feats().rows());
+  for (size_t i = 0; i < q; ++i) merged_[i].Resize(k, n_ri(i));
+  const auto n_r0 = q > 0 ? static_cast<int64_t>(n_ri(0)) : 0;
   slots_.resize(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) {
     // Slot w only ever sees table-0 rids inside its morsel range, so its
@@ -24,8 +24,7 @@ void RidMass::BeginPass(const core::pipeline::PipelineContext& ctx, size_t k,
     s.base0 = span.begin;
     s.mass.resize(q);
     for (size_t i = 0; i < q; ++i) {
-      s.mass[i].Resize(k, i == 0 ? static_cast<size_t>(span.size())
-                                 : views[i].feats().rows());
+      s.mass[i].Resize(k, i == 0 ? static_cast<size_t>(span.size()) : n_ri(i));
     }
   }
 }
@@ -33,6 +32,7 @@ void RidMass::BeginPass(const core::pipeline::PipelineContext& ctx, size_t k,
 void RidMass::VisitSlot(
     int slot, const std::function<void(double*, double*, size_t)>& visit) {
   Slot& s = slots_[static_cast<size_t>(slot)];
+  if (s.mass.empty()) return;  // no factored table
   // Table 0 is a k x span block of the k x n_R0 merged matrix, so it goes
   // row by row (row-major: the same double stream as one whole block).
   la::Matrix& m0 = s.mass[0];

@@ -29,7 +29,8 @@ class RidMass {
   explicit RidMass(bool skip_zero_mass) : skip_zero_mass_(skip_zero_mass) {}
 
   /// Sizes `workers` zeroed slots and the zeroed merged mass for `k`
-  /// components. The merged mass stays readable until the next BeginPass.
+  /// components, one table per ctx.factored_tables (none under M/S). The
+  /// merged mass stays readable until the next BeginPass.
   void BeginPass(const core::pipeline::PipelineContext& ctx, size_t k,
                  int workers);
 

@@ -1,7 +1,9 @@
 // Lloyd's k-means as a core/pipeline ModelProgram: one "assign" full pass
 // per iteration computes the nearest centroid, the inertia and the
-// per-cluster statistics; EndPass recomputes the centroids. The factorized
-// path reuses the F-GMM centered-cache idea in its purest form: squared
+// per-cluster statistics; EndPass recomputes the centroids. The pass is
+// written once, factorized (under M and S no table is factored and it is
+// plain Lloyd over the joined row). It reuses the F-GMM centered-cache
+// idea in its purest form: squared
 // Euclidean distance decomposes over the join's column blocks with no
 // cross terms, so ||x - mu_c||^2 = ||xs - mu_c,S||^2 + sum_i D_i[c][rid_i]
 // where D_i[c][rid] = ||x_Ri - mu_c,Ri||^2 is computed once per attribute
@@ -31,8 +33,7 @@ namespace factorml::kmeans {
 
 namespace {
 
-using core::pipeline::DenseBlock;
-using core::pipeline::FactorizedBlock;
+using core::pipeline::Block;
 using core::pipeline::PipelineContext;
 using la::Matrix;
 
@@ -60,7 +61,7 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     return EncodeShardJob(opt_);
   }
   uint32_t Capabilities() const override {
-    return core::pipeline::kFullPass | core::pipeline::kFactorized;
+    return core::pipeline::kFullPass;
   }
   int MaxIterations() const override { return opt_.max_iters; }
   const char* PassName(int) const override { return "assign"; }
@@ -82,11 +83,9 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
 
   Status Init(const PipelineContext& ctx) override {
     rel_ = ctx.rel;
-    factorized_ = ctx.factorized();
     k_ = opt_.num_clusters;
-    d_ = rel_->total_dims();
-    ds_ = rel_->ds();
-    q_ = rel_->num_joins();
+    ds_ = ctx.slice_cols;
+    q_ = ctx.factored_tables;
     y_off_ = rel_->has_target ? 1 : 0;
     n_ = rel_->s.num_rows();
     attr_offset_.resize(q_);
@@ -107,108 +106,60 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
   }
 
   Status BeginPass(const PipelineContext& ctx, int, int, int workers) override {
-    if (factorized_) {
-      // Once per attribute tuple per pass: the per-cluster squared
-      // distance of its feature slice (the reusable diagonal block; cf.
-      // F-GMM's centered caches, Eq. 20, but with no cross terms).
-      dcache_.resize(q_);
-      for (size_t i = 0; i < q_; ++i) {
-        const Matrix& feats = (*ctx.views)[i].feats();
-        const size_t n_ri = feats.rows();
-        const size_t dri = feats.cols();
-        dcache_[i].Resize(k_, n_ri);
-        for (size_t c = 0; c < k_; ++c) {
-          const double* mu_slice =
-              model_.centroids.Row(c).data() + attr_offset_[i];
-          for (size_t rid = 0; rid < n_ri; ++rid) {
-            dcache_[i](c, rid) =
-                SquaredDistance(feats.Row(rid).data(), mu_slice, dri);
-          }
+    // Once per attribute tuple per pass: the per-cluster squared distance
+    // of its feature slice (the reusable diagonal block; cf. F-GMM's
+    // centered caches, Eq. 20, but with no cross terms).
+    dcache_.resize(q_);
+    for (size_t i = 0; i < q_; ++i) {
+      const Matrix& feats = (*ctx.views)[i].feats();
+      const size_t n_ri = feats.rows();
+      const size_t dri = feats.cols();
+      dcache_[i].Resize(k_, n_ri);
+      for (size_t c = 0; c < k_; ++c) {
+        const double* mu_slice =
+            model_.centroids.Row(c).data() + attr_offset_[i];
+        for (size_t rid = 0; rid < n_ri; ++rid) {
+          dcache_[i](c, rid) =
+              SquaredDistance(feats.Row(rid).data(), mu_slice, dri);
         }
       }
     }
     inertia_sum_ = 0.0;
     counts_.assign(k_, 0.0);
-    const size_t slice = factorized_ ? ds_ : d_;
-    sums_.assign(k_ * slice, 0.0);
+    sums_.assign(k_ * ds_, 0.0);
     acc_.resize(static_cast<size_t>(workers));
     for (Acc& acc : acc_) {
       acc.inertia = 0.0;
       acc.counts.assign(k_, 0.0);
-      acc.sums.assign(k_ * slice, 0.0);
+      acc.sums.assign(k_ * ds_, 0.0);
     }
-    if (factorized_) mass_.BeginPass(ctx, k_, workers);
+    mass_.BeginPass(ctx, k_, workers);
     return Status::OK();
   }
 
-  /// The dense assign pass: one distance block per centroid via
-  /// dist_strip, then a per-row argmin over the block with a strict-<
-  /// first-wins tie rule. The per-column scatter into sums visits each
-  /// accumulator entry in row order. Charges are the exact per-row op
-  /// counts.
-  void AccumulateDense(int, int worker, const DenseBlock& block) override {
+  /// The assign pass: the slice distances come from dist_strip over the
+  /// strip-packed slice columns, one distance block per centroid; the cached
+  /// per-attribute-tuple distances are gathered onto the distance block
+  /// over the FK rid columns (i-ascending per element, the block-separable
+  /// distance in table order). A per-row argmin over the block with a
+  /// strict-< first-wins tie rule picks the cluster; the per-column
+  /// scatter into sums visits each accumulator entry in row order, and
+  /// the per-rid assignment mass is added in row order. Charges are the
+  /// exact per-row op counts.
+  void Accumulate(int, int worker, const Block& block) override {
     Acc& acc = acc_[static_cast<size_t>(worker)];
     static obs::Histogram* batch_micros =
         obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
     const storage::ColumnStrips& st = *block.strips;
-    const la::Kernels& kern = la::Active();
-    std::vector<const double*> cols(d_);
-    Matrix dist(k_, st.strip_rows);
-    for (size_t s = 0; s < st.num_strips; ++s) {
-      const size_t rows = st.RowsInStrip(s);
-      if (rows == 0) continue;
-      const uint64_t t0 = obs::NowMicros();
-      for (size_t j = 0; j < d_; ++j) cols[j] = block.StripX(s, j);
-      for (size_t c = 0; c < k_; ++c) {
-        kern.dist_strip(cols.data(), d_, rows, model_.centroids.Row(c).data(),
-                        dist.Row(c).data());
-      }
-      CountSubs(rows * k_ * d_);
-      CountMults(rows * k_ * d_);
-      CountAdds(rows * k_ * d_);
-      for (size_t r = 0; r < rows; ++r) {
-        size_t best = 0;
-        double best_dist = std::numeric_limits<double>::infinity();
-        for (size_t c = 0; c < k_; ++c) {
-          const double dc = dist(c, r);
-          if (dc < best_dist) {
-            best_dist = dc;
-            best = c;
-          }
-        }
-        acc.inertia += best_dist;
-        acc.counts[best] += 1.0;
-        double* sum = acc.sums.data() + best * d_;
-        for (size_t j = 0; j < d_; ++j) sum[j] += cols[j][r];
-      }
-      CountMults(rows * d_);  // the per-row Axpy(1.0, x) stream
-      CountAdds(rows * (d_ + 2));
-      batch_micros->Record(obs::NowMicros() - t0);
-    }
-  }
-
-  /// The factorized assign pass: the S-slice distances come from
-  /// dist_strip over the strip-packed S columns; the cached
-  /// per-attribute-tuple distances are gathered onto the distance block
-  /// over the FK rid columns (i-ascending per element, the block-separable
-  /// distance in table order), and the per-rid assignment mass is added in
-  /// row order. Charges are the exact per-row op counts.
-  void AccumulateFactorized(int, int worker,
-                            const FactorizedBlock& block) override {
-    Acc& acc = acc_[static_cast<size_t>(worker)];
-    static obs::Histogram* batch_micros =
-        obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
-    const storage::RowBatch& s_rows = *block.s_rows;
-    const storage::ColumnStrips& st = *block.s_strips;
     const la::Kernels& kern = la::Active();
     std::vector<const double*> cols(ds_);
     Matrix dist(k_, st.strip_rows);
     // FK rid columns, one per attribute table (uncharged index movement).
     std::vector<std::vector<int64_t>> ridx(q_);
     for (size_t i = 0; i < q_; ++i) {
-      ridx[i].resize(s_rows.num_rows);
-      for (size_t r = 0; r < s_rows.num_rows; ++r) {
-        ridx[i][r] = s_rows.KeysOf(r)[rel_->FkKeyIndex(i)];
+      ridx[i].resize(block.num_rows);
+      for (size_t r = 0; r < block.num_rows; ++r) {
+        ridx[i][r] = block.s_rows->KeysOf(r)[rel_->FkKeyIndex(i)];
       }
     }
     std::vector<size_t> best(st.strip_rows);
@@ -264,13 +215,12 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
   void VisitSlotState(
       int, int slot,
       const std::function<void(double*, double*, size_t)>& visit) override {
-    // One slot's assignment statistics (and, on the factorized path, its
-    // per-rid assignment mass).
+    // One slot's assignment statistics and its per-rid assignment mass.
     Acc& acc = acc_[static_cast<size_t>(slot)];
     visit(&acc.inertia, &inertia_sum_, 1);
     visit(acc.counts.data(), counts_.data(), acc.counts.size());
     visit(acc.sums.data(), sums_.data(), acc.sums.size());
-    if (factorized_) mass_.VisitSlot(slot, visit);
+    mass_.VisitSlot(slot, visit);
   }
 
   Status EndPass(const PipelineContext& ctx, int, int) override {
@@ -278,18 +228,17 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
     // deterministic rule shared by all strategies). Reported as the
     // "update" phase next to the "assign" pass time.
     core::PhaseScope phase(ctx.report, "update");
-    const size_t slice = factorized_ ? ds_ : d_;
     for (size_t c = 0; c < k_; ++c) {
       if (counts_[c] == 0.0) continue;
       const double inv = 1.0 / counts_[c];
       double* mu_row = model_.centroids.Row(c).data();
-      for (size_t j = 0; j < slice; ++j) {
-        mu_row[j] = sums_[c * slice + j] * inv;
+      for (size_t j = 0; j < ds_; ++j) {
+        mu_row[j] = sums_[c * ds_ + j] * inv;
       }
-      CountMults(slice);
-      // Attribute slices from per-rid assignment mass — F-GMM's
+      CountMults(ds_);
+      // Factored tables' slices from per-rid assignment mass — F-GMM's
       // factorized mean update (Eq. 22) with hard assignments.
-      if (factorized_) mass_.MeanSlices(ctx, c, inv, mu_row);
+      mass_.MeanSlices(ctx, c, inv, mu_row);
     }
     sums_.clear();
     model_.counts = counts_;
@@ -327,20 +276,21 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
   struct Acc {
     double inertia = 0.0;
     std::vector<double> counts;  // k
-    std::vector<double> sums;    // k * d (dense) or k * ds (factorized)
+    std::vector<double> sums;    // k * ds
   };
 
   KmeansOptions opt_;
   const join::NormalizedRelations* rel_ = nullptr;
-  bool factorized_ = false;
-  size_t k_ = 0, d_ = 0, ds_ = 0, q_ = 0, y_off_ = 0;
+  // ds_ and q_ are what the strategy hands over: the slice width and the
+  // factored table count (d and 0 under M/S, d_S and q under F).
+  size_t k_ = 0, ds_ = 0, q_ = 0, y_off_ = 0;
   int64_t n_ = 0;
   std::vector<size_t> attr_offset_;
 
   KmeansModel model_;
   std::vector<Matrix> dcache_;  // [i]: k x nRi squared slice distances
   std::vector<Acc> acc_;
-  /// Per-rid assignment mass of the factorized centroid update; rids with
+  /// Per-rid assignment mass of the centroid update; rids with
   /// no assigned fact tuple are skipped by the deferral.
   gmm::RidMass mass_{/*skip_zero_mass=*/true};
   double inertia_sum_ = 0.0;

@@ -19,10 +19,9 @@ Status GramCofactor::Validate(const char* family) const {
 
 void GramCofactor::Init(const core::pipeline::PipelineContext& ctx) {
   rel_ = ctx.rel;
-  factorized_ = ctx.factorized();
   d_ = rel_->total_dims();
-  ds_ = rel_->ds();
-  q_ = rel_->num_joins();
+  ds_ = ctx.slice_cols;
+  q_ = ctx.factored_tables;
   da_ = d_ + (intercept_ ? 1 : 0);
   attr_offset_.resize(q_);
   for (size_t i = 0; i < q_; ++i) attr_offset_[i] = rel_->FeatureOffset(i + 1);
@@ -32,7 +31,7 @@ void GramCofactor::BeginPass(const core::pipeline::PipelineContext& ctx,
                              int workers) {
   views_ = ctx.views;
   const auto n_r0 =
-      factorized_ ? static_cast<int64_t>((*ctx.views)[0].feats().rows()) : 0;
+      q_ > 0 ? static_cast<int64_t>((*ctx.views)[0].feats().rows()) : 0;
   // The merged per-rid masses stay full-domain; EndPass clears them, so
   // they are reallocated zeroed every pass (slots offset-add into them).
   Reset(ctx, static_cast<size_t>(n_r0), &merged_);
@@ -51,7 +50,6 @@ void GramCofactor::Reset(const core::pipeline::PipelineContext& ctx,
   acc->gram.Resize(da_, da_);  // Resize zero-fills
   acc->cvec.assign(da_, 0.0);
   acc->scalar = 0.0;
-  if (!factorized_) return;
   acc->wxsum.resize(q_);
   acc->wsum.resize(q_);
   acc->wzsum.resize(q_);
@@ -100,7 +98,6 @@ void GramCofactor::VisitSlot(
   visit(acc.gram.data(), m.gram.data(), acc.gram.rows() * acc.gram.cols());
   visit(acc.cvec.data(), m.cvec.data(), acc.cvec.size());
   visit(&acc.scalar, &m.scalar, 1);
-  if (!factorized_) return;
   // Table 0 is span-scoped per slot: it lands at the slot's span base of
   // the full-domain merged masses. Tables i>=1 are full-domain.
   for (size_t i = 0; i < q_; ++i) {
@@ -115,7 +112,7 @@ void GramCofactor::VisitSlot(
 void GramCofactor::EndPass(const core::pipeline::PipelineContext& ctx) {
   la::Matrix& gram = merged_.gram;
   std::vector<double>& cvec = merged_.cvec;
-  if (factorized_) {
+  if (q_ > 0) {
     const std::vector<la::Matrix>& wxsum = merged_.wxsum;
     const std::vector<std::vector<double>>& wsum = merged_.wsum;
     const std::vector<std::vector<double>>& wzsum = merged_.wzsum;

@@ -49,8 +49,8 @@ class GramCofactor {
   Status Validate(const char* family) const;
 
   void Init(const core::pipeline::PipelineContext& ctx);
-  /// Zeroes the merged equations and sizes `workers` zeroed slots; on the
-  /// factorized path also the per-rid masses (table 0 to each slot's
+  /// Zeroes the merged equations and sizes `workers` zeroed slots, with
+  /// the per-rid masses of every factored table (table 0 to each slot's
   /// rid span, merged masses full-domain).
   void BeginPass(const core::pipeline::PipelineContext& ctx, int workers);
 
@@ -100,11 +100,11 @@ class GramCofactor {
   }
 
   /// ModelProgram::VisitSlotState for one slot: gram, cvec, scalar, then
-  /// (factorized) each table's wxsum, wsum, wzsum.
+  /// each factored table's wxsum, wsum, wzsum.
   void VisitSlot(int slot,
                  const std::function<void(double*, double*, size_t)>& visit);
 
-  /// Applies the deferred per-attribute-tuple blocks (factorized) and
+  /// Applies the factored tables' deferred per-attribute-tuple blocks and
   /// mirrors the one-sided Gram into a full symmetric matrix.
   void EndPass(const core::pipeline::PipelineContext& ctx);
 
@@ -112,6 +112,8 @@ class GramCofactor {
   Result<std::vector<double>> Solve() const;
 
   size_t d() const { return d_; }
+  /// Attribute tables the strategy factors (0 under M/S: the dense feed).
+  size_t factored_tables() const { return q_; }
   size_t da() const { return da_; }
   const la::Matrix& gram() const { return merged_.gram; }
   const std::vector<double>& cvec() const { return merged_.cvec; }
@@ -126,7 +128,6 @@ class GramCofactor {
   bool intercept_;
   const join::NormalizedRelations* rel_ = nullptr;
   const std::vector<join::AttributeTableView>* views_ = nullptr;
-  bool factorized_ = false;
   size_t d_ = 0, ds_ = 0, q_ = 0, da_ = 0;
   std::vector<size_t> attr_offset_;
 

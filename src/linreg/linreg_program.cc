@@ -21,8 +21,7 @@ namespace factorml::linreg {
 
 namespace {
 
-using core::pipeline::DenseBlock;
-using core::pipeline::FactorizedBlock;
+using core::pipeline::Block;
 using core::pipeline::PipelineContext;
 
 class LinregProgram final : public core::pipeline::ModelProgram {
@@ -36,8 +35,7 @@ class LinregProgram final : public core::pipeline::ModelProgram {
     return EncodeShardJob(opt_);
   }
   uint32_t Capabilities() const override {
-    return core::pipeline::kFullPass | core::pipeline::kFactorized |
-           core::pipeline::kNeedsTarget;
+    return core::pipeline::kFullPass | core::pipeline::kNeedsTarget;
   }
   Status ValidateOptions(const join::NormalizedRelations&) const override {
     return normal_.Validate("linreg");
@@ -61,12 +59,25 @@ class LinregProgram final : public core::pipeline::ModelProgram {
     return Status::OK();
   }
 
-  /// The dense gram pass over the block's strips: GramCofactor's strip
-  /// update plus sum(y^2), chained into the slot's scalar in row order
-  /// (a 1 x 1 dot-form gemm_strip), charged the row loop's exact op
-  /// counts.
-  void AccumulateDense(int, int worker, const DenseBlock& block) override {
+  /// The gram pass, through GramCofactor's feed for what the strategy
+  /// hands over: with no factored table, the strip update over the
+  /// block's joined rows plus sum(y^2), chained into the slot's scalar in
+  /// row order (a 1 x 1 dot-form gemm_strip), charged the row loop's
+  /// exact op counts; under F, the per-fact-tuple factorized update.
+  void Accumulate(int, int worker, const Block& block) override {
     GramCofactor::Slot& acc = normal_.slot(worker);
+    if (normal_.factored_tables() > 0) {
+      const storage::RowBatch& s_rows = *block.s_rows;
+      for (size_t r = 0; r < s_rows.num_rows; ++r) {
+        const double y = s_rows.feats(r, 0);  // kNeedsTarget: column 0 is Y
+        normal_.AddFact(acc, s_rows.feats.Row(r).data() + 1, s_rows.KeysOf(r),
+                        1.0, y);
+        acc.scalar += y * y;
+        CountMults(1);
+        CountAdds(1);
+      }
+      return;
+    }
     static obs::Histogram* batch_micros =
         obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
     const storage::ColumnStrips& st = *block.strips;
@@ -75,29 +86,14 @@ class LinregProgram final : public core::pipeline::ModelProgram {
       const size_t rows = st.RowsInStrip(s);
       if (rows == 0) continue;
       const uint64_t t0 = obs::NowMicros();
-      for (size_t j = 0; j < cols.size(); ++j) cols[j] = block.StripX(s, j);
-      const double* y = block.StripY(s);
+      for (size_t j = 0; j < cols.size(); ++j) cols[j] = st.Col(s, 1 + j);
+      const double* y = st.Col(s, 0);  // kNeedsTarget: column 0 is Y
       normal_.AddStrip(acc, cols.data(), rows, nullptr, y);
       la::Active().gemm_strip(y, rows, y, rows, 1, 1, rows, &acc.scalar, 1,
                               /*trans_b=*/true, /*accumulate=*/true);
       CountMults(rows);
       CountAdds(rows);
       batch_micros->Record(obs::NowMicros() - t0);
-    }
-  }
-
-  void AccumulateFactorized(int, int worker,
-                            const FactorizedBlock& block) override {
-    GramCofactor::Slot& acc = normal_.slot(worker);
-    const storage::RowBatch& s_rows = *block.s_rows;
-    const size_t y_off = 1;  // kNeedsTarget: S feature column 0 is Y
-    for (size_t r = 0; r < s_rows.num_rows; ++r) {
-      const double y = s_rows.feats(r, 0);
-      normal_.AddFact(acc, s_rows.feats.Row(r).data() + y_off,
-                      s_rows.KeysOf(r), 1.0, y);
-      acc.scalar += y * y;
-      CountMults(1);
-      CountAdds(1);
     }
   }
 

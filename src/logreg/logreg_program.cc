@@ -30,8 +30,7 @@ namespace factorml::logreg {
 
 namespace {
 
-using core::pipeline::DenseBlock;
-using core::pipeline::FactorizedBlock;
+using core::pipeline::Block;
 using core::pipeline::PipelineContext;
 using linreg::GramCofactor;
 
@@ -49,8 +48,7 @@ class LogregProgram final : public core::pipeline::ModelProgram {
     return EncodeShardJob(opt_);
   }
   uint32_t Capabilities() const override {
-    return core::pipeline::kFullPass | core::pipeline::kFactorized |
-           core::pipeline::kNeedsTarget;
+    return core::pipeline::kFullPass | core::pipeline::kNeedsTarget;
   }
   Status ValidateOptions(const join::NormalizedRelations&) const override {
     if (opt_.max_iters < 1) {
@@ -72,32 +70,51 @@ class LogregProgram final : public core::pipeline::ModelProgram {
 
   Status BeginPass(const PipelineContext& ctx, int, int, int workers) override {
     normal_.BeginPass(ctx, workers);
-    if (ctx.factorized()) {
-      // eta's attribute part, once per R tuple per pass: the same
-      // per-attribute-tuple reuse the Gram deferral exploits.
-      const size_t q = rel_->num_joins();
-      rid_dot_.resize(q);
-      for (size_t i = 0; i < q; ++i) {
-        const la::Matrix& feats = (*ctx.views)[i].feats();
-        const size_t n_ri = feats.rows();
-        const size_t dri = feats.cols();
-        const double* beta_ri = beta_.data() + rel_->FeatureOffset(i + 1);
-        rid_dot_[i].resize(n_ri);
-        for (size_t rid = 0; rid < n_ri; ++rid) {
-          rid_dot_[i][rid] = la::Dot(feats.Row(rid).data(), beta_ri, dri);
-        }
+    // eta's factored-table parts, once per R tuple per pass: the same
+    // per-attribute-tuple reuse the Gram deferral exploits.
+    rid_dot_.resize(ctx.factored_tables);
+    for (size_t i = 0; i < ctx.factored_tables; ++i) {
+      const la::Matrix& feats = (*ctx.views)[i].feats();
+      const size_t n_ri = feats.rows();
+      const size_t dri = feats.cols();
+      const double* beta_ri = beta_.data() + rel_->FeatureOffset(i + 1);
+      rid_dot_[i].resize(n_ri);
+      for (size_t rid = 0; rid < n_ri; ++rid) {
+        rid_dot_[i][rid] = la::Dot(feats.Row(rid).data(), beta_ri, dri);
       }
     }
     return Status::OK();
   }
 
-  /// The dense IRLS pass over the block's strips. The linear response
-  /// and the weighted normal equations go through the la/ batch kernels;
-  /// Reweight stays per-row so the exp/log stream (and its op charges) is
-  /// the same on every backend. Each kernel is charged the exact op counts
-  /// of the per-row loop it batches.
-  void AccumulateDense(int, int worker, const DenseBlock& block) override {
+  /// The IRLS pass, through GramCofactor's feed for what the strategy
+  /// hands over. With no factored table it runs over the block's strips:
+  /// the linear response and the weighted normal equations go through the
+  /// la/ batch kernels, each charged the exact op counts of the per-row
+  /// loop it batches. Under F each fact tuple takes the factorized
+  /// response and update. Reweight stays per-row so the exp/log stream
+  /// (and its op charges) is the same on every backend.
+  void Accumulate(int, int worker, const Block& block) override {
     GramCofactor::Slot& acc = normal_.slot(worker);
+    const size_t q = normal_.factored_tables();
+    if (q > 0) {
+      const storage::RowBatch& s_rows = *block.s_rows;
+      const size_t ds = rel_->ds();
+      for (size_t r = 0; r < s_rows.num_rows; ++r) {
+        const double* xs = s_rows.feats.Row(r).data() + 1;  // after Y
+        const int64_t* keys = s_rows.KeysOf(r);
+        // Factorized response: S part per tuple, attribute parts from the
+        // per-rid dot cache (one add per join).
+        double eta = la::Dot(xs, beta_.data(), ds) + Bias();
+        for (size_t i = 0; i < q; ++i) {
+          eta += rid_dot_[i][static_cast<size_t>(keys[rel_->FkKeyIndex(i)])];
+        }
+        CountAdds(q);
+        const auto [s, z] = Reweight(eta, s_rows.feats(r, 0), &acc.scalar);
+        CountMults(1);
+        normal_.AddFact(acc, xs, keys, s, s * z);
+      }
+      return;
+    }
     static obs::Histogram* batch_micros =
         obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
     const storage::ColumnStrips& st = *block.strips;
@@ -111,8 +128,8 @@ class LogregProgram final : public core::pipeline::ModelProgram {
       const size_t rows = st.RowsInStrip(s);
       if (rows == 0) continue;
       const uint64_t t0 = obs::NowMicros();
-      for (size_t j = 0; j < d; ++j) cols[j] = block.StripX(s, j);
-      const double* y = block.StripY(s);
+      for (size_t j = 0; j < d; ++j) cols[j] = st.Col(s, 1 + j);
+      const double* y = st.Col(s, 0);  // kNeedsTarget: column 0 is Y
       // eta = X beta (+ bias) — the per-row Dot stream, batched.
       la::Active().col_dot_strip(cols.data(), d, rows, beta_.data(),
                                  eta.data());
@@ -126,29 +143,6 @@ class LogregProgram final : public core::pipeline::ModelProgram {
       CountMults(rows);  // the per-row s * z products
       normal_.AddStrip(acc, cols.data(), rows, sw.data(), sz.data());
       batch_micros->Record(obs::NowMicros() - t0);
-    }
-  }
-
-  void AccumulateFactorized(int, int worker,
-                            const FactorizedBlock& block) override {
-    GramCofactor::Slot& acc = normal_.slot(worker);
-    const storage::RowBatch& s_rows = *block.s_rows;
-    const size_t y_off = 1;  // kNeedsTarget: S feature column 0 is Y
-    const size_t ds = rel_->ds();
-    const size_t q = rel_->num_joins();
-    for (size_t r = 0; r < s_rows.num_rows; ++r) {
-      const double* xs = s_rows.feats.Row(r).data() + y_off;
-      const int64_t* keys = s_rows.KeysOf(r);
-      // Factorized response: S part per tuple, attribute parts from the
-      // per-rid dot cache (one add per join).
-      double eta = la::Dot(xs, beta_.data(), ds) + Bias();
-      for (size_t i = 0; i < q; ++i) {
-        eta += rid_dot_[i][static_cast<size_t>(keys[rel_->FkKeyIndex(i)])];
-      }
-      CountAdds(q);
-      const auto [s, z] = Reweight(eta, s_rows.feats(r, 0), &acc.scalar);
-      CountMults(1);
-      normal_.AddFact(acc, xs, keys, s, s * z);
     }
   }
 

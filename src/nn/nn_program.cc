@@ -1,11 +1,11 @@
 // The MLP as a core/pipeline ModelProgram on the mini-batch plane: one
 // epoch = one ordered stream of whole-FK1-group batches (identical across
 // M/S/F, which is what makes the strategies' outputs comparable exactly).
-// The dense batch path (M/S) runs standard BP over the assembled batch; the
-// factorized path implements Sec. VI-A — partial first-layer inner
+// The one batch step implements Sec. VI-A — partial first-layer inner
 // products cached per attribute tuple per weight version, and the W1
-// gradient formed from the base relations directly. core::TrainNn, at the
-// end of this file, runs it under any strategy.
+// gradient formed from the base relations directly; under M and S no
+// table is factored and it is standard BP over the assembled batch.
+// core::TrainNn, at the end of this file, runs it under any strategy.
 
 #include <algorithm>
 #include <cstring>
@@ -26,8 +26,7 @@ namespace factorml::nn {
 
 namespace {
 
-using core::pipeline::DenseBlock;
-using core::pipeline::FactorizedBlock;
+using core::pipeline::Block;
 using core::pipeline::PipelineContext;
 
 /// Per-attribute-table cache of first-layer partial inner products:
@@ -49,8 +48,7 @@ class NnProgram final : public core::pipeline::ModelProgram {
   const char* Name() const override { return "NN"; }
   const char* TempStem() const override { return "nn"; }
   uint32_t Capabilities() const override {
-    return core::pipeline::kMiniBatch | core::pipeline::kFactorized |
-           core::pipeline::kNeedsTarget;
+    return core::pipeline::kMiniBatch | core::pipeline::kNeedsTarget;
   }
   int MaxIterations() const override { return opt_.epochs; }
 
@@ -71,9 +69,8 @@ class NnProgram final : public core::pipeline::ModelProgram {
 
   Status Init(const PipelineContext& ctx) override {
     rel_ = ctx.rel;
-    factorized_ = ctx.factorized();
-    q_ = rel_->num_joins();
-    ds_ = rel_->ds();
+    q_ = ctx.factored_tables;
+    ds_ = ctx.slice_cols;
     d_ = rel_->total_dims();
     nh_ = opt_.hidden[0];
     n_ = rel_->s.num_rows();
@@ -88,11 +85,9 @@ class NnProgram final : public core::pipeline::ModelProgram {
     }
     engine_->ConfigureSgd(opt_.momentum, opt_.weight_decay);
     grad0_ = la::Matrix(mlp_.w[0].rows(), mlp_.w[0].cols());
-    if (factorized_) {
-      caches_.resize(q_);
-      stale_.resize(q_);
-      version_ = 1;  // bumped after every weight update
-    }
+    caches_.resize(q_);
+    stale_.resize(q_);
+    version_ = 1;  // bumped after every weight update while caches exist
     return Status::OK();
   }
 
@@ -105,198 +100,50 @@ class NnProgram final : public core::pipeline::ModelProgram {
 
   Status BeginEpoch(const PipelineContext& ctx, int /*epoch*/) override {
     epoch_sse_ = 0.0;
-    if (factorized_) {
-      for (size_t i = 0; i < q_; ++i) {
-        if (caches_[i].stamp.empty()) {
-          const size_t n_ri = (*ctx.views)[i].feats().rows();
-          caches_[i].c.Resize(n_ri, nh_);
-          caches_[i].stamp.assign(n_ri, 0);
-        }
+    for (size_t i = 0; i < q_; ++i) {
+      if (caches_[i].stamp.empty()) {
+        const size_t n_ri = (*ctx.views)[i].feats().rows();
+        caches_[i].c.Resize(n_ri, nh_);
+        caches_[i].stamp.assign(n_ri, 0);
       }
     }
     return Status::OK();
   }
 
-  /// The dense epoch step. The first-layer forward and the W1 gradient
-  /// run as `gemm_strip` products over the block's column strips (axpy
-  /// form and dot form; the d feature columns of a strip are contiguous
-  /// after the target, so StripX(s, 0) heads a d-column panel): the
+  /// The epoch step. The slice arrives as column strips (target at strip
+  /// column 0, the ds features after it, contiguous — one ds-column panel
+  /// per strip): the first-layer forward and the slice's W1 gradient run
+  /// as `gemm_strip` products over them (axpy form and dot form). The
   /// pre-activation lands straight in the transposed epoch block a1t_
   /// (nh x batch) that Step consumes, and the gradient reads Step's
   /// delta1^T in place, so no layout shuffle sits between the first layer
-  /// and the upper ones. Op counts are charged with the per-row formulas
-  /// per strip, and every strip/morsel boundary is schedule-determined, so
+  /// and the upper ones. Op counts are charged with the per-row formulas,
+  /// and every strip/morsel boundary is schedule-determined, so
   /// iterations, op counters and page I/O are the same on every backend
   /// and at every thread count.
-  Status OnDenseBatch(const PipelineContext& ctx,
-                      const DenseBlock& batch) override {
-    const storage::ColumnStrips& st = *batch.strips;
-    const size_t b = batch.num_rows;
+  Status OnBatch(const PipelineContext& ctx, const Block& block) override {
+    const storage::ColumnStrips& st = *block.strips;
+    const size_t b = block.num_rows;
     const int threads = ctx.threads;
     const la::Kernels& kern = la::Active();
+    const size_t sr = st.strip_rows;  // row block height of the kernels
 
-    // The targets as one contiguous run for Step (data movement,
-    // uncharged like assembly).
+    // The targets as one contiguous run for Step (data movement, uncharged
+    // like assembly).
     y_.resize(b);
     for (size_t s = 0; s < st.num_strips; ++s) {
-      std::memcpy(y_.data() + st.StripStart(s), batch.StripY(s),
+      std::memcpy(y_.data() + st.StripStart(s), st.Col(s, 0),
                   sizeof(double) * st.RowsInStrip(s));
     }
+    if (q_ > 0) RefreshPartials(ctx, block);
 
-    // First-layer forward, one strip at a time: W1 * B, where B is the
-    // strip's feature block (d x rows, ldb = strip height), lands in the
-    // strip's columns of a1t (ldc = b); the bias add runs over contiguous
-    // rows. Strips are disjoint column blocks, so any strip partition is
-    // deterministic.
-    a1t_.Reshape(nh_, b);
-    {
-      core::PhaseScope phase(ctx.report, "first_layer_fwd");
-      exec::ParallelFor(
-          threads, static_cast<int64_t>(st.num_strips), /*align=*/1,
-          [&](exec::Range rg, int) {
-            for (int64_t s = rg.begin; s < rg.end; ++s) {
-              const auto sp = static_cast<size_t>(s);
-              const size_t rows = st.RowsInStrip(sp);
-              const size_t row0 = st.StripStart(sp);
-              kern.gemm_strip(mlp_.w[0].data(), d_, batch.StripX(sp, 0),
-                              st.strip_rows, nh_, rows, d_,
-                              a1t_.data() + row0, b, /*trans_b=*/false,
-                              /*accumulate=*/false);
-              internal::AddBias(mlp_.b[0], row0, rows, &a1t_);
-              CountMults(rows * nh_ * d_);
-              CountAdds(rows * nh_ * d_ + rows * nh_);
-            }
-          });
-    }
-    {
-      core::PhaseScope phase(ctx.report, "upper_layers");
-      epoch_sse_ += engine_->Step(a1t_, y_.data());
-    }
-
-    // W1 gradient over column morsels, strips ascending inside each
-    // morsel: grad0[:, cb:ce] += sum_s delta1^T_s * x_strip_s^T — the
-    // dot-form gemm of delta1^T's strip columns (lda = b) against the
-    // feature strip. The strip order is fixed, so the gradient is
-    // bit-identical for any thread count (and within-morsel numerics match
-    // the serial strip sweep).
-    const la::Matrix& d1t = engine_->delta1t();
-    grad0_.SetZero();
-    {
-      core::PhaseScope phase(ctx.report, "w1_grad");
-      exec::ParallelFor(
-          threads, static_cast<int64_t>(d_), /*align=*/1,
-          [&](exec::Range rg, int) {
-            const auto cb = static_cast<size_t>(rg.begin);
-            const size_t len = static_cast<size_t>(rg.end) - cb;
-            for (size_t s = 0; s < st.num_strips; ++s) {
-              const size_t rows = st.RowsInStrip(s);
-              kern.gemm_strip(d1t.data() + st.StripStart(s), b,
-                              batch.StripX(s, cb), st.strip_rows, nh_, len,
-                              rows, grad0_.data() + cb, d_,
-                              /*trans_b=*/true, /*accumulate=*/true);
-            }
-            CountMults(b * nh_ * len);
-            CountAdds(b * nh_ * len);
-          });
-    }
-    engine_->UpdateW0(grad0_);
-    return Status::OK();
-  }
-
-  Status OnFactorizedBatch(const PipelineContext& ctx,
-                           const FactorizedBlock& block) override {
-    const storage::RowBatch& s_rows = *block.s_rows;
-    const std::vector<join::JoinGroup>& groups = *block.groups;
-    const std::vector<join::AttributeTableView>& views = *ctx.views;
-    const storage::ColumnStrips& st = *block.s_strips;
-    const size_t b = s_rows.num_rows;
-    const int threads = ctx.threads;
-    const la::Kernels& kern = la::Active();
-
-    // Gather the targets and the per-table rid index buffers (pure data
-    // movement, uncharged like assembly). The S slice arrives
-    // pre-transposed (target at strip column 0, features at 1..ds).
-    y_.resize(b);
-    ridbuf_.resize(q_);
-    for (size_t i = 0; i < q_; ++i) ridbuf_[i].resize(b);
-    const size_t sr = st.strip_rows;  // row block height of the kernels
-    exec::ParallelFor(
-        threads, static_cast<int64_t>(b), /*align=*/1,
-        [&](exec::Range rg, int) {
-          for (int64_t rr = rg.begin; rr < rg.end; ++rr) {
-            const auto r = static_cast<size_t>(rr);
-            y_[r] = s_rows.feats(r, 0);
-            const int64_t* keys = s_rows.KeysOf(r);
-            for (size_t i = 0; i < q_; ++i) {
-              ridbuf_[i][r] = keys[rel_->FkKeyIndex(i)];
-            }
-          }
-        });
-
-    // ---- Refresh the partial caches for this weight version: collect
-    // the stale rids the batch touches (table 0 straight from the rid
-    // groups; further tables by scanning the FK columns), then fill the
-    // collected rows in parallel — rows are disjoint, and the identical
-    // arithmetic runs whether filled here or lazily, so results and op
-    // totals match the serial path exactly.
-    {
-      core::PhaseScope phase(ctx.report, "partial_cache");
-      for (size_t i = 0; i < q_; ++i) stale_[i].clear();
-      for (const auto& g : groups) {
-        if (g.count == 0) continue;
-        const auto rid = static_cast<size_t>(g.rid);
-        if (caches_[0].stamp[rid] != version_) {
-          caches_[0].stamp[rid] = version_;
-          stale_[0].push_back(g.rid);
-        }
-      }
-      for (size_t r = 0; q_ > 1 && r < b; ++r) {
-        const int64_t* keys = s_rows.KeysOf(r);
-        for (size_t i = 1; i < q_; ++i) {
-          const auto rid = static_cast<size_t>(keys[rel_->FkKeyIndex(i)]);
-          if (caches_[i].stamp[rid] != version_) {
-            caches_[i].stamp[rid] = version_;
-            stale_[i].push_back(static_cast<int64_t>(rid));
-          }
-        }
-      }
-      for (size_t i = 0; i < q_; ++i) {
-        PartialCache& cache = caches_[i];
-        const std::vector<int64_t>& todo = stale_[i];
-        if (todo.empty()) continue;
-        exec::ParallelFor(
-            threads, static_cast<int64_t>(todo.size()), /*align=*/1,
-            [&](exec::Range rg, int) {
-              for (int64_t s = rg.begin; s < rg.end; ++s) {
-                const auto rid =
-                    static_cast<size_t>(todo[static_cast<size_t>(s)]);
-                const auto xr =
-                    views[i].FeaturesOf(static_cast<int64_t>(rid));
-                const size_t dri = xr.size();
-                double* c_row = cache.c.Row(rid).data();
-                const size_t ldw = mlp_.w[0].cols();
-                const double* w_base = mlp_.w[0].data() + attr_offset_[i];
-                for (size_t u = 0; u < nh_; ++u) {
-                  double sum = 0.0;
-                  const double* w_row = w_base + u * ldw;
-                  for (size_t j = 0; j < dri; ++j) sum += w_row[j] * xr[j];
-                  // The paper's T2 carries the bias with the first
-                  // partial sum.
-                  c_row[u] = (i == 0) ? sum + mlp_.b[0][u] : sum;
-                }
-                CountMults(nh_ * dri);
-                CountAdds(nh_ * dri + (i == 0 ? nh_ : 0));
-              }
-            });
-      }
-    }
-
-    // ---- Factorized forward, first layer (Sec. VI-A1 / Eq. 31):
+    // ---- First layer forward (Sec. VI-A1 / Eq. 31):
     // A1^T = W_S XS^T + sum_i cache_i(rid_i), written straight into the
-    // transposed block over disjoint column ranges: the XS product as one
-    // axpy-form gemm_strip per strip (W_S is the leading ds-column slice
-    // of W1), then each entry adds the cached partials in table order (no
-    // bias here — table 0's cache carries it).
+    // transposed block over disjoint column ranges: the slice product as
+    // one axpy-form gemm_strip per strip (W_S is the leading ds-column
+    // slice of W1), then each entry adds the cached partials in table
+    // order (no bias here — table 0's cache carries it). With no factored
+    // table the bias is added over contiguous rows instead.
     a1t_.Reshape(nh_, b);
     {
       core::PhaseScope phase(ctx.report, "first_layer_fwd");
@@ -310,11 +157,17 @@ class NnProgram final : public core::pipeline::ModelProgram {
               kern.gemm_strip(mlp_.w[0].data(), d_, st.Col(sp, 1), sr, nh_,
                               rows, ds_, a1t_.data() + r0, b,
                               /*trans_b=*/false, /*accumulate=*/false);
-              AddCachedPartials(r0, rows);
+              if (q_ > 0) {
+                AddCachedPartials(r0, rows);
+              } else {
+                internal::AddBias(mlp_.b[0], r0, rows, &a1t_);
+              }
             }
           });
+      // Per entry one add per table's cached partial — or, with no
+      // factored table, the one bias add.
       CountMults(b * nh_ * ds_);
-      CountAdds(b * nh_ * ds_ + b * nh_ * q_);
+      CountAdds(b * nh_ * ds_ + b * nh_ * std::max<size_t>(q_, 1));
     }
 
     {
@@ -323,12 +176,12 @@ class NnProgram final : public core::pipeline::ModelProgram {
     }
     const la::Matrix& d1t = engine_->delta1t();
 
-    // ---- Factorized backward (Sec. VI-A3 / Eq. 32): the W1 gradient
+    // ---- Backward (Sec. VI-A3 / Eq. 32): the W1 gradient
     // [PG_S | PG_R1 | ... ] is formed from the base relations directly;
     // identical arithmetic, but x_Ri is never expanded to N rows on
     // disk. Parallelized over column morsels of grad0: every worker owns
     // a disjoint column range. Every element reads delta1^T's rows in
-    // place: PG_S against the S strips and PG_R against x_Ri gathered
+    // place: PG_S against the slice strips and PG_R against x_Ri gathered
     // into blocks of the strip height, both in dot form. Each element
     // adds its rows in order and no element depends on the partition, so
     // the gradient is bit-identical for any thread count.
@@ -337,9 +190,9 @@ class NnProgram final : public core::pipeline::ModelProgram {
       // product per R1 tuple (nh*(b + |rids|*dR1) ops instead of
       // nh*b*dR1). Computed once, read by every column worker; charged as
       // the per-row Axpy it replays.
-      dsums_.assign(groups.size() * nh_, 0.0);
-      for (size_t g = 0; g < groups.size(); ++g) {
-        const auto& grp = groups[g];
+      dsums_.assign(block.groups.size() * nh_, 0.0);
+      for (size_t g = 0; g < block.groups.size(); ++g) {
+        const auto& grp = block.groups[g];
         if (grp.count == 0) continue;
         double* dsum = dsums_.data() + g * nh_;
         for (size_t u = 0; u < nh_; ++u) {
@@ -362,7 +215,7 @@ class NnProgram final : public core::pipeline::ModelProgram {
           [&](exec::Range rg, int) {
             const auto cb = static_cast<size_t>(rg.begin);
             const auto ce = static_cast<size_t>(rg.end);
-            // PG_S: columns of the S slice [0, ds) within this morsel.
+            // PG_S: columns of the slice [0, ds) within this morsel.
             if (cb < ds_) {
               const size_t slen = std::min(ds_, ce) - cb;
               for (size_t s = 0; s < st.num_strips; ++s) {
@@ -403,10 +256,10 @@ class NnProgram final : public core::pipeline::ModelProgram {
             if (opt_.grouped_backward && len[0] > 0) {
               double* g = grad0_.data() + attr_offset_[0] + lo[0];
               size_t outers = 0;
-              for (size_t gi = 0; gi < groups.size(); ++gi) {
-                const auto& grp = groups[gi];
+              for (size_t gi = 0; gi < block.groups.size(); ++gi) {
+                const auto& grp = block.groups[gi];
                 if (grp.count == 0) continue;
-                const auto xr = views[0].FeaturesOf(grp.rid);
+                const auto xr = (*ctx.views)[0].FeaturesOf(grp.rid);
                 kern.add_outer(1.0, dsums_.data() + gi * nh_, nh_,
                                xr.data() + lo[0], len[0], g, d_);
                 ++outers;
@@ -427,7 +280,7 @@ class NnProgram final : public core::pipeline::ModelProgram {
             std::vector<double> xg(max_len * sr);
             for (size_t i = row_first_table; i < q_; ++i) {
               if (len[i] == 0) continue;
-              const la::Matrix& feats = views[i].feats();
+              const la::Matrix& feats = (*ctx.views)[i].feats();
               const double* x_base = feats.data() + lo[i];
               const size_t ldx = feats.cols();
               double* g = grad0_.data() + attr_offset_[i] + lo[i];
@@ -450,7 +303,9 @@ class NnProgram final : public core::pipeline::ModelProgram {
           });
     }
     engine_->UpdateW0(grad0_);
-    ++version_;  // engine updated b0 and layers >= 1; W1 updated above
+    // The engine updated b0 and layers >= 1, W1 updated above: the caches
+    // are stale. With none, version_ stays 1 (checkpoints carry it).
+    if (q_ > 0) ++version_;
     return Status::OK();
   }
 
@@ -490,6 +345,80 @@ class NnProgram final : public core::pipeline::ModelProgram {
   Mlp&& TakeMlp() && { return std::move(mlp_); }
 
  private:
+  /// Gathers the per-table rid index buffers (pure data movement,
+  /// uncharged like assembly), then refreshes the partial caches for this
+  /// weight version: collect the stale rids the batch touches (table 0
+  /// straight from the rid groups; further tables by scanning the FK
+  /// columns), then fill the collected rows in parallel — rows are
+  /// disjoint, and the identical arithmetic runs whether filled here or
+  /// lazily, so results and op totals match the serial path exactly.
+  void RefreshPartials(const PipelineContext& ctx, const Block& block) {
+    const storage::RowBatch& s_rows = *block.s_rows;
+    const std::vector<join::AttributeTableView>& views = *ctx.views;
+    const size_t b = block.num_rows;
+    const int threads = ctx.threads;
+    ridbuf_.resize(q_);
+    for (size_t i = 0; i < q_; ++i) ridbuf_[i].resize(b);
+    exec::ParallelFor(
+        threads, static_cast<int64_t>(b), /*align=*/1,
+        [&](exec::Range rg, int) {
+          for (int64_t rr = rg.begin; rr < rg.end; ++rr) {
+            const auto r = static_cast<size_t>(rr);
+            const int64_t* keys = s_rows.KeysOf(r);
+            for (size_t i = 0; i < q_; ++i) {
+              ridbuf_[i][r] = keys[rel_->FkKeyIndex(i)];
+            }
+          }
+        });
+    core::PhaseScope phase(ctx.report, "partial_cache");
+    for (size_t i = 0; i < q_; ++i) stale_[i].clear();
+    for (const auto& g : block.groups) {
+      if (g.count == 0) continue;
+      const auto rid = static_cast<size_t>(g.rid);
+      if (caches_[0].stamp[rid] != version_) {
+        caches_[0].stamp[rid] = version_;
+        stale_[0].push_back(g.rid);
+      }
+    }
+    for (size_t r = 0; q_ > 1 && r < b; ++r) {
+      const int64_t* keys = s_rows.KeysOf(r);
+      for (size_t i = 1; i < q_; ++i) {
+        const auto rid = static_cast<size_t>(keys[rel_->FkKeyIndex(i)]);
+        if (caches_[i].stamp[rid] != version_) {
+          caches_[i].stamp[rid] = version_;
+          stale_[i].push_back(static_cast<int64_t>(rid));
+        }
+      }
+    }
+    for (size_t i = 0; i < q_; ++i) {
+      PartialCache& cache = caches_[i];
+      const std::vector<int64_t>& todo = stale_[i];
+      if (todo.empty()) continue;
+      exec::ParallelFor(
+          threads, static_cast<int64_t>(todo.size()), /*align=*/1,
+          [&](exec::Range rg, int) {
+            for (int64_t s = rg.begin; s < rg.end; ++s) {
+              const auto rid =
+                  static_cast<size_t>(todo[static_cast<size_t>(s)]);
+              const auto xr = views[i].FeaturesOf(static_cast<int64_t>(rid));
+              const size_t dri = xr.size();
+              double* c_row = cache.c.Row(rid).data();
+              const size_t ldw = mlp_.w[0].cols();
+              const double* w_base = mlp_.w[0].data() + attr_offset_[i];
+              for (size_t u = 0; u < nh_; ++u) {
+                double sum = 0.0;
+                const double* w_row = w_base + u * ldw;
+                for (size_t j = 0; j < dri; ++j) sum += w_row[j] * xr[j];
+                // The paper's T2 carries the bias with the first partial sum.
+                c_row[u] = (i == 0) ? sum + mlp_.b[0][u] : sum;
+              }
+              CountMults(nh_ * dri);
+              CountAdds(nh_ * dri + (i == 0 ? nh_ : 0));
+            }
+          });
+    }
+  }
+
   /// a1t[:, r0:r0+rows] += cache_i(rid_i) for every table, in table order.
   /// Rows of one FK1 group are contiguous and share table 0's partial, so
   /// that one is a broadcast add per run per unit; further tables gather
@@ -521,7 +450,8 @@ class NnProgram final : public core::pipeline::ModelProgram {
 
   NnOptions opt_;
   const join::NormalizedRelations* rel_ = nullptr;
-  bool factorized_ = false;
+  // q_ and ds_ are what the strategy hands over: the factored table count
+  // and the slice width (0 and d under M/S, q and d_S under F).
   size_t q_ = 0, ds_ = 0, d_ = 0, nh_ = 0;
   int64_t n_ = 0;
   std::vector<size_t> attr_offset_;

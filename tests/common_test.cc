@@ -362,6 +362,26 @@ TEST(FlagsDeathTest, GetIntListBadItemExits2) {
               "'abc' is not an integer");
 }
 
+TEST(FlagsTest, PositiveIntListParsing) {
+  const char* argv[] = {"prog", "--nr=1000,100"};
+  ArgParser args(2, const_cast<char**>(argv));
+  EXPECT_EQ(args.GetPositiveIntList("nr", {}),
+            (std::vector<int64_t>{1000, 100}));
+  EXPECT_EQ(args.GetPositiveIntList("dr", {15}), (std::vector<int64_t>{15}));
+}
+
+// `generate --dr=5,-1` used to cast -1 to a huge column count and fail
+// deep in the page layout; every entry is now checked up front.
+TEST(FlagsDeathTest, GetPositiveIntListNonPositiveEntryExits2) {
+  for (const char* arg : {"--dr=5,-1", "--dr=0", "--dr=5,x"}) {
+    const char* argv[] = {"prog", arg};
+    ArgParser args(2, const_cast<char**>(argv));
+    EXPECT_EXIT(args.GetPositiveIntList("dr", {}),
+                ::testing::ExitedWithCode(2), "invalid --dr=.*>= 1")
+        << arg;
+  }
+}
+
 TEST(FlagsTest, GetIntNegativeStillParses) {
   const char* argv[] = {"prog", "--delta=-7"};
   ArgParser args(2, const_cast<char**>(argv));

@@ -191,7 +191,9 @@ TEST(SplitChunksTest, RowChunksCoverAndAlign) {
   int64_t expect_begin = 0;
   for (size_t c = 0; c < chunks.size(); ++c) {
     EXPECT_EQ(chunks[c].begin, expect_begin);
-    if (c + 1 < chunks.size()) EXPECT_EQ(chunks[c].end % 64, 0);
+    if (c + 1 < chunks.size()) {
+      EXPECT_EQ(chunks[c].end % 64, 0);
+    }
     expect_begin = chunks[c].end;
   }
   EXPECT_EQ(expect_begin, 1000);
@@ -298,7 +300,9 @@ TEST(RunMorselsTest, EveryChunkExactlyOnceUnderContention) {
                    });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
     EXPECT_EQ(stats.busy_seconds.size(), 8u);
-    if (!steal) EXPECT_EQ(stats.steals, 0u);
+    if (!steal) {
+      EXPECT_EQ(stats.steals, 0u);
+    }
   }
 }
 

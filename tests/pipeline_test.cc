@@ -1577,6 +1577,47 @@ TEST(NnOpCountTest, FactorizedCountsDoNotDependOnThreads) {
   }
 }
 
+// Every strategy runs the same model body; only F factors tables, so only
+// F may emit the factored-table phases (NN's partial_cache), and S alone
+// adds its join assembly. Pinned per strategy in first-seen order.
+TEST(PhaseNamesTest, EachStrategyEmitsExactlyItsPhases) {
+  TempDir dir;
+  BufferPool pool(512);
+  auto rel =
+      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
+  const auto names = [](const core::TrainReport& r) {
+    std::vector<std::string> out;
+    for (const auto& p : r.phases) out.push_back(p.name);
+    return out;
+  };
+  using Names = std::vector<std::string>;
+  const Names nn_phases[3] = {
+      {"first_layer_fwd", "upper_layers", "w1_grad"},
+      {"assemble", "first_layer_fwd", "upper_layers", "w1_grad"},
+      {"partial_cache", "first_layer_fwd", "upper_layers", "w1_grad"},
+  };
+  const Names gmm_phases = {"e_step", "m_step_mean", "finalize",
+                            "m_step_cov"};
+  for (int a = 0; a < 3; ++a) {
+    nn::NnOptions nopt;
+    nopt.hidden = {8};
+    nopt.epochs = 1;
+    nopt.batch_rows = 600;
+    nopt.temp_dir = dir.str();
+    core::TrainReport nr;
+    ASSERT_TRUE(core::TrainNn(rel, nopt, kAll[a], &pool, &nr).ok());
+    EXPECT_EQ(names(nr), nn_phases[a]) << nr.algorithm;
+
+    gmm::GmmOptions gopt;
+    gopt.num_components = 2;
+    gopt.max_iters = 2;
+    gopt.temp_dir = dir.str();
+    core::TrainReport gr;
+    ASSERT_TRUE(core::TrainGmm(rel, gopt, kAll[a], &pool, &gr).ok());
+    EXPECT_EQ(names(gr), gmm_phases) << gr.algorithm;
+  }
+}
+
 // ----------------------------------------------- multiway linreg parity
 
 TEST(LinregTest, MultiwayFactorizedMatches) {

@@ -175,6 +175,8 @@ Result<std::vector<core::Algorithm>> ParseAlgos(const std::string& spec) {
 int CmdGenerate(const ArgParser& args) {
   const std::string dir = args.GetString("dir", "");
   if (dir.empty()) return Fail("generate requires --dir");
+  const auto seed = static_cast<uint64_t>(
+      args.GetBoundedInt("seed", 42, 0, INT64_MAX, "must be an integer >= 0"));
   storage::BufferPool pool(1024);
 
   const std::string shape_name = args.GetString("shape", "");
@@ -182,8 +184,7 @@ int CmdGenerate(const ArgParser& args) {
     auto shape = data::FindRealShape(shape_name);
     if (!shape.ok()) return FailStatus(shape.status());
     auto rel = data::GenerateRealShape(
-        shape.value(), dir, &pool, args.GetDouble("scale", 1.0),
-        static_cast<uint64_t>(args.GetInt("seed", 42)),
+        shape.value(), dir, &pool, args.GetDouble("scale", 1.0), seed,
         args.GetBool("target", false));
     if (!rel.ok()) return FailStatus(rel.status());
     std::printf("generated shape %s under %s (nS=%lld)\n",
@@ -195,10 +196,10 @@ int CmdGenerate(const ArgParser& args) {
   data::SyntheticSpec spec;
   spec.dir = dir;
   spec.name = "cli";
-  spec.s_rows = args.GetInt("ns", 100000);
-  spec.s_feats = static_cast<size_t>(args.GetInt("ds", 5));
-  const auto nr = args.GetIntList("nr", {1000});
-  const auto dr = args.GetIntList("dr", {15});
+  spec.s_rows = args.GetPositiveInt("ns", 100000);
+  spec.s_feats = static_cast<size_t>(args.GetPositiveInt("ds", 5));
+  const auto nr = args.GetPositiveIntList("nr", {1000});
+  const auto dr = args.GetPositiveIntList("dr", {15});
   if (nr.size() != dr.size()) {
     return Fail("--nr and --dr must have the same number of entries");
   }
@@ -208,7 +209,7 @@ int CmdGenerate(const ArgParser& args) {
   }
   spec.with_target = args.GetBool("target", false);
   spec.one_hot = args.GetBool("one_hot", false);
-  spec.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  spec.seed = seed;
   auto rel = data::GenerateSynthetic(spec, &pool);
   if (!rel.ok()) return FailStatus(rel.status());
   // Rename to the canonical s.fml / rI.fml layout expected by LoadRelations.
