@@ -7,6 +7,19 @@
 
 namespace factorml::storage {
 
+void ColumnStrips::Shape(size_t height, size_t rows, size_t cols,
+                         size_t nkeys, int64_t start) {
+  FML_CHECK_GT(height, 0u);
+  strip_rows = height;
+  num_strips = (rows + height - 1) / height;
+  num_rows = rows;
+  num_cols = cols;
+  num_keys = nkeys;
+  start_row = start;
+  keys.resize(rows * nkeys);
+  data.resize(num_strips * cols * height);
+}
+
 namespace {
 
 constexpr uint64_t kMagic = 0x464d4c5442763031ULL;  // "FMLTBv01"

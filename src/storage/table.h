@@ -71,18 +71,11 @@ struct ColumnStrips {
   /// feature columns and `nkeys` keys each, in strips of `height` rows,
   /// row 0 at global row `start`. Sizes `keys` and `data` and leaves
   /// their contents to the builder, which writes every present row.
+  /// Defined out of line: inlined into a builder's caller, its resize
+  /// paths crowd the builder's transpose loop out of registers (the F
+  /// strategy's S-slice transpose spilled its cursor to the stack).
   void Shape(size_t height, size_t rows, size_t cols, size_t nkeys,
-             int64_t start) {
-    FML_CHECK_GT(height, 0u);
-    strip_rows = height;
-    num_strips = (rows + height - 1) / height;
-    num_rows = rows;
-    num_cols = cols;
-    num_keys = nkeys;
-    start_row = start;
-    keys.resize(rows * nkeys);
-    data.resize(num_strips * cols * height);
-  }
+             int64_t start);
 
   const double* Col(size_t strip, size_t col) const {
     return data.data() + (strip * num_cols + col) * strip_rows;
