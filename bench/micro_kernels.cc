@@ -287,7 +287,8 @@ void BM_SyrkStrip(benchmark::State& state) {
   la::SelectKernels(ModeOf(state));
   const la::Kernels& k = la::Active();
   for (auto _ : state) {
-    k.syrk_strip(s.cols.data(), d, kStripRows, s.w.data(), gram.data(), d);
+    k.syrk_strip(s.cols.data(), d, kStripRows, s.w.data(), gram.data(), d,
+                 /*upper=*/false);
     benchmark::DoNotOptimize(gram.data());
   }
   la::SelectKernels(la::KernelMode::kScalar);
@@ -295,6 +296,26 @@ void BM_SyrkStrip(benchmark::State& state) {
   LabelBackend(state);
 }
 BENCHMARK(BM_SyrkStrip)->ArgsProduct({{8, 32}, {0, 1}});
+
+void BM_GramSyrkStrip(benchmark::State& state) {
+  // The linreg/logreg Gram feed's call: unit weights, upper triangle, at
+  // the linreg-spill benchmark's joined width d = 30.
+  const size_t d = static_cast<size_t>(state.range(0));
+  StripData s(d, kStripRows, 29);
+  std::vector<double> gram(d * d, 0.0);
+  la::SelectKernels(ModeOf(state));
+  const la::Kernels& k = la::Active();
+  for (auto _ : state) {
+    k.syrk_strip(s.cols.data(), d, kStripRows, /*w=*/nullptr, gram.data(), d,
+                 /*upper=*/true);
+    benchmark::DoNotOptimize(gram.data());
+    benchmark::ClobberMemory();
+  }
+  la::SelectKernels(la::KernelMode::kScalar);
+  state.SetItemsProcessed(state.iterations() * kStripRows * d * (d + 1) / 2);
+  LabelBackend(state);
+}
+BENCHMARK(BM_GramSyrkStrip)->ArgsProduct({{30}, {0, 1}});
 
 void BM_ColDotStrip(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
@@ -518,7 +539,7 @@ void WriteKernelRoofline(const std::string& path) {
          [](const la::Kernels& k, StripData& s, std::vector<double>& gram,
             const la::Matrix&, std::vector<double>&, size_t d, size_t) {
            k.syrk_strip(s.cols.data(), d, kRows, s.w.data(), gram.data(),
-                        d);
+                        d, /*upper=*/false);
          }},
         {"col_dot_strip", 0, 2 * kRows * d, (d * kRows + d + kRows) * 8,
          [](const la::Kernels& k, StripData& s, std::vector<double>&,

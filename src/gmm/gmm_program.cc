@@ -418,7 +418,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
             }
             Matrix& sg = acc.sigma[c];
             kern.syrk_strip(dptr.data(), ds_, rows, gbuf.data(), sg.data(),
-                            sg.cols());
+                            sg.cols(), /*upper=*/false);
             CountMults(rows * (ds_ * ds_ + ds_));  // the S-diag AddOuter
             CountAdds(rows * ds_ * ds_);
             // Table-0 cross blocks per FK1 run: the responsibility-

@@ -25,13 +25,16 @@ namespace {
 // kernel modes, and each scalar strip kernel hands every accumulator the
 // per-row code's expressions in row order — syrk_strip the AddOuter body,
 // colsum_strip the Axpy body, quadform_strip the QuadForm body,
-// dist_strip the squared-distance loop, and gemm_strip's dot form one
-// chain per element that starts from C's prior value (so k split over
-// several accumulate calls equals one call). Batching the rows therefore
-// moves no scalar bit. The kernels that read a row across all d columns
-// gather blocks of rows into a contiguous buffer first (GatherRows), so
-// the strided column reads happen once per element, a cache line at a
-// time, rather than once per product.
+// dist_strip the squared-distance loop, col_dot_strip the Dot body, and
+// gemm_strip's dot form one chain per element that starts from C's prior
+// value (so k split over several accumulate calls equals one call).
+// Batching the rows therefore moves no scalar bit. The speed comes from
+// running independent chains side by side, never from reordering one:
+// the per-row kernels (col_dot, dist, quadform) walk the strip column by
+// column and keep every row's partial result in its output slot, so the
+// column reads are contiguous and the rows' chains interleave; syrk_strip
+// gathers 8 rows at a time into a contiguous buffer (GatherRows) and adds
+// all 8 rows' products to each Gram entry per load and store.
 
 double ScalarDot(const double* a, const double* b, size_t n) {
   double s = 0.0;
@@ -64,7 +67,7 @@ void ScalarAddOuter(double alpha, const double* u, size_t nu, const double* v,
   }
 }
 
-/// Rows per gathered block of the row-replay kernels.
+/// Rows per gathered block of syrk_strip.
 constexpr size_t kReplayRows = 8;
 
 /// Gathers strip rows [r0, r0 + n) of the d columns row-major into `x`
@@ -80,50 +83,43 @@ void GatherRows(const double* const* cols, size_t d, size_t r0, size_t n,
   }
 }
 
-void ScalarSyrkStrip(const double* const* cols, size_t d, size_t rows,
-                     const double* w, double* __restrict gram, size_t ldg) {
-  std::vector<double> buf(kReplayRows * d);
-  for (size_t r0 = 0; r0 < rows; r0 += kReplayRows) {
-    const size_t n = std::min(kReplayRows, rows - r0);
-    GatherRows(cols, d, r0, n, buf.data());
-    // ScalarAddOuter's body per row, two rows per sweep of the Gram: each
-    // entry adds row r's product, then row r + 1's — the per-row order —
-    // with one load and store for both. The gathered rows never alias the
-    // Gram, which lets the compiler drop its overlap checks.
-    size_t r = 0;
-    for (; r + 2 <= n; r += 2) {
-      const double* __restrict x0 = buf.data() + r * d;
-      const double* __restrict x1 = x0 + d;
-      const double w0 = w != nullptr ? w[r0 + r] : 1.0;
-      const double w1 = w != nullptr ? w[r0 + r + 1] : 1.0;
-      for (size_t i = 0; i < d; ++i) {
-        const double u0 = w0 * x0[i];
-        const double u1 = w1 * x1[i];
-        double* __restrict row = gram + i * ldg;
-        for (size_t j = 0; j < d; ++j) {
-          const double t = row[j] + u0 * x0[j];
-          row[j] = t + u1 * x1[j];
-        }
-      }
+// ScalarAddOuter's body for NR gathered rows at once: each Gram entry
+// loads once, adds row 0's product, row 1's, ... (the per-row order) and
+// stores once. `upper` starts row i at column i. The gathered rows never
+// alias the Gram, which lets the compiler drop its overlap checks.
+template <size_t NR>
+void ScalarSyrkRows(const double* __restrict x, const double* w, size_t d,
+                    double* __restrict gram, size_t ldg, bool upper) {
+  for (size_t i = 0; i < d; ++i) {
+    double u[NR];
+    for (size_t q = 0; q < NR; ++q) {
+      u[q] = (w != nullptr ? w[q] : 1.0) * x[q * d + i];
     }
-    for (; r < n; ++r) {
-      const double* __restrict x = buf.data() + r * d;
-      const double wr = w != nullptr ? w[r0 + r] : 1.0;
-      for (size_t i = 0; i < d; ++i) {
-        const double ui = wr * x[i];
-        double* __restrict row = gram + i * ldg;
-        for (size_t j = 0; j < d; ++j) row[j] += ui * x[j];
-      }
+    double* __restrict row = gram + i * ldg;
+    for (size_t j = upper ? i : 0; j < d; ++j) {
+      double t = row[j];
+      for (size_t q = 0; q < NR; ++q) t += u[q] * x[q * d + j];
+      row[j] = t;
     }
   }
 }
 
-void ScalarColDotStrip(const double* const* cols, size_t d, size_t rows,
-                       const double* v, double* out) {
-  for (size_t r = 0; r < rows; ++r) {
-    double s = 0.0;
-    for (size_t j = 0; j < d; ++j) s += v[j] * cols[j][r];
-    out[r] = s;
+void ScalarSyrkStrip(const double* const* cols, size_t d, size_t rows,
+                     const double* w, double* gram, size_t ldg, bool upper) {
+  std::vector<double> buf(kReplayRows * d);
+  for (size_t r0 = 0; r0 < rows; r0 += kReplayRows) {
+    const size_t n = std::min(kReplayRows, rows - r0);
+    GatherRows(cols, d, r0, n, buf.data());
+    const double* wr = w != nullptr ? w + r0 : nullptr;
+    if (n == kReplayRows) {
+      ScalarSyrkRows<kReplayRows>(buf.data(), wr, d, gram, ldg, upper);
+      continue;
+    }
+    // A short last block, one row per sweep.
+    for (size_t r = 0; r < n; ++r) {
+      ScalarSyrkRows<1>(buf.data() + r * d, wr != nullptr ? wr + r : nullptr,
+                        d, gram, ldg, upper);
+    }
   }
 }
 
@@ -153,37 +149,89 @@ void ScalarColSumStrip(const double* const* cols, size_t d, size_t rows,
   for (; j < d; ++j) ScalarColSumCols<1>(cols + j, rows, w, acc + j);
 }
 
+// The column-form row kernels below keep every row's running sum in
+// out[r] and add the columns in order, NJ columns per pass over the rows
+// (one load and store of out[r] per pass). Rows are independent, so the
+// compiler runs them side by side; each row's chain is the per-row
+// loop's: 0.0, then + term(j) for j = 0, 1, ...
+
+// out[r] += v[q] * c[q][r] for q < NJ, in q order — Dot's chain per row.
+template <size_t NJ>
+void ScalarColDotCols(const double* const* c, size_t rows, const double* v,
+                      double* __restrict out) {
+  for (size_t r = 0; r < rows; ++r) {
+    double s = out[r];
+    for (size_t q = 0; q < NJ; ++q) s += v[q] * c[q][r];
+    out[r] = s;
+  }
+}
+
+void ScalarColDotStrip(const double* const* cols, size_t d, size_t rows,
+                       const double* v, double* out) {
+  std::fill(out, out + rows, 0.0);
+  size_t j = 0;
+  for (; j + 4 <= d; j += 4) ScalarColDotCols<4>(cols + j, rows, v + j, out);
+  for (; j < d; ++j) ScalarColDotCols<1>(cols + j, rows, v + j, out);
+}
+
+// out[r] += (c[q][r] - center[q])^2 for q < NJ, in q order.
+template <size_t NJ>
+void ScalarDistCols(const double* const* c, size_t rows,
+                    const double* center, double* __restrict out) {
+  for (size_t r = 0; r < rows; ++r) {
+    double s = out[r];
+    for (size_t q = 0; q < NJ; ++q) {
+      const double t = c[q][r] - center[q];
+      s += t * t;
+    }
+    out[r] = s;
+  }
+}
+
 void ScalarDistStrip(const double* const* cols, size_t d, size_t rows,
                      const double* center, double* out) {
-  std::vector<double> buf(kReplayRows * d);
-  for (size_t r0 = 0; r0 < rows; r0 += kReplayRows) {
-    const size_t n = std::min(kReplayRows, rows - r0);
-    GatherRows(cols, d, r0, n, buf.data());
-    for (size_t r = 0; r < n; ++r) {
-      const double* x = buf.data() + r * d;
-      double s = 0.0;
-      for (size_t j = 0; j < d; ++j) {
-        const double t = x[j] - center[j];
-        s += t * t;
-      }
-      out[r0 + r] = s;
+  std::fill(out, out + rows, 0.0);
+  size_t j = 0;
+  for (; j + 4 <= d; j += 4) {
+    ScalarDistCols<4>(cols + j, rows, center + j, out);
+  }
+  for (; j < d; ++j) ScalarDistCols<1>(cols + j, rows, center + j, out);
+}
+
+/// Rows per block of quadform_strip: its t_i partial sums stay in L1.
+constexpr size_t kQuadRows = 64;
+
+void ScalarQuadFormStrip(const double* diff, size_t d, size_t rows,
+                         const double* a, size_t lda, double* out) {
+  // ScalarBilinear's body per row: t_i = sum_j a_ij x_j in j order (from
+  // 0.0), then total += x_i t_i in i order. Within a block every row's t_i
+  // runs through the column form above, with row i of A as the weights.
+  std::vector<const double*> cols(d);
+  double t[kQuadRows];
+  for (size_t r0 = 0; r0 < rows; r0 += kQuadRows) {
+    const size_t n = std::min(kQuadRows, rows - r0);
+    for (size_t j = 0; j < d; ++j) cols[j] = diff + j * rows + r0;
+    double* o = out + r0;
+    std::fill(o, o + n, 0.0);
+    for (size_t i = 0; i < d; ++i) {
+      ScalarColDotStrip(cols.data(), d, n, a + i * lda, t);
+      const double* xi = cols[i];
+      for (size_t r = 0; r < n; ++r) o[r] += xi[r] * t[r];
     }
   }
 }
 
-void ScalarQuadFormStrip(const double* diff, size_t d, size_t rows,
-                         const double* a, size_t lda, double* out) {
-  std::vector<const double*> cols(d);
-  for (size_t j = 0; j < d; ++j) cols[j] = diff + j * rows;
-  std::vector<double> buf(kReplayRows * d);
-  for (size_t r0 = 0; r0 < rows; r0 += kReplayRows) {
-    const size_t n = std::min(kReplayRows, rows - r0);
-    GatherRows(cols.data(), d, r0, n, buf.data());
-    for (size_t r = 0; r < n; ++r) {
-      const double* x = buf.data() + r * d;
-      out[r0 + r] = ScalarBilinear(a, lda, x, d, x, d);
-    }
+// c[q] += sum_p a[p] * b[q * ldb + p] for NJ outputs side by side, each
+// chaining from its prior value in p order.
+template <size_t NJ>
+void ScalarDotRows(const double* a, const double* b, size_t ldb, size_t k,
+                   double* c) {
+  double s[NJ];
+  for (size_t q = 0; q < NJ; ++q) s[q] = c[q];
+  for (size_t p = 0; p < k; ++p) {
+    for (size_t q = 0; q < NJ; ++q) s[q] += a[p] * b[q * ldb + p];
   }
+  for (size_t q = 0; q < NJ; ++q) c[q] = s[q];
 }
 
 void ScalarGemmStrip(const double* a, size_t lda, const double* b, size_t ldb,
@@ -196,12 +244,11 @@ void ScalarGemmStrip(const double* a, size_t lda, const double* b, size_t ldb,
       for (size_t j = 0; j < n; ++j) ci[j] = 0.0;
     }
     if (trans_b) {
-      for (size_t j = 0; j < n; ++j) {
-        const double* bj = b + j * ldb;
-        double s = ci[j];
-        for (size_t p = 0; p < k; ++p) s += ai[p] * bj[p];
-        ci[j] = s;
+      size_t j = 0;
+      for (; j + 4 <= n; j += 4) {
+        ScalarDotRows<4>(ai, b + j * ldb, ldb, k, ci + j);
       }
+      for (; j < n; ++j) ScalarDotRows<1>(ai, b + j * ldb, ldb, k, ci + j);
     } else {
       for (size_t p = 0; p < k; ++p) {
         const double aip = ai[p];

@@ -26,7 +26,9 @@ namespace factorml::la {
 ///    in row order (syrk_strip = AddOuter per row, colsum_strip = Axpy per
 ///    row, quadform_strip = QuadForm per row, gemm_strip's dot form one
 ///    chain per element from C's prior value), so strips and rows give
-///    the same scalar bits.
+///    the same scalar bits. Independent chains run side by side — rows
+///    across a column, Gram entries across 8 rows, 4 dot-form outputs —
+///    without reordering any one of them.
 ///  - `portable` — GNU vector extensions (32-byte double lanes) compiled
 ///    at the baseline ISA. On x86-64 that is SSE2; on aarch64 the same
 ///    source lowers to NEON. Fixed multi-accumulator reduction order, so
@@ -59,13 +61,20 @@ struct Kernels {
   // `rows` doubles (one decoded strip, see storage::ColumnStrips).
 
   // gram[i*ldg + j] += sum_r w[r] * cols[i][r] * cols[j][r] over the full
-  // (symmetric) d x d square; w == nullptr means unit weights. Batches the
-  // per-row rank-1 AddOuter of the linreg/logreg Gram update and the GMM
-  // covariance moment. Vector backends: each upper-triangle sum (i <= j)
-  // is mirrored, and row i sweeps four j columns per pass with one chain
-  // per (i, j) — the chain a 2-column call on {cols[i], cols[j]} runs.
+  // d x d square, or with `upper` only its upper triangle (j >= i; the
+  // entries below the diagonal are left untouched); w == nullptr means
+  // unit weights. Batches the per-row rank-1 AddOuter of the GMM
+  // covariance moment (full: its weighted chains (w x_j) x_i differ from
+  // their mirrors) and of the linreg/logreg Gram update (upper: the Gram
+  // is symmetric, and its owner mirrors the triangle once per pass). The
+  // caller charges the per-row AddOuter stream in both forms. Scalar:
+  // each entry takes 8 rows' products per load and store, in row order.
+  // Vector backends: each upper-triangle sum (i <= j) is computed once
+  // and, in the full form, mirrored; row i sweeps four j columns per pass
+  // with one chain per (i, j) — the chain a 2-column call on {cols[i],
+  // cols[j]} runs.
   void (*syrk_strip)(const double* const* cols, size_t d, size_t rows,
-                     const double* w, double* gram, size_t ldg);
+                     const double* w, double* gram, size_t ldg, bool upper);
   // out[r] = sum_j v[j] * cols[j][r] — the transposed-gemv shape of the
   // logreg eta pass (one dot per row, batched across the strip).
   void (*col_dot_strip)(const double* const* cols, size_t d, size_t rows,
@@ -102,12 +111,18 @@ struct Kernels {
   //   blocks of the same height). The NN backward shape: A = transposed
   //   delta strip, B = the feature strip, C = a W1-gradient block.
   // accumulate == false overwrites C's m x n block instead of adding.
+  // Scalar: axpy-form adds one row of B per p to a C row; dot-form runs 4
+  // elements' chains side by side, each from C's prior value in p order.
   // Vector backends tile without moving a bit. Axpy-form holds 4 C rows x
   // 8 lanes in registers across all k (1-row tiles for the m % 4 rows, an
   // Axpy per p for the n % 8 lanes); each element keeps its chain: prior
-  // value (or 0.0), then + a(i,p) * b(p,j) in p order. Dot-form sweeps 4
-  // B rows per A row, each (i, j) keeping Dot's two-accumulator chain, so
-  // a row equals a 1-row call and an entry a 1 x 1 call.
+  // value (or 0.0), then + a(i,p) * b(p,j) in p order. The 8-lane panels
+  // run outer, reusing B's panel across the row blocks, unless k <= 2 and
+  // ldc is a multiple of 128: then a panel's rows of C share a few cache
+  // sets, and each 4-row block sweeps its rows whole instead. Dot-form
+  // sweeps 4 B rows per A row, each (i, j)
+  // keeping Dot's two-accumulator chain, so a row equals a 1-row call and
+  // an entry a 1 x 1 call.
   void (*gemm_strip)(const double* a, size_t lda, const double* b, size_t ldb,
                      size_t m, size_t n, size_t k, double* c, size_t ldc,
                      bool trans_b, bool accumulate);

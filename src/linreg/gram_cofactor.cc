@@ -65,8 +65,11 @@ void GramCofactor::AddStrip(Slot& acc, const double* const* cols,
                             size_t rows, const double* w,
                             const double* wz) const {
   const la::Kernels& kern = la::Active();
-  // A += X^T W X — the per-row AddOuter(w, x, x) stream, batched.
-  kern.syrk_strip(cols, d_, rows, w, acc.gram.data(), acc.gram.cols());
+  // A += X^T W X — the per-row AddOuter(w, x, x) stream, batched and
+  // charged in full, though only the upper triangle is computed: EndPass
+  // mirrors it over the lower one.
+  kern.syrk_strip(cols, d_, rows, w, acc.gram.data(), acc.gram.cols(),
+                  /*upper=*/true);
   CountMults(rows * (d_ * d_ + d_));
   CountAdds(rows * d_ * d_);
   // b += X^T (W z) — the per-row Axpy(wz, x) stream.

@@ -61,9 +61,10 @@ class GramCofactor {
   /// the per-row weights (null = unit weights: the intercept column adds
   /// x itself, with no product and no product charged) and `wz` the
   /// per-row w*z. Full redundancy of the joined representation: every
-  /// tuple pays the complete d x d outer product. Every accumulator chains
-  /// from its slot value, so the scalar backend's row-replay kernels give
-  /// the per-row update's bits. Each kernel call is charged the exact
+  /// tuple is charged the complete d x d outer product, of which the
+  /// kernel computes the upper triangle (EndPass mirrors it). Every
+  /// accumulator chains from its slot value, so the scalar backend's
+  /// row-replay kernels give the per-row update's bits. Each kernel call is charged the exact
   /// op-count stream of the rows it batches, so the counts are invariant
   /// across backends.
   void AddStrip(Slot& acc, const double* const* cols, size_t rows,

@@ -1,5 +1,6 @@
 #include "obs/manifest.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -34,7 +35,8 @@ RunManifest RunManifest::FromArgs(const std::string& binary,
   m.shard_backend = args.GetShardBackend("inproc");
   m.cpu_features = la::CpuFeatures();
   m.buffer_pages = args.GetBufferPages(8192);
-  m.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  m.seed = static_cast<uint64_t>(
+      args.GetBoundedInt("seed", 42, 0, INT64_MAX, "must be an integer >= 0"));
   m.trace_path = args.GetTracePath();
   m.trace_buffer_kb = args.GetTraceBufferKb();
   return m;

@@ -460,8 +460,10 @@ TEST(KernelsTest, StripKernelsMatchScalarToTolerance) {
       const double* weight_opts[] = {nullptr, w.data()};
       for (const double* weights : weight_opts) {
         Matrix g_s(d, d), g_v(d, d);
-        scalar.syrk_strip(strip.cols.data(), d, rows, weights, g_s.data(), d);
-        simd.syrk_strip(strip.cols.data(), d, rows, weights, g_v.data(), d);
+        scalar.syrk_strip(strip.cols.data(), d, rows, weights, g_s.data(), d,
+                          /*upper=*/false);
+        simd.syrk_strip(strip.cols.data(), d, rows, weights, g_v.data(), d,
+                        /*upper=*/false);
         for (size_t i = 0; i < d; ++i) {
           for (size_t j = 0; j < d; ++j) {
             ASSERT_NEAR(g_s(i, j), g_v(i, j), 1e-9) << i << "," << j;
@@ -590,8 +592,9 @@ TEST(KernelsTest, RowKernelsKeepEachRowsChainOnEveryBackend) {
 TEST(KernelsTest, ColumnKernelsKeepEachEntrysChainOnEveryBackend) {
   // syrk_strip: entries (i, j) and (j, i), i <= j, equal the off-diagonal
   // entries of a 2-column call on {c_i, c_j} (the weighted product rounds
-  // w * c_i first, so the pair's order matters); colsum_strip: column j
-  // equals a 1-column call.
+  // w * c_i first, so the pair's order matters), and the upper form's
+  // entries equal the full square's upper triangle, leaving the lower one
+  // untouched; colsum_strip: column j equals a 1-column call.
   for (const char* backend : {"scalar", "portable", "native"}) {
     SCOPED_TRACE(backend);
     ScopedBackendEnv env(backend);
@@ -607,18 +610,27 @@ TEST(KernelsTest, ColumnKernelsKeepEachEntrysChainOnEveryBackend) {
         const double* weight_opts[] = {nullptr, w.data()};
         for (const double* weights : weight_opts) {
           SCOPED_TRACE(weights == nullptr ? "unit" : "weighted");
-          Matrix gram(d, d);
+          Matrix gram(d, d), upper(d, d);
           kern.syrk_strip(strip.cols.data(), d, rows, weights, gram.data(),
-                          d);
+                          d, /*upper=*/false);
+          kern.syrk_strip(strip.cols.data(), d, rows, weights, upper.data(),
+                          d, /*upper=*/true);
           for (size_t i = 0; i < d; ++i) {
+            for (size_t j = 0; j < i; ++j) {
+              ASSERT_EQ(upper(i, j), 0.0) << "upper form wrote " << i << ","
+                                          << j;
+            }
             for (size_t j = i; j < d; ++j) {
               const double* pair[] = {strip.cols[i], strip.cols[j]};
               Matrix g2(2, 2);
-              kern.syrk_strip(pair, 2, rows, weights, g2.data(), 2);
+              kern.syrk_strip(pair, 2, rows, weights, g2.data(), 2,
+                              /*upper=*/false);
               ASSERT_TRUE(SameBits(&g2(0, 1), &gram(i, j), 1))
                   << i << "," << j;
               ASSERT_TRUE(SameBits(&g2(1, 0), &gram(j, i), 1))
                   << j << "," << i;
+              ASSERT_TRUE(SameBits(&gram(i, j), &upper(i, j), 1))
+                  << "upper form " << i << "," << j;
             }
           }
           std::vector<double> acc(d, 0.5);
@@ -637,10 +649,13 @@ TEST(KernelsTest, ColumnKernelsKeepEachEntrysChainOnEveryBackend) {
 // The scalar backend's row-replay contract: every strip kernel hands each
 // accumulator the per-row code's expressions in row order, so a strip
 // equals, bit for bit, the row loop it batches (la/ops routes the row
-// primitives through the same scalar table). dist_strip's reference is
-// k-means' per-row squared distance; gemm_strip's dot form chains each
-// element from C's prior value, so k split over two accumulate calls
-// equals one call and the axpy form.
+// primitives through the same scalar table). syrk_strip's upper form
+// replays AddOuter on the upper triangle and leaves the rest of the
+// (non-symmetric) seed as it was. dist_strip's reference is k-means'
+// per-row squared distance; gemm_strip's dot form chains each element
+// from C's prior value, so k split over two accumulate calls equals one
+// call and the axpy form. The heights cross syrk_strip's 8-row sweeps
+// and its short last blocks.
 TEST(KernelsTest, ScalarStripKernelsReplayRowOrder) {
 #if defined(__FMA__)
   // GCC and clang may fuse a C++ `c + a * b` into one FMA when the target
@@ -652,7 +667,7 @@ TEST(KernelsTest, ScalarStripKernelsReplayRowOrder) {
   const Kernels& kern = Active();
   ASSERT_STREQ(kern.name, "scalar");
   for (const size_t d : {1, 3, 4, 5, 20, 33}) {
-    for (const size_t rows : {1, 3, 7, 256, 259}) {
+    for (const size_t rows : {1, 3, 7, 8, 9, 15, 16, 17, 256, 259}) {
       SCOPED_TRACE(::testing::Message() << "d=" << d << " rows=" << rows);
       Rng rng(57 + 1000 * d + rows);
       TestStrip strip(d, rows, &rng);
@@ -668,8 +683,11 @@ TEST(KernelsTest, ScalarStripKernelsReplayRowOrder) {
       }
       for (const bool weighted : {false, true}) {
         const double* wp = weighted ? w.data() : nullptr;
-        Matrix gram = seed, gram_rows = seed;
-        kern.syrk_strip(strip.cols.data(), d, rows, wp, gram.data(), d);
+        Matrix gram = seed, gram_rows = seed, upper = seed;
+        kern.syrk_strip(strip.cols.data(), d, rows, wp, gram.data(), d,
+                        /*upper=*/false);
+        kern.syrk_strip(strip.cols.data(), d, rows, wp, upper.data(), d,
+                        /*upper=*/true);
         std::vector<double> acc(seed.data(), seed.data() + d);
         std::vector<double> acc_rows = acc;
         kern.colsum_strip(strip.cols.data(), d, rows, wp, acc.data());
@@ -681,6 +699,12 @@ TEST(KernelsTest, ScalarStripKernelsReplayRowOrder) {
         }
         ASSERT_TRUE(SameBits(gram.data(), gram_rows.data(), d * d))
             << "syrk_strip weighted=" << weighted;
+        for (size_t i = 0; i < d; ++i) {
+          ASSERT_TRUE(SameBits(&upper(i, 0), seed.data() + i * d, i))
+              << "upper syrk_strip wrote below row " << i;
+          ASSERT_TRUE(SameBits(&upper(i, i), &gram_rows(i, i), d - i))
+              << "upper syrk_strip row " << i << " weighted=" << weighted;
+        }
         ASSERT_TRUE(SameBits(acc.data(), acc_rows.data(), d))
             << "colsum_strip weighted=" << weighted;
       }
@@ -736,9 +760,13 @@ TEST(KernelsTest, ScalarStripKernelsReplayRowOrder) {
 
 // gemm_strip's (m, n, k) grid: m crosses the 4-row tile edge, n the
 // 8-lane tile edge and its 4-lane / scalar tails, k the Dot pairing of 8.
+// GemmOperands pads C's rows by 2, so n = 126 and 1,022 give row strides
+// that are multiples of 128: with k <= 2 the axpy form's vector backends
+// sweep those one 4-row block at a time instead of one 8-lane panel at a
+// time (the NN output layer's backward, m = 50, k = 1, n = ldc = 1,024).
 constexpr size_t kGemmM[] = {1, 3, 4, 5, 8, 50};
-constexpr size_t kGemmN[] = {1, 3, 4, 7, 8, 9, 17, 256, 259};
-constexpr size_t kGemmK[] = {1, 5, 20, 33};
+constexpr size_t kGemmN[] = {1, 3, 4, 7, 8, 9, 17, 126, 256, 259, 1022};
+constexpr size_t kGemmK[] = {1, 2, 5, 20, 33};
 
 /// Random gemm_strip operands for one grid cell. Every row stride is
 /// wider than its logical width, so a kernel that assumes packed rows

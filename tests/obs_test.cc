@@ -416,6 +416,17 @@ TEST(ManifestTest, FromArgsRecordsTheCallersThreadDefault) {
   EXPECT_EQ(obs::RunManifest::FromArgs("obs_test", args, 1024, 4).threads, 3);
 }
 
+// A seed below 0 or past INT64_MAX exits 2 naming the flag instead of
+// being recorded modulo 2^64 (--seed=-1 read as 18446744073709551615).
+TEST(ManifestDeathTest, FromArgsRejectsASeedOutsideInt64) {
+  for (const char* flag : {"--seed=-1", "--seed=18446744073709551615"}) {
+    const char* argv[] = {"prog", flag};
+    ArgParser args(2, const_cast<char**>(argv));
+    EXPECT_EXIT(obs::RunManifest::FromArgs("obs_test", args),
+                ::testing::ExitedWithCode(2), std::string("invalid ") + flag);
+  }
+}
+
 TEST(ManifestTest, JsonEscapesFreeFormFields) {
   obs::RunManifest m;
   m.binary = "a\"b\\c";

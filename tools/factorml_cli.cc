@@ -27,6 +27,8 @@
 //   export     --dir=D --out=F.csv [--table=s|r1|r2...]
 //
 // Every train run prints a TrainReport (wall time, page I/O, flops).
+// Train subcommands take no `--seed` (exit 2): every trainer fixes its
+// own initialization.
 // `--threads=N` (any subcommand, default 1) runs the trainers on the
 // exec/ morsel-driven parallel runtime; --threads=1 is bit-identical to
 // the serial reproduction. `--buffer-pages=N` (train subcommands, default
@@ -278,7 +280,8 @@ int CmdStats(const ArgParser& args) {
   return 0;
 }
 
-/// The one train body: checks --dir, sizes the pool, loads the relations
+/// The one train body: rejects --seed (exit 2), checks --dir, sizes the
+/// pool, loads the relations
 /// (`has_target` is the family's target rule), fills the strategy half of
 /// `options`, parses --algo, then trains with the family's core::Train*
 /// entry and prints one TrainReport per strategy.
@@ -289,6 +292,15 @@ int RunTrain(const ArgParser& args, const std::string& cmd, bool has_target,
                                     const Options&, core::Algorithm,
                                     storage::BufferPool*,
                                     core::TrainReport*)) {
+  // Every trainer fixes its own initialization, so a seed would only be
+  // recorded in the run manifest while the run ignored it.
+  if (args.Has("seed")) {
+    std::fprintf(stderr,
+                 "factorml_cli: invalid --seed=%s (%s takes no seed: its "
+                 "initialization is fixed)\n",
+                 args.GetString("seed", "").c_str(), cmd.c_str());
+    return 2;
+  }
   const std::string dir = args.GetString("dir", "");
   if (dir.empty()) return Fail(cmd + " requires --dir");
   storage::BufferPool pool(static_cast<size_t>(args.GetBufferPages(8192)));
