@@ -3,6 +3,7 @@
 //   (a) the tuple ratio rr = nS / nR   (--part=rr)
 //   (b) the attribute-table width dR   (--part=dr)
 //   (c) the number of components K     (--part=k)
+// plus --part=kernels, the scalar-vs-simd kernel-plane sweep.
 // Defaults are scaled down from the paper's nS = 10^6 / nR = 1000 so the
 // full sweep runs in minutes; pass --scale_rows to change. The shape of
 // the comparison (who wins and how the gap grows) is scale-invariant.
@@ -93,6 +94,50 @@ int Main(int argc, char** argv) {
       EmitTrioRow(&json, "fig3c_k", std::to_string(k),
                   RunGmmAll(rel, opt, &pool));
     }
+  }
+
+  if (part == "kernels") {
+    // Scalar-vs-simd kernel-plane sweep (the BENCH_gmm_kernels.json CI
+    // artifact): the same M/S/F runs under both --kernels backends, with
+    // the per-phase wall timings in the JSON rows. The vector table's
+    // speedup lives in e_step (quadform_strip, posterior_strip) and
+    // m_step_cov (the weighted syrk_strip).
+    std::printf("\n-- kernel plane: --kernels=scalar vs simd "
+                "(rr=100, dR=15, K=5) --\n");
+    const int64_t n_s = static_cast<int64_t>(100 * n_r * row_scale);
+    auto rel = Generate(dir.str(), n_s, n_r, d_s, 15, &pool);
+    opt.num_components = 5;
+    Trio trios[2];
+    for (int simd = 0; simd < 2; ++simd) {
+      opt.kernels = simd == 1 ? la::KernelMode::kSimd
+                              : la::KernelMode::kScalar;
+      PrintTrioHeader(simd == 1 ? "simd" : "scalar");
+      trios[simd] = RunGmmAll(rel, opt, &pool);
+      EmitTrioRow(&json, "fig3_kernels", simd == 1 ? "simd" : "scalar",
+                  trios[simd]);
+    }
+    // Per strategy: each kernel phase's scalar time over its simd time.
+    const auto phase = [](const core::TrainReport& r, const char* name) {
+      double s = 0.0;
+      for (const auto& p : r.phases) {
+        if (p.name == name) s += p.seconds;
+      }
+      return s;
+    };
+    const core::TrainReport* scalar_reports[] = {&trios[0].m, &trios[0].s,
+                                                 &trios[0].f};
+    const core::TrainReport* simd_reports[] = {&trios[1].m, &trios[1].s,
+                                               &trios[1].f};
+    for (const char* name : {"e_step", "m_step_cov"}) {
+      std::printf("\n%s speedup (%s):", name, la::SimdBackendName());
+      for (int i = 0; i < 3; ++i) {
+        const double sc = phase(*scalar_reports[i], name);
+        const double si = phase(*simd_reports[i], name);
+        std::printf(" %s=%.2fx", scalar_reports[i]->algorithm.c_str(),
+                    si > 0 ? sc / si : 0.0);
+      }
+    }
+    std::printf("\n");
   }
   return 0;
 }

@@ -295,7 +295,7 @@ void BM_SyrkStrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kStripRows * d * d);
   LabelBackend(state);
 }
-BENCHMARK(BM_SyrkStrip)->ArgsProduct({{8, 32}, {0, 1}});
+BENCHMARK(BM_SyrkStrip)->ArgsProduct({{8, 20, 32}, {0, 1}});
 
 void BM_GramSyrkStrip(benchmark::State& state) {
   // The linreg/logreg Gram feed's call: unit weights, upper triangle, at
@@ -353,7 +353,9 @@ void BM_QuadFormStrip(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   StripData s(d, kStripRows, 24);
   la::Matrix a = RandomMatrix(d, d, 25);
-  // diff is d x rows row-major, like the GMM E-step's centered strip.
+  // diff is d x rows row-major, like the GMM E-step's centered strip. A
+  // is not symmetric: the vector backends fold its two triangles, which
+  // costs what the GMM precision's (exactly symmetric) fold costs.
   la::SelectKernels(ModeOf(state));
   const la::Kernels& k = la::Active();
   for (auto _ : state) {
@@ -365,7 +367,49 @@ void BM_QuadFormStrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kStripRows * d * d);
   LabelBackend(state);
 }
-BENCHMARK(BM_QuadFormStrip)->ArgsProduct({{8, 32}, {0, 1}});
+BENCHMARK(BM_QuadFormStrip)->ArgsProduct({{8, 20, 32}, {0, 1}});
+
+/// The GMM E-step posterior's operands for k components over `rows`
+/// points: chi-square(20) quadratic forms (gmm-fit's joined width) and
+/// log coefficients a few nats apart, so every component keeps mass.
+struct PosteriorData {
+  PosteriorData(size_t k, size_t rows, uint64_t seed)
+      : q(k * rows), log_coeff(k), gamma(k * rows), lse(rows) {
+    Rng rng(seed);
+    for (double& x : q) {
+      x = 0.0;
+      for (int j = 0; j < 20; ++j) {
+        const double g = rng.NextGaussian();
+        x += g * g;
+      }
+    }
+    for (size_t c = 0; c < k; ++c) {
+      log_coeff[c] = -30.0 - static_cast<double>(c);
+    }
+  }
+  std::vector<double> q, log_coeff, gamma, lse;
+};
+
+void BM_PosteriorStrip(benchmark::State& state) {
+  // k x rows quadratic forms to responsibilities plus one log-sum-exp per
+  // row, at gmm-fit's k = 5.
+  const size_t k = static_cast<size_t>(state.range(0));
+  PosteriorData p(k, kStripRows, 33);
+  la::SelectKernels(ModeOf(state));
+  const la::Kernels& kern = la::Active();
+  for (auto _ : state) {
+    kern.posterior_strip(p.q.data(), kStripRows, k, kStripRows,
+                         p.log_coeff.data(), p.gamma.data(), kStripRows,
+                         p.lse.data());
+    benchmark::DoNotOptimize(p.gamma.data());
+    benchmark::DoNotOptimize(p.lse.data());
+    benchmark::ClobberMemory();
+  }
+  la::SelectKernels(la::KernelMode::kScalar);
+  state.SetItemsProcessed(state.iterations() * kStripRows * k);
+  LabelBackend(state);
+}
+BENCHMARK(BM_PosteriorStrip)->ArgsProduct({{5}, {0, 1}});
 
 void BM_GemmStrip(benchmark::State& state) {
   // The NN first-layer forward shape: C(nh x rows) = W1(nh x d) * strip.
@@ -384,6 +428,29 @@ void BM_GemmStrip(benchmark::State& state) {
   LabelBackend(state);
 }
 BENCHMARK(BM_GemmStrip)->ArgsProduct({{8, 32}, {0, 1}});
+
+void BM_GemmStripBatch(benchmark::State& state) {
+  // The NN first-layer forward at the nn-epochs shape: C(50 x 1,024) =
+  // W1(50 x k) * a k x 1,024 batch block, C's row stride 1,024 — k = 5
+  // (F's S slice), 15 (its R slice) and 20 (the joined width).
+  constexpr size_t kBatch = 1024;
+  const size_t k = static_cast<size_t>(state.range(0));
+  const la::Matrix a = RandomMatrix(kNnEpochsNh, k, 34);
+  const la::Matrix b = RandomMatrix(k, kBatch, 35);
+  la::Matrix c(kNnEpochsNh, kBatch);
+  la::SelectKernels(ModeOf(state));
+  const la::Kernels& kern = la::Active();
+  for (auto _ : state) {
+    kern.gemm_strip(a.data(), k, b.data(), kBatch, kNnEpochsNh, kBatch, k,
+                    c.data(), kBatch, /*trans_b=*/false, /*accumulate=*/false);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  la::SelectKernels(la::KernelMode::kScalar);
+  state.SetItemsProcessed(state.iterations() * kBatch * kNnEpochsNh * k);
+  LabelBackend(state);
+}
+BENCHMARK(BM_GemmStripBatch)->ArgsProduct({{5, 15, 20}, {0, 1}});
 
 void BM_GemmStripT(benchmark::State& state) {
   // The NN backward shape: G(nh x d) += delta^T(nh x rows) * strip^T.
@@ -486,6 +553,8 @@ BENCHMARK(BM_UpperLayersStep)->ArgsProduct({{50}, {0, 1}});
 // benchmark workloads, d = 5 their S slice (the factorized strategy's
 // strip width). The NN kernels record their hidden width `nh` (null for
 // the others); the two gemm shapes also run at nn-epochs' nh = 50.
+// posterior_strip runs once per table at gmm-fit's k = 5 components,
+// recorded as its `d` (the height of its k x rows input).
 
 void WriteKernelRoofline(const std::string& path) {
   constexpr size_t kRows = kStripRows;
@@ -618,6 +687,39 @@ void WriteKernelRoofline(const std::string& path) {
     }
     la::SelectKernels(la::KernelMode::kScalar);
   }
+  // The GMM E-step posterior: its "gflops" count the ops the counters
+  // charge per row (2k + 1 exps, k adds, k subs) — the costliest being
+  // the exps, one in-lane per (row, component) on the vector backends.
+  constexpr size_t kComponents = 5;
+  PosteriorData post(kComponents, kRows, 36);
+  for (const auto mode : {la::KernelMode::kScalar, la::KernelMode::kSimd}) {
+    la::SelectKernels(mode);
+    const la::Kernels& k = la::Active();
+    const auto run = [&] {
+      k.posterior_strip(post.q.data(), kRows, kComponents, kRows,
+                        post.log_coeff.data(), post.gamma.data(), kRows,
+                        post.lse.data());
+    };
+    constexpr int kReps = 20000;
+    run();  // warm-up
+    Stopwatch sw;
+    for (int i = 0; i < kReps; ++i) run();
+    const double secs = sw.ElapsedSeconds();
+    const uint64_t ops = kRows * (4 * kComponents + 1);
+    const uint64_t bytes = (2 * kComponents * kRows + kRows) * 8;
+    std::fprintf(
+        f,
+        ",\n  {\"bench\": \"micro_kernels\", \"section\": \"roofline\","
+        " \"kernel\": \"posterior_strip\", \"backend\": \"%s\","
+        " \"d\": %zu, \"nh\": null, \"rows\": %zu, \"reps\": %d,"
+        " \"seconds\": %.6f, \"gflops\": %.3f, \"gbytes_per_sec\": %.3f,"
+        " \"cpu_features\": \"%s\", \"git_describe\": \"%s\"}",
+        k.name, kComponents, kRows, kReps, secs,
+        static_cast<double>(ops) * kReps / secs * 1e-9,
+        static_cast<double>(bytes) * kReps / secs * 1e-9,
+        la::CpuFeatures().c_str(), obs::GitDescribe());
+  }
+  la::SelectKernels(la::KernelMode::kScalar);
   // The whole NN upper-layer step (nn-epochs shape) as one more row per
   // table: the gemm_strip calls, the sigmoid and the elementwise passes
   // that make up the upper_layers phase. Its "gflops" are the counted ops

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <set>
 
-#include "common/opcount.h"
 #include "common/rng.h"
 #include "core/pipeline/access_strategy.h"
 #include "storage/table.h"
@@ -36,16 +35,6 @@ Result<la::Matrix> InitSeedRows(const join::NormalizedRelations& rel,
     }
   }
   return core::pipeline::AssembleJoinedRows(rel, pool, rows);
-}
-
-double PosteriorFromLogps(const double* logp, size_t k, double* gamma_row) {
-  const double lse = LogSumExp(logp, k);
-  for (size_t c = 0; c < k; ++c) {
-    gamma_row[c] = std::exp(logp[c] - lse);
-  }
-  CountExps(k);
-  CountSubs(k);
-  return lse;
 }
 
 bool Converged(double prev_ll, double ll, double tol) {

@@ -23,27 +23,24 @@ Result<la::Matrix> InitSeedRows(const join::NormalizedRelations& rel,
                                 storage::BufferPool* pool,
                                 const GmmOptions& options);
 
-/// Converts per-component unnormalized log posteriors `logp` (length k)
-/// into responsibilities written to `gamma_row`, returning the log of the
-/// normalizer (this point's contribution to the log-likelihood, Eq. 6).
-double PosteriorFromLogps(const double* logp, size_t k, double* gamma_row);
-
 /// Shared EM driver bookkeeping: responsibilities for all N points plus
-/// per-component responsibility mass N_k.
+/// per-component responsibility mass N_k. Component-major: Col(c) is
+/// component c's gamma for every point, so the E-step's posterior kernel
+/// writes whole lanes and the M-step passes read contiguous weights.
 struct Responsibilities {
   size_t n = 0;
   size_t k = 0;
-  std::vector<double> gamma;  // n * k, row-major
+  std::vector<double> gamma;  // k * n, component-major
   std::vector<double> n_k;    // k
 
   void Reset(size_t n_points, size_t n_components) {
     n = n_points;
     k = n_components;
-    gamma.assign(n * k, 0.0);
+    gamma.assign(k * n, 0.0);
     n_k.assign(k, 0.0);
   }
-  double* Row(int64_t point) { return gamma.data() + point * k; }
-  const double* Row(int64_t point) const { return gamma.data() + point * k; }
+  double* Col(size_t c) { return gamma.data() + c * n; }
+  const double* Col(size_t c) const { return gamma.data() + c * n; }
 };
 
 /// True when EM should stop: either the iteration budget is exhausted or

@@ -44,6 +44,22 @@ inline void CenterInto(const double* x, const double* mu, size_t d,
   CountSubs(d);
 }
 
+/// Centers the slice strip against mu into diff (ds x rows row-major,
+/// diff[i*rows + r] = cols[i][r] - mu[i], the layout quadform_strip and
+/// syrk_strip read), counting the per-row CenterInto stream. Out of line:
+/// inlined into Accumulate, GCC kept a stack spill inside the cov pass's
+/// copy of this loop, which then took 2.7x the cycles of the E-step's.
+[[gnu::noinline]] void CenterStrip(const double* const* cols,
+                                   const double* mu, size_t ds, size_t rows,
+                                   double* diff) {
+  for (size_t i = 0; i < ds; ++i) {
+    const double* xi = cols[i];
+    double* di = diff + i * rows;
+    for (size_t r = 0; r < rows; ++r) di[r] = xi[r] - mu[i];
+  }
+  CountSubs(rows * ds);
+}
+
 /// Per-pass factorized state for one attribute table and one component:
 /// the centered rows PD_Ri = x_Ri - mu[slice i] for every rid (Eq. 20),
 /// computed once per R tuple per pass and reused for all matching S rows.
@@ -176,7 +192,6 @@ class GmmProgram final : public core::pipeline::ModelProgram {
         for (auto& acc : acc_) {
           acc.ll = 0.0;
           acc.n_k.assign(k_, 0.0);
-          acc.logp.resize(k_);
           acc.diff.resize(ds_);
         }
         break;
@@ -213,8 +228,8 @@ class GmmProgram final : public core::pipeline::ModelProgram {
   /// weighted centered sum, Eq. 18); per-rid responsibility mass is added
   /// in row order. Further tables (multi-way joins) and the cross blocks
   /// stay row-at-a-time over the centered strip. Every kernel call is
-  /// charged the exact op counts of the per-row formula it replaces, and
-  /// the posterior exp stream is the same on every backend.
+  /// charged the exact op counts of the per-row formula it replaces, so
+  /// the posterior charges the same exp count on every backend.
   void Accumulate(int pass, int worker, const Block& block) override {
     Acc& acc = acc_[static_cast<size_t>(worker)];
     static obs::Histogram* batch_micros =
@@ -226,20 +241,20 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     std::vector<const double*> cols(ds_);  // slice feature strip columns
     std::vector<double> diffm;             // centered slice, ds x rows
     std::vector<const double*> dptr(ds_);  // row pointers into diffm
-    std::vector<double> gbuf;              // contiguous per-component gammas
     std::vector<double> vbuf;              // per-run precision-slice product
     std::vector<double> ubuf;              // per-run col_dot output
     std::vector<double> lbuf;              // per-run LL col_dot (no symmetry)
     std::vector<double> wsum;              // per-run weighted column sum
+    std::vector<double> lse;               // per-row log-likelihood terms
     Matrix qbuf;                           // k x rows quadratic forms
     if (pass != kMeanStep) diffm.resize(ds_ * st.strip_rows);
     if (pass == kEStep) {
       qbuf.Resize(k_, st.strip_rows);
       vbuf.resize(ds_);
       ubuf.resize(st.strip_rows);
+      lse.resize(st.strip_rows);
       if (!opt_.exploit_symmetry) lbuf.resize(st.strip_rows);
     }
-    if (pass != kEStep) gbuf.resize(st.strip_rows);
     if (pass == kCovStep) wsum.resize(ds_);
 
     for (size_t s = 0; s < st.num_strips; ++s) {
@@ -253,13 +268,8 @@ class GmmProgram final : public core::pipeline::ModelProgram {
         case kEStep: {
           for (size_t c = 0; c < k_; ++c) {
             const Matrix& prec = density_.precision[c];
-            const double* mu = params_.mu.Row(c).data();
-            for (size_t i = 0; i < ds_; ++i) {
-              const double* xi = cols[i];
-              double* di = diffm.data() + i * rows;
-              for (size_t r = 0; r < rows; ++r) di[r] = xi[r] - mu[i];
-            }
-            CountSubs(rows * ds_);  // the per-row CenterInto stream
+            CenterStrip(cols.data(), params_.mu.Row(c).data(), ds_, rows,
+                        diffm.data());
             kern.quadform_strip(diffm.data(), ds_, rows, prec.data(),
                                 prec.cols(), qbuf.Row(c).data());
             CountMults(rows * (ds_ * ds_ + ds_));  // the S-diag Bilinear
@@ -368,24 +378,26 @@ class GmmProgram final : public core::pipeline::ModelProgram {
               }
             }
           }
-          // Posterior row-at-a-time: the same exp stream on every backend.
-          for (size_t r = 0; r < rows; ++r) {
-            for (size_t c = 0; c < k_; ++c) {
-              acc.logp[c] = density_.log_coeff[c] - 0.5 * qbuf(c, r);
-            }
-            double* gamma = resp_.Row(base + static_cast<int64_t>(r));
-            acc.ll +=
-                internal::PosteriorFromLogps(acc.logp.data(), k_, gamma);
-            for (size_t c = 0; c < k_; ++c) acc.n_k[c] += gamma[c];
+          // Posterior over the strip, charged the per-row LogSumExp
+          // (k + 1 exps, k adds) and exp(logp - lse) (k exps, k subs)
+          // stream; ll and each n_k chain in row order.
+          kern.posterior_strip(qbuf.data(), qbuf.cols(), k_, rows,
+                               density_.log_coeff.data(),
+                               resp_.Col(0) + base, resp_.n, lse.data());
+          CountExps(rows * (2 * k_ + 1));
+          CountAdds(rows * k_);
+          CountSubs(rows * k_);
+          for (size_t r = 0; r < rows; ++r) acc.ll += lse[r];
+          for (size_t c = 0; c < k_; ++c) {
+            const double* gc = resp_.Col(c) + base;
+            for (size_t r = 0; r < rows; ++r) acc.n_k[c] += gc[r];
           }
           break;
         }
         case kMeanStep: {
           for (size_t c = 0; c < k_; ++c) {
-            for (size_t r = 0; r < rows; ++r) {
-              gbuf[r] = resp_.Row(base + static_cast<int64_t>(r))[c];
-            }
-            kern.colsum_strip(cols.data(), ds_, rows, gbuf.data(),
+            const double* gc = resp_.Col(c) + base;
+            kern.colsum_strip(cols.data(), ds_, rows, gc,
                               acc.mu_sum.data() + c * ds_);
             CountMults(rows * ds_);  // the per-row Axpy(gamma, xs) stream
             CountAdds(rows * ds_);
@@ -396,7 +408,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
               for (size_t r = 0; r < rows; ++r) {
                 mass_.Add(worker, i, c,
                           block.s_rows->KeysOf(row0 + r)[rel_->FkKeyIndex(i)],
-                          gbuf[r]);
+                          gc[r]);
               }
             }
             CountAdds(rows * q_);
@@ -405,20 +417,13 @@ class GmmProgram final : public core::pipeline::ModelProgram {
         }
         case kCovStep: {
           for (size_t c = 0; c < k_; ++c) {
-            const double* mu = params_.mu.Row(c).data();
-            for (size_t i = 0; i < ds_; ++i) {
-              const double* xi = cols[i];
-              double* di = diffm.data() + i * rows;
-              for (size_t r = 0; r < rows; ++r) di[r] = xi[r] - mu[i];
-              dptr[i] = di;
-            }
-            CountSubs(rows * ds_);
-            for (size_t r = 0; r < rows; ++r) {
-              gbuf[r] = resp_.Row(base + static_cast<int64_t>(r))[c];
-            }
+            CenterStrip(cols.data(), params_.mu.Row(c).data(), ds_, rows,
+                        diffm.data());
+            for (size_t i = 0; i < ds_; ++i) dptr[i] = diffm.data() + i * rows;
+            const double* gc = resp_.Col(c) + base;
             Matrix& sg = acc.sigma[c];
-            kern.syrk_strip(dptr.data(), ds_, rows, gbuf.data(), sg.data(),
-                            sg.cols(), /*upper=*/false);
+            kern.syrk_strip(dptr.data(), ds_, rows, gc, sg.data(), sg.cols(),
+                            /*upper=*/false);
             CountMults(rows * (ds_ * ds_ + ds_));  // the S-diag AddOuter
             CountAdds(rows * ds_ * ds_);
             // Table-0 cross blocks per FK1 run: the responsibility-
@@ -435,8 +440,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
                 dptr[i] = diffm.data() + i * rows + ll;
               }
               std::fill(wsum.begin(), wsum.end(), 0.0);
-              kern.colsum_strip(dptr.data(), ds_, rn, gbuf.data() + ll,
-                                wsum.data());
+              kern.colsum_strip(dptr.data(), ds_, rn, gc + ll, wsum.data());
               kern.add_outer(1.0, wsum.data(), ds_, pdr, dr0,
                              sg.data() + attr_offset_[0], sg.cols());
               CountMults(rn * (ds_ * dr0 + ds_));  // the S x R0 AddOuter
@@ -457,7 +461,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
                 for (size_t i = 0; i < ds_; ++i) {
                   pds[i] = diffm[i * rows + r];
                 }
-                const double gamma_c = gbuf[r];
+                const double gamma_c = gc[r];
                 const int64_t* keys = block.s_rows->KeysOf(row0 + r);
                 for (size_t i = 0; i < q_; ++i) {
                   const int64_t rid = keys[rel_->FkKeyIndex(i)];
@@ -496,7 +500,7 @@ class GmmProgram final : public core::pipeline::ModelProgram {
   void VisitSlotState(
       int pass, int slot,
       const std::function<void(double*, double*, size_t)>& visit) override {
-    // The merged state of one accumulator slot, per pass. logp/diff are
+    // The merged state of one accumulator slot, per pass. diff is
     // scratch and the responsibilities (resp_) are per-rid state resident
     // with the rid's shard — neither is visited.
     Acc& acc = acc_[static_cast<size_t>(slot)];
@@ -634,7 +638,6 @@ class GmmProgram final : public core::pipeline::ModelProgram {
   struct Acc {
     double ll = 0.0;
     std::vector<double> n_k;
-    std::vector<double> logp;
     std::vector<double> diff;     // centered slice (q > 1 only)
     std::vector<double> mu_sum;   // k * ds
     std::vector<Matrix> sigma;    // k of d x d

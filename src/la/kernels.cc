@@ -25,7 +25,8 @@ namespace {
 // kernel modes, and each scalar strip kernel hands every accumulator the
 // per-row code's expressions in row order — syrk_strip the AddOuter body,
 // colsum_strip the Axpy body, quadform_strip the QuadForm body,
-// dist_strip the squared-distance loop, col_dot_strip the Dot body, and
+// posterior_strip the LogSumExp and exp chain, dist_strip the
+// squared-distance loop, col_dot_strip the Dot body, and
 // gemm_strip's dot form one chain per element that starts from C's prior
 // value (so k split over several accumulate calls equals one call).
 // Batching the rows therefore moves no scalar bit. The speed comes from
@@ -221,6 +222,27 @@ void ScalarQuadFormStrip(const double* diff, size_t d, size_t rows,
   }
 }
 
+// The seed's per-row posterior (PosteriorFromLogps over LogSumExp), moved
+// verbatim: the max, the exp sum in component order, then one more exp
+// per component against the normalizer.
+void ScalarPosteriorStrip(const double* q, size_t ldq, size_t k, size_t rows,
+                          const double* log_coeff, double* gamma, size_t ldg,
+                          double* lse) {
+  std::vector<double> logp(k);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < k; ++c) {
+      logp[c] = log_coeff[c] - 0.5 * q[c * ldq + r];
+    }
+    double m = logp[0];
+    for (size_t c = 1; c < k; ++c) m = std::max(m, logp[c]);
+    double s = 0.0;
+    for (size_t c = 0; c < k; ++c) s += std::exp(logp[c] - m);
+    const double l = m + std::log(s);
+    for (size_t c = 0; c < k; ++c) gamma[c * ldg + r] = std::exp(logp[c] - l);
+    lse[r] = l;
+  }
+}
+
 // c[q] += sum_p a[p] * b[q * ldb + p] for NJ outputs side by side, each
 // chaining from its prior value in p order.
 template <size_t NJ>
@@ -279,7 +301,7 @@ constexpr Kernels kScalarKernels = {
     ScalarDot,         ScalarAxpy,
     ScalarBilinear,    ScalarAddOuter,
     ScalarSyrkStrip,   ScalarColDotStrip, ScalarColSumStrip,
-    ScalarDistStrip,   ScalarQuadFormStrip,
+    ScalarDistStrip,   ScalarQuadFormStrip, ScalarPosteriorStrip,
     ScalarGemmStrip,   ScalarGatherAddRowsStrip,
     ScalarSigmoid,
 };
@@ -310,7 +332,7 @@ constexpr Kernels kPortableKernels = {
     PortableDot,         PortableAxpy,
     PortableBilinear,    PortableAddOuter,
     PortableSyrkStrip,   PortableColDotStrip, PortableColSumStrip,
-    PortableDistStrip,   PortableQuadFormStrip,
+    PortableDistStrip,   PortableQuadFormStrip, PortablePosteriorStrip,
     PortableGemmStrip,   PortableGatherAddRowsStrip,
     PortableSigmoid,
 };
@@ -330,7 +352,7 @@ constexpr Kernels kAvx2Kernels = {
     Avx2Dot,         Avx2Axpy,
     Avx2Bilinear,    Avx2AddOuter,
     Avx2SyrkStrip,   Avx2ColDotStrip, Avx2ColSumStrip,
-    Avx2DistStrip,   Avx2QuadFormStrip,
+    Avx2DistStrip,   Avx2QuadFormStrip, Avx2PosteriorStrip,
     Avx2GemmStrip,   Avx2GatherAddRowsStrip,
     Avx2Sigmoid,
 };

@@ -24,7 +24,8 @@ namespace factorml::la {
 ///    code: the tier-1 goldens pin it. Its strip kernels keep a row-replay
 ///    contract: each accumulator receives the per-row code's expressions
 ///    in row order (syrk_strip = AddOuter per row, colsum_strip = Axpy per
-///    row, quadform_strip = QuadForm per row, gemm_strip's dot form one
+///    row, quadform_strip = QuadForm per row, posterior_strip = the
+///    per-row LogSumExp and exp chain, gemm_strip's dot form one
 ///    chain per element from C's prior value), so strips and rows give
 ///    the same scalar bits. Independent chains run side by side — rows
 ///    across a column, Gram entries across 8 rows, 4 dot-form outputs —
@@ -70,9 +71,12 @@ struct Kernels {
   // caller charges the per-row AddOuter stream in both forms. Scalar:
   // each entry takes 8 rows' products per load and store, in row order.
   // Vector backends: each upper-triangle sum (i <= j) is computed once
-  // and, in the full form, mirrored; row i sweeps four j columns per pass
-  // with one chain per (i, j) — the chain a 2-column call on {cols[i],
-  // cols[j]} runs.
+  // and, in the full form, mirrored, with one chain per (i, j) — the
+  // chain a 2-column call on {cols[i], cols[j]} runs. Unweighted, row i
+  // sweeps four j columns per pass. Weighted (the GMM covariance moment),
+  // three i rows sweep four j columns per pass, sharing the w * cols[i]
+  // products and the cols[j] loads (the d % 3 last rows go one at a time;
+  // a block's entries below the diagonal are computed and dropped).
   void (*syrk_strip)(const double* const* cols, size_t d, size_t rows,
                      const double* w, double* gram, size_t ldg, bool upper);
   // out[r] = sum_j v[j] * cols[j][r] — the transposed-gemv shape of the
@@ -93,12 +97,33 @@ struct Kernels {
                      const double* center, double* out);
   // out[r] = diff_r^T A diff_r where diff is d x rows row-major
   // (diff[i*rows + r]) — the batched GMM responsibility quadratic form.
-  // Vector backends sweep 16 rows (then 4, then a scalar tail) x 2
-  // precision rows, sharing the a_ij broadcasts and diff_j loads; each
-  // row forms t_i = sum_j a_ij diff_j in j order, then adds diff_i t_i
-  // in i order.
+  // Scalar: QuadForm's full-square chain per row. Vector backends sum
+  // only the upper triangle, folding A's two triangles into one
+  // coefficient per broadcast (b_ii = a_ii, b_ij = a_ij + a_ji for
+  // j > i), so any A keeps the full-square value up to reassociation and
+  // a symmetric one (the GMM precision) costs half the products: each
+  // row forms t_i = sum_{j >= i} b_ij diff_j in j order, then adds
+  // diff_i t_i in i order. They sweep 16 rows (then 4, then a scalar
+  // tail) x 2 precision rows, sharing the b_ij broadcasts and the diff_j
+  // loads.
   void (*quadform_strip)(const double* diff, size_t d, size_t rows,
                          const double* a, size_t lda, double* out);
+  // The GMM E-step posterior of `rows` points over k components, with
+  // logp_c(r) = log_coeff[c] - 0.5 * q[c*ldq + r] (q: the k x rows
+  // quadratic forms): lse[r] = log sum_c exp(logp_c(r)) (the point's
+  // log-likelihood term) and gamma[c*ldg + r] = its responsibility, all
+  // component-major. Scalar: the per-row LogSumExp (max, then
+  // s = sum exp(logp - max) in c order, lse = max + log s) and
+  // gamma = exp(logp - lse), the seed's two exps per (row, component).
+  // Vector backends: 4 rows per lane block, one in-lane exp per (row,
+  // component) — gamma = exp(logp - max) * (1 / s), lse = max + log s —
+  // within 4 ulp of scalar where |lse| is O(1) (scalar's exp(logp - lse)
+  // carries lse's rounding) and exactly 0 where scalar's exp underflows.
+  // The row tail is padded into a lane block, so a row's results do not
+  // depend on its index. The caller charges the per-row op stream.
+  void (*posterior_strip)(const double* q, size_t ldq, size_t k, size_t rows,
+                          const double* log_coeff, double* gamma, size_t ldg,
+                          double* lse);
 
   // ------------------------------------------- dgemm-shaped strip kernel
   // trans_b == false:  C(m x n, ldc) (+)= A(m x k, lda) * B(k x n, ldb)

@@ -9,6 +9,7 @@
 #include "common/opcount.h"
 #include "common/status.h"
 #include "core/pipeline/model_program.h"
+#include "la/kernels.h"
 #include "la/matrix.h"
 #include "la/ops.h"
 #include "net/wire.h"
@@ -75,7 +76,17 @@ class GramCofactor {
   void AddFact(Slot& acc, const double* xs, const int64_t* keys, double w,
                double wz) const {
     // Per fact tuple: only the S-diagonal block and the per-rid masses.
-    la::AddOuter(w, xs, ds_, xs, ds_, &acc.gram, 0, 0);
+    // The block's upper triangle takes AddOuter's (w * x_i) * x_j, row by
+    // row; EndPass mirrors it over the lower one. Charged in full, as
+    // AddOuter.
+    const la::Kernels& kern = la::Active();
+    const size_t lda = acc.gram.cols();
+    for (size_t i = 0; i < ds_; ++i) {
+      kern.add_outer(w, xs + i, 1, xs + i, ds_ - i,
+                     acc.gram.data() + i * lda + i, lda);
+    }
+    CountMults(ds_ * ds_ + ds_);
+    CountAdds(ds_ * ds_);
     la::Axpy(wz, xs, acc.cvec.data(), ds_);
     for (size_t i = 0; i < q_; ++i) {
       const auto rid = static_cast<size_t>(keys[rel_->FkKeyIndex(i)]);

@@ -10,6 +10,7 @@
 
 #include "common/opcount.h"
 #include "common/rng.h"
+#include "gmm/gmm_model.h"
 #include "gtest/gtest.h"
 #include "la/cholesky.h"
 #include "la/kernels.h"
@@ -439,9 +440,10 @@ TEST(KernelsTest, SimdPrimitivesMatchScalarToTolerance) {
 }
 
 /// Strip widths and heights that cross every block boundary of the vector
-/// strip kernels: the 4-column and 2-precision-row sweeps, the 16- and
+/// strip kernels: the 4-column and 2-precision-row sweeps, the weighted
+/// syrk's 3-row blocks with each remainder (d % 3 = 0, 1, 2), the 16- and
 /// 4-row lane blocks, and the scalar row tails.
-constexpr size_t kGridD[] = {1, 2, 5, 20, 33};
+constexpr size_t kGridD[] = {1, 2, 5, 7, 20, 33};
 constexpr size_t kGridRows[] = {1, 3, 4, 15, 16, 17, 31, 203, 256, 259};
 
 TEST(KernelsTest, StripKernelsMatchScalarToTolerance) {
@@ -495,7 +497,9 @@ TEST(KernelsTest, StripKernelsMatchScalarToTolerance) {
         ASSERT_NEAR(out_s[r], out_v[r], 1e-10) << r;
       }
 
-      // quadform takes the centered strip as one d x rows block.
+      // quadform takes the centered strip as one d x rows block. A is not
+      // symmetric: the vector backends' folded upper triangle still
+      // gives the full-square form.
       Matrix a = RandomMatrix(d, d, &rng);
       scalar.quadform_strip(strip.data.data(), d, rows, a.data(), d,
                             out_s.data());
@@ -763,10 +767,12 @@ TEST(KernelsTest, ScalarStripKernelsReplayRowOrder) {
 // GemmOperands pads C's rows by 2, so n = 126 and 1,022 give row strides
 // that are multiples of 128: with k <= 2 the axpy form's vector backends
 // sweep those one 4-row block at a time instead of one 8-lane panel at a
-// time (the NN output layer's backward, m = 50, k = 1, n = ldc = 1,024).
+// time (the NN output layer's backward, m = 50, k = 1, n = ldc = 1,024);
+// k = 5, 15 and 20 (nn-epochs' first-layer widths) keep the panel order
+// at that stride.
 constexpr size_t kGemmM[] = {1, 3, 4, 5, 8, 50};
 constexpr size_t kGemmN[] = {1, 3, 4, 7, 8, 9, 17, 126, 256, 259, 1022};
-constexpr size_t kGemmK[] = {1, 2, 5, 20, 33};
+constexpr size_t kGemmK[] = {1, 2, 5, 15, 20, 33};
 
 /// Random gemm_strip operands for one grid cell. Every row stride is
 /// wider than its logical width, so a kernel that assumes packed rows
@@ -986,6 +992,160 @@ TEST(KernelsTest, SigmoidOnEveryBackend) {
       kern.sigmoid(x.data() + off, n, out.data());
       for (size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], h[off + i]) << n;
       ASSERT_EQ(out[n], -1.0) << n;
+    }
+  }
+}
+
+/// posterior_strip operands for k components over `rows` points, with
+/// component-major outputs padded past `rows` (ld = rows + 3) so a write
+/// past a lane shows. Log posteriors sit in [-3, -0.4], where |lse| is
+/// O(1); with k >= 3, component 2 sits near -800 instead, a spread past
+/// exp's underflow edge (745), so its responsibility is exactly 0.
+struct PosteriorOperands {
+  PosteriorOperands(size_t k, size_t rows, Rng* rng)
+      : k(k), rows(rows), ld(rows + 3), q(k * ld), log_coeff(k) {
+    for (size_t c = 0; c < k; ++c) {
+      log_coeff[c] = rng->NextUniform(-2.2, -0.4);
+      for (size_t r = 0; r < rows; ++r) {
+        q[c * ld + r] = c == 2 ? rng->NextUniform(1500.0, 1700.0)
+                               : rng->NextUniform(0.0, 1.6);
+      }
+    }
+  }
+  /// Runs the kernel; gamma is k x ld, lse has ld entries (-1 past rows).
+  void Run(const Kernels& kern, std::vector<double>* gamma,
+           std::vector<double>* lse) const {
+    gamma->assign(k * ld, -1.0);
+    lse->assign(ld, -1.0);
+    kern.posterior_strip(q.data(), ld, k, rows, log_coeff.data(),
+                         gamma->data(), ld, lse->data());
+  }
+  size_t k, rows, ld;
+  std::vector<double> q, log_coeff;
+};
+
+constexpr size_t kPostK[] = {1, 5};
+constexpr size_t kPostRows[] = {1, 3, 4, 5, 257};
+
+// The scalar posterior is the seed's per-row chain: gmm::LogSumExp over
+// the row's log posteriors, then exp(logp - lse) per component.
+TEST(KernelsTest, ScalarPosteriorStripReplaysTheSeedChain) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "FMA target: the compiler may contract a*b+c per loop";
+#endif
+  ScopedKernels scalar(KernelMode::kScalar);
+  const Kernels& kern = Active();
+  for (const size_t k : kPostK) {
+    for (const size_t rows : kPostRows) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k << " rows=" << rows);
+      Rng rng(61 + 1000 * k + rows);
+      const PosteriorOperands op(k, rows, &rng);
+      std::vector<double> gamma, lse;
+      op.Run(kern, &gamma, &lse);
+      std::vector<double> logp(k), want(k);
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < k; ++c) {
+          logp[c] = op.log_coeff[c] - 0.5 * op.q[c * op.ld + r];
+        }
+        const double l = gmm::LogSumExp(logp.data(), k);
+        ASSERT_TRUE(SameBits(&l, &lse[r], 1)) << "lse r=" << r;
+        for (size_t c = 0; c < k; ++c) {
+          const double g = std::exp(logp[c] - l);
+          ASSERT_TRUE(SameBits(&g, &gamma[c * op.ld + r], 1))
+              << "gamma c=" << c << " r=" << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, VectorPosteriorStripMatchesScalarToFourUlp) {
+  // One in-lane exp per (row, component), normalized by 1 / s, against
+  // scalar's two exps; lse = max + log s on both. Far components give
+  // exactly 0 on both, and nothing past `rows` is written.
+  const Kernels& scalar = Active();
+  ASSERT_FALSE(scalar.simd);
+  for (const char* backend : {"portable", "native"}) {
+    SCOPED_TRACE(backend);
+    ScopedBackendEnv env(backend);
+    ScopedKernels simd(KernelMode::kSimd);
+    const Kernels& kern = Active();
+    int64_t max_ulp = 0;
+    for (const size_t k : kPostK) {
+      for (const size_t rows : kPostRows) {
+        SCOPED_TRACE(::testing::Message() << "k=" << k << " rows=" << rows);
+        Rng rng(67 + 1000 * k + rows);
+        const PosteriorOperands op(k, rows, &rng);
+        std::vector<double> g_s, l_s, g_v, l_v;
+        op.Run(scalar, &g_s, &l_s);
+        op.Run(kern, &g_v, &l_v);
+        for (size_t r = 0; r < op.ld; ++r) {
+          if (r >= rows) {
+            ASSERT_EQ(l_v[r], -1.0) << "wrote lse past rows";
+            for (size_t c = 0; c < k; ++c) {
+              ASSERT_EQ(g_v[c * op.ld + r], -1.0) << "wrote gamma past rows";
+            }
+            continue;
+          }
+          ASSERT_NEAR(l_v[r], l_s[r],
+                      4 * std::numeric_limits<double>::epsilon() *
+                          std::max(1.0, std::fabs(l_s[r])))
+              << "lse r=" << r;
+          for (size_t c = 0; c < k; ++c) {
+            const double want = g_s[c * op.ld + r];
+            const double got = g_v[c * op.ld + r];
+            if (c == 2) {
+              ASSERT_EQ(want, 0.0) << "r=" << r;
+              ASSERT_EQ(got, 0.0) << "r=" << r;
+            }
+            const int64_t ulp = UlpDistance(got, want);
+            ASSERT_LE(ulp, 4) << "c=" << c << " r=" << r << " got " << got
+                              << " want " << want;
+            max_ulp = std::max(max_ulp, ulp);
+          }
+        }
+      }
+    }
+    RecordProperty(std::string(backend) + "_max_ulp",
+                   static_cast<int>(max_ulp));
+  }
+}
+
+TEST(KernelsTest, PosteriorStripTailRowEqualsItsLaneBlockOnEveryBackend) {
+  // The row tail is padded into a lane block: each row of a strip equals
+  // that row placed in a full 4-row block of its own, bit for bit.
+  for (const char* backend : {"scalar", "portable", "native"}) {
+    SCOPED_TRACE(backend);
+    ScopedBackendEnv env(backend);
+    ScopedKernels simd(KernelMode::kSimd);
+    const Kernels& kern = Active();
+    for (const size_t k : kPostK) {
+      for (const size_t rows : kPostRows) {
+        SCOPED_TRACE(::testing::Message() << "k=" << k << " rows=" << rows);
+        Rng rng(71 + 1000 * k + rows);
+        const PosteriorOperands op(k, rows, &rng);
+        std::vector<double> gamma, lse;
+        op.Run(kern, &gamma, &lse);
+        for (size_t r = 0; r < rows; ++r) {
+          // Row r at lane r % 4 of a block whose other lanes hold row 0.
+          PosteriorOperands block = op;
+          block.rows = 4;
+          block.ld = 4;
+          block.q.assign(k * 4, 0.0);
+          for (size_t c = 0; c < k; ++c) {
+            for (size_t l = 0; l < 4; ++l) {
+              block.q[c * 4 + l] = op.q[c * op.ld + (l == r % 4 ? r : 0)];
+            }
+          }
+          std::vector<double> bg, bl;
+          block.Run(kern, &bg, &bl);
+          ASSERT_TRUE(SameBits(&bl[r % 4], &lse[r], 1)) << "lse r=" << r;
+          for (size_t c = 0; c < k; ++c) {
+            ASSERT_TRUE(SameBits(&bg[c * 4 + r % 4], &gamma[c * op.ld + r], 1))
+                << "gamma c=" << c << " r=" << r;
+          }
+        }
+      }
     }
   }
 }

@@ -1354,9 +1354,11 @@ TEST_P(KernelsParityTest, GmmSimdMatchesScalarWorkStream) {
                             " threads=" + std::to_string(threads) +
                             " shards=" + std::to_string(shards);
     ExpectSameWorkStream(simd_report, scalar_report, tag);
-    // The E-step exp() stream is evaluated row-at-a-time on both planes,
-    // so even the exp count — the costliest op — matches exactly (checked
-    // above); the log-likelihood itself only moves by summation order.
+    // The E-step posterior charges the per-row exp count on both planes
+    // (scalar runs the seed's two exps per row and component, the vector
+    // posterior_strip one in-lane exp), so even the exp count — the
+    // costliest op — matches exactly (checked above); the log-likelihood
+    // itself moves only by summation order and exp's last bits.
     EXPECT_NEAR(simd_report.final_objective, scalar_report.final_objective,
                 1e-9 * std::fabs(scalar_report.final_objective) + 1e-12)
         << tag;
