@@ -9,7 +9,6 @@
 #include "common/opcount.h"
 #include "common/status.h"
 #include "core/pipeline/model_program.h"
-#include "la/kernels.h"
 #include "la/matrix.h"
 #include "la/ops.h"
 #include "net/wire.h"
@@ -76,14 +75,15 @@ class GramCofactor {
   void AddFact(Slot& acc, const double* xs, const int64_t* keys, double w,
                double wz) const {
     // Per fact tuple: only the S-diagonal block and the per-rid masses.
-    // The block's upper triangle takes AddOuter's (w * x_i) * x_j, row by
-    // row; EndPass mirrors it over the lower one. Charged in full, as
-    // AddOuter.
-    const la::Kernels& kern = la::Active();
+    // The block's upper triangle takes AddOuter's (w * x_i) * x_j in place
+    // (EndPass mirrors it over the lower one); a kernel call per triangle
+    // row cost more than the products it saves at ds = 5. Charged as the
+    // full AddOuter.
     const size_t lda = acc.gram.cols();
     for (size_t i = 0; i < ds_; ++i) {
-      kern.add_outer(w, xs + i, 1, xs + i, ds_ - i,
-                     acc.gram.data() + i * lda + i, lda);
+      const double ui = w * xs[i];
+      double* row = acc.gram.data() + i * lda;
+      for (size_t j = i; j < ds_; ++j) row[j] += ui * xs[j];
     }
     CountMults(ds_ * ds_ + ds_);
     CountAdds(ds_ * ds_);
