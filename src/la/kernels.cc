@@ -222,7 +222,7 @@ void ScalarQuadFormStrip(const double* diff, size_t d, size_t rows,
   }
 }
 
-// The seed's per-row posterior (PosteriorFromLogps over LogSumExp), moved
+// The seed's per-row posterior (gmm::LogSumExp, then exp(logp - lse)), moved
 // verbatim: the max, the exp sum in component order, then one more exp
 // per component against the normalizer.
 void ScalarPosteriorStrip(const double* q, size_t ldq, size_t k, size_t rows,
