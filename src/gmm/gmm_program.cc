@@ -48,7 +48,7 @@ inline void CenterInto(const double* x, const double* mu, size_t d,
 /// diff[i*rows + r] = cols[i][r] - mu[i], the layout quadform_strip and
 /// syrk_strip read), counting the per-row CenterInto stream. Out of line:
 /// inlined into Accumulate, GCC kept a stack spill inside the cov pass's
-/// copy of this loop, which then took 2.7x the cycles of the E-step's.
+/// copy of this loop, which then took 2.7x the cycles it takes without.
 [[gnu::noinline]] void CenterStrip(const double* const* cols,
                                    const double* mu, size_t ds, size_t rows,
                                    double* diff) {
