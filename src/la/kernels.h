@@ -134,7 +134,10 @@ struct Kernels {
   // trans_b == true:   C(m x n, ldc) (+)= A(m x k, lda) * B(n x k, ldb)^T
   //   — dot-form over k; both operands contiguous along k (two strip
   //   blocks of the same height). The NN backward shape: A = transposed
-  //   delta strip, B = the feature strip, C = a W1-gradient block.
+  //   delta strip, B = the feature strip, C = a W1-gradient block. Also
+  //   F-linreg/logreg's attr x attr cross blocks: A = one table's
+  //   (weighted) rows gathered column-major, B = another table's, C = the
+  //   Gram block of the pair.
   // accumulate == false overwrites C's m x n block instead of adding.
   // Scalar: axpy-form adds one row of B per p to a C row; dot-form runs 4
   // elements' chains side by side, each from C's prior value in p order.
@@ -154,7 +157,8 @@ struct Kernels {
 
   // ------------------------------------------------ FK1 gather kernel
   // out[r] += base[idx[r] * ldb + j] for j in [0, n) — adds one gathered
-  // base row per strip row (NN's per-attribute partial-cache gather).
+  // base row per strip row (NN's per-attribute partial-cache gather, and
+  // with n = 1 the per-rid response dots of F-logreg's eta).
   // `idx` holds one row id per strip row (contiguous rid runs when they
   // come from join::ChunkFk1Runs group batches, arbitrary otherwise).
   void (*gather_add_rows_strip)(const double* base, size_t ldb,

@@ -1,10 +1,13 @@
 #include "linreg/gram_cofactor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
+#include "common/opcount.h"
 #include "la/cholesky.h"
 #include "la/kernels.h"
+#include "la/ops.h"
 
 namespace factorml::linreg {
 
@@ -61,36 +64,118 @@ void GramCofactor::Reset(const core::pipeline::PipelineContext& ctx,
   }
 }
 
-void GramCofactor::AddStrip(Slot& acc, const double* const* cols,
-                            size_t rows, const double* w,
+void GramCofactor::AddStrip(Slot& acc, const core::pipeline::Block& block,
+                            size_t strip, const double* w,
                             const double* wz) const {
   const la::Kernels& kern = la::Active();
-  // A += X^T W X — the per-row AddOuter(w, x, x) stream, batched and
-  // charged in full, though only the upper triangle is computed: EndPass
-  // mirrors it over the lower one.
-  kern.syrk_strip(cols, d_, rows, w, acc.gram.data(), acc.gram.cols(),
-                  /*upper=*/true);
-  CountMults(rows * (d_ * d_ + d_));
-  CountAdds(rows * d_ * d_);
-  // b += X^T (W z) — the per-row Axpy(wz, x) stream.
-  kern.colsum_strip(cols, d_, rows, wz, acc.cvec.data());
-  CountMults(rows * d_);
-  CountAdds(rows * d_);
-  if (intercept_) {
+  const storage::ColumnStrips& st = *block.strips;
+  const size_t rows = st.RowsInStrip(strip);
+  const size_t row0 = st.StripStart(strip);
+  // Scratch per thread (Accumulate's slot is the chunk, and one thread runs
+  // many chunk slots): the strip's and a run's columns, then the intercept
+  // chains or the gathered table rows.
+  thread_local std::vector<const double*> cols;
+  thread_local std::vector<double> buf;
+  cols.resize(2 * ds_);
+  for (size_t j = 0; j < ds_; ++j) cols[j] = st.Col(strip, 1 + j);  // after Y
+  // The S-diagonal block += X^T W X — the per-row AddOuter(w, x, x)
+  // stream, batched and charged in full, though only the upper triangle is
+  // computed: EndPass mirrors it over the lower one.
+  kern.syrk_strip(cols.data(), ds_, rows, w, acc.gram.data(),
+                  acc.gram.cols(), /*upper=*/true);
+  CountMults(rows * (ds_ * ds_ + ds_));
+  CountAdds(rows * ds_ * ds_);
+  // b's slice += X^T (W z) — the per-row Axpy(wz, x) stream.
+  kern.colsum_strip(cols.data(), ds_, rows, wz, acc.cvec.data());
+  CountMults(rows * ds_);
+  CountAdds(rows * ds_);
+  // sum w*x, sum w and sum w*z over rows [lo, lo + n) into `wx`, `ws` and
+  // `wzs`, each chaining from its slot value in row order like the per-row
+  // Axpy and adds (unit weights sum to the exact row count).
+  const auto add_sums = [&](size_t lo, size_t n, double* wx, double* ws,
+                            double* wzs) {
+    for (size_t j = 0; j < ds_; ++j) cols[ds_ + j] = cols[j] + lo;
+    const double* wl = w != nullptr ? w + lo : nullptr;
+    const double* wzl = wz + lo;
+    kern.colsum_strip(&cols[ds_], ds_, n, wl, wx);
+    if (wl != nullptr) {
+      kern.colsum_strip(&wl, 1, n, nullptr, ws);
+    } else {
+      *ws += static_cast<double>(n);
+    }
+    kern.colsum_strip(&wzl, 1, n, nullptr, wzs);
+  };
+  if (q_ == 0) {
+    if (!intercept_) return;
     // The intercept column (strided in the Gram) chains through a
     // contiguous copy seeded with its slot values.
-    std::vector<double> icol(d_);
-    for (size_t j = 0; j < d_; ++j) icol[j] = acc.gram(j, d_);
-    kern.colsum_strip(cols, d_, rows, w, icol.data());
-    for (size_t j = 0; j < d_; ++j) acc.gram(j, d_) = icol[j];
-    if (w != nullptr) {
-      kern.colsum_strip(&w, 1, rows, nullptr, &acc.gram(d_, d_));
-      CountMults(rows * (d_ + 1));
-    } else {
-      acc.gram(d_, d_) += static_cast<double>(rows);  // exact: a row count
-    }
-    kern.colsum_strip(&wz, 1, rows, nullptr, &acc.cvec[d_]);
+    buf.resize(d_);
+    for (size_t j = 0; j < d_; ++j) buf[j] = acc.gram(j, d_);
+    add_sums(0, rows, buf.data(), &acc.gram(d_, d_), &acc.cvec[d_]);
+    for (size_t j = 0; j < d_; ++j) acc.gram(j, d_) = buf[j];
+    if (w != nullptr) CountMults(rows * (d_ + 1));
     CountAdds(rows * (d_ + 2));
+    return;
+  }
+  // Table 0 per FK1 run of the block (the groups are in row order), split
+  // at the strip's edges: the run shares one (span-relative) rid.
+  const auto first = std::partition_point(
+      block.groups.begin(), block.groups.end(),
+      [&](const join::JoinGroup& g) { return g.offset + g.count <= row0; });
+  for (auto g = first; g != block.groups.end() && g->offset < row0 + rows;
+       ++g) {
+    const size_t lo = std::max(g->offset, row0) - row0;
+    const size_t n = std::min(g->offset + g->count, row0 + rows) - row0 - lo;
+    const size_t rid = static_cast<size_t>(g->rid) - acc.base0;
+    if (n == 0) continue;  // an empty group
+    add_sums(lo, n, acc.wxsum[0].Row(rid).data(), &acc.wsum[0][rid],
+             &acc.wzsum[0][rid]);
+  }
+  CountMults(rows * q_ * ds_);  // each table's Axpy(w, xs)
+  CountAdds(rows * q_ * (ds_ + 2));
+  if (q_ == 1) return;
+  // Tables >= 1 have unordered rids: their masses stay a per-row scatter.
+  // The attr x attr cross blocks take AddOuter(w, xr_i, xr_j) per fact
+  // tuple: each table's rows are gathered column-major, plain (xr) and
+  // times w as AddOuter scales its left operand (wxr; with unit weights
+  // 1 * x = x, so xr serves), for one dot-form gemm_strip per table pair.
+  const storage::RowBatch& s_rows = *block.s_rows;
+  const size_t dr = d_ - ds_;
+  // Columns one cache line apart beyond the strip height: at a
+  // power-of-two stride every gathered column's writes share a few L1 sets.
+  const size_t ld = rows + 8;
+  buf.resize((w != nullptr ? 2 : 1) * dr * ld);
+  double* xr = buf.data();
+  double* wxr = w != nullptr ? xr + dr * ld : xr;  // unit weights: xr
+  for (size_t r = 0; r < rows; ++r) {
+    const int64_t* keys = s_rows.KeysOf(row0 + r);
+    const double wr = w != nullptr ? w[r] : 1.0;
+    for (size_t i = 0; i < q_; ++i) {
+      const auto rid = static_cast<size_t>(keys[rel_->FkKeyIndex(i)]);
+      if (i > 0) {
+        kern.axpy(wr, s_rows.feats.Row(row0 + r).data() + 1,
+                  acc.wxsum[i].Row(rid).data(), ds_);
+        acc.wsum[i][rid] += wr;
+        acc.wzsum[i][rid] += wz[r];
+      }
+      const auto x = (*views_)[i].feats().Row(rid);
+      const size_t at = (attr_offset_[i] - ds_) * ld + r;
+      for (size_t a = 0; a < x.size(); ++a) {
+        xr[at + a * ld] = x[a];
+        if (w != nullptr) wxr[at + a * ld] = wr * x[a];
+      }
+    }
+  }
+  for (size_t i = 0; i + 1 < q_; ++i) {
+    for (size_t j = i + 1; j < q_; ++j) {
+      const size_t dri = rel_->dr(i), drj = rel_->dr(j);
+      kern.gemm_strip(wxr + (attr_offset_[i] - ds_) * ld, ld,
+                      xr + (attr_offset_[j] - ds_) * ld, ld, dri, drj, rows,
+                      &acc.gram(attr_offset_[i], attr_offset_[j]), da_,
+                      /*trans_b=*/true, /*accumulate=*/true);
+      CountMults(rows * (dri * drj + dri));
+      CountAdds(rows * dri * drj);
+    }
   }
 }
 
@@ -132,8 +217,16 @@ void GramCofactor::EndPass(const core::pipeline::PipelineContext& ctx) {
         // S x Ri cross block from the weighted per-rid S-slice sums.
         la::AddOuter(1.0, wxsum[i].Row(rid).data(), ds_, xr, dri, &gram, 0,
                      off);
-        // Ri-diagonal block, weighted by the per-rid mass.
-        la::AddOuter(sw, xr, dri, xr, dri, &gram, off, off);
+        // Ri-diagonal block, weighted by the per-rid mass: AddOuter's
+        // (sw * x_i) * x_j on the upper triangle only, in place (the
+        // mirror below fills the lower one). Charged as the full AddOuter.
+        for (size_t a = 0; a < dri; ++a) {
+          for (size_t b = a; b < dri; ++b) {
+            gram(off + a, off + b) += (sw * xr[a]) * xr[b];
+          }
+        }
+        CountMults(dri * dri + dri);
+        CountAdds(dri * dri);
         // Ri slice of b from the per-rid response mass.
         la::Axpy(wzsum[i][rid], xr, cvec.data() + off, dri);
         if (intercept_) {

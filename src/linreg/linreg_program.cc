@@ -59,36 +59,21 @@ class LinregProgram final : public core::pipeline::ModelProgram {
     return Status::OK();
   }
 
-  /// The gram pass, through GramCofactor's feed for what the strategy
-  /// hands over: with no factored table, the strip update over the
-  /// block's joined rows plus sum(y^2), chained into the slot's scalar in
-  /// row order (a 1 x 1 dot-form gemm_strip), charged the row loop's
-  /// exact op counts; under F, the per-fact-tuple factorized update.
+  /// The gram pass: every strip of the block through GramCofactor's one
+  /// feed (whatever the strategy factors), plus sum(y^2), chained into the
+  /// slot's scalar in row order (a 1 x 1 dot-form gemm_strip), each
+  /// charged the row loop's exact op counts.
   void Accumulate(int, int worker, const Block& block) override {
-    GramCofactor::Slot& acc = normal_.slot(worker);
-    if (normal_.factored_tables() > 0) {
-      const storage::RowBatch& s_rows = *block.s_rows;
-      for (size_t r = 0; r < s_rows.num_rows; ++r) {
-        const double y = s_rows.feats(r, 0);  // kNeedsTarget: column 0 is Y
-        normal_.AddFact(acc, s_rows.feats.Row(r).data() + 1, s_rows.KeysOf(r),
-                        1.0, y);
-        acc.scalar += y * y;
-        CountMults(1);
-        CountAdds(1);
-      }
-      return;
-    }
     static obs::Histogram* batch_micros =
         obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
+    GramCofactor::Slot& acc = normal_.slot(worker);
     const storage::ColumnStrips& st = *block.strips;
-    std::vector<const double*> cols(normal_.d());
     for (size_t s = 0; s < st.num_strips; ++s) {
       const size_t rows = st.RowsInStrip(s);
       if (rows == 0) continue;
       const uint64_t t0 = obs::NowMicros();
-      for (size_t j = 0; j < cols.size(); ++j) cols[j] = st.Col(s, 1 + j);
       const double* y = st.Col(s, 0);  // kNeedsTarget: column 0 is Y
-      normal_.AddStrip(acc, cols.data(), rows, nullptr, y);
+      normal_.AddStrip(acc, block, s, nullptr, y);
       la::Active().gemm_strip(y, rows, y, rows, 1, 1, rows, &acc.scalar, 1,
                               /*trans_b=*/true, /*accumulate=*/true);
       CountMults(rows);

@@ -86,62 +86,55 @@ class LogregProgram final : public core::pipeline::ModelProgram {
     return Status::OK();
   }
 
-  /// The IRLS pass, through GramCofactor's feed for what the strategy
-  /// hands over. With no factored table it runs over the block's strips:
-  /// the linear response and the weighted normal equations go through the
-  /// la/ batch kernels, each charged the exact op counts of the per-row
-  /// loop it batches. Under F each fact tuple takes the factorized
-  /// response and update. Reweight stays per-row so the exp/log stream
-  /// (and its op charges) is the same on every backend.
+  /// The IRLS pass over the block's strips: the linear response and the
+  /// weighted normal equations go through the la/ batch kernels, each
+  /// charged the exact op counts of the per-row loop it batches. Under F
+  /// the response adds each factored table's cached rid dot after the S
+  /// slice's. Reweight stays per-row so the exp/log stream (and its op
+  /// charges) is the same on every backend.
   void Accumulate(int, int worker, const Block& block) override {
-    GramCofactor::Slot& acc = normal_.slot(worker);
-    const size_t q = normal_.factored_tables();
-    if (q > 0) {
-      const storage::RowBatch& s_rows = *block.s_rows;
-      const size_t ds = rel_->ds();
-      for (size_t r = 0; r < s_rows.num_rows; ++r) {
-        const double* xs = s_rows.feats.Row(r).data() + 1;  // after Y
-        const int64_t* keys = s_rows.KeysOf(r);
-        // Factorized response: S part per tuple, attribute parts from the
-        // per-rid dot cache (one add per join).
-        double eta = la::Dot(xs, beta_.data(), ds) + Bias();
-        for (size_t i = 0; i < q; ++i) {
-          eta += rid_dot_[i][static_cast<size_t>(keys[rel_->FkKeyIndex(i)])];
-        }
-        CountAdds(q);
-        const auto [s, z] = Reweight(eta, s_rows.feats(r, 0), &acc.scalar);
-        CountMults(1);
-        normal_.AddFact(acc, xs, keys, s, s * z);
-      }
-      return;
-    }
     static obs::Histogram* batch_micros =
         obs::Registry::Instance().GetHistogram("la.batch_kernel_micros");
+    const la::Kernels& kern = la::Active();
+    GramCofactor::Slot& acc = normal_.slot(worker);
     const storage::ColumnStrips& st = *block.strips;
-    const size_t d = normal_.d();
+    const size_t d = st.num_cols - 1;  // the slice after Y
+    const size_t q = rid_dot_.size();
     const double bias = Bias();
     std::vector<const double*> cols(d);
     std::vector<double> eta(st.strip_rows);
     std::vector<double> sw(st.strip_rows);
     std::vector<double> sz(st.strip_rows);
+    std::vector<int64_t> rids(st.strip_rows);
     for (size_t s = 0; s < st.num_strips; ++s) {
       const size_t rows = st.RowsInStrip(s);
       if (rows == 0) continue;
       const uint64_t t0 = obs::NowMicros();
       for (size_t j = 0; j < d; ++j) cols[j] = st.Col(s, 1 + j);
       const double* y = st.Col(s, 0);  // kNeedsTarget: column 0 is Y
-      // eta = X beta (+ bias) — the per-row Dot stream, batched.
-      la::Active().col_dot_strip(cols.data(), d, rows, beta_.data(),
-                                 eta.data());
+      // eta = X beta + bias — the per-row Dot stream, batched — then, in
+      // table order, each factored table's beta_Ri . xr from the per-rid
+      // cache (one add per join).
+      kern.col_dot_strip(cols.data(), d, rows, beta_.data(), eta.data());
       CountMults(rows * d);
       CountAdds(rows * d);
+      for (size_t r = 0; r < rows; ++r) eta[r] += bias;
+      for (size_t i = 0; i < q; ++i) {
+        const size_t key = rel_->FkKeyIndex(i);
+        for (size_t r = 0; r < rows; ++r) {
+          rids[r] = block.s_rows->KeysOf(st.StripStart(s) + r)[key];
+        }
+        kern.gather_add_rows_strip(rid_dot_[i].data(), 1, rids.data(), rows,
+                                   1, eta.data(), 1);
+      }
+      CountAdds(rows * q);
       for (size_t r = 0; r < rows; ++r) {
-        const auto [w, z] = Reweight(eta[r] + bias, y[r], &acc.scalar);
+        const auto [w, z] = Reweight(eta[r], y[r], &acc.scalar);
         sw[r] = w;
         sz[r] = w * z;
       }
       CountMults(rows);  // the per-row s * z products
-      normal_.AddStrip(acc, cols.data(), rows, sw.data(), sz.data());
+      normal_.AddStrip(acc, block, s, sw.data(), sz.data());
       batch_micros->Record(obs::NowMicros() - t0);
     }
   }

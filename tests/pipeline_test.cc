@@ -18,13 +18,19 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/opcount.h"
 #include "core/factorml.h"
 #include "core/pipeline/checkpoint.h"
 #include "gtest/gtest.h"
+#include "join/assemble.h"
+#include "la/kernels.h"
+#include "la/ops.h"
+#include "linreg/gram_cofactor.h"
 #include "test_util.h"
 
 namespace factorml {
@@ -378,12 +384,13 @@ uint64_t StateFingerprint(const std::vector<double>& state, double objective) {
 template <typename Options, typename TrainFn>
 uint64_t TrainFingerprint(const join::NormalizedRelations& rel, Options opt,
                           int a, const char* model, BufferPool* pool,
-                          TrainFn train) {
+                          TrainFn train, core::TrainReport* out = nullptr) {
   TempDir ckpt;
   opt.checkpoint_dir = ckpt.str();
   opt.checkpoint_every = 1;
   pool->Clear();
-  core::TrainReport report;
+  core::TrainReport local;
+  core::TrainReport& report = out != nullptr ? *out : local;
   auto m = train(rel, opt, kAll[a], pool, &report);
   EXPECT_TRUE(m.ok()) << m.status().ToString();
   const std::string label = std::string(1, "MSF"[a]) + "-" + model;
@@ -481,6 +488,74 @@ TEST(PipelineSeedRegressionTest, ScalarStateFingerprintsAreBitExact) {
   }
 }
 
+// The linear families over three joins: F's attr x attr cross blocks
+// include one between tables 1 and 2, neither of them the FK1 table, so
+// both its operands are gathered through foreign keys. Every cell pins the
+// checkpointed state and objective bitwise plus the op counts, which must
+// hold at every thread and shard count, and the single-thread page reads.
+// Captured from the per-fact-tuple F feed, before F moved onto the S-slice
+// strips. Batches of the default size span many 256-row strips, so FK1
+// runs straddle strip boundaries.
+TEST(PipelineSeedRegressionTest, ThreeJoinLinearFingerprintsAreBitExact) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "FMA target: fingerprints are for builds without FMA";
+#endif
+  struct Pin {
+    uint64_t state, mults, adds, pages_read;
+  };
+  // [family][strategy]; family order LINREG, LOGREG.
+  constexpr Pin kPins[2][3] = {
+      {{0x18e034c00ee4c2dcull, 589102, 594877, 72},
+       {0x94a8051e219dfadaull, 589102, 594877, 27},
+       {0xb88cd7f217e43340ull, 207977, 180503, 27}},
+      {{0x1f8c6d68758ce64dull, 2045631, 1918959, 72},
+       {0x696ed6796dfadf7aull, 2045631, 1918959, 27},
+       {0x1c3b8b3b8fc05f2full, 687027, 613608, 27}},
+  };
+  TempDir dir;
+  BufferPool pool(512);
+  auto spec = Spec(dir.str(), true);
+  spec.name = "three_joins";
+  spec.attrs.push_back(data::AttributeSpec{15, 2});
+  spec.attrs.push_back(data::AttributeSpec{9, 3});
+  auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
+  for (const auto& [threads, shards] :
+       {std::pair{1, 1}, std::pair{2, 1}, std::pair{1, 2}, std::pair{2, 2}}) {
+    core::pipeline::StrategyOptions base;
+    base.morsel_rows = 1001;
+    base.temp_dir = dir.str();
+    base.threads = threads;
+    base.shards = shards;
+    linreg::LinregOptions lopt;
+    static_cast<core::pipeline::StrategyOptions&>(lopt) = base;
+    logreg::LogregOptions gopt;
+    static_cast<core::pipeline::StrategyOptions&>(gopt) = base;
+    gopt.max_iters = 3;
+    for (int a = 0; a < 3; ++a) {
+      core::TrainReport reports[2];
+      const uint64_t got[2] = {
+          TrainFingerprint(rel, lopt, a, "LINREG", &pool, core::TrainLinreg,
+                           &reports[0]),
+          TrainFingerprint(rel, gopt, a, "LOGREG", &pool, core::TrainLogreg,
+                           &reports[1]),
+      };
+      for (int f = 0; f < 2; ++f) {
+        const std::string tag = std::string("family=") + "LG"[f] +
+                                " strategy=" + "MSF"[a] +
+                                " threads=" + std::to_string(threads) +
+                                " shards=" + std::to_string(shards);
+        const Pin& pin = kPins[f][a];
+        EXPECT_EQ(got[f], pin.state) << tag;
+        EXPECT_EQ(reports[f].ops.mults, pin.mults) << tag;
+        EXPECT_EQ(reports[f].ops.adds, pin.adds) << tag;
+        if (threads == 1 && shards == 1) {
+          EXPECT_EQ(reports[f].io.pages_read, pin.pages_read) << tag;
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------- linreg parity
 
 class LinregParityTest : public ::testing::TestWithParam<int> {};
@@ -519,6 +594,139 @@ TEST_P(LinregParityTest, StrategiesAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, LinregParityTest, ::testing::Values(1, 4));
+
+// ------------------------------------------------ GramCofactor strip feed
+
+/// The per-fact-tuple F update the strip feed replaced, as the reference:
+/// the S-diagonal block's upper triangle, b's S slice, every table's
+/// per-rid masses and the attr x attr cross blocks, one row at a time.
+void AddFactReference(const join::NormalizedRelations& rel,
+                      const std::vector<join::AttributeTableView>& views,
+                      const double* xs, const int64_t* keys, double w,
+                      double wz, linreg::GramCofactor::Slot* acc) {
+  const size_t ds = rel.ds();
+  const size_t lda = acc->gram.cols();
+  for (size_t i = 0; i < ds; ++i) {
+    const double ui = w * xs[i];
+    double* row = acc->gram.data() + i * lda;
+    for (size_t j = i; j < ds; ++j) row[j] += ui * xs[j];
+  }
+  CountMults(ds * ds + ds);
+  CountAdds(ds * ds);
+  la::Axpy(wz, xs, acc->cvec.data(), ds);
+  for (size_t i = 0; i < views.size(); ++i) {
+    const int64_t rid = keys[rel.FkKeyIndex(i)];
+    const auto r = static_cast<size_t>(rid);
+    la::Axpy(w, xs, acc->wxsum[i].Row(r).data(), ds);
+    acc->wsum[i][r] += w;
+    acc->wzsum[i][r] += wz;
+    CountAdds(2);
+    for (size_t j = i + 1; j < views.size(); ++j) {
+      const auto xr_i = views[i].FeaturesOf(rid);
+      const auto xr_j = views[j].FeaturesOf(keys[rel.FkKeyIndex(j)]);
+      la::AddOuter(w, xr_i.data(), xr_i.size(), xr_j.data(), xr_j.size(),
+                   &acc->gram, rel.FeatureOffset(i + 1),
+                   rel.FeatureOffset(j + 1));
+    }
+  }
+}
+
+// Under scalar kernels the strip feed must leave every slot double
+// bitwise equal to the per-row update, and charge the same op counts, over
+// three joins, with and without weights. FK1 runs straddle the 256-row
+// strip edges (one covers a whole strip), and one run is empty.
+TEST(GramCofactorTest, StripFeedReplaysThePerRowUpdate) {
+#if defined(__FMA__)
+  GTEST_SKIP() << "FMA target: the reference loops may fuse differently";
+#endif
+  TempDir dir;
+  BufferPool pool(512);
+  auto spec = Spec(dir.str(), true);
+  spec.name = "three_joins";
+  spec.attrs = {{40, 5}, {15, 2}, {9, 3}};
+  auto rel = std::move(GenerateSynthetic(spec, &pool)).value();
+  std::vector<join::AttributeTableView> views(rel.num_joins());
+  for (size_t i = 0; i < views.size(); ++i) {
+    FML_ASSERT_OK(views[i].Load(rel.attrs[i], &pool));
+  }
+  const size_t ds = rel.ds();
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  storage::RowBatch s_rows;
+  std::vector<join::JoinGroup> groups;
+  for (const size_t count : {200, 120, 1, 0, 600, 56, 30}) {
+    groups.push_back({static_cast<int64_t>((groups.size() * 7) % 40),
+                      s_rows.num_rows, count});
+    s_rows.num_rows += count;
+  }
+  s_rows.num_keys = 1 + rel.num_joins();
+  s_rows.keys.resize(s_rows.num_rows * s_rows.num_keys);
+  s_rows.feats.Resize(s_rows.num_rows, 1 + ds);
+  for (const auto& g : groups) {
+    for (size_t r = g.offset; r < g.offset + g.count; ++r) {
+      int64_t* keys = s_rows.keys.data() + r * s_rows.num_keys;
+      keys[0] = static_cast<int64_t>(r);
+      keys[rel.FkKeyIndex(0)] = g.rid;
+      for (size_t i = 1; i < views.size(); ++i) {
+        keys[rel.FkKeyIndex(i)] =
+            static_cast<int64_t>(rng() % views[i].feats().rows());
+      }
+      for (size_t j = 0; j <= ds; ++j) s_rows.feats(r, j) = unit(rng);
+    }
+  }
+  storage::ColumnStrips strips;
+  join::AssembleJoinedStrips(rel, s_rows, /*views=*/{},
+                             core::pipeline::kDefaultStripRows, &strips);
+  ASSERT_EQ(strips.num_strips, 4u);
+  const core::pipeline::Block block{0, s_rows.num_rows, &strips, &s_rows,
+                                    groups};
+  core::pipeline::PipelineContext ctx;
+  ctx.rel = &rel;
+  ctx.views = &views;
+  ctx.slice_cols = ds;
+  ctx.factored_tables = views.size();
+  std::vector<double> w(s_rows.num_rows), wz(s_rows.num_rows);
+  for (size_t r = 0; r < w.size(); ++r) {
+    w[r] = 0.25 + 0.5 * (unit(rng) + 1.0);
+    wz[r] = unit(rng);
+  }
+  la::SelectKernels(la::KernelMode::kScalar);
+  for (const bool weighted : {false, true}) {
+    linreg::GramCofactor normal(1e-3, /*intercept=*/true);
+    normal.Init(ctx);
+    normal.BeginPass(ctx, 2);
+    const OpCounters before = GlobalOps();
+    for (size_t s = 0; s < strips.num_strips; ++s) {
+      const size_t r0 = strips.StripStart(s);
+      normal.AddStrip(normal.slot(0), block, s,
+                      weighted ? w.data() + r0 : nullptr, wz.data() + r0);
+    }
+    const OpCounters mid = GlobalOps();
+    for (size_t r = 0; r < s_rows.num_rows; ++r) {
+      AddFactReference(rel, views, s_rows.feats.Row(r).data() + 1,
+                       s_rows.KeysOf(r), weighted ? w[r] : 1.0, wz[r],
+                       &normal.slot(1));
+    }
+    const OpCounters feed = mid - before;
+    const OpCounters rows = GlobalOps() - mid;
+    EXPECT_EQ(feed.mults, rows.mults) << "weighted=" << weighted;
+    EXPECT_EQ(feed.adds, rows.adds) << "weighted=" << weighted;
+    std::vector<std::pair<const double*, size_t>> spans[2];
+    for (int slot = 0; slot < 2; ++slot) {
+      normal.VisitSlot(slot, [&](double* data, double*, size_t len) {
+        spans[slot].emplace_back(data, len);
+      });
+    }
+    ASSERT_EQ(spans[0].size(), spans[1].size());
+    for (size_t k = 0; k < spans[0].size(); ++k) {
+      ASSERT_EQ(spans[0][k].second, spans[1][k].second);
+      EXPECT_EQ(std::memcmp(spans[0][k].first, spans[1][k].first,
+                            spans[0][k].second * sizeof(double)),
+                0)
+          << "weighted=" << weighted << " span " << k;
+    }
+  }
+}
 
 TEST(LinregTest, RecoversPlantedSignalBetterThanMean) {
   TempDir dir;
@@ -1289,39 +1497,56 @@ void ExpectSameWorkStream(const Report& simd, const Report& scalar,
 class KernelsParityTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
+/// The test relation over `joins` attribute tables: Spec's, plus a second
+/// table whose F cross block with the first runs the dot-form gemm_strip.
+join::NormalizedRelations JoinsRelation(const std::string& dir, int joins,
+                                        BufferPool* pool) {
+  auto spec = Spec(dir, true);
+  if (joins == 2) {
+    spec.name = "two_joins";
+    spec.attrs.push_back(data::AttributeSpec{15, 2});
+  }
+  return std::move(GenerateSynthetic(spec, pool)).value();
+}
+
 TEST_P(KernelsParityTest, LinregSimdMatchesScalarWorkStream) {
   const auto [threads, shards] = GetParam();
   TempDir dir;
   BufferPool pool(512);
-  auto rel =
-      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
-  linreg::LinregOptions opt;
-  opt.batch_rows = 256;
-  opt.morsel_rows = 200;
-  opt.temp_dir = dir.str();
-  opt.threads = threads;
-  opt.shards = shards;
-  for (const auto algo : kAll) {
-    opt.kernels = la::KernelMode::kScalar;
-    pool.Clear();
-    core::TrainReport scalar_report;
-    auto scalar = core::TrainLinreg(rel, opt, algo, &pool, &scalar_report);
-    ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-    opt.kernels = la::KernelMode::kSimd;
-    pool.Clear();
-    core::TrainReport simd_report;
-    auto simd = core::TrainLinreg(rel, opt, algo, &pool, &simd_report);
-    ASSERT_TRUE(simd.ok()) << simd.status().ToString();
-    const std::string tag = std::string(core::AlgorithmName(algo)) +
-                            " threads=" + std::to_string(threads) +
-                            " shards=" + std::to_string(shards);
-    ExpectSameWorkStream(simd_report, scalar_report, tag);
-    EXPECT_NEAR(simd_report.final_objective, scalar_report.final_objective,
-                1e-9 * std::fabs(scalar_report.final_objective) + 1e-12)
-        << tag;
-    EXPECT_LT(linreg::LinregModel::MaxAbsDiff(scalar.value(), simd.value()),
-              1e-8)
-        << tag;
+  for (int joins = 1; joins <= 2; ++joins) {
+    auto rel = JoinsRelation(dir.str(), joins, &pool);
+    linreg::LinregOptions opt;
+    opt.batch_rows = 256;
+    opt.morsel_rows = 200;
+    opt.temp_dir = dir.str();
+    opt.threads = threads;
+    opt.shards = shards;
+    for (const auto algo : kAll) {
+      opt.kernels = la::KernelMode::kScalar;
+      pool.Clear();
+      core::TrainReport scalar_report;
+      auto scalar =
+          core::TrainLinreg(rel, opt, algo, &pool, &scalar_report);
+      ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+      opt.kernels = la::KernelMode::kSimd;
+      pool.Clear();
+      core::TrainReport simd_report;
+      auto simd = core::TrainLinreg(rel, opt, algo, &pool, &simd_report);
+      ASSERT_TRUE(simd.ok()) << simd.status().ToString();
+      const std::string tag = std::string(core::AlgorithmName(algo)) +
+                              " joins=" + std::to_string(joins) +
+                              " threads=" + std::to_string(threads) +
+                              " shards=" + std::to_string(shards);
+      ExpectSameWorkStream(simd_report, scalar_report, tag);
+      EXPECT_NEAR(simd_report.final_objective,
+                  scalar_report.final_objective,
+                  1e-9 * std::fabs(scalar_report.final_objective) + 1e-12)
+          << tag;
+      EXPECT_LT(
+          linreg::LinregModel::MaxAbsDiff(scalar.value(), simd.value()),
+          1e-8)
+          << tag;
+    }
   }
 }
 
@@ -1375,8 +1600,8 @@ INSTANTIATE_TEST_SUITE_P(Schedules, KernelsParityTest,
 TEST(KernelsModelParityTest, KmeansAndLogregSimdMatchScalar) {
   TempDir dir;
   BufferPool pool(512);
-  auto rel =
-      std::move(GenerateSynthetic(Spec(dir.str(), true), &pool)).value();
+  auto rel = JoinsRelation(dir.str(), 1, &pool);
+  auto rel2 = JoinsRelation(dir.str(), 2, &pool);
   for (const auto algo : kAll) {
     kmeans::KmeansOptions kopt;
     kopt.num_clusters = 3;
@@ -1403,29 +1628,38 @@ TEST(KernelsModelParityTest, KmeansAndLogregSimdMatchScalar) {
               1e-8)
         << core::AlgorithmName(algo);
 
-    logreg::LogregOptions gopt;
-    gopt.max_iters = 2;
-    gopt.batch_rows = 256;
-    gopt.temp_dir = dir.str();
-    gopt.threads = 4;
-    gopt.kernels = la::KernelMode::kScalar;
-    pool.Clear();
-    core::TrainReport gscalar_report;
-    auto gscalar = core::TrainLogreg(rel, gopt, algo, &pool, &gscalar_report);
-    ASSERT_TRUE(gscalar.ok()) << gscalar.status().ToString();
-    gopt.kernels = la::KernelMode::kSimd;
-    pool.Clear();
-    core::TrainReport gsimd_report;
-    auto gsimd = core::TrainLogreg(rel, gopt, algo, &pool, &gsimd_report);
-    ASSERT_TRUE(gsimd.ok()) << gsimd.status().ToString();
-    ExpectSameWorkStream(gsimd_report, gscalar_report, "logreg");
-    EXPECT_NEAR(gsimd_report.final_objective, gscalar_report.final_objective,
-                1e-9 * std::fabs(gscalar_report.final_objective) + 1e-12)
-        << core::AlgorithmName(algo);
-    EXPECT_LT(logreg::LogregModel::MaxAbsDiff(gscalar.value(),
-                                              gsimd.value()),
-              1e-8)
-        << core::AlgorithmName(algo);
+    // Logreg over one and two joins: the second adds F's attr x attr
+    // cross block (the dot-form gemm_strip) and table 1's rid-dot adds.
+    for (const join::NormalizedRelations* grel : {&rel, &rel2}) {
+      const std::string tag = std::string("logreg ") +
+                              core::AlgorithmName(algo) + " joins=" +
+                              std::to_string(grel->num_joins());
+      logreg::LogregOptions gopt;
+      gopt.max_iters = 2;
+      gopt.batch_rows = 256;
+      gopt.temp_dir = dir.str();
+      gopt.threads = 4;
+      gopt.kernels = la::KernelMode::kScalar;
+      pool.Clear();
+      core::TrainReport gscalar_report;
+      auto gscalar =
+          core::TrainLogreg(*grel, gopt, algo, &pool, &gscalar_report);
+      ASSERT_TRUE(gscalar.ok()) << gscalar.status().ToString();
+      gopt.kernels = la::KernelMode::kSimd;
+      pool.Clear();
+      core::TrainReport gsimd_report;
+      auto gsimd = core::TrainLogreg(*grel, gopt, algo, &pool, &gsimd_report);
+      ASSERT_TRUE(gsimd.ok()) << gsimd.status().ToString();
+      ExpectSameWorkStream(gsimd_report, gscalar_report, tag);
+      EXPECT_NEAR(gsimd_report.final_objective,
+                  gscalar_report.final_objective,
+                  1e-9 * std::fabs(gscalar_report.final_objective) + 1e-12)
+          << tag;
+      EXPECT_LT(logreg::LogregModel::MaxAbsDiff(gscalar.value(),
+                                                gsimd.value()),
+                1e-8)
+          << tag;
+    }
   }
 }
 
