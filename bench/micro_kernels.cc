@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -240,7 +242,43 @@ BENCHMARK_REGISTER_F(Fig3ScalingFixture, BM_FNnThreads)
 constexpr size_t kStripRows = 256;  // storage::kDefaultStripRows
 constexpr size_t kNh = 16;          // NN hidden width for the gemm shapes
 constexpr size_t kNnEpochsNh = 50;  // the nn-epochs benchmark's width
+constexpr size_t kNnEpochsBatch = 1024;  // and its mini-batch rows
 constexpr size_t kGatherRows = 64;  // attribute-table height for gathers
+
+/// One page-aligned block that hands out a benchmark's operands at fixed
+/// offsets (each a whole number of cache lines past the last). Heap
+/// addresses — and so which operands share L1 sets — move with whatever a
+/// binary allocated before: rows of unchanged kernels moved by up to 60%
+/// between two builds that differed only in an early allocation. Arena
+/// offsets depend only on the operand shapes, so the same row in two
+/// binaries sees the same layout.
+class Arena {
+ public:
+  static constexpr size_t kPage = 4096;
+  static constexpr size_t kBytes = 4 << 20;  // untouched pages cost nothing
+
+  Arena() : base_(static_cast<char*>(std::aligned_alloc(kPage, kBytes))) {
+    if (base_ == nullptr) std::abort();
+  }
+  ~Arena() { std::free(base_); }
+  Arena(const Arena&) = delete;
+  Arena& operator=(const Arena&) = delete;
+
+  /// n zero-filled Ts at the next 64-byte offset.
+  template <typename T>
+  std::span<T> Take(size_t n) {
+    const size_t bytes = (n * sizeof(T) + 63) / 64 * 64;
+    if (used_ + bytes > kBytes) std::abort();
+    T* p = reinterpret_cast<T*>(base_ + used_);
+    std::memset(p, 0, n * sizeof(T));
+    used_ += bytes;
+    return {p, n};
+  }
+
+ private:
+  char* base_;
+  size_t used_ = 0;
+};
 
 /// One decoded strip's worth of random columns plus the small operands
 /// the strip kernels take, including the gemm/gather operands of the NN
@@ -248,9 +286,15 @@ constexpr size_t kGatherRows = 64;  // attribute-table height for gathers
 /// rows and a rid column). The gemm operands fit either hidden width.
 struct StripData {
   StripData(size_t d, size_t rows, uint64_t seed)
-      : data(d * rows), w(rows), v(d), center(d), out(rows), cols(d),
-        w1(kNnEpochsNh * d), ct(kNnEpochsNh * rows), grad(kNnEpochsNh * d),
-        base(kGatherRows * kNh), gout(rows * kNh), idx(rows) {
+      : data(arena.Take<double>(d * rows)), w(arena.Take<double>(rows)),
+        v(arena.Take<double>(d)), center(arena.Take<double>(d)),
+        out(arena.Take<double>(rows)), cols(arena.Take<const double*>(d)),
+        w1(arena.Take<double>(kNnEpochsNh * d)),
+        ct(arena.Take<double>(kNnEpochsNh * rows)),
+        grad(arena.Take<double>(kNnEpochsNh * d)),
+        base(arena.Take<double>(kGatherRows * kNh)),
+        gout(arena.Take<double>(rows * kNh)),
+        idx(arena.Take<int64_t>(rows)) {
     Rng rng(seed);
     for (double& x : data) x = rng.NextGaussian();
     for (double& x : w) x = rng.NextUniform(0.25, 1.25);
@@ -265,10 +309,11 @@ struct StripData {
       idx[r] = static_cast<int64_t>((r / 4) % kGatherRows);
     }
   }
-  std::vector<double> data, w, v, center, out;
-  std::vector<const double*> cols;
-  std::vector<double> w1, ct, grad, base, gout;
-  std::vector<int64_t> idx;
+  Arena arena;  // first: the spans below point into it
+  std::span<double> data, w, v, center, out;
+  std::span<const double*> cols;
+  std::span<double> w1, ct, grad, base, gout;
+  std::span<int64_t> idx;
 };
 
 la::KernelMode ModeOf(const benchmark::State& state) {
@@ -374,7 +419,8 @@ BENCHMARK(BM_QuadFormStrip)->ArgsProduct({{8, 20, 32}, {0, 1}});
 /// log coefficients a few nats apart, so every component keeps mass.
 struct PosteriorData {
   PosteriorData(size_t k, size_t rows, uint64_t seed)
-      : q(k * rows), log_coeff(k), gamma(k * rows), lse(rows) {
+      : q(arena.Take<double>(k * rows)), log_coeff(arena.Take<double>(k)),
+        gamma(arena.Take<double>(k * rows)), lse(arena.Take<double>(rows)) {
     Rng rng(seed);
     for (double& x : q) {
       x = 0.0;
@@ -387,7 +433,8 @@ struct PosteriorData {
       log_coeff[c] = -30.0 - static_cast<double>(c);
     }
   }
-  std::vector<double> q, log_coeff, gamma, lse;
+  Arena arena;
+  std::span<double> q, log_coeff, gamma, lse;
 };
 
 void BM_PosteriorStrip(benchmark::State& state) {
@@ -433,11 +480,15 @@ void BM_GemmStripBatch(benchmark::State& state) {
   // The NN first-layer forward at the nn-epochs shape: C(50 x 1,024) =
   // W1(50 x k) * a k x 1,024 batch block, C's row stride 1,024 — k = 5
   // (F's S slice), 15 (its R slice) and 20 (the joined width).
-  constexpr size_t kBatch = 1024;
+  constexpr size_t kBatch = kNnEpochsBatch;
   const size_t k = static_cast<size_t>(state.range(0));
-  const la::Matrix a = RandomMatrix(kNnEpochsNh, k, 34);
-  const la::Matrix b = RandomMatrix(k, kBatch, 35);
-  la::Matrix c(kNnEpochsNh, kBatch);
+  Arena arena;
+  const std::span<double> a = arena.Take<double>(kNnEpochsNh * k);
+  const std::span<double> b = arena.Take<double>(k * kBatch);
+  const std::span<double> c = arena.Take<double>(kNnEpochsNh * kBatch);
+  Rng rng(34);
+  for (double& x : a) x = rng.NextGaussian();
+  for (double& x : b) x = rng.NextGaussian();
   la::SelectKernels(ModeOf(state));
   const la::Kernels& kern = la::Active();
   for (auto _ : state) {
@@ -486,6 +537,23 @@ void BM_GatherAddRowsStrip(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherAddRowsStrip)->ArgsProduct({{8}, {0, 1}});
 
+/// The operands of one sigmoid backward step through the nn-epochs output
+/// unit: its weight row w (nh), its delta row d (batch) and the hidden
+/// layer's nh x batch sigmoid output h, into delta.
+struct SigmoidBackwardData {
+  SigmoidBackwardData(size_t nh, size_t batch, uint64_t seed)
+      : w(arena.Take<double>(nh)), d(arena.Take<double>(batch)),
+        h(arena.Take<double>(nh * batch)),
+        delta(arena.Take<double>(nh * batch)) {
+    Rng rng(seed);
+    for (double& x : w) x = rng.NextGaussian();
+    for (double& x : d) x = rng.NextGaussian() * 1e-3;
+    for (double& x : h) x = rng.NextUniform(0.0, 1.0);
+  }
+  Arena arena;
+  std::span<double> w, d, h, delta;
+};
+
 void BM_SigmoidStrip(benchmark::State& state) {
   // The NN hidden activation over one strip of nh x rows pre-activations
   // (the upper-layers phase of every strategy).
@@ -502,17 +570,38 @@ void BM_SigmoidStrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SigmoidStrip)->ArgsProduct({{8}, {0, 1}});
 
+void BM_SigmoidBackwardStrip(benchmark::State& state) {
+  // The nn-epochs output unit's backward step: delta(nh x 1,024) =
+  // w^T d scaled by the hidden sigmoid's h(1 - h), in one sweep.
+  const size_t nh = static_cast<size_t>(state.range(0));
+  SigmoidBackwardData s(nh, kNnEpochsBatch, 37);
+  la::SelectKernels(ModeOf(state));
+  const la::Kernels& k = la::Active();
+  for (auto _ : state) {
+    k.sigmoid_backward(s.w.data(), nh, s.d.data(), kNnEpochsBatch,
+                       s.h.data(), kNnEpochsBatch, s.delta.data());
+    benchmark::DoNotOptimize(s.delta.data());
+    benchmark::ClobberMemory();
+  }
+  la::SelectKernels(la::KernelMode::kScalar);
+  state.SetItemsProcessed(state.iterations() * kNnEpochsBatch * nh);
+  LabelBackend(state);
+}
+BENCHMARK(BM_SigmoidBackwardStrip)->ArgsProduct({{50}, {0, 1}});
+
 /// One NN upper-layer step at the nn-epochs shape: a 1,024-row batch, one
 /// sigmoid hidden layer of 50 units, from a random transposed first-layer
 /// block. This is the `upper_layers` phase every strategy pays in full.
+/// The targets come from the arena; the model, a1t and the engine's own
+/// buffers are la::Matrix storage, still on the heap.
 struct UpperLayersStep {
-  static constexpr size_t kBatch = 1024;
+  static constexpr size_t kBatch = kNnEpochsBatch;
   static constexpr size_t kD = 20;
   UpperLayersStep()
       : mlp(nn::Mlp::Init(kD, {kNnEpochsNh}, nn::Activation::kSigmoid, 40)),
         engine(&mlp, 1e-6),
         a1t(RandomMatrix(kNnEpochsNh, kBatch, 41)),
-        y(kBatch) {
+        y(arena.Take<double>(kBatch)) {
     Rng rng(42);
     for (double& v : y) v = rng.NextGaussian();
   }
@@ -525,10 +614,11 @@ struct UpperLayersStep {
     return (GlobalOps() - before).Total();
   }
 
+  Arena arena;
   nn::Mlp mlp;
   nn::internal::BackpropEngine engine;
   la::Matrix a1t;
-  std::vector<double> y;
+  std::span<double> y;
 };
 
 void BM_UpperLayersStep(benchmark::State& state) {
@@ -651,6 +741,16 @@ void WriteKernelRoofline(const std::string& path) {
          [](const la::Kernels& k, StripData& s, std::vector<double>&,
             const la::Matrix&, std::vector<double>&, size_t, size_t) {
            k.sigmoid(s.ct.data(), kRows * kNh, s.gout.data());
+         }},
+        // The output unit's backward through the nh x rows sigmoid block:
+        // the 5 ops per element the counters charge (the k = 1 product's
+        // mult and add, f'(h)'s mult and sub, the scaling mult).
+        {"sigmoid_backward", kNh, 5 * kRows * kNh,
+         (2 * kRows * kNh + kRows + kNh) * 8,
+         [](const la::Kernels& k, StripData& s, std::vector<double>&,
+            const la::Matrix&, std::vector<double>&, size_t, size_t) {
+           k.sigmoid_backward(s.w1.data(), kNh, s.w.data(), kRows,
+                              s.gout.data(), kRows, s.ct.data());
          }},
     };
     for (const auto mode : {la::KernelMode::kScalar, la::KernelMode::kSimd}) {

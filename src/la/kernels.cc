@@ -296,6 +296,26 @@ void ScalarSigmoid(const double* a, size_t n, double* h) {
   for (size_t i = 0; i < n; ++i) h[i] = 1.0 / (1.0 + std::exp(-a[i]));
 }
 
+// The seed's sigmoid-derivative loop, moved verbatim from nn/activation.cc.
+void ScalarSigmoidGrad(const double* h, size_t n, double* p) {
+  for (size_t i = 0; i < n; ++i) p[i] *= h[i] * (1.0 - h[i]);
+}
+
+// ScalarGemmStrip's k = 1 axpy-form element (0.0, then += w * d) times
+// ScalarSigmoidGrad's factor, in one sweep per row.
+void ScalarSigmoidBackward(const double* w, size_t m, const double* d,
+                           size_t n, const double* h, size_t ld,
+                           double* delta) {
+  for (size_t u = 0; u < m; ++u) {
+    const double wu = w[u];
+    const double* hu = h + u * ld;
+    double* du = delta + u * ld;
+    for (size_t r = 0; r < n; ++r) {
+      du[r] = (0.0 + wu * d[r]) * (hu[r] * (1.0 - hu[r]));
+    }
+  }
+}
+
 constexpr Kernels kScalarKernels = {
     "scalar",          false,
     ScalarDot,         ScalarAxpy,
@@ -303,7 +323,8 @@ constexpr Kernels kScalarKernels = {
     ScalarSyrkStrip,   ScalarColDotStrip, ScalarColSumStrip,
     ScalarDistStrip,   ScalarQuadFormStrip, ScalarPosteriorStrip,
     ScalarGemmStrip,   ScalarGatherAddRowsStrip,
-    ScalarSigmoid,
+    ScalarSigmoid,     ScalarSigmoidGrad,
+    ScalarSigmoidBackward,
 };
 
 // ------------------------------------------------------- vector backends
@@ -323,9 +344,13 @@ typedef int64_t fml_v4l __attribute__((vector_size(32)));
 // compiler splits the 32-byte lanes to whatever the target offers).
 #define FML_VEC_FN(name) Portable##name
 #define FML_VEC_ATTR
+#define FML_VEC_MAX(a, b) ((a) > (b) ? (a) : (b))
+#define FML_VEC_MIN(a, b) ((a) < (b) ? (a) : (b))
 #include "la/kernels_vec.inc"
 #undef FML_VEC_FN
 #undef FML_VEC_ATTR
+#undef FML_VEC_MAX
+#undef FML_VEC_MIN
 
 constexpr Kernels kPortableKernels = {
     "portable",          true,
@@ -334,7 +359,8 @@ constexpr Kernels kPortableKernels = {
     PortableSyrkStrip,   PortableColDotStrip, PortableColSumStrip,
     PortableDistStrip,   PortableQuadFormStrip, PortablePosteriorStrip,
     PortableGemmStrip,   PortableGatherAddRowsStrip,
-    PortableSigmoid,
+    PortableSigmoid,     PortableSigmoidGrad,
+    PortableSigmoidBackward,
 };
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -343,9 +369,13 @@ constexpr Kernels kPortableKernels = {
 // __builtin_cpu_supports agrees, so the baseline binary stays portable.
 #define FML_VEC_FN(name) Avx2##name
 #define FML_VEC_ATTR __attribute__((target("avx2,fma")))
+#define FML_VEC_MAX(a, b) __builtin_ia32_maxpd256((a), (b))
+#define FML_VEC_MIN(a, b) __builtin_ia32_minpd256((a), (b))
 #include "la/kernels_vec.inc"
 #undef FML_VEC_FN
 #undef FML_VEC_ATTR
+#undef FML_VEC_MAX
+#undef FML_VEC_MIN
 
 constexpr Kernels kAvx2Kernels = {
     "avx2",          true,
@@ -354,7 +384,8 @@ constexpr Kernels kAvx2Kernels = {
     Avx2SyrkStrip,   Avx2ColDotStrip, Avx2ColSumStrip,
     Avx2DistStrip,   Avx2QuadFormStrip, Avx2PosteriorStrip,
     Avx2GemmStrip,   Avx2GatherAddRowsStrip,
-    Avx2Sigmoid,
+    Avx2Sigmoid,     Avx2SigmoidGrad,
+    Avx2SigmoidBackward,
 };
 
 bool CpuHasAvx2Fma() {

@@ -167,11 +167,29 @@ struct Kernels {
 
   // ------------------------------------------------ elementwise kernels
   // h[i] = 1 / (1 + exp(-a[i])) — the NN hidden-layer activation. Scalar
-  // calls std::exp per element; the vector backends evaluate exp in-lane
-  // and stay within 4 ulp of scalar, with std::exp's overflow/underflow
-  // edges and NaN pass-through. Every element takes the same lane path
-  // (the tail is padded), so a value's result does not depend on its index.
+  // calls std::exp per element. The vector backends evaluate exp(-a) in
+  // lane with no select: the argument is clamped to [-708, 710.5] by
+  // max/min (NaN passes through; below -708, 1 + exp rounds to 1 either
+  // way), and the 2^k scale is +inf at the top of the clamp, so every
+  // value past std::exp's overflow edge gives exactly 0 and every value
+  // past its underflow edge exactly 1, like scalar. They stay within
+  // 4 ulp of scalar (3 measured, over the overflow edges and a sweep of
+  // [-800, 800]). Every element takes the same lane path (the tail is
+  // padded), so a value's result does not depend on its index.
   void (*sigmoid)(const double* a, size_t n, double* h);
+  // p[i] *= h[i] * (1 - h[i]) — the sigmoid layer's backward factor, with
+  // h the layer's output. Elementwise, so every backend gives scalar's
+  // bits.
+  void (*sigmoid_grad)(const double* h, size_t n, double* p);
+  // delta[u*ld + r] = (0.0 + w[u] * d[r]) * (h_ur * (1 - h_ur)) with
+  // h_ur = h[u*ld + r], for u < m, r < n — the backward step through a
+  // one-unit layer above a sigmoid layer (w: its weight row, d: its delta
+  // row, h: the sigmoid layer's m x n output). On every backend, the bits
+  // of gemm_strip's k = 1 axpy form into a zeroed C followed by
+  // sigmoid_grad, in one sweep.
+  void (*sigmoid_backward)(const double* w, size_t m, const double* d,
+                           size_t n, const double* h, size_t ld,
+                           double* delta);
 };
 
 /// Kernel backend selection mode, resolved from --kernels.

@@ -56,24 +56,33 @@ void MultiplyActivationGrad(Activation act, const la::Matrix& a,
   const double* pre = a.data();
   const double* out = h.data();
   double* p = delta->data();
-  // Charged as the f' evaluation plus one multiply per element.
   switch (act) {
     case Activation::kSigmoid:
-      for (size_t i = 0; i < n; ++i) p[i] *= out[i] * (1.0 - out[i]);
-      CountMults(2 * n);
-      CountSubs(n);
+      la::Active().sigmoid_grad(out, n, p);
       break;
     case Activation::kTanh:
       for (size_t i = 0; i < n; ++i) p[i] *= 1.0 - out[i] * out[i];
+      break;
+    case Activation::kRelu:
+      for (size_t i = 0; i < n; ++i) p[i] *= pre[i] > 0.0 ? 1.0 : 0.0;
+      break;
+    case Activation::kIdentity:
+      break;  // f' = 1: delta * 1.0 is delta
+  }
+  CountActivationGrad(act, n);
+}
+
+void CountActivationGrad(Activation act, size_t n) {
+  // The f' evaluation plus one multiply per element.
+  switch (act) {
+    case Activation::kSigmoid:
+    case Activation::kTanh:
       CountMults(2 * n);
       CountSubs(n);
       break;
     case Activation::kRelu:
-      for (size_t i = 0; i < n; ++i) p[i] *= pre[i] > 0.0 ? 1.0 : 0.0;
-      CountMults(n);
-      break;
     case Activation::kIdentity:
-      CountMults(n);  // f' = 1: delta * 1.0 is delta
+      CountMults(n);
       break;
   }
 }

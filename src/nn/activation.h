@@ -36,6 +36,10 @@ void ApplyActivation(Activation act, const la::Matrix& a, la::Matrix* h);
 void MultiplyActivationGrad(Activation act, const la::Matrix& a,
                             const la::Matrix& h, la::Matrix* delta);
 
+/// Charges MultiplyActivationGrad's ops over n elements — for callers that
+/// fuse the multiply into the product that forms delta.
+void CountActivationGrad(Activation act, size_t n);
+
 }  // namespace factorml::nn
 
 #endif  // FACTORML_NN_ACTIVATION_H_

@@ -220,6 +220,20 @@ double BackpropEngine::Step(const la::Matrix& a1t, const double* y) {
     const la::Matrix& w = mlp_->w[l];
     const size_t units = w.rows();
     const size_t fan_in = w.cols();
+    la::Matrix& prev = delta_[l - 1];
+    prev.Reshape(fan_in, batch);
+    CountMults(fan_in * batch * units);
+    CountAdds(fan_in * batch * units);
+    if (units == 1 && mlp_->activation == Activation::kSigmoid &&
+        dropout_rate_ <= 0.0) {
+      // A one-unit layer (the output unit) above a sigmoid layer: the
+      // k = 1 product and the f' multiply in one sweep, with the bits of
+      // gemm_strip followed by MultiplyActivationGrad.
+      kern.sigmoid_backward(w.data(), fan_in, delta_[l].data(), batch,
+                            h_[l - 1].data(), batch, prev.data());
+      CountActivationGrad(mlp_->activation, prev.size());
+      continue;
+    }
     const double* wt = w.data();  // a one-row W is its own transpose
     if (units > 1) {
       wt_.Reshape(fan_in, units);
@@ -228,13 +242,9 @@ double BackpropEngine::Step(const la::Matrix& a1t, const double* y) {
       }
       wt = wt_.data();
     }
-    la::Matrix& prev = delta_[l - 1];
-    prev.Reshape(fan_in, batch);
     kern.gemm_strip(wt, units, delta_[l].data(), batch, fan_in, batch, units,
                     prev.data(), batch, /*trans_b=*/false,
                     /*accumulate=*/false);
-    CountMults(fan_in * batch * units);
-    CountAdds(fan_in * batch * units);
     // Layer 0's pre-activation is the caller-provided a1t. Under dropout
     // the chain also passes through the mask, and f' must use the
     // unmasked activations.

@@ -951,13 +951,40 @@ int64_t UlpDistance(double a, double b) {
 }
 
 TEST(KernelsTest, SigmoidOnEveryBackend) {
-  // A dense sweep of [-750, 750] (a non-dyadic step, so mantissas vary)
-  // plus std::exp's edges: overflow past 709.78, underflow past -745.13.
+  // A dense sweep of [-750, 750] (a non-dyadic step, so mantissas vary),
+  // a seeded random sweep of [-800, 800], and the edges: every double
+  // within 200k ulps of +-log(DBL_MAX) (std::exp's overflow edge, on
+  // either side of the sigmoid), the vector clamp points +-708 and
+  // +-710.5 with their neighbours, std::exp's underflow past -745.13,
+  // NaN, +-0 and +-inf.
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<double> x = {0.0,    -0.0,   inf,    -inf,  std::nan(""),
                            708.0,  -708.0, 709.8,  -709.8, 745.0,
                            -745.0, 800.0,  -800.0};
   for (double v = -750.0; v <= 750.0; v += 0.0013) x.push_back(v);
+  Rng rng(29);
+  for (int i = 0; i < 100000; ++i) x.push_back(rng.NextUniform(-800.0, 800.0));
+  const double log_max = std::log(std::numeric_limits<double>::max());
+  for (const double edge : {log_max, -log_max}) {
+    double lo = edge, hi = edge;
+    x.push_back(edge);
+    for (int i = 0; i < 200000; ++i) {
+      lo = std::nextafter(lo, -inf);
+      hi = std::nextafter(hi, inf);
+      x.push_back(lo);
+      x.push_back(hi);
+    }
+  }
+  for (const double clamp : {708.0, -708.0, 710.5, -710.5}) {
+    double lo = clamp, hi = clamp;
+    x.push_back(clamp);
+    for (int i = 0; i < 4; ++i) {
+      lo = std::nextafter(lo, -inf);
+      hi = std::nextafter(hi, inf);
+      x.push_back(lo);
+      x.push_back(hi);
+    }
+  }
   std::vector<double> ref(x.size());
   for (size_t i = 0; i < x.size(); ++i) ref[i] = 1.0 / (1.0 + std::exp(-x[i]));
 
@@ -992,6 +1019,78 @@ TEST(KernelsTest, SigmoidOnEveryBackend) {
       kern.sigmoid(x.data() + off, n, out.data());
       for (size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], h[off + i]) << n;
       ASSERT_EQ(out[n], -1.0) << n;
+    }
+  }
+}
+
+/// Operands of the sigmoid backward kernels: a weight row w (m), a delta
+/// row d (n) and an m x n sigmoid output h at row stride ld = n + 3. d
+/// holds +-0, subnormals and huge values (products that round to zero,
+/// underflow or overflow) among Gaussians; h holds 0 and 1 (a zero f')
+/// among uniforms.
+struct SigmoidBackwardOperands {
+  SigmoidBackwardOperands(size_t m, size_t n, Rng* rng)
+      : m(m), n(n), ld(n + 3), w(m), d(n), h(m * ld) {
+    const double sub = std::numeric_limits<double>::denorm_min();
+    const double special[] = {0.0, -0.0, 3 * sub, -5e-310, 1e300, -1e300};
+    for (size_t u = 0; u < m; ++u) {
+      w[u] = u % 7 == 3 ? 1e10 : rng->NextGaussian();
+    }
+    for (size_t r = 0; r < n; ++r) {
+      d[r] = r % 5 == 2 ? special[(r / 5) % 6] : rng->NextGaussian() * 1e-3;
+    }
+    for (size_t u = 0; u < m; ++u) {
+      for (size_t r = 0; r < ld; ++r) {
+        const size_t i = u * ld + r;
+        h[i] = i % 11 == 4 ? 0.0 : i % 11 == 7 ? 1.0 : rng->NextUniform(0, 1);
+      }
+    }
+  }
+  size_t m, n, ld;
+  std::vector<double> w, d, h;
+};
+
+TEST(KernelsTest, SigmoidBackwardEqualsGemmThenSeedLoopOnEveryBackend) {
+  // sigmoid_backward fuses gemm_strip's k = 1 axpy form into a zeroed C
+  // and the seed's f' loop: bit for bit on every backend, at lengths
+  // around the lanes, an odd column offset, and nothing written past n.
+  // sigmoid_grad is the seed loop itself on every backend.
+  Rng rng(31);
+  const size_t m = 7, off = 3;
+  for (const char* backend : {"scalar", "portable", "native"}) {
+    SCOPED_TRACE(backend);
+    ScopedBackendEnv env(backend);
+    ScopedKernels simd(KernelMode::kSimd);
+    const Kernels& kern = Active();
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
+                           size_t{5}, size_t{257}}) {
+      SCOPED_TRACE(n);
+      const SigmoidBackwardOperands op(m, n + off, &rng);
+      const double* d = op.d.data() + off;
+      const double* h = op.h.data() + off;
+      // Reference: gemm_strip (A = w as an m x 1 column, B = d as 1 x n),
+      // then the seed loop p *= h * (1 - h) per row.
+      std::vector<double> want(m * op.ld, -1.0);
+      kern.gemm_strip(op.w.data(), 1, d, n, m, n, 1, want.data() + off,
+                      op.ld, /*trans_b=*/false, /*accumulate=*/false);
+      for (size_t u = 0; u < m; ++u) {
+        double* p = want.data() + u * op.ld + off;
+        const double* hu = h + u * op.ld;
+        for (size_t r = 0; r < n; ++r) p[r] *= hu[r] * (1.0 - hu[r]);
+      }
+      std::vector<double> got(m * op.ld, -1.0);
+      kern.sigmoid_backward(op.w.data(), m, d, n, h, op.ld, got.data() + off);
+      ASSERT_TRUE(SameBits(got.data(), want.data(), got.size()));
+
+      // The wide-layer form: gemm_strip's output scaled by sigmoid_grad.
+      std::vector<double> grad(m * op.ld, -1.0);
+      kern.gemm_strip(op.w.data(), 1, d, n, m, n, 1, grad.data() + off,
+                      op.ld, /*trans_b=*/false, /*accumulate=*/false);
+      for (size_t u = 0; u < m; ++u) {
+        const size_t row = u * op.ld + off;
+        kern.sigmoid_grad(op.h.data() + row, n, grad.data() + row);
+      }
+      ASSERT_TRUE(SameBits(grad.data(), want.data(), grad.size()));
     }
   }
 }
