@@ -12,10 +12,10 @@ namespace factorml::exec {
 /// (shared) pool — so a single-worker region is exactly the serial path —
 /// and workers 1..n-1 get private pools of the same capacity. A private
 /// pool is touched by one worker at a time, so frame pointers returned by
-/// GetPage keep their single-threaded validity guarantee, and misses never
+/// GetPages keep their single-threaded validity guarantee, and misses never
 /// serialize on the shared pool's latch. Page reads issued by different
-/// pools against the same PagedFile are safe (the file latches its seek +
-/// transfer pair).
+/// pools against the same PagedFile are safe and take no lock (each run
+/// is one positioned `preadv`, which shares no file offset).
 ///
 /// The private pools live for one parallel phase; their frames are dropped
 /// on destruction, which mirrors how the paper's per-pass scans re-read

@@ -143,6 +143,7 @@ bool JoinCursor::Next(JoinBatch* out) {
   }
 
   storage::PageCursor cursor(&rel_->s, pool_);
+  cursor.SetPrefetcher(prefetcher_);  // demand runs of one under prefetch
   if (contiguous) {
     int64_t first_start = -1;
     for (const auto& g : out->groups) {

@@ -51,15 +51,31 @@ void Prefetcher::PrefetchPages(BufferPool* pool, PagedFile* file,
   exec::ThreadPool::Instance().SubmitIo([this, pool, file, first_page,
                                          end_page] {
     obs::TraceSpan land_span(obs::kCatStorage, "prefetch_land");
+    // Each run of consecutive absent pages is one ReadPages into private
+    // buffers the read overwrites whole. ReadPages charges the crew
+    // thread's thread-local counters, which are never merged; the folded
+    // accounting below is authoritative.
     uint64_t fetched = 0;
-    for (uint64_t page = first_page; page < end_page; ++page) {
-      if (pool->Contains(file, page)) continue;
-      auto buf = std::make_unique<char[]>(kPageSize);
-      // ReadPage charges the crew thread's thread-local counters, which
-      // are never merged; the folded accounting below is authoritative.
-      if (!file->ReadPage(page, buf.get()).ok()) break;
-      ++fetched;
-      pool->InsertPrefetched(file, page, std::move(buf));
+    std::unique_ptr<char[]> bufs[kMaxRunPages];
+    char* ptrs[kMaxRunPages];
+    for (uint64_t page = first_page; page < end_page;) {
+      if (pool->Contains(file, page)) {
+        ++page;
+        continue;
+      }
+      size_t n = 0;
+      while (n < kMaxRunPages && page + n < end_page &&
+             (n == 0 || !pool->Contains(file, page + n))) {
+        bufs[n] = std::make_unique_for_overwrite<char[]>(kPageSize);
+        ptrs[n] = bufs[n].get();
+        ++n;
+      }
+      if (!file->ReadPages(page, n, ptrs).ok()) break;
+      fetched += n;
+      for (size_t i = 0; i < n; ++i) {
+        pool->InsertPrefetched(file, page + i, std::move(bufs[i]));
+      }
+      page += n;
     }
     land_span.Arg("pages", static_cast<int64_t>(fetched));
     std::lock_guard<std::mutex> lock(mu_);
@@ -102,24 +118,41 @@ uint64_t Prefetcher::requests_dropped() const {
 template <typename Run>
 Status PageCursor::WalkPages(int64_t start_row, size_t count,
                              const Run& run) const {
+  if (count == 0) return Status::OK();
   const size_t rpp = table_->schema().RowsPerPage();
   const size_t row_bytes = table_->schema().RowBytes();
+  const uint64_t first_page = 1 + static_cast<uint64_t>(start_row) / rpp;
+  const uint64_t end_page =
+      2 + static_cast<uint64_t>(start_row + static_cast<int64_t>(count) - 1) /
+              rpp;
+  // Runs of one while a prefetcher lands pages in this pool:
+  // InsertPrefetched protects only the last demanded frame.
+  const uint64_t max_run =
+      prefetcher_ != nullptr
+          ? 1
+          : std::min<uint64_t>(kMaxRunPages, pool_->max_run_pages());
+  const char* pages[kMaxRunPages];
   size_t filled = 0;
-  while (filled < count) {
-    const int64_t row = start_row + static_cast<int64_t>(filled);
-    const uint64_t page_no = 1 + static_cast<uint64_t>(row) / rpp;
-    const size_t offset_in_page = static_cast<size_t>(row) % rpp;
-    FML_ASSIGN_OR_RETURN(const char* page,
-                         pool_->GetPage(table_->file(), page_no));
-    const uint64_t rows_in_page = PageRowCount(page);
-    if (offset_in_page >= rows_in_page) {
-      return Status::Internal("corrupt page in " + table_->path());
+  for (uint64_t page_no = first_page; page_no < end_page;) {
+    const uint64_t n = std::min(max_run, end_page - page_no);
+    FML_RETURN_IF_ERROR(pool_->GetPages(table_->file(), page_no, n, pages));
+    for (uint64_t i = 0; i < n; ++i, ++page_no) {
+      const size_t offset_in_page =
+          filled == 0 ? static_cast<size_t>(start_row) % rpp : 0;
+      const size_t take = std::min(count - filled, rpp - offset_in_page);
+      // Every page but the table's last is full; a row count that cannot
+      // hold the rows wanted here (or exceeds the page) is corrupt.
+      const uint64_t rows_in_page = PageRowCount(pages[i]);
+      if (rows_in_page > rpp || rows_in_page < offset_in_page + take) {
+        return Status::Internal(
+            "corrupt page " + std::to_string(page_no) + " in " +
+            table_->path() + ": holds " + std::to_string(rows_in_page) +
+            " rows, rows [" + std::to_string(offset_in_page) + ", " +
+            std::to_string(offset_in_page + take) + ") wanted");
+      }
+      run(filled, pages[i] + 8 + offset_in_page * row_bytes, take);
+      filled += take;
     }
-    const size_t take =
-        std::min(count - filled,
-                 static_cast<size_t>(rows_in_page) - offset_in_page);
-    run(filled, page + 8 + offset_in_page * row_bytes, take);
-    filled += take;
   }
   return Status::OK();
 }

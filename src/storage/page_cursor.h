@@ -14,8 +14,9 @@ namespace factorml::storage {
 
 /// Asynchronous residency-only page loader — the background half of the
 /// unified I/O cursor plane. Requests are page ranges of one file; each is
-/// executed on the exec::ThreadPool's dedicated I/O crew, reading absent
-/// pages into private buffers *outside* the pool latch and handing them to
+/// executed on the exec::ThreadPool's dedicated I/O crew, reading each run
+/// of consecutive absent pages with one PagedFile::ReadPages into private
+/// buffers *outside* the pool latch and handing them to
 /// BufferPool::InsertPrefetched. Prefetch therefore changes page residency
 /// and nothing else: it never evicts, never returns data to the caller,
 /// and never touches an accumulator — the determinism contract of the
@@ -74,8 +75,10 @@ class Prefetcher {
 /// the materialized T) and JoinCursor (FK1-run probes of S) are thin
 /// batching/row-decoding shims that delegate every page touch here.
 ///
-/// The demand path (ReadRows) is byte-for-byte the pre-refactor read:
-/// same page walk, same pool counters. The prefetch path (PrefetchRows)
+/// The demand path (ReadRows) resolves the pages of a read in runs of up
+/// to kMaxRunPages through BufferPool::GetPages — one system call per run
+/// of misses — with the page sequence, pool counters and LRU order of a
+/// page-by-page walk. The prefetch path (PrefetchRows)
 /// is the asynchronous double-buffer: the shims call it with the rows of
 /// the *next* batch / next scheduled morsel while compute runs on the
 /// current one.
@@ -84,7 +87,10 @@ class PageCursor {
   PageCursor(const Table* table, BufferPool* pool)
       : table_(table), pool_(pool) {}
 
-  /// Binds the async plane; null disables prefetch (the default).
+  /// Binds the async plane; null disables prefetch (the default). A
+  /// cursor that demand-reads a pool the prefetcher lands pages in must
+  /// carry it: the walk then resolves runs of one page, the one frame
+  /// InsertPrefetched never evicts.
   void SetPrefetcher(Prefetcher* prefetcher) { prefetcher_ = prefetcher; }
   Prefetcher* prefetcher() const { return prefetcher_; }
 
@@ -114,10 +120,12 @@ class PageCursor {
 
  private:
   /// The one page walk of the demand path (ReadRows and ReadStrips):
-  /// fetches, in order, each page the rows [start_row, start_row + count)
-  /// touch and hands `run(filled, src, take)` the page's `take` packed
-  /// rows starting at `src`, rows [filled, filled + take) of the read.
-  /// The range must already be checked.
+  /// fetches, in order and in runs (BufferPool::GetPages), each page the
+  /// rows [start_row, start_row + count) touch and hands
+  /// `run(filled, src, take)` the page's `take` packed rows starting at
+  /// `src`, rows [filled, filled + take) of the read. A page whose row
+  /// count cannot hold the rows wanted from it is a "corrupt page" error
+  /// naming the file and page. The range must already be checked.
   template <typename Run>
   Status WalkPages(int64_t start_row, size_t count, const Run& run) const;
 

@@ -1,9 +1,13 @@
 #include "storage/paged_file.h"
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
+#include <unistd.h>
 
-#include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "storage/io_stats.h"
@@ -17,83 +21,121 @@ void SimulateLatency(uint64_t micros) {
   if (micros == 0) return;
   std::this_thread::sleep_for(std::chrono::microseconds(micros));
 }
+
+std::string PageRange(uint64_t first, size_t n) {
+  return "pages [" + std::to_string(first) + ", " +
+         std::to_string(first + n) + ")";
+}
 }  // namespace
 
-PagedFile::PagedFile(std::FILE* f, std::string path, uint64_t num_pages,
+PagedFile::PagedFile(int fd, std::string path, uint64_t num_pages,
                      bool writable)
-    : f_(f),
+    : fd_(fd),
       path_(std::move(path)),
       num_pages_(num_pages),
       writable_(writable),
       id_(g_next_file_id.fetch_add(1)) {}
 
-PagedFile::~PagedFile() {
-  if (f_ != nullptr) std::fclose(f_);
-}
+PagedFile::~PagedFile() { ::close(fd_); }
 
 Result<std::unique_ptr<PagedFile>> PagedFile::Create(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w+b");
-  if (f == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0666);
+  if (fd < 0) {
     return Status::IoError("cannot create file: " + path);
   }
-  return std::unique_ptr<PagedFile>(new PagedFile(f, path, 0, true));
+  return std::unique_ptr<PagedFile>(new PagedFile(fd, path, 0, true));
 }
 
 Result<std::unique_ptr<PagedFile>> PagedFile::Open(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IoError("cannot open file: " + path);
   }
   struct stat st;
-  if (stat(path.c_str(), &st) != 0) {
-    std::fclose(f);
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
     return Status::IoError("cannot stat file: " + path);
   }
   const uint64_t pages = static_cast<uint64_t>(st.st_size) / kPageSize;
-  return std::unique_ptr<PagedFile>(new PagedFile(f, path, pages, false));
+  return std::unique_ptr<PagedFile>(new PagedFile(fd, path, pages, false));
 }
 
-Status PagedFile::ReadPage(uint64_t page_no, char* buf) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (page_no >= num_pages_) {
-      return Status::OutOfRange("page " + std::to_string(page_no) +
-                                " out of range in " + path_);
-    }
-    if (std::fseek(f_, static_cast<long>(page_no * kPageSize), SEEK_SET) !=
-        0) {
-      return Status::IoError("seek failed in " + path_);
-    }
-    if (std::fread(buf, 1, kPageSize, f_) != kPageSize) {
-      return Status::IoError("short read in " + path_);
-    }
+Status PagedFile::ReadPages(uint64_t first, size_t n, char* const* bufs) {
+  const uint64_t pages = num_pages();
+  if (first > pages || n > pages - first) {
+    return Status::OutOfRange(PageRange(first, n) + " out of range in " +
+                              path_);
   }
-  // Counted on the calling thread; the simulated device latency is taken
-  // outside the latch so concurrent readers overlap like on a real device.
-  GlobalIo().pages_read++;
-  SimulateLatency(SimulatedReadLatencyMicros());
+  // One preadv per kMaxRunPages pages; a partial transfer resumes at the
+  // byte it stopped at, and end-of-file before the range ends is a short
+  // read.
+  const uint64_t total = n * kPageSize;
+  uint64_t done = 0;
+  while (done < total) {
+    iovec iov[kMaxRunPages];
+    const size_t page = done / kPageSize;
+    int cnt = 0;
+    for (size_t p = page; p < n && cnt < static_cast<int>(kMaxRunPages);
+         ++p, ++cnt) {
+      const size_t skip = p == page ? done % kPageSize : 0;
+      iov[cnt].iov_base = bufs[p] + skip;
+      iov[cnt].iov_len = kPageSize - skip;
+    }
+    const ssize_t got = ::preadv(fd_, iov, cnt,
+                                 static_cast<off_t>(first * kPageSize + done));
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) {
+      return Status::IoError("read of " + PageRange(first, n) + " failed in " +
+                             path_ + ": " + std::strerror(errno));
+    }
+    if (got == 0) {
+      return Status::IoError("short read of " + PageRange(first, n) + " in " +
+                             path_ + ": " + std::to_string(done) + " of " +
+                             std::to_string(total) + " bytes");
+    }
+    done += static_cast<uint64_t>(got);
+  }
+  // Counted on the calling thread; the simulated device latency is per
+  // page, as on a device that moves a run page by page.
+  GlobalIo().pages_read += n;
+  SimulateLatency(n * SimulatedReadLatencyMicros());
   return Status::OK();
 }
 
-Result<uint64_t> PagedFile::AppendPage(const char* buf) {
-  uint64_t page_no = 0;
+Status PagedFile::WriteAt(const char* buf, size_t bytes, uint64_t offset,
+                          const std::string& what) {
+  size_t done = 0;
+  while (done < bytes) {
+    const ssize_t put = ::pwrite(fd_, buf + done, bytes - done,
+                                 static_cast<off_t>(offset + done));
+    if (put < 0 && errno == EINTR) continue;
+    if (put <= 0) {
+      return Status::IoError(
+          "short write of " + what + " in " + path_ + ": " +
+          std::to_string(done) + " of " + std::to_string(bytes) + " bytes" +
+          (put < 0 ? std::string(": ") + std::strerror(errno) : ""));
+    }
+    done += static_cast<size_t>(put);
+  }
+  return Status::OK();
+}
+
+Result<uint64_t> PagedFile::AppendPages(const char* buf, size_t n) {
+  uint64_t first = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!writable_) {
       return Status::FailedPrecondition("file opened read-only: " + path_);
     }
-    if (std::fseek(f_, static_cast<long>(num_pages_ * kPageSize), SEEK_SET) !=
-        0) {
-      return Status::IoError("seek failed in " + path_);
-    }
-    if (std::fwrite(buf, 1, kPageSize, f_) != kPageSize) {
-      return Status::IoError("short write in " + path_);
-    }
-    page_no = num_pages_++;
+    first = num_pages();
+    FML_RETURN_IF_ERROR(WriteAt(buf, n * kPageSize, first * kPageSize,
+                                PageRange(first, n)));
+    num_pages_.store(first + n, std::memory_order_release);
   }
-  GlobalIo().pages_written++;
-  SimulateLatency(SimulatedWriteLatencyMicros());
-  return page_no;
+  GlobalIo().pages_written += n;
+  SimulateLatency(n * SimulatedWriteLatencyMicros());
+  return first;
 }
 
 Status PagedFile::WritePage(uint64_t page_no, const char* buf) {
@@ -102,26 +144,15 @@ Status PagedFile::WritePage(uint64_t page_no, const char* buf) {
     if (!writable_) {
       return Status::FailedPrecondition("file opened read-only: " + path_);
     }
-    if (page_no >= num_pages_) {
-      return Status::OutOfRange("page out of range: " + path_);
+    if (page_no >= num_pages()) {
+      return Status::OutOfRange("page " + std::to_string(page_no) +
+                                " out of range in " + path_);
     }
-    if (std::fseek(f_, static_cast<long>(page_no * kPageSize), SEEK_SET) !=
-        0) {
-      return Status::IoError("seek failed in " + path_);
-    }
-    if (std::fwrite(buf, 1, kPageSize, f_) != kPageSize) {
-      return Status::IoError("short write in " + path_);
-    }
+    FML_RETURN_IF_ERROR(WriteAt(buf, kPageSize, page_no * kPageSize,
+                                PageRange(page_no, 1)));
   }
   GlobalIo().pages_written++;
   SimulateLatency(SimulatedWriteLatencyMicros());
-  return Status::OK();
-}
-
-Status PagedFile::Flush() {
-  if (f_ != nullptr && std::fflush(f_) != 0) {
-    return Status::IoError("flush failed: " + path_);
-  }
   return Status::OK();
 }
 

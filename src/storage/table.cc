@@ -58,7 +58,7 @@ Table::Table(std::unique_ptr<PagedFile> file, Schema schema, int64_t num_rows,
       schema_(schema),
       num_rows_(num_rows),
       writable_(writable) {
-  if (writable_) tail_page_.assign(kPageSize, 0);
+  if (writable_) stage_ = std::make_unique<char[]>(kMaxRunPages * kPageSize);
 }
 
 Result<Table> Table::Create(const std::string& path, const Schema& schema) {
@@ -107,24 +107,25 @@ Status Table::Append(const int64_t* keys, const double* feats) {
     return Status::FailedPrecondition("table not writable: " + path());
   }
   const size_t row_bytes = schema_.RowBytes();
-  char* dst = tail_page_.data() + 8 + tail_rows_ * row_bytes;
+  char* page = stage_.get() + staged_pages_ * kPageSize;
+  char* dst = page + 8 + tail_rows_ * row_bytes;
   std::memcpy(dst, keys, 8 * schema_.num_keys);
   std::memcpy(dst + 8 * schema_.num_keys, feats, 8 * schema_.num_feats);
   ++tail_rows_;
   ++num_rows_;
   if (tail_rows_ == schema_.RowsPerPage()) {
-    FML_RETURN_IF_ERROR(FlushTailPage());
+    const uint64_t n = tail_rows_;
+    std::memcpy(page, &n, sizeof(n));
+    tail_rows_ = 0;
+    if (++staged_pages_ == kMaxRunPages) FML_RETURN_IF_ERROR(FlushStage());
   }
   return Status::OK();
 }
 
-Status Table::FlushTailPage() {
-  const uint64_t n = tail_rows_;
-  std::memcpy(tail_page_.data(), &n, sizeof(n));
-  FML_ASSIGN_OR_RETURN(uint64_t page_no, file_->AppendPage(tail_page_.data()));
-  (void)page_no;
-  std::memset(tail_page_.data(), 0, kPageSize);
-  tail_rows_ = 0;
+Status Table::FlushStage() {
+  FML_RETURN_IF_ERROR(
+      file_->AppendPages(stage_.get(), staged_pages_).status());
+  staged_pages_ = 0;
   return Status::OK();
 }
 
@@ -134,13 +135,22 @@ Status Table::Finish() {
     return Status::FailedPrecondition("table not writable: " + path());
   }
   if (tail_rows_ > 0) {
-    FML_RETURN_IF_ERROR(FlushTailPage());
+    // Seal the tail page; its unused row slots may hold rows of an
+    // earlier flush, so zero them as a fresh page would have them.
+    char* page = stage_.get() + staged_pages_ * kPageSize;
+    const uint64_t n = tail_rows_;
+    std::memcpy(page, &n, sizeof(n));
+    const size_t used = 8 + tail_rows_ * schema_.RowBytes();
+    std::memset(page + used, 0, kPageSize - used);
+    tail_rows_ = 0;
+    ++staged_pages_;
   }
+  if (staged_pages_ > 0) FML_RETURN_IF_ERROR(FlushStage());
+  stage_.reset();
   std::vector<char> header(kPageSize, 0);
   FileHeader h{kMagic, schema_.num_keys, schema_.num_feats, num_rows_};
   std::memcpy(header.data(), &h, sizeof(h));
   FML_RETURN_IF_ERROR(file_->WritePage(0, header.data()));
-  FML_RETURN_IF_ERROR(file_->Flush());
   finished_ = true;
   return Status::OK();
 }
@@ -224,7 +234,9 @@ bool TableScanner::NextStrips(size_t strip_rows, ColumnStrips* out) {
   size_t count = 0;
   PageCursor cursor(table_, pool_);
   if (!PrepareBatch(&cursor, &count)) return false;
-  status_ = table_->ReadStrips(pool_, next_row_, count, strip_rows, out);
+  const Schema& schema = table_->schema();
+  out->Shape(strip_rows, count, schema.num_feats, schema.num_keys, next_row_);
+  status_ = cursor.ReadStrips(next_row_, count, 0, out);
   if (!status_.ok()) return false;
   next_row_ += static_cast<int64_t>(count);
   return true;

@@ -119,12 +119,18 @@ class Table {
 
   PagedFile* file() const { return file_.get(); }
 
-  /// Appends one row (buffered; pages are written when full).
+  /// Appends one row. Rows are staged in memory and written kMaxRunPages
+  /// full pages per PagedFile::AppendPages call.
   Status Append(const int64_t* keys, const double* feats);
 
-  /// Flushes the tail page and persists the header. Must be called once
-  /// after the last Append before the table is scanned.
+  /// Writes the staged pages and the tail page, persists the header and
+  /// frees the stage. Must be called once after the last Append before
+  /// the table is scanned.
   Status Finish();
+
+  /// Bytes held for staged appends: kMaxRunPages pages while writable,
+  /// 0 once finished.
+  size_t stage_bytes() const { return stage_ ? kMaxRunPages * kPageSize : 0; }
 
   /// OK when rows [start_row, start_row + count) exist, else OutOfRange
   /// naming the file: the bound every read checks before it sizes its
@@ -148,15 +154,19 @@ class Table {
   Table(std::unique_ptr<PagedFile> file, Schema schema, int64_t num_rows,
         bool writable);
 
-  Status FlushTailPage();
+  /// Writes the staged pages with one AppendPages.
+  Status FlushStage();
 
   std::unique_ptr<PagedFile> file_;
   Schema schema_;
   int64_t num_rows_;
   bool writable_;
   bool finished_ = false;
-  std::vector<char> tail_page_;
-  size_t tail_rows_ = 0;
+  /// kMaxRunPages pages, zero-filled once: full pages overwrite their row
+  /// count and rows, so their padding stays zero across flushes.
+  std::unique_ptr<char[]> stage_;
+  size_t staged_pages_ = 0;  // full pages in stage_
+  size_t tail_rows_ = 0;     // rows in stage_ page `staged_pages_`
 };
 
 class Prefetcher;  // storage/page_cursor.h — the async half of the I/O plane

@@ -1,6 +1,12 @@
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <chrono>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -789,6 +795,257 @@ TEST(ColumnStripsTest, StripScanDemandReadsMatchRowScanWithPrefetchOff) {
   EXPECT_EQ(strip_delta.pool_hits, row_delta.pool_hits);
   EXPECT_EQ(strip_delta.prefetch_reads, 0u);
   EXPECT_EQ(strip_delta.demand_reads(), row_delta.demand_reads());
+}
+
+// ------------------------------------------------------------ page runs
+//
+// Runs of consecutive pages move in one system call each (PagedFile's
+// ReadPages / AppendPages, BufferPool::GetPages, PageCursor's walk, the
+// Table stage); every count must equal the page-by-page engine's.
+
+namespace {
+
+/// A file of `pages` pages; page p holds p in its first 8 bytes and the
+/// byte p % 251 after that.
+std::unique_ptr<PagedFile> MakeNumberedFile(const std::string& path,
+                                            uint64_t pages) {
+  auto file = std::move(PagedFile::Create(path)).value();
+  std::vector<char> buf(kPageSize);
+  for (uint64_t p = 0; p < pages; ++p) {
+    std::memset(buf.data(), static_cast<int>(p % 251), kPageSize);
+    std::memcpy(buf.data(), &p, sizeof(p));
+    FML_CHECK(file->AppendPage(buf.data()).ok());
+  }
+  return file;
+}
+
+bool PageIs(const char* page, uint64_t p) {
+  uint64_t got = 0;
+  std::memcpy(&got, page, sizeof(got));
+  return got == p &&
+         page[kPageSize - 1] == static_cast<char>(p % 251);
+}
+
+}  // namespace
+
+TEST(PageRunTest, ReadPagesAndAppendPagesMoveRunsAndCountEveryPage) {
+  TempDir dir;
+  auto file = std::move(PagedFile::Create(dir.str() + "/f.pg")).value();
+  std::vector<char> run(5 * kPageSize);
+  for (uint64_t p = 0; p < 5; ++p) {
+    std::memset(run.data() + p * kPageSize, static_cast<int>(p % 251),
+                kPageSize);
+    std::memcpy(run.data() + p * kPageSize, &p, sizeof(p));
+  }
+  const IoStats before = GlobalIo();
+  auto first = file->AppendPages(run.data(), 5);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value(), 0u);
+  EXPECT_EQ(file->num_pages(), 5u);
+  std::vector<char> a(kPageSize), b(kPageSize), c(kPageSize);
+  char* bufs[] = {a.data(), b.data(), c.data()};
+  FML_ASSERT_OK(file->ReadPages(1, 3, bufs));
+  EXPECT_TRUE(PageIs(a.data(), 1));
+  EXPECT_TRUE(PageIs(b.data(), 2));
+  EXPECT_TRUE(PageIs(c.data(), 3));
+  const IoStats delta = GlobalIo() - before;
+  EXPECT_EQ(delta.pages_written, 5u);
+  EXPECT_EQ(delta.pages_read, 3u);
+  EXPECT_EQ(file->ReadPages(3, 3, bufs).code(), StatusCode::kOutOfRange);
+}
+
+TEST(PageRunTest, RunLookupsMatchPageByPageLookups) {
+  // GetPages(first, n) must make exactly the LRU moves and counter
+  // updates of n single-page lookups: after the same seeded random
+  // sequence, a run-driven pool and a page-by-page pool agree on hits,
+  // misses and physical reads, and then on the hit/miss pattern of a
+  // follow-up sequence (which only an identical LRU order guarantees).
+  TempDir dir;
+  constexpr uint64_t kPages = 100;
+  auto file = MakeNumberedFile(dir.str() + "/f.pg", kPages);
+  for (const size_t capacity : {1, 2, 3, 7, 64}) {
+    BufferPool by_run(capacity);
+    BufferPool by_page(capacity);
+    std::mt19937_64 rng(1000 + capacity);
+    IoStats run_io, page_io;
+    for (int req = 0; req < 200; ++req) {
+      const uint64_t start = rng() % kPages;
+      const uint64_t len = std::min<uint64_t>(1 + rng() % 40, kPages - start);
+      IoStats before = GlobalIo();
+      for (uint64_t p = start; p < start + len;) {
+        const uint64_t n =
+            std::min<uint64_t>(by_run.max_run_pages(), start + len - p);
+        const char* pages[kMaxRunPages * 4];
+        FML_ASSERT_OK(by_run.GetPages(file.get(), p, n, pages));
+        for (uint64_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(PageIs(pages[i], p + i)) << capacity << " " << p + i;
+        }
+        p += n;
+      }
+      run_io += GlobalIo() - before;
+      before = GlobalIo();
+      for (uint64_t p = start; p < start + len; ++p) {
+        auto page = by_page.GetPage(file.get(), p);
+        ASSERT_TRUE(page.ok());
+        ASSERT_TRUE(PageIs(page.value(), p));
+      }
+      page_io += GlobalIo() - before;
+    }
+    EXPECT_EQ(run_io.pool_hits, page_io.pool_hits) << capacity;
+    EXPECT_EQ(run_io.pool_misses, page_io.pool_misses) << capacity;
+    EXPECT_EQ(run_io.pages_read, page_io.pages_read) << capacity;
+    EXPECT_EQ(run_io.pages_read, run_io.pool_misses) << capacity;
+    EXPECT_EQ(by_run.cached_pages(), by_page.cached_pages()) << capacity;
+
+    std::vector<bool> run_hits, page_hits;
+    for (int req = 0; req < 300; ++req) {
+      const uint64_t p = rng() % kPages;
+      for (auto [pool, hits] : {std::pair{&by_run, &run_hits},
+                                std::pair{&by_page, &page_hits}}) {
+        const uint64_t before = GlobalIo().pool_hits;
+        ASSERT_TRUE(pool->GetPage(file.get(), p).ok());
+        hits->push_back(GlobalIo().pool_hits > before);
+      }
+    }
+    EXPECT_EQ(run_hits, page_hits) << capacity;
+  }
+}
+
+TEST(PageRunTest, ShortMiddlePageIsACorruptPage) {
+  // Every data page but the last is full. A middle page whose row count
+  // is short must fail the read with a "corrupt page" Status naming the
+  // file, whether the walk resolves it inside a run or on its own.
+  TempDir dir;
+  const std::string path = dir.str() + "/t.fml";
+  const size_t rpp = Schema{1, 4}.RowsPerPage();
+  MakeWideTable(path, static_cast<int64_t>(rpp * 6));
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const uint64_t short_count = rpp - 5;
+    ASSERT_EQ(std::fseek(f, 3 * static_cast<long>(kPageSize), SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&short_count, sizeof(short_count), 1, f), 1u);
+    std::fclose(f);
+  }
+  auto t = std::move(Table::Open(path)).value();
+  for (const size_t capacity : {64, 2}) {  // runs of 6 pages, then of 1
+    BufferPool pool(capacity);
+    RowBatch batch;
+    const Status st = t.ReadRows(&pool, 0, rpp * 6, &batch);
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << capacity;
+    EXPECT_NE(st.ToString().find("corrupt page"), std::string::npos)
+        << st.ToString();
+    EXPECT_NE(st.ToString().find(path), std::string::npos) << st.ToString();
+    ColumnStrips strips;
+    EXPECT_EQ(t.ReadStrips(&pool, 0, rpp * 6, 256, &strips).code(),
+              StatusCode::kInternal)
+        << capacity;
+    // Rows before the short page's end are still readable.
+    FML_EXPECT_OK(t.ReadRows(&pool, 0, rpp * 2 + rpp - 5, &batch));
+  }
+}
+
+TEST(PageRunTest, StagedAppendsReadBackWithUnchangedPageCounts) {
+  // 33 and 65 full data pages plus a partial tail: one full stage and a
+  // remainder, two full stages and a remainder. Rows read back intact,
+  // pages_written is the page-by-page count (header append + data pages
+  // + header rewrite), Finish frees the stage, and the tail page's unused
+  // slots are zero (they must not carry rows of an earlier flush).
+  const Schema schema{1, 4};
+  const size_t rpp = schema.RowsPerPage();
+  for (const size_t full_pages : {33, 65}) {
+    TempDir dir;
+    const std::string path = dir.str() + "/t.fml";
+    const int64_t rows = static_cast<int64_t>(full_pages * rpp + rpp / 2);
+    const IoStats before = GlobalIo();
+    auto t = std::move(Table::Create(path, schema)).value();
+    EXPECT_EQ(t.stage_bytes(), kMaxRunPages * kPageSize);
+    for (int64_t i = 0; i < rows; ++i) {
+      const double feats[] = {static_cast<double>(i) * 0.25,
+                              static_cast<double>(i % 101),
+                              static_cast<double>(-i),
+                              static_cast<double>(i * i % 997)};
+      FML_ASSERT_OK(t.Append(&i, feats));
+    }
+    FML_ASSERT_OK(t.Finish());
+    EXPECT_EQ(t.stage_bytes(), 0u);
+    EXPECT_EQ(t.num_data_pages(), full_pages + 1);
+    EXPECT_EQ((GlobalIo() - before).pages_written, full_pages + 3);
+
+    auto reopened = std::move(Table::Open(path)).value();
+    EXPECT_EQ(reopened.num_rows(), rows);
+    BufferPool pool(16);
+    EXPECT_EQ(ScanAll(reopened, &pool, 1000, nullptr, 0).pages_read,
+              full_pages + 1);
+
+    std::vector<char> tail(kPageSize);
+    FML_ASSERT_OK(reopened.file()->ReadPage(full_pages + 1, tail.data()));
+    const size_t used = 8 + (rpp / 2) * schema.RowBytes();
+    for (size_t b = used; b < kPageSize; ++b) {
+      ASSERT_EQ(tail[b], 0) << full_pages << " byte " << b;
+    }
+  }
+}
+
+TEST(PageRunTest, TruncatedFileReadIsAnIoErrorNamingFileAndPages) {
+  // A table file cut short after Table::Open: the page count from Open
+  // still admits the read, the positioned read comes back short, and the
+  // walk returns IoError naming the file and the page range — for a run
+  // and for a single page.
+  TempDir dir;
+  const std::string path = dir.str() + "/t.fml";
+  const size_t rpp = Schema{1, 4}.RowsPerPage();
+  MakeWideTable(path, static_cast<int64_t>(rpp * 10));
+  auto t = std::move(Table::Open(path)).value();
+  ASSERT_EQ(::truncate(path.c_str(), 4 * kPageSize + 100), 0);
+  for (const size_t capacity : {64, 2}) {
+    BufferPool pool(capacity);
+    TableScanner scanner(&t, &pool, 1000);
+    RowBatch batch;
+    while (scanner.Next(&batch)) {
+    }
+    const Status& st = scanner.status();
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << capacity;
+    EXPECT_NE(st.ToString().find(path), std::string::npos) << st.ToString();
+    EXPECT_NE(st.ToString().find("pages ["), std::string::npos)
+        << st.ToString();
+  }
+  std::vector<char> buf(kPageSize);
+  const Status st = t.file()->ReadPage(7, buf.data());
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_NE(st.ToString().find("pages [7, 8)"), std::string::npos)
+      << st.ToString();
+}
+
+/// Appends 2 pages, then 2 more under a file-size limit that cuts the
+/// second run's pwrite short; 0 when that append is an IoError naming the
+/// file and pages and the file keeps its 2 pages. Sets a process limit:
+/// run it in a child.
+int AppendPastFileSizeLimit(const std::string& path) {
+  std::signal(SIGXFSZ, SIG_IGN);
+  rlimit lim;
+  lim.rlim_cur = lim.rlim_max = 3 * kPageSize + 100;
+  if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) return 2;
+  auto file = std::move(PagedFile::Create(path)).value();
+  std::vector<char> run(2 * kPageSize, 'w');
+  if (!file->AppendPages(run.data(), 2).ok()) return 3;
+  const Status st = file->AppendPages(run.data(), 2).status();
+  const bool named = st.ToString().find("pages [2, 4)") != std::string::npos &&
+                     st.ToString().find(path) != std::string::npos;
+  return st.code() == StatusCode::kIoError && named &&
+                 file->num_pages() == 2
+             ? 0
+             : 1;
+}
+
+TEST(PageRunTest, ShortWriteIsAnIoError) {
+  // A file-size limit cuts a run's pwrite short: the append returns
+  // IoError instead of crashing. The limit is set in a child process.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  TempDir dir;
+  const std::string path = dir.str() + "/f.pg";
+  EXPECT_EXIT(std::exit(AppendPastFileSizeLimit(path)),
+              ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
