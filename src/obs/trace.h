@@ -65,8 +65,9 @@ namespace factorml::obs {
 ///   chunk          morsel    chunk,stolen one morsel execution; stolen=1
 ///                                         when the executing worker is not
 ///                                         the chunk's static owner
-///   demand_read    storage   page         a demand miss's physical page
-///                                         read; dur = the stall it caused
+///   demand_read    storage   page,pages   one run of demand misses read
+///                                         with one call (first page, run
+///                                         length); dur = the stall
 ///   prefetch_issue storage   page,pages   async request issued (instant)
 ///   prefetch_land  storage   pages        crew execution of one request
 ///   prefetch_drain storage   pages        end-of-span wait + counter fold

@@ -875,7 +875,7 @@ TEST(PageRunTest, RunLookupsMatchPageByPageLookups) {
       for (uint64_t p = start; p < start + len;) {
         const uint64_t n =
             std::min<uint64_t>(by_run.max_run_pages(), start + len - p);
-        const char* pages[kMaxRunPages * 4];
+        const char* pages[kMaxRunPages];
         FML_ASSERT_OK(by_run.GetPages(file.get(), p, n, pages));
         for (uint64_t i = 0; i < n; ++i) {
           ASSERT_TRUE(PageIs(pages[i], p + i)) << capacity << " " << p + i;
