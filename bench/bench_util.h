@@ -36,7 +36,7 @@ inline void ApplyCommonBenchFlags(
     int default_threads = 1) {
   exec::SetDefaultThreads(args.GetThreads(1));
   if (args.Has("io_delay_us")) {
-    const auto us = static_cast<uint64_t>(args.GetInt("io_delay_us", 0));
+    const auto us = static_cast<uint64_t>(args.GetIoDelayUs());
     storage::SetSimulatedIoLatencyMicros(us, us);
   }
   const std::string trace_path = args.GetTracePath();

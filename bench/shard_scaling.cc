@@ -2,12 +2,11 @@
 //
 // The shard plane splits every full pass into contiguous chunk spans, runs
 // one scan per shard (own IoStats window and busy time), round-trips each
-// shard's accumulator slots through serialized ShardDelta bytes — the
-// seam a distributed backend would put on the wire — and merges the
-// deltas in shard-id order. Because slot = global chunk id and the merge
-// replays the unsharded chunk-order reduction, objectives, params and op
-// counts are bit-identical across shard counts, and with steal/prefetch
-// off the in-process backend's time-shared worker pools make total page
+// shard's accumulator slots through serialized ShardDelta bytes and
+// merges the deltas in shard-id order. Because slot = global chunk id and
+// the merge replays the unsharded chunk-order reduction, objectives,
+// params and op counts are bit-identical across shard counts, and with
+// steal/prefetch off the shards' time-shared worker pools make total page
 // I/O identical too. This bench sweeps the shard count, reports what each
 // shard paid (scan wall time, physical reads, delta wire bytes are fixed
 // by the model) and fails on any parity violation — the self-check the
@@ -159,9 +158,8 @@ int Main(int argc, char** argv) {
       static_cast<long long>(shard_counts.front()));
   std::printf(
       "note: shards time-share the compute workers in-process, so the "
-      "win here is per-shard accounting and the verified merge seam; "
-      "wall-clock scale-out needs the RPC backend (one machine per "
-      "shard)\n");
+      "win here is per-shard accounting and the verified merge, not "
+      "wall-clock scale-out\n");
   return 0;
 }
 

@@ -227,24 +227,10 @@ std::string ArgParser::GetTracePath(const std::string& default_value) const {
   return path;
 }
 
-std::string ArgParser::GetShardBackend(const std::string& default_value) const {
-  auto it = kv_.find("shard-backend");
-  if (it == kv_.end()) return default_value;
-  if (it->second == "inproc" || it->second == "process") return it->second;
-  std::fprintf(stderr,
-               "invalid --shard-backend=%s (must be 'inproc' or 'process'; "
-               "inproc = the in-process shard driver, byte-identical to the "
-               "seed; process = one factormld worker per shard over "
-               "length-prefixed socket frames, bit-identical results)\n",
-               it->second.c_str());
-  std::exit(2);
-}
-
-int64_t ArgParser::GetShardTimeoutMs(int64_t default_value) const {
-  return GetBoundedInt(
-      "shard-timeout-ms", std::max<int64_t>(default_value, 1), 1, INT64_MAX,
-      "must be an integer >= 1: per-worker deadline before a shard worker "
-      "is declared dead and its spans are requeued");
+int64_t ArgParser::GetIoDelayUs(int64_t default_value) const {
+  return GetBoundedInt("io_delay_us", default_value, 0, kMaxIoDelayUs,
+                       "must be an integer in [0, 1000000]: simulated "
+                       "microseconds per page transfer, 0 = none");
 }
 
 std::string ArgParser::GetCheckpointDir(

@@ -1,6 +1,7 @@
 #ifndef FACTORML_COMMON_FLAGS_H_
 #define FACTORML_COMMON_FLAGS_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -71,8 +72,8 @@ class ArgParser {
   /// The shared `--shards=N` flag: rid-range shards of the full-pass
   /// plane. 1 (default) runs unsharded — byte-identical to the pre-shard
   /// engine. N > 1 splits every full pass into N contiguous chunk spans
-  /// driven through the in-process shard backend (one scan + one
-  /// serialized ShardDelta per shard, merged in shard-id order); results
+  /// driven through the shard plane (one scan + one serialized
+  /// ShardDelta per shard, merged in shard-id order); results
   /// are bit-identical to --shards=1 at the same --morsel-rows. Values
   /// < 1 or non-integers are rejected with an error and exit(2).
   int GetShards(int default_value = 1) const;
@@ -111,21 +112,13 @@ class ArgParser {
   /// up front, not after the traced run has burned its wall time.
   std::string GetTracePath(const std::string& default_value = "") const;
 
-  /// The shared `--shard-backend={inproc,process}` flag: execution backend
-  /// for `--shards=N`. inproc (the default) drives shard scans in the
-  /// calling process — byte-identical to the pre-backend engine. process
-  /// forks one `factormld` worker per shard and exchanges serialized
-  /// ShardDeltas over length-prefixed socket frames; results are
-  /// bit-identical to inproc at the same shard/morsel geometry. Anything
-  /// else exits(2) listing the choices.
-  std::string GetShardBackend(const std::string& default_value = "inproc") const;
-
-  /// The shared `--shard-timeout-ms=N` flag: per-worker liveness deadline
-  /// of the process shard backend (default 30000). A worker that produces
-  /// no frame within the deadline is declared dead; its unfinished spans
-  /// are requeued on a healthy worker with bit-identical results. Values
-  /// < 1 or non-integers are rejected with an error and exit(2).
-  int64_t GetShardTimeoutMs(int64_t default_value = 30000) const;
+  /// The shared `--io_delay_us=N` flag: simulated device latency per page
+  /// transfer, in microseconds (default 0 = none). An integer in
+  /// [0, kMaxIoDelayUs] — one second per page is already far slower than
+  /// any device the benches model; anything else (a negative value, or a
+  /// delay that would stall a run for days) exits(2) naming the flag.
+  static constexpr int64_t kMaxIoDelayUs = 1000000;
+  int64_t GetIoDelayUs(int64_t default_value = 0) const;
 
   /// The shared `--trace-buffer-kb=N` flag: per-thread trace ring capacity
   /// in KiB (default 1024). Overflow beyond the ring drops events

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/pipeline/access_strategy.h"
+#include "core/pipeline/sharded_driver.h"
 #include "exec/morsel_queue.h"
 #include "exec/parallel_for.h"
 #include "exec/worker_pools.h"
@@ -39,10 +40,10 @@ class StrategyBase : public AccessStrategy {
   }
 
   void SetShardScan(const exec::ShardPlan* plan,
-                    ShardScanObserver* observer) override {
-    FML_CHECK((plan == nullptr) == (observer == nullptr));
+                    ShardedDriver* driver) override {
+    FML_CHECK((plan == nullptr) == (driver == nullptr));
     shard_plan_ = plan;
-    shard_observer_ = observer;
+    shard_driver_ = driver;
   }
 
   StrategyBase(const join::NormalizedRelations* rel,
@@ -153,13 +154,13 @@ class StrategyBase : public AccessStrategy {
     // Shard plane armed: scan shard by shard in shard-id order. Ownership
     // blocks stay global (RunMorselSpan), so each worker visits its chunks
     // — and fills its buffer pool — in the same ascending order as the
-    // unsharded run; the observer snapshots I/O and extracts the shard's
-    // ShardDelta between spans, and the merge is left to the driver.
+    // unsharded run; the driver snapshots I/O and extracts the shard's
+    // ShardDelta between spans, and the merge is left to it.
     for (int shard = 0; shard < shard_plan_->num_shards(); ++shard) {
       obs::TraceSpan shard_span(obs::kCatPipeline, "shard_scan");
       shard_span.Arg("shard", shard);
       run_span(shard_plan_->ChunkSpan(shard));
-      FML_RETURN_IF_ERROR(shard_observer_->OnShardScanned(shard));
+      FML_RETURN_IF_ERROR(shard_driver_->OnShardScanned(shard));
     }
     return exec::FirstError(slot_status);
   }
@@ -187,7 +188,7 @@ class StrategyBase : public AccessStrategy {
   int num_slots_ = 1;
   /// Armed by the ShardedDriver for the duration of a sharded RunPass.
   const exec::ShardPlan* shard_plan_ = nullptr;
-  ShardScanObserver* shard_observer_ = nullptr;
+  ShardedDriver* shard_driver_ = nullptr;
   std::unique_ptr<exec::WorkerPools> pools_;
   /// Declared after pools_ so destruction drains the crew (Prefetcher's
   /// destructor) before the per-worker pools its requests land in go away.

@@ -15,18 +15,7 @@
 
 namespace factorml::core::pipeline {
 
-/// What the ShardedDriver hands a strategy while its shard plane is armed
-/// (AccessStrategy::SetShardScan): after each shard's chunk span has been
-/// scanned — accumulated into the model's slots, prefetch drained, worker
-/// counters folded into the calling thread — the strategy reports it here,
-/// still inside RunPass, before the next shard starts. The observer owns
-/// everything that happens between scans: per-shard IoStats/timing
-/// snapshots and the ShardDelta extraction.
-class ShardScanObserver {
- public:
-  virtual ~ShardScanObserver() = default;
-  virtual Status OnShardScanned(int shard) = 0;
-};
+class ShardedDriver;
 
 /// The data-access plane of the training pipeline: one driver per paper
 /// strategy. A strategy owns materialization and temp files (M),
@@ -69,8 +58,8 @@ class AccessStrategy {
   /// slots are then merged in chunk order on the calling thread. With the shard
   /// plane armed (SetShardScan), the scan instead runs shard by shard in
   /// shard-id order — same chunks, same owners, same per-worker cursor
-  /// reuse — the observer is notified after each shard, and the merge is
-  /// left to the ShardedDriver.
+  /// reuse — the driver's OnShardScanned runs after each shard, and the
+  /// merge is left to the driver.
   virtual Status RunPass(const PipelineContext& ctx, ModelProgram* model,
                          int pass) = 0;
 
@@ -79,11 +68,11 @@ class AccessStrategy {
   /// shards.
   virtual const std::vector<exec::Range>& MorselPlan() const = 0;
 
-  /// Arms (plan + observer non-null) or disarms (both null) the shard
+  /// Arms (plan + driver non-null) or disarms (both null) the shard
   /// plane for subsequent RunPass calls. Only the ShardedDriver calls
   /// this; the plan must be a decomposition of MorselPlan()'s chunk ids.
   virtual void SetShardScan(const exec::ShardPlan* plan,
-                            ShardScanObserver* observer) = 0;
+                            ShardedDriver* driver) = 0;
 
   /// One mini-batch epoch: plans/streams whole-FK1-group batches in the
   /// model's epoch order and feeds them to the model sequentially (batch

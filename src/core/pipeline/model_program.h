@@ -140,11 +140,6 @@ class ModelProgram {
   /// File stem for the M strategy's materialized join (the only strategy
   /// that materializes): <temp_dir>/m_<TempStem()>_T.fml.
   virtual const char* TempStem() const = 0;
-  /// The process shard backend's family blob: the model knobs a factormld
-  /// worker needs to rebuild this exact program, shipped in the JOB frame
-  /// under the family tag TempStem(). Empty (default) means the family
-  /// does not support --shard-backend=process.
-  virtual std::string ShardJobBlob() const { return {}; }
   virtual uint32_t Capabilities() const = 0;
   /// Option/shape checks run before any measurement starts.
   virtual Status ValidateOptions(const join::NormalizedRelations& rel) const {
@@ -216,21 +211,6 @@ class ModelProgram {
                      << ": iteration-state visitor not implemented";
   }
 
-  /// Whether a lost shard span of `pass` can be recovered by a bare
-  /// rescan on a surviving worker: true when re-running RunPass over the
-  /// lost chunks — with no BeginPass replay — reproduces the lost slot
-  /// state bit-exactly. That holds by default (accumulate hooks read only
-  /// parameters fixed at BeginPass), but a program whose EARLIER EndPass
-  /// in the same iteration already mutated parameters that this pass's
-  /// sibling passes read (GMM: EndPass(mean) rewrites mu before the cov
-  /// pass) must return false for the affected passes; the process shard
-  /// backend then falls back to a deterministic full-run restart instead
-  /// of a mid-iteration rescan.
-  virtual bool ShardRecoverableAtPass(int pass) const {
-    (void)pass;
-    return true;
-  }
-
   // --------------------------------------------------- mini-batch plane
   /// R1-rid visit order for this epoch (the paper's per-epoch key
   /// permutation for SGD); empty = natural order.
@@ -259,7 +239,7 @@ class ModelProgram {
 /// The full-pass reduction: adds slots [slots.begin, slots.end) into the
 /// model's merged state in ascending slot order, one add per element.
 /// Every pass result is a sum, so this order is the determinism contract's
-/// whole reduction; the strategies and every shard backend (after the
+/// whole reduction; the strategies and the ShardedDriver (after the
 /// ShardDelta copy-back) call it alike.
 inline void MergeSlots(ModelProgram* model, int pass, exec::Range slots) {
   const auto add = [](double* slot, double* merged, size_t len) {

@@ -13,7 +13,6 @@
 
 #include "core/pipeline/access_internal.h"
 #include "core/pipeline/checkpoint.h"
-#include "core/pipeline/shard_rpc.h"
 #include "core/pipeline/sharded_driver.h"
 #include "exec/parallel_for.h"
 #include "exec/thread_pool.h"
@@ -65,19 +64,15 @@ uint64_t CheckpointFingerprint(const std::string& label,
 }
 
 /// One full deterministic training run: strategy creation, shard-plane
-/// arming, the iteration loop, the report scope. `shard_driver` selects
-/// the shard backend: nullptr = the in-process ShardedDriver when shards
-/// are on; a ProcessShardCoordinator drives remote workers; a
-/// ShardWorkerDriver makes this process one of those workers. The process
-/// backend's restart protocol reruns this whole function — everything in
-/// it is a pure function of (on-disk data, resolved options), so a rerun
-/// reproduces the run bit-exactly.
+/// arming, the iteration loop, the report scope. Everything in it is a
+/// pure function of (on-disk data, resolved options), so a rerun — say,
+/// after a kill, resuming from the last checkpoint — reproduces the run
+/// bit-exactly.
 Status RunTrainingAttempt(const join::NormalizedRelations& rel,
                           Algorithm algorithm,
                           const StrategyOptions& resolved, bool mini_batch,
                           ModelProgram* model, storage::BufferPool* pool,
-                          TrainReport* report,
-                          ShardPassDriver* shard_driver) {
+                          TrainReport* report) {
   ReportScope scope(report, std::string(1, AlgorithmPrefix(algorithm)) +
                                 "-" + model->Name());
   if (report != nullptr) report->threads = resolved.threads;
@@ -108,21 +103,15 @@ Status RunTrainingAttempt(const join::NormalizedRelations& rel,
   // the ShardDeltas in shard-id order (see sharded_driver.h).
   ShardedDriver sharded;
   const bool use_shards = resolved.shards > 1 && !mini_batch;
-  ShardPassDriver* driver = shard_driver;
-  if (driver == nullptr && use_shards) driver = &sharded;
-  if (driver != nullptr) {
-    FML_RETURN_IF_ERROR(driver->Init(strategy.get(), resolved, report));
+  if (use_shards) {
+    FML_RETURN_IF_ERROR(sharded.Init(strategy.get(), resolved, report));
   }
   FML_RETURN_IF_ERROR(model->Init(ctx));
 
-  // Checkpoint/restore (iteration-boundary granularity). Every node of a
-  // process-backend run restores — the lockstep replicas must all start
-  // at the same iteration — but only the coordinating process (or the
-  // sole process of an unsharded run) ever writes. The op-count delta
-  // stored in the checkpoint is recharged on resume so the resumed run's
-  // op totals equal the uninterrupted run's.
+  // Checkpoint/restore (iteration-boundary granularity). The op-count
+  // delta stored in the checkpoint is recharged on resume so the resumed
+  // run's op totals equal the uninterrupted run's.
   const bool ckpt_enabled = !resolved.checkpoint_dir.empty();
-  const bool ckpt_writer = ckpt_enabled && resolved.shard_channel == nullptr;
   const int64_t ckpt_every =
       resolved.checkpoint_every > 0 ? resolved.checkpoint_every : 1;
   const std::string ckpt_label =
@@ -150,7 +139,7 @@ Status RunTrainingAttempt(const join::NormalizedRelations& rel,
           std::memcpy(data, st.state.data() + off, len * sizeof(double));
           off += len;
         });
-        if (resolved.shard_channel == nullptr) GlobalOps() += st.ops;
+        GlobalOps() += st.ops;
         start_iter = static_cast<int>(st.completed_iterations);
         restored_converged = st.converged;
         FML_LOG(Info) << "resumed " << ckpt_label << " from checkpoint at "
@@ -163,7 +152,7 @@ Status RunTrainingAttempt(const join::NormalizedRelations& rel,
     }
   }
   const auto maybe_checkpoint = [&](int completed, bool converged) -> Status {
-    if (!ckpt_writer) return Status::OK();
+    if (!ckpt_enabled) return Status::OK();
     if (!converged && completed % ckpt_every != 0) return Status::OK();
     CheckpointState st;
     st.label = ckpt_label;
@@ -232,9 +221,9 @@ Status RunTrainingAttempt(const join::NormalizedRelations& rel,
         }
         {
           PhaseScope phase(report, model->PassName(pass));
-          if (driver != nullptr) {
+          if (use_shards) {
             FML_RETURN_IF_ERROR(
-                driver->RunPass(strategy.get(), ctx, model, pass));
+                sharded.RunPass(strategy.get(), ctx, model, pass));
           } else {
             FML_RETURN_IF_ERROR(strategy->RunPass(ctx, model, pass));
           }
@@ -258,12 +247,6 @@ Status RunTrainingAttempt(const join::NormalizedRelations& rel,
     rss_gauge->Set(static_cast<double>(ru.ru_maxrss));
   }
   scope.Finish(iterations, model->Objective());
-  // Backend epilogue after the report is final: the process coordinator
-  // verifies bitwise objective agreement with every worker and shuts the
-  // crew down; the worker driver reports DONE and waits for BYE.
-  if (driver != nullptr) {
-    FML_RETURN_IF_ERROR(driver->Finish(model, report));
-  }
   return Status::OK();
 }
 
@@ -309,42 +292,8 @@ Status RunTraining(const join::NormalizedRelations& rel, Algorithm algorithm,
         "--checkpoint-every requires --checkpoint-dir");
   }
 
-  // Worker mode: this process IS a shard worker; the coordinator on the
-  // other end of shard_channel drives its passes. Single attempt — the
-  // restart sentinel propagates to factormld, which reruns with a fresh
-  // program.
-  if (resolved.shard_channel != nullptr) {
-    ShardWorkerDriver worker(resolved.shard_channel);
-    return RunTrainingAttempt(rel, algorithm, resolved, mini_batch, model,
-                              pool, report, &worker);
-  }
-
-  if (resolved.shard_backend == ShardBackend::kProcess && resolved.shards > 1) {
-    // The family blob is taken before Init, from the options the program
-    // was built with — exactly what a worker rebuilds its replica from.
-    const std::string blob = model->ShardJobBlob();
-    if (blob.empty()) {
-      return Status::InvalidArgument(
-          std::string(model->Name()) +
-          " does not support --shard-backend=process (no shard job blob)");
-    }
-    // One coordinator (and worker crew) for all attempts; a restart
-    // sentinel reruns the attempt on the surviving workers.
-    ProcessShardCoordinator coordinator(resolved, algorithm, &rel, pool,
-                                        model->TempStem(), blob);
-    constexpr int kMaxAttempts = 3;
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      const Status st = RunTrainingAttempt(rel, algorithm, resolved,
-                                           mini_batch, model, pool, report,
-                                           &coordinator);
-      if (!IsShardRestart(st)) return st;
-    }
-    return Status::Internal(
-        "process shard backend: restart budget exhausted");
-  }
-
   return RunTrainingAttempt(rel, algorithm, resolved, mini_batch, model,
-                            pool, report, /*shard_driver=*/nullptr);
+                            pool, report);
 }
 
 Result<la::Matrix> AssembleJoinedRows(const join::NormalizedRelations& rel,

@@ -1,10 +1,9 @@
-// The shard plane's in-process backend and the ShardDelta wire format.
+// The shard plane's driver and the ShardDelta byte format.
 //
-// Wire format v2 (native-endian; the in-process loopback and a
-// homogeneous cluster share it — a heterogeneous RPC backend would pin
-// endianness at the transport). The decoded payload is the doubles of
-// slots chunk_begin..chunk_end-1 in chunk order, each slot in its
-// VisitSlotState span sequence; on the wire it is run-length encoded:
+// Format v2 (native-endian: the bytes never leave the process that made
+// them). The decoded payload is the doubles of slots
+// chunk_begin..chunk_end-1 in chunk order, each slot in its
+// VisitSlotState span sequence; in the bytes it is run-length encoded:
 //   bytes [0, 8)   magic "FMLSHRD2"
 //   bytes [8, 16)  int64  shard id
 //   bytes [16, 24) int64  chunk_begin (global chunk id, inclusive)

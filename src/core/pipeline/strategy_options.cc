@@ -4,10 +4,6 @@
 
 namespace factorml::core::pipeline {
 
-const char* ShardBackendName(ShardBackend backend) {
-  return backend == ShardBackend::kProcess ? "process" : "inproc";
-}
-
 StrategyOptions StrategyOptionsFromArgs(const ArgParser& args,
                                         const StrategyOptions& defaults) {
   StrategyOptions o = defaults;
@@ -23,13 +19,6 @@ StrategyOptions StrategyOptionsFromArgs(const ArgParser& args,
       args.GetKernels(la::KernelModeName(defaults.kernels)) == "simd"
           ? la::KernelMode::kSimd
           : la::KernelMode::kScalar;
-  o.shard_backend =
-      args.GetShardBackend(ShardBackendName(defaults.shard_backend)) ==
-              "process"
-          ? ShardBackend::kProcess
-          : ShardBackend::kInproc;
-  o.shard_timeout_ms = args.GetShardTimeoutMs(defaults.shard_timeout_ms);
-  o.shard_worker_path = args.GetString("factormld", defaults.shard_worker_path);
   o.checkpoint_dir = args.GetCheckpointDir(defaults.checkpoint_dir);
   o.checkpoint_every = args.GetCheckpointEvery(defaults.checkpoint_every);
   return o;

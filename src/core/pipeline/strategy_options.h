@@ -23,20 +23,6 @@ inline constexpr int kDefaultPrefetchDepth = 2;
 /// (256 rows x 8 B = 2 KiB per column).
 inline constexpr size_t kDefaultStripRows = 256;
 
-/// Where the scans of a sharded run execute (--shard-backend).
-enum class ShardBackend : uint8_t {
-  /// This process drives every shard scan (ShardedDriver) — byte-identical
-  /// to the pre-backend engine.
-  kInproc = 0,
-  /// One factormld worker process per shard, exchanging ShardDelta bytes
-  /// over length-prefixed socket frames (core/pipeline/shard_rpc.h);
-  /// bit-identical results by the same chunk-ordered merge.
-  kProcess = 1,
-};
-
-/// "inproc" / "process" — the flag spelling of a backend.
-const char* ShardBackendName(ShardBackend backend);
-
 /// The knobs of the paper's M/S/F strategies, which are orthogonal to the
 /// model being trained. This is their only declaration: every family's
 /// options struct (GmmOptions, NnOptions, LinregOptions, KmeansOptions,
@@ -78,8 +64,8 @@ struct StrategyOptions {
   /// byte-identical to the pre-shard engine. N > 1 splits every full pass
   /// into N contiguous chunk spans, runs one scan per shard, round-trips
   /// each shard's accumulator slots through serialized ShardDelta bytes
-  /// (the wire seam a distributed backend plugs into), and merges the
-  /// deltas in shard-id order. At the same resolved morsel size the
+  /// (which proves each shard's slots carry its whole contribution), and
+  /// merges the deltas in shard-id order. At the same resolved morsel size the
   /// objectives, params, op counts — and, at deterministic schedules
   /// (steal and prefetch off), total page I/O — are bit-identical to
   /// shards = 1 for any thread count. Rejected for mini-batch (SGD)
@@ -95,22 +81,11 @@ struct StrategyOptions {
   /// floating-point summation order moves, so objectives and params agree
   /// to reassociation tolerance.
   la::KernelMode kernels = la::KernelMode::kScalar;
-  /// Where the M strategy materializes T (and the process backend puts its
-  /// socket and per-worker subdirectories).
+  /// Where the M strategy materializes T.
   std::string temp_dir = ".";
-  /// Execution backend for shards > 1 (see ShardBackend).
-  ShardBackend shard_backend = ShardBackend::kInproc;
-  /// Per-worker liveness deadline of the process backend, in
-  /// milliseconds: a worker producing no frame within it is declared dead
-  /// and its unfinished spans are requeued on a healthy worker.
-  int64_t shard_timeout_ms = 30000;
-  /// Explicit path to the factormld worker binary. Empty (default)
-  /// resolves via $FACTORMLD, then a sibling of the running executable,
-  /// then $PATH.
-  std::string shard_worker_path;
   /// Checkpoint/restore (full-pass plane only). Empty (default) disables.
   /// Non-empty: after every `checkpoint_every` completed iterations the
-  /// coordinator atomically writes <dir>/<M|S|F>-<model>.ckpt (CRC32 per
+  /// run atomically writes <dir>/<M|S|F>-<model>.ckpt (CRC32 per
   /// block, staged .tmp + rename) plus a JSON sidecar; a fresh run over
   /// the same configuration restores it and resumes at the next
   /// iteration, bit-identical to the uninterrupted run.
@@ -118,17 +93,12 @@ struct StrategyOptions {
   /// Iterations between checkpoint writes; 0 = every iteration when
   /// checkpoint_dir is set.
   int64_t checkpoint_every = 0;
-  /// Set only inside a factormld worker process: the link back to the
-  /// coordinator. RunTraining then follows the coordinator's PASS/APPLY
-  /// frames instead of owning the shard schedule. Never set by users.
-  class ShardWorkerLink* shard_channel = nullptr;
 };
 
 /// The one parse point of the strategy flags shared by every train
 /// command: --batch, --threads, --morsel-rows, --steal, --prefetch,
-/// --prefetch-depth, --shards, --kernels, --shard-backend,
-/// --shard-timeout-ms, --factormld (the worker binary), --checkpoint-dir
-/// and --checkpoint-every. An absent flag keeps its value from
+/// --prefetch-depth, --shards, --kernels, --checkpoint-dir and
+/// --checkpoint-every. An absent flag keeps its value from
 /// `defaults` (so a family's own defaults, like NN's 1024-row batch,
 /// survive); a bad value exits 2 naming the flag (common/flags.h).
 /// temp_dir has no flag and is copied from `defaults`.

@@ -90,7 +90,7 @@ MorselStats RunMorsels(const std::vector<Range>& chunks, int threads,
 /// Span-restricted variant for the shard plane: runs body exactly once for
 /// every chunk id in [span.begin, span.end), with ownership blocks taken
 /// from the GLOBAL split PartitionRows(chunks.size(), threads) and clamped
-/// to the span. This is the in-process shard backend's time-sharing rule:
+/// to the span. This is the shard plane's time-sharing rule:
 /// a chunk keeps the owner (and therefore the worker buffer pool) it has
 /// in the unsharded run, so each worker visits its chunks in the same
 /// ascending order whether the pass runs as one region or as a sequence

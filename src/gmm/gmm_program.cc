@@ -9,7 +9,6 @@
 // gmm::RidMass, shared with k-means; the centered caches, the
 // run-factored covariance and the log-likelihood stay here.
 
-#include <climits>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -24,7 +23,6 @@
 #include "gmm/trainers.h"
 #include "la/kernels.h"
 #include "la/ops.h"
-#include "net/wire.h"
 #include "obs/metrics.h"
 
 namespace factorml::gmm {
@@ -114,9 +112,6 @@ class GmmProgram final : public core::pipeline::ModelProgram {
 
   const char* Name() const override { return "GMM"; }
   const char* TempStem() const override { return "gmm"; }
-  std::string ShardJobBlob() const override {
-    return EncodeShardJob(opt_);
-  }
   uint32_t Capabilities() const override {
     return core::pipeline::kFullPass;
   }
@@ -522,15 +517,6 @@ class GmmProgram final : public core::pipeline::ModelProgram {
     }
   }
 
-  /// The mean pass's EndPass (below) rewrites params_.mu mid-iteration,
-  /// so a cov-pass rescan on a surviving shard worker would recompute the
-  /// E-step's responsibilities against the NEW means — not the state the
-  /// dead worker accumulated under. The e_step and m_step_mean passes
-  /// only read BeginPass-time parameters and are exactly replayable.
-  bool ShardRecoverableAtPass(int pass) const override {
-    return pass <= kMeanStep;
-  }
-
   Status EndPass(const PipelineContext& ctx, int /*iter*/, int pass) override {
     switch (pass) {
       case kEStep:
@@ -667,57 +653,6 @@ class GmmProgram final : public core::pipeline::ModelProgram {
 };
 
 }  // namespace
-
-std::string EncodeShardJob(const GmmOptions& options) {
-  net::ByteWriter w;
-  w.U64(options.num_components);
-  w.I64(options.max_iters);
-  w.F64(options.tol);
-  w.F64(options.init_spread);
-  w.F64(options.cov_reg);
-  w.U8(static_cast<uint8_t>(options.init));
-  w.U64(options.seed);
-  w.U8(options.exploit_symmetry ? 1 : 0);
-  return w.Take();
-}
-
-Result<GmmOptions> DecodeShardJob(const std::string& blob) {
-  GmmOptions options;
-  net::ByteReader r(blob);
-  uint64_t k = 0;
-  int64_t max_iters = 0;
-  uint8_t init = 0, symmetry = 0;
-  FML_RETURN_IF_ERROR(r.U64(&k));
-  FML_RETURN_IF_ERROR(r.I64(&max_iters));
-  FML_RETURN_IF_ERROR(r.F64(&options.tol));
-  FML_RETURN_IF_ERROR(r.F64(&options.init_spread));
-  FML_RETURN_IF_ERROR(r.F64(&options.cov_reg));
-  FML_RETURN_IF_ERROR(r.U8(&init));
-  FML_RETURN_IF_ERROR(r.U64(&options.seed));
-  FML_RETURN_IF_ERROR(r.U8(&symmetry));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("gmm shard job: trailing bytes");
-  }
-  if (max_iters < 1 || max_iters > INT_MAX) {
-    return Status::InvalidArgument("gmm shard job: max_iters " +
-                                   std::to_string(max_iters) +
-                                   " out of range");
-  }
-  if (init > static_cast<uint8_t>(GmmInit::kRandomRows)) {
-    return Status::InvalidArgument("gmm shard job: init byte " +
-                                   std::to_string(init) + " out of range");
-  }
-  options.num_components = k;
-  options.max_iters = static_cast<int>(max_iters);
-  options.init = static_cast<GmmInit>(init);
-  options.exploit_symmetry = symmetry != 0;
-  return options;
-}
-
-std::unique_ptr<core::pipeline::ModelProgram> MakeShardProgram(
-    const GmmOptions& options) {
-  return std::make_unique<GmmProgram>(options);
-}
 
 }  // namespace factorml::gmm
 

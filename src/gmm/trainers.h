@@ -2,16 +2,11 @@
 #define FACTORML_GMM_TRAINERS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/status.h"
 #include "core/pipeline/strategy_options.h"
 #include "gmm/gmm_model.h"
-
-namespace factorml::core::pipeline {
-class ModelProgram;
-}
 
 namespace factorml::gmm {
 
@@ -47,16 +42,6 @@ struct GmmOptions : core::pipeline::StrategyOptions {
   /// in half. Clear it to reproduce the paper's op counts verbatim.
   bool exploit_symmetry = true;
 };
-
-/// Process-shard-backend seam (core/pipeline/shard_rpc.h): the
-/// coordinator serializes the math-relevant GmmOptions into the JOB
-/// frame's family blob; a factormld worker decodes the blob and rebuilds
-/// the identical ModelProgram, so both sides run the same EM recurrence
-/// from the same deterministic initialization.
-std::string EncodeShardJob(const GmmOptions& options);
-Result<GmmOptions> DecodeShardJob(const std::string& blob);
-std::unique_ptr<core::pipeline::ModelProgram> MakeShardProgram(
-    const GmmOptions& options);
 
 }  // namespace factorml::gmm
 

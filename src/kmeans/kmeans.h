@@ -3,17 +3,12 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "core/pipeline/strategy_options.h"
 #include "la/matrix.h"
-
-namespace factorml::core::pipeline {
-class ModelProgram;
-}
 
 namespace factorml::kmeans {
 
@@ -45,14 +40,6 @@ struct KmeansModel {
   /// Max absolute centroid difference; used by the M==S==F parity tests.
   static double MaxAbsDiff(const KmeansModel& a, const KmeansModel& b);
 };
-
-/// Process-shard-backend seam (core/pipeline/shard_rpc.h): serialize /
-/// decode the math-relevant KmeansOptions for the JOB frame's family blob
-/// and rebuild the identical ModelProgram on a factormld worker.
-std::string EncodeShardJob(const KmeansOptions& options);
-Result<KmeansOptions> DecodeShardJob(const std::string& blob);
-std::unique_ptr<core::pipeline::ModelProgram> MakeShardProgram(
-    const KmeansOptions& options);
 
 }  // namespace factorml::kmeans
 

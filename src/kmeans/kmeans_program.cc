@@ -14,7 +14,6 @@
 // the S-slice sums.
 
 #include <algorithm>
-#include <climits>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -26,7 +25,6 @@
 #include "gmm/rid_mass.h"
 #include "kmeans/kmeans.h"
 #include "la/kernels.h"
-#include "net/wire.h"
 #include "obs/metrics.h"
 
 namespace factorml::kmeans {
@@ -57,9 +55,6 @@ class KmeansProgram final : public core::pipeline::ModelProgram {
 
   const char* Name() const override { return "KMEANS"; }
   const char* TempStem() const override { return "kmeans"; }
-  std::string ShardJobBlob() const override {
-    return EncodeShardJob(opt_);
-  }
   uint32_t Capabilities() const override {
     return core::pipeline::kFullPass;
   }
@@ -323,40 +318,6 @@ double KmeansModel::MaxAbsDiff(const KmeansModel& a, const KmeansModel& b) {
   // Centroids only: inertia is a large sum compared with a relative
   // tolerance by the parity tests.
   return la::Matrix::MaxAbsDiff(a.centroids, b.centroids);
-}
-
-std::string EncodeShardJob(const KmeansOptions& options) {
-  net::ByteWriter w;
-  w.U64(options.num_clusters);
-  w.I64(options.max_iters);
-  w.F64(options.tol);
-  return w.Take();
-}
-
-Result<KmeansOptions> DecodeShardJob(const std::string& blob) {
-  KmeansOptions options;
-  net::ByteReader r(blob);
-  uint64_t k = 0;
-  int64_t max_iters = 0;
-  FML_RETURN_IF_ERROR(r.U64(&k));
-  FML_RETURN_IF_ERROR(r.I64(&max_iters));
-  FML_RETURN_IF_ERROR(r.F64(&options.tol));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("kmeans shard job: trailing bytes");
-  }
-  if (max_iters < 1 || max_iters > INT_MAX) {
-    return Status::InvalidArgument("kmeans shard job: max_iters " +
-                                   std::to_string(max_iters) +
-                                   " out of range");
-  }
-  options.num_clusters = k;
-  options.max_iters = static_cast<int>(max_iters);
-  return options;
-}
-
-std::unique_ptr<core::pipeline::ModelProgram> MakeShardProgram(
-    const KmeansOptions& options) {
-  return std::make_unique<KmeansProgram>(options);
 }
 
 }  // namespace factorml::kmeans

@@ -269,23 +269,4 @@ Result<std::vector<double>> GramCofactor::Solve() const {
   return x;
 }
 
-void EncodeRidgeKnobs(double l2, bool intercept, net::ByteWriter* w) {
-  w->F64(l2);
-  w->U8(intercept ? 1 : 0);
-}
-
-Status DecodeRidgeKnobs(const char* family, net::ByteReader* r, double* l2,
-                        bool* intercept) {
-  uint8_t byte = 0;
-  FML_RETURN_IF_ERROR(r->F64(l2));
-  FML_RETURN_IF_ERROR(r->U8(&byte));
-  if (byte > 1) {
-    return Status::InvalidArgument(std::string(family) +
-                                   " shard job: intercept byte " +
-                                   std::to_string(byte) + " out of range");
-  }
-  *intercept = byte == 1;
-  return Status::OK();
-}
-
 }  // namespace factorml::linreg

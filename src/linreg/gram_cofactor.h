@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "core/pipeline/model_program.h"
 #include "la/matrix.h"
-#include "net/wire.h"
 
 namespace factorml::linreg {
 
@@ -101,13 +100,6 @@ class GramCofactor {
   Slot merged_;
   std::vector<Slot> slots_;
 };
-
-/// The (l2, intercept) prefix both families' shard-job blobs start with.
-void EncodeRidgeKnobs(double l2, bool intercept, net::ByteWriter* w);
-/// Decodes that prefix; `family` names the blob in errors. The intercept
-/// byte must be 0 or 1.
-Status DecodeRidgeKnobs(const char* family, net::ByteReader* r, double* l2,
-                        bool* intercept);
 
 }  // namespace factorml::linreg
 

@@ -3,16 +3,11 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "core/pipeline/strategy_options.h"
-
-namespace factorml::core::pipeline {
-class ModelProgram;
-}
 
 namespace factorml::linreg {
 
@@ -40,14 +35,6 @@ struct LinregModel {
   /// M==S==F parity tests.
   static double MaxAbsDiff(const LinregModel& a, const LinregModel& b);
 };
-
-/// Process-shard-backend seam (core/pipeline/shard_rpc.h): serialize /
-/// decode the math-relevant LinregOptions for the JOB frame's family blob
-/// and rebuild the identical ModelProgram on a factormld worker.
-std::string EncodeShardJob(const LinregOptions& options);
-Result<LinregOptions> DecodeShardJob(const std::string& blob);
-std::unique_ptr<core::pipeline::ModelProgram> MakeShardProgram(
-    const LinregOptions& options);
 
 }  // namespace factorml::linreg
 

@@ -14,7 +14,6 @@
 #include "la/ops.h"
 #include "linreg/gram_cofactor.h"
 #include "linreg/linreg.h"
-#include "net/wire.h"
 #include "obs/metrics.h"
 
 namespace factorml::linreg {
@@ -31,9 +30,6 @@ class LinregProgram final : public core::pipeline::ModelProgram {
 
   const char* Name() const override { return "LINREG"; }
   const char* TempStem() const override { return "linreg"; }
-  std::string ShardJobBlob() const override {
-    return EncodeShardJob(opt_);
-  }
   uint32_t Capabilities() const override {
     return core::pipeline::kFullPass | core::pipeline::kNeedsTarget;
   }
@@ -146,28 +142,6 @@ double LinregModel::MaxAbsDiff(const LinregModel& a, const LinregModel& b) {
     m = std::max(m, std::fabs(a.w[j] - b.w[j]));
   }
   return m;
-}
-
-std::string EncodeShardJob(const LinregOptions& options) {
-  net::ByteWriter w;
-  EncodeRidgeKnobs(options.l2, options.intercept, &w);
-  return w.Take();
-}
-
-Result<LinregOptions> DecodeShardJob(const std::string& blob) {
-  LinregOptions options;
-  net::ByteReader r(blob);
-  FML_RETURN_IF_ERROR(
-      DecodeRidgeKnobs("linreg", &r, &options.l2, &options.intercept));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("linreg shard job: trailing bytes");
-  }
-  return options;
-}
-
-std::unique_ptr<core::pipeline::ModelProgram> MakeShardProgram(
-    const LinregOptions& options) {
-  return std::make_unique<LinregProgram>(options);
 }
 
 }  // namespace factorml::linreg

@@ -3,16 +3,11 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "core/pipeline/strategy_options.h"
-
-namespace factorml::core::pipeline {
-class ModelProgram;
-}
 
 namespace factorml::logreg {
 
@@ -49,14 +44,6 @@ struct LogregModel {
   /// M==S==F parity tests.
   static double MaxAbsDiff(const LogregModel& a, const LogregModel& b);
 };
-
-/// Process-shard-backend seam (core/pipeline/shard_rpc.h): serialize /
-/// decode the math-relevant LogregOptions for the JOB frame's family blob
-/// and rebuild the identical ModelProgram on a factormld worker.
-std::string EncodeShardJob(const LogregOptions& options);
-Result<LogregOptions> DecodeShardJob(const std::string& blob);
-std::unique_ptr<core::pipeline::ModelProgram> MakeShardProgram(
-    const LogregOptions& options);
 
 }  // namespace factorml::logreg
 

@@ -10,7 +10,6 @@
 // instead of O(d) — plus the reweighting, the NLL and the IRLS update.
 
 #include <algorithm>
-#include <climits>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -23,7 +22,6 @@
 #include "la/ops.h"
 #include "linreg/gram_cofactor.h"
 #include "logreg/logreg.h"
-#include "net/wire.h"
 #include "obs/metrics.h"
 
 namespace factorml::logreg {
@@ -44,9 +42,6 @@ class LogregProgram final : public core::pipeline::ModelProgram {
 
   const char* Name() const override { return "LOGREG"; }
   const char* TempStem() const override { return "logreg"; }
-  std::string ShardJobBlob() const override {
-    return EncodeShardJob(opt_);
-  }
   uint32_t Capabilities() const override {
     return core::pipeline::kFullPass | core::pipeline::kNeedsTarget;
   }
@@ -228,39 +223,6 @@ double LogregModel::MaxAbsDiff(const LogregModel& a, const LogregModel& b) {
     m = std::max(m, std::fabs(a.w[j] - b.w[j]));
   }
   return m;
-}
-
-std::string EncodeShardJob(const LogregOptions& options) {
-  net::ByteWriter w;
-  linreg::EncodeRidgeKnobs(options.l2, options.intercept, &w);
-  w.I64(options.max_iters);
-  w.F64(options.tol);
-  return w.Take();
-}
-
-Result<LogregOptions> DecodeShardJob(const std::string& blob) {
-  LogregOptions options;
-  net::ByteReader r(blob);
-  int64_t max_iters = 0;
-  FML_RETURN_IF_ERROR(
-      linreg::DecodeRidgeKnobs("logreg", &r, &options.l2, &options.intercept));
-  FML_RETURN_IF_ERROR(r.I64(&max_iters));
-  FML_RETURN_IF_ERROR(r.F64(&options.tol));
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("logreg shard job: trailing bytes");
-  }
-  if (max_iters < 1 || max_iters > INT_MAX) {
-    return Status::InvalidArgument("logreg shard job: max_iters " +
-                                   std::to_string(max_iters) +
-                                   " out of range");
-  }
-  options.max_iters = static_cast<int>(max_iters);
-  return options;
-}
-
-std::unique_ptr<core::pipeline::ModelProgram> MakeShardProgram(
-    const LogregOptions& options) {
-  return std::make_unique<LogregProgram>(options);
 }
 
 }  // namespace factorml::logreg

@@ -10,10 +10,9 @@
 namespace factorml::net {
 
 /// Appends fixed-width scalars and length-prefixed strings to a byte
-/// buffer. Native-endian, like the ShardDelta wire format: the process
-/// shard backend runs parent and workers on one host (Unix socket or TCP
-/// loopback), so both ends share the representation; doubles are memcpy'd
-/// so parameters and objectives cross the wire bit-exactly.
+/// buffer. Native-endian, like the ShardDelta wire format: a checkpoint
+/// is read back by the build that wrote it, on the same host; doubles are
+/// memcpy'd so parameters and objectives round-trip bit-exactly.
 class ByteWriter {
  public:
   void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
@@ -25,9 +24,7 @@ class ByteWriter {
     U64(s.size());
     out_.append(s);
   }
-  void Bytes(const std::string& s) { Str(s); }
 
-  const std::string& data() const { return out_; }
   std::string Take() { return std::move(out_); }
 
  private:
@@ -39,8 +36,8 @@ class ByteWriter {
 
 /// Bounds-checked reader over a received payload. Every accessor fails
 /// with InvalidArgument instead of reading past the end, so a truncated or
-/// corrupted frame surfaces as a bounded protocol error, never as a wild
-/// read — the property net_test pins against bit-flipped frames.
+/// corrupted header surfaces as a bounded error, never as a wild read —
+/// the property net_test pins.
 class ByteReader {
  public:
   explicit ByteReader(const std::string& bytes) : bytes_(bytes) {}
@@ -61,10 +58,8 @@ class ByteReader {
     off_ += static_cast<size_t>(len);
     return Status::OK();
   }
-  Status Bytes(std::string* s) { return Str(s); }
 
   bool AtEnd() const { return off_ == bytes_.size(); }
-  size_t remaining() const { return bytes_.size() - off_; }
 
  private:
   Status Fixed(void* p, size_t n) {

@@ -32,7 +32,6 @@ RunManifest RunManifest::FromArgs(const std::string& binary,
   m.prefetch_depth = args.GetPrefetchDepth(2);
   m.kernels = args.GetKernels();
   m.kernel_backend = m.kernels == "simd" ? la::SimdBackendName() : "scalar";
-  m.shard_backend = args.GetShardBackend("inproc");
   m.cpu_features = la::CpuFeatures();
   m.buffer_pages = args.GetBufferPages(8192);
   m.seed = static_cast<uint64_t>(
@@ -50,7 +49,6 @@ std::string RunManifest::ToJson() const {
      << ", \"morsel_rows\": " << morsel_rows
      << ", \"steal\": " << (steal ? "true" : "false")
      << ", \"shards\": " << shards
-     << ", \"shard_backend\": \"" << JsonEscape(shard_backend) << "\""
      << ", \"prefetch\": " << (prefetch ? "true" : "false")
      << ", \"prefetch_depth\": " << prefetch_depth
      << ", \"kernels\": \"" << JsonEscape(kernels) << "\""

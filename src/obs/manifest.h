@@ -22,7 +22,6 @@ struct RunManifest {
   int64_t morsel_rows = 0;
   bool steal = false;
   int shards = 1;
-  std::string shard_backend = "inproc";  // --shard-backend flag value
   bool prefetch = false;
   int prefetch_depth = 2;
   std::string kernels = "scalar";    // --kernels flag value

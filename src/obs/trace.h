@@ -108,7 +108,6 @@ inline constexpr const char kCatMorsel[] = "morsel";
 inline constexpr const char kCatStorage[] = "storage";
 inline constexpr const char kCatPipeline[] = "pipeline";
 inline constexpr const char kCatPhase[] = "phase";
-inline constexpr const char kCatRpc[] = "rpc";
 
 /// Fixed-capacity single-writer ring: the emitting thread appends, the
 /// flusher reads after the run quiesces. Overflow drops (counted), never

@@ -388,30 +388,30 @@ TEST(FlagsTest, GetIntNegativeStillParses) {
   EXPECT_EQ(args.GetInt("delta", 0), -7);
 }
 
-TEST(FlagsTest, ShardBackendFlagsValidAndDefaults) {
-  const char* argv[] = {"prog", "--shard-backend=process",
-                        "--shard-timeout-ms=500"};
-  ArgParser args(3, const_cast<char**>(argv));
-  EXPECT_EQ(args.GetShardBackend(), "process");
-  EXPECT_EQ(args.GetShardTimeoutMs(), 500);
-  const char* argv2[] = {"prog"};
-  ArgParser args2(1, const_cast<char**>(argv2));
-  EXPECT_EQ(args2.GetShardBackend(), "inproc");
-  EXPECT_EQ(args2.GetShardTimeoutMs(), 30000);
+// --io_delay_us used to be cast from GetInt to uint64_t: -1 meant no
+// delay and 10^12 hung the run. Both now exit 2 naming the flag.
+TEST(FlagsTest, IoDelayValidAndDefault) {
+  const char* argv[] = {"prog", "--io_delay_us=250"};
+  ArgParser args(2, const_cast<char**>(argv));
+  EXPECT_EQ(args.GetIoDelayUs(), 250);
+  const char* argv2[] = {"prog", "--io_delay_us=1000000"};
+  ArgParser args2(2, const_cast<char**>(argv2));
+  EXPECT_EQ(args2.GetIoDelayUs(), ArgParser::kMaxIoDelayUs);
+  const char* argv3[] = {"prog"};
+  ArgParser args3(1, const_cast<char**>(argv3));
+  EXPECT_EQ(args3.GetIoDelayUs(), 0);
 }
 
-TEST(FlagsDeathTest, UnknownShardBackendExits2) {
-  const char* argv[] = {"prog", "--shard-backend=grpc"};
-  ArgParser args(2, const_cast<char**>(argv));
-  EXPECT_EXIT(args.GetShardBackend(), ::testing::ExitedWithCode(2),
-              "invalid --shard-backend=grpc");
-}
-
-TEST(FlagsDeathTest, ShardTimeoutBelowOneExits2) {
-  const char* argv[] = {"prog", "--shard-timeout-ms=0"};
-  ArgParser args(2, const_cast<char**>(argv));
-  EXPECT_EXIT(args.GetShardTimeoutMs(), ::testing::ExitedWithCode(2),
-              "invalid --shard-timeout-ms");
+TEST(FlagsDeathTest, IoDelayOutOfRangeExits2) {
+  for (const char* flag :
+       {"--io_delay_us=-1", "--io_delay_us=1000001",
+        "--io_delay_us=1000000000000", "--io_delay_us=x"}) {
+    const char* argv[] = {"prog", flag};
+    ArgParser args(2, const_cast<char**>(argv));
+    EXPECT_EXIT(args.GetIoDelayUs(), ::testing::ExitedWithCode(2),
+                "invalid --io_delay_us")
+        << flag;
+  }
 }
 
 TEST(FlagsTest, CheckpointFlagsValidAndDefaults) {
@@ -430,7 +430,6 @@ TEST(FlagsTest, CheckpointFlagsValidAndDefaults) {
 // The one parse point of the strategy knobs: every flag lands in its
 // field, and an absent flag keeps the caller's default.
 TEST(FlagsTest, StrategyOptionsFromArgsMapsEveryFlag) {
-  using core::pipeline::ShardBackend;
   using core::pipeline::StrategyOptions;
   using core::pipeline::StrategyOptionsFromArgs;
   const std::string dir = ::testing::TempDir();
@@ -444,12 +443,9 @@ TEST(FlagsTest, StrategyOptionsFromArgsMapsEveryFlag) {
                         "--prefetch-depth=4",
                         "--shards=5",
                         "--kernels=simd",
-                        "--shard-backend=process",
-                        "--shard-timeout-ms=700",
-                        "--factormld=/opt/bin/factormld",
                         dir_arg.c_str(),
                         "--checkpoint-every=6"};
-  ArgParser args(14, const_cast<char**>(argv));
+  ArgParser args(11, const_cast<char**>(argv));
   StrategyOptions defaults;
   defaults.temp_dir = "/data";
   const StrategyOptions o = StrategyOptionsFromArgs(args, defaults);
@@ -462,12 +458,8 @@ TEST(FlagsTest, StrategyOptionsFromArgsMapsEveryFlag) {
   EXPECT_EQ(o.shards, 5);
   EXPECT_EQ(o.kernels, la::KernelMode::kSimd);
   EXPECT_EQ(o.temp_dir, "/data");  // no flag: the caller's value
-  EXPECT_EQ(o.shard_backend, ShardBackend::kProcess);
-  EXPECT_EQ(o.shard_timeout_ms, 700);
-  EXPECT_EQ(o.shard_worker_path, "/opt/bin/factormld");
   EXPECT_EQ(o.checkpoint_dir, dir);
   EXPECT_EQ(o.checkpoint_every, 6);
-  EXPECT_EQ(o.shard_channel, nullptr);
 
   // No flags: every field keeps its default, including a family's own
   // (NN's 1024-row batch).
@@ -485,9 +477,6 @@ TEST(FlagsTest, StrategyOptionsFromArgsMapsEveryFlag) {
   EXPECT_EQ(d.shards, plain.shards);
   EXPECT_EQ(d.kernels, la::KernelMode::kScalar);
   EXPECT_EQ(d.temp_dir, "/data");
-  EXPECT_EQ(d.shard_backend, ShardBackend::kInproc);
-  EXPECT_EQ(d.shard_timeout_ms, plain.shard_timeout_ms);
-  EXPECT_EQ(d.shard_worker_path, "");
   EXPECT_EQ(d.checkpoint_dir, "");
   EXPECT_EQ(d.checkpoint_every, 0);
 }

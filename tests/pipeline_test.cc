@@ -13,10 +13,15 @@
 //    linear regression, k-means) must produce matching parameters and
 //    objectives under all three strategies at threads 1 and 4.
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <random>
 #include <string>
@@ -26,6 +31,7 @@
 #include "common/opcount.h"
 #include "core/factorml.h"
 #include "core/pipeline/checkpoint.h"
+#include "core/pipeline/sharded_driver.h"
 #include "gtest/gtest.h"
 #include "join/assemble.h"
 #include "la/kernels.h"
@@ -1283,7 +1289,7 @@ TEST(PrefetchParityTest, GmmPrefetchedRunsAreBitIdentical) {
 // deltas merge in shard-id (= global chunk) order. Objectives, params and
 // op counts are therefore bit-identical to --shards=1 at the same morsel
 // size under ANY threads x steal x prefetch schedule; and because the
-// in-process backend time-shares the unsharded run's worker pools with
+// shards time-share the unsharded run's worker pools with
 // global chunk ownership (exec::RunMorselSpan), total page I/O is ALSO
 // bit-identical whenever the schedule itself is I/O-deterministic (steal
 // and prefetch off — stealing re-homes chunks into thief pools and
@@ -1327,7 +1333,7 @@ TEST(ShardParityTest, GmmShardedBitIdenticalIncludingPageIo) {
                   0.0)
             << tag;
         // Deterministic schedule (steal/prefetch off): the time-shared
-        // backend replays the unsharded per-pool page-request sequences,
+        // shards replay the unsharded per-pool page-request sequences,
         // so the whole I/O split matches bit for bit.
         EXPECT_EQ(report.io.pages_read, base_report.io.pages_read) << tag;
         EXPECT_EQ(report.io.pages_written, base_report.io.pages_written)
@@ -2068,6 +2074,82 @@ TEST(CheckpointTest, CorruptCheckpointIsSkippedWithFreshStart) {
   EXPECT_EQ(report.iterations, 2);
 }
 
+TEST(CheckpointTest, KilledShardedRunResumesBitIdentically) {
+  // The crash story on the shard plane: a sharded F-GMM run with a
+  // checkpoint after every iteration is SIGKILLed once its first
+  // checkpoint lands. A rerun with the same options resumes from the
+  // last checkpoint on disk and must finish bit-identical to a run that
+  // was never killed — same objective bits, same params, same op counts.
+  TempDir dir;
+  TempDir ckpt;
+  BufferPool pool(512);
+  auto rel =
+      std::move(GenerateSynthetic(Spec(dir.str(), false), &pool)).value();
+  gmm::GmmOptions opt;
+  opt.num_components = 3;
+  // Far more iterations than the poll below needs to see the first
+  // checkpoint, so the child is still training when the kill lands.
+  opt.max_iters = 200;
+  opt.batch_rows = 256;
+  opt.morsel_rows = 200;
+  opt.temp_dir = dir.str();
+  opt.threads = 1;
+  opt.shards = 2;
+  pool.Clear();
+  core::TrainReport base_report;
+  auto base = core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
+                             &base_report);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+
+  opt.checkpoint_dir = ckpt.str();
+  opt.checkpoint_every = 1;
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    pool.Clear();
+    core::TrainReport report;
+    auto r = core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool,
+                            &report);
+    // Reaching here means the run finished before the kill.
+    _exit(r.ok() ? 7 : 8);
+  }
+  // Poll for the first checkpoint. A child that exits first (finished,
+  // or failed) is reaped here and fails the WIFSIGNALED check below.
+  int wstatus = 0;
+  pid_t reaped = 0;
+  while ((reaped = waitpid(child, &wstatus, WNOHANG)) == 0) {
+    auto seen = core::pipeline::ReadCheckpoint(ckpt.str(), "F-GMM");
+    if (seen.ok() && seen.value().completed_iterations >= 1) {
+      kill(child, SIGKILL);
+      reaped = waitpid(child, &wstatus, 0);
+      break;
+    }
+    usleep(200);
+  }
+  ASSERT_EQ(reaped, child);
+  ASSERT_TRUE(WIFSIGNALED(wstatus))
+      << "the sharded run exited before it was killed (status " << wstatus
+      << ")";
+  EXPECT_EQ(WTERMSIG(wstatus), SIGKILL);
+  auto left = core::pipeline::ReadCheckpoint(ckpt.str(), "F-GMM");
+  ASSERT_TRUE(left.ok()) << left.status().ToString();
+  EXPECT_GE(left.value().completed_iterations, 1);
+  EXPECT_LT(left.value().completed_iterations, opt.max_iters);
+
+  pool.Clear();
+  core::TrainReport report;
+  auto resumed =
+      core::TrainGmm(rel, opt, core::Algorithm::kFactorized, &pool, &report);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(report.final_objective, base_report.final_objective);
+  EXPECT_EQ(gmm::GmmParams::MaxAbsDiff(base.value(), resumed.value()), 0.0);
+  EXPECT_EQ(report.iterations, base_report.iterations);
+  EXPECT_EQ(report.ops.mults, base_report.ops.mults);
+  EXPECT_EQ(report.ops.adds, base_report.ops.adds);
+  EXPECT_EQ(report.ops.subs, base_report.ops.subs);
+  EXPECT_EQ(report.ops.exps, base_report.ops.exps);
+}
+
 TEST(CheckpointTest, OptionValidationRejectsBadCombos) {
   TempDir dir;
   BufferPool pool(512);
@@ -2229,6 +2311,172 @@ TEST(ShardParityTest, ShardDeltaFramesBitIdenticalToUnsharded) {
   EXPECT_EQ(report.ops.adds, base_report.ops.adds);
   EXPECT_EQ(MetricValue(base_report, "pipeline.delta_bytes"), 0.0);
   EXPECT_GT(MetricValue(report, "pipeline.delta_bytes"), 0.0);
+}
+
+// ------------------------------------- MergeSlots + ShardDelta codec
+
+// A minimal slot-holding program: one state vector per slot, visited
+// whole and merging into one shared buffer at the slot's offset (0 unless
+// given). Enough to exercise every ShardDelta wire path and MergeSlots
+// without a training run behind it.
+class SlotStateProgram : public core::pipeline::ModelProgram {
+ public:
+  explicit SlotStateProgram(std::vector<std::vector<double>> slots,
+                            std::vector<size_t> offsets = {})
+      : slots_(std::move(slots)), offsets_(std::move(offsets)) {
+    offsets_.resize(slots_.size(), 0);
+    size_t len = 0;
+    for (size_t s = 0; s < slots_.size(); ++s) {
+      len = std::max(len, offsets_[s] + slots_[s].size());
+    }
+    merged_.assign(len, 0.0);
+  }
+  const char* Name() const override { return "slot-fake"; }
+  const char* TempStem() const override { return "slot_fake"; }
+  uint32_t Capabilities() const override { return 0; }
+  int MaxIterations() const override { return 1; }
+  Status Init(const core::pipeline::PipelineContext&) override {
+    return Status::OK();
+  }
+  Result<bool> EndIteration(const core::pipeline::PipelineContext&,
+                            int) override {
+    return true;
+  }
+  double Objective() const override { return 0.0; }
+  void VisitSlotState(
+      int, int slot,
+      const std::function<void(double*, double*, size_t)>& visit) override {
+    visited_.push_back(slot);
+    auto& s = slots_[static_cast<size_t>(slot)];
+    if (!s.empty()) {
+      visit(s.data(), merged_.data() + offsets_[static_cast<size_t>(slot)],
+            s.size());
+    }
+  }
+
+  std::vector<std::vector<double>> slots_;
+  std::vector<size_t> offsets_;
+  std::vector<double> merged_;
+  std::vector<int> visited_;  // slot ids in visit order
+};
+
+TEST(MergeSlotsTest, FoldsAscendingSlotsIntoOffsetDestinations) {
+  // Slot 1 lands at offset 2 of the merged buffer, overlapping slots 0
+  // and 2 at elements 2..3.
+  SlotStateProgram model({{1.0, 2.0, 4.0}, {8.0, 16.0}, {0.0, 0.0, 32.0, 64.0}},
+                         {0, 2, 0});
+  core::pipeline::MergeSlots(&model, 0, exec::Range{0, 3});
+  EXPECT_EQ(model.merged_, (std::vector<double>{1.0, 2.0, 44.0, 80.0}));
+  EXPECT_EQ(model.visited_, (std::vector<int>{0, 1, 2}));
+  // The range bounds the fold, and slots are only read.
+  core::pipeline::MergeSlots(&model, 0, exec::Range{1, 3});
+  EXPECT_EQ(model.merged_, (std::vector<double>{1.0, 2.0, 84.0, 160.0}));
+  EXPECT_EQ(model.visited_, (std::vector<int>{0, 1, 2, 1, 2}));
+  EXPECT_EQ(model.slots_[1], (std::vector<double>{8.0, 16.0}));
+}
+
+std::vector<std::vector<double>> WireSlots() {
+  // Zero runs, a literal stretch with -0.0 and a denormal (bit-pattern
+  // non-zero: they must ship literally), an all-zero slot, a zero tail.
+  return {{0.0, 0.0, 0.0, 1.5, -0.0, 5e-324, 2.25},
+          {0.0, 0.0, 0.0, 0.0},
+          {7.0, 0.0}};
+}
+
+TEST(ShardDeltaWireTest, RoundTripsBitExactAndElidesZeroRuns) {
+  const auto original = WireSlots();
+  SlotStateProgram src(original);
+  const auto delta =
+      core::pipeline::ExtractShardDelta(&src, 0, 1, exec::Range{0, 3});
+  // Extract zeroes the source slots: the bytes carry the whole state.
+  for (const auto& s : src.slots_) {
+    for (const double v : s) EXPECT_EQ(v, 0.0);
+  }
+  SlotStateProgram dst(
+      {std::vector<double>(7, -1.0), std::vector<double>(4, -1.0),
+       std::vector<double>(2, -1.0)});
+  const Status st = core::pipeline::ApplyShardDelta(&dst, 0, delta);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  size_t doubles = 0;
+  for (size_t s = 0; s < original.size(); ++s) {
+    doubles += original[s].size();
+    for (size_t i = 0; i < original[s].size(); ++i) {
+      EXPECT_EQ(std::memcmp(&dst.slots_[s][i], &original[s][i],
+                            sizeof(double)),
+                0)
+          << "slot " << s << " double " << i;
+    }
+  }
+  // 8 of the 13 doubles are +0.0 runs: the frame undercuts a verbatim
+  // copy of the stream behind the same 48-byte header.
+  EXPECT_LT(delta.wire_size(), 48 + doubles * sizeof(double));
+}
+
+TEST(ShardDeltaWireTest, TruncatedFramesRejectedNamingTheShard) {
+  SlotStateProgram src(WireSlots());
+  auto delta =
+      core::pipeline::ExtractShardDelta(&src, 0, 3, exec::Range{0, 3});
+  delta.bytes.resize(delta.bytes.size() - 5);
+  SlotStateProgram dst(WireSlots());
+  const Status st = core::pipeline::ApplyShardDelta(&dst, 0, delta);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("shard 3"), std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.ToString().find("chunks [0, 3)"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(ShardDeltaWireTest, TrailingBytesRejected) {
+  // A frame that decodes fine but carries extra bytes is a framing bug
+  // upstream; silently ignoring the tail would mask it.
+  SlotStateProgram src(WireSlots());
+  auto delta =
+      core::pipeline::ExtractShardDelta(&src, 0, 0, exec::Range{0, 3});
+  delta.bytes.append(8, '\0');
+  SlotStateProgram dst(WireSlots());
+  const Status st = core::pipeline::ApplyShardDelta(&dst, 0, delta);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("length mismatch"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(ShardDeltaWireTest, UnknownMagicRejected) {
+  SlotStateProgram src(WireSlots());
+  auto delta =
+      core::pipeline::ExtractShardDelta(&src, 0, 0, exec::Range{0, 3});
+  delta.bytes[7] = '1';  // "FMLSHRD2" -> "FMLSHRD1"
+  SlotStateProgram dst(WireSlots());
+  const Status st = core::pipeline::ApplyShardDelta(&dst, 0, delta);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("bad magic"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(ShardDeltaWireTest, SpanMismatchRejectedWithBothSpans) {
+  SlotStateProgram src(WireSlots());
+  auto delta =
+      core::pipeline::ExtractShardDelta(&src, 0, 2, exec::Range{1, 3});
+  delta.chunk_begin = 0;  // merge-side bookkeeping disagrees with the wire
+  SlotStateProgram dst(WireSlots());
+  const Status st = core::pipeline::ApplyShardDelta(&dst, 0, delta);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("chunks [0, 3)"), std::string::npos)
+      << st.ToString();  // what the merge expected
+  EXPECT_NE(st.ToString().find("chunks [1, 3)"), std::string::npos)
+      << st.ToString();  // what the wire carried
+}
+
+TEST(ShardDeltaWireTest, ShapeDriftRejectedWithByteCounts) {
+  SlotStateProgram src(WireSlots());
+  const auto delta =
+      core::pipeline::ExtractShardDelta(&src, 0, 0, exec::Range{0, 3});
+  auto grown = WireSlots();
+  grown[1].push_back(0.0);  // receiver's slot 1 is one double wider
+  SlotStateProgram dst(std::move(grown));
+  const Status st = core::pipeline::ApplyShardDelta(&dst, 0, delta);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("shape drifted"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(SlotMemoryTest, RidScopedSlotsStayFarBelowFullDomainSizing) {

@@ -28,11 +28,16 @@
 //
 // Every train run prints a TrainReport (wall time, page I/O, flops).
 // Train subcommands take no `--seed` (exit 2): every trainer fixes its
-// own initialization.
+// own initialization. The retired shard-backend flags `--shard-backend`,
+// `--shard-timeout-ms` and `--factormld` also exit 2: shards always run
+// in this process, and a flag that was silently ignored would look like
+// it still picked a backend.
 // `--threads=N` (any subcommand, default 1) runs the trainers on the
 // exec/ morsel-driven parallel runtime; --threads=1 is bit-identical to
 // the serial reproduction. `--buffer-pages=N` (train subcommands, default
-// 8192) sizes the buffer pool.
+// 8192) sizes the buffer pool. `--io_delay_us=N` (any subcommand, default
+// 0, at most 1000000) adds simulated device latency to every page
+// transfer; values outside that range exit 2.
 //
 // `--morsel-rows=N` (any train subcommand, default 4096) sizes the chunks
 // of every full pass: the pass becomes fixed N-row chunks (whole FK1 runs
@@ -53,27 +58,12 @@
 // through the rid-range shard plane: the chunk plan is split into N
 // contiguous spans, each span is scanned as its own shard (own IoStats
 // window and busy time in the TrainReport), its accumulator slots are
-// round-tripped through serialized ShardDelta bytes — the wire seam a
-// distributed backend plugs into — and the deltas merge in shard-id
+// round-tripped through serialized ShardDelta bytes — so each shard's
+// contribution is provably whole — and the deltas merge in shard-id
 // order. Objectives, params and op counts are bit-identical to
 // --shards=1 at the same --morsel-rows for any --threads, --steal and
 // --prefetch, and total page I/O matches too when steal and prefetch are
 // off. The NN family (mini-batch SGD) rejects --shards > 1.
-//
-// `--shard-backend=inproc|process` (any full-pass train subcommand,
-// default inproc) selects where the shard scans execute. `inproc` drives
-// them in this process — byte-identical to the pre-backend engine.
-// `process` spawns one factormld worker process per shard and exchanges
-// the ShardDelta bytes over length-prefixed socket frames (Unix-domain
-// under the data dir, falling back to TCP loopback when that socket path
-// is too long); results stay bit-identical by the same chunk-ordered merge, and the
-// TrainReport's shard_stats become per-node I/O windows. A worker that
-// dies or stalls past `--shard-timeout-ms=N` (default 30000) has its
-// spans requeued on a healthy worker — bit-identically — or, when the
-// model vetoes mid-iteration recovery, the run restarts deterministically
-// on the survivors. `--factormld=PATH` overrides the worker binary
-// (default: $FACTORMLD, then a sibling of the running executable, then
-// $PATH).
 //
 // `--kernels=scalar|simd` (any train subcommand, default scalar) selects
 // the compute kernel table and nothing else: under both, pages are
@@ -280,8 +270,8 @@ int CmdStats(const ArgParser& args) {
   return 0;
 }
 
-/// The one train body: rejects --seed (exit 2), checks --dir, sizes the
-/// pool, loads the relations
+/// The one train body: rejects --seed and the retired shard-backend flags
+/// (exit 2), checks --dir, sizes the pool, loads the relations
 /// (`has_target` is the family's target rule), fills the strategy half of
 /// `options`, parses --algo, then trains with the family's core::Train*
 /// entry and prints one TrainReport per strategy.
@@ -300,6 +290,18 @@ int RunTrain(const ArgParser& args, const std::string& cmd, bool has_target,
                  "initialization is fixed)\n",
                  args.GetString("seed", "").c_str(), cmd.c_str());
     return 2;
+  }
+  // The process shard backend is gone; ArgParser keeps unknown flags, so
+  // without this a --shard-backend=process run would train in-process.
+  for (const char* retired :
+       {"shard-backend", "shard-timeout-ms", "factormld"}) {
+    if (args.Has(retired)) {
+      std::fprintf(stderr,
+                   "factorml_cli: invalid --%s=%s (retired: shards always "
+                   "run in this process; drop the flag)\n",
+                   retired, args.GetString(retired, "").c_str());
+      return 2;
+    }
   }
   const std::string dir = args.GetString("dir", "");
   if (dir.empty()) return Fail(cmd + " requires --dir");
@@ -432,7 +434,7 @@ int Main(int argc, char** argv) {
   const std::string cmd = argv[1];
   ArgParser args(argc, argv);
   if (args.Has("io_delay_us")) {
-    const auto us = static_cast<uint64_t>(args.GetInt("io_delay_us", 0));
+    const auto us = static_cast<uint64_t>(args.GetIoDelayUs());
     storage::SetSimulatedIoLatencyMicros(us, us);
   }
   exec::SetDefaultThreads(args.GetThreads(1));
